@@ -159,8 +159,8 @@ def _parse_frame(doc: dict, path: str) -> FrameSequence:
     return FrameSequence(ambient_dim=n, vectors=vectors)
 
 
-def _tolerance(args) -> Tolerance:
-    identity_abs = args.tolerance
+def _tolerance(identity_abs: float | None, rank_rel: float | None) -> Tolerance:
+    """Tolerance from explicit values; unset ones fall back to FRAMEKIT_TOL and the defaults."""
     if identity_abs is None:
         env = os.environ.get("FRAMEKIT_TOL")
         if env is not None:
@@ -170,7 +170,8 @@ def _tolerance(args) -> Tolerance:
                 raise _InputError(f"FRAMEKIT_TOL is not a number: {env!r}") from exc
         else:
             identity_abs = _DEFAULT_IDENTITY_ABS
-    rank_rel = args.rank_rel if args.rank_rel is not None else _DEFAULT_RANK_REL
+    if rank_rel is None:
+        rank_rel = _DEFAULT_RANK_REL
     try:
         return Tolerance(rank_rel=rank_rel, identity_abs=identity_abs)
     except ValueError as exc:
@@ -178,7 +179,7 @@ def _tolerance(args) -> Tolerance:
 
 
 def _cmd_analyze(args) -> int:
-    tol = _tolerance(args)
+    tol = _tolerance(args.tolerance, args.rank_rel)
     frame = _parse_frame(_load_document(args.input), args.input)
     verdict = classify(frame, tol)
     doc = {
@@ -217,7 +218,7 @@ def _render_text_analyze(doc: dict) -> str:
 
 
 def _cmd_dual(args) -> int:
-    tol = _tolerance(args)
+    tol = _tolerance(args.tolerance, args.rank_rel)
     frame = _parse_frame(_load_document(args.input), args.input)
     dual = canonical_dual(frame, tol)
     doc = {
@@ -230,7 +231,7 @@ def _cmd_dual(args) -> int:
 
 
 def _cmd_reconstruct(args) -> int:
-    tol = _tolerance(args)
+    tol = _tolerance(args.tolerance, args.rank_rel)
     raw = _load_document(args.input)
     frame = _parse_frame(raw, args.input)
     has_signal = "signal" in raw
@@ -285,19 +286,8 @@ def _cmd_verify(args) -> int:
         if rank_rel is None:
             # keep sigma(S) ~ sigma(T)^2 above the cutoff despite kappa^2
             rank_rel = min(_DEFAULT_RANK_REL, 1e-3 / kappa**2)
-    if identity_abs is None:
-        env = os.environ.get("FRAMEKIT_TOL")
-        if env is not None:
-            try:
-                identity_abs = float(env)
-            except ValueError as exc:
-                raise _InputError(f"FRAMEKIT_TOL is not a number: {env!r}") from exc
-        else:
-            identity_abs = _DEFAULT_IDENTITY_ABS
-    if rank_rel is None:
-        rank_rel = _DEFAULT_RANK_REL
+    tol = _tolerance(identity_abs, rank_rel)
     try:
-        tol = Tolerance(rank_rel=rank_rel, identity_abs=identity_abs)
         spec = GeneratorSpec(kind=args.kind, n=args.n, m=args.m, seed=args.seed,
                              condition_target=condition_target)
     except ValueError as exc:

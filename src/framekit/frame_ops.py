@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -29,7 +30,6 @@ from .matrix_core import (
     adjoint,
     as_vector,
     max_abs,
-    pinv,
     pinv_from_factors,
     svd,
 )
@@ -233,6 +233,163 @@ def _hermitize(m: np.ndarray) -> np.ndarray:
     return (m + m.conj().T) / 2.0
 
 
+def _projector(basis: np.ndarray) -> np.ndarray:
+    return _hermitize(basis @ basis.conj().T)
+
+
+class _FrameAnalysis:
+    """Every operator and factorization of one frame under one tolerance.
+
+    T, U, S and G, their SVDs and everything derived from them are computed
+    on first use and at most once. Each public entry point builds its own
+    analysis and drops it on return, so nothing is cached between calls.
+    """
+
+    def __init__(self, frame: FrameSequence, tol: Tolerance | None = None):
+        self.frame = frame
+        self.tol = tol or DEFAULT_TOLERANCE
+
+    @cached_property
+    def t(self) -> np.ndarray:
+        return self.frame.synthesis_matrix()
+
+    @cached_property
+    def u(self) -> np.ndarray:
+        return adjoint(self.t)
+
+    @cached_property
+    def s(self) -> np.ndarray:
+        return self.t @ self.u
+
+    @cached_property
+    def g(self) -> np.ndarray:
+        return self.u @ self.t
+
+    @cached_property
+    def f_t(self) -> SvdFactors:
+        return svd(self.t, self.tol)
+
+    @cached_property
+    def f_u(self) -> SvdFactors:
+        return svd(self.u, self.tol)
+
+    @cached_property
+    def f_s(self) -> SvdFactors:
+        return svd(self.s, self.tol)
+
+    @cached_property
+    def f_g(self) -> SvdFactors:
+        return svd(self.g, self.tol)
+
+    @cached_property
+    def s_pinv(self) -> np.ndarray:
+        return pinv_from_factors(self.f_s)
+
+    @cached_property
+    def g_pinv(self) -> np.ndarray:
+        return pinv_from_factors(self.f_g)
+
+    @cached_property
+    def u_pinv(self) -> np.ndarray:
+        return pinv_from_factors(self.f_u)
+
+    @cached_property
+    def bundle(self) -> OperatorBundle:
+        t, u, s, g = self.t, self.u, self.s, self.g
+        f_t, f_u, f_s, f_g = self.f_t, self.f_u, self.f_s, self.f_g
+
+        p = _projector(f_t.left_vectors)
+        q = _projector(f_u.left_vectors)
+        t_pinv = pinv_from_factors(f_t)
+        s_pinv = self.s_pinv
+        g_pinv = self.g_pinv
+
+        ranks = {
+            "synthesis": f_t.rank,
+            "analysis": f_u.rank,
+            "frame operator": f_s.rank,
+            "gram": f_g.rank,
+        }
+        if len(set(ranks.values())) != 1:
+            detail = ", ".join(f"{name} rank {r}" for name, r in ranks.items())
+            raise NumericalError(
+                "rank thresholds disagree between operator routes "
+                f"({detail}); tighten rank_rel for sequences conditioned this badly"
+            )
+
+        checks = (
+            ("S S+ = P", scaled_deviation(s @ s_pinv, p, (s, s_pinv))),
+            ("S+ S = P", scaled_deviation(s_pinv @ s, p, (s_pinv, s))),
+            ("G G+ = Q", scaled_deviation(g @ g_pinv, q, (g, g_pinv))),
+            ("G+ G = Q", scaled_deviation(g_pinv @ g, q, (g_pinv, g))),
+            ("T+ = T* S+", scaled_deviation(t_pinv, u @ s_pinv, (u, s_pinv))),
+            ("P T = T", scaled_deviation(p @ t, t, (p, t))),
+        )
+        for name, dev in checks:
+            if dev > self.tol.identity_abs:
+                raise NumericalError(
+                    f"operator bundle failed self-check '{name}': "
+                    f"deviation {dev:.3e} exceeds {self.tol.identity_abs:.3e}"
+                )
+
+        return OperatorBundle(
+            synthesis=_frozen(t),
+            analysis=_frozen(u),
+            frame_operator=_frozen(s),
+            gram=_frozen(g),
+            span_projector=_frozen(p),
+            coefficient_projector=_frozen(q),
+            synthesis_pinv=_frozen(t_pinv),
+            frame_operator_pinv=_frozen(s_pinv),
+            gram_pinv=_frozen(g_pinv),
+            span_dim=f_t.rank,
+            tol=self.tol,
+        )
+
+    @cached_property
+    def bounds(self) -> FrameBounds:
+        if self.f_t.rank == 0:
+            raise DegenerateSpanError("all vectors are numerically zero; bounds are undefined")
+        return _bounds_from_factors(self.f_t, self.tol)
+
+    @cached_property
+    def classification(self) -> FrameClassification:
+        r = self.f_t.rank
+        m = self.frame.size
+        n = self.frame.ambient_dim
+        if r > 0:
+            tight, parseval = self.bounds.tight, self.bounds.parseval
+            redundancy = m / r
+        else:
+            tight = parseval = False
+            redundancy = math.inf
+        return FrameClassification(
+            is_frame_for_space=(r == n),
+            is_riesz_basis=(r == m),
+            is_tight=tight,
+            is_parseval=parseval,
+            span_dim=r,
+            redundancy=float(redundancy),
+        )
+
+    @cached_property
+    def canonical_dual(self) -> FrameSequence:
+        f_t = self.f_t
+        if f_t.rank == 0:
+            raise DegenerateSpanError("a degenerate sequence has no canonical dual")
+        f_s = self.f_s
+        if f_s.rank != f_t.rank:
+            raise NumericalError(
+                f"rank thresholds disagree (synthesis rank {f_t.rank}, frame operator "
+                f"rank {f_s.rank}); tighten rank_rel for sequences conditioned this badly"
+            )
+        dual_matrix = self.s_pinv @ self.t
+        return FrameSequence(
+            ambient_dim=self.frame.ambient_dim,
+            vectors=tuple(dual_matrix[:, k] for k in range(self.frame.size)),
+        )
+
+
 def build_bundle(frame: FrameSequence, tol: Tolerance | None = None) -> OperatorBundle:
     """Construct every induced operator and verify their mutual consistency.
 
@@ -244,64 +401,7 @@ def build_bundle(frame: FrameSequence, tol: Tolerance | None = None) -> Operator
     A rank-threshold disagreement usually means the sequence is conditioned
     beyond what rank_rel resolves; tighten rank_rel to keep the routes aligned.
     """
-    tol = tol or DEFAULT_TOLERANCE
-    t = frame.synthesis_matrix()
-    u = adjoint(t)
-    s = t @ u
-    g = u @ t
-
-    f_t = svd(t, tol)
-    f_u = svd(u, tol)
-    f_s = svd(s, tol)
-    f_g = svd(g, tol)
-
-    p = _hermitize(f_t.left_vectors @ f_t.left_vectors.conj().T)
-    q = _hermitize(f_u.left_vectors @ f_u.left_vectors.conj().T)
-    t_pinv = pinv_from_factors(f_t)
-    s_pinv = pinv_from_factors(f_s)
-    g_pinv = pinv_from_factors(f_g)
-
-    ranks = {
-        "synthesis": f_t.rank,
-        "analysis": f_u.rank,
-        "frame operator": f_s.rank,
-        "gram": f_g.rank,
-    }
-    if len(set(ranks.values())) != 1:
-        detail = ", ".join(f"{name} rank {r}" for name, r in ranks.items())
-        raise NumericalError(
-            "rank thresholds disagree between operator routes "
-            f"({detail}); tighten rank_rel for sequences conditioned this badly"
-        )
-
-    checks = (
-        ("S S+ = P", scaled_deviation(s @ s_pinv, p, (s, s_pinv))),
-        ("S+ S = P", scaled_deviation(s_pinv @ s, p, (s_pinv, s))),
-        ("G G+ = Q", scaled_deviation(g @ g_pinv, q, (g, g_pinv))),
-        ("G+ G = Q", scaled_deviation(g_pinv @ g, q, (g_pinv, g))),
-        ("T+ = T* S+", scaled_deviation(t_pinv, u @ s_pinv, (u, s_pinv))),
-        ("P T = T", scaled_deviation(p @ t, t, (p, t))),
-    )
-    for name, dev in checks:
-        if dev > tol.identity_abs:
-            raise NumericalError(
-                f"operator bundle failed self-check '{name}': "
-                f"deviation {dev:.3e} exceeds {tol.identity_abs:.3e}"
-            )
-
-    return OperatorBundle(
-        synthesis=_frozen(t),
-        analysis=_frozen(u),
-        frame_operator=_frozen(s),
-        gram=_frozen(g),
-        span_projector=_frozen(p),
-        coefficient_projector=_frozen(q),
-        synthesis_pinv=_frozen(t_pinv),
-        frame_operator_pinv=_frozen(s_pinv),
-        gram_pinv=_frozen(g_pinv),
-        span_dim=f_t.rank,
-        tol=tol,
-    )
+    return _FrameAnalysis(frame, tol).bundle
 
 
 def _bounds_from_factors(f_t: SvdFactors, tol: Tolerance) -> FrameBounds:
@@ -319,35 +419,12 @@ def frame_bounds(frame: FrameSequence, tol: Tolerance | None = None) -> FrameBou
     and no wider A or narrower B does. Raises DegenerateSpanError when the
     span is the zero subspace (no bounds exist).
     """
-    tol = tol or DEFAULT_TOLERANCE
-    f_t = svd(frame.synthesis_matrix(), tol)
-    if f_t.rank == 0:
-        raise DegenerateSpanError("all vectors are numerically zero; bounds are undefined")
-    return _bounds_from_factors(f_t, tol)
+    return _FrameAnalysis(frame, tol).bounds
 
 
 def classify(frame: FrameSequence, tol: Tolerance | None = None) -> FrameClassification:
     """Classify the sequence; degenerate input is reported via flags, not errors."""
-    tol = tol or DEFAULT_TOLERANCE
-    f_t = svd(frame.synthesis_matrix(), tol)
-    r = f_t.rank
-    m = frame.size
-    n = frame.ambient_dim
-    if r > 0:
-        bounds = _bounds_from_factors(f_t, tol)
-        tight, parseval = bounds.tight, bounds.parseval
-        redundancy = m / r
-    else:
-        tight = parseval = False
-        redundancy = math.inf
-    return FrameClassification(
-        is_frame_for_space=(r == n),
-        is_riesz_basis=(r == m),
-        is_tight=tight,
-        is_parseval=parseval,
-        span_dim=r,
-        redundancy=float(redundancy),
-    )
+    return _FrameAnalysis(frame, tol).classification
 
 
 def canonical_dual(frame: FrameSequence, tol: Tolerance | None = None) -> FrameSequence:
@@ -357,24 +434,7 @@ def canonical_dual(frame: FrameSequence, tol: Tolerance | None = None) -> FrameS
     (1/upper, 1/lower) of the original's, and its own canonical dual is the
     original sequence again.
     """
-    tol = tol or DEFAULT_TOLERANCE
-    t = frame.synthesis_matrix()
-    f_t = svd(t, tol)
-    if f_t.rank == 0:
-        raise DegenerateSpanError("a degenerate sequence has no canonical dual")
-    s = t @ adjoint(t)
-    f_s = svd(s, tol)
-    if f_s.rank != f_t.rank:
-        raise NumericalError(
-            f"rank thresholds disagree (synthesis rank {f_t.rank}, frame operator "
-            f"rank {f_s.rank}); tighten rank_rel for sequences conditioned this badly"
-        )
-    s_pinv = pinv_from_factors(f_s)
-    dual_matrix = s_pinv @ t
-    return FrameSequence(
-        ambient_dim=frame.ambient_dim,
-        vectors=tuple(dual_matrix[:, k] for k in range(frame.size)),
-    )
+    return _FrameAnalysis(frame, tol).canonical_dual
 
 
 def restricted(frame: FrameSequence, tol: Tolerance | None = None) -> RestrictedOperators:
@@ -384,13 +444,12 @@ def restricted(frame: FrameSequence, tol: Tolerance | None = None) -> Restricted
     of V. The restricted frame operator W* S W is Hermitian positive definite
     with condition number upper/lower; its inverse realizes S's inversion on V.
     """
-    tol = tol or DEFAULT_TOLERANCE
-    t = frame.synthesis_matrix()
-    f_t = svd(t, tol)
+    analysis = _FrameAnalysis(frame, tol)
+    f_t = analysis.f_t
     if f_t.rank == 0:
         raise DegenerateSpanError("a degenerate sequence has no restriction to its span")
     w = f_t.left_vectors
-    t_res = w.conj().T @ t
+    t_res = w.conj().T @ analysis.t
     u_res = adjoint(t_res)
     s_res = _hermitize(t_res @ u_res)
     try:
@@ -406,6 +465,16 @@ def restricted(frame: FrameSequence, tol: Tolerance | None = None) -> Restricted
     )
 
 
+def _pseudo_inverse(frame: FrameSequence, tol: Tolerance | None, on_span: bool) -> np.ndarray:
+    """S+ (on_span) or G+, with the tight fast path P / A or Q / A."""
+    analysis = _FrameAnalysis(frame, tol)
+    if analysis.classification.is_tight:
+        f_t = analysis.f_t
+        basis = f_t.left_vectors if on_span else f_t.right_vectors
+        return _projector(basis) / analysis.bounds.lower
+    return analysis.s_pinv if on_span else analysis.g_pinv
+
+
 def pseudo_frame_operator(frame: FrameSequence, tol: Tolerance | None = None) -> np.ndarray:
     """Pseudoinverse of the frame operator, with a fast path for tight frames.
 
@@ -414,14 +483,7 @@ def pseudo_frame_operator(frame: FrameSequence, tol: Tolerance | None = None) ->
     Both routes agree within tol.identity_abs on tight input. A degenerate
     sequence yields the zero matrix (the pseudoinverse of the zero operator).
     """
-    tol = tol or DEFAULT_TOLERANCE
-    t = frame.synthesis_matrix()
-    f_t = svd(t, tol)
-    if f_t.rank > 0 and _bounds_from_factors(f_t, tol).tight:
-        a = float(f_t.singular_values[f_t.rank - 1] ** 2)
-        p = _hermitize(f_t.left_vectors @ f_t.left_vectors.conj().T)
-        return p / a
-    return pinv(t @ adjoint(t), tol)
+    return _pseudo_inverse(frame, tol, on_span=True)
 
 
 def pseudo_gram(frame: FrameSequence, tol: Tolerance | None = None) -> np.ndarray:
@@ -430,11 +492,4 @@ def pseudo_gram(frame: FrameSequence, tol: Tolerance | None = None) -> np.ndarra
     Tight sequences give Q / A; everything else goes through G's own
     factorization. A degenerate sequence yields the zero matrix.
     """
-    tol = tol or DEFAULT_TOLERANCE
-    t = frame.synthesis_matrix()
-    f_t = svd(t, tol)
-    if f_t.rank > 0 and _bounds_from_factors(f_t, tol).tight:
-        a = float(f_t.singular_values[f_t.rank - 1] ** 2)
-        q = _hermitize(f_t.right_vectors @ f_t.right_vectors.conj().T)
-        return q / a
-    return pinv(adjoint(t) @ t, tol)
+    return _pseudo_inverse(frame, tol, on_span=False)

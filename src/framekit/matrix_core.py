@@ -120,12 +120,14 @@ def svd(matrix, tol: Tolerance | None = None) -> SvdFactors:
     u = u[:, :rank].copy()
     s = s[:rank].copy()
     v = vh[:rank].conj().T.copy()
-    for j in range(rank):
-        pivot = int(np.argmax(np.abs(v[:, j])))
-        z = v[pivot, j]
-        phase = np.conj(z) / abs(z)
-        v[:, j] *= phase
-        u[:, j] *= phase
+    if rank:
+        pivots = np.argmax(np.abs(v), axis=0)
+        z = v[pivots, np.arange(rank)]
+        # hypot rounds like the scalar abs(z) and np.abs does not; the phases
+        # must match a column-by-column evaluation bit for bit
+        phase = np.conj(z) / np.hypot(z.real, z.imag)
+        v *= phase
+        u *= phase
     for arr in (u, s, v):
         arr.setflags(write=False)
     return SvdFactors(left_vectors=u, singular_values=s, right_vectors=v, rank=rank)

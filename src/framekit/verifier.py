@@ -14,26 +14,13 @@ caller's identity_abs so a loosened run loosens coherently.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import DegenerateSpanError, NotTightError
-from .frame_ops import (
-    FrameSequence,
-    build_bundle,
-    canonical_dual,
-    classify,
-    frame_bounds,
-    scaled_deviation,
-)
-from .matrix_core import (
-    DEFAULT_TOLERANCE,
-    Tolerance,
-    adjoint,
-    op_norm,
-    pinv,
-    svd,
-)
+from .frame_ops import FrameSequence, _FrameAnalysis, scaled_deviation
+from .matrix_core import DEFAULT_TOLERANCE, Tolerance, adjoint, op_norm
 
 __all__ = [
     "GENERATOR_KINDS",
@@ -206,24 +193,53 @@ def _unit_columns(block: np.ndarray) -> np.ndarray:
     return block / norms
 
 
+def _energies(block: np.ndarray) -> np.ndarray:
+    """Squared norm of each column."""
+    return (np.square(block.real) + np.square(block.imag)).sum(axis=0)
+
+
+def _real_inner(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Re <y_j, x_j> for each column pair."""
+    return (x.real * y.real + x.imag * y.imag).sum(axis=0)
+
+
+def _worst(*excesses: np.ndarray) -> float:
+    """Largest entry over all arrays, and 0.0 when none is positive."""
+    return max(float(np.max(e, initial=0.0)) for e in excesses)
+
+
 class _SuiteContext:
-    """Shared state for the registry checks on one sequence."""
+    """Shared state for the registry checks on one sequence.
+
+    The frame and its canonical dual are each analyzed once; every check
+    reads those two factorizations.
+    """
 
     def __init__(self, frame: FrameSequence, tol: Tolerance, vector_samples: int):
         self.frame = frame
         self.tol = tol
-        self.bundle = build_bundle(frame, tol)
-        self.bounds = frame_bounds(frame, tol)
-        self.classification = classify(frame, tol)
-        self.dual = canonical_dual(frame, tol)
-        self.dual_bundle = build_bundle(self.dual, tol)
-        self.dual_bounds = frame_bounds(self.dual, tol)
-        self.dual_dual = canonical_dual(self.dual, tol)
-        self.analysis_pinv = pinv(self.bundle.analysis, tol)
+        analysis = _FrameAnalysis(frame, tol)
+        self.bundle = analysis.bundle
+        self.bounds = analysis.bounds
+        self.classification = analysis.classification
+        self.dual = analysis.canonical_dual
+        dual_analysis = _FrameAnalysis(self.dual, tol)
+        self.dual_bundle = dual_analysis.bundle
+        self.dual_bounds = dual_analysis.bounds
+        self.dual_dual = dual_analysis.canonical_dual
+        self.analysis_pinv = analysis.u_pinv
         rng = np.random.Generator(np.random.PCG64(_SUITE_SAMPLE_SEED))
         self.signals = _unit_columns(_complex_gaussian(rng, (frame.ambient_dim, vector_samples)))
         self.coeffs = _unit_columns(_complex_gaussian(rng, (frame.size, vector_samples)))
         self.rel_tol = _BASE_RELATIVE * (tol.identity_abs / _BASE_IDENTITY_ABS)
+
+    @cached_property
+    def frame_operator_norm(self) -> float:
+        return op_norm(self.bundle.frame_operator)
+
+    @cached_property
+    def frame_operator_pinv_norm(self) -> float:
+        return op_norm(self.bundle.frame_operator_pinv)
 
 
 def _rel_gap(values) -> float:
@@ -383,78 +399,64 @@ def _chk_span_projector_fixes_vectors(ctx):
 
 def _chk_operator_norms(ctx):
     b = ctx.bundle
-    dev = _rel_gap((op_norm(b.synthesis) ** 2, op_norm(b.frame_operator), op_norm(b.gram)))
+    dev = _rel_gap((op_norm(b.synthesis) ** 2, ctx.frame_operator_norm, op_norm(b.gram)))
     return dev, ctx.rel_tol, None
 
 
 def _chk_pinv_norms(ctx):
     b = ctx.bundle
     dev = _rel_gap((op_norm(b.synthesis_pinv) ** 2,
-                    op_norm(b.frame_operator_pinv),
+                    ctx.frame_operator_pinv_norm,
                     op_norm(b.gram_pinv)))
     return dev, ctx.rel_tol, None
 
 
 def _chk_analysis_sandwich(ctx):
-    b = ctx.bundle
+    b, f = ctx.bundle, ctx.signals
     lo, hi = ctx.bounds.lower, ctx.bounds.upper
-    worst = 0.0
-    for f in ctx.signals.T:
-        pf2 = float(np.linalg.norm(b.span_projector @ f) ** 2)
-        uf2 = float(np.linalg.norm(b.analysis @ f) ** 2)
-        worst = max(worst, lo * pf2 - uf2, uf2 - hi * pf2)
-    dev = worst / max(1.0, hi)
-    return dev, _INEQUALITY_SLACK, {"samples": ctx.signals.shape[1]}
+    pf2 = _energies(b.span_projector @ f)
+    uf2 = _energies(b.analysis @ f)
+    dev = _worst(lo * pf2 - uf2, uf2 - hi * pf2) / max(1.0, hi)
+    return dev, _INEQUALITY_SLACK, {"samples": f.shape[1]}
 
 
 def _chk_synthesis_sandwich(ctx):
-    b = ctx.bundle
+    b, c = ctx.bundle, ctx.coeffs
     lo, hi = ctx.bounds.lower, ctx.bounds.upper
-    worst = 0.0
-    for c in ctx.coeffs.T:
-        qc2 = float(np.linalg.norm(b.coefficient_projector @ c) ** 2)
-        tc2 = float(np.linalg.norm(b.synthesis @ c) ** 2)
-        worst = max(worst, lo * qc2 - tc2, tc2 - hi * qc2)
-    dev = worst / max(1.0, hi)
-    return dev, _INEQUALITY_SLACK, {"samples": ctx.coeffs.shape[1]}
+    qc2 = _energies(b.coefficient_projector @ c)
+    tc2 = _energies(b.synthesis @ c)
+    dev = _worst(lo * qc2 - tc2, tc2 - hi * qc2) / max(1.0, hi)
+    return dev, _INEQUALITY_SLACK, {"samples": c.shape[1]}
 
 
 def _chk_frame_operator_quadratic(ctx):
-    b = ctx.bundle
-    upper = op_norm(b.frame_operator)
-    inv_lower = op_norm(b.frame_operator_pinv)
-    worst = 0.0
-    for f in ctx.signals.T:
-        pf2 = float(np.linalg.norm(b.span_projector @ f) ** 2)
-        quad = float(np.vdot(f, b.frame_operator @ f).real)
-        worst = max(worst, pf2 / inv_lower - quad, quad - upper * pf2)
-    dev = worst / max(1.0, upper)
-    return dev, _INEQUALITY_SLACK, {"samples": ctx.signals.shape[1]}
+    b, f = ctx.bundle, ctx.signals
+    upper = ctx.frame_operator_norm
+    inv_lower = ctx.frame_operator_pinv_norm
+    pf2 = _energies(b.span_projector @ f)
+    quad = _real_inner(f, b.frame_operator @ f)
+    dev = _worst(pf2 / inv_lower - quad, quad - upper * pf2) / max(1.0, upper)
+    return dev, _INEQUALITY_SLACK, {"samples": f.shape[1]}
 
 
 def _chk_gram_quadratic(ctx):
-    b = ctx.bundle
-    upper = op_norm(b.frame_operator)
-    inv_lower = op_norm(b.frame_operator_pinv)
-    worst = 0.0
-    for c in ctx.coeffs.T:
-        qc2 = float(np.linalg.norm(b.coefficient_projector @ c) ** 2)
-        quad = float(np.vdot(c, b.gram @ c).real)
-        worst = max(worst, qc2 / inv_lower - quad, quad - upper * qc2)
-    dev = worst / max(1.0, upper)
-    return dev, _INEQUALITY_SLACK, {"samples": ctx.coeffs.shape[1]}
+    b, c = ctx.bundle, ctx.coeffs
+    upper = ctx.frame_operator_norm
+    inv_lower = ctx.frame_operator_pinv_norm
+    qc2 = _energies(b.coefficient_projector @ c)
+    quad = _real_inner(c, b.gram @ c)
+    dev = _worst(qc2 / inv_lower - quad, quad - upper * qc2) / max(1.0, upper)
+    return dev, _INEQUALITY_SLACK, {"samples": c.shape[1]}
 
 
 def _chk_pinv_energy(ctx):
-    b = ctx.bundle
-    worst = 0.0
-    for f in ctx.signals.T:
-        lhs = float(np.linalg.norm(b.synthesis_pinv @ f) ** 2)
-        rhs = float(np.vdot(f, b.frame_operator_pinv @ f).real)
-        ref = max(abs(lhs), abs(rhs))
-        if ref > 0.0:
-            worst = max(worst, abs(lhs - rhs) / ref)
-    return worst, ctx.rel_tol, {"samples": ctx.signals.shape[1]}
+    b, f = ctx.bundle, ctx.signals
+    lhs = _energies(b.synthesis_pinv @ f)
+    rhs = _real_inner(f, b.frame_operator_pinv @ f)
+    ref = np.maximum(np.abs(lhs), np.abs(rhs))
+    nonzero = ref > 0.0
+    dev = _worst(np.abs(lhs - rhs)[nonzero] / ref[nonzero])
+    return dev, ctx.rel_tol, {"samples": f.shape[1]}
 
 
 def _chk_dual_bounds(ctx):
@@ -507,6 +509,22 @@ def _chk_tight_gram_pinv(ctx):
     return dev, ctx.tol.identity_abs, {"common_bound": a}
 
 
+def _row_norms(rows: np.ndarray) -> np.ndarray:
+    """np.linalg.norm of each row, rounded exactly as the one-vector call rounds it."""
+    re, im = rows.real, rows.imag
+    return np.sqrt(_row_dots(re, re) + _row_dots(im, im))
+
+
+def _row_dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Unconjugated dot product of each row pair, through the same BLAS dot as x @ y."""
+    return (x[..., np.newaxis, :] @ y[..., :, np.newaxis])[..., 0, 0]
+
+
+def _apply(matrix: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """matrix @ row for each row, through the same BLAS matrix-vector product."""
+    return (matrix @ rows[..., np.newaxis])[..., 0]
+
+
 def _polarization_deviation(bundle, common_bound: float, pairs: int) -> float:
     """Worst mismatch between the four-term combination and the inner products.
 
@@ -514,42 +532,48 @@ def _polarization_deviation(bundle, common_bound: float, pairs: int) -> float:
     polarization identity rebuilds it from squared Q-norms:
 
         <G c, d> = (A/4) (|Q(c+d)|^2 - |Q(c-d)|^2 + i |Q(c+id)|^2 - i |Q(c-id)|^2)
+
+    All pairs are evaluated at once. Each product, norm and power goes
+    through the routine a one-pair evaluation would use, so the result is
+    the same bit for bit.
     """
     rng = np.random.Generator(np.random.PCG64(_POLARIZATION_SEED))
     q = bundle.coefficient_projector
     g = bundle.gram
-    m = bundle.size
-    worst = 0.0
-    for _ in range(pairs):
-        c = _complex_gaussian(rng, m)
-        d = _complex_gaussian(rng, m)
+    # the stream order of successive draws c.re, c.im, d.re, d.im per pair;
+    # a negative count draws nothing, as range(pairs) would
+    draws = rng.standard_normal((max(pairs, 0), 2, 2, bundle.size))
+    c, d = (draws[:, :, 0] + 1j * draws[:, :, 1]).transpose(1, 0, 2) / np.sqrt(2.0)
+    probes = np.stack([c + d, c - d, c + 1j * d, c - 1j * d], axis=1)
+    # float_power is C pow, as the scalar norm ** 2 is; squaring rounds differently
+    qnorm2 = np.float_power(_row_norms(_apply(q, probes)), 2.0)
+    combo = (common_bound / 4.0) * (
+        qnorm2[:, 0] - qnorm2[:, 1] + 1j * qnorm2[:, 2] - 1j * qnorm2[:, 3]
+    )
+    d_conj = d.conj()
+    direct_gram = _row_dots(d_conj, _apply(g, c))
+    direct_q = common_bound * _row_dots(d_conj, _apply(q, c))
+    scale = np.maximum(1.0, common_bound * _row_norms(c) * _row_norms(d))
+    gaps = [combo - direct_gram, combo - direct_q]
+    return _worst(*(np.hypot(gap.real, gap.imag) / scale for gap in gaps))
 
-        def qnorm2(x):
-            return float(np.linalg.norm(q @ x) ** 2)
 
-        combo = (common_bound / 4.0) * (
-            qnorm2(c + d) - qnorm2(c - d)
-            + 1j * qnorm2(c + 1j * d) - 1j * qnorm2(c - 1j * d)
-        )
-        direct_gram = np.vdot(d, g @ c)
-        direct_q = common_bound * np.vdot(d, q @ c)
-        scale = max(1.0, common_bound * float(np.linalg.norm(c)) * float(np.linalg.norm(d)))
-        worst = max(worst,
-                    abs(combo - direct_gram) / scale,
-                    abs(combo - direct_q) / scale)
-    return worst
+def _polarization(bundle, common_bound: float, pairs: int, tol: Tolerance):
+    dev = max(
+        _polarization_deviation(bundle, common_bound, pairs),
+        scaled_deviation(bundle.gram, common_bound * bundle.coefficient_projector,
+                         (bundle.analysis, bundle.synthesis)),
+        scaled_deviation(bundle.gram_pinv, bundle.coefficient_projector / common_bound,
+                         (bundle.gram_pinv,)),
+    )
+    return dev, tol.identity_abs, {"pairs": pairs, "common_bound": common_bound}
+
+
+_POLARIZATION = ("polarization", "⟨Gc,d⟩ = A⟨Qc,d⟩ via ‖Q(c±d)‖², ‖Q(c±id)‖²")
 
 
 def _chk_polarization(ctx):
-    b = ctx.bundle
-    a = ctx.bounds.lower
-    pairs = 50
-    dev = max(
-        _polarization_deviation(b, a, pairs),
-        scaled_deviation(b.gram, a * b.coefficient_projector, (b.analysis, b.synthesis)),
-        scaled_deviation(b.gram_pinv, b.coefficient_projector / a, (b.gram_pinv,)),
-    )
-    return dev, ctx.tol.identity_abs, {"pairs": pairs, "common_bound": a}
+    return _polarization(ctx.bundle, ctx.bounds.lower, 50, ctx.tol)
 
 
 # name, formula, tight_only, evaluator
@@ -586,7 +610,7 @@ _REGISTRY = (
     ("tight_gram", "G = AQ", True, _chk_tight_gram),
     ("tight_frame_operator_pinv", "S† = (1/A)P", True, _chk_tight_frame_operator_pinv),
     ("tight_gram_pinv", "G† = (1/A)Q", True, _chk_tight_gram_pinv),
-    ("polarization", "⟨Gc,d⟩ = A⟨Qc,d⟩ via ‖Q(c±d)‖², ‖Q(c±id)‖²", True, _chk_polarization),
+    (*_POLARIZATION, True, _chk_polarization),
 )
 
 
@@ -594,6 +618,17 @@ def registry_formulas(include_tight: bool = True) -> tuple:
     """Formulas of every registered check, for completeness audits."""
     return tuple(formula for _, formula, tight_only, _ in _REGISTRY
                  if include_tight or not tight_only)
+
+
+def _record(name: str, formula: str, deviation, limit, detail) -> CheckRecord:
+    return CheckRecord(
+        name=name,
+        formula=formula,
+        deviation=float(deviation),
+        tolerance=float(limit),
+        passed=bool(deviation <= limit),
+        detail=detail,
+    )
 
 
 def run_identity_suite(frame: FrameSequence, tol: Tolerance | None = None,
@@ -611,15 +646,7 @@ def run_identity_suite(frame: FrameSequence, tol: Tolerance | None = None,
     for name, formula, tight_only, fn in _REGISTRY:
         if tight_only and not ctx.classification.is_tight:
             continue
-        deviation, limit, detail = fn(ctx)
-        records.append(CheckRecord(
-            name=name,
-            formula=formula,
-            deviation=float(deviation),
-            tolerance=float(limit),
-            passed=bool(deviation <= limit),
-            detail=detail,
-        ))
+        records.append(_record(name, formula, *fn(ctx)))
     return IdentityReport(records=tuple(records))
 
 
@@ -633,25 +660,11 @@ def polarization_check(frame: FrameSequence, pairs: int = 100,
     Raises NotTightError when the sequence is not tight.
     """
     tol = tol or DEFAULT_TOLERANCE
-    if not classify(frame, tol).is_tight:
+    analysis = _FrameAnalysis(frame, tol)
+    if not analysis.classification.is_tight:
         raise NotTightError("polarization reconstruction requires a tight sequence")
-    bundle = build_bundle(frame, tol)
-    a = frame_bounds(frame, tol).lower
-    dev = max(
-        _polarization_deviation(bundle, a, pairs),
-        scaled_deviation(bundle.gram, a * bundle.coefficient_projector,
-                         (bundle.analysis, bundle.synthesis)),
-        scaled_deviation(bundle.gram_pinv, bundle.coefficient_projector / a,
-                         (bundle.gram_pinv,)),
-    )
-    return CheckRecord(
-        name="polarization",
-        formula="⟨Gc,d⟩ = A⟨Qc,d⟩ via ‖Q(c±d)‖², ‖Q(c±id)‖²",
-        deviation=float(dev),
-        tolerance=float(tol.identity_abs),
-        passed=bool(dev <= tol.identity_abs),
-        detail={"pairs": pairs, "common_bound": a},
-    )
+    return _record(*_POLARIZATION,
+                   *_polarization(analysis.bundle, analysis.bounds.lower, pairs, tol))
 
 
 def bounds_vs_sampling(frame: FrameSequence, samples: int = 10000,
@@ -669,12 +682,12 @@ def bounds_vs_sampling(frame: FrameSequence, samples: int = 10000,
     tol = tol or DEFAULT_TOLERANCE
     if samples < 1:
         raise ValueError("samples must be positive")
-    f_t = svd(frame.synthesis_matrix(), tol)
+    analysis = _FrameAnalysis(frame, tol)
+    f_t = analysis.f_t
     if f_t.rank == 0:
         raise DegenerateSpanError("a degenerate sequence has no bounds to sample")
-    bounds = frame_bounds(frame, tol)
-    w = f_t.left_vectors
-    analysis_on_span = adjoint(frame.synthesis_matrix()) @ w  # (m, r)
+    bounds = analysis.bounds
+    analysis_on_span = analysis.u @ f_t.left_vectors  # (m, r)
     rng = np.random.Generator(np.random.PCG64(_RAYLEIGH_SEED))
     g = _unit_columns(_complex_gaussian(rng, (f_t.rank, samples)))
     ratios = np.linalg.norm(analysis_on_span @ g, axis=0) ** 2

@@ -1,0 +1,94 @@
+"""Each public call factors each operator at most once.
+
+The counts below pin how many times each entry point calls np.linalg.svd
+(rank-truncated factorizations and spectral norms alike). A rise means some
+consumer stopped reading the shared per-call analysis and refactors a matrix
+that was already factored.
+"""
+
+import numpy as np
+import pytest
+
+from framekit import (
+    GeneratorSpec,
+    Tolerance,
+    bounds_vs_sampling,
+    build_bundle,
+    canonical_dual,
+    classify,
+    frame_bounds,
+    generate,
+    min_norm_coefficients,
+    polarization_check,
+    pseudo_frame_operator,
+    pseudo_gram,
+    restricted,
+    run_identity_suite,
+)
+
+
+@pytest.fixture
+def svd_calls(monkeypatch):
+    calls = []
+    original = np.linalg.svd
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+
+    def count(fn, *args, **kwargs):
+        calls.clear()
+        fn(*args, **kwargs)
+        return len(calls)
+
+    return count
+
+
+def frame_and_tol(kind):
+    if kind == "ill_conditioned":
+        return (generate(GeneratorSpec(kind, 4, 6, 3, condition_target=1e4)),
+                Tolerance(identity_abs=1e-6))
+    return generate(GeneratorSpec(kind, 4, 6, 3)), Tolerance()
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "tight", "rank_deficient", "duplicated",
+                                  "ill_conditioned"])
+def test_identity_suite_factors_frame_and_dual_once(svd_calls, kind):
+    frame, tol = frame_and_tol(kind)
+    # four SVDs each for the frame and its dual, plus the spectral norms of
+    # T, S, G, T+, S+ and G+
+    assert svd_calls(run_identity_suite, frame, tol) == 14
+
+
+@pytest.mark.parametrize("entry, args, expected", [
+    (bounds_vs_sampling, (100,), 1),
+    (build_bundle, (), 4),
+    (canonical_dual, (), 2),
+    (frame_bounds, (), 1),
+    (classify, (), 1),
+    (restricted, (), 1),
+])
+def test_entry_point_svd_counts(svd_calls, entry, args, expected):
+    frame, tol = frame_and_tol("gaussian")
+    assert svd_calls(entry, frame, *args, tol=tol) == expected
+
+
+def test_min_norm_coefficients_svd_count(svd_calls):
+    frame, tol = frame_and_tol("gaussian")
+    signal = frame.synthesis_matrix()[:, 0]
+    assert svd_calls(min_norm_coefficients, frame, signal, tol) == 4
+
+
+def test_polarization_check_svd_count(svd_calls):
+    frame, tol = frame_and_tol("tight")
+    assert svd_calls(polarization_check, frame, 10, tol) == 4
+
+
+@pytest.mark.parametrize("kind, expected", [("tight", 1), ("gaussian", 2)])
+@pytest.mark.parametrize("entry", [pseudo_frame_operator, pseudo_gram])
+def test_pseudo_inverse_svd_counts(svd_calls, entry, kind, expected):
+    # tight sequences take the P/A or Q/A path from T's factors alone
+    frame, tol = frame_and_tol(kind)
+    assert svd_calls(entry, frame, tol) == expected

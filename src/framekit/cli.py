@@ -29,7 +29,7 @@ import sys
 import numpy as np
 
 from .errors import DegenerateSpanError, FramekitError
-from .frame_ops import FrameSequence, canonical_dual, classify, frame_bounds
+from .frame_ops import FrameSequence, _FrameAnalysis, canonical_dual, classify
 from .matrix_core import Tolerance
 from .reconstruct import min_norm_coefficients, min_norm_preimage
 from .verifier import (
@@ -181,7 +181,8 @@ def _tolerance(identity_abs: float | None, rank_rel: float | None) -> Tolerance:
 def _cmd_analyze(args) -> int:
     tol = _tolerance(args.tolerance, args.rank_rel)
     frame = _parse_frame(_load_document(args.input), args.input)
-    verdict = classify(frame, tol)
+    analysis = _FrameAnalysis(frame, tol)  # classification and bounds share T's SVD
+    verdict = analysis.classification
     doc = {
         "command": "analyze",
         "ambient_dim": frame.ambient_dim,
@@ -196,7 +197,7 @@ def _cmd_analyze(args) -> int:
         "bounds": None,
     }
     if not verdict.is_degenerate:
-        bounds = frame_bounds(frame, tol)
+        bounds = analysis.bounds
         doc["bounds"] = {"lower": bounds.lower, "upper": bounds.upper}
     if args.format == "structured":
         sys.stdout.write(_render_json(doc) + "\n")

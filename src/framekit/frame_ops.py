@@ -58,7 +58,9 @@ class FrameSequence:
     The sequence may be linearly dependent, contain repeats, or even consist
     of zero vectors (a degenerate sequence with span dimension 0). It must
     contain at least one vector, and every vector must have exactly
-    ambient_dim finite entries.
+    ambient_dim finite entries. The vectors are stored once, as the columns
+    of one read-only (ambient_dim, m) matrix; each entry of `vectors` is a
+    read-only view of its column.
     """
 
     ambient_dim: int
@@ -71,20 +73,39 @@ class FrameSequence:
             raise ValueError("ambient_dim must be at least 1")
         if len(self.vectors) < 1:
             raise ValueError("a frame sequence needs at least one vector")
-        converted = tuple(
+        self._store(np.stack([
             as_vector(v, self.ambient_dim, name=f"vector {k}")
             for k, v in enumerate(self.vectors)
-        )
-        object.__setattr__(self, "vectors", converted)
+        ], axis=1))
+
+    def _store(self, matrix: np.ndarray) -> None:
+        # bundles hand this matrix out as T; a view of a read-only array
+        # cannot be made writable again, so no holder can alter the frame
+        matrix.setflags(write=False)
+        matrix = matrix.view()
+        object.__setattr__(self, "_matrix", matrix)
+        object.__setattr__(self, "vectors", tuple(matrix[:, k] for k in range(matrix.shape[1])))
+
+    @classmethod
+    def _from_matrix(cls, matrix: np.ndarray) -> "FrameSequence":
+        """The sequence of an (n, m) matrix's columns, stored without splitting it."""
+        matrix = np.array(matrix, dtype=np.complex128, order="C")
+        finite = np.isfinite(matrix).all(axis=0)
+        if not finite.all():
+            raise ValueError(f"vector {int(np.argmin(finite))} entries must be finite")
+        frame = cls.__new__(cls)
+        object.__setattr__(frame, "ambient_dim", matrix.shape[0])
+        frame._store(matrix)
+        return frame
 
     @property
     def size(self) -> int:
         """Number of vectors m."""
-        return len(self.vectors)
+        return self._matrix.shape[1]
 
     def synthesis_matrix(self) -> np.ndarray:
         """Fresh (ambient_dim, m) matrix whose k-th column is vector k."""
-        return np.stack(self.vectors, axis=1)
+        return self._matrix.copy()
 
     @classmethod
     def from_vectors(cls, vectors, ambient_dim: int | None = None) -> "FrameSequence":
@@ -240,9 +261,12 @@ def _projector(basis: np.ndarray) -> np.ndarray:
 class _FrameAnalysis:
     """Every operator and factorization of one frame under one tolerance.
 
-    T, U, S and G, their SVDs and everything derived from them are computed
-    on first use and at most once. Each public entry point builds its own
-    analysis and drops it on return, so nothing is cached between calls.
+    T is the frame's stored matrix. T, S and G are each factored on first
+    use and at most once; U = T* is not factored, because its SVD is T's
+    with the two sides swapped, so the U route (Q and U+) reads T's
+    factors. Everything derived is likewise computed at most once. Each
+    public entry point builds its own analysis and drops it on return, so
+    nothing is cached between calls.
     """
 
     def __init__(self, frame: FrameSequence, tol: Tolerance | None = None):
@@ -251,7 +275,7 @@ class _FrameAnalysis:
 
     @cached_property
     def t(self) -> np.ndarray:
-        return self.frame.synthesis_matrix()
+        return self.frame._matrix
 
     @cached_property
     def u(self) -> np.ndarray:
@@ -268,10 +292,6 @@ class _FrameAnalysis:
     @cached_property
     def f_t(self) -> SvdFactors:
         return svd(self.t, self.tol)
-
-    @cached_property
-    def f_u(self) -> SvdFactors:
-        return svd(self.u, self.tol)
 
     @cached_property
     def f_s(self) -> SvdFactors:
@@ -291,22 +311,23 @@ class _FrameAnalysis:
 
     @cached_property
     def u_pinv(self) -> np.ndarray:
-        return pinv_from_factors(self.f_u)
+        f_t = self.f_t  # U = T* factors as T does, with the sides swapped
+        return pinv_from_factors(SvdFactors(f_t.right_vectors, f_t.singular_values,
+                                            f_t.left_vectors, f_t.rank))
 
     @cached_property
     def bundle(self) -> OperatorBundle:
         t, u, s, g = self.t, self.u, self.s, self.g
-        f_t, f_u, f_s, f_g = self.f_t, self.f_u, self.f_s, self.f_g
+        f_t, f_s, f_g = self.f_t, self.f_s, self.f_g
 
         p = _projector(f_t.left_vectors)
-        q = _projector(f_u.left_vectors)
+        q = _projector(f_t.right_vectors)
         t_pinv = pinv_from_factors(f_t)
         s_pinv = self.s_pinv
         g_pinv = self.g_pinv
 
         ranks = {
             "synthesis": f_t.rank,
-            "analysis": f_u.rank,
             "frame operator": f_s.rank,
             "gram": f_g.rank,
         }
@@ -383,19 +404,17 @@ class _FrameAnalysis:
                 f"rank thresholds disagree (synthesis rank {f_t.rank}, frame operator "
                 f"rank {f_s.rank}); tighten rank_rel for sequences conditioned this badly"
             )
-        dual_matrix = self.s_pinv @ self.t
-        return FrameSequence(
-            ambient_dim=self.frame.ambient_dim,
-            vectors=tuple(dual_matrix[:, k] for k in range(self.frame.size)),
-        )
+        return FrameSequence._from_matrix(self.s_pinv @ self.t)
 
 
 def build_bundle(frame: FrameSequence, tol: Tolerance | None = None) -> OperatorBundle:
     """Construct every induced operator and verify their mutual consistency.
 
-    The pseudoinverses of S and G are computed from their own factorizations,
-    independently of T's, and the projectors come from T's and U's singular
-    vectors. Rank decisions that disagree between these routes, or identity
+    T, S and G are each factored once. The pseudoinverses of S and G come
+    from their own factorizations, independently of T's; P and Q come from
+    T's left and right singular vectors (U = T* has the same factors with
+    the sides swapped, so factoring it as well would add no independent
+    route). Rank decisions that disagree between T, S and G, or identity
     residuals above tol.identity_abs, raise NumericalError: such a bundle
     would silently violate the relations everything downstream relies on.
     A rank-threshold disagreement usually means the sequence is conditioned

@@ -82,7 +82,10 @@ def min_norm_coefficients(frame: FrameSequence, signal,
     tol = tol or DEFAULT_TOLERANCE
     bundle = _nondegenerate_bundle(frame, tol)
     f = as_vector(signal, frame.ambient_dim, name="signal")
-    # column k of dual_cols is S+ f_k, the k-th canonical dual vector
+    # column k of dual_cols is S+ f_k, the k-th canonical dual vector. The
+    # dual matrix is formed on purpose: the matrix-vector form T* (S+ f)
+    # raised the worst deviation/tolerance on 64x128 and 128x256 frames
+    # from 0.0073 to 0.0257
     dual_cols = bundle.frame_operator_pinv @ bundle.synthesis
     c0 = adjoint(dual_cols) @ f
     projected = bundle.span_projector @ f
@@ -138,6 +141,9 @@ def project_signal(frame: FrameSequence, signal,
     tol = tol or DEFAULT_TOLERANCE
     bundle = _nondegenerate_bundle(frame, tol)
     f = as_vector(signal, frame.ambient_dim, name="signal")
+    # summed term by term on purpose: the matrix-vector form T (T* (S+ f))
+    # raised the worst deviation/tolerance on 64x128 and 128x256 frames
+    # from 0.0137 to 0.0164
     dual_cols = bundle.frame_operator_pinv @ bundle.synthesis
     series = np.zeros(frame.ambient_dim, dtype=np.complex128)
     for k in range(frame.size):
@@ -155,16 +161,14 @@ def project_coefficients(frame: FrameSequence, coefficients,
     """Project coefficients onto the analysis range via the gram series.
 
     Evaluates sum_k <c, G+ U f_k> e_k (e_k the k-th standard basis vector of
-    the coefficient space) in index order and checks it against Q applied
-    to c.
+    the coefficient space) and checks it against Q applied to c.
     """
     tol = tol or DEFAULT_TOLERANCE
     bundle = _nondegenerate_bundle(frame, tol)
     c = as_vector(coefficients, frame.size, name="coefficients")
-    weights = bundle.gram_pinv @ bundle.gram  # column k is G+ U f_k
-    series = np.zeros(frame.size, dtype=np.complex128)
-    for k in range(frame.size):
-        series[k] = np.vdot(weights[:, k], c)
+    # series_k = <c, G+ U f_k> = conj((c* G+ G)_k), as two vector-matrix
+    # products instead of forming the m x m product G+ G
+    series = np.conj((c.conj() @ bundle.gram_pinv) @ bundle.gram)
     direct = bundle.coefficient_projector @ c
     _require(max_abs(series - direct),
              tol.identity_abs * _input_scale(c),

@@ -143,7 +143,7 @@ def generate(spec: GeneratorSpec) -> FrameSequence:
         left = _orthonormal_columns(rng, n, r)
         right = _orthonormal_columns(rng, m, r)
         t = left @ (sigma[:, None] * right.conj().T)
-    return FrameSequence(ambient_dim=n, vectors=tuple(t[:, k] for k in range(m)))
+    return FrameSequence._from_matrix(t)
 
 
 @dataclass(frozen=True)

@@ -6,9 +6,12 @@ consumer stopped reading the shared per-call analysis and refactors a matrix
 that was already factored.
 """
 
+import json
+
 import numpy as np
 import pytest
 
+from framekit import cli
 from framekit import (
     GeneratorSpec,
     Tolerance,
@@ -19,7 +22,10 @@ from framekit import (
     frame_bounds,
     generate,
     min_norm_coefficients,
+    min_norm_preimage,
     polarization_check,
+    project_coefficients,
+    project_signal,
     pseudo_frame_operator,
     pseudo_gram,
     restricted,
@@ -57,14 +63,14 @@ def frame_and_tol(kind):
                                   "ill_conditioned"])
 def test_identity_suite_factors_frame_and_dual_once(svd_calls, kind):
     frame, tol = frame_and_tol(kind)
-    # four SVDs each for the frame and its dual, plus the spectral norms of
-    # T, S, G, T+, S+ and G+
-    assert svd_calls(run_identity_suite, frame, tol) == 14
+    # three SVDs (T, S, G) each for the frame and its dual, plus the spectral
+    # norms of T, S, G, T+, S+ and G+
+    assert svd_calls(run_identity_suite, frame, tol) == 12
 
 
 @pytest.mark.parametrize("entry, args, expected", [
     (bounds_vs_sampling, (100,), 1),
-    (build_bundle, (), 4),
+    (build_bundle, (), 3),
     (canonical_dual, (), 2),
     (frame_bounds, (), 1),
     (classify, (), 1),
@@ -78,12 +84,34 @@ def test_entry_point_svd_counts(svd_calls, entry, args, expected):
 def test_min_norm_coefficients_svd_count(svd_calls):
     frame, tol = frame_and_tol("gaussian")
     signal = frame.synthesis_matrix()[:, 0]
-    assert svd_calls(min_norm_coefficients, frame, signal, tol) == 4
+    assert svd_calls(min_norm_coefficients, frame, signal, tol) == 3
+
+
+@pytest.mark.parametrize("entry, vector", [
+    (min_norm_preimage, "coefficients"),
+    (project_signal, "signal"),
+    (project_coefficients, "coefficients"),
+])
+def test_reconstruction_svd_counts(svd_calls, entry, vector):
+    frame, tol = frame_and_tol("gaussian")
+    vec = frame.synthesis_matrix()[:, 0] if vector == "signal" else np.ones(frame.size)
+    assert svd_calls(entry, frame, vec, tol) == 3
 
 
 def test_polarization_check_svd_count(svd_calls):
     frame, tol = frame_and_tol("tight")
-    assert svd_calls(polarization_check, frame, 10, tol) == 4
+    assert svd_calls(polarization_check, frame, 10, tol) == 3
+
+
+def test_cli_analyze_svd_count(svd_calls, tmp_path):
+    # the classification and the bounds read one factorization of T
+    frame, _ = frame_and_tol("gaussian")
+    doc = tmp_path / "frame.json"
+    doc.write_text(json.dumps({
+        "ambient_dim": frame.ambient_dim,
+        "vectors": [[[z.real, z.imag] for z in v] for v in frame.vectors],
+    }))
+    assert svd_calls(cli.main, ["analyze", str(doc), "--format", "structured"]) == 1
 
 
 @pytest.mark.parametrize("kind, expected", [("tight", 1), ("gaussian", 2)])

@@ -12,8 +12,9 @@ Input documents are JSON with complex entries written as [re, im] pairs:
 Reports go to stdout, diagnostics to stderr. --format structured emits
 canonical JSON (sorted keys, floats at 17 significant digits), byte-identical
 across repeated runs of the same invocation. Exit codes: 0 success,
-1 verification failure, 2 input error, 3 degenerate span (for analyze only
-when --strict is given; dual and reconstruct cannot proceed without a span).
+1 verification failure or a bound outside the double range, 2 input error,
+3 degenerate span (for analyze only when --strict is given; dual and
+reconstruct cannot proceed without a span).
 
 The default identity tolerance is 1e-10, overridable by the FRAMEKIT_TOL
 environment variable and, with higher precedence, the --tolerance flag.
@@ -29,16 +30,10 @@ import sys
 import numpy as np
 
 from .errors import DegenerateSpanError, FramekitError
-from .frame_ops import FrameSequence, _FrameAnalysis, canonical_dual, classify
+from .frame_ops import FrameSequence, _FrameAnalysis, canonical_dual
 from .matrix_core import Tolerance
 from .reconstruct import min_norm_coefficients, min_norm_preimage
-from .verifier import (
-    GENERATOR_KINDS,
-    GeneratorSpec,
-    bounds_vs_sampling,
-    generate,
-    run_identity_suite,
-)
+from .verifier import GENERATOR_KINDS, GeneratorSpec, _identity_suite, _sampling, generate
 
 _DEFAULT_IDENTITY_ABS = 1e-10
 _DEFAULT_RANK_REL = 1e-12
@@ -297,11 +292,12 @@ def _cmd_verify(args) -> int:
         frame = generate(spec)
     except ValueError as exc:
         raise _InputError(str(exc)) from exc
-    report = run_identity_suite(frame, tol)
-    sampling = bounds_vs_sampling(frame, samples=args.trials, tol=tol)
+    analysis = _FrameAnalysis(frame, tol)  # the suite, sampling and verdict share T's SVD
+    report = _identity_suite(analysis, vector_samples=50)
+    sampling = _sampling(analysis, samples=args.trials)
     records = list(report.records) + [sampling]
     passed = all(r.passed for r in records)
-    verdict = classify(frame, tol)
+    verdict = analysis.classification
     doc = {
         "command": "verify",
         "kind": spec.kind,
@@ -394,8 +390,6 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="relative singular-value cutoff; ill_conditioned tightens "
                                "the default to keep ranks coherent")
     p_verify.add_argument("--format", choices=("text", "structured"), default="text")
-    p_verify.add_argument("--strict", action="store_true",
-                          help=argparse.SUPPRESS)
     p_verify.set_defaults(fn=_cmd_verify)
 
     return parser

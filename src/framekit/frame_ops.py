@@ -73,10 +73,16 @@ class FrameSequence:
             raise ValueError("ambient_dim must be at least 1")
         if len(self.vectors) < 1:
             raise ValueError("a frame sequence needs at least one vector")
-        self._store(np.stack([
-            as_vector(v, self.ambient_dim, name=f"vector {k}")
-            for k, v in enumerate(self.vectors)
-        ], axis=1))
+        try:  # all vectors as the rows of one array, checked at once
+            rows = np.array(self.vectors, dtype=np.complex128)
+        except (TypeError, ValueError, OverflowError):
+            rows = None
+        if (rows is None or rows.ndim != 2 or rows.shape[1] != self.ambient_dim
+                or not np.isfinite(rows).all()):
+            # the vector-by-vector checks name the offending vector
+            rows = np.stack([as_vector(v, self.ambient_dim, name=f"vector {k}")
+                             for k, v in enumerate(self.vectors)])
+        self._store(np.ascontiguousarray(rows.T))
 
     def _store(self, matrix: np.ndarray) -> None:
         # bundles hand this matrix out as T; a view of a read-only array
@@ -239,9 +245,14 @@ def scaled_deviation(lhs, rhs, factors=()) -> float:
     eps * prod(|factor|), so the residual is divided by max(1, that product)
     to stay comparable with identity_abs across well and badly scaled inputs.
     """
+    return _deviation(lhs, rhs, [float(np.linalg.norm(f)) for f in factors])
+
+
+def _deviation(lhs, rhs, norms) -> float:
+    """scaled_deviation with the factors' Frobenius norms already taken."""
     scale = 1.0
-    for f in factors:
-        scale *= float(np.linalg.norm(f))
+    for norm in norms:
+        scale *= norm
     return max_abs(np.asarray(lhs) - np.asarray(rhs)) / max(1.0, scale)
 
 
@@ -264,7 +275,9 @@ class _FrameAnalysis:
     T is the frame's stored matrix. T, S and G are each factored on first
     use and at most once; U = T* is not factored, because its SVD is T's
     with the two sides swapped, so the U route (Q and U+) reads T's
-    factors. Everything derived is likewise computed at most once. Each
+    factors. Everything derived is likewise computed at most once: the
+    operators, their Frobenius norms (see norm) and the bundle's self-check
+    deviations, which the identity suite reads instead of recomputing. Each
     public entry point builds its own analysis and drops it on return, so
     nothing is cached between calls.
     """
@@ -272,6 +285,17 @@ class _FrameAnalysis:
     def __init__(self, frame: FrameSequence, tol: Tolerance | None = None):
         self.frame = frame
         self.tol = tol or DEFAULT_TOLERANCE
+        self._norms = {}
+
+    def norm(self, name: str) -> float:
+        """Frobenius norm of the operator held in attribute `name`, taken once."""
+        if name not in self._norms:
+            self._norms[name] = float(np.linalg.norm(getattr(self, name)))
+        return self._norms[name]
+
+    def deviation(self, lhs, rhs, factors: tuple) -> float:
+        """scaled_deviation, with the factors named by attribute."""
+        return _deviation(lhs, rhs, [self.norm(name) for name in factors])
 
     @cached_property
     def t(self) -> np.ndarray:
@@ -302,6 +326,18 @@ class _FrameAnalysis:
         return svd(self.g, self.tol)
 
     @cached_property
+    def p(self) -> np.ndarray:
+        return _projector(self.f_t.left_vectors)
+
+    @cached_property
+    def q(self) -> np.ndarray:
+        return _projector(self.f_t.right_vectors)
+
+    @cached_property
+    def t_pinv(self) -> np.ndarray:
+        return pinv_from_factors(self.f_t)
+
+    @cached_property
     def s_pinv(self) -> np.ndarray:
         return pinv_from_factors(self.f_s)
 
@@ -316,16 +352,22 @@ class _FrameAnalysis:
                                             f_t.left_vectors, f_t.rank))
 
     @cached_property
+    def self_checks(self) -> dict:
+        """Deviation of each identity the bundle must satisfy, by name."""
+        t, u, s, g, p, q = self.t, self.u, self.s, self.g, self.p, self.q
+        s_pinv, g_pinv, dev = self.s_pinv, self.g_pinv, self.deviation
+        return {
+            "S S+ = P": dev(s @ s_pinv, p, ("s", "s_pinv")),
+            "S+ S = P": dev(s_pinv @ s, p, ("s_pinv", "s")),
+            "G G+ = Q": dev(g @ g_pinv, q, ("g", "g_pinv")),
+            "G+ G = Q": dev(g_pinv @ g, q, ("g_pinv", "g")),
+            "T+ = T* S+": dev(self.t_pinv, u @ s_pinv, ("u", "s_pinv")),
+            "P T = T": dev(p @ t, t, ("p", "t")),
+        }
+
+    @cached_property
     def bundle(self) -> OperatorBundle:
-        t, u, s, g = self.t, self.u, self.s, self.g
         f_t, f_s, f_g = self.f_t, self.f_s, self.f_g
-
-        p = _projector(f_t.left_vectors)
-        q = _projector(f_t.right_vectors)
-        t_pinv = pinv_from_factors(f_t)
-        s_pinv = self.s_pinv
-        g_pinv = self.g_pinv
-
         ranks = {
             "synthesis": f_t.rank,
             "frame operator": f_s.rank,
@@ -338,15 +380,7 @@ class _FrameAnalysis:
                 f"({detail}); tighten rank_rel for sequences conditioned this badly"
             )
 
-        checks = (
-            ("S S+ = P", scaled_deviation(s @ s_pinv, p, (s, s_pinv))),
-            ("S+ S = P", scaled_deviation(s_pinv @ s, p, (s_pinv, s))),
-            ("G G+ = Q", scaled_deviation(g @ g_pinv, q, (g, g_pinv))),
-            ("G+ G = Q", scaled_deviation(g_pinv @ g, q, (g_pinv, g))),
-            ("T+ = T* S+", scaled_deviation(t_pinv, u @ s_pinv, (u, s_pinv))),
-            ("P T = T", scaled_deviation(p @ t, t, (p, t))),
-        )
-        for name, dev in checks:
+        for name, dev in self.self_checks.items():
             if dev > self.tol.identity_abs:
                 raise NumericalError(
                     f"operator bundle failed self-check '{name}': "
@@ -354,15 +388,15 @@ class _FrameAnalysis:
                 )
 
         return OperatorBundle(
-            synthesis=_frozen(t),
-            analysis=_frozen(u),
-            frame_operator=_frozen(s),
-            gram=_frozen(g),
-            span_projector=_frozen(p),
-            coefficient_projector=_frozen(q),
-            synthesis_pinv=_frozen(t_pinv),
-            frame_operator_pinv=_frozen(s_pinv),
-            gram_pinv=_frozen(g_pinv),
+            synthesis=_frozen(self.t),
+            analysis=_frozen(self.u),
+            frame_operator=_frozen(self.s),
+            gram=_frozen(self.g),
+            span_projector=_frozen(self.p),
+            coefficient_projector=_frozen(self.q),
+            synthesis_pinv=_frozen(self.t_pinv),
+            frame_operator_pinv=_frozen(self.s_pinv),
+            gram_pinv=_frozen(self.g_pinv),
             span_dim=f_t.rank,
             tol=self.tol,
         )
@@ -424,8 +458,14 @@ def build_bundle(frame: FrameSequence, tol: Tolerance | None = None) -> Operator
 
 
 def _bounds_from_factors(f_t: SvdFactors, tol: Tolerance) -> FrameBounds:
-    upper = float(f_t.singular_values[0] ** 2)
-    lower = float(f_t.singular_values[f_t.rank - 1] ** 2)
+    sigma_max, sigma_min = f_t.singular_values[0], f_t.singular_values[f_t.rank - 1]
+    with np.errstate(over="ignore"):
+        upper, lower = float(sigma_max ** 2), float(sigma_min ** 2)
+    if not (lower > 0.0 and upper < math.inf):
+        raise NumericalError(
+            f"the frame bounds leave the double range: sigma_max {sigma_max:.3e} and "
+            f"sigma_min {sigma_min:.3e} square to {upper:.3e} and {lower:.3e}"
+        )
     tight = upper / lower - 1.0 <= tol.tightness_rel
     parseval = tight and abs(lower - 1.0) <= tol.tightness_rel
     return FrameBounds(lower=lower, upper=upper, tight=tight, parseval=parseval)
@@ -436,7 +476,8 @@ def frame_bounds(frame: FrameSequence, tol: Tolerance | None = None) -> FrameBou
 
     Every f in the span satisfies A |f|^2 <= sum |<f, f_k>|^2 <= B |f|^2,
     and no wider A or narrower B does. Raises DegenerateSpanError when the
-    span is the zero subspace (no bounds exist).
+    span is the zero subspace (no bounds exist), and NumericalError when a
+    bound leaves the double range (its squared singular value is 0 or inf).
     """
     return _FrameAnalysis(frame, tol).bounds
 
@@ -488,9 +529,7 @@ def _pseudo_inverse(frame: FrameSequence, tol: Tolerance | None, on_span: bool) 
     """S+ (on_span) or G+, with the tight fast path P / A or Q / A."""
     analysis = _FrameAnalysis(frame, tol)
     if analysis.classification.is_tight:
-        f_t = analysis.f_t
-        basis = f_t.left_vectors if on_span else f_t.right_vectors
-        return _projector(basis) / analysis.bounds.lower
+        return (analysis.p if on_span else analysis.q) / analysis.bounds.lower
     return analysis.s_pinv if on_span else analysis.g_pinv
 
 

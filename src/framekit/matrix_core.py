@@ -60,14 +60,23 @@ DEFAULT_TOLERANCE = Tolerance()
 
 def as_matrix(values) -> np.ndarray:
     """Coerce to a read-only 2-D complex128 array, rejecting non-finite entries."""
-    m = np.array(values, dtype=np.complex128, order="C")
+    m = _matrix_view(np.array(values, dtype=np.complex128, order="C"))
+    m.setflags(write=False)
+    return m
+
+
+def _matrix_view(values) -> np.ndarray:
+    """as_matrix's checks without its copy, for callers that only read the matrix.
+
+    values is converted to complex128 only if it is not already.
+    """
+    m = np.asarray(values, dtype=np.complex128)
     if m.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got an array of dimension {m.ndim}")
     if m.shape[0] < 1 or m.shape[1] < 1:
         raise ValueError("matrix must have at least one row and one column")
-    if not (np.isfinite(m.real).all() and np.isfinite(m.imag).all()):
+    if not np.isfinite(m).all():
         raise ValueError("matrix entries must be finite")
-    m.setflags(write=False)
     return m
 
 
@@ -109,7 +118,7 @@ def svd(matrix, tol: Tolerance | None = None) -> SvdFactors:
     by the same phase, leaving the product unchanged); this makes repeated
     factorizations of equal inputs identical.
     """
-    m = as_matrix(matrix)
+    m = _matrix_view(matrix)
     tol = tol or DEFAULT_TOLERANCE
     try:
         u, s, vh = np.linalg.svd(m, full_matrices=False)
@@ -117,9 +126,7 @@ def svd(matrix, tol: Tolerance | None = None) -> SvdFactors:
         raise NumericalError(f"singular value decomposition failed to converge: {exc}") from exc
     cutoff = tol.rank_rel * max(m.shape) * (s[0] if s.size else 0.0)
     rank = int(np.count_nonzero(s > cutoff))
-    u = u[:, :rank].copy()
-    s = s[:rank].copy()
-    v = vh[:rank].conj().T.copy()
+    u, s, v = u[:, :rank], s[:rank], vh[:rank].conj().T
     if rank:
         pivots = np.argmax(np.abs(v), axis=0)
         z = v[pivots, np.arange(rank)]
@@ -161,7 +168,7 @@ def pinv(matrix, tol: Tolerance | None = None) -> np.ndarray:
 
 def adjoint(matrix) -> np.ndarray:
     """Conjugate transpose."""
-    return as_matrix(matrix).conj().T.copy()
+    return np.conjugate(_matrix_view(matrix).T, order="C")
 
 
 def range_projector(matrix, tol: Tolerance | None = None) -> np.ndarray:
@@ -177,7 +184,7 @@ def range_projector(matrix, tol: Tolerance | None = None) -> np.ndarray:
 
 def op_norm(matrix) -> float:
     """Largest singular value (spectral norm)."""
-    m = as_matrix(matrix)
+    m = _matrix_view(matrix)
     try:
         s = np.linalg.svd(m, compute_uv=False)
     except np.linalg.LinAlgError as exc:

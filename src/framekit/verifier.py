@@ -19,8 +19,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DegenerateSpanError, NotTightError
-from .frame_ops import FrameSequence, _FrameAnalysis, scaled_deviation
-from .matrix_core import DEFAULT_TOLERANCE, Tolerance, adjoint, op_norm
+from .frame_ops import FrameSequence, _deviation, _FrameAnalysis
+from .matrix_core import Tolerance, adjoint, op_norm
 
 __all__ = [
     "GENERATOR_KINDS",
@@ -44,6 +44,7 @@ _RAYLEIGH_SEED = 0x7261796C
 _BASE_IDENTITY_ABS = 1e-10
 _BASE_RELATIVE = 1e-8
 _INEQUALITY_SLACK = 1e-9
+_INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -86,7 +87,12 @@ class GeneratorSpec:
 
 
 def _complex_gaussian(rng: np.random.Generator, shape) -> np.ndarray:
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+    # equal bits to (re + 1j * im) / sqrt(2): numpy's complex division by a
+    # real divisor multiplies each part by the divisor's reciprocal
+    z = np.empty(shape, dtype=np.complex128)
+    z.real = rng.standard_normal(shape) * _INV_SQRT2
+    z.imag = rng.standard_normal(shape) * _INV_SQRT2
+    return z
 
 
 def _orthonormal_columns(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
@@ -208,17 +214,82 @@ def _worst(*excesses: np.ndarray) -> float:
     return max(float(np.max(e, initial=0.0)) for e in excesses)
 
 
-class _SuiteContext:
+# operand name -> attribute of the frame's analysis; a "~" prefix names the
+# same operator of the canonical dual
+_ATTRIBUTES = {"T": "t", "U": "u", "S": "s", "G": "g", "P": "p", "Q": "q",
+               "T+": "t_pinv", "U+": "u_pinv", "S+": "s_pinv", "G+": "g_pinv"}
+
+# operands formed from those, from the frame's analysis a and the dual's d
+_DERIVED = {
+    "T+*": lambda a, d: adjoint(a.t_pinv),
+    "I-P": lambda a, d: np.eye(a.frame.ambient_dim) - a.p,
+    "I-Q": lambda a, d: np.eye(a.frame.size) - a.q,
+    "AP": lambda a, d: a.bounds.lower * a.p,
+    "AQ": lambda a, d: a.bounds.lower * a.q,
+    "P/A": lambda a, d: a.p / a.bounds.lower,
+    "Q/A": lambda a, d: a.q / a.bounds.lower,
+    "~~T": lambda a, d: d.canonical_dual.synthesis_matrix(),
+}
+
+
+class _Operands:
+    """The operators that identity rows name, each formed at most once.
+
+    An identity is either the name of a bundle self-check, whose deviation
+    the analysis has already computed, or a triple (lhs, rhs, scale) of
+    operand-name tuples: each side is the product of its operands (no
+    operands: the zero operator), and the residual is scaled by the
+    Frobenius norms of the scale operands, which the analyses memoize.
+    """
+
+    def __init__(self, analysis: _FrameAnalysis, dual_analysis: _FrameAnalysis | None = None):
+        self.analysis, self._dual_analysis = analysis, dual_analysis
+        self._derived, self._deviations = {}, {}
+
+    def _owner(self, name: str):
+        if name.startswith("~"):
+            return self._dual_analysis, _ATTRIBUTES[name[1:]]
+        return self.analysis, _ATTRIBUTES[name]
+
+    def operand(self, name: str) -> np.ndarray:
+        if name in _DERIVED:
+            if name not in self._derived:
+                self._derived[name] = _DERIVED[name](self.analysis, self._dual_analysis)
+            return self._derived[name]
+        return getattr(*self._owner(name))
+
+    def _product(self, names: tuple):
+        if not names:
+            return 0.0
+        out = self.operand(names[0])
+        for name in names[1:]:
+            out = out @ self.operand(name)
+        return out
+
+    def deviation(self, identity) -> float:
+        if identity not in self._deviations:
+            if isinstance(identity, str):
+                dev = self.analysis.self_checks[identity]
+            else:
+                lhs, rhs, scale = identity
+                dev = _deviation(self._product(lhs), self._product(rhs),
+                                 [analysis.norm(attr) for analysis, attr in map(self._owner, scale)])
+            self._deviations[identity] = dev
+        return self._deviations[identity]
+
+
+class _SuiteContext(_Operands):
     """Shared state for the registry checks on one sequence.
 
     The frame and its canonical dual are each analyzed once; every check
-    reads those two factorizations.
+    reads those two analyses.
     """
 
-    def __init__(self, frame: FrameSequence, tol: Tolerance, vector_samples: int):
+    def __init__(self, frame: FrameSequence, tol: Tolerance, vector_samples: int,
+                 analysis: _FrameAnalysis | None = None):
         self.frame = frame
         self.tol = tol
-        analysis = _FrameAnalysis(frame, tol)
+        analysis = analysis or _FrameAnalysis(frame, tol)
         self.bundle = analysis.bundle
         self.bounds = analysis.bounds
         self.classification = analysis.classification
@@ -228,6 +299,7 @@ class _SuiteContext:
         self.dual_bounds = dual_analysis.bounds
         self.dual_dual = dual_analysis.canonical_dual
         self.analysis_pinv = analysis.u_pinv
+        super().__init__(analysis, dual_analysis)
         rng = np.random.Generator(np.random.PCG64(_SUITE_SAMPLE_SEED))
         self.signals = _unit_columns(_complex_gaussian(rng, (frame.ambient_dim, vector_samples)))
         self.coeffs = _unit_columns(_complex_gaussian(rng, (frame.size, vector_samples)))
@@ -248,153 +320,6 @@ def _rel_gap(values) -> float:
     if ref == 0.0:
         return 0.0
     return max(abs(v - vals[0]) for v in vals[1:]) / ref
-
-
-def _chk_dual_analysis(ctx):
-    b, d = ctx.bundle, ctx.dual_bundle
-    dev = scaled_deviation(b.synthesis_pinv, d.analysis,
-                           (b.frame_operator_pinv, b.synthesis))
-    return dev, ctx.tol.identity_abs, None
-
-
-def _chk_dual_synthesis(ctx):
-    b, d = ctx.bundle, ctx.dual_bundle
-    dev = scaled_deviation(ctx.analysis_pinv, d.synthesis,
-                           (b.frame_operator_pinv, b.synthesis))
-    return dev, ctx.tol.identity_abs, None
-
-
-def _chk_pinv_via_frame_operator(ctx):
-    b = ctx.bundle
-    dev = scaled_deviation(b.synthesis_pinv, b.analysis @ b.frame_operator_pinv,
-                           (b.analysis, b.frame_operator_pinv))
-    return dev, ctx.tol.identity_abs, None
-
-
-def _chk_pinv_adjoint_form(ctx):
-    b = ctx.bundle
-    dev = scaled_deviation(adjoint(b.synthesis_pinv), b.frame_operator_pinv @ b.synthesis,
-                           (b.frame_operator_pinv, b.synthesis))
-    return dev, ctx.tol.identity_abs, None
-
-
-def _chk_frame_operator_pinv_product(ctx):
-    b = ctx.bundle
-    dev = scaled_deviation(adjoint(b.synthesis_pinv) @ b.synthesis_pinv, b.frame_operator_pinv,
-                           (b.synthesis_pinv, b.synthesis_pinv))
-    return dev, ctx.tol.identity_abs, None
-
-
-def _chk_analysis_pinv_via_gram(ctx):
-    b = ctx.bundle
-    dev = scaled_deviation(ctx.analysis_pinv, b.synthesis @ b.gram_pinv,
-                           (b.synthesis, b.gram_pinv))
-    return dev, ctx.tol.identity_abs, None
-
-
-def _chk_gram_pinv_product(ctx):
-    b = ctx.bundle
-    dev = scaled_deviation(b.synthesis_pinv @ adjoint(b.synthesis_pinv), b.gram_pinv,
-                           (b.synthesis_pinv, b.synthesis_pinv))
-    return dev, ctx.tol.identity_abs, None
-
-
-def _chk_pinv_via_gram(ctx):
-    b = ctx.bundle
-    dev = scaled_deviation(b.synthesis_pinv, b.gram_pinv @ b.analysis,
-                           (b.gram_pinv, b.analysis))
-    return dev, ctx.tol.identity_abs, None
-
-
-def _chk_frame_operator_projector(ctx):
-    b = ctx.bundle
-    s, sp, p = b.frame_operator, b.frame_operator_pinv, b.span_projector
-    dev = max(scaled_deviation(s @ sp, p, (s, sp)),
-              scaled_deviation(sp @ s, p, (sp, s)))
-    return dev, ctx.tol.identity_abs, None
-
-
-def _chk_gram_projector(ctx):
-    b = ctx.bundle
-    g, gp, q = b.gram, b.gram_pinv, b.coefficient_projector
-    dev = max(scaled_deviation(g @ gp, q, (g, gp)),
-              scaled_deviation(gp @ g, q, (gp, g)))
-    return dev, ctx.tol.identity_abs, None
-
-
-def _chk_frame_operator_pinv_complement(ctx):
-    b = ctx.bundle
-    eye = np.eye(b.ambient_dim)
-    rest = eye - b.span_projector
-    # rest can be ~0 (full span), so only S+ sets the scale of the product
-    dev = scaled_deviation(b.frame_operator_pinv @ rest,
-                           np.zeros_like(rest),
-                           (b.frame_operator_pinv,))
-    return dev, ctx.tol.identity_abs, None
-
-
-def _chk_frame_operator_pinv_on_span(ctx):
-    b = ctx.bundle
-    sp, p = b.frame_operator_pinv, b.span_projector
-    dev = max(scaled_deviation(sp @ p, sp, (sp, p)),
-              scaled_deviation(p @ sp, sp, (p, sp)))
-    return dev, ctx.tol.identity_abs, None
-
-
-def _chk_gram_pinv_complement(ctx):
-    b = ctx.bundle
-    eye = np.eye(b.size)
-    rest = eye - b.coefficient_projector
-    dev = scaled_deviation(b.gram_pinv @ rest, np.zeros_like(rest),
-                           (b.gram_pinv,))
-    return dev, ctx.tol.identity_abs, None
-
-
-def _chk_gram_pinv_on_range(ctx):
-    b = ctx.bundle
-    gp, q = b.gram_pinv, b.coefficient_projector
-    dev = max(scaled_deviation(gp @ q, gp, (gp, q)),
-              scaled_deviation(q @ gp, gp, (q, gp)))
-    return dev, ctx.tol.identity_abs, None
-
-
-def _chk_analysis_intertwines(ctx):
-    b = ctx.bundle
-    dev = scaled_deviation(b.analysis @ b.frame_operator, b.gram @ b.analysis,
-                           (b.analysis, b.frame_operator))
-    return dev, ctx.tol.identity_abs, None
-
-
-def _chk_synthesis_intertwines(ctx):
-    b = ctx.bundle
-    dev = scaled_deviation(b.frame_operator @ b.synthesis, b.synthesis @ b.gram,
-                           (b.frame_operator, b.synthesis))
-    return dev, ctx.tol.identity_abs, None
-
-
-def _chk_dual_reconstruction(ctx):
-    b, d = ctx.bundle, ctx.dual_bundle
-    dev = max(
-        scaled_deviation(b.synthesis @ d.analysis, b.span_projector,
-                         (b.synthesis, d.analysis)),
-        scaled_deviation(d.synthesis @ b.analysis, b.span_projector,
-                         (d.synthesis, b.analysis)),
-    )
-    return dev, ctx.tol.identity_abs, None
-
-
-def _chk_cross_dual_gram(ctx):
-    b, d = ctx.bundle, ctx.dual_bundle
-    dev = scaled_deviation(b.coefficient_projector, b.analysis @ d.synthesis,
-                           (b.analysis, d.synthesis))
-    return dev, ctx.tol.identity_abs, None
-
-
-def _chk_span_projector_fixes_vectors(ctx):
-    b = ctx.bundle
-    dev = scaled_deviation(b.span_projector @ b.synthesis, b.synthesis,
-                           (b.span_projector, b.synthesis))
-    return dev, ctx.tol.identity_abs, None
 
 
 def _chk_operator_norms(ctx):
@@ -467,48 +392,6 @@ def _chk_dual_bounds(ctx):
                               "dual_upper": ctx.dual_bounds.upper}
 
 
-def _chk_dual_involution(ctx):
-    b = ctx.bundle
-    original = b.synthesis
-    back = ctx.dual_dual.synthesis_matrix()
-    dev = scaled_deviation(back, original,
-                           (ctx.dual_bundle.frame_operator_pinv,
-                            b.frame_operator_pinv, b.synthesis))
-    return dev, ctx.tol.identity_abs, None
-
-
-def _chk_tight_frame_operator(ctx):
-    b = ctx.bundle
-    a = ctx.bounds.lower
-    dev = scaled_deviation(b.frame_operator, a * b.span_projector,
-                           (b.synthesis, b.analysis))
-    return dev, ctx.tol.identity_abs, {"common_bound": a}
-
-
-def _chk_tight_gram(ctx):
-    b = ctx.bundle
-    a = ctx.bounds.lower
-    dev = scaled_deviation(b.gram, a * b.coefficient_projector,
-                           (b.analysis, b.synthesis))
-    return dev, ctx.tol.identity_abs, {"common_bound": a}
-
-
-def _chk_tight_frame_operator_pinv(ctx):
-    b = ctx.bundle
-    a = ctx.bounds.lower
-    dev = scaled_deviation(b.frame_operator_pinv, b.span_projector / a,
-                           (b.frame_operator_pinv,))
-    return dev, ctx.tol.identity_abs, {"common_bound": a}
-
-
-def _chk_tight_gram_pinv(ctx):
-    b = ctx.bundle
-    a = ctx.bounds.lower
-    dev = scaled_deviation(b.gram_pinv, b.coefficient_projector / a,
-                           (b.gram_pinv,))
-    return dev, ctx.tol.identity_abs, {"common_bound": a}
-
-
 def _row_norms(rows: np.ndarray) -> np.ndarray:
     """np.linalg.norm of each row, rounded exactly as the one-vector call rounds it."""
     re, im = rows.real, rows.imag
@@ -558,45 +441,52 @@ def _polarization_deviation(bundle, common_bound: float, pairs: int) -> float:
     return _worst(*(np.hypot(gap.real, gap.imag) / scale for gap in gaps))
 
 
-def _polarization(bundle, common_bound: float, pairs: int, tol: Tolerance):
-    dev = max(
-        _polarization_deviation(bundle, common_bound, pairs),
-        scaled_deviation(bundle.gram, common_bound * bundle.coefficient_projector,
-                         (bundle.analysis, bundle.synthesis)),
-        scaled_deviation(bundle.gram_pinv, bundle.coefficient_projector / common_bound,
-                         (bundle.gram_pinv,)),
-    )
-    return dev, tol.identity_abs, {"pairs": pairs, "common_bound": common_bound}
+def _polarization(ops: _Operands, pairs: int):
+    analysis = ops.analysis
+    common_bound = analysis.bounds.lower
+    dev = max(_polarization_deviation(analysis.bundle, common_bound, pairs),
+              ops.deviation(_TIGHT_GRAM), ops.deviation(_TIGHT_GRAM_PINV))
+    return dev, analysis.tol.identity_abs, {"pairs": pairs, "common_bound": common_bound}
 
 
 _POLARIZATION = ("polarization", "⟨Gc,d⟩ = A⟨Qc,d⟩ via ‖Q(c±d)‖², ‖Q(c±id)‖²")
+_TIGHT_GRAM = (("G",), ("AQ",), ("U", "T"))
+_TIGHT_GRAM_PINV = (("G+",), ("Q/A",), ("G+",))
 
 
 def _chk_polarization(ctx):
-    return _polarization(ctx.bundle, ctx.bounds.lower, 50, ctx.tol)
+    return _polarization(ctx, 50)
 
 
-# name, formula, tight_only, evaluator
+# name, formula, tight_only, and either a function of the suite context or a
+# tuple of identities (see _Operands) whose worst deviation the row reports;
+# tight-only identity rows also report the common bound A
 _REGISTRY = (
-    ("pinv_synthesis_is_dual_analysis", "T† = Ũ", False, _chk_dual_analysis),
-    ("pinv_analysis_is_dual_synthesis", "U† = T̃", False, _chk_dual_synthesis),
-    ("pinv_synthesis_via_frame_operator", "T† = T*S† = S†T*", False, _chk_pinv_via_frame_operator),
-    ("pinv_synthesis_adjoint_form", "(T†)* = S†T", False, _chk_pinv_adjoint_form),
-    ("frame_operator_pinv_as_product", "(T†)*T† = S†", False, _chk_frame_operator_pinv_product),
-    ("pinv_analysis_via_gram", "(T*)† = TG†", False, _chk_analysis_pinv_via_gram),
-    ("gram_pinv_as_product", "T†(T†)* = G†", False, _chk_gram_pinv_product),
-    ("pinv_synthesis_via_gram", "T† = G†T*", False, _chk_pinv_via_gram),
-    ("frame_operator_pinv_projector", "SS† = S†S = P", False, _chk_frame_operator_projector),
-    ("gram_pinv_projector", "GG† = G†G = Q", False, _chk_gram_projector),
-    ("frame_operator_pinv_kills_complement", "S†(I − P) = 0", False, _chk_frame_operator_pinv_complement),
-    ("frame_operator_pinv_on_span", "S†P = PS† = S†", False, _chk_frame_operator_pinv_on_span),
-    ("gram_pinv_kills_complement", "G†(I − Q) = 0", False, _chk_gram_pinv_complement),
-    ("gram_pinv_on_range", "G†Q = QG† = G†", False, _chk_gram_pinv_on_range),
-    ("analysis_intertwines", "T*S = GT*", False, _chk_analysis_intertwines),
-    ("synthesis_intertwines", "ST = TG", False, _chk_synthesis_intertwines),
-    ("dual_reconstruction", "TŨ = ι_V P = T̃U", False, _chk_dual_reconstruction),
-    ("cross_dual_gram", "Q = UT̃", False, _chk_cross_dual_gram),
-    ("span_projector_fixes_vectors", "P fₖ = fₖ (range of T is the span)", False, _chk_span_projector_fixes_vectors),
+    ("pinv_synthesis_is_dual_analysis", "T† = Ũ", False, ((("T+",), ("~U",), ("S+", "T")),)),
+    ("pinv_analysis_is_dual_synthesis", "U† = T̃", False, ((("U+",), ("~T",), ("S+", "T")),)),
+    ("pinv_synthesis_via_frame_operator", "T† = T*S† = S†T*", False, ("T+ = T* S+",)),
+    ("pinv_synthesis_adjoint_form", "(T†)* = S†T", False, ((("T+*",), ("S+", "T"), ("S+", "T")),)),
+    ("frame_operator_pinv_as_product", "(T†)*T† = S†", False,
+     ((("T+*", "T+"), ("S+",), ("T+", "T+")),)),
+    ("pinv_analysis_via_gram", "(T*)† = TG†", False, ((("U+",), ("T", "G+"), ("T", "G+")),)),
+    ("gram_pinv_as_product", "T†(T†)* = G†", False, ((("T+", "T+*"), ("G+",), ("T+", "T+")),)),
+    ("pinv_synthesis_via_gram", "T† = G†T*", False, ((("T+",), ("G+", "U"), ("G+", "U")),)),
+    ("frame_operator_pinv_projector", "SS† = S†S = P", False, ("S S+ = P", "S+ S = P")),
+    ("gram_pinv_projector", "GG† = G†G = Q", False, ("G G+ = Q", "G+ G = Q")),
+    # I − P can be ~0 (full span), so only S† sets the scale of the product
+    ("frame_operator_pinv_kills_complement", "S†(I − P) = 0", False,
+     ((("S+", "I-P"), (), ("S+",)),)),
+    ("frame_operator_pinv_on_span", "S†P = PS† = S†", False,
+     ((("S+", "P"), ("S+",), ("S+", "P")), (("P", "S+"), ("S+",), ("P", "S+")))),
+    ("gram_pinv_kills_complement", "G†(I − Q) = 0", False, ((("G+", "I-Q"), (), ("G+",)),)),
+    ("gram_pinv_on_range", "G†Q = QG† = G†", False,
+     ((("G+", "Q"), ("G+",), ("G+", "Q")), (("Q", "G+"), ("G+",), ("Q", "G+")))),
+    ("analysis_intertwines", "T*S = GT*", False, ((("U", "S"), ("G", "U"), ("U", "S")),)),
+    ("synthesis_intertwines", "ST = TG", False, ((("S", "T"), ("T", "G"), ("S", "T")),)),
+    ("dual_reconstruction", "TŨ = ι_V P = T̃U", False,
+     ((("T", "~U"), ("P",), ("T", "~U")), (("~T", "U"), ("P",), ("~T", "U")))),
+    ("cross_dual_gram", "Q = UT̃", False, ((("Q",), ("U", "~T"), ("U", "~T")),)),
+    ("span_projector_fixes_vectors", "P fₖ = fₖ (range of T is the span)", False, ("P T = T",)),
     ("operator_norms_agree", "‖T‖² = ‖S‖ = ‖G‖", False, _chk_operator_norms),
     ("pinv_norms_agree", "‖T†‖² = ‖S†‖ = ‖G†‖", False, _chk_pinv_norms),
     ("analysis_sandwich", "A‖Pf‖² ≤ ‖T*f‖² ≤ B‖Pf‖²", False, _chk_analysis_sandwich),
@@ -605,11 +495,11 @@ _REGISTRY = (
     ("gram_quadratic_form", "‖S†‖⁻¹‖Qc‖² ≤ ⟨Gc,c⟩ ≤ ‖S‖‖Qc‖²", False, _chk_gram_quadratic),
     ("pinv_energy_identity", "‖T†f‖² = ⟨f,S†f⟩", False, _chk_pinv_energy),
     ("dual_bounds_reciprocal", "Ã = 1/B and B̃ = 1/A", False, _chk_dual_bounds),
-    ("dual_involution", "dual(dual(F)) = F", False, _chk_dual_involution),
-    ("tight_frame_operator", "S = AP", True, _chk_tight_frame_operator),
-    ("tight_gram", "G = AQ", True, _chk_tight_gram),
-    ("tight_frame_operator_pinv", "S† = (1/A)P", True, _chk_tight_frame_operator_pinv),
-    ("tight_gram_pinv", "G† = (1/A)Q", True, _chk_tight_gram_pinv),
+    ("dual_involution", "dual(dual(F)) = F", False, ((("~~T",), ("T",), ("~S+", "S+", "T")),)),
+    ("tight_frame_operator", "S = AP", True, ((("S",), ("AP",), ("T", "U")),)),
+    ("tight_gram", "G = AQ", True, (_TIGHT_GRAM,)),
+    ("tight_frame_operator_pinv", "S† = (1/A)P", True, ((("S+",), ("P/A",), ("S+",)),)),
+    ("tight_gram_pinv", "G† = (1/A)Q", True, (_TIGHT_GRAM_PINV,)),
     (*_POLARIZATION, True, _chk_polarization),
 )
 
@@ -640,13 +530,21 @@ def run_identity_suite(frame: FrameSequence, tol: Tolerance | None = None,
     repeated runs on the same sequence produce bitwise-identical reports.
     Degenerate sequences have no dual and raise DegenerateSpanError.
     """
-    tol = tol or DEFAULT_TOLERANCE
-    ctx = _SuiteContext(frame, tol, vector_samples)
+    return _identity_suite(_FrameAnalysis(frame, tol), vector_samples)
+
+
+def _identity_suite(analysis: _FrameAnalysis, vector_samples: int) -> IdentityReport:
+    ctx = _SuiteContext(analysis.frame, analysis.tol, vector_samples, analysis)
     records = []
-    for name, formula, tight_only, fn in _REGISTRY:
+    for name, formula, tight_only, check in _REGISTRY:
         if tight_only and not ctx.classification.is_tight:
             continue
-        records.append(_record(name, formula, *fn(ctx)))
+        if callable(check):
+            records.append(_record(name, formula, *check(ctx)))
+        else:
+            detail = {"common_bound": ctx.bounds.lower} if tight_only else None
+            dev = max(ctx.deviation(identity) for identity in check)
+            records.append(_record(name, formula, dev, ctx.tol.identity_abs, detail))
     return IdentityReport(records=tuple(records))
 
 
@@ -659,12 +557,10 @@ def polarization_check(frame: FrameSequence, pairs: int = 100,
     gram inner product; also checks G = AQ and G† = Q/A as matrices.
     Raises NotTightError when the sequence is not tight.
     """
-    tol = tol or DEFAULT_TOLERANCE
     analysis = _FrameAnalysis(frame, tol)
     if not analysis.classification.is_tight:
         raise NotTightError("polarization reconstruction requires a tight sequence")
-    return _record(*_POLARIZATION,
-                   *_polarization(analysis.bundle, analysis.bounds.lower, pairs, tol))
+    return _record(*_POLARIZATION, *_polarization(_Operands(analysis), pairs))
 
 
 def bounds_vs_sampling(frame: FrameSequence, samples: int = 10000,
@@ -679,10 +575,12 @@ def bounds_vs_sampling(frame: FrameSequence, samples: int = 10000,
     and is exactly zero for tight sequences. Vectors come from a fixed
     internal PCG64 stream, so the record is reproducible bit for bit.
     """
-    tol = tol or DEFAULT_TOLERANCE
+    return _sampling(_FrameAnalysis(frame, tol), samples)
+
+
+def _sampling(analysis: _FrameAnalysis, samples: int) -> CheckRecord:
     if samples < 1:
         raise ValueError("samples must be positive")
-    analysis = _FrameAnalysis(frame, tol)
     f_t = analysis.f_t
     if f_t.rank == 0:
         raise DegenerateSpanError("a degenerate sequence has no bounds to sample")

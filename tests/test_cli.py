@@ -284,3 +284,9 @@ def test_flag_overrides_env(triple_doc, monkeypatch, capsys):
 
 def test_negative_tolerance_exits_2(triple_doc, capsys):
     assert main(["analyze", triple_doc, "--tolerance", "-1"]) == EXIT_INPUT_ERROR
+
+
+def test_verify_rejects_strict_like_any_unknown_flag(capsys):
+    # --strict only ever applied to analyze; verify has no such flag
+    assert main(["verify", "--kind", "gaussian", "--strict"]) == EXIT_INPUT_ERROR
+    assert "unrecognized arguments: --strict" in capsys.readouterr().err

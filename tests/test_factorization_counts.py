@@ -3,7 +3,8 @@
 The counts below pin how many times each entry point calls np.linalg.svd
 (rank-truncated factorizations and spectral norms alike). A rise means some
 consumer stopped reading the shared per-call analysis and refactors a matrix
-that was already factored.
+that was already factored. The np.linalg.norm counts pin the same for
+Frobenius norms, which the analysis takes once per operator.
 """
 
 import json
@@ -33,16 +34,16 @@ from framekit import (
 )
 
 
-@pytest.fixture
-def svd_calls(monkeypatch):
+def call_counter(monkeypatch, name):
+    """count(fn, *args) runs fn and returns how often it called np.linalg.<name>."""
     calls = []
-    original = np.linalg.svd
+    original = getattr(np.linalg, name)
 
     def counting(*args, **kwargs):
         calls.append(1)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "svd", counting)
+    monkeypatch.setattr(np.linalg, name, counting)
 
     def count(fn, *args, **kwargs):
         calls.clear()
@@ -50,6 +51,16 @@ def svd_calls(monkeypatch):
         return len(calls)
 
     return count
+
+
+@pytest.fixture
+def svd_calls(monkeypatch):
+    return call_counter(monkeypatch, "svd")
+
+
+@pytest.fixture
+def norm_calls(monkeypatch):
+    return call_counter(monkeypatch, "norm")
 
 
 def frame_and_tol(kind):
@@ -112,6 +123,27 @@ def test_cli_analyze_svd_count(svd_calls, tmp_path):
         "vectors": [[[z.real, z.imag] for z in v] for v in frame.vectors],
     }))
     assert svd_calls(cli.main, ["analyze", str(doc), "--format", "structured"]) == 1
+
+
+def test_cli_verify_svd_count(svd_calls, capsys):
+    # the suite's 12; the sampling check and the verdict read its factors of T
+    assert svd_calls(cli.main, ["verify", "--kind", "gaussian", "--format", "structured"]) == 12
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "tight", "rank_deficient", "duplicated",
+                                  "ill_conditioned"])
+def test_identity_suite_takes_each_norm_once(norm_calls, kind):
+    frame, tol = frame_and_tol(kind)
+    # T, U, S, G, P, S+, G+ of the frame and of its dual (the bundles'
+    # self-checks), then T+ and Q, and one column-norm call for each of the
+    # two sample blocks
+    assert norm_calls(run_identity_suite, frame, tol) == 18
+
+
+def test_build_bundle_takes_each_norm_once(norm_calls):
+    frame, tol = frame_and_tol("gaussian")
+    # T, U, S, G, P, S+ and G+ enter the six self-checks
+    assert norm_calls(build_bundle, frame, tol) == 7
 
 
 @pytest.mark.parametrize("kind, expected", [("tight", 1), ("gaussian", 2)])

@@ -31,12 +31,9 @@ import numpy as np
 
 from .errors import DegenerateSpanError, FramekitError
 from .frame_ops import FrameSequence, _FrameAnalysis, canonical_dual
-from .matrix_core import Tolerance
+from .matrix_core import DEFAULT_TOLERANCE, Tolerance
 from .reconstruct import min_norm_coefficients, min_norm_preimage
 from .verifier import GENERATOR_KINDS, GeneratorSpec, _identity_suite, _sampling, generate
-
-_DEFAULT_IDENTITY_ABS = 1e-10
-_DEFAULT_RANK_REL = 1e-12
 
 EXIT_OK = 0
 EXIT_VERIFICATION_FAILED = 1
@@ -164,9 +161,9 @@ def _tolerance(identity_abs: float | None, rank_rel: float | None) -> Tolerance:
             except ValueError as exc:
                 raise _InputError(f"FRAMEKIT_TOL is not a number: {env!r}") from exc
         else:
-            identity_abs = _DEFAULT_IDENTITY_ABS
+            identity_abs = DEFAULT_TOLERANCE.identity_abs
     if rank_rel is None:
-        rank_rel = _DEFAULT_RANK_REL
+        rank_rel = DEFAULT_TOLERANCE.rank_rel
     try:
         return Tolerance(rank_rel=rank_rel, identity_abs=identity_abs)
     except ValueError as exc:
@@ -278,10 +275,10 @@ def _cmd_verify(args) -> int:
     if args.kind == "ill_conditioned":
         kappa = condition_target
         if identity_abs is None:
-            identity_abs = _DEFAULT_IDENTITY_ABS * kappa  # conditioning eats precision
+            identity_abs = DEFAULT_TOLERANCE.identity_abs * kappa  # conditioning eats precision
         if rank_rel is None:
             # keep sigma(S) ~ sigma(T)^2 above the cutoff despite kappa^2
-            rank_rel = min(_DEFAULT_RANK_REL, 1e-3 / kappa**2)
+            rank_rel = min(DEFAULT_TOLERANCE.rank_rel, 1e-3 / kappa**2)
     tol = _tolerance(identity_abs, rank_rel)
     try:
         spec = GeneratorSpec(kind=args.kind, n=args.n, m=args.m, seed=args.seed,
@@ -347,8 +344,6 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
                         help="relative singular-value cutoff (default 1e-12)")
     parser.add_argument("--format", choices=("text", "structured"), default="text",
                         help="report format: human text or canonical JSON")
-    parser.add_argument("--strict", action="store_true",
-                        help="treat a degenerate span as an error (exit 3)")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -361,6 +356,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_analyze = sub.add_parser("analyze", help="classify a sequence and report its optimal bounds")
     p_analyze.add_argument("input", help="path to a JSON input document")
     _add_common_flags(p_analyze)
+    p_analyze.add_argument("--strict", action="store_true",
+                           help="treat a degenerate span as an error (exit 3)")
     p_analyze.set_defaults(fn=_cmd_analyze)
 
     p_dual = sub.add_parser("dual", help="emit the canonical dual sequence as an input document")

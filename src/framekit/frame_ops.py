@@ -27,6 +27,8 @@ from .matrix_core import (
     DEFAULT_TOLERANCE,
     SvdFactors,
     Tolerance,
+    _hermitize,
+    _projector,
     adjoint,
     as_vector,
     max_abs,
@@ -261,12 +263,8 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _hermitize(m: np.ndarray) -> np.ndarray:
-    return (m + m.conj().T) / 2.0
-
-
-def _projector(basis: np.ndarray) -> np.ndarray:
-    return _hermitize(basis @ basis.conj().T)
+# the factorization each rank gate route names
+_ROUTES = {"synthesis": "f_t", "frame operator": "f_s", "gram": "f_g"}
 
 
 class _FrameAnalysis:
@@ -365,14 +363,9 @@ class _FrameAnalysis:
             "P T = T": dev(p @ t, t, ("p", "t")),
         }
 
-    @cached_property
-    def bundle(self) -> OperatorBundle:
-        f_t, f_s, f_g = self.f_t, self.f_s, self.f_g
-        ranks = {
-            "synthesis": f_t.rank,
-            "frame operator": f_s.rank,
-            "gram": f_g.rank,
-        }
+    def _rank_gate(self, *routes: str) -> None:
+        """Raise NumericalError unless the named routes chose the same rank."""
+        ranks = {name: getattr(self, _ROUTES[name]).rank for name in routes}
         if len(set(ranks.values())) != 1:
             detail = ", ".join(f"{name} rank {r}" for name, r in ranks.items())
             raise NumericalError(
@@ -380,6 +373,9 @@ class _FrameAnalysis:
                 f"({detail}); tighten rank_rel for sequences conditioned this badly"
             )
 
+    @cached_property
+    def bundle(self) -> OperatorBundle:
+        self._rank_gate("synthesis", "frame operator", "gram")
         for name, dev in self.self_checks.items():
             if dev > self.tol.identity_abs:
                 raise NumericalError(
@@ -397,7 +393,7 @@ class _FrameAnalysis:
             synthesis_pinv=_frozen(self.t_pinv),
             frame_operator_pinv=_frozen(self.s_pinv),
             gram_pinv=_frozen(self.g_pinv),
-            span_dim=f_t.rank,
+            span_dim=self.f_t.rank,
             tol=self.tol,
         )
 
@@ -429,15 +425,9 @@ class _FrameAnalysis:
 
     @cached_property
     def canonical_dual(self) -> FrameSequence:
-        f_t = self.f_t
-        if f_t.rank == 0:
+        if self.f_t.rank == 0:
             raise DegenerateSpanError("a degenerate sequence has no canonical dual")
-        f_s = self.f_s
-        if f_s.rank != f_t.rank:
-            raise NumericalError(
-                f"rank thresholds disagree (synthesis rank {f_t.rank}, frame operator "
-                f"rank {f_s.rank}); tighten rank_rel for sequences conditioned this badly"
-            )
+        self._rank_gate("synthesis", "frame operator")
         return FrameSequence._from_matrix(self.s_pinv @ self.t)
 
 

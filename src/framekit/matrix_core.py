@@ -171,15 +171,22 @@ def adjoint(matrix) -> np.ndarray:
     return np.conjugate(_matrix_view(matrix).T, order="C")
 
 
+def _hermitize(m: np.ndarray) -> np.ndarray:
+    return (m + m.conj().T) / 2.0
+
+
+def _projector(basis: np.ndarray) -> np.ndarray:
+    """W W* for orthonormal columns W, symmetrized to be exactly self-adjoint."""
+    return _hermitize(basis @ basis.conj().T)
+
+
 def range_projector(matrix, tol: Tolerance | None = None) -> np.ndarray:
     """Orthogonal projector onto the column space.
 
     Built as W W* from the kept left singular vectors (equal to M M+), then
     symmetrized so the result is exactly self-adjoint.
     """
-    w = svd(matrix, tol).left_vectors
-    p = w @ w.conj().T
-    return (p + p.conj().T) / 2.0
+    return _projector(svd(matrix, tol).left_vectors)
 
 
 def op_norm(matrix) -> float:

@@ -14,13 +14,13 @@ caller's identity_abs so a loosened run loosens coherently.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import partial
 
 import numpy as np
 
 from .errors import DegenerateSpanError, NotTightError
 from .frame_ops import FrameSequence, _deviation, _FrameAnalysis
-from .matrix_core import Tolerance, adjoint, op_norm
+from .matrix_core import DEFAULT_TOLERANCE, Tolerance, adjoint
 
 __all__ = [
     "GENERATOR_KINDS",
@@ -41,7 +41,6 @@ _SUITE_SAMPLE_SEED = 0x6672616D6573
 _POLARIZATION_SEED = 0x706F6C6172
 _RAYLEIGH_SEED = 0x7261796C
 
-_BASE_IDENTITY_ABS = 1e-10
 _BASE_RELATIVE = 1e-8
 _INEQUALITY_SLACK = 1e-9
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
@@ -233,7 +232,13 @@ _DERIVED = {
 
 
 class _Operands:
-    """The operators that identity rows name, each formed at most once.
+    """What the suite's rows read, each formed at most once.
+
+    It holds the frame's analysis, the canonical dual's (None where no row
+    reads the dual), the seeded unit-column sample blocks `signals` (signal
+    space) and `coeffs` (coefficient space), and the relative tolerance
+    `rel_tol`. Rows name operators by operand name (see _ATTRIBUTES and
+    _DERIVED) and read them only through operand and spectral_norm.
 
     An identity is either the name of a bundle self-check, whose deviation
     the analysis has already computed, or a triple (lhs, rhs, scale) of
@@ -242,21 +247,32 @@ class _Operands:
     Frobenius norms of the scale operands, which the analyses memoize.
     """
 
-    def __init__(self, analysis: _FrameAnalysis, dual_analysis: _FrameAnalysis | None = None):
-        self.analysis, self._dual_analysis = analysis, dual_analysis
+    def __init__(self, analysis: _FrameAnalysis, dual: _FrameAnalysis | None = None,
+                 vector_samples: int = 0):
+        self.analysis, self.dual = analysis, dual
+        self.rel_tol = _BASE_RELATIVE * (analysis.tol.identity_abs / DEFAULT_TOLERANCE.identity_abs)
+        rng = np.random.Generator(np.random.PCG64(_SUITE_SAMPLE_SEED))
+        frame = analysis.frame
+        self.signals = _unit_columns(_complex_gaussian(rng, (frame.ambient_dim, vector_samples)))
+        self.coeffs = _unit_columns(_complex_gaussian(rng, (frame.size, vector_samples)))
         self._derived, self._deviations = {}, {}
 
     def _owner(self, name: str):
         if name.startswith("~"):
-            return self._dual_analysis, _ATTRIBUTES[name[1:]]
+            return self.dual, _ATTRIBUTES[name[1:]]
         return self.analysis, _ATTRIBUTES[name]
 
     def operand(self, name: str) -> np.ndarray:
         if name in _DERIVED:
             if name not in self._derived:
-                self._derived[name] = _DERIVED[name](self.analysis, self._dual_analysis)
+                self._derived[name] = _DERIVED[name](self.analysis, self.dual)
             return self._derived[name]
         return getattr(*self._owner(name))
+
+    def spectral_norm(self, name: str) -> float:
+        """Spectral norm of T, S, G (sigma_max) or T+, S+, G+ (1/sigma_r), from its own SVD."""
+        sigma = getattr(self.analysis, "f_" + name[0].lower()).singular_values
+        return float(1.0 / sigma[-1] if name.endswith("+") else sigma[0])
 
     def _product(self, names: tuple):
         if not names:
@@ -278,118 +294,51 @@ class _Operands:
         return self._deviations[identity]
 
 
-class _SuiteContext(_Operands):
-    """Shared state for the registry checks on one sequence.
+# Row kinds: each takes its operand names, if any, then the _Operands, and returns
+# (deviation, tolerance, detail)
 
-    The frame and its canonical dual are each analyzed once; every check
-    reads those two analyses.
-    """
-
-    def __init__(self, frame: FrameSequence, tol: Tolerance, vector_samples: int,
-                 analysis: _FrameAnalysis | None = None):
-        self.frame = frame
-        self.tol = tol
-        analysis = analysis or _FrameAnalysis(frame, tol)
-        self.bundle = analysis.bundle
-        self.bounds = analysis.bounds
-        self.classification = analysis.classification
-        self.dual = analysis.canonical_dual
-        dual_analysis = _FrameAnalysis(self.dual, tol)
-        self.dual_bundle = dual_analysis.bundle
-        self.dual_bounds = dual_analysis.bounds
-        self.dual_dual = dual_analysis.canonical_dual
-        self.analysis_pinv = analysis.u_pinv
-        super().__init__(analysis, dual_analysis)
-        rng = np.random.Generator(np.random.PCG64(_SUITE_SAMPLE_SEED))
-        self.signals = _unit_columns(_complex_gaussian(rng, (frame.ambient_dim, vector_samples)))
-        self.coeffs = _unit_columns(_complex_gaussian(rng, (frame.size, vector_samples)))
-        self.rel_tol = _BASE_RELATIVE * (tol.identity_abs / _BASE_IDENTITY_ABS)
-
-    @cached_property
-    def frame_operator_norm(self) -> float:
-        return op_norm(self.bundle.frame_operator)
-
-    @cached_property
-    def frame_operator_pinv_norm(self) -> float:
-        return op_norm(self.bundle.frame_operator_pinv)
+def _norms_agree(names: tuple, ops: _Operands):
+    """‖X‖² = ‖Y‖ = ‖Z‖ for the operands (X, Y, Z): the gap to ‖X‖² relative to the largest."""
+    x, y, z = (ops.spectral_norm(name) for name in names)
+    dev = max(abs(y - x ** 2), abs(z - x ** 2)) / max(x ** 2, y, z)
+    return dev, ops.rel_tol, None
 
 
-def _rel_gap(values) -> float:
-    vals = [float(v) for v in values]
-    ref = max(abs(v) for v in vals)
-    if ref == 0.0:
-        return 0.0
-    return max(abs(v - vals[0]) for v in vals[1:]) / ref
+def _sandwich(projector: str, operator: str, block: str, ops: _Operands):
+    """A‖Px‖² ≤ ‖Ax‖² ≤ B‖Px‖² for each column x of a sample block."""
+    x = getattr(ops, block)
+    lo, hi = ops.analysis.bounds.lower, ops.analysis.bounds.upper
+    px2 = _energies(ops.operand(projector) @ x)
+    ax2 = _energies(ops.operand(operator) @ x)
+    dev = _worst(lo * px2 - ax2, ax2 - hi * px2) / max(1.0, hi)
+    return dev, _INEQUALITY_SLACK, {"samples": x.shape[1]}
 
 
-def _chk_operator_norms(ctx):
-    b = ctx.bundle
-    dev = _rel_gap((op_norm(b.synthesis) ** 2, ctx.frame_operator_norm, op_norm(b.gram)))
-    return dev, ctx.rel_tol, None
+def _quadratic(projector: str, operator: str, block: str, ops: _Operands):
+    """‖S†‖⁻¹‖Px‖² ≤ ⟨Ax,x⟩ ≤ ‖S‖‖Px‖² for each column x of a sample block."""
+    x = getattr(ops, block)
+    upper, inv_lower = ops.spectral_norm("S"), ops.spectral_norm("S+")
+    px2 = _energies(ops.operand(projector) @ x)
+    quad = _real_inner(x, ops.operand(operator) @ x)
+    dev = _worst(px2 / inv_lower - quad, quad - upper * px2) / max(1.0, upper)
+    return dev, _INEQUALITY_SLACK, {"samples": x.shape[1]}
 
 
-def _chk_pinv_norms(ctx):
-    b = ctx.bundle
-    dev = _rel_gap((op_norm(b.synthesis_pinv) ** 2,
-                    ctx.frame_operator_pinv_norm,
-                    op_norm(b.gram_pinv)))
-    return dev, ctx.rel_tol, None
-
-
-def _chk_analysis_sandwich(ctx):
-    b, f = ctx.bundle, ctx.signals
-    lo, hi = ctx.bounds.lower, ctx.bounds.upper
-    pf2 = _energies(b.span_projector @ f)
-    uf2 = _energies(b.analysis @ f)
-    dev = _worst(lo * pf2 - uf2, uf2 - hi * pf2) / max(1.0, hi)
-    return dev, _INEQUALITY_SLACK, {"samples": f.shape[1]}
-
-
-def _chk_synthesis_sandwich(ctx):
-    b, c = ctx.bundle, ctx.coeffs
-    lo, hi = ctx.bounds.lower, ctx.bounds.upper
-    qc2 = _energies(b.coefficient_projector @ c)
-    tc2 = _energies(b.synthesis @ c)
-    dev = _worst(lo * qc2 - tc2, tc2 - hi * qc2) / max(1.0, hi)
-    return dev, _INEQUALITY_SLACK, {"samples": c.shape[1]}
-
-
-def _chk_frame_operator_quadratic(ctx):
-    b, f = ctx.bundle, ctx.signals
-    upper = ctx.frame_operator_norm
-    inv_lower = ctx.frame_operator_pinv_norm
-    pf2 = _energies(b.span_projector @ f)
-    quad = _real_inner(f, b.frame_operator @ f)
-    dev = _worst(pf2 / inv_lower - quad, quad - upper * pf2) / max(1.0, upper)
-    return dev, _INEQUALITY_SLACK, {"samples": f.shape[1]}
-
-
-def _chk_gram_quadratic(ctx):
-    b, c = ctx.bundle, ctx.coeffs
-    upper = ctx.frame_operator_norm
-    inv_lower = ctx.frame_operator_pinv_norm
-    qc2 = _energies(b.coefficient_projector @ c)
-    quad = _real_inner(c, b.gram @ c)
-    dev = _worst(qc2 / inv_lower - quad, quad - upper * qc2) / max(1.0, upper)
-    return dev, _INEQUALITY_SLACK, {"samples": c.shape[1]}
-
-
-def _chk_pinv_energy(ctx):
-    b, f = ctx.bundle, ctx.signals
-    lhs = _energies(b.synthesis_pinv @ f)
-    rhs = _real_inner(f, b.frame_operator_pinv @ f)
+def _pinv_energy(ops: _Operands):
+    f = ops.signals
+    lhs = _energies(ops.operand("T+") @ f)
+    rhs = _real_inner(f, ops.operand("S+") @ f)
     ref = np.maximum(np.abs(lhs), np.abs(rhs))
     nonzero = ref > 0.0
     dev = _worst(np.abs(lhs - rhs)[nonzero] / ref[nonzero])
-    return dev, ctx.rel_tol, {"samples": f.shape[1]}
+    return dev, ops.rel_tol, {"samples": f.shape[1]}
 
 
-def _chk_dual_bounds(ctx):
-    lo, hi = ctx.bounds.lower, ctx.bounds.upper
-    dev = max(abs(ctx.dual_bounds.lower - 1.0 / hi) * hi,
-              abs(ctx.dual_bounds.upper - 1.0 / lo) * lo)
-    return dev, ctx.rel_tol, {"dual_lower": ctx.dual_bounds.lower,
-                              "dual_upper": ctx.dual_bounds.upper}
+def _dual_bounds(ops: _Operands):
+    lo, hi = ops.analysis.bounds.lower, ops.analysis.bounds.upper
+    dual = ops.dual.bounds
+    dev = max(abs(dual.lower - 1.0 / hi) * hi, abs(dual.upper - 1.0 / lo) * lo)
+    return dev, ops.rel_tol, {"dual_lower": dual.lower, "dual_upper": dual.upper}
 
 
 def _row_norms(rows: np.ndarray) -> np.ndarray:
@@ -441,7 +390,7 @@ def _polarization_deviation(bundle, common_bound: float, pairs: int) -> float:
     return _worst(*(np.hypot(gap.real, gap.imag) / scale for gap in gaps))
 
 
-def _polarization(ops: _Operands, pairs: int):
+def _polarization(pairs: int, ops: _Operands):
     analysis = ops.analysis
     common_bound = analysis.bounds.lower
     dev = max(_polarization_deviation(analysis.bundle, common_bound, pairs),
@@ -454,13 +403,10 @@ _TIGHT_GRAM = (("G",), ("AQ",), ("U", "T"))
 _TIGHT_GRAM_PINV = (("G+",), ("Q/A",), ("G+",))
 
 
-def _chk_polarization(ctx):
-    return _polarization(ctx, 50)
-
-
-# name, formula, tight_only, and either a function of the suite context or a
-# tuple of identities (see _Operands) whose worst deviation the row reports;
-# tight-only identity rows also report the common bound A
+# name, formula, tight_only, and either a row kind bound to its operand names
+# (a function of the _Operands) or a tuple of identities (see _Operands) whose
+# worst deviation the row reports; tight-only identity rows also report the
+# common bound A
 _REGISTRY = (
     ("pinv_synthesis_is_dual_analysis", "T† = Ũ", False, ((("T+",), ("~U",), ("S+", "T")),)),
     ("pinv_analysis_is_dual_synthesis", "U† = T̃", False, ((("U+",), ("~T",), ("S+", "T")),)),
@@ -487,20 +433,22 @@ _REGISTRY = (
      ((("T", "~U"), ("P",), ("T", "~U")), (("~T", "U"), ("P",), ("~T", "U")))),
     ("cross_dual_gram", "Q = UT̃", False, ((("Q",), ("U", "~T"), ("U", "~T")),)),
     ("span_projector_fixes_vectors", "P fₖ = fₖ (range of T is the span)", False, ("P T = T",)),
-    ("operator_norms_agree", "‖T‖² = ‖S‖ = ‖G‖", False, _chk_operator_norms),
-    ("pinv_norms_agree", "‖T†‖² = ‖S†‖ = ‖G†‖", False, _chk_pinv_norms),
-    ("analysis_sandwich", "A‖Pf‖² ≤ ‖T*f‖² ≤ B‖Pf‖²", False, _chk_analysis_sandwich),
-    ("synthesis_sandwich", "A‖Qc‖² ≤ ‖Tc‖² ≤ B‖Qc‖²", False, _chk_synthesis_sandwich),
-    ("frame_operator_quadratic_form", "‖S†‖⁻¹‖Pf‖² ≤ ⟨Sf,f⟩ ≤ ‖S‖‖Pf‖²", False, _chk_frame_operator_quadratic),
-    ("gram_quadratic_form", "‖S†‖⁻¹‖Qc‖² ≤ ⟨Gc,c⟩ ≤ ‖S‖‖Qc‖²", False, _chk_gram_quadratic),
-    ("pinv_energy_identity", "‖T†f‖² = ⟨f,S†f⟩", False, _chk_pinv_energy),
-    ("dual_bounds_reciprocal", "Ã = 1/B and B̃ = 1/A", False, _chk_dual_bounds),
+    ("operator_norms_agree", "‖T‖² = ‖S‖ = ‖G‖", False, partial(_norms_agree, ("T", "S", "G"))),
+    ("pinv_norms_agree", "‖T†‖² = ‖S†‖ = ‖G†‖", False, partial(_norms_agree, ("T+", "S+", "G+"))),
+    ("analysis_sandwich", "A‖Pf‖² ≤ ‖T*f‖² ≤ B‖Pf‖²", False, partial(_sandwich, "P", "U", "signals")),
+    ("synthesis_sandwich", "A‖Qc‖² ≤ ‖Tc‖² ≤ B‖Qc‖²", False, partial(_sandwich, "Q", "T", "coeffs")),
+    ("frame_operator_quadratic_form", "‖S†‖⁻¹‖Pf‖² ≤ ⟨Sf,f⟩ ≤ ‖S‖‖Pf‖²", False,
+     partial(_quadratic, "P", "S", "signals")),
+    ("gram_quadratic_form", "‖S†‖⁻¹‖Qc‖² ≤ ⟨Gc,c⟩ ≤ ‖S‖‖Qc‖²", False,
+     partial(_quadratic, "Q", "G", "coeffs")),
+    ("pinv_energy_identity", "‖T†f‖² = ⟨f,S†f⟩", False, _pinv_energy),
+    ("dual_bounds_reciprocal", "Ã = 1/B and B̃ = 1/A", False, _dual_bounds),
     ("dual_involution", "dual(dual(F)) = F", False, ((("~~T",), ("T",), ("~S+", "S+", "T")),)),
     ("tight_frame_operator", "S = AP", True, ((("S",), ("AP",), ("T", "U")),)),
     ("tight_gram", "G = AQ", True, (_TIGHT_GRAM,)),
     ("tight_frame_operator_pinv", "S† = (1/A)P", True, ((("S+",), ("P/A",), ("S+",)),)),
     ("tight_gram_pinv", "G† = (1/A)Q", True, (_TIGHT_GRAM_PINV,)),
-    (*_POLARIZATION, True, _chk_polarization),
+    (*_POLARIZATION, True, partial(_polarization, 50)),
 )
 
 
@@ -534,17 +482,22 @@ def run_identity_suite(frame: FrameSequence, tol: Tolerance | None = None,
 
 
 def _identity_suite(analysis: _FrameAnalysis, vector_samples: int) -> IdentityReport:
-    ctx = _SuiteContext(analysis.frame, analysis.tol, vector_samples, analysis)
+    # every gate runs before any row: the frame's bundle (rank gate and
+    # self-checks), bounds and dual, then the dual's, each raising as it would
+    analysis.bundle, analysis.bounds
+    dual = _FrameAnalysis(analysis.canonical_dual, analysis.tol)
+    dual.bundle, dual.bounds, dual.canonical_dual
+    ops = _Operands(analysis, dual, vector_samples)
     records = []
     for name, formula, tight_only, check in _REGISTRY:
-        if tight_only and not ctx.classification.is_tight:
+        if tight_only and not analysis.classification.is_tight:
             continue
         if callable(check):
-            records.append(_record(name, formula, *check(ctx)))
+            records.append(_record(name, formula, *check(ops)))
         else:
-            detail = {"common_bound": ctx.bounds.lower} if tight_only else None
-            dev = max(ctx.deviation(identity) for identity in check)
-            records.append(_record(name, formula, dev, ctx.tol.identity_abs, detail))
+            detail = {"common_bound": analysis.bounds.lower} if tight_only else None
+            dev = max(ops.deviation(identity) for identity in check)
+            records.append(_record(name, formula, dev, analysis.tol.identity_abs, detail))
     return IdentityReport(records=tuple(records))
 
 
@@ -560,7 +513,7 @@ def polarization_check(frame: FrameSequence, pairs: int = 100,
     analysis = _FrameAnalysis(frame, tol)
     if not analysis.classification.is_tight:
         raise NotTightError("polarization reconstruction requires a tight sequence")
-    return _record(*_POLARIZATION, *_polarization(_Operands(analysis), pairs))
+    return _record(*_POLARIZATION, *_polarization(pairs, _Operands(analysis)))
 
 
 def bounds_vs_sampling(frame: FrameSequence, samples: int = 10000,

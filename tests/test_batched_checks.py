@@ -8,14 +8,11 @@ import numpy as np
 import pytest
 
 from framekit import GENERATOR_KINDS, GeneratorSpec, Tolerance, generate, svd
+from framekit.frame_ops import _FrameAnalysis
 from framekit.verifier import (
     _POLARIZATION_SEED,
-    _SuiteContext,
-    _chk_analysis_sandwich,
-    _chk_frame_operator_quadratic,
-    _chk_gram_quadratic,
-    _chk_pinv_energy,
-    _chk_synthesis_sandwich,
+    _REGISTRY,
+    _Operands,
     _complex_gaussian,
     _polarization_deviation,
 )
@@ -78,8 +75,8 @@ def test_rank_zero_factors_are_empty():
 # ------------------------------------------------------------- sampled checks
 
 def ref_analysis_sandwich(ctx):
-    b = ctx.bundle
-    lo, hi = ctx.bounds.lower, ctx.bounds.upper
+    b = ctx.analysis.bundle
+    lo, hi = ctx.analysis.bounds.lower, ctx.analysis.bounds.upper
     worst = 0.0
     for f in ctx.signals.T:
         pf2 = float(np.linalg.norm(b.span_projector @ f) ** 2)
@@ -89,8 +86,8 @@ def ref_analysis_sandwich(ctx):
 
 
 def ref_synthesis_sandwich(ctx):
-    b = ctx.bundle
-    lo, hi = ctx.bounds.lower, ctx.bounds.upper
+    b = ctx.analysis.bundle
+    lo, hi = ctx.analysis.bounds.lower, ctx.analysis.bounds.upper
     worst = 0.0
     for c in ctx.coeffs.T:
         qc2 = float(np.linalg.norm(b.coefficient_projector @ c) ** 2)
@@ -100,7 +97,7 @@ def ref_synthesis_sandwich(ctx):
 
 
 def ref_frame_operator_quadratic(ctx):
-    b = ctx.bundle
+    b = ctx.analysis.bundle
     upper = op_norm(b.frame_operator)
     inv_lower = op_norm(b.frame_operator_pinv)
     worst = 0.0
@@ -112,7 +109,7 @@ def ref_frame_operator_quadratic(ctx):
 
 
 def ref_gram_quadratic(ctx):
-    b = ctx.bundle
+    b = ctx.analysis.bundle
     upper = op_norm(b.frame_operator)
     inv_lower = op_norm(b.frame_operator_pinv)
     worst = 0.0
@@ -124,7 +121,7 @@ def ref_gram_quadratic(ctx):
 
 
 def ref_pinv_energy(ctx):
-    b = ctx.bundle
+    b = ctx.analysis.bundle
     worst = 0.0
     for f in ctx.signals.T:
         lhs = float(np.linalg.norm(b.synthesis_pinv @ f) ** 2)
@@ -135,12 +132,13 @@ def ref_pinv_energy(ctx):
     return worst
 
 
+ROWS = {name: check for name, _, _, check in _REGISTRY}
 SAMPLED = [
-    (_chk_analysis_sandwich, ref_analysis_sandwich),
-    (_chk_synthesis_sandwich, ref_synthesis_sandwich),
-    (_chk_frame_operator_quadratic, ref_frame_operator_quadratic),
-    (_chk_gram_quadratic, ref_gram_quadratic),
-    (_chk_pinv_energy, ref_pinv_energy),
+    ("analysis_sandwich", ref_analysis_sandwich),
+    ("synthesis_sandwich", ref_synthesis_sandwich),
+    ("frame_operator_quadratic_form", ref_frame_operator_quadratic),
+    ("gram_quadratic_form", ref_gram_quadratic),
+    ("pinv_energy_identity", ref_pinv_energy),
 ]
 
 
@@ -151,7 +149,7 @@ def context_for(kind, n, m, seed, samples=50):
     else:
         spec = GeneratorSpec(kind, n, m, seed)
         tol = Tolerance()
-    return _SuiteContext(generate(spec), tol, samples)
+    return _Operands(_FrameAnalysis(generate(spec), tol), vector_samples=samples)
 
 
 @pytest.mark.parametrize("kind", GENERATOR_KINDS)
@@ -159,19 +157,19 @@ def context_for(kind, n, m, seed, samples=50):
 def test_batched_sampled_checks_match_per_sample_loops(kind, n, m):
     for seed in range(3):
         ctx = context_for(kind, n, m, seed)
-        for batched, reference in SAMPLED:
-            dev, _, detail = batched(ctx)
+        for name, reference in SAMPLED:
+            dev, _, detail = ROWS[name](ctx)
             expected = reference(ctx)
             # deviations are already relative to max(1, bound), so the
             # 1e-12 relative tolerance is taken against max(1, |expected|)
-            assert abs(dev - expected) <= 1e-12 * max(1.0, abs(expected)), batched.__name__
+            assert abs(dev - expected) <= 1e-12 * max(1.0, abs(expected)), name
             assert detail == {"samples": 50}
 
 
 def test_batched_sampled_checks_handle_no_samples():
     ctx = context_for("gaussian", 4, 6, 0, samples=0)
-    for batched, reference in SAMPLED:
-        assert batched(ctx)[0] == reference(ctx) == 0.0
+    for name, reference in SAMPLED:
+        assert ROWS[name](ctx)[0] == reference(ctx) == 0.0
 
 
 # --------------------------------------------------------------- polarization
@@ -207,6 +205,6 @@ def ref_polarization_deviation(bundle, common_bound, pairs):
 def test_batched_polarization_is_bitwise_the_per_pair_loop(n, m, pairs):
     for seed in range(3):
         ctx = context_for("tight", n, m, seed)
-        a = ctx.bounds.lower
-        batched = _polarization_deviation(ctx.bundle, a, pairs)
-        assert batched == ref_polarization_deviation(ctx.bundle, a, pairs)
+        a = ctx.analysis.bounds.lower
+        batched = _polarization_deviation(ctx.analysis.bundle, a, pairs)
+        assert batched == ref_polarization_deviation(ctx.analysis.bundle, a, pairs)

@@ -290,3 +290,13 @@ def test_verify_rejects_strict_like_any_unknown_flag(capsys):
     # --strict only ever applied to analyze; verify has no such flag
     assert main(["verify", "--kind", "gaussian", "--strict"]) == EXIT_INPUT_ERROR
     assert "unrecognized arguments: --strict" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["dual", "reconstruct"])
+def test_strict_is_an_unknown_flag_where_it_cannot_act(command, tmp_path, capsys):
+    # dual and reconstruct exit 3 on a degenerate span with or without it
+    doc = write_doc(tmp_path / "signal.json", 2, [[1, 0], [0, 1], [1, 1]], signal=[pair(1), pair(0)])
+    assert main([command, doc]) == EXIT_OK
+    capsys.readouterr()
+    assert main([command, doc, "--strict"]) == EXIT_INPUT_ERROR
+    assert "unrecognized arguments: --strict" in capsys.readouterr().err

@@ -74,9 +74,9 @@ def frame_and_tol(kind):
                                   "ill_conditioned"])
 def test_identity_suite_factors_frame_and_dual_once(svd_calls, kind):
     frame, tol = frame_and_tol(kind)
-    # three SVDs (T, S, G) each for the frame and its dual, plus the spectral
-    # norms of T, S, G, T+, S+ and G+
-    assert svd_calls(run_identity_suite, frame, tol) == 12
+    # three SVDs (T, S, G) each for the frame and its dual; the spectral
+    # norms of T, S, G, T+, S+ and G+ are read from the frame's three
+    assert svd_calls(run_identity_suite, frame, tol) == 6
 
 
 @pytest.mark.parametrize("entry, args, expected", [
@@ -126,8 +126,8 @@ def test_cli_analyze_svd_count(svd_calls, tmp_path):
 
 
 def test_cli_verify_svd_count(svd_calls, capsys):
-    # the suite's 12; the sampling check and the verdict read its factors of T
-    assert svd_calls(cli.main, ["verify", "--kind", "gaussian", "--format", "structured"]) == 12
+    # the suite's 6; the sampling check and the verdict read its factors of T
+    assert svd_calls(cli.main, ["verify", "--kind", "gaussian", "--format", "structured"]) == 6
 
 
 @pytest.mark.parametrize("kind", ["gaussian", "tight", "rank_deficient", "duplicated",

@@ -9,9 +9,9 @@ A sequence of m vectors in an n-dimensional complex space induces
 
 together with the orthogonal projectors P onto the span of the vectors
 (range of T) and Q onto the range of U (orthogonal complement of ker T).
-The pseudoinverses of T, S and G tie these together; the bundle constructor
-verifies the resulting identities on independent computation routes and
-refuses to hand back an incoherent set.
+The pseudoinverses of T, S and G tie these together. Each result is gated
+on the routes it reads: T's factorization (which gives P, Q and T+) must agree
+with S's or G's, or with both for the whole bundle, else NumericalError.
 """
 
 from __future__ import annotations
@@ -263,8 +263,18 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-# the factorization each rank gate route names
+# the factorization each route names
 _ROUTES = {"synthesis": "f_t", "frame operator": "f_s", "gram": "f_g"}
+
+# the self-checks in gate order: the route each reads besides T's, and its deviation
+_SELF_CHECKS = {
+    "S S+ = P": ("frame operator", lambda a: a.deviation(a.s @ a.s_pinv, a.p, ("s", "s_pinv"))),
+    "S+ S = P": ("frame operator", lambda a: a.deviation(a.s_pinv @ a.s, a.p, ("s_pinv", "s"))),
+    "G G+ = Q": ("gram", lambda a: a.deviation(a.g @ a.g_pinv, a.q, ("g", "g_pinv"))),
+    "G+ G = Q": ("gram", lambda a: a.deviation(a.g_pinv @ a.g, a.q, ("g_pinv", "g"))),
+    "T+ = T* S+": ("frame operator", lambda a: a.deviation(a.t_pinv, a.u @ a.s_pinv, ("u", "s_pinv"))),
+    "P T = T": ("synthesis", lambda a: a.deviation(a.p @ a.t, a.t, ("p", "t"))),
+}
 
 
 class _FrameAnalysis:
@@ -274,8 +284,8 @@ class _FrameAnalysis:
     use and at most once; U = T* is not factored, because its SVD is T's
     with the two sides swapped, so the U route (Q and U+) reads T's
     factors. Everything derived is likewise computed at most once: the
-    operators, their Frobenius norms (see norm) and the bundle's self-check
-    deviations, which the identity suite reads instead of recomputing. Each
+    operators, their Frobenius norms (see norm) and the self-checks that
+    gate each result on the routes it reads (see gate and self_check). Each
     public entry point builds its own analysis and drops it on return, so
     nothing is cached between calls.
     """
@@ -283,7 +293,7 @@ class _FrameAnalysis:
     def __init__(self, frame: FrameSequence, tol: Tolerance | None = None):
         self.frame = frame
         self.tol = tol or DEFAULT_TOLERANCE
-        self._norms = {}
+        self._norms, self._checks = {}, {}
 
     def norm(self, name: str) -> float:
         """Frobenius norm of the operator held in attribute `name`, taken once."""
@@ -349,22 +359,14 @@ class _FrameAnalysis:
         return pinv_from_factors(SvdFactors(f_t.right_vectors, f_t.singular_values,
                                             f_t.left_vectors, f_t.rank))
 
-    @cached_property
-    def self_checks(self) -> dict:
-        """Deviation of each identity the bundle must satisfy, by name."""
-        t, u, s, g, p, q = self.t, self.u, self.s, self.g, self.p, self.q
-        s_pinv, g_pinv, dev = self.s_pinv, self.g_pinv, self.deviation
-        return {
-            "S S+ = P": dev(s @ s_pinv, p, ("s", "s_pinv")),
-            "S+ S = P": dev(s_pinv @ s, p, ("s_pinv", "s")),
-            "G G+ = Q": dev(g @ g_pinv, q, ("g", "g_pinv")),
-            "G+ G = Q": dev(g_pinv @ g, q, ("g_pinv", "g")),
-            "T+ = T* S+": dev(self.t_pinv, u @ s_pinv, ("u", "s_pinv")),
-            "P T = T": dev(p @ t, t, ("p", "t")),
-        }
+    def self_check(self, name: str) -> float:
+        """Deviation of the named self-check (see _SELF_CHECKS), evaluated once."""
+        if name not in self._checks:
+            self._checks[name] = _SELF_CHECKS[name][1](self)
+        return self._checks[name]
 
-    def _rank_gate(self, *routes: str) -> None:
-        """Raise NumericalError unless the named routes chose the same rank."""
+    def gate(self, *routes: str) -> None:
+        """Raise NumericalError unless the routes agree in rank and in each self-check on them."""
         ranks = {name: getattr(self, _ROUTES[name]).rank for name in routes}
         if len(set(ranks.values())) != 1:
             detail = ", ".join(f"{name} rank {r}" for name, r in ranks.items())
@@ -372,17 +374,18 @@ class _FrameAnalysis:
                 "rank thresholds disagree between operator routes "
                 f"({detail}); tighten rank_rel for sequences conditioned this badly"
             )
+        for name, (route, _) in _SELF_CHECKS.items():
+            if {"synthesis", route} <= set(routes):
+                dev = self.self_check(name)
+                if not dev <= self.tol.identity_abs:  # a NaN deviation fails too
+                    raise NumericalError(
+                        f"operator bundle failed self-check '{name}': "
+                        f"deviation {dev:.3e} exceeds {self.tol.identity_abs:.3e}"
+                    )
 
     @cached_property
     def bundle(self) -> OperatorBundle:
-        self._rank_gate("synthesis", "frame operator", "gram")
-        for name, dev in self.self_checks.items():
-            if dev > self.tol.identity_abs:
-                raise NumericalError(
-                    f"operator bundle failed self-check '{name}': "
-                    f"deviation {dev:.3e} exceeds {self.tol.identity_abs:.3e}"
-                )
-
+        self.gate(*_ROUTES)
         return OperatorBundle(
             synthesis=_frozen(self.t),
             analysis=_frozen(self.u),
@@ -427,22 +430,20 @@ class _FrameAnalysis:
     def canonical_dual(self) -> FrameSequence:
         if self.f_t.rank == 0:
             raise DegenerateSpanError("a degenerate sequence has no canonical dual")
-        self._rank_gate("synthesis", "frame operator")
+        self.gate("synthesis", "frame operator")
         return FrameSequence._from_matrix(self.s_pinv @ self.t)
 
 
 def build_bundle(frame: FrameSequence, tol: Tolerance | None = None) -> OperatorBundle:
     """Construct every induced operator and verify their mutual consistency.
 
-    T, S and G are each factored once. The pseudoinverses of S and G come
-    from their own factorizations, independently of T's; P and Q come from
-    T's left and right singular vectors (U = T* has the same factors with
-    the sides swapped, so factoring it as well would add no independent
-    route). Rank decisions that disagree between T, S and G, or identity
-    residuals above tol.identity_abs, raise NumericalError: such a bundle
-    would silently violate the relations everything downstream relies on.
-    A rank-threshold disagreement usually means the sequence is conditioned
-    beyond what rank_rel resolves; tighten rank_rel to keep the routes aligned.
+    T, S and G are each factored once: S+ and G+ come from S's and G's own
+    factors, P, Q and T+ from T's. Rank decisions that disagree between the
+    three routes, or self-check residuals above tol.identity_abs (or NaN),
+    raise NumericalError: such a bundle would silently violate the relations
+    everything downstream relies on. A rank-threshold disagreement usually
+    means the sequence is conditioned beyond what rank_rel resolves; tighten
+    rank_rel to keep the routes aligned.
     """
     return _FrameAnalysis(frame, tol).bundle
 
@@ -482,7 +483,7 @@ def canonical_dual(frame: FrameSequence, tol: Tolerance | None = None) -> FrameS
 
     The dual spans the same subspace, its optimal bounds are the reciprocals
     (1/upper, 1/lower) of the original's, and its own canonical dual is the
-    original sequence again.
+    original sequence again. S+ is gated on T's factors (see build_bundle).
     """
     return _FrameAnalysis(frame, tol).canonical_dual
 
@@ -520,6 +521,7 @@ def _pseudo_inverse(frame: FrameSequence, tol: Tolerance | None, on_span: bool) 
     analysis = _FrameAnalysis(frame, tol)
     if analysis.classification.is_tight:
         return (analysis.p if on_span else analysis.q) / analysis.bounds.lower
+    analysis.gate("synthesis", "frame operator" if on_span else "gram")
     return analysis.s_pinv if on_span else analysis.g_pinv
 
 
@@ -527,7 +529,7 @@ def pseudo_frame_operator(frame: FrameSequence, tol: Tolerance | None = None) ->
     """Pseudoinverse of the frame operator, with a fast path for tight frames.
 
     For a tight sequence with common bound A the pseudoinverse is P / A, a
-    rescaled projector; otherwise it is computed from S's own factorization.
+    rescaled projector; otherwise it comes from S's factorization, gated on T's.
     Both routes agree within tol.identity_abs on tight input. A degenerate
     sequence yields the zero matrix (the pseudoinverse of the zero operator).
     """
@@ -538,6 +540,6 @@ def pseudo_gram(frame: FrameSequence, tol: Tolerance | None = None) -> np.ndarra
     """Pseudoinverse of the gram matrix, with the same tight fast path.
 
     Tight sequences give Q / A; everything else goes through G's own
-    factorization. A degenerate sequence yields the zero matrix.
+    factorization, gated on T's. A degenerate sequence yields the zero matrix.
     """
     return _pseudo_inverse(frame, tol, on_span=False)

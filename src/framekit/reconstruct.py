@@ -4,6 +4,9 @@ Coefficient vectors live in the m-dimensional complex coefficient space
 (one slot per frame vector) and are plain 1-D arrays. Signals live in the
 n-dimensional ambient space. Inner products are linear in the first
 argument: <x, y> = sum_j x_j * conj(y_j).
+
+Each entry point gates on the frame routes it reads and checks its defining
+identity: a residual beyond tolerance, or NaN, raises NumericalError.
 """
 
 from __future__ import annotations
@@ -13,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateSpanError, NumericalError
-from .frame_ops import FrameSequence, OperatorBundle, build_bundle
-from .matrix_core import DEFAULT_TOLERANCE, Tolerance, adjoint, as_vector, max_abs
+from .frame_ops import FrameSequence, _FrameAnalysis
+from .matrix_core import Tolerance, adjoint, as_vector, max_abs
 
 __all__ = [
     "MinNormSolution",
@@ -49,25 +52,28 @@ class MinNormSolution:
 
 
 def _require(condition_dev: float, limit: float, what: str) -> None:
-    if condition_dev > limit:
+    if not condition_dev <= limit:
         raise NumericalError(
             f"reconstruction self-check '{what}' deviates by {condition_dev:.3e}, "
             f"beyond {limit:.3e}"
         )
 
 
-def _input_scale(v: np.ndarray) -> float:
-    return max(1.0, float(np.linalg.norm(v)))
+def _limit(a: _FrameAnalysis, v: np.ndarray) -> float:
+    """Residual ceiling for an identity applied to the input v."""
+    return a.tol.identity_abs * max(1.0, float(np.linalg.norm(v)))
 
 
-def _nondegenerate_bundle(frame: FrameSequence, tol: Tolerance) -> OperatorBundle:
-    bundle = build_bundle(frame, tol)
-    if bundle.span_dim == 0:
+def _gated_analysis(frame: FrameSequence, tol: Tolerance | None, route: str) -> _FrameAnalysis:
+    """The frame's analysis, gated on T and the one other route a result reads."""
+    a = _FrameAnalysis(frame, tol)
+    a.gate("synthesis", route)
+    if a.f_t.rank == 0:
         raise DegenerateSpanError(
             "all vectors are numerically zero; reconstruction against a degenerate "
             "sequence is undefined"
         )
-    return bundle
+    return a
 
 
 def min_norm_coefficients(frame: FrameSequence, signal,
@@ -79,19 +85,18 @@ def min_norm_coefficients(frame: FrameSequence, signal,
     vectors with the same synthesis it has strictly minimal norm. For f in
     the span, T c0 = f exactly and the residual is zero.
     """
-    tol = tol or DEFAULT_TOLERANCE
-    bundle = _nondegenerate_bundle(frame, tol)
+    a = _gated_analysis(frame, tol, "frame operator")
     f = as_vector(signal, frame.ambient_dim, name="signal")
     # column k of dual_cols is S+ f_k, the k-th canonical dual vector. The
     # dual matrix is formed on purpose: the matrix-vector form T* (S+ f)
     # raised the worst deviation/tolerance on 64x128 and 128x256 frames
     # from 0.0073 to 0.0257
-    dual_cols = bundle.frame_operator_pinv @ bundle.synthesis
+    dual_cols = a.s_pinv @ a.t
     c0 = adjoint(dual_cols) @ f
-    projected = bundle.span_projector @ f
-    limit = tol.identity_abs * _input_scale(f)
-    _require(max_abs(bundle.synthesis @ c0 - projected), limit, "T c0 = P f")
-    _require(max_abs(bundle.coefficient_projector @ c0 - c0), limit, "Q c0 = c0")
+    projected = a.p @ f
+    limit = _limit(a, f)
+    _require(max_abs(a.t @ c0 - projected), limit, "T c0 = P f")
+    _require(max_abs(a.q @ c0 - c0), limit, "Q c0 = c0")
     residual = f - projected
     return MinNormSolution(
         solution=c0,
@@ -112,13 +117,12 @@ def min_norm_preimage(frame: FrameSequence, coefficients,
     minimizer. The residual reports |c - Q c|, the part of the input no
     signal can reach.
     """
-    tol = tol or DEFAULT_TOLERANCE
-    bundle = _nondegenerate_bundle(frame, tol)
+    a = _gated_analysis(frame, tol, "frame operator")
     c = as_vector(coefficients, frame.size, name="coefficients")
-    f0 = bundle.frame_operator_pinv @ (bundle.synthesis @ c)
-    q_part = bundle.coefficient_projector @ c
-    limit = tol.identity_abs * _input_scale(c)
-    _require(max_abs(bundle.analysis @ f0 - q_part), limit, "U f0 = Q c")
+    f0 = a.s_pinv @ (a.t @ c)
+    q_part = a.q @ c
+    limit = _limit(a, c)
+    _require(max_abs(a.u @ f0 - q_part), limit, "U f0 = Q c")
     leftover = c - q_part
     return MinNormSolution(
         solution=f0,
@@ -138,21 +142,18 @@ def project_signal(frame: FrameSequence, signal,
     checks the result against the projector matrix P applied to f; the two
     routes must agree within tol.identity_abs (scaled by the signal's norm).
     """
-    tol = tol or DEFAULT_TOLERANCE
-    bundle = _nondegenerate_bundle(frame, tol)
+    a = _gated_analysis(frame, tol, "frame operator")
     f = as_vector(signal, frame.ambient_dim, name="signal")
     # summed term by term on purpose: the matrix-vector form T (T* (S+ f))
     # raised the worst deviation/tolerance on 64x128 and 128x256 frames
     # from 0.0137 to 0.0164
-    dual_cols = bundle.frame_operator_pinv @ bundle.synthesis
+    dual_cols = a.s_pinv @ a.t
     series = np.zeros(frame.ambient_dim, dtype=np.complex128)
     for k in range(frame.size):
         # <f, S+ f_k>: vdot conjugates its first argument
-        series = series + np.vdot(dual_cols[:, k], f) * bundle.synthesis[:, k]
-    direct = bundle.span_projector @ f
-    _require(max_abs(series - direct),
-             tol.identity_abs * _input_scale(f),
-             "series equals P f")
+        series = series + np.vdot(dual_cols[:, k], f) * a.t[:, k]
+    direct = a.p @ f
+    _require(max_abs(series - direct), _limit(a, f), "series equals P f")
     return series
 
 
@@ -163,14 +164,11 @@ def project_coefficients(frame: FrameSequence, coefficients,
     Evaluates sum_k <c, G+ U f_k> e_k (e_k the k-th standard basis vector of
     the coefficient space) and checks it against Q applied to c.
     """
-    tol = tol or DEFAULT_TOLERANCE
-    bundle = _nondegenerate_bundle(frame, tol)
+    a = _gated_analysis(frame, tol, "gram")
     c = as_vector(coefficients, frame.size, name="coefficients")
     # series_k = <c, G+ U f_k> = conj((c* G+ G)_k), as two vector-matrix
     # products instead of forming the m x m product G+ G
-    series = np.conj((c.conj() @ bundle.gram_pinv) @ bundle.gram)
-    direct = bundle.coefficient_projector @ c
-    _require(max_abs(series - direct),
-             tol.identity_abs * _input_scale(c),
-             "series equals Q c")
+    series = np.conj((c.conj() @ a.g_pinv) @ a.g)
+    direct = a.q @ c
+    _require(max_abs(series - direct), _limit(a, c), "series equals Q c")
     return series

@@ -240,8 +240,8 @@ class _Operands:
     `rel_tol`. Rows name operators by operand name (see _ATTRIBUTES and
     _DERIVED) and read them only through operand and spectral_norm.
 
-    An identity is either the name of a bundle self-check, whose deviation
-    the analysis has already computed, or a triple (lhs, rhs, scale) of
+    An identity is either the name of a self-check, whose deviation the
+    analysis's gate has already computed, or a triple (lhs, rhs, scale) of
     operand-name tuples: each side is the product of its operands (no
     operands: the zero operator), and the residual is scaled by the
     Frobenius norms of the scale operands, which the analyses memoize.
@@ -283,14 +283,13 @@ class _Operands:
         return out
 
     def deviation(self, identity) -> float:
+        if isinstance(identity, str):
+            return self.analysis.self_check(identity)
         if identity not in self._deviations:
-            if isinstance(identity, str):
-                dev = self.analysis.self_checks[identity]
-            else:
-                lhs, rhs, scale = identity
-                dev = _deviation(self._product(lhs), self._product(rhs),
-                                 [analysis.norm(attr) for analysis, attr in map(self._owner, scale)])
-            self._deviations[identity] = dev
+            lhs, rhs, scale = identity
+            self._deviations[identity] = _deviation(
+                self._product(lhs), self._product(rhs),
+                [analysis.norm(attr) for analysis, attr in map(self._owner, scale)])
         return self._deviations[identity]
 
 
@@ -357,7 +356,7 @@ def _apply(matrix: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return (matrix @ rows[..., np.newaxis])[..., 0]
 
 
-def _polarization_deviation(bundle, common_bound: float, pairs: int) -> float:
+def _polarization_deviation(analysis: _FrameAnalysis, common_bound: float, pairs: int) -> float:
     """Worst mismatch between the four-term combination and the inner products.
 
     For a tight sequence, <G c, d> equals A <Q c, d>, and the sesquilinear
@@ -370,11 +369,10 @@ def _polarization_deviation(bundle, common_bound: float, pairs: int) -> float:
     the same bit for bit.
     """
     rng = np.random.Generator(np.random.PCG64(_POLARIZATION_SEED))
-    q = bundle.coefficient_projector
-    g = bundle.gram
+    q, g = analysis.q, analysis.g
     # the stream order of successive draws c.re, c.im, d.re, d.im per pair;
     # a negative count draws nothing, as range(pairs) would
-    draws = rng.standard_normal((max(pairs, 0), 2, 2, bundle.size))
+    draws = rng.standard_normal((max(pairs, 0), 2, 2, analysis.frame.size))
     c, d = (draws[:, :, 0] + 1j * draws[:, :, 1]).transpose(1, 0, 2) / np.sqrt(2.0)
     probes = np.stack([c + d, c - d, c + 1j * d, c - 1j * d], axis=1)
     # float_power is C pow, as the scalar norm ** 2 is; squaring rounds differently
@@ -393,7 +391,7 @@ def _polarization_deviation(bundle, common_bound: float, pairs: int) -> float:
 def _polarization(pairs: int, ops: _Operands):
     analysis = ops.analysis
     common_bound = analysis.bounds.lower
-    dev = max(_polarization_deviation(analysis.bundle, common_bound, pairs),
+    dev = max(_polarization_deviation(analysis, common_bound, pairs),
               ops.deviation(_TIGHT_GRAM), ops.deviation(_TIGHT_GRAM_PINV))
     return dev, analysis.tol.identity_abs, {"pairs": pairs, "common_bound": common_bound}
 
@@ -482,11 +480,11 @@ def run_identity_suite(frame: FrameSequence, tol: Tolerance | None = None,
 
 
 def _identity_suite(analysis: _FrameAnalysis, vector_samples: int) -> IdentityReport:
-    # every gate runs before any row: the frame's bundle (rank gate and
-    # self-checks), bounds and dual, then the dual's, each raising as it would
-    analysis.bundle, analysis.bounds
+    # every gate runs before any row: the frame's gate on all three routes,
+    # bounds and dual, then the dual's, each raising as it would
+    analysis.gate("synthesis", "frame operator", "gram"), analysis.bounds
     dual = _FrameAnalysis(analysis.canonical_dual, analysis.tol)
-    dual.bundle, dual.bounds, dual.canonical_dual
+    dual.gate("synthesis", "frame operator", "gram"), dual.bounds, dual.canonical_dual
     ops = _Operands(analysis, dual, vector_samples)
     records = []
     for name, formula, tight_only, check in _REGISTRY:
@@ -513,6 +511,7 @@ def polarization_check(frame: FrameSequence, pairs: int = 100,
     analysis = _FrameAnalysis(frame, tol)
     if not analysis.classification.is_tight:
         raise NotTightError("polarization reconstruction requires a tight sequence")
+    analysis.gate("synthesis", "gram")
     return _record(*_POLARIZATION, *_polarization(pairs, _Operands(analysis)))
 
 

@@ -206,5 +206,5 @@ def test_batched_polarization_is_bitwise_the_per_pair_loop(n, m, pairs):
     for seed in range(3):
         ctx = context_for("tight", n, m, seed)
         a = ctx.analysis.bounds.lower
-        batched = _polarization_deviation(ctx.analysis.bundle, a, pairs)
+        batched = _polarization_deviation(ctx.analysis, a, pairs)
         assert batched == ref_polarization_deviation(ctx.analysis.bundle, a, pairs)

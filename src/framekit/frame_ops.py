@@ -28,7 +28,9 @@ from .matrix_core import (
     SvdFactors,
     Tolerance,
     _hermitize,
+    _phased_svd,
     _projector,
+    _truncated,
     adjoint,
     as_vector,
     max_abs,
@@ -62,7 +64,9 @@ class FrameSequence:
     contain at least one vector, and every vector must have exactly
     ambient_dim finite entries. The vectors are stored once, as the columns
     of one read-only (ambient_dim, m) matrix; each entry of `vectors` is a
-    read-only view of its column.
+    read-only view of its column. That matrix T is factored on first use,
+    and its untruncated read-only factors (16 (n + m) min(n, m) bytes) serve
+    every later call on the sequence, under whatever tolerance it passes.
     """
 
     ambient_dim: int
@@ -105,6 +109,10 @@ class FrameSequence:
         object.__setattr__(frame, "ambient_dim", matrix.shape[0])
         frame._store(matrix)
         return frame
+
+    @cached_property
+    def _svd(self) -> SvdFactors:
+        return _phased_svd(self._matrix)
 
     @property
     def size(self) -> int:
@@ -280,14 +288,14 @@ _SELF_CHECKS = {
 class _FrameAnalysis:
     """Every operator and factorization of one frame under one tolerance.
 
-    T is the frame's stored matrix. T, S and G are each factored on first
-    use and at most once; U = T* is not factored, because its SVD is T's
-    with the two sides swapped, so the U route (Q and U+) reads T's
-    factors. Everything derived is likewise computed at most once: the
-    operators, their Frobenius norms (see norm) and the self-checks that
-    gate each result on the routes it reads (see gate and self_check). Each
-    public entry point builds its own analysis and drops it on return, so
-    nothing is cached between calls.
+    T is the frame's stored matrix, and f_t truncates the frame's own
+    factors of T (FrameSequence._svd) under this tolerance. S and G are each
+    factored on first use, once per analysis, so every result is still
+    checked against a factorization made in its own call. U = T* is not
+    factored: its SVD is T's with the sides swapped, so the U route (Q and
+    U+) reads T's factors. Everything derived is likewise computed at most
+    once: the operators, their Frobenius norms (see norm) and the gating
+    self-checks (see gate and self_check).
     """
 
     def __init__(self, frame: FrameSequence, tol: Tolerance | None = None):
@@ -323,7 +331,7 @@ class _FrameAnalysis:
 
     @cached_property
     def f_t(self) -> SvdFactors:
-        return svd(self.t, self.tol)
+        return _truncated(self.frame._svd, self.tol)
 
     @cached_property
     def f_s(self) -> SvdFactors:

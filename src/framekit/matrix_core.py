@@ -118,26 +118,36 @@ def svd(matrix, tol: Tolerance | None = None) -> SvdFactors:
     by the same phase, leaving the product unchanged); this makes repeated
     factorizations of equal inputs identical.
     """
-    m = _matrix_view(matrix)
-    tol = tol or DEFAULT_TOLERANCE
+    return _truncated(_phased_svd(_matrix_view(matrix)), tol or DEFAULT_TOLERANCE)
+
+
+def _phased_svd(m: np.ndarray) -> SvdFactors:
+    """svd's read-only factors, untruncated. The phase convention acts on each
+    column pair alone, so truncating them afterwards gives svd's bits."""
     try:
         u, s, vh = np.linalg.svd(m, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"singular value decomposition failed to converge: {exc}") from exc
-    cutoff = tol.rank_rel * max(m.shape) * (s[0] if s.size else 0.0)
-    rank = int(np.count_nonzero(s > cutoff))
-    u, s, v = u[:, :rank], s[:rank], vh[:rank].conj().T
-    if rank:
-        pivots = np.argmax(np.abs(v), axis=0)
-        z = v[pivots, np.arange(rank)]
-        # hypot rounds like the scalar abs(z) and np.abs does not; the phases
-        # must match a column-by-column evaluation bit for bit
-        phase = np.conj(z) / np.hypot(z.real, z.imag)
-        v *= phase
-        u *= phase
+    v = np.conjugate(vh, out=vh).T
+    pivots = np.argmax(np.abs(v), axis=0)
+    z = v[pivots, np.arange(s.size)]
+    # hypot rounds like the scalar abs(z) and np.abs does not; the phases
+    # must match a column-by-column evaluation bit for bit
+    phase = np.conj(z) / np.hypot(z.real, z.imag)
+    v *= phase
+    u *= phase
     for arr in (u, s, v):
         arr.setflags(write=False)
-    return SvdFactors(left_vectors=u, singular_values=s, right_vectors=v, rank=rank)
+    return SvdFactors(left_vectors=u, singular_values=s, right_vectors=v, rank=s.size)
+
+
+def _truncated(full: SvdFactors, tol: Tolerance) -> SvdFactors:
+    """The leading factors of an untruncated SVD that survive tol's rank cutoff."""
+    s = full.singular_values
+    cutoff = tol.rank_rel * max(full.left_vectors.shape[0], full.right_vectors.shape[0]) * s[0]
+    rank = int(np.count_nonzero(s > cutoff))
+    return SvdFactors(left_vectors=full.left_vectors[:, :rank], singular_values=s[:rank],
+                      right_vectors=full.right_vectors[:, :rank], rank=rank)
 
 
 def pinv_from_factors(factors: SvdFactors) -> np.ndarray:
@@ -172,7 +182,9 @@ def adjoint(matrix) -> np.ndarray:
 
 
 def _hermitize(m: np.ndarray) -> np.ndarray:
-    return (m + m.conj().T) / 2.0
+    out = m + m.conj().T
+    out /= 2.0
+    return out
 
 
 def _projector(basis: np.ndarray) -> np.ndarray:

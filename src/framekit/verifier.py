@@ -14,7 +14,7 @@ caller's identity_abs so a loosened run loosens coherently.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -236,9 +236,10 @@ class _Operands:
 
     It holds the frame's analysis, the canonical dual's (None where no row
     reads the dual), the seeded unit-column sample blocks `signals` (signal
-    space) and `coeffs` (coefficient space), and the relative tolerance
-    `rel_tol`. Rows name operators by operand name (see _ATTRIBUTES and
-    _DERIVED) and read them only through operand and spectral_norm.
+    space) and `coeffs` (coefficient space), drawn when a row first reads
+    one, and the relative tolerance `rel_tol`. Rows name operators by
+    operand name (see _ATTRIBUTES and _DERIVED) and read them only through
+    operand and spectral_norm.
 
     An identity is either the name of a self-check, whose deviation the
     analysis's gate has already computed, or a triple (lhs, rhs, scale) of
@@ -251,11 +252,19 @@ class _Operands:
                  vector_samples: int = 0):
         self.analysis, self.dual = analysis, dual
         self.rel_tol = _BASE_RELATIVE * (analysis.tol.identity_abs / DEFAULT_TOLERANCE.identity_abs)
-        rng = np.random.Generator(np.random.PCG64(_SUITE_SAMPLE_SEED))
-        frame = analysis.frame
-        self.signals = _unit_columns(_complex_gaussian(rng, (frame.ambient_dim, vector_samples)))
-        self.coeffs = _unit_columns(_complex_gaussian(rng, (frame.size, vector_samples)))
+        self._vector_samples = vector_samples
         self._derived, self._deviations = {}, {}
+
+    @cached_property
+    def _samples(self) -> tuple:
+        """(signals, coeffs), drawn on first use and in that order from one stream."""
+        rng = np.random.Generator(np.random.PCG64(_SUITE_SAMPLE_SEED))
+        frame, k = self.analysis.frame, self._vector_samples
+        signals = _unit_columns(_complex_gaussian(rng, (frame.ambient_dim, k)))
+        return signals, _unit_columns(_complex_gaussian(rng, (frame.size, k)))
+
+    signals = property(lambda self: self._samples[0])
+    coeffs = property(lambda self: self._samples[1])
 
     def _owner(self, name: str):
         if name.startswith("~"):

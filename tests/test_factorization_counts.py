@@ -143,6 +143,13 @@ def test_identity_suite_takes_each_norm_once(norm_calls, kind):
     assert norm_calls(run_identity_suite, frame, tol) == 18
 
 
+def test_polarization_check_draws_no_sample_block(norm_calls):
+    # T, P, G and G+ enter the T/G gate's self-checks, and U scales the
+    # tight gram identity; the suite's sample blocks are never drawn
+    frame, tol = frame_and_tol("tight")
+    assert norm_calls(polarization_check, frame, 10, tol) == 5
+
+
 def test_build_bundle_takes_each_norm_once(norm_calls):
     frame, tol = frame_and_tol("gaussian")
     # T, U, S, G, P, S+ and G+ enter the six self-checks

@@ -11,7 +11,9 @@ together with the orthogonal projectors P onto the span of the vectors
 (range of T) and Q onto the range of U (orthogonal complement of ker T).
 The pseudoinverses of T, S and G tie these together. Each result is gated
 on the routes it reads: T's factorization (which gives P, Q and T+) must agree
-with S's or G's, or with both for the whole bundle, else NumericalError.
+with S's or G's, or with both for the whole bundle, else NumericalError. G
+acts only on range(U), so it is factored through U's reduced QR: its
+min(n, m) x min(n, m) core is factored and lifted back.
 """
 
 from __future__ import annotations
@@ -291,8 +293,11 @@ class _FrameAnalysis:
     T is the frame's stored matrix, and f_t truncates the frame's own
     factors of T (FrameSequence._svd) under this tolerance. S and G are each
     factored on first use, once per analysis, so every result is still
-    checked against a factorization made in its own call. U = T* is not
-    factored: its SVD is T's with the sides swapped, so the U route (Q and
+    checked against a factorization made in its own call. G = U U* is
+    factored through U = Q1 R1 as Q1 (R1 R1*) Q1*, an SVD of the min(n, m)
+    square core, not of the m x m G; the self-checks still test G+ against
+    the explicitly formed G and against Q from T's SVD. U = T* gets no SVD
+    of its own: its SVD is T's with the sides swapped, so the U route (Q and
     U+) reads T's factors. Everything derived is likewise computed at most
     once: the operators, their Frobenius norms (see norm) and the gating
     self-checks (see gate and self_check).
@@ -339,7 +344,12 @@ class _FrameAnalysis:
 
     @cached_property
     def f_g(self) -> SvdFactors:
-        return svd(self.g, self.tol)
+        # Q1 is m x k and the core k x k, k = min(n, m); the lifted factors
+        # are m x k, so _truncated's cutoff still scales with m
+        q1, r1 = np.linalg.qr(self.u)
+        core = _phased_svd(_hermitize(r1 @ r1.conj().T))
+        left, right = (_frozen(q1 @ x) for x in (core.left_vectors, core.right_vectors))
+        return _truncated(SvdFactors(left, core.singular_values, right, core.rank), self.tol)
 
     @cached_property
     def p(self) -> np.ndarray:

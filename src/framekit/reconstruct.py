@@ -96,7 +96,8 @@ def min_norm_coefficients(frame: FrameSequence, signal,
     projected = a.p @ f
     limit = _limit(a, f)
     _require(max_abs(a.t @ c0 - projected), limit, "T c0 = P f")
-    _require(max_abs(a.q @ c0 - c0), limit, "Q c0 = c0")
+    v = a.f_t.right_vectors  # Q = V V*, applied without forming the m x m Q
+    _require(max_abs(v @ (v.conj().T @ c0) - c0), limit, "Q c0 = c0")
     residual = f - projected
     return MinNormSolution(
         solution=c0,

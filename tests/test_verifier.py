@@ -237,6 +237,31 @@ def test_sampling_rejects_degenerate_frames():
         bounds_vs_sampling(zero, samples=10)
 
 
+@pytest.mark.parametrize("block", [1, 42, 2**20])
+def test_sampling_draws_and_evaluates_in_column_blocks(monkeypatch, block):
+    # a block holds block // max(m, r) columns, at least one: here 1, 7 (with
+    # a short last block) and all 1000 at the default, which is one draw
+    from framekit import verifier
+    from framekit.frame_ops import _FrameAnalysis
+
+    monkeypatch.setattr(verifier, "_SAMPLE_BLOCK", block)
+    frame = generate(spec_for("gaussian", n=3, m=6, seed=9))
+    rec = bounds_vs_sampling(frame, samples=1000)
+    a = _FrameAnalysis(frame)
+    on_span = a.u @ a.f_t.left_vectors
+    width = max(1, block // 6)
+    rng = np.random.Generator(np.random.PCG64(verifier._RAYLEIGH_SEED))
+    ratios = []
+    for start in range(0, 1000, width):
+        g = verifier._complex_gaussian(rng, (3, min(width, 1000 - start)))
+        g = g / np.linalg.norm(g, axis=0)
+        ratios.append(np.linalg.norm(on_span @ g, axis=0) ** 2)
+    ratios = np.concatenate(ratios)
+    assert rec.detail["empirical_min"] == float(ratios.min())
+    assert rec.detail["empirical_max"] == float(ratios.max())
+    assert rec.detail["samples"] == 1000 and rec.passed
+
+
 def test_sampling_gap_fractions_reported():
     frame = generate(spec_for("gaussian", n=2, m=5, seed=11))
     rec = bounds_vs_sampling(frame, samples=5000)

@@ -11,10 +11,10 @@ Input documents are JSON with complex entries written as [re, im] pairs:
 
 Reports go to stdout, diagnostics to stderr. --format structured emits
 canonical JSON (sorted keys, floats at 17 significant digits), byte-identical
-across repeated runs of the same invocation. Exit codes: 0 success,
-1 verification failure or a bound outside the double range, 2 input error,
-3 degenerate span (for analyze only when --strict is given; dual and
-reconstruct cannot proceed without a span).
+across repeated runs of the same invocation at a fixed BLAS thread count.
+Exit codes: 0 success, 1 verification failure or a bound outside the double
+range, 2 input error, 3 degenerate span (for analyze only when --strict is
+given; dual and reconstruct cannot proceed without a span).
 
 The default identity tolerance is 1e-10, overridable by the FRAMEKIT_TOL
 environment variable and, with higher precedence, the --tolerance flag.

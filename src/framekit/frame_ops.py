@@ -276,7 +276,9 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 # the factorization each route names
 _ROUTES = {"synthesis": "f_t", "frame operator": "f_s", "gram": "f_g"}
 
-# the self-checks in gate order: the route each reads besides T's, and its deviation
+# the self-checks in gate order: the route each reads besides T's, and its deviation.
+# 'T+ = T* S+' is what ties every T/S-gated reconstruction to S's route: the
+# minimum-norm results and the signal series are read off T+ itself
 _SELF_CHECKS = {
     "S S+ = P": ("frame operator", lambda a: a.deviation(a.s @ a.s_pinv, a.p, ("s", "s_pinv"))),
     "S+ S = P": ("frame operator", lambda a: a.deviation(a.s_pinv @ a.s, a.p, ("s_pinv", "s"))),

@@ -6,13 +6,17 @@ both directions. Optimality is additionally checked head-on: no kernel
 perturbation may shorten the solution.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from framekit import (
     DegenerateSpanError,
     FrameSequence,
+    GeneratorSpec,
     build_bundle,
+    generate,
     min_norm_coefficients,
     min_norm_preimage,
     project_coefficients,
@@ -34,6 +38,18 @@ def random_frame(rng, n, m):
 
 def random_vector(rng, n):
     return (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / np.sqrt(2)
+
+
+def pool_frames():
+    """The frame kinds and shapes the reconstruction benchmark pool holds."""
+    return [generate(GeneratorSpec(kind, n, m, 0)) for n, m in ((64, 128), (128, 256))
+            for kind in ("gaussian", "tight", "rank_deficient")]
+
+
+def lstsq(a, b):
+    # the library's default rank cutoff, so the oracle drops the same
+    # singular values on rank-deficient frames
+    return np.linalg.lstsq(a, b, rcond=1e-12 * max(a.shape))[0]
 
 
 def test_doubled_vector_splits_the_coefficient():
@@ -71,6 +87,10 @@ def test_coefficients_match_lstsq_oracle():
         sol = min_norm_coefficients(frame, f)
         oracle, *_ = np.linalg.lstsq(t, f, rcond=None)
         assert np.allclose(sol.solution, oracle, atol=1e-10)
+    for frame in pool_frames():
+        f = random_vector(rng, frame.ambient_dim)
+        sol = min_norm_coefficients(frame, f)
+        assert np.allclose(sol.solution, lstsq(frame.synthesis_matrix(), f), atol=1e-10)
 
 
 def test_preimage_matches_lstsq_oracle():
@@ -82,6 +102,10 @@ def test_preimage_matches_lstsq_oracle():
         sol = min_norm_preimage(frame, c)
         oracle, *_ = np.linalg.lstsq(u, c, rcond=None)
         assert np.allclose(sol.solution, oracle, atol=1e-10)
+    for frame in pool_frames():
+        c = random_vector(rng, frame.size)
+        sol = min_norm_preimage(frame, c)
+        assert np.allclose(sol.solution, lstsq(frame.synthesis_matrix().conj().T, c), atol=1e-10)
 
 
 def test_coefficients_live_in_the_analysis_range():
@@ -190,3 +214,56 @@ def test_solution_scales_linearly():
     base = min_norm_coefficients(frame, f).solution
     doubled = min_norm_coefficients(frame, 2.0 * f).solution
     assert np.allclose(doubled, 2.0 * base, atol=1e-10)
+
+
+@pytest.mark.parametrize("entry, length", [(min_norm_coefficients, 16),
+                                           (min_norm_preimage, 512),
+                                           (project_signal, 16)],
+                         ids=["min_norm_coefficients", "min_norm_preimage", "project_signal"])
+def test_t_s_gated_reconstruction_forms_no_m_by_m_array(entry, length):
+    # T/S-gated results read T+ and T's factors, n x m at most; one m x m
+    # complex array would take m^2 * 16 bytes (4.19 MB at m = 512)
+    frame = generate(GeneratorSpec("gaussian", 16, 512, 0))
+    x = random_vector(np.random.default_rng(50), length)
+    entry(frame, x)  # T's SVD is kept by the frame from here on
+    tracemalloc.start()
+    try:
+        entry(frame, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < frame.size**2 * 16
+
+
+CONDITIONING_CASES = ([(kind, None) for kind in ("gaussian", "tight", "rank_deficient", "duplicated")]
+                      + [("ill_conditioned", kappa) for kappa in (1e2, 1e4, 1e5)])
+
+
+@pytest.mark.parametrize("n, m", [(4, 6), (16, 32)], ids=["4x6", "16x32"])
+@pytest.mark.parametrize("kind, kappa", CONDITIONING_CASES,
+                         ids=[kind if kappa is None else f"{kind}-{kappa:.0e}"
+                              for kind, kappa in CONDITIONING_CASES])
+def test_reconstruction_error_grows_with_kappa_not_its_square(kind, kappa, n, m):
+    # every result reads T+ or G's basis of range(U), not S+ or G+, so a
+    # call the gate accepts passes its result check and stays within about
+    # kappa * eps of lstsq; kappa = sigma_max / sigma_r of T, taken by numpy
+    for seed in range(4):
+        frame = generate(GeneratorSpec(kind, n, m, seed, condition_target=kappa))
+        t = frame.synthesis_matrix()
+        u = t.conj().T
+        sv = np.linalg.svd(t, compute_uv=False)
+        kept = sv[sv > 1e-12 * max(n, m) * sv[0]]
+        # on well-conditioned frames rounding in the sums, not kappa, sets
+        # the error, so the bound is never below 1e-14
+        bound = 1e-15 * max(kept[0] / kept[-1], 10.0)
+        rng = np.random.default_rng(seed)
+        for _ in range(5):
+            f, c = random_vector(rng, n), random_vector(rng, m)
+            results = [
+                (min_norm_coefficients(frame, f).solution, lstsq(t, f)),
+                (min_norm_preimage(frame, c).solution, lstsq(u, c)),
+                (project_signal(frame, f), t @ lstsq(t, f)),
+                (project_coefficients(frame, c), u @ lstsq(u, c)),
+            ]
+            for out, ref in results:
+                assert np.max(np.abs(out - ref)) <= bound * np.max(np.abs(ref))

@@ -39,10 +39,9 @@ def wide():
 
 
 def test_results_reading_s_accept_a_frame_whose_gram_route_disagrees(wide):
-    # the signal is frame vector 0. S+ carries S's condition number 1e10
-    # into every result, so a signal with a large component along sigma_2
-    # leaves reconstruction residuals near 1e10 * eps = 1e-6 |f|, at this
-    # tolerance itself; vector 0 leaves 1e-9
+    # the signal is frame vector 0. The results read T+ from T's kept
+    # factors, so their error stays near kappa(T) * eps = 1e5 * eps; the
+    # T/S gate accepts although the G route disagrees
     t = wide.synthesis_matrix()
     f = t[:, 0]
     c0 = min_norm_coefficients(wide, f, LOOSE).solution
@@ -74,13 +73,27 @@ def test_canonical_dual_of_an_underflowing_frame_raises_numerical_error():
             canonical_dual(frame)
 
 
-@pytest.mark.parametrize("entry", [min_norm_preimage, project_coefficients])
-def test_nan_reconstruction_residual_raises(entry):
+@pytest.mark.parametrize("entry, value", [(min_norm_preimage, 1e308),
+                                          (project_coefficients, 1.7e308)],
+                         ids=["min_norm_preimage", "project_coefficients"])
+def test_nan_reconstruction_residual_raises(entry, value):
     # every entry is finite, but the products overflow and the residual is NaN
+    # (for project_coefficients, Q c itself leaves the double range)
     frame = generate(GeneratorSpec("gaussian", 4, 6, 0))
     with np.errstate(all="ignore"):
         with pytest.raises(NumericalError, match="deviates by nan"):
-            entry(frame, np.full(6, 1e308))
+            entry(frame, np.full(6, value))
+
+
+def test_coefficient_projection_of_huge_input_returns_q_c():
+    # Q c of 1e308 entries is in range; the G route's basis applies Q
+    # without a product through G+ that overflows
+    frame = generate(GeneratorSpec("gaussian", 4, 6, 0))
+    c = np.full(6, 1e308)
+    expected = build_bundle(frame).coefficient_projector @ c
+    out = project_coefficients(frame, c)
+    assert np.isfinite(out).all()
+    assert np.max(np.abs(out - expected)) <= 1e-13 * np.max(np.abs(expected))
 
 
 def test_first_failing_self_check_names_the_error():

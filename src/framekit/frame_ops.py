@@ -276,16 +276,41 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 # the factorization each route names
 _ROUTES = {"synthesis": "f_t", "frame operator": "f_s", "gram": "f_g"}
 
-# the self-checks in gate order: the route each reads besides T's, and its deviation.
-# 'T+ = T* S+' is what ties every T/S-gated reconstruction to S's route: the
-# minimum-norm results and the signal series are read off T+ itself
+# every operator the paper names, by how the analysis `a` forms it from T, the
+# routes' factors and other entries; a[name] forms each at most once
+_OPERATORS = {
+    "T": lambda a: a.frame._matrix,
+    "U": lambda a: adjoint(a["T"]),
+    "S": lambda a: a["T"] @ a["U"],
+    "G": lambda a: a["U"] @ a["T"],
+    "P": lambda a: _projector(a.f_t.left_vectors),
+    "Q": lambda a: _projector(a.f_t.right_vectors),
+    "T+": lambda a: pinv_from_factors(a.f_t),
+    # U = T* factors as T does, with the sides swapped
+    "U+": lambda a: pinv_from_factors(SvdFactors(a.f_t.right_vectors, a.f_t.singular_values,
+                                                 a.f_t.left_vectors, a.f_t.rank)),
+    "S+": lambda a: pinv_from_factors(a.f_s),
+    "G+": lambda a: pinv_from_factors(a.f_g),
+    "T+*": lambda a: adjoint(a["T+"]),
+    "I-P": lambda a: np.eye(a.frame.ambient_dim) - a["P"],
+    "I-Q": lambda a: np.eye(a.frame.size) - a["Q"],
+    "AP": lambda a: a.bounds.lower * a["P"],
+    "AQ": lambda a: a.bounds.lower * a["Q"],
+    "P/A": lambda a: a["P"] / a.bounds.lower,
+    "Q/A": lambda a: a["Q"] / a.bounds.lower,
+}
+
+# the self-checks in gate order: the route each reads besides T's, and its
+# identity (see _FrameAnalysis.deviation). 'T+ = T* S+' is what ties every
+# T/S-gated reconstruction to S's route: the minimum-norm results and the
+# signal series are read off T+ itself
 _SELF_CHECKS = {
-    "S S+ = P": ("frame operator", lambda a: a.deviation(a.s @ a.s_pinv, a.p, ("s", "s_pinv"))),
-    "S+ S = P": ("frame operator", lambda a: a.deviation(a.s_pinv @ a.s, a.p, ("s_pinv", "s"))),
-    "G G+ = Q": ("gram", lambda a: a.deviation(a.g @ a.g_pinv, a.q, ("g", "g_pinv"))),
-    "G+ G = Q": ("gram", lambda a: a.deviation(a.g_pinv @ a.g, a.q, ("g_pinv", "g"))),
-    "T+ = T* S+": ("frame operator", lambda a: a.deviation(a.t_pinv, a.u @ a.s_pinv, ("u", "s_pinv"))),
-    "P T = T": ("synthesis", lambda a: a.deviation(a.p @ a.t, a.t, ("p", "t"))),
+    "S S+ = P": ("frame operator", (("S", "S+"), ("P",), ("S", "S+"))),
+    "S+ S = P": ("frame operator", (("S+", "S"), ("P",), ("S+", "S"))),
+    "G G+ = Q": ("gram", (("G", "G+"), ("Q",), ("G", "G+"))),
+    "G+ G = Q": ("gram", (("G+", "G"), ("Q",), ("G+", "G"))),
+    "T+ = T* S+": ("frame operator", (("T+",), ("U", "S+"), ("U", "S+"))),
+    "P T = T": ("synthesis", (("P", "T"), ("T",), ("P", "T"))),
 }
 
 
@@ -300,41 +325,58 @@ class _FrameAnalysis:
     square core, not of the m x m G; the self-checks still test G+ against
     the explicitly formed G and against Q from T's SVD. U = T* gets no SVD
     of its own: its SVD is T's with the sides swapped, so the U route (Q and
-    U+) reads T's factors. Everything derived is likewise computed at most
-    once: the operators, their Frobenius norms (see norm) and the gating
-    self-checks (see gate and self_check).
+    U+) reads T's factors.
+
+    Operators are read by the paper's names, a["S+"] (see _OPERATORS); a
+    name "~X" reads X from the analysis of the canonical dual, `dual`.
+    Everything derived is computed at most once: the operators, their
+    Frobenius norms (see norm) and the deviation of each identity (see
+    deviation), the gate's self-checks among them.
     """
 
     def __init__(self, frame: FrameSequence, tol: Tolerance | None = None):
         self.frame = frame
         self.tol = tol or DEFAULT_TOLERANCE
-        self._norms, self._checks = {}, {}
+        self._operators, self._norms, self._deviations = {}, {}, {}
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        if name.startswith("~"):
+            return self.dual[name[1:]]
+        if name not in self._operators:
+            self._operators[name] = _OPERATORS[name](self)
+        return self._operators[name]
 
     def norm(self, name: str) -> float:
-        """Frobenius norm of the operator held in attribute `name`, taken once."""
+        """Frobenius norm of the named operator, taken once."""
+        if name.startswith("~"):
+            return self.dual.norm(name[1:])
         if name not in self._norms:
-            self._norms[name] = float(np.linalg.norm(getattr(self, name)))
+            self._norms[name] = float(np.linalg.norm(self[name]))
         return self._norms[name]
 
-    def deviation(self, lhs, rhs, factors: tuple) -> float:
-        """scaled_deviation, with the factors named by attribute."""
-        return _deviation(lhs, rhs, [self.norm(name) for name in factors])
+    def _product(self, names: tuple):
+        if not names:
+            return 0.0
+        out = self[names[0]]
+        for name in names[1:]:
+            out = out @ self[name]
+        return out
 
-    @cached_property
-    def t(self) -> np.ndarray:
-        return self.frame._matrix
+    def deviation(self, identity) -> float:
+        """Deviation of an identity, evaluated once.
 
-    @cached_property
-    def u(self) -> np.ndarray:
-        return adjoint(self.t)
-
-    @cached_property
-    def s(self) -> np.ndarray:
-        return self.t @ self.u
-
-    @cached_property
-    def g(self) -> np.ndarray:
-        return self.u @ self.t
+        An identity is the name of a self-check or a triple (lhs, rhs, scale)
+        of operator-name tuples: each side is the product of its operators
+        (none: the zero operator), and the residual is scaled by the
+        Frobenius norms of the scale operators (see scaled_deviation).
+        """
+        if isinstance(identity, str):
+            identity = _SELF_CHECKS[identity][1]
+        if identity not in self._deviations:
+            lhs, rhs, scale = identity
+            self._deviations[identity] = _deviation(
+                self._product(lhs), self._product(rhs), [self.norm(name) for name in scale])
+        return self._deviations[identity]
 
     @cached_property
     def f_t(self) -> SvdFactors:
@@ -342,48 +384,16 @@ class _FrameAnalysis:
 
     @cached_property
     def f_s(self) -> SvdFactors:
-        return svd(self.s, self.tol)
+        return svd(self["S"], self.tol)
 
     @cached_property
     def f_g(self) -> SvdFactors:
         # Q1 is m x k and the core k x k, k = min(n, m); the lifted factors
         # are m x k, so _truncated's cutoff still scales with m
-        q1, r1 = np.linalg.qr(self.u)
+        q1, r1 = np.linalg.qr(self["U"])
         core = _phased_svd(_hermitize(r1 @ r1.conj().T))
         left, right = (_frozen(q1 @ x) for x in (core.left_vectors, core.right_vectors))
         return _truncated(SvdFactors(left, core.singular_values, right, core.rank), self.tol)
-
-    @cached_property
-    def p(self) -> np.ndarray:
-        return _projector(self.f_t.left_vectors)
-
-    @cached_property
-    def q(self) -> np.ndarray:
-        return _projector(self.f_t.right_vectors)
-
-    @cached_property
-    def t_pinv(self) -> np.ndarray:
-        return pinv_from_factors(self.f_t)
-
-    @cached_property
-    def s_pinv(self) -> np.ndarray:
-        return pinv_from_factors(self.f_s)
-
-    @cached_property
-    def g_pinv(self) -> np.ndarray:
-        return pinv_from_factors(self.f_g)
-
-    @cached_property
-    def u_pinv(self) -> np.ndarray:
-        f_t = self.f_t  # U = T* factors as T does, with the sides swapped
-        return pinv_from_factors(SvdFactors(f_t.right_vectors, f_t.singular_values,
-                                            f_t.left_vectors, f_t.rank))
-
-    def self_check(self, name: str) -> float:
-        """Deviation of the named self-check (see _SELF_CHECKS), evaluated once."""
-        if name not in self._checks:
-            self._checks[name] = _SELF_CHECKS[name][1](self)
-        return self._checks[name]
 
     def gate(self, *routes: str) -> None:
         """Raise NumericalError unless the routes agree in rank and in each self-check on them."""
@@ -394,9 +404,9 @@ class _FrameAnalysis:
                 "rank thresholds disagree between operator routes "
                 f"({detail}); tighten rank_rel for sequences conditioned this badly"
             )
-        for name, (route, _) in _SELF_CHECKS.items():
+        for name, (route, identity) in _SELF_CHECKS.items():
             if {"synthesis", route} <= set(routes):
-                dev = self.self_check(name)
+                dev = self.deviation(identity)
                 if not dev <= self.tol.identity_abs:  # a NaN deviation fails too
                     raise NumericalError(
                         f"operator bundle failed self-check '{name}': "
@@ -407,15 +417,15 @@ class _FrameAnalysis:
     def bundle(self) -> OperatorBundle:
         self.gate(*_ROUTES)
         return OperatorBundle(
-            synthesis=_frozen(self.t),
-            analysis=_frozen(self.u),
-            frame_operator=_frozen(self.s),
-            gram=_frozen(self.g),
-            span_projector=_frozen(self.p),
-            coefficient_projector=_frozen(self.q),
-            synthesis_pinv=_frozen(self.t_pinv),
-            frame_operator_pinv=_frozen(self.s_pinv),
-            gram_pinv=_frozen(self.g_pinv),
+            synthesis=_frozen(self["T"]),
+            analysis=_frozen(self["U"]),
+            frame_operator=_frozen(self["S"]),
+            gram=_frozen(self["G"]),
+            span_projector=_frozen(self["P"]),
+            coefficient_projector=_frozen(self["Q"]),
+            synthesis_pinv=_frozen(self["T+"]),
+            frame_operator_pinv=_frozen(self["S+"]),
+            gram_pinv=_frozen(self["G+"]),
             span_dim=self.f_t.rank,
             tol=self.tol,
         )
@@ -451,7 +461,12 @@ class _FrameAnalysis:
         if self.f_t.rank == 0:
             raise DegenerateSpanError("a degenerate sequence has no canonical dual")
         self.gate("synthesis", "frame operator")
-        return FrameSequence._from_matrix(self.s_pinv @ self.t)
+        return FrameSequence._from_matrix(self["S+"] @ self["T"])
+
+    @cached_property
+    def dual(self) -> "_FrameAnalysis":
+        """The canonical dual's analysis, under the same tolerance."""
+        return _FrameAnalysis(self.canonical_dual, self.tol)
 
 
 def build_bundle(frame: FrameSequence, tol: Tolerance | None = None) -> OperatorBundle:
@@ -520,7 +535,7 @@ def restricted(frame: FrameSequence, tol: Tolerance | None = None) -> Restricted
     if f_t.rank == 0:
         raise DegenerateSpanError("a degenerate sequence has no restriction to its span")
     w = f_t.left_vectors
-    t_res = w.conj().T @ analysis.t
+    t_res = w.conj().T @ analysis["T"]
     u_res = adjoint(t_res)
     s_res = _hermitize(t_res @ u_res)
     try:
@@ -540,9 +555,9 @@ def _pseudo_inverse(frame: FrameSequence, tol: Tolerance | None, on_span: bool) 
     """S+ (on_span) or G+, with the tight fast path P / A or Q / A."""
     analysis = _FrameAnalysis(frame, tol)
     if analysis.classification.is_tight:
-        return (analysis.p if on_span else analysis.q) / analysis.bounds.lower
+        return analysis["P/A" if on_span else "Q/A"]
     analysis.gate("synthesis", "frame operator" if on_span else "gram")
-    return analysis.s_pinv if on_span else analysis.g_pinv
+    return analysis["S+" if on_span else "G+"]
 
 
 def pseudo_frame_operator(frame: FrameSequence, tol: Tolerance | None = None) -> np.ndarray:

@@ -124,10 +124,10 @@ def min_norm_coefficients(frame: FrameSequence, signal,
     """
     a = _gated_analysis(frame, tol, "frame operator")
     f = as_vector(signal, frame.ambient_dim, name="signal")
-    c0 = a.t_pinv @ f
-    projected = a.p @ f
+    c0 = a["T+"] @ f
+    projected = a["P"] @ f
     limit = _limit(a, f)
-    _require(max_abs(a.t @ c0 - projected), limit, "T c0 = P f")
+    _require(max_abs(a["T"] @ c0 - projected), limit, "T c0 = P f")
     _require(max_abs(_range_part(a.f_t.right_vectors, c0) - c0), limit, "Q c0 = c0")
     return _solution(c0, projected, f - projected)
 
@@ -144,9 +144,9 @@ def min_norm_preimage(frame: FrameSequence, coefficients,
     """
     a = _gated_analysis(frame, tol, "frame operator")
     c = as_vector(coefficients, frame.size, name="coefficients")
-    f0 = a.t_pinv.conj().T @ c
+    f0 = a["T+"].conj().T @ c
     q_part = _range_part(a.f_t.right_vectors, c)
-    _require(max_abs(a.u @ f0 - q_part), _limit(a, c), "U f0 = Q c")
+    _require(max_abs(a["U"] @ f0 - q_part), _limit(a, c), "U f0 = Q c")
     return _solution(f0, q_part, c - q_part)
 
 
@@ -161,8 +161,8 @@ def project_signal(frame: FrameSequence, signal,
     """
     a = _gated_analysis(frame, tol, "frame operator")
     f = as_vector(signal, frame.ambient_dim, name="signal")
-    series = a.t @ (a.t_pinv @ f)
-    _require(max_abs(series - a.p @ f), _limit(a, f), "series equals P f")
+    series = a["T"] @ (a["T+"] @ f)
+    _require(max_abs(series - a["P"] @ f), _limit(a, f), "series equals P f")
     return series
 
 

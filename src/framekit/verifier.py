@@ -19,8 +19,8 @@ from functools import cached_property, partial
 import numpy as np
 
 from .errors import DegenerateSpanError, NotTightError
-from .frame_ops import FrameSequence, _deviation, _FrameAnalysis
-from .matrix_core import DEFAULT_TOLERANCE, Tolerance, adjoint
+from .frame_ops import FrameSequence, _FrameAnalysis
+from .matrix_core import DEFAULT_TOLERANCE, Tolerance
 
 __all__ = [
     "GENERATOR_KINDS",
@@ -217,47 +217,20 @@ def _worst(*excesses: np.ndarray) -> float:
     return max(float(np.max(e, initial=0.0)) for e in excesses)
 
 
-# operand name -> attribute of the frame's analysis; a "~" prefix names the
-# same operator of the canonical dual
-_ATTRIBUTES = {"T": "t", "U": "u", "S": "s", "G": "g", "P": "p", "Q": "q",
-               "T+": "t_pinv", "U+": "u_pinv", "S+": "s_pinv", "G+": "g_pinv"}
-
-# operands formed from those, from the frame's analysis a and the dual's d
-_DERIVED = {
-    "T+*": lambda a, d: adjoint(a.t_pinv),
-    "I-P": lambda a, d: np.eye(a.frame.ambient_dim) - a.p,
-    "I-Q": lambda a, d: np.eye(a.frame.size) - a.q,
-    "AP": lambda a, d: a.bounds.lower * a.p,
-    "AQ": lambda a, d: a.bounds.lower * a.q,
-    "P/A": lambda a, d: a.p / a.bounds.lower,
-    "Q/A": lambda a, d: a.q / a.bounds.lower,
-    "~~T": lambda a, d: d.canonical_dual.synthesis_matrix(),
-}
-
-
 class _Operands:
-    """What the suite's rows read, each formed at most once.
+    """What the suite's rows read besides the analysis's operators.
 
-    It holds the frame's analysis, the canonical dual's (None where no row
-    reads the dual), the seeded unit-column sample blocks `signals` (signal
-    space) and `coeffs` (coefficient space), drawn when a row first reads
-    one, and the relative tolerance `rel_tol`. Rows name operators by
-    operand name (see _ATTRIBUTES and _DERIVED) and read them only through
-    operand and spectral_norm.
-
-    An identity is either the name of a self-check, whose deviation the
-    analysis's gate has already computed, or a triple (lhs, rhs, scale) of
-    operand-name tuples: each side is the product of its operands (no
-    operands: the zero operator), and the residual is scaled by the
-    Frobenius norms of the scale operands, which the analyses memoize.
+    It holds the frame's analysis, which forms and memoizes every operator
+    a row names (see frame_ops._OPERATORS) and every identity's deviation,
+    the seeded unit-column sample blocks `signals` (signal space) and
+    `coeffs` (coefficient space), drawn when a row first reads one, and the
+    relative tolerance `rel_tol`.
     """
 
-    def __init__(self, analysis: _FrameAnalysis, dual: _FrameAnalysis | None = None,
-                 vector_samples: int = 0):
-        self.analysis, self.dual = analysis, dual
+    def __init__(self, analysis: _FrameAnalysis, vector_samples: int = 0):
+        self.analysis = analysis
         self.rel_tol = _BASE_RELATIVE * (analysis.tol.identity_abs / DEFAULT_TOLERANCE.identity_abs)
         self._vector_samples = vector_samples
-        self._derived, self._deviations = {}, {}
 
     @cached_property
     def _samples(self) -> tuple:
@@ -270,40 +243,10 @@ class _Operands:
     signals = property(lambda self: self._samples[0])
     coeffs = property(lambda self: self._samples[1])
 
-    def _owner(self, name: str):
-        if name.startswith("~"):
-            return self.dual, _ATTRIBUTES[name[1:]]
-        return self.analysis, _ATTRIBUTES[name]
-
-    def operand(self, name: str) -> np.ndarray:
-        if name in _DERIVED:
-            if name not in self._derived:
-                self._derived[name] = _DERIVED[name](self.analysis, self.dual)
-            return self._derived[name]
-        return getattr(*self._owner(name))
-
     def spectral_norm(self, name: str) -> float:
         """Spectral norm of T, S, G (sigma_max) or T+, S+, G+ (1/sigma_r), from its own SVD."""
         sigma = getattr(self.analysis, "f_" + name[0].lower()).singular_values
         return float(1.0 / sigma[-1] if name.endswith("+") else sigma[0])
-
-    def _product(self, names: tuple):
-        if not names:
-            return 0.0
-        out = self.operand(names[0])
-        for name in names[1:]:
-            out = out @ self.operand(name)
-        return out
-
-    def deviation(self, identity) -> float:
-        if isinstance(identity, str):
-            return self.analysis.self_check(identity)
-        if identity not in self._deviations:
-            lhs, rhs, scale = identity
-            self._deviations[identity] = _deviation(
-                self._product(lhs), self._product(rhs),
-                [analysis.norm(attr) for analysis, attr in map(self._owner, scale)])
-        return self._deviations[identity]
 
 
 # Row kinds: each takes its operand names, if any, then the _Operands, and returns
@@ -320,8 +263,8 @@ def _sandwich(projector: str, operator: str, block: str, ops: _Operands):
     """A‖Px‖² ≤ ‖Ax‖² ≤ B‖Px‖² for each column x of a sample block."""
     x = getattr(ops, block)
     lo, hi = ops.analysis.bounds.lower, ops.analysis.bounds.upper
-    px2 = _energies(ops.operand(projector) @ x)
-    ax2 = _energies(ops.operand(operator) @ x)
+    px2 = _energies(ops.analysis[projector] @ x)
+    ax2 = _energies(ops.analysis[operator] @ x)
     dev = _worst(lo * px2 - ax2, ax2 - hi * px2) / max(1.0, hi)
     return dev, _INEQUALITY_SLACK, {"samples": x.shape[1]}
 
@@ -330,16 +273,16 @@ def _quadratic(projector: str, operator: str, block: str, ops: _Operands):
     """‖S†‖⁻¹‖Px‖² ≤ ⟨Ax,x⟩ ≤ ‖S‖‖Px‖² for each column x of a sample block."""
     x = getattr(ops, block)
     upper, inv_lower = ops.spectral_norm("S"), ops.spectral_norm("S+")
-    px2 = _energies(ops.operand(projector) @ x)
-    quad = _real_inner(x, ops.operand(operator) @ x)
+    px2 = _energies(ops.analysis[projector] @ x)
+    quad = _real_inner(x, ops.analysis[operator] @ x)
     dev = _worst(px2 / inv_lower - quad, quad - upper * px2) / max(1.0, upper)
     return dev, _INEQUALITY_SLACK, {"samples": x.shape[1]}
 
 
 def _pinv_energy(ops: _Operands):
     f = ops.signals
-    lhs = _energies(ops.operand("T+") @ f)
-    rhs = _real_inner(f, ops.operand("S+") @ f)
+    lhs = _energies(ops.analysis["T+"] @ f)
+    rhs = _real_inner(f, ops.analysis["S+"] @ f)
     ref = np.maximum(np.abs(lhs), np.abs(rhs))
     nonzero = ref > 0.0
     dev = _worst(np.abs(lhs - rhs)[nonzero] / ref[nonzero])
@@ -348,7 +291,7 @@ def _pinv_energy(ops: _Operands):
 
 def _dual_bounds(ops: _Operands):
     lo, hi = ops.analysis.bounds.lower, ops.analysis.bounds.upper
-    dual = ops.dual.bounds
+    dual = ops.analysis.dual.bounds
     dev = max(abs(dual.lower - 1.0 / hi) * hi, abs(dual.upper - 1.0 / lo) * lo)
     return dev, ops.rel_tol, {"dual_lower": dual.lower, "dual_upper": dual.upper}
 
@@ -382,7 +325,7 @@ def _polarization_deviation(analysis: _FrameAnalysis, common_bound: float, pairs
     the same bit for bit.
     """
     rng = np.random.Generator(np.random.PCG64(_POLARIZATION_SEED))
-    q, g = analysis.q, analysis.g
+    q, g = analysis["Q"], analysis["G"]
     # the stream order of successive draws c.re, c.im, d.re, d.im per pair;
     # a negative count draws nothing, as range(pairs) would
     draws = rng.standard_normal((max(pairs, 0), 2, 2, analysis.frame.size))
@@ -405,7 +348,7 @@ def _polarization(pairs: int, ops: _Operands):
     analysis = ops.analysis
     common_bound = analysis.bounds.lower
     dev = max(_polarization_deviation(analysis, common_bound, pairs),
-              ops.deviation(_TIGHT_GRAM), ops.deviation(_TIGHT_GRAM_PINV))
+              analysis.deviation(_TIGHT_GRAM), analysis.deviation(_TIGHT_GRAM_PINV))
     return dev, analysis.tol.identity_abs, {"pairs": pairs, "common_bound": common_bound}
 
 
@@ -496,9 +439,9 @@ def _identity_suite(analysis: _FrameAnalysis, vector_samples: int) -> IdentityRe
     # every gate runs before any row: the frame's gate on all three routes,
     # bounds and dual, then the dual's, each raising as it would
     analysis.gate("synthesis", "frame operator", "gram"), analysis.bounds
-    dual = _FrameAnalysis(analysis.canonical_dual, analysis.tol)
+    dual = analysis.dual
     dual.gate("synthesis", "frame operator", "gram"), dual.bounds, dual.canonical_dual
-    ops = _Operands(analysis, dual, vector_samples)
+    ops = _Operands(analysis, vector_samples)
     records = []
     for name, formula, tight_only, check in _REGISTRY:
         if tight_only and not analysis.classification.is_tight:
@@ -507,7 +450,7 @@ def _identity_suite(analysis: _FrameAnalysis, vector_samples: int) -> IdentityRe
             records.append(_record(name, formula, *check(ops)))
         else:
             detail = {"common_bound": analysis.bounds.lower} if tight_only else None
-            dev = max(ops.deviation(identity) for identity in check)
+            dev = max(analysis.deviation(identity) for identity in check)
             records.append(_record(name, formula, dev, analysis.tol.identity_abs, detail))
     return IdentityReport(records=tuple(records))
 
@@ -553,7 +496,7 @@ def _sampling(analysis: _FrameAnalysis, samples: int) -> CheckRecord:
     if f_t.rank == 0:
         raise DegenerateSpanError("a degenerate sequence has no bounds to sample")
     bounds = analysis.bounds
-    analysis_on_span = analysis.u @ f_t.left_vectors  # (m, r)
+    analysis_on_span = analysis["U"] @ f_t.left_vectors  # (m, r)
     rng = np.random.Generator(np.random.PCG64(_RAYLEIGH_SEED))
     width = max(1, _SAMPLE_BLOCK // max(analysis_on_span.shape))
     emp_min, emp_max = np.inf, -np.inf  # np.minimum and np.maximum keep a NaN

@@ -12,7 +12,7 @@ import json
 import numpy as np
 import pytest
 
-from framekit import cli
+from framekit import cli, frame_ops
 from framekit import (
     GeneratorSpec,
     Tolerance,
@@ -162,3 +162,37 @@ def test_pseudo_inverse_svd_counts(svd_calls, entry, kind, expected):
     # tight sequences take the P/A or Q/A path from T's factors alone
     frame, tol = frame_and_tol(kind)
     assert svd_calls(entry, frame, tol) == expected
+
+
+@pytest.fixture
+def deviation_calls(monkeypatch):
+    """count(fn, *args) runs fn and returns how many identity residuals it evaluated."""
+    calls = []
+    original = frame_ops._deviation
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(frame_ops, "_deviation", counting)
+
+    def count(fn, *args, **kwargs):
+        calls.clear()
+        fn(*args, **kwargs)
+        return len(calls)
+
+    return count
+
+
+@pytest.mark.parametrize("kind, expected", [("gaussian", 31), ("tight", 35)])
+def test_identity_suite_evaluates_each_identity_once(deviation_calls, kind, expected):
+    # the six self-checks of the frame's gate and of the dual's, then the
+    # 19 other identities of the general rows; a tight frame adds the four
+    # tight identities, which the polarization row reads again from the memo
+    frame, tol = frame_and_tol(kind)
+    assert deviation_calls(run_identity_suite, frame, tol) == expected
+
+
+def test_build_bundle_evaluates_each_self_check_once(deviation_calls):
+    frame, tol = frame_and_tol("gaussian")
+    assert deviation_calls(build_bundle, frame, tol) == 6

@@ -25,7 +25,6 @@ from framekit import (
     scaled_deviation,
 )
 from framekit.frame_ops import _FrameAnalysis
-from framekit.verifier import _Operands
 
 
 def frame_and_tol(kind, seed=3):
@@ -50,9 +49,9 @@ def test_suite_analysis_pinv_matches_pinv_of_analysis(kind, seed):
     # normalized by |U+| like every identity check; at condition 1e4 the
     # entries of U+ reach 1e4, and so does their rounding
     frame, tol = frame_and_tol(kind, seed)
-    ops = _Operands(_FrameAnalysis(frame, tol))
-    reference = pinv(ops.operand("U"), tol)
-    assert scaled_deviation(ops.operand("U+"), reference, (reference,)) <= 1e-12
+    a = _FrameAnalysis(frame, tol)
+    reference = pinv(a["U"], tol)
+    assert scaled_deviation(a["U+"], reference, (reference,)) <= 1e-12
 
 
 def test_rank_disagreement_between_synthesis_and_frame_operator_raises():

@@ -50,15 +50,15 @@ def test_lifted_factors_are_orthonormal_and_in_the_range_of_u(kind, n, m):
             assert v.shape == (m, f_g.rank)
             assert not v.flags.writeable
             assert np.linalg.norm(v.conj().T @ v - np.eye(f_g.rank)) <= 1e-13
-            assert np.linalg.norm(a.q @ v - v) <= in_range
+            assert np.linalg.norm(a["Q"] @ v - v) <= in_range
 
 
 def test_zero_frame_has_an_empty_gram_route():
     a = _FrameAnalysis(FrameSequence.from_vectors([np.zeros(3)] * 5))
     assert a.f_g.rank == 0
     assert a.f_g.singular_values.shape == (0,)
-    assert a.g_pinv.shape == (5, 5)
-    assert not a.g_pinv.any()
+    assert a["G+"].shape == (5, 5)
+    assert not a["G+"].any()
 
 
 def planted(n, m, kappa, seed):
@@ -82,7 +82,7 @@ def test_gram_pinv_matches_the_planted_answer(kappa, n, m):
     # kappa = 1e4 and 5.5e-5 at 1e6 here
     for seed in range(2):
         frame, exact = planted(n, m, kappa, seed)
-        g_pinv = _FrameAnalysis(frame, Tolerance(rank_rel=1e-15)).g_pinv
+        g_pinv = _FrameAnalysis(frame, Tolerance(rank_rel=1e-15))["G+"]
         assert np.abs(g_pinv - exact).max() / np.abs(exact).max() <= 1e-14 * kappa
 
 
@@ -91,8 +91,8 @@ def test_gram_pinv_does_not_leak_into_the_kernel(n, m):
     # G+ (I - Q) = 0; the m x m route left 1e-9 to 3e-9 of max|G+| here
     for seed in range(4):
         a = _FrameAnalysis(generate(spec("ill_conditioned", n, m, seed)))
-        leak = np.abs(a.g_pinv @ (np.eye(m) - a.q)).max()
-        assert leak / np.abs(a.g_pinv).max() <= 1e-11
+        leak = np.abs(a["G+"] @ (np.eye(m) - a["Q"])).max()
+        assert leak / np.abs(a["G+"]).max() <= 1e-11
 
 
 @pytest.fixture

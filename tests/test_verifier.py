@@ -248,7 +248,7 @@ def test_sampling_draws_and_evaluates_in_column_blocks(monkeypatch, block):
     frame = generate(spec_for("gaussian", n=3, m=6, seed=9))
     rec = bounds_vs_sampling(frame, samples=1000)
     a = _FrameAnalysis(frame)
-    on_span = a.u @ a.f_t.left_vectors
+    on_span = a["U"] @ a.f_t.left_vectors
     width = max(1, block // 6)
     rng = np.random.Generator(np.random.PCG64(verifier._RAYLEIGH_SEED))
     ratios = []

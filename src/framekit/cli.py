@@ -12,9 +12,9 @@ Input documents are JSON with complex entries written as [re, im] pairs:
 Reports go to stdout, diagnostics to stderr. --format structured emits
 canonical JSON (sorted keys, floats at 17 significant digits), byte-identical
 across repeated runs of the same invocation at a fixed BLAS thread count.
-Exit codes: 0 success, 1 verification failure or a bound outside the double
-range, 2 input error, 3 degenerate span (for analyze only when --strict is
-given; dual and reconstruct cannot proceed without a span).
+Exit codes: 0 success, 1 verification failure or a bound or pseudoinverse
+outside the double range, 2 input error, 3 degenerate span (for analyze only
+when --strict is given; dual and reconstruct cannot proceed without a span).
 
 The default identity tolerance is 1e-10, overridable by the FRAMEKIT_TOL
 environment variable and, with higher precedence, the --tolerance flag.
@@ -269,9 +269,14 @@ def _cmd_reconstruct(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    condition_target = args.condition_target if args.kind == "ill_conditioned" else None
+    try:  # validates the condition target before the tolerance is scaled by it
+        spec = GeneratorSpec(kind=args.kind, n=args.n, m=args.m, seed=args.seed,
+                             condition_target=condition_target)
+    except ValueError as exc:
+        raise _InputError(str(exc)) from exc
     identity_abs = args.tolerance
     rank_rel = args.rank_rel
-    condition_target = args.condition_target if args.kind == "ill_conditioned" else None
     if args.kind == "ill_conditioned":
         kappa = condition_target
         if identity_abs is None:
@@ -280,11 +285,6 @@ def _cmd_verify(args) -> int:
             # keep sigma(S) ~ sigma(T)^2 above the cutoff despite kappa^2
             rank_rel = min(DEFAULT_TOLERANCE.rank_rel, 1e-3 / kappa**2)
     tol = _tolerance(identity_abs, rank_rel)
-    try:
-        spec = GeneratorSpec(kind=args.kind, n=args.n, m=args.m, seed=args.seed,
-                             condition_target=condition_target)
-    except ValueError as exc:
-        raise _InputError(str(exc)) from exc
     try:
         frame = generate(spec)
     except ValueError as exc:

@@ -9,11 +9,14 @@ A sequence of m vectors in an n-dimensional complex space induces
 
 together with the orthogonal projectors P onto the span of the vectors
 (range of T) and Q onto the range of U (orthogonal complement of ker T).
-The pseudoinverses of T, S and G tie these together. Each result is gated
-on the routes it reads: T's factorization (which gives P, Q and T+) must agree
-with S's or G's, or with both for the whole bundle, else NumericalError. G
-acts only on range(U), so it is factored through U's reduced QR: its
-min(n, m) x min(n, m) core is factored and lifted back.
+The pseudoinverses of T, S and G tie these together. One table,
+_OPERATORS, names each operator once, by the paper's name ("S+" for S's
+pseudoinverse), and says how it is formed; identities between operators
+are data, products of those names. Each result is gated on the routes it
+reads: T's factorization (which gives P, Q and T+) must agree with S's or
+G's, or with both for the whole bundle, else NumericalError. G acts only on
+range(U), so it is factored through U's reduced QR: its min(n, m) x
+min(n, m) core is factored and lifted back.
 """
 
 from __future__ import annotations

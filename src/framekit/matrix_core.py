@@ -8,6 +8,7 @@ queries are all derived from it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -151,12 +152,23 @@ def _truncated(full: SvdFactors, tol: Tolerance) -> SvdFactors:
 
 
 def pinv_from_factors(factors: SvdFactors) -> np.ndarray:
-    """Assemble the Moore-Penrose pseudoinverse from SVD factors."""
+    """Assemble the Moore-Penrose pseudoinverse from SVD factors.
+
+    Every entry of the result is at most 1 / sigma_r in modulus, so when
+    that reciprocal is finite the result stays in the double range; when it
+    is not, NumericalError is raised before anything is divided.
+    """
     rows = factors.left_vectors.shape[0]
     cols = factors.right_vectors.shape[0]
     if factors.rank == 0:
         out = np.zeros((cols, rows), dtype=np.complex128)
     else:
+        sigma_r = float(factors.singular_values[-1])
+        if not (sigma_r > 0.0 and 1.0 / sigma_r < math.inf):
+            raise NumericalError(
+                f"the pseudoinverse leaves the double range: 1/sigma_r overflows "
+                f"for sigma_r {sigma_r:.3e}"
+            )
         scaled = factors.right_vectors / factors.singular_values[np.newaxis, :]
         out = scaled @ factors.left_vectors.conj().T
     out.setflags(write=False)
@@ -172,6 +184,8 @@ def pinv(matrix, tol: Tolerance | None = None) -> np.ndarray:
         M M+ M = M,  M+ M M+ = M+,  (M M+)* = M M+,  (M+ M)* = M+ M
 
     The all-zero matrix maps to the all-zero matrix of transposed shape.
+    Raises NumericalError when the pseudoinverse leaves the double range,
+    that is when 1 / sigma_r overflows for the smallest kept singular value.
     """
     return pinv_from_factors(svd(matrix, tol))
 

@@ -3,12 +3,14 @@
 The generators draw from PCG64 (the permuted-congruential generator
 XSL-RR 128/64), seeded with the 64-bit GeneratorSpec seed, so equal specs
 reproduce bitwise-identical sequences. The identity suite re-derives every
-operator relation the library promises and reports one record per relation;
-deviations are residuals normalized by the norms of the factors entering
-each product (see scaled_deviation), which keeps them comparable to
-identity_abs for badly conditioned sequences too. Inequality checks carry a
-fixed absolute slack of 1e-9, and relative checks use 1e-8 rescaled by the
-caller's identity_abs so a loosened run loosens coherently.
+operator relation the library promises and reports one record per relation.
+Its rows name operators as frame_ops._OPERATORS does, and its identities
+are evaluated, once per call, by the same memoized code as the gate's
+self-checks. Deviations are residuals normalized by the norms of the
+factors entering each product (see scaled_deviation), which keeps them
+comparable to identity_abs for badly conditioned sequences too. Inequality
+checks carry a fixed absolute slack of 1e-9, and relative checks use 1e-8
+rescaled by the caller's identity_abs so a loosened run loosens coherently.
 """
 
 from __future__ import annotations
@@ -249,11 +251,11 @@ class _Operands:
         return float(1.0 / sigma[-1] if name.endswith("+") else sigma[0])
 
 
-# Row kinds: each takes its operand names, if any, then the _Operands, and returns
+# Row kinds: each takes its operator names, if any, then the _Operands, and returns
 # (deviation, tolerance, detail)
 
 def _norms_agree(names: tuple, ops: _Operands):
-    """‖X‖² = ‖Y‖ = ‖Z‖ for the operands (X, Y, Z): the gap to ‖X‖² relative to the largest."""
+    """‖X‖² = ‖Y‖ = ‖Z‖ for the operators (X, Y, Z): the gap to ‖X‖² relative to the largest."""
     x, y, z = (ops.spectral_norm(name) for name in names)
     dev = max(abs(y - x ** 2), abs(z - x ** 2)) / max(x ** 2, y, z)
     return dev, ops.rel_tol, None
@@ -357,10 +359,10 @@ _TIGHT_GRAM = (("G",), ("AQ",), ("U", "T"))
 _TIGHT_GRAM_PINV = (("G+",), ("Q/A",), ("G+",))
 
 
-# name, formula, tight_only, and either a row kind bound to its operand names
-# (a function of the _Operands) or a tuple of identities (see _Operands) whose
-# worst deviation the row reports; tight-only identity rows also report the
-# common bound A
+# name, formula, tight_only, and either a row kind bound to its operator names
+# (a function of the _Operands) or a tuple of identities (see
+# _FrameAnalysis.deviation) whose worst deviation the row reports; tight-only
+# identity rows also report the common bound A
 _REGISTRY = (
     ("pinv_synthesis_is_dual_analysis", "T† = Ũ", False, ((("T+",), ("~U",), ("S+", "T")),)),
     ("pinv_analysis_is_dual_synthesis", "U† = T̃", False, ((("U+",), ("~T",), ("S+", "T")),)),

@@ -201,6 +201,17 @@ def test_verify_rejects_bad_generator_request(capsys):
     assert code == EXIT_INPUT_ERROR
 
 
+@pytest.mark.parametrize("kappa", ["0", "-1", "inf", "nan"])
+def test_verify_rejects_a_bad_condition_target_before_scaling_by_it(kappa, capsys):
+    # the default tolerances divide by kappa^2; the target is checked first,
+    # so the error names it and not a tolerance derived from it
+    code = main(["verify", "--kind", "ill_conditioned", "--condition-target", kappa])
+    err = capsys.readouterr().err
+    assert code == EXIT_INPUT_ERROR
+    assert "condition_target" in err
+    assert "Traceback" not in err
+
+
 # ----------------------------------------------------------- document errors
 
 def test_invalid_json_names_the_line(tmp_path, capsys):

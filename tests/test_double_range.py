@@ -4,7 +4,9 @@ The optimal bounds are the squared extreme singular values of T. For a
 frame scaled by 2^-700 they underflow to 0, and for one scaled by 2^560
 they overflow to inf; both scales are exact, so the singular values
 themselves stay representable. Either way the caller gets NumericalError
-(exit 1 from the CLI) naming sigma_max and sigma_min.
+(exit 1 from the CLI) naming sigma_max and sigma_min. A pseudoinverse
+whose largest entry 1/sigma_r would overflow raises NumericalError naming
+sigma_r before anything is divided.
 
 Reconstruction takes its input's norms without squaring entries, so its
 residual ceilings stay finite for entries beyond 1.3e154, and a norm_split
@@ -24,8 +26,14 @@ from framekit import (
     classify,
     frame_bounds,
     generate,
+    build_bundle,
+    canonical_dual,
     min_norm_coefficients,
     min_norm_preimage,
+    pinv,
+    project_coefficients,
+    pseudo_frame_operator,
+    pseudo_gram,
     svd,
 )
 from framekit.cli import EXIT_VERIFICATION_FAILED, main
@@ -47,6 +55,29 @@ def test_bounds_outside_the_double_range_raise(entry, scale):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NumericalError, match="sigma_max .* and sigma_min .*"):
+            entry(frame)
+
+
+def test_pinv_of_a_subnormal_matrix_raises():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match="sigma_r 1.000e-310"):
+            pinv([[1e-310]])
+
+
+@pytest.mark.parametrize("exponent", [515, 520, 525, 530, 535])
+@pytest.mark.parametrize("entry", [
+    build_bundle, canonical_dual, pseudo_frame_operator, pseudo_gram,
+    lambda frame: project_coefficients(frame, np.ones(frame.size)),
+], ids=["build_bundle", "canonical_dual", "pseudo_frame_operator", "pseudo_gram",
+        "project_coefficients"])
+def test_pseudoinverse_outside_the_double_range_raises(entry, exponent):
+    # T's singular values are near 2^-exponent, so those of S and G square
+    # to about 2^-1040 or less, and 1/sigma_r overflows
+    frame = scaled_frame(2.0**-exponent)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match="leaves the double range: 1/sigma_r overflows"):
             entry(frame)
 
 

@@ -282,8 +282,15 @@ def _cmd_verify(args) -> int:
         if identity_abs is None:
             identity_abs = DEFAULT_TOLERANCE.identity_abs * kappa  # conditioning eats precision
         if rank_rel is None:
-            # keep sigma(S) ~ sigma(T)^2 above the cutoff despite kappa^2
-            rank_rel = min(DEFAULT_TOLERANCE.rank_rel, 1e-3 / kappa**2)
+            # keep sigma(S) ~ sigma(T)^2 above the cutoff despite kappa^2. A float
+            # product overflows to inf where kappa**2 raises, and the cutoff is then 0
+            derived = 1e-3 / (kappa * kappa)
+            if derived == 0.0:
+                raise _InputError(
+                    f"condition_target {kappa:.3e} is too large to derive rank_rel from "
+                    "(1e-3 / condition_target^2 underflows to 0); pass --rank-rel"
+                )
+            rank_rel = min(DEFAULT_TOLERANCE.rank_rel, derived)
     tol = _tolerance(identity_abs, rank_rel)
     try:
         frame = generate(spec)

@@ -16,7 +16,12 @@ are data, products of those names. Each result is gated on the routes it
 reads: T's factorization (which gives P, Q and T+) must agree with S's or
 G's, or with both for the whole bundle, else NumericalError. G acts only on
 range(U), so it is factored through U's reduced QR: its min(n, m) x
-min(n, m) core is factored and lifted back.
+min(n, m) core is factored and lifted back. G's route is also checked on
+those m x r factors L_g, lambda_g, R_g, under the dense names: 'G G+ = Q'
+measures G R_g / lambda_g (G R_g formed as U (T R_g)) against L_g, and
+'G+ G = Q' R_g against its part in the range of Q; both are scaled by
+kappa(G) = lambda_1 / lambda_r. So the T/G gate forms no m x m G, G+ or Q;
+they are formed only where a result returns or reports them.
 """
 
 from __future__ import annotations
@@ -35,6 +40,7 @@ from .matrix_core import (
     _hermitize,
     _phased_svd,
     _projector,
+    _reciprocal_sigma_r,
     _truncated,
     adjoint,
     as_vector,
@@ -303,15 +309,33 @@ _OPERATORS = {
     "Q/A": lambda a: a["Q"] / a.bounds.lower,
 }
 
+
+def _g_route_factors_g(a: "_FrameAnalysis") -> float:
+    """'G G+ = Q' on G's m x r factors: G R_g / lambda_g = L_g, G R_g formed as U (T R_g)."""
+    f_g, kappa = a.f_g, a.gram_condition  # kappa first: it refuses a 1/lambda_r that overflows
+    lifted = a["U"] @ (a["T"] @ f_g.right_vectors) / f_g.singular_values
+    return _deviation(lifted, f_g.left_vectors, [kappa])
+
+
+def _g_route_spans_range_q(a: "_FrameAnalysis") -> float:
+    """'G+ G = Q' on G's m x r factors: R_g = V (V* R_g), V T's kept right vectors."""
+    r_g, v = a.f_g.right_vectors, a.f_t.right_vectors
+    return _deviation(r_g, v @ (v.conj().T @ r_g), [a.gram_condition])
+
+
 # the self-checks in gate order: the route each reads besides T's, and its
 # identity (see _FrameAnalysis.deviation). 'T+ = T* S+' is what ties every
 # T/S-gated reconstruction to S's route: the minimum-norm results and the
-# signal series are read off T+ itself
+# signal series are read off T+ itself. The two gram checks keep their dense
+# names but read G's m x r factors, each scaled by kappa(G): 'G G+ = Q'
+# measures G R_g / lambda_g against L_g, 'G+ G = Q' R_g against its part in
+# range(Q). So the T/G gate forms no m x m G, G+ or Q; the suite's
+# gram_pinv_projector row evaluates the two identities densely
 _SELF_CHECKS = {
     "S S+ = P": ("frame operator", (("S", "S+"), ("P",), ("S", "S+"))),
     "S+ S = P": ("frame operator", (("S+", "S"), ("P",), ("S+", "S"))),
-    "G G+ = Q": ("gram", (("G", "G+"), ("Q",), ("G", "G+"))),
-    "G+ G = Q": ("gram", (("G+", "G"), ("Q",), ("G+", "G"))),
+    "G G+ = Q": ("gram", _g_route_factors_g),
+    "G+ G = Q": ("gram", _g_route_spans_range_q),
     "T+ = T* S+": ("frame operator", (("T+",), ("U", "S+"), ("U", "S+"))),
     "P T = T": ("synthesis", (("P", "T"), ("T",), ("P", "T"))),
 }
@@ -325,8 +349,12 @@ class _FrameAnalysis:
     factored on first use, once per analysis, so every result is still
     checked against a factorization made in its own call. G = U U* is
     factored through U = Q1 R1 as Q1 (R1 R1*) Q1*, an SVD of the min(n, m)
-    square core, not of the m x m G; the self-checks still test G+ against
-    the explicitly formed G and against Q from T's SVD. U = T* gets no SVD
+    square core, not of the m x m G. G's two self-checks read its m x r
+    factors L_g, lambda_g, R_g: 'G G+ = Q' measures how far G R_g / lambda_g
+    (G R_g formed as U (T R_g), never from G) is from L_g, and 'G+ G = Q'
+    how far R_g is from V (V* R_g), V T's kept right singular vectors; both
+    are scaled by kappa(G) = lambda_1 / lambda_r (see gram_condition), so
+    the T/G gate forms no m x m array. U = T* gets no SVD
     of its own: its SVD is T's with the sides swapped, so the U route (Q and
     U+) reads T's factors.
 
@@ -368,17 +396,22 @@ class _FrameAnalysis:
     def deviation(self, identity) -> float:
         """Deviation of an identity, evaluated once.
 
-        An identity is the name of a self-check or a triple (lhs, rhs, scale)
-        of operator-name tuples: each side is the product of its operators
-        (none: the zero operator), and the residual is scaled by the
-        Frobenius norms of the scale operators (see scaled_deviation).
+        An identity is the name of a self-check, a triple (lhs, rhs, scale)
+        of operator-name tuples, or a function of the analysis that
+        evaluates a check on factors (the gram self-checks). In a triple
+        each side is the product of its operators (none: the zero
+        operator), and the residual is scaled by the Frobenius norms of the
+        scale operators (see scaled_deviation).
         """
         if isinstance(identity, str):
             identity = _SELF_CHECKS[identity][1]
         if identity not in self._deviations:
-            lhs, rhs, scale = identity
-            self._deviations[identity] = _deviation(
-                self._product(lhs), self._product(rhs), [self.norm(name) for name in scale])
+            if callable(identity):
+                self._deviations[identity] = identity(self)
+            else:
+                lhs, rhs, scale = identity
+                self._deviations[identity] = _deviation(
+                    self._product(lhs), self._product(rhs), [self.norm(name) for name in scale])
         return self._deviations[identity]
 
     @cached_property
@@ -397,6 +430,18 @@ class _FrameAnalysis:
         core = _phased_svd(_hermitize(r1 @ r1.conj().T))
         left, right = (_frozen(q1 @ x) for x in (core.left_vectors, core.right_vectors))
         return _truncated(SvdFactors(left, core.singular_values, right, core.rank), self.tol)
+
+    @cached_property
+    def gram_condition(self) -> float:
+        """kappa(G) = lambda_1 / lambda_r from G's own factors (1 when G's rank is 0).
+
+        It scales both gram self-checks. Like G+, it needs 1 / lambda_r, so
+        it raises NumericalError when that reciprocal overflows.
+        """
+        f_g = self.f_g
+        if f_g.rank == 0:
+            return 1.0
+        return float(f_g.singular_values[0]) * _reciprocal_sigma_r(f_g)
 
     def gate(self, *routes: str) -> None:
         """Raise NumericalError unless the routes agree in rank and in each self-check on them."""

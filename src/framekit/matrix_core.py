@@ -151,6 +151,21 @@ def _truncated(full: SvdFactors, tol: Tolerance) -> SvdFactors:
                       right_vectors=full.right_vectors[:, :rank], rank=rank)
 
 
+def _reciprocal_sigma_r(factors: SvdFactors) -> float:
+    """1 / sigma_r for the smallest kept singular value of factors of rank >= 1.
+
+    Raises NumericalError when that reciprocal overflows, which is when a
+    pseudoinverse assembled from the factors would leave the double range.
+    """
+    sigma_r = float(factors.singular_values[-1])
+    if not (sigma_r > 0.0 and 1.0 / sigma_r < math.inf):
+        raise NumericalError(
+            f"the pseudoinverse leaves the double range: 1/sigma_r overflows "
+            f"for sigma_r {sigma_r:.3e}"
+        )
+    return 1.0 / sigma_r
+
+
 def pinv_from_factors(factors: SvdFactors) -> np.ndarray:
     """Assemble the Moore-Penrose pseudoinverse from SVD factors.
 
@@ -163,12 +178,7 @@ def pinv_from_factors(factors: SvdFactors) -> np.ndarray:
     if factors.rank == 0:
         out = np.zeros((cols, rows), dtype=np.complex128)
     else:
-        sigma_r = float(factors.singular_values[-1])
-        if not (sigma_r > 0.0 and 1.0 / sigma_r < math.inf):
-            raise NumericalError(
-                f"the pseudoinverse leaves the double range: 1/sigma_r overflows "
-                f"for sigma_r {sigma_r:.3e}"
-            )
+        _reciprocal_sigma_r(factors)
         scaled = factors.right_vectors / factors.singular_values[np.newaxis, :]
         out = scaled @ factors.left_vectors.conj().T
     out.setflags(write=False)

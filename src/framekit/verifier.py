@@ -374,7 +374,8 @@ _REGISTRY = (
     ("gram_pinv_as_product", "T†(T†)* = G†", False, ((("T+", "T+*"), ("G+",), ("T+", "T+")),)),
     ("pinv_synthesis_via_gram", "T† = G†T*", False, ((("T+",), ("G+", "U"), ("G+", "U")),)),
     ("frame_operator_pinv_projector", "SS† = S†S = P", False, ("S S+ = P", "S+ S = P")),
-    ("gram_pinv_projector", "GG† = G†G = Q", False, ("G G+ = Q", "G+ G = Q")),
+    ("gram_pinv_projector", "GG† = G†G = Q", False,
+     ((("G", "G+"), ("Q",), ("G", "G+")), (("G+", "G"), ("Q",), ("G+", "G")))),
     # I − P can be ~0 (full span), so only S† sets the scale of the product
     ("frame_operator_pinv_kills_complement", "S†(I − P) = 0", False,
      ((("S+", "I-P"), (), ("S+",)),)),

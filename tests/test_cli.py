@@ -212,6 +212,17 @@ def test_verify_rejects_a_bad_condition_target_before_scaling_by_it(kappa, capsy
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("kappa", ["1e155", "1e200", "1.7e308"])
+def test_verify_refuses_a_condition_target_too_large_for_rank_rel(kappa, capsys):
+    # rank_rel is derived as 1e-3 / kappa^2, which underflows to 0 once kappa^2
+    # overflows (from about 1.34e154); the target is named, with no traceback
+    code = main(["verify", "--kind", "ill_conditioned", "--condition-target", kappa])
+    err = capsys.readouterr().err
+    assert code == EXIT_INPUT_ERROR
+    assert "condition_target" in err
+    assert "Traceback" not in err
+
+
 # ----------------------------------------------------------- document errors
 
 def test_invalid_json_names_the_line(tmp_path, capsys):

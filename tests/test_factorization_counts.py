@@ -137,23 +137,26 @@ def test_cli_verify_svd_count(svd_calls, capsys):
                                   "ill_conditioned"])
 def test_identity_suite_takes_each_norm_once(norm_calls, kind):
     frame, tol = frame_and_tol(kind)
-    # T, U, S, G, P, S+, G+ of the frame and of its dual (the bundles'
-    # self-checks), then T+ and Q, and one column-norm call for each of the
-    # two sample blocks
-    assert norm_calls(run_identity_suite, frame, tol) == 18
+    # T, U, S, P, S+ of the frame and of its dual (the bundles' dense
+    # self-checks; the gram checks read G's factors), then the frame's G and
+    # G+ (the gram_pinv_projector row), T+ and Q, and one column-norm call for
+    # each of the two sample blocks
+    assert norm_calls(run_identity_suite, frame, tol) == 16
 
 
 def test_polarization_check_draws_no_sample_block(norm_calls):
-    # T, P, G and G+ enter the T/G gate's self-checks, and U scales the
-    # tight gram identity; the suite's sample blocks are never drawn
+    # T and P enter the T/G gate's dense self-check, U scales the tight
+    # gram identity and G+ the tight gram pinv identity; the suite's sample
+    # blocks are never drawn
     frame, tol = frame_and_tol("tight")
-    assert norm_calls(polarization_check, frame, 10, tol) == 5
+    assert norm_calls(polarization_check, frame, 10, tol) == 4
 
 
 def test_build_bundle_takes_each_norm_once(norm_calls):
     frame, tol = frame_and_tol("gaussian")
-    # T, U, S, G, P, S+ and G+ enter the six self-checks
-    assert norm_calls(build_bundle, frame, tol) == 7
+    # T, U, S, P and S+ enter the four dense self-checks; the two gram
+    # checks read G's factors and take no Frobenius norm
+    assert norm_calls(build_bundle, frame, tol) == 5
 
 
 @pytest.mark.parametrize("kind, expected", [("tight", 1), ("gaussian", 2)])
@@ -184,11 +187,12 @@ def deviation_calls(monkeypatch):
     return count
 
 
-@pytest.mark.parametrize("kind, expected", [("gaussian", 31), ("tight", 35)])
+@pytest.mark.parametrize("kind, expected", [("gaussian", 33), ("tight", 37)])
 def test_identity_suite_evaluates_each_identity_once(deviation_calls, kind, expected):
     # the six self-checks of the frame's gate and of the dual's, then the
-    # 19 other identities of the general rows; a tight frame adds the four
-    # tight identities, which the polarization row reads again from the memo
+    # 21 other identities of the general rows (gram_pinv_projector's two
+    # dense ones among them); a tight frame adds the four tight identities,
+    # which the polarization row reads again from the memo
     frame, tol = frame_and_tol(kind)
     assert deviation_calls(run_identity_suite, frame, tol) == expected
 

@@ -8,6 +8,8 @@ Each call that reads the route runs one QR per route, and the calls that
 do not read it run none.
 """
 
+from functools import cached_property
+
 import numpy as np
 import pytest
 
@@ -15,12 +17,16 @@ from framekit import (
     FrameSequence,
     GENERATOR_KINDS,
     GeneratorSpec,
+    NumericalError,
+    SvdFactors,
     Tolerance,
     build_bundle,
     generate,
     min_norm_coefficients,
     project_coefficients,
+    pseudo_gram,
     run_identity_suite,
+    scaled_deviation,
 )
 from framekit.frame_ops import _FrameAnalysis
 from framekit.verifier import _orthonormal_columns
@@ -122,3 +128,70 @@ def test_qr_counts(qr_calls):
     assert qr_calls(build_bundle, frame) == 1
     assert qr_calls(run_identity_suite, frame) == 2
     assert qr_calls(min_norm_coefficients, frame, np.ones(4)) == 0
+
+
+# ------------------------------------------------------ the T/G gate's checks
+
+def scaled_lambda(f_g, frame):
+    """G's factors with every eigenvalue scaled by 1 + 1e-8."""
+    return SvdFactors(f_g.left_vectors, f_g.singular_values * (1 + 1e-8), f_g.right_vectors,
+                      f_g.rank)
+
+
+def tilted_pair(f_g, frame):
+    """G's factors with the last L_g/R_g pair tilted by 1e-8 toward ker T."""
+    v = _FrameAnalysis(frame).f_t.right_vectors
+    k = np.random.Generator(np.random.PCG64(5)).standard_normal(frame.size).astype(complex)
+    k -= v @ (v.conj().T @ k)
+    k /= np.linalg.norm(k)
+    left, right = f_g.left_vectors.copy(), f_g.right_vectors.copy()
+    for x in (left, right):
+        x[:, -1] += 1e-8 * k
+        x[:, -1] /= np.linalg.norm(x[:, -1])
+    return SvdFactors(left, f_g.singular_values, right, f_g.rank)
+
+
+@pytest.fixture(params=[scaled_lambda, tilted_pair], ids=["scaled_lambda", "tilted_pair"])
+def faulty_gram_route(request, monkeypatch):
+    original = _FrameAnalysis.f_g.func
+    faulty = cached_property(lambda a: request.param(original(a), a.frame))
+    faulty.__set_name__(_FrameAnalysis, "f_g")
+    monkeypatch.setattr(_FrameAnalysis, "f_g", faulty)
+
+
+# a tight frame's pseudo_gram is Q / A from T alone and reads no G route
+@pytest.mark.parametrize("kind, entry", [
+    ("gaussian", lambda f: project_coefficients(f, np.ones(f.size))),
+    ("tight", lambda f: project_coefficients(f, np.ones(f.size))),
+    ("gaussian", build_bundle),
+    ("tight", build_bundle),
+    ("gaussian", pseudo_gram),
+], ids=["project_coefficients-gaussian", "project_coefficients-tight", "build_bundle-gaussian",
+        "build_bundle-tight", "pseudo_gram-gaussian"])
+def test_the_gram_gate_refuses_a_faulty_route(faulty_gram_route, kind, entry):
+    frame = generate(spec(kind, 16, 32, 0))
+    with pytest.raises(NumericalError, match=r"self-check '(G G\+ = Q|G\+ G = Q)'"):
+        entry(frame)
+
+
+@pytest.mark.parametrize("n, m", [(4, 6), (6, 4), (16, 32)])
+@pytest.mark.parametrize("kind", GENERATOR_KINDS)
+def test_the_gram_gate_forms_no_m_by_m_operator(kind, n, m):
+    a = _FrameAnalysis(generate(spec(kind, n, m, 0)))
+    a.gate("synthesis", "gram")
+    assert not {"G", "G+", "Q"} & a._operators.keys()
+
+
+@pytest.mark.parametrize("n, m", [(4, 6), (6, 4), (16, 32)])
+@pytest.mark.parametrize("kind", GENERATOR_KINDS)
+def test_the_returned_gram_pinv_obeys_the_dense_identities(kind, n, m):
+    # the gate checks G+ on G's factors; the dense GG+ = G+G = Q still holds
+    # on what build_bundle and pseudo_gram return
+    frame = generate(spec(kind, n, m, 0))
+    tol = Tolerance(identity_abs=1e-6) if kind == "ill_conditioned" else Tolerance()
+    bundle = build_bundle(frame, tol)
+    g, q = bundle.gram, bundle.coefficient_projector
+    pinvs = [bundle.gram_pinv] + ([] if kind == "tight" else [pseudo_gram(frame, tol)])
+    for g_pinv in pinvs:
+        assert scaled_deviation(g @ g_pinv, q, (g, g_pinv)) <= tol.identity_abs
+        assert scaled_deviation(g_pinv @ g, q, (g_pinv, g)) <= tol.identity_abs

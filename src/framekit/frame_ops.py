@@ -14,14 +14,9 @@ _OPERATORS, names each operator once, by the paper's name ("S+" for S's
 pseudoinverse), and says how it is formed; identities between operators
 are data, products of those names. Each result is gated on the routes it
 reads: T's factorization (which gives P, Q and T+) must agree with S's or
-G's, or with both for the whole bundle, else NumericalError. G acts only on
-range(U), so it is factored through U's reduced QR: its min(n, m) x
-min(n, m) core is factored and lifted back. G's route is also checked on
-those m x r factors L_g, lambda_g, R_g, under the dense names: 'G G+ = Q'
-measures G R_g / lambda_g (G R_g formed as U (T R_g)) against L_g, and
-'G+ G = Q' R_g against its part in the range of Q; both are scaled by
-kappa(G) = lambda_1 / lambda_r. So the T/G gate forms no m x m G, G+ or Q;
-they are formed only where a result returns or reports them.
+G's, or with both for the whole bundle, else NumericalError. How G is
+factored and its route checked without an m x m array is set out in
+_FrameAnalysis.
 """
 
 from __future__ import annotations
@@ -282,15 +277,16 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-# the factorization each route names
+# the factorization each route names, and the one each of T, S, G is read from
 _ROUTES = {"synthesis": "f_t", "frame operator": "f_s", "gram": "f_g"}
+_FACTORED = dict(zip("TSG", _ROUTES.values()))
 
 # every operator the paper names, by how the analysis `a` forms it from T, the
 # routes' factors and other entries; a[name] forms each at most once
 _OPERATORS = {
     "T": lambda a: a.frame._matrix,
     "U": lambda a: adjoint(a["T"]),
-    "S": lambda a: a["T"] @ a["U"],
+    "S": lambda a: _in_range("frame operator S", lambda: a["T"] @ a["U"]),
     "G": lambda a: a["U"] @ a["T"],
     "P": lambda a: _projector(a.f_t.left_vectors),
     "Q": lambda a: _projector(a.f_t.right_vectors),
@@ -305,31 +301,56 @@ _OPERATORS = {
     "I-Q": lambda a: np.eye(a.frame.size) - a["Q"],
     "AP": lambda a: a.bounds.lower * a["P"],
     "AQ": lambda a: a.bounds.lower * a["Q"],
-    "P/A": lambda a: a["P"] / a.bounds.lower,
-    "Q/A": lambda a: a["Q"] / a.bounds.lower,
+    "P/A": lambda a: _over_lower_bound(a, "P"),
+    "Q/A": lambda a: _over_lower_bound(a, "Q"),
 }
+
+
+def _in_range(name: str, form) -> np.ndarray:
+    """form(), a product that squares the frame's entries, computed without an
+    overflow warning; NumericalError names the operator if an entry overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = form()
+    if not np.isfinite(out).all():
+        raise NumericalError(f"the {name} leaves the double range: an entry overflows")
+    return out
+
+
+def _over_lower_bound(a: "_FrameAnalysis", name: str) -> np.ndarray:
+    """A projector divided by the lower bound A, the tight frames' S+ or G+.
+
+    Like pinv_from_factors it raises NumericalError before dividing when
+    1/A overflows, since the result's entries reach 1/A in modulus.
+    """
+    lower = a.bounds.lower
+    if not 1.0 / lower < math.inf:
+        raise NumericalError(
+            f"the pseudoinverse leaves the double range: 1/A overflows for the lower bound "
+            f"A {lower:.3e}"
+        )
+    return a[name] / lower
 
 
 def _g_route_factors_g(a: "_FrameAnalysis") -> float:
     """'G G+ = Q' on G's m x r factors: G R_g / lambda_g = L_g, G R_g formed as U (T R_g)."""
-    f_g, kappa = a.f_g, a.gram_condition  # kappa first: it refuses a 1/lambda_r that overflows
+    # kappa(G) = |G| |G+| first: it refuses a 1/lambda_r that overflows
+    f_g, kappa = a.f_g, [a.spectral_norm("G"), a.spectral_norm("G+")]
     lifted = a["U"] @ (a["T"] @ f_g.right_vectors) / f_g.singular_values
-    return _deviation(lifted, f_g.left_vectors, [kappa])
+    return _deviation(lifted, f_g.left_vectors, kappa)
 
 
 def _g_route_spans_range_q(a: "_FrameAnalysis") -> float:
     """'G+ G = Q' on G's m x r factors: R_g = V (V* R_g), V T's kept right vectors."""
     r_g, v = a.f_g.right_vectors, a.f_t.right_vectors
-    return _deviation(r_g, v @ (v.conj().T @ r_g), [a.gram_condition])
+    return _deviation(r_g, v @ (v.conj().T @ r_g),
+                      [a.spectral_norm("G"), a.spectral_norm("G+")])
 
 
 # the self-checks in gate order: the route each reads besides T's, and its
 # identity (see _FrameAnalysis.deviation). 'T+ = T* S+' is what ties every
 # T/S-gated reconstruction to S's route: the minimum-norm results and the
 # signal series are read off T+ itself. The two gram checks keep their dense
-# names but read G's m x r factors, each scaled by kappa(G): 'G G+ = Q'
-# measures G R_g / lambda_g against L_g, 'G+ G = Q' R_g against its part in
-# range(Q). So the T/G gate forms no m x m G, G+ or Q; the suite's
+# names but read G's factors (see _FrameAnalysis); the suite's
 # gram_pinv_projector row evaluates the two identities densely
 _SELF_CHECKS = {
     "S S+ = P": ("frame operator", (("S", "S+"), ("P",), ("S", "S+"))),
@@ -353,16 +374,21 @@ class _FrameAnalysis:
     factors L_g, lambda_g, R_g: 'G G+ = Q' measures how far G R_g / lambda_g
     (G R_g formed as U (T R_g), never from G) is from L_g, and 'G+ G = Q'
     how far R_g is from V (V* R_g), V T's kept right singular vectors; both
-    are scaled by kappa(G) = lambda_1 / lambda_r (see gram_condition), so
-    the T/G gate forms no m x m array. U = T* gets no SVD
-    of its own: its SVD is T's with the sides swapped, so the U route (Q and
-    U+) reads T's factors.
+    are scaled by kappa(G) = |G| |G+| = lambda_1 / lambda_r (see
+    spectral_norm), so the T/G gate forms no m x m array: dense G, G+ and Q
+    are formed only where a result returns or reports them. S and G's core
+    square the frame's entries, and an entry that overflows raises
+    NumericalError naming the operator. U = T* gets no SVD of its own: its
+    SVD is T's with the sides swapped, so the U route (Q and U+) reads T's
+    factors.
 
     Operators are read by the paper's names, a["S+"] (see _OPERATORS); a
     name "~X" reads X from the analysis of the canonical dual, `dual`.
     Everything derived is computed at most once: the operators, their
     Frobenius norms (see norm) and the deviation of each identity (see
-    deviation), the gate's self-checks among them.
+    deviation), the gate's self-checks among them. Spectral norms are read
+    off the route factors (see spectral_norm). The identity suite's rows
+    read the analysis directly.
     """
 
     def __init__(self, frame: FrameSequence, tol: Tolerance | None = None):
@@ -427,21 +453,21 @@ class _FrameAnalysis:
         # Q1 is m x k and the core k x k, k = min(n, m); the lifted factors
         # are m x k, so _truncated's cutoff still scales with m
         q1, r1 = np.linalg.qr(self["U"])
-        core = _phased_svd(_hermitize(r1 @ r1.conj().T))
+        core = _phased_svd(_in_range("gram matrix G's core R1 R1*",
+                                     lambda: _hermitize(r1 @ r1.conj().T)))
         left, right = (_frozen(q1 @ x) for x in (core.left_vectors, core.right_vectors))
         return _truncated(SvdFactors(left, core.singular_values, right, core.rank), self.tol)
 
-    @cached_property
-    def gram_condition(self) -> float:
-        """kappa(G) = lambda_1 / lambda_r from G's own factors (1 when G's rank is 0).
-
-        It scales both gram self-checks. Like G+, it needs 1 / lambda_r, so
-        it raises NumericalError when that reciprocal overflows.
-        """
-        f_g = self.f_g
-        if f_g.rank == 0:
-            return 1.0
-        return float(f_g.singular_values[0]) * _reciprocal_sigma_r(f_g)
+    def spectral_norm(self, name: str) -> float:
+        """Spectral norm of T, S, G (sigma_1) or T+, S+, G+ (1 / sigma_r), read off
+        the route's own factors; 0 for a rank-0 route. 1 / sigma_r raises
+        NumericalError where it overflows, as the pseudoinverse would."""
+        factors = getattr(self, _FACTORED[name.rstrip("+")])
+        if factors.rank == 0:
+            return 0.0
+        if name.endswith("+"):
+            return _reciprocal_sigma_r(factors)
+        return float(factors.singular_values[0])
 
     def gate(self, *routes: str) -> None:
         """Raise NumericalError unless the routes agree in rank and in each self-check on them."""

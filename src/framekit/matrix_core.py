@@ -41,6 +41,8 @@ class Tolerance:
     identity_abs  absolute ceiling for operator-identity residuals
     tightness_rel relative slack for declaring bounds equal (tight) or one
                   (Parseval)
+
+    All three must be finite and positive, else ValueError names the field.
     """
 
     rank_rel: float = 1e-12
@@ -50,10 +52,12 @@ class Tolerance:
     def __post_init__(self) -> None:
         if not 0.0 < self.rank_rel < 1.0:
             raise ValueError("rank_rel must lie strictly between 0 and 1")
-        if self.identity_abs <= 0.0:
-            raise ValueError("identity_abs must be positive")
-        if self.tightness_rel <= 0.0:
-            raise ValueError("tightness_rel must be positive")
+        for name in ("identity_abs", "tightness_rel"):
+            value = getattr(self, name)
+            if value <= 0.0:
+                raise ValueError(f"{name} must be positive")
+            if not value < math.inf:  # inf passes every check; NaN fails every one
+                raise ValueError(f"{name} must be finite")
 
 
 DEFAULT_TOLERANCE = Tolerance()

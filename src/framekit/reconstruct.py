@@ -173,10 +173,9 @@ def project_coefficients(frame: FrameSequence, coefficients,
     Evaluates Q c = sum_k <c, G+ U f_k> e_k (e_k the k-th standard basis
     vector of the coefficient space) as V_g (V_g* c), with V_g the G route's
     orthonormal basis of range(U), and checks it against V (V* c) from T's
-    kept right singular vectors. The T/G gate before it reads only m x r
-    factors: it measures G V_g / lambda_g (G V_g formed as U (T V_g))
-    against G's left factors and V_g against V (V* V_g), both scaled by
-    kappa(G) = lambda_1 / lambda_r, so no m x m G, G+ or Q is formed.
+    kept right singular vectors. The T/G gate before it reads only G's
+    m x r factors (see frame_ops._FrameAnalysis), so no m x m G, G+ or Q is
+    formed.
     """
     a = _gated_analysis(frame, tol, "gram")
     c = as_vector(coefficients, frame.size, name="coefficients")

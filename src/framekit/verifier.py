@@ -4,19 +4,23 @@ The generators draw from PCG64 (the permuted-congruential generator
 XSL-RR 128/64), seeded with the 64-bit GeneratorSpec seed, so equal specs
 reproduce bitwise-identical sequences. The identity suite re-derives every
 operator relation the library promises and reports one record per relation.
-Its rows name operators as frame_ops._OPERATORS does, and its identities
-are evaluated, once per call, by the same memoized code as the gate's
-self-checks. Deviations are residuals normalized by the norms of the
-factors entering each product (see scaled_deviation), which keeps them
-comparable to identity_abs for badly conditioned sequences too. Inequality
-checks carry a fixed absolute slack of 1e-9, and relative checks use 1e-8
-rescaled by the caller's identity_abs so a loosened run loosens coherently.
+Its rows read the frame's analysis (frame_ops._FrameAnalysis) directly:
+they name operators as frame_ops._OPERATORS does, their identities are
+evaluated, once per call, by the same memoized code as the gate's
+self-checks, and their spectral norms are read off the route factors
+(_FrameAnalysis.spectral_norm). The sampled rows read two seeded
+unit-column blocks drawn once, after the gates. Deviations are residuals
+normalized by the norms of the factors entering each product (see
+scaled_deviation), which keeps them comparable to identity_abs for badly
+conditioned sequences too. Inequality checks carry a fixed absolute slack
+of 1e-9, and relative checks use 1e-8 rescaled by the caller's
+identity_abs so a loosened run loosens coherently.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import partial
 
 import numpy as np
 
@@ -219,83 +223,67 @@ def _worst(*excesses: np.ndarray) -> float:
     return max(float(np.max(e, initial=0.0)) for e in excesses)
 
 
-class _Operands:
-    """What the suite's rows read besides the analysis's operators.
-
-    It holds the frame's analysis, which forms and memoizes every operator
-    a row names (see frame_ops._OPERATORS) and every identity's deviation,
-    the seeded unit-column sample blocks `signals` (signal space) and
-    `coeffs` (coefficient space), drawn when a row first reads one, and the
-    relative tolerance `rel_tol`.
-    """
-
-    def __init__(self, analysis: _FrameAnalysis, vector_samples: int = 0):
-        self.analysis = analysis
-        self.rel_tol = _BASE_RELATIVE * (analysis.tol.identity_abs / DEFAULT_TOLERANCE.identity_abs)
-        self._vector_samples = vector_samples
-
-    @cached_property
-    def _samples(self) -> tuple:
-        """(signals, coeffs), drawn on first use and in that order from one stream."""
-        rng = np.random.Generator(np.random.PCG64(_SUITE_SAMPLE_SEED))
-        frame, k = self.analysis.frame, self._vector_samples
-        signals = _unit_columns(_complex_gaussian(rng, (frame.ambient_dim, k)))
-        return signals, _unit_columns(_complex_gaussian(rng, (frame.size, k)))
-
-    signals = property(lambda self: self._samples[0])
-    coeffs = property(lambda self: self._samples[1])
-
-    def spectral_norm(self, name: str) -> float:
-        """Spectral norm of T, S, G (sigma_max) or T+, S+, G+ (1/sigma_r), from its own SVD."""
-        sigma = getattr(self.analysis, "f_" + name[0].lower()).singular_values
-        return float(1.0 / sigma[-1] if name.endswith("+") else sigma[0])
+def _suite_samples(frame: FrameSequence, count: int) -> dict:
+    """The suite's seeded unit-column sample blocks: `signals` (signal space),
+    then `coeffs` (coefficient space), drawn in that order from one stream."""
+    rng = np.random.Generator(np.random.PCG64(_SUITE_SAMPLE_SEED))
+    signals = _unit_columns(_complex_gaussian(rng, (frame.ambient_dim, count)))
+    coeffs = _unit_columns(_complex_gaussian(rng, (frame.size, count)))
+    return {"signals": signals, "coeffs": coeffs}
 
 
-# Row kinds: each takes its operator names, if any, then the _Operands, and returns
-# (deviation, tolerance, detail)
+def _rel_tol(analysis: _FrameAnalysis) -> float:
+    """The relative tolerance: _BASE_RELATIVE scaled as identity_abs is."""
+    return _BASE_RELATIVE * (analysis.tol.identity_abs / DEFAULT_TOLERANCE.identity_abs)
 
-def _norms_agree(names: tuple, ops: _Operands):
+
+# Row kinds: each takes its operator names, if any, then the frame's analysis
+# and the suite's sample blocks, and returns (deviation, tolerance, detail)
+
+def _norms_agree(names: tuple, analysis: _FrameAnalysis, samples: dict):
     """‖X‖² = ‖Y‖ = ‖Z‖ for the operators (X, Y, Z): the gap to ‖X‖² relative to the largest."""
-    x, y, z = (ops.spectral_norm(name) for name in names)
+    x, y, z = (analysis.spectral_norm(name) for name in names)
     dev = max(abs(y - x ** 2), abs(z - x ** 2)) / max(x ** 2, y, z)
-    return dev, ops.rel_tol, None
+    return dev, _rel_tol(analysis), None
 
 
-def _sandwich(projector: str, operator: str, block: str, ops: _Operands):
+def _sandwich(projector: str, operator: str, block: str, analysis: _FrameAnalysis,
+              samples: dict):
     """A‖Px‖² ≤ ‖Ax‖² ≤ B‖Px‖² for each column x of a sample block."""
-    x = getattr(ops, block)
-    lo, hi = ops.analysis.bounds.lower, ops.analysis.bounds.upper
-    px2 = _energies(ops.analysis[projector] @ x)
-    ax2 = _energies(ops.analysis[operator] @ x)
+    x = samples[block]
+    lo, hi = analysis.bounds.lower, analysis.bounds.upper
+    px2 = _energies(analysis[projector] @ x)
+    ax2 = _energies(analysis[operator] @ x)
     dev = _worst(lo * px2 - ax2, ax2 - hi * px2) / max(1.0, hi)
     return dev, _INEQUALITY_SLACK, {"samples": x.shape[1]}
 
 
-def _quadratic(projector: str, operator: str, block: str, ops: _Operands):
+def _quadratic(projector: str, operator: str, block: str, analysis: _FrameAnalysis,
+               samples: dict):
     """‖S†‖⁻¹‖Px‖² ≤ ⟨Ax,x⟩ ≤ ‖S‖‖Px‖² for each column x of a sample block."""
-    x = getattr(ops, block)
-    upper, inv_lower = ops.spectral_norm("S"), ops.spectral_norm("S+")
-    px2 = _energies(ops.analysis[projector] @ x)
-    quad = _real_inner(x, ops.analysis[operator] @ x)
+    x = samples[block]
+    upper, inv_lower = analysis.spectral_norm("S"), analysis.spectral_norm("S+")
+    px2 = _energies(analysis[projector] @ x)
+    quad = _real_inner(x, analysis[operator] @ x)
     dev = _worst(px2 / inv_lower - quad, quad - upper * px2) / max(1.0, upper)
     return dev, _INEQUALITY_SLACK, {"samples": x.shape[1]}
 
 
-def _pinv_energy(ops: _Operands):
-    f = ops.signals
-    lhs = _energies(ops.analysis["T+"] @ f)
-    rhs = _real_inner(f, ops.analysis["S+"] @ f)
+def _pinv_energy(analysis: _FrameAnalysis, samples: dict):
+    f = samples["signals"]
+    lhs = _energies(analysis["T+"] @ f)
+    rhs = _real_inner(f, analysis["S+"] @ f)
     ref = np.maximum(np.abs(lhs), np.abs(rhs))
     nonzero = ref > 0.0
     dev = _worst(np.abs(lhs - rhs)[nonzero] / ref[nonzero])
-    return dev, ops.rel_tol, {"samples": f.shape[1]}
+    return dev, _rel_tol(analysis), {"samples": f.shape[1]}
 
 
-def _dual_bounds(ops: _Operands):
-    lo, hi = ops.analysis.bounds.lower, ops.analysis.bounds.upper
-    dual = ops.analysis.dual.bounds
+def _dual_bounds(analysis: _FrameAnalysis, samples: dict):
+    lo, hi = analysis.bounds.lower, analysis.bounds.upper
+    dual = analysis.dual.bounds
     dev = max(abs(dual.lower - 1.0 / hi) * hi, abs(dual.upper - 1.0 / lo) * lo)
-    return dev, ops.rel_tol, {"dual_lower": dual.lower, "dual_upper": dual.upper}
+    return dev, _rel_tol(analysis), {"dual_lower": dual.lower, "dual_upper": dual.upper}
 
 
 def _row_norms(rows: np.ndarray) -> np.ndarray:
@@ -346,8 +334,7 @@ def _polarization_deviation(analysis: _FrameAnalysis, common_bound: float, pairs
     return _worst(*(np.hypot(gap.real, gap.imag) / scale for gap in gaps))
 
 
-def _polarization(pairs: int, ops: _Operands):
-    analysis = ops.analysis
+def _polarization(pairs: int, analysis: _FrameAnalysis, samples: dict | None):
     common_bound = analysis.bounds.lower
     dev = max(_polarization_deviation(analysis, common_bound, pairs),
               analysis.deviation(_TIGHT_GRAM), analysis.deviation(_TIGHT_GRAM_PINV))
@@ -360,7 +347,7 @@ _TIGHT_GRAM_PINV = (("G+",), ("Q/A",), ("G+",))
 
 
 # name, formula, tight_only, and either a row kind bound to its operator names
-# (a function of the _Operands) or a tuple of identities (see
+# (a function of the analysis and the sample blocks) or a tuple of identities (see
 # _FrameAnalysis.deviation) whose worst deviation the row reports; tight-only
 # identity rows also report the common bound A
 _REGISTRY = (
@@ -444,13 +431,13 @@ def _identity_suite(analysis: _FrameAnalysis, vector_samples: int) -> IdentityRe
     analysis.gate("synthesis", "frame operator", "gram"), analysis.bounds
     dual = analysis.dual
     dual.gate("synthesis", "frame operator", "gram"), dual.bounds, dual.canonical_dual
-    ops = _Operands(analysis, vector_samples)
+    samples = _suite_samples(analysis.frame, vector_samples)
     records = []
     for name, formula, tight_only, check in _REGISTRY:
         if tight_only and not analysis.classification.is_tight:
             continue
         if callable(check):
-            records.append(_record(name, formula, *check(ops)))
+            records.append(_record(name, formula, *check(analysis, samples)))
         else:
             detail = {"common_bound": analysis.bounds.lower} if tight_only else None
             dev = max(analysis.deviation(identity) for identity in check)
@@ -471,7 +458,7 @@ def polarization_check(frame: FrameSequence, pairs: int = 100,
     if not analysis.classification.is_tight:
         raise NotTightError("polarization reconstruction requires a tight sequence")
     analysis.gate("synthesis", "gram")
-    return _record(*_POLARIZATION, *_polarization(pairs, _Operands(analysis)))
+    return _record(*_POLARIZATION, *_polarization(pairs, analysis, None))
 
 
 def bounds_vs_sampling(frame: FrameSequence, samples: int = 10000,

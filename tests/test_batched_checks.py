@@ -4,6 +4,8 @@ Each reference below is the loop the vectorized code replaced, kept here as
 the definition it must reproduce.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -12,9 +14,9 @@ from framekit.frame_ops import _FrameAnalysis
 from framekit.verifier import (
     _POLARIZATION_SEED,
     _REGISTRY,
-    _Operands,
     _complex_gaussian,
     _polarization_deviation,
+    _suite_samples,
 )
 from framekit.matrix_core import op_norm
 
@@ -149,7 +151,9 @@ def context_for(kind, n, m, seed, samples=50):
     else:
         spec = GeneratorSpec(kind, n, m, seed)
         tol = Tolerance()
-    return _Operands(_FrameAnalysis(generate(spec), tol), vector_samples=samples)
+    analysis = _FrameAnalysis(generate(spec), tol)
+    blocks = _suite_samples(analysis.frame, samples)
+    return SimpleNamespace(analysis=analysis, samples=blocks, **blocks)
 
 
 @pytest.mark.parametrize("kind", GENERATOR_KINDS)
@@ -158,7 +162,7 @@ def test_batched_sampled_checks_match_per_sample_loops(kind, n, m):
     for seed in range(3):
         ctx = context_for(kind, n, m, seed)
         for name, reference in SAMPLED:
-            dev, _, detail = ROWS[name](ctx)
+            dev, _, detail = ROWS[name](ctx.analysis, ctx.samples)
             expected = reference(ctx)
             # deviations are already relative to max(1, bound), so the
             # 1e-12 relative tolerance is taken against max(1, |expected|)
@@ -169,7 +173,7 @@ def test_batched_sampled_checks_match_per_sample_loops(kind, n, m):
 def test_batched_sampled_checks_handle_no_samples():
     ctx = context_for("gaussian", 4, 6, 0, samples=0)
     for name, reference in SAMPLED:
-        assert ROWS[name](ctx)[0] == reference(ctx) == 0.0
+        assert ROWS[name](ctx.analysis, ctx.samples)[0] == reference(ctx) == 0.0
 
 
 # --------------------------------------------------------------- polarization

@@ -308,6 +308,17 @@ def test_negative_tolerance_exits_2(triple_doc, capsys):
     assert main(["analyze", triple_doc, "--tolerance", "-1"]) == EXIT_INPUT_ERROR
 
 
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_non_finite_tolerance_exits_2(triple_doc, value, monkeypatch, capsys):
+    assert main(["analyze", triple_doc, "--tolerance", value]) == EXIT_INPUT_ERROR
+    assert "identity_abs must be finite" in capsys.readouterr().err
+    assert main(["verify", "--kind", "gaussian", "--tol", value]) == EXIT_INPUT_ERROR
+    assert "identity_abs must be finite" in capsys.readouterr().err
+    monkeypatch.setenv("FRAMEKIT_TOL", value)
+    assert main(["analyze", triple_doc]) == EXIT_INPUT_ERROR
+    assert "identity_abs must be finite" in capsys.readouterr().err
+
+
 def test_verify_rejects_strict_like_any_unknown_flag(capsys):
     # --strict only ever applied to analyze; verify has no such flag
     assert main(["verify", "--kind", "gaussian", "--strict"]) == EXIT_INPUT_ERROR

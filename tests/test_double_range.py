@@ -6,7 +6,9 @@ they overflow to inf; both scales are exact, so the singular values
 themselves stay representable. Either way the caller gets NumericalError
 (exit 1 from the CLI) naming sigma_max and sigma_min. A pseudoinverse
 whose largest entry 1/sigma_r would overflow raises NumericalError naming
-sigma_r before anything is divided.
+sigma_r before anything is divided; so does a tight frame's P/A or Q/A
+when 1/A overflows. A frame operator S or gram core R1 R1* whose entries
+overflow raises NumericalError naming it, without an overflow warning.
 
 Reconstruction takes its input's norms without squaring entries, so its
 residual ceilings stay finite for entries beyond 1.3e154, and a norm_split
@@ -79,6 +81,50 @@ def test_pseudoinverse_outside_the_double_range_raises(entry, exponent):
         warnings.simplefilter("error")
         with pytest.raises(NumericalError, match="leaves the double range: 1/sigma_r overflows"):
             entry(frame)
+
+
+def scaled(kind, seed, exponent):
+    n, m = (4, 6) if kind == "tight" else (3, 5)
+    t = generate(GeneratorSpec(kind, n, m, seed)).synthesis_matrix() * 2.0**exponent
+    return FrameSequence.from_vectors(list(t.T))
+
+
+@pytest.mark.parametrize("entry", [pseudo_frame_operator, pseudo_gram])
+def test_tight_fast_path_outside_the_double_range_raises(entry):
+    # A is about 1e-313, so P/A and Q/A would hold inf entries
+    frame = scaled("tight", 2, -520)
+    assert classify(frame).is_tight
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match="1/A overflows for the lower bound A 3.598e-314"):
+            entry(frame)
+
+
+@pytest.mark.parametrize("entry, operator", [
+    (build_bundle, "frame operator S"),
+    (canonical_dual, "frame operator S"),
+    (lambda frame: project_coefficients(frame, np.ones(frame.size)), "gram matrix G's core"),
+], ids=["build_bundle", "canonical_dual", "project_coefficients"])
+def test_operators_outside_the_double_range_raise(entry, operator):
+    # sigma_max is about 1e157, so S = T U and G's core R1 R1* overflow
+    frame = scaled("gaussian", 2, 520)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match=f"the {operator}.* leaves the double range"):
+            entry(frame)
+
+
+def test_cli_dual_reports_a_frame_operator_outside_the_double_range(tmp_path, capsys):
+    frame = scaled("gaussian", 2, 520)
+    doc = tmp_path / "frame.json"
+    doc.write_text(json.dumps({
+        "ambient_dim": frame.ambient_dim,
+        "vectors": [[[z.real, z.imag] for z in v] for v in frame.vectors],
+    }))
+    assert main(["dual", str(doc)]) == EXIT_VERIFICATION_FAILED
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: the frame operator S leaves the double range")
 
 
 @pytest.mark.parametrize("scale", SCALES)

@@ -274,6 +274,15 @@ def test_tolerance_validation():
     assert DEFAULT_TOLERANCE.tightness_rel == 1e-8
 
 
+@pytest.mark.parametrize("field", ["identity_abs", "tightness_rel"])
+@pytest.mark.parametrize("value", [float("inf"), float("nan")])
+def test_tolerance_refuses_non_finite_values(field, value):
+    # an infinite identity_abs passed every check and a NaN one failed every
+    # check; an infinite tightness_rel declared any frame Parseval
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        Tolerance(**{field: value})
+
+
 def test_op_norm_of_zero_matrix():
     assert op_norm(np.zeros((4, 2), dtype=complex)) == 0.0
 

@@ -19,6 +19,9 @@ given; dual and reconstruct cannot proceed without a span).
 
 The default identity tolerance is 1e-10, overridable by the FRAMEKIT_TOL
 environment variable and, with higher precedence, the --tolerance flag.
+verify scales that default, FRAMEKIT_TOL included, by an ill_conditioned
+frame's condition target κ, and tightens the default rank cutoff 1e-12 to
+min(1e-12, 1e-3/κ²).
 """
 
 from __future__ import annotations
@@ -40,10 +43,6 @@ EXIT_OK = 0
 EXIT_VERIFICATION_FAILED = 1
 EXIT_INPUT_ERROR = 2
 EXIT_DEGENERATE = 3
-
-
-class _InputError(Exception):
-    """Bad document or flag value; maps to exit code 2."""
 
 
 def _fmt_float(x: float) -> str:
@@ -82,7 +81,8 @@ def _render_json(value, indent: int | None = None, level: int = 0) -> str:
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
-def _render_text(doc: dict) -> str:
+def _render_text(doc: dict, extra=()) -> str:
+    """`label: value` lines for the doc's fields, None ones left out, then the extra lines."""
     lines = []
     for key, value in doc.items():
         label = key.replace("_", " ")
@@ -94,24 +94,29 @@ def _render_text(doc: dict) -> str:
             continue
         else:
             lines.append(f"{label}: {value}")
-    return "\n".join(lines)
+    return "\n".join([*lines, *extra])
+
+
+def _report(args, doc: dict, text) -> None:
+    """Write the report: canonical JSON of doc under --format structured, else text()."""
+    sys.stdout.write((_render_json(doc) if args.format == "structured" else text()) + "\n")
 
 
 def _complex_entry(value, where: str) -> complex:
     if (not isinstance(value, (list, tuple)) or len(value) != 2
             or any(isinstance(p, bool) or not isinstance(p, (int, float)) for p in value)):
-        raise _InputError(f"{where}: complex entries must be [re, im] pairs of numbers")
+        raise ValueError(f"{where}: complex entries must be [re, im] pairs of numbers")
     re, im = float(value[0]), float(value[1])
     if not (np.isfinite(re) and np.isfinite(im)):
-        raise _InputError(f"{where}: entries must be finite")
+        raise ValueError(f"{where}: entries must be finite")
     return complex(re, im)
 
 
 def _complex_vector(values, where: str, length: int | None = None) -> np.ndarray:
     if not isinstance(values, (list, tuple)):
-        raise _InputError(f"{where}: expected a list of [re, im] pairs")
+        raise ValueError(f"{where}: expected a list of [re, im] pairs")
     if length is not None and len(values) != length:
-        raise _InputError(f"{where}: expected {length} entries, found {len(values)}")
+        raise ValueError(f"{where}: expected {length} entries, found {len(values)}")
     return np.array(
         [_complex_entry(v, f"{where}[{i}]") for i, v in enumerate(values)],
         dtype=np.complex128,
@@ -127,48 +132,57 @@ def _load_document(path: str) -> dict:
         with open(path, "r", encoding="utf-8") as handle:
             doc = json.load(handle)
     except OSError as exc:
-        raise _InputError(f"cannot read {path}: {exc}") from exc
+        raise ValueError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise _InputError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+        raise ValueError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
     if not isinstance(doc, dict):
-        raise _InputError(f"{path}: the document must be a JSON object")
+        raise ValueError(f"{path}: the document must be a JSON object")
     return doc
 
 
 def _parse_frame(doc: dict, path: str) -> FrameSequence:
     if "ambient_dim" not in doc:
-        raise _InputError(f"{path}: missing field 'ambient_dim'")
+        raise ValueError(f"{path}: missing field 'ambient_dim'")
     n = doc["ambient_dim"]
     if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-        raise _InputError(f"{path}: field 'ambient_dim' must be a positive integer")
+        raise ValueError(f"{path}: field 'ambient_dim' must be a positive integer")
     if "vectors" not in doc:
-        raise _InputError(f"{path}: missing field 'vectors'")
+        raise ValueError(f"{path}: missing field 'vectors'")
     raw = doc["vectors"]
     if not isinstance(raw, list) or not raw:
-        raise _InputError(f"{path}: field 'vectors' must be a non-empty list")
+        raise ValueError(f"{path}: field 'vectors' must be a non-empty list")
     vectors = tuple(
         _complex_vector(v, f"vectors[{k}]", length=n) for k, v in enumerate(raw)
     )
     return FrameSequence(ambient_dim=n, vectors=vectors)
 
 
-def _tolerance(identity_abs: float | None, rank_rel: float | None) -> Tolerance:
-    """Tolerance from explicit values; unset ones fall back to FRAMEKIT_TOL and the defaults."""
+def _tolerance(identity_abs: float | None, rank_rel: float | None,
+               kappa: float = 1.0) -> Tolerance:
+    """Tolerance from explicit values; each unset one takes its default for a
+    condition ratio kappa (verify's ill_conditioned target, else 1).
+
+    identity_abs defaults to FRAMEKIT_TOL, else 1e-10, times kappa, since
+    conditioning eats precision. rank_rel defaults to min(1e-12, 1e-3/kappa²),
+    which keeps sigma(S) ~ sigma(T)² above the cutoff.
+    """
     if identity_abs is None:
         env = os.environ.get("FRAMEKIT_TOL")
-        if env is not None:
-            try:
-                identity_abs = float(env)
-            except ValueError as exc:
-                raise _InputError(f"FRAMEKIT_TOL is not a number: {env!r}") from exc
-        else:
-            identity_abs = DEFAULT_TOLERANCE.identity_abs
+        try:
+            base = DEFAULT_TOLERANCE.identity_abs if env is None else float(env)
+        except ValueError as exc:
+            raise ValueError(f"FRAMEKIT_TOL is not a number: {env!r}") from exc
+        identity_abs = base * kappa
     if rank_rel is None:
-        rank_rel = DEFAULT_TOLERANCE.rank_rel
-    try:
-        return Tolerance(rank_rel=rank_rel, identity_abs=identity_abs)
-    except ValueError as exc:
-        raise _InputError(str(exc)) from exc
+        # a float product overflows to inf where kappa**2 raises, and the cutoff is then 0
+        derived = 1e-3 / (kappa * kappa)
+        if derived == 0.0:
+            raise ValueError(
+                f"condition_target {kappa:.3e} is too large to derive rank_rel from "
+                "(1e-3 / condition_target^2 underflows to 0); pass --rank-rel"
+            )
+        rank_rel = min(DEFAULT_TOLERANCE.rank_rel, derived)
+    return Tolerance(rank_rel=rank_rel, identity_abs=identity_abs)
 
 
 def _cmd_analyze(args) -> int:
@@ -189,26 +203,16 @@ def _cmd_analyze(args) -> int:
         "redundancy": None if verdict.is_degenerate else verdict.redundancy,
         "bounds": None,
     }
+    flat = {**doc}  # the line-oriented format flattens the nested bounds
     if not verdict.is_degenerate:
         bounds = analysis.bounds
         doc["bounds"] = {"lower": bounds.lower, "upper": bounds.upper}
-    if args.format == "structured":
-        sys.stdout.write(_render_json(doc) + "\n")
-    else:
-        sys.stdout.write(_render_text_analyze(doc) + "\n")
+        flat.update(lower_bound=bounds.lower, upper_bound=bounds.upper)
+    _report(args, doc, lambda: _render_text(flat))
     if verdict.is_degenerate and args.strict:
         print("degenerate span: all vectors are numerically zero", file=sys.stderr)
         return EXIT_DEGENERATE
     return EXIT_OK
-
-
-def _render_text_analyze(doc: dict) -> str:
-    # flatten the nested bounds object for the line-oriented format
-    flat = {k: v for k, v in doc.items() if k != "bounds"}
-    if doc.get("bounds"):
-        flat["lower_bound"] = doc["bounds"]["lower"]
-        flat["upper_bound"] = doc["bounds"]["upper"]
-    return _render_text(flat)
 
 
 def _cmd_dual(args) -> int:
@@ -219,8 +223,7 @@ def _cmd_dual(args) -> int:
         "ambient_dim": dual.ambient_dim,
         "vectors": [_pairs(v) for v in dual.vectors],
     }
-    indent = None if args.format == "structured" else 2
-    sys.stdout.write(_render_json(doc, indent=indent) + "\n")
+    _report(args, doc, lambda: _render_json(doc, indent=2))
     return EXIT_OK
 
 
@@ -228,79 +231,41 @@ def _cmd_reconstruct(args) -> int:
     tol = _tolerance(args.tolerance, args.rank_rel)
     raw = _load_document(args.input)
     frame = _parse_frame(raw, args.input)
-    has_signal = "signal" in raw
-    has_coeffs = "coefficients" in raw
-    if has_signal == has_coeffs:
-        raise _InputError(
-            f"{args.input}: provide exactly one of 'signal' or 'coefficients'"
-        )
-    if has_signal:
+    if ("signal" in raw) == ("coefficients" in raw):
+        raise ValueError(f"{args.input}: provide exactly one of 'signal' or 'coefficients'")
+    if "signal" in raw:
         signal = _complex_vector(raw["signal"], "signal", length=frame.ambient_dim)
         solution = min_norm_coefficients(frame, signal, tol)
-        payload_key, payload = "coefficients", solution.solution
-        mode = "signal"
+        mode, payload_key = "signal", "coefficients"
     else:
         coeffs = _complex_vector(raw["coefficients"], "coefficients", length=frame.size)
         solution = min_norm_preimage(frame, coeffs, tol)
-        payload_key, payload = "signal", solution.solution
-        mode = "coefficients"
+        mode, payload_key = "coefficients", "signal"
     doc = {
         "command": "reconstruct",
         "mode": mode,
-        payload_key: _pairs(payload),
+        payload_key: _pairs(solution.solution),
         "residual_norm": solution.residual_norm,
         "norm_split": [solution.norm_split[0], solution.norm_split[1]],
     }
-    if args.format == "structured":
-        sys.stdout.write(_render_json(doc) + "\n")
-    else:
-        lines = [f"mode: {mode}"]
-        for k, z in enumerate(payload):
-            lines.append(
-                f"{payload_key[:-1] if payload_key.endswith('s') else payload_key} "
-                f"{k}: {_fmt_float(z.real)} {_fmt_float(z.imag)}"
-            )
-        lines.append(f"residual norm: {_fmt_float(solution.residual_norm)}")
-        lines.append(
-            "norm split: "
-            f"{_fmt_float(solution.norm_split[0])} {_fmt_float(solution.norm_split[1])}"
-        )
-        sys.stdout.write("\n".join(lines) + "\n")
+    _report(args, doc, lambda: _render_text({"mode": mode}, [
+        *(f"{payload_key.removesuffix('s')} {k}: {_fmt_float(re)} {_fmt_float(im)}"
+          for k, (re, im) in enumerate(doc[payload_key])),
+        f"residual norm: {_fmt_float(doc['residual_norm'])}",
+        f"norm split: {' '.join(_fmt_float(x) for x in doc['norm_split'])}",
+    ]))
     return EXIT_OK
 
 
 def _cmd_verify(args) -> int:
     condition_target = args.condition_target if args.kind == "ill_conditioned" else None
-    try:  # validates the condition target before the tolerance is scaled by it
-        spec = GeneratorSpec(kind=args.kind, n=args.n, m=args.m, seed=args.seed,
-                             condition_target=condition_target)
-    except ValueError as exc:
-        raise _InputError(str(exc)) from exc
-    identity_abs = args.tolerance
-    rank_rel = args.rank_rel
-    if args.kind == "ill_conditioned":
-        kappa = condition_target
-        if identity_abs is None:
-            identity_abs = DEFAULT_TOLERANCE.identity_abs * kappa  # conditioning eats precision
-        if rank_rel is None:
-            # keep sigma(S) ~ sigma(T)^2 above the cutoff despite kappa^2. A float
-            # product overflows to inf where kappa**2 raises, and the cutoff is then 0
-            derived = 1e-3 / (kappa * kappa)
-            if derived == 0.0:
-                raise _InputError(
-                    f"condition_target {kappa:.3e} is too large to derive rank_rel from "
-                    "(1e-3 / condition_target^2 underflows to 0); pass --rank-rel"
-                )
-            rank_rel = min(DEFAULT_TOLERANCE.rank_rel, derived)
-    tol = _tolerance(identity_abs, rank_rel)
-    try:
-        frame = generate(spec)
-    except ValueError as exc:
-        raise _InputError(str(exc)) from exc
-    analysis = _FrameAnalysis(frame, tol)  # the suite, sampling and verdict share T's SVD
+    # validates the condition target before the tolerance is scaled by it
+    spec = GeneratorSpec(kind=args.kind, n=args.n, m=args.m, seed=args.seed,
+                         condition_target=condition_target)
+    tol = _tolerance(args.tolerance, args.rank_rel, kappa=condition_target or 1.0)
+    analysis = _FrameAnalysis(generate(spec), tol)  # the suite, sampling and verdict share T's SVD
     report = _identity_suite(analysis, vector_samples=50)
-    sampling = _sampling(analysis, samples=args.trials)
-    records = list(report.records) + [sampling]
+    records = list(report.records) + [_sampling(analysis, samples=args.trials)]
     passed = all(r.passed for r in records)
     verdict = analysis.classification
     doc = {
@@ -318,30 +283,13 @@ def _cmd_verify(args) -> int:
         "passed": passed,
         "checks": [r.to_dict() for r in records],
     }
-    if args.format == "structured":
-        sys.stdout.write(_render_json(doc) + "\n")
-    else:
-        lines = [
-            f"kind: {spec.kind}",
-            f"n: {spec.n}",
-            f"m: {spec.m}",
-            f"seed: {spec.seed}",
-            f"trials: {args.trials}",
-            f"identity abs: {_fmt_float(tol.identity_abs)}",
-            f"rank rel: {_fmt_float(tol.rank_rel)}",
-            f"span dim: {verdict.span_dim}",
-            f"tight: {'yes' if verdict.is_tight else 'no'}",
-        ]
-        if spec.condition_target is not None:
-            lines.insert(4, f"condition target: {_fmt_float(spec.condition_target)}")
-        for rec in records:
-            status = "PASS" if rec.passed else "FAIL"
-            lines.append(
-                f"{status} {rec.name}: {rec.formula} "
-                f"(deviation {_fmt_float(rec.deviation)}, tolerance {_fmt_float(rec.tolerance)})"
-            )
-        lines.append(f"verdict: {'PASS' if passed else 'FAIL'}")
-        sys.stdout.write("\n".join(lines) + "\n")
+    _report(args, doc, lambda: _render_text(
+        {k: v for k, v in doc.items() if k not in ("command", "passed", "checks")}, [
+            *(f"{'PASS' if r.passed else 'FAIL'} {r.name}: {r.formula} "
+              f"(deviation {_fmt_float(r.deviation)}, tolerance {_fmt_float(r.tolerance)})"
+              for r in records),
+            f"verdict: {'PASS' if passed else 'FAIL'}",
+        ]))
     return EXIT_OK if passed else EXIT_VERIFICATION_FAILED
 
 
@@ -387,14 +335,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--trials", type=int, default=1000,
                           help="samples for the Rayleigh envelope check (default 1000)")
     p_verify.add_argument("--condition-target", type=float, default=1e4,
-                          help="condition ratio for the ill_conditioned kind (default 1e4)")
-    p_verify.add_argument("--tol", "--tolerance", dest="tolerance", type=float, default=None,
-                          help="absolute identity tolerance; ill_conditioned scales the "
-                               "default by the condition target")
-    p_verify.add_argument("--rank-rel", type=float, default=None,
-                          help="relative singular-value cutoff; ill_conditioned tightens "
-                               "the default to keep ranks coherent")
-    p_verify.add_argument("--format", choices=("text", "structured"), default="text")
+                          help="condition ratio for the ill_conditioned kind (default 1e4); "
+                               "the default tolerance is scaled by it and the default rank "
+                               "cutoff tightened to min(1e-12, 1e-3/target^2)")
+    _add_common_flags(p_verify)
     p_verify.set_defaults(fn=_cmd_verify)
 
     return parser
@@ -408,9 +352,6 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.fn(args)
-    except _InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR

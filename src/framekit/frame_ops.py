@@ -307,8 +307,8 @@ _OPERATORS = {
 
 
 def _in_range(name: str, form) -> np.ndarray:
-    """form(), a product that squares the frame's entries, computed without an
-    overflow warning; NumericalError names the operator if an entry overflows."""
+    """form(), a product that squares the frame's entries or an inverse, computed
+    without an overflow warning; NumericalError names the operator if an entry overflows."""
     with np.errstate(over="ignore", invalid="ignore"):
         out = form()
     if not np.isfinite(out).all():
@@ -603,6 +603,7 @@ def restricted(frame: FrameSequence, tol: Tolerance | None = None) -> Restricted
     W's columns are the kept left singular vectors of T, an orthonormal basis
     of V. The restricted frame operator W* S W is Hermitian positive definite
     with condition number upper/lower; its inverse realizes S's inversion on V.
+    Either one raises NumericalError naming it if an entry overflows.
     """
     analysis = _FrameAnalysis(frame, tol)
     f_t = analysis.f_t
@@ -611,9 +612,9 @@ def restricted(frame: FrameSequence, tol: Tolerance | None = None) -> Restricted
     w = f_t.left_vectors
     t_res = w.conj().T @ analysis["T"]
     u_res = adjoint(t_res)
-    s_res = _hermitize(t_res @ u_res)
+    s_res = _in_range("restricted frame operator W*SW", lambda: _hermitize(t_res @ u_res))
     try:
-        s_res_inv = np.linalg.inv(s_res)
+        s_res_inv = _in_range("inverse of W*SW", lambda: np.linalg.inv(s_res))
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"restricted frame operator is numerically singular: {exc}") from exc
     return RestrictedOperators(

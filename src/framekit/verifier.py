@@ -223,6 +223,15 @@ def _worst(*excesses: np.ndarray) -> float:
     return max(float(np.max(e, initial=0.0)) for e in excesses)
 
 
+def _check_count(name: str, value, positive: bool = False) -> None:
+    """Refuse a sample count that is a bool, not an integer, or negative (or
+    zero, where it must be positive), before anything is gated or drawn."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, not {type(value).__name__}")
+    if value < (1 if positive else 0):
+        raise ValueError(f"{name} must be {'positive' if positive else 'non-negative'}")
+
+
 def _suite_samples(frame: FrameSequence, count: int) -> dict:
     """The suite's seeded unit-column sample blocks: `signals` (signal space),
     then `coeffs` (coefficient space), drawn in that order from one stream."""
@@ -421,11 +430,13 @@ def run_identity_suite(frame: FrameSequence, tol: Tolerance | None = None,
     The sampled-vector checks draw from a fixed internal PCG64 stream, so
     repeated runs on the same sequence produce bitwise-identical reports.
     Degenerate sequences have no dual and raise DegenerateSpanError.
+    vector_samples must be a non-negative integer, else ValueError.
     """
     return _identity_suite(_FrameAnalysis(frame, tol), vector_samples)
 
 
 def _identity_suite(analysis: _FrameAnalysis, vector_samples: int) -> IdentityReport:
+    _check_count("vector_samples", vector_samples)
     # every gate runs before any row: the frame's gate on all three routes,
     # bounds and dual, then the dual's, each raising as it would
     analysis.gate("synthesis", "frame operator", "gram"), analysis.bounds
@@ -452,8 +463,10 @@ def polarization_check(frame: FrameSequence, pairs: int = 100,
     Rebuilds <G c, d> from the four squared Q-norms |Q(c±d)|^2, |Q(c±id)|^2
     for random pairs and compares against both A <Q c, d> and the direct
     gram inner product; also checks G = AQ and G† = Q/A as matrices.
-    Raises NotTightError when the sequence is not tight.
+    Raises NotTightError when the sequence is not tight, and ValueError
+    unless pairs is a non-negative integer.
     """
+    _check_count("pairs", pairs)
     analysis = _FrameAnalysis(frame, tol)
     if not analysis.classification.is_tight:
         raise NotTightError("polarization reconstruction requires a tight sequence")
@@ -475,13 +488,13 @@ def bounds_vs_sampling(frame: FrameSequence, samples: int = 10000,
     are drawn and evaluated 2^20 / max(m, r) at a time, so memory stays
     bounded; a larger count than that draws its stream block by block, which
     is not the stream one draw of every vector would give, but as fixed.
+    samples must be a positive integer, else ValueError.
     """
     return _sampling(_FrameAnalysis(frame, tol), samples)
 
 
 def _sampling(analysis: _FrameAnalysis, samples: int) -> CheckRecord:
-    if samples < 1:
-        raise ValueError("samples must be positive")
+    _check_count("samples", samples, positive=True)
     f_t = analysis.f_t
     if f_t.rank == 0:
         raise DegenerateSpanError("a degenerate sequence has no bounds to sample")

@@ -196,6 +196,14 @@ def test_verify_scales_tolerance_for_conditioning(capsys):
     assert doc["identity_abs"] == pytest.approx(1e-4)
 
 
+def test_verify_scales_an_env_tolerance_by_the_condition_target(monkeypatch, capsys):
+    monkeypatch.setenv("FRAMEKIT_TOL", "1e-9")
+    code = main(["verify", "--kind", "ill_conditioned", "--condition-target", "1e4",
+                 "--format", "structured"])
+    assert code == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["identity_abs"] == 1e-9 * 1e4
+
+
 def test_verify_rejects_bad_generator_request(capsys):
     code = main(["verify", "--kind", "duplicated", "--m", "1", "--seed", "0"])
     assert code == EXIT_INPUT_ERROR
@@ -296,6 +304,11 @@ def test_invalid_env_tolerance_exits_2(triple_doc, monkeypatch, capsys):
     monkeypatch.setenv("FRAMEKIT_TOL", "not-a-number")
     assert main(["analyze", triple_doc]) == EXIT_INPUT_ERROR
     assert "FRAMEKIT_TOL" in capsys.readouterr().err
+    monkeypatch.setenv("FRAMEKIT_TOL", "abc")
+    code = main(["verify", "--kind", "ill_conditioned", "--condition-target", "1e4",
+                 "--format", "structured"])
+    assert code == EXIT_INPUT_ERROR
+    assert "FRAMEKIT_TOL" in capsys.readouterr().err
 
 
 def test_flag_overrides_env(triple_doc, monkeypatch, capsys):
@@ -333,3 +346,76 @@ def test_strict_is_an_unknown_flag_where_it_cannot_act(command, tmp_path, capsys
     capsys.readouterr()
     assert main([command, doc, "--strict"]) == EXIT_INPUT_ERROR
     assert "unrecognized arguments: --strict" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------- text format
+# The human format byte for byte on the README's CLI example. The numbers
+# come from the structured report of the same invocation, so the pins hold
+# whatever the last bits of a BLAS result; every other character is literal.
+
+README_FRAME = [[1, 0], [0, 1], [1, 1]]
+
+
+def g(x):
+    return f"{x:.17g}"
+
+
+def text_and_doc(argv, capsys):
+    assert main(argv) == EXIT_OK
+    text = capsys.readouterr().out
+    assert main([*argv, "--format", "structured"]) == EXIT_OK
+    # parse_int=float keeps the sign of a -0 entry
+    return text, json.loads(capsys.readouterr().out, parse_int=float)
+
+
+def test_text_format_of_analyze_dual_and_reconstruct(tmp_path, capsys):
+    signal_doc = write_doc(tmp_path / "s.json", 2, README_FRAME, signal=[[1, 0], [2, 0]])
+    coeff_doc = write_doc(tmp_path / "c.json", 2, README_FRAME,
+                          coefficients=[[1, 0], [0, 2], [3, -1]])
+
+    text, doc = text_and_doc(["analyze", signal_doc], capsys)
+    assert text == (
+        "command: analyze\nambient dim: 2\nvector count: 3\nspan dim: 2\ndegenerate: no\n"
+        "frame for space: yes\nriesz basis: no\ntight: no\nparseval: no\nredundancy: 1.5\n"
+        f"lower bound: {g(doc['bounds']['lower'])}\nupper bound: {g(doc['bounds']['upper'])}\n"
+    )
+
+    text, doc = text_and_doc(["dual", signal_doc], capsys)
+    vectors = ",".join(
+        "\n    [" + ",".join(f"\n      [\n        {g(re)},\n        {g(im)}\n      ]"
+                         for re, im in vector) + "\n    ]"
+        for vector in doc["vectors"]
+    )
+    assert text == '{\n  "ambient_dim": 2,\n  "vectors": [' + vectors + "\n  ]\n}\n"
+
+    for path, mode, payload_key, item in [(signal_doc, "signal", "coefficients", "coefficient"),
+                                          (coeff_doc, "coefficients", "signal", "signal")]:
+        text, doc = text_and_doc(["reconstruct", path], capsys)
+        assert text == (
+            f"mode: {mode}\n"
+            + "".join(f"{item} {k}: {g(re)} {g(im)}\n"
+                      for k, (re, im) in enumerate(doc[payload_key]))
+            + f"residual norm: {g(doc['residual_norm'])}\n"
+            + f"norm split: {g(doc['norm_split'][0])} {g(doc['norm_split'][1])}\n"
+        )
+
+
+@pytest.mark.parametrize("kind, header", [
+    ("tight", "trials: 1000\nidentity abs: 1e-10\nrank rel: 9.9999999999999998e-13\n"
+              "span dim: 3\ntight: yes\n"),
+    # the condition target follows the seed; 1e-10 * 1e4 is 9.9999999999999995e-07
+    ("ill_conditioned", "condition target: 10000\ntrials: 1000\n"
+                        "identity abs: 9.9999999999999995e-07\n"
+                        "rank rel: 9.9999999999999998e-13\nspan dim: 3\ntight: no\n"),
+])
+def test_text_format_of_verify(kind, header, monkeypatch, capsys):
+    monkeypatch.delenv("FRAMEKIT_TOL", raising=False)
+    text, doc = text_and_doc(["verify", "--kind", kind, "--n", "3", "--m", "6", "--seed", "4",
+                              "--trials", "1000"], capsys)
+    assert len(doc["checks"]) > 20
+    checks = "".join(
+        f"{'PASS' if check['passed'] else 'FAIL'} {check['name']}: {check['formula']} "
+        f"(deviation {g(check['deviation'])}, tolerance {g(check['tolerance'])})\n"
+        for check in doc["checks"]
+    )
+    assert text == f"kind: {kind}\nn: 3\nm: 6\nseed: 4\n" + header + checks + "verdict: PASS\n"

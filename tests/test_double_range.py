@@ -8,7 +8,8 @@ themselves stay representable. Either way the caller gets NumericalError
 whose largest entry 1/sigma_r would overflow raises NumericalError naming
 sigma_r before anything is divided; so does a tight frame's P/A or Q/A
 when 1/A overflows. A frame operator S or gram core R1 R1* whose entries
-overflow raises NumericalError naming it, without an overflow warning.
+overflow raises NumericalError naming it, without an overflow warning; so
+do the restricted frame operator W*SW and its inverse.
 
 Reconstruction takes its input's norms without squaring entries, so its
 residual ceilings stay finite for entries beyond 1.3e154, and a norm_split
@@ -16,6 +17,7 @@ component whose square leaves the double range raises NumericalError too.
 """
 
 import json
+import re
 import warnings
 
 import numpy as np
@@ -36,6 +38,7 @@ from framekit import (
     project_coefficients,
     pseudo_frame_operator,
     pseudo_gram,
+    restricted,
     svd,
 )
 from framekit.cli import EXIT_VERIFICATION_FAILED, main
@@ -112,6 +115,20 @@ def test_operators_outside_the_double_range_raise(entry, operator):
         warnings.simplefilter("error")
         with pytest.raises(NumericalError, match=f"the {operator}.* leaves the double range"):
             entry(frame)
+
+
+@pytest.mark.parametrize("exponent, operator", [
+    (520, "restricted frame operator W*SW"),
+    (540, "restricted frame operator W*SW"),
+    (-520, "inverse of W*SW"),  # W*SW's entries near 2^-1040 are subnormal
+])
+def test_restricted_operators_outside_the_double_range_raise(exponent, operator):
+    frame = scaled("gaussian", 2, exponent)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError,
+                           match=re.escape(f"the {operator} leaves the double range")):
+            restricted(frame)
 
 
 def test_cli_dual_reports_a_frame_operator_outside_the_double_range(tmp_path, capsys):

@@ -198,6 +198,24 @@ def test_report_failure_accounting():
     assert report.to_dict()["passed"] is False
 
 
+# -------------------------------------------------------------- sample counts
+
+@pytest.mark.parametrize("entry, name", [
+    (lambda frame, count: run_identity_suite(frame, vector_samples=count), "vector_samples"),
+    (lambda frame, count: polarization_check(frame, pairs=count), "pairs"),
+    (lambda frame, count: bounds_vs_sampling(frame, samples=count), "samples"),
+], ids=["run_identity_suite", "polarization_check", "bounds_vs_sampling"])
+@pytest.mark.parametrize("count", [-1, 0, 2.5, True, np.float64(3.0), "3"])
+def test_sample_counts_follow_one_rule(entry, name, count):
+    if count == 0 and name != "samples":  # zero draws nothing, and is valid
+        assert entry(generate(spec_for("tight")), count).passed
+        return
+    # a degenerate frame: the count is refused before a gate could refuse the frame
+    zero = FrameSequence.from_vectors([np.zeros(2, dtype=complex)])
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        entry(zero, count)
+
+
 # ---------------------------------------------------------------- polarization
 
 def test_polarization_on_tight_frame():

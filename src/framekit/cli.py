@@ -20,8 +20,8 @@ given; dual and reconstruct cannot proceed without a span).
 The default identity tolerance is 1e-10, overridable by the FRAMEKIT_TOL
 environment variable and, with higher precedence, the --tolerance flag.
 verify scales that default, FRAMEKIT_TOL included, by an ill_conditioned
-frame's condition target κ, and tightens the default rank cutoff 1e-12 to
-min(1e-12, 1e-3/κ²).
+frame's condition target κ. The rank cutoff --rank-rel defaults to 1e-12 for
+every command.
 """
 
 from __future__ import annotations
@@ -37,7 +37,8 @@ from .errors import DegenerateSpanError, FramekitError
 from .frame_ops import FrameSequence, _FrameAnalysis, canonical_dual
 from .matrix_core import DEFAULT_TOLERANCE, Tolerance
 from .reconstruct import min_norm_coefficients, min_norm_preimage
-from .verifier import GENERATOR_KINDS, GeneratorSpec, _identity_suite, _sampling, generate
+from .verifier import (GENERATOR_KINDS, GeneratorSpec, _check_count, _identity_suite, _sampling,
+                       generate)
 
 EXIT_OK = 0
 EXIT_VERIFICATION_FAILED = 1
@@ -159,13 +160,9 @@ def _parse_frame(doc: dict, path: str) -> FrameSequence:
 
 def _tolerance(identity_abs: float | None, rank_rel: float | None,
                kappa: float = 1.0) -> Tolerance:
-    """Tolerance from explicit values; each unset one takes its default for a
-    condition ratio kappa (verify's ill_conditioned target, else 1).
-
-    identity_abs defaults to FRAMEKIT_TOL, else 1e-10, times kappa, since
-    conditioning eats precision. rank_rel defaults to min(1e-12, 1e-3/kappa²),
-    which keeps sigma(S) ~ sigma(T)² above the cutoff.
-    """
+    """Tolerance from explicit values. Unset, identity_abs is FRAMEKIT_TOL, else 1e-10,
+    times the condition ratio kappa (verify's ill_conditioned target, else 1), since
+    conditioning eats precision, and rank_rel is 1e-12."""
     if identity_abs is None:
         env = os.environ.get("FRAMEKIT_TOL")
         try:
@@ -173,16 +170,8 @@ def _tolerance(identity_abs: float | None, rank_rel: float | None,
         except ValueError as exc:
             raise ValueError(f"FRAMEKIT_TOL is not a number: {env!r}") from exc
         identity_abs = base * kappa
-    if rank_rel is None:
-        # a float product overflows to inf where kappa**2 raises, and the cutoff is then 0
-        derived = 1e-3 / (kappa * kappa)
-        if derived == 0.0:
-            raise ValueError(
-                f"condition_target {kappa:.3e} is too large to derive rank_rel from "
-                "(1e-3 / condition_target^2 underflows to 0); pass --rank-rel"
-            )
-        rank_rel = min(DEFAULT_TOLERANCE.rank_rel, derived)
-    return Tolerance(rank_rel=rank_rel, identity_abs=identity_abs)
+    return Tolerance(rank_rel=DEFAULT_TOLERANCE.rank_rel if rank_rel is None else rank_rel,
+                     identity_abs=identity_abs)
 
 
 def _cmd_analyze(args) -> int:
@@ -263,6 +252,7 @@ def _cmd_verify(args) -> int:
     spec = GeneratorSpec(kind=args.kind, n=args.n, m=args.m, seed=args.seed,
                          condition_target=condition_target)
     tol = _tolerance(args.tolerance, args.rank_rel, kappa=condition_target or 1.0)
+    _check_count("samples", args.trials, positive=True)  # an input error, before the suite
     analysis = _FrameAnalysis(generate(spec), tol)  # the suite, sampling and verdict share T's SVD
     report = _identity_suite(analysis, vector_samples=50)
     records = list(report.records) + [_sampling(analysis, samples=args.trials)]
@@ -336,8 +326,7 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="samples for the Rayleigh envelope check (default 1000)")
     p_verify.add_argument("--condition-target", type=float, default=1e4,
                           help="condition ratio for the ill_conditioned kind (default 1e4); "
-                               "the default tolerance is scaled by it and the default rank "
-                               "cutoff tightened to min(1e-12, 1e-3/target^2)")
+                               "the default tolerance is scaled by it")
     _add_common_flags(p_verify)
     p_verify.set_defaults(fn=_cmd_verify)
 

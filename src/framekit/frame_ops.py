@@ -32,6 +32,7 @@ from .matrix_core import (
     DEFAULT_TOLERANCE,
     SvdFactors,
     Tolerance,
+    _gram_floor,
     _hermitize,
     _phased_svd,
     _projector,
@@ -41,7 +42,6 @@ from .matrix_core import (
     as_vector,
     max_abs,
     pinv_from_factors,
-    svd,
 )
 
 __all__ = [
@@ -367,8 +367,9 @@ class _FrameAnalysis:
 
     T is the frame's stored matrix, and f_t truncates the frame's own
     factors of T (FrameSequence._svd) under this tolerance. S and G are each
-    factored on first use, once per analysis, so every result is still
-    checked against a factorization made in its own call. G = U U* is
+    factored on first use, once per analysis, and cut their own spectra at
+    T's cutoff squared (see matrix_core._truncated), so every result is
+    still checked against a factorization made in its own call. G = U U* is
     factored through U = Q1 R1 as Q1 (R1 R1*) Q1*, an SVD of the min(n, m)
     square core, not of the m x m G. G's two self-checks read its m x r
     factors L_g, lambda_g, R_g: 'G G+ = Q' measures how far G R_g / lambda_g
@@ -446,17 +447,17 @@ class _FrameAnalysis:
 
     @cached_property
     def f_s(self) -> SvdFactors:
-        return svd(self["S"], self.tol)
+        return _truncated(_phased_svd(self["S"]), self.tol, max(self["T"].shape))
 
     @cached_property
     def f_g(self) -> SvdFactors:
-        # Q1 is m x k and the core k x k, k = min(n, m); the lifted factors
-        # are m x k, so _truncated's cutoff still scales with m
+        # Q1 is m x k and the core k x k, k = min(n, m)
         q1, r1 = np.linalg.qr(self["U"])
         core = _phased_svd(_in_range("gram matrix G's core R1 R1*",
                                      lambda: _hermitize(r1 @ r1.conj().T)))
         left, right = (_frozen(q1 @ x) for x in (core.left_vectors, core.right_vectors))
-        return _truncated(SvdFactors(left, core.singular_values, right, core.rank), self.tol)
+        return _truncated(SvdFactors(left, core.singular_values, right, core.rank), self.tol,
+                          max(self["T"].shape))
 
     def spectral_norm(self, name: str) -> float:
         """Spectral norm of T, S, G (sigma_1) or T+, S+, G+ (1 / sigma_r), read off
@@ -475,8 +476,9 @@ class _FrameAnalysis:
         if len(set(ranks.values())) != 1:
             detail = ", ".join(f"{name} rank {r}" for name, r in ranks.items())
             raise NumericalError(
-                "rank thresholds disagree between operator routes "
-                f"({detail}); tighten rank_rel for sequences conditioned this badly"
+                f"rank thresholds disagree between operator routes ({detail}); S and G square "
+                "T's singular values and resolve no sigma_r/sigma_1 below their resolution limit "
+                f"sqrt(10 max(n, m) eps) = {math.sqrt(_gram_floor(max(self['T'].shape))):.3e}"
             )
         for name, (route, identity) in _SELF_CHECKS.items():
             if {"synthesis", route} <= set(routes):
@@ -550,9 +552,9 @@ def build_bundle(frame: FrameSequence, tol: Tolerance | None = None) -> Operator
     factors, P, Q and T+ from T's. Rank decisions that disagree between the
     three routes, or self-check residuals above tol.identity_abs (or NaN),
     raise NumericalError: such a bundle would silently violate the relations
-    everything downstream relies on. A rank-threshold disagreement usually
-    means the sequence is conditioned beyond what rank_rel resolves; tighten
-    rank_rel to keep the routes aligned.
+    everything downstream relies on. S and G keep T's rank decision squared
+    (see Tolerance), so the routes disagree only past their resolution limit,
+    sigma_r/sigma_1 below sqrt(10 max(n, m) eps), for any rank_rel >= 10 eps.
     """
     return _FrameAnalysis(frame, tol).bundle
 

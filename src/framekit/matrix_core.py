@@ -37,7 +37,8 @@ class Tolerance:
     """Numerical thresholds used throughout the library.
 
     rank_rel      relative singular-value cutoff; sigma_i is kept iff
-                  sigma_i > rank_rel * max(rows, cols) * sigma_max
+                  sigma_i > rank_rel * max(rows, cols) * sigma_max; S and G
+                  keep T's decision squared, floored at 10 max(n, m) eps
     identity_abs  absolute ceiling for operator-identity residuals
     tightness_rel relative slack for declaring bounds equal (tight) or one
                   (Parseval)
@@ -146,11 +147,21 @@ def _phased_svd(m: np.ndarray) -> SvdFactors:
     return SvdFactors(left_vectors=u, singular_values=s, right_vectors=v, rank=s.size)
 
 
-def _truncated(full: SvdFactors, tol: Tolerance) -> SvdFactors:
-    """The leading factors of an untruncated SVD that survive tol's rank cutoff."""
+def _gram_floor(dim: int) -> float:
+    """Relative rounding level of fl(T T*) for max(n, m) = dim of T (Weyl's inequality)."""
+    return 10.0 * dim * np.finfo(np.float64).eps
+
+
+def _truncated(full: SvdFactors, tol: Tolerance, gram_dim: int | None = None) -> SvdFactors:
+    """The leading factors of an untruncated SVD that survive tol's rank cutoff:
+    sigma > c sigma_1, c = rank_rel * max(rows, cols). Factors of T T* or T* T,
+    gram_dim = max(n, m) of T, keep T's decision squared, (rank_rel gram_dim)^2,
+    floored at min(c, _gram_floor): the cap drops nothing that c would keep."""
     s = full.singular_values
-    cutoff = tol.rank_rel * max(full.left_vectors.shape[0], full.right_vectors.shape[0]) * s[0]
-    rank = int(np.count_nonzero(s > cutoff))
+    c = tol.rank_rel * max(full.left_vectors.shape[0], full.right_vectors.shape[0])
+    if gram_dim is not None:
+        c = max((tol.rank_rel * gram_dim) ** 2, min(c, _gram_floor(gram_dim)))
+    rank = int(np.count_nonzero(s > c * s[0]))
     return SvdFactors(left_vectors=full.left_vectors[:, :rank], singular_values=s[:rank],
                       right_vectors=full.right_vectors[:, :rank], rank=rank)
 

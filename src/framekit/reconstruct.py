@@ -9,9 +9,9 @@ Each entry point gates on the frame routes it reads and returns what its
 gate already checked: T+ from T's kept factors, which the T/S gate holds
 against T* S+ (so T+ f = (S+ T)* f and (T+)* c = S+ T c), or an orthonormal
 basis of range(U) from the G route. It then checks its defining identity: a
-residual beyond tolerance, or NaN, raises NumericalError. No result goes
-through S+ or G+ again, so its error grows with T's condition number, not
-with its square.
+residual beyond tolerance, scaled by the norms of the vectors that enter
+it, or NaN, raises NumericalError. No result goes through S+ or G+ again,
+so its error grows with T's condition number, not with its square.
 """
 
 from __future__ import annotations
@@ -79,9 +79,14 @@ def _norm(v: np.ndarray, factor: float = 1.0) -> float:
     return factor * scale * float(np.linalg.norm(v / scale))
 
 
-def _limit(a: _FrameAnalysis, v: np.ndarray) -> float:
-    """Residual ceiling for an identity applied to the input v: identity_abs * max(1, |v|)."""
-    return max(a.tol.identity_abs, _norm(v, a.tol.identity_abs))
+def _limit(a: _FrameAnalysis, v: np.ndarray, x: np.ndarray | None = None) -> float:
+    """Residual ceiling identity_abs * max(1, |v| + |T| |x|) for an identity whose
+    sides carry v and, when x is given, T or U applied to x: rounding grows
+    with the norms that enter the identity, as in scaled_deviation."""
+    ceiling = _norm(v, a.tol.identity_abs)
+    if x is not None:
+        ceiling += _norm(x, a.tol.identity_abs * a.spectral_norm("T"))
+    return max(a.tol.identity_abs, ceiling)
 
 
 def _range_part(basis: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -126,9 +131,8 @@ def min_norm_coefficients(frame: FrameSequence, signal,
     f = as_vector(signal, frame.ambient_dim, name="signal")
     c0 = a["T+"] @ f
     projected = a["P"] @ f
-    limit = _limit(a, f)
-    _require(max_abs(a["T"] @ c0 - projected), limit, "T c0 = P f")
-    _require(max_abs(_range_part(a.f_t.right_vectors, c0) - c0), limit, "Q c0 = c0")
+    _require(max_abs(a["T"] @ c0 - projected), _limit(a, f, c0), "T c0 = P f")
+    _require(max_abs(_range_part(a.f_t.right_vectors, c0) - c0), _limit(a, c0), "Q c0 = c0")
     return _solution(c0, projected, f - projected)
 
 
@@ -146,7 +150,7 @@ def min_norm_preimage(frame: FrameSequence, coefficients,
     c = as_vector(coefficients, frame.size, name="coefficients")
     f0 = a["T+"].conj().T @ c
     q_part = _range_part(a.f_t.right_vectors, c)
-    _require(max_abs(a["U"] @ f0 - q_part), _limit(a, c), "U f0 = Q c")
+    _require(max_abs(a["U"] @ f0 - q_part), _limit(a, c, f0), "U f0 = Q c")
     return _solution(f0, q_part, c - q_part)
 
 
@@ -157,12 +161,13 @@ def project_signal(frame: FrameSequence, signal,
     Evaluates sum_k <f, S+ f_k> f_k as T (T+ f), the synthesis of the dual
     coefficients, and checks the result against the projector matrix P
     applied to f; the two routes must agree within tol.identity_abs (scaled
-    by the signal's norm).
+    by |f| + |T| |T+ f|).
     """
     a = _gated_analysis(frame, tol, "frame operator")
     f = as_vector(signal, frame.ambient_dim, name="signal")
-    series = a["T"] @ (a["T+"] @ f)
-    _require(max_abs(series - a["P"] @ f), _limit(a, f), "series equals P f")
+    coefficients = a["T+"] @ f
+    series = a["T"] @ coefficients
+    _require(max_abs(series - a["P"] @ f), _limit(a, f, coefficients), "series equals P f")
     return series
 
 

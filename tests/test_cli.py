@@ -220,15 +220,23 @@ def test_verify_rejects_a_bad_condition_target_before_scaling_by_it(kappa, capsy
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("kappa", ["1e155", "1e200", "1.7e308"])
-def test_verify_refuses_a_condition_target_too_large_for_rank_rel(kappa, capsys):
-    # rank_rel is derived as 1e-3 / kappa^2, which underflows to 0 once kappa^2
-    # overflows (from about 1.34e154); the target is named, with no traceback
-    code = main(["verify", "--kind", "ill_conditioned", "--condition-target", kappa])
-    err = capsys.readouterr().err
-    assert code == EXIT_INPUT_ERROR
-    assert "condition_target" in err
+def test_verify_keeps_the_default_rank_cutoff_for_a_huge_condition_target(capsys):
+    # the condition target scales identity_abs only; rank_rel is not derived from it
+    code = main(["verify", "--kind", "ill_conditioned", "--condition-target", "1e200",
+                 "--format", "structured"])
+    out, err = capsys.readouterr()
+    assert code in (EXIT_OK, EXIT_VERIFICATION_FAILED)
+    assert json.loads(out)["rank_rel"] == 1e-12
     assert "Traceback" not in err
+
+
+def test_verify_refuses_a_bad_trial_count_before_the_suite(capsys):
+    # the rank gate refuses this frame; the trial count is an input error
+    # and is checked first
+    code = main(["verify", "--kind", "ill_conditioned", "--condition-target", "1e12",
+                 "--rank-rel", "1e-12", "--trials", "0"])
+    assert code == EXIT_INPUT_ERROR
+    assert "samples" in capsys.readouterr().err
 
 
 # ----------------------------------------------------------- document errors

@@ -180,14 +180,15 @@ def test_bundle_arrays_are_read_only():
 
 
 def test_rank_route_disagreement_raises():
-    # sigma(T) = {1, 3e-7} keeps T at rank 2, but sigma(S) = {1, 9e-14}
-    # falls under the cutoff, so the routes disagree
-    frame = seq([1.0, 0.0], [0.0, 3e-7])
+    # sigma(T) = {1, 1e-8} keeps T at rank 2, but sigma(S) = {1, 1e-16} falls
+    # under S's rounding floor 10 * 2 * eps, so the routes disagree
+    frame = seq([1.0, 0.0], [0.0, 1e-8])
     with pytest.raises(NumericalError):
         build_bundle(frame)
-    tightened = Tolerance(rank_rel=1e-15)
-    b = build_bundle(frame, tightened)
-    assert b.span_dim == 2
+    # a rank_rel that drops sigma_2 from T brings the routes to rank 1; the
+    # dropped sigma_2 stays in P T - T, so identity_abs must admit it
+    b = build_bundle(frame, Tolerance(rank_rel=1e-8, identity_abs=1e-7))
+    assert b.span_dim == 1
 
 
 def test_degenerate_frame_bounds_raise():

@@ -15,6 +15,7 @@ from framekit import (
     DegenerateSpanError,
     FrameSequence,
     GeneratorSpec,
+    NumericalError,
     build_bundle,
     generate,
     min_norm_coefficients,
@@ -267,3 +268,31 @@ def test_reconstruction_error_grows_with_kappa_not_its_square(kind, kappa, n, m)
             ]
             for out, ref in results:
                 assert np.max(np.abs(out - ref)) <= bound * np.max(np.abs(ref))
+
+
+RECONSTRUCTIONS = {
+    "min_norm_coefficients": (min_norm_coefficients, "n"),
+    "min_norm_preimage": (min_norm_preimage, "m"),
+    "project_signal": (project_signal, "n"),
+    "project_coefficients": (project_coefficients, "m"),
+}
+
+
+@pytest.mark.parametrize("name", RECONSTRUCTIONS)
+@pytest.mark.parametrize("kind", ["gaussian", "tight", "rank_deficient"])
+def test_result_checks_follow_the_frame_across_scales(kind, name):
+    # scaling T by 2^k scales T+ f by 2^-k; each result check scales with
+    # the norms that enter it, so no scale makes an honest call refuse
+    entry, side = RECONSTRUCTIONS[name]
+    refused = []
+    for n, m in [(4, 6), (16, 32)]:
+        t = generate(GeneratorSpec(kind, n, m, 2)).synthesis_matrix()
+        x = random_vector(np.random.default_rng(2), n if side == "n" else m)
+        x /= np.linalg.norm(x)
+        for k in range(-40, 41, 4):
+            frame = FrameSequence.from_vectors(list((t * 2.0**k).T), ambient_dim=n)
+            try:
+                entry(frame, x)
+            except NumericalError as exc:
+                refused.append((n, m, k, str(exc)))
+    assert refused == []

@@ -8,6 +8,8 @@ with T therefore still has minimum-norm solutions, while everything that
 reads G+ refuses it.
 """
 
+from functools import cached_property
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,8 @@ from framekit import (
     FrameSequence,
     GeneratorSpec,
     NumericalError,
+    SvdFactors,
+    DEFAULT_TOLERANCE,
     Tolerance,
     build_bundle,
     canonical_dual,
@@ -26,15 +30,26 @@ from framekit import (
     pseudo_frame_operator,
     pseudo_gram,
 )
+from framekit.frame_ops import _FrameAnalysis
 
 LOOSE = Tolerance(identity_abs=1e-6)
 
 
-@pytest.fixture(scope="module")
-def wide():
-    # rank 2 with sigma = (1, 1e-5). The rank cutoff scales with the
-    # matrix's size: S (2 x 2) keeps sigma_2^2 = 1e-10 above 2e-12, while
-    # G (200 x 200) drops it below 2e-10, so only the G route says rank 1
+@pytest.fixture
+def wide(monkeypatch):
+    # rank 2 with sigma = (1, 1e-5), whose G route drops its last kept
+    # factor, so only the G route says rank 1
+    original = _FrameAnalysis.f_g.func
+
+    def dropped(a):
+        f_g = original(a)
+        keep = f_g.rank - 1
+        return SvdFactors(f_g.left_vectors[:, :keep], f_g.singular_values[:keep],
+                          f_g.right_vectors[:, :keep], keep)
+
+    faulty = cached_property(dropped)
+    faulty.__set_name__(_FrameAnalysis, "f_g")
+    monkeypatch.setattr(_FrameAnalysis, "f_g", faulty)
     return generate(GeneratorSpec("ill_conditioned", 2, 200, 0, condition_target=1e5))
 
 
@@ -62,6 +77,37 @@ def test_results_reading_s_accept_a_frame_whose_gram_route_disagrees(wide):
 def test_results_reading_g_refuse_a_frame_whose_gram_route_disagrees(wide, call):
     with pytest.raises(NumericalError, match="gram rank 1"):
         call(wide)
+
+
+ROUTE_READERS = {
+    "build_bundle": build_bundle,
+    "canonical_dual": canonical_dual,
+    "min_norm_coefficients": lambda frame, tol: min_norm_coefficients(
+        frame, np.ones(frame.ambient_dim), tol),
+    "min_norm_preimage": lambda frame, tol: min_norm_preimage(frame, np.ones(frame.size), tol),
+    "project_signal": lambda frame, tol: project_signal(frame, np.ones(frame.ambient_dim), tol),
+    "project_coefficients": lambda frame, tol: project_coefficients(
+        frame, np.ones(frame.size), tol),
+}
+
+
+@pytest.mark.parametrize("name", ROUTE_READERS)
+@pytest.mark.parametrize("kappa", [1e2, 1e4, 1e5, 1e6])
+def test_routes_agree_on_rank_within_the_resolution_limit(kappa, name):
+    # S and G keep T's rank decision squared, floored at their rounding
+    # level, so under the default tolerance they resolve sigma_r / sigma_1
+    # down to sqrt(10 max(n, m) eps), about 1e-7 to 5e-7 here
+    for n, m in [(4, 6), (16, 32), (64, 128)]:
+        for seed in range(2):
+            frame = generate(GeneratorSpec("ill_conditioned", n, m, seed, condition_target=kappa))
+            ROUTE_READERS[name](frame, DEFAULT_TOLERANCE)
+
+
+@pytest.mark.parametrize("name", ROUTE_READERS)
+def test_routes_past_the_resolution_limit_refuse_and_name_it(name):
+    frame = generate(GeneratorSpec("ill_conditioned", 16, 32, 0, condition_target=1e8))
+    with pytest.raises(NumericalError, match=r"resolution limit sqrt\(10 max\(n, m\) eps\)"):
+        ROUTE_READERS[name](frame, DEFAULT_TOLERANCE)
 
 
 def test_canonical_dual_of_an_underflowing_frame_raises_numerical_error():

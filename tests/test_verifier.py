@@ -168,10 +168,10 @@ def test_suite_scaled_tolerance_covers_harsh_conditioning():
 
 
 def test_harsh_conditioning_without_tightened_cutoff_is_caught():
-    # at target 1e6 the squared spectrum of S dips under the default rank
-    # cutoff; the two rank routes disagree and the bundle refuses to guess
+    # at target 1e8 the squared spectrum of S dips under its rounding floor;
+    # the two rank routes disagree and the bundle refuses to guess
     frame = generate(spec_for("ill_conditioned", n=6, m=10, seed=77,
-                              condition_target=1e6))
+                              condition_target=1e8))
     with pytest.raises(NumericalError):
         run_identity_suite(frame)
 

@@ -34,6 +34,7 @@ from .matrix_core import (
     Tolerance,
     _gram_floor,
     _hermitize,
+    _norm,
     _phased_svd,
     _projector,
     _reciprocal_sigma_r,
@@ -149,7 +150,8 @@ class FrameSequence:
         sum(|f_k|^2) over the dropped tail here; it is validated and echoed
         for reporting. No convergence claims are made on the caller's behalf.
         """
-        if not (isinstance(tail_energy, (int, float)) and math.isfinite(tail_energy)):
+        if isinstance(tail_energy, bool) or not (isinstance(tail_energy, (int, float))
+                                                  and math.isfinite(tail_energy)):
             raise ValueError("tail_energy must be a finite number")
         if tail_energy < 0.0:
             raise ValueError("tail_energy cannot be negative")
@@ -260,12 +262,16 @@ def scaled_deviation(lhs, rhs, factors=()) -> float:
     A floating-point product carries absolute error on the order of
     eps * prod(|factor|), so the residual is divided by max(1, that product)
     to stay comparable with identity_abs across well and badly scaled inputs.
+    Each factor's Frobenius norm is taken by matrix_core._norm, which rescales
+    where squaring the entries would overflow or underflow, so the deviation
+    stays meaningful wherever the norms themselves are in range.
     """
-    return _deviation(lhs, rhs, [float(np.linalg.norm(f)) for f in factors])
+    return _deviation(lhs, rhs, [_norm(f) for f in factors])
 
 
 def _deviation(lhs, rhs, norms) -> float:
-    """scaled_deviation with the factors' Frobenius norms already taken."""
+    """scaled_deviation with the factors' norms already taken: the one residual
+    rule of the gate, the identity suite and the reconstruction checks."""
     scale = 1.0
     for norm in norms:
         scale *= norm
@@ -405,11 +411,11 @@ class _FrameAnalysis:
         return self._operators[name]
 
     def norm(self, name: str) -> float:
-        """Frobenius norm of the named operator, taken once."""
+        """Frobenius norm of the named operator, taken once (see matrix_core._norm)."""
         if name.startswith("~"):
             return self.dual.norm(name[1:])
         if name not in self._norms:
-            self._norms[name] = float(np.linalg.norm(self[name]))
+            self._norms[name] = _norm(self[name])
         return self._norms[name]
 
     def _product(self, names: tuple):
@@ -492,19 +498,10 @@ class _FrameAnalysis:
     @cached_property
     def bundle(self) -> OperatorBundle:
         self.gate(*_ROUTES)
-        return OperatorBundle(
-            synthesis=_frozen(self["T"]),
-            analysis=_frozen(self["U"]),
-            frame_operator=_frozen(self["S"]),
-            gram=_frozen(self["G"]),
-            span_projector=_frozen(self["P"]),
-            coefficient_projector=_frozen(self["Q"]),
-            synthesis_pinv=_frozen(self["T+"]),
-            frame_operator_pinv=_frozen(self["S+"]),
-            gram_pinv=_frozen(self["G+"]),
-            span_dim=self.f_t.rank,
-            tol=self.tol,
-        )
+        # the bundle's operator fields, in order, by the paper's names
+        names = ("T", "U", "S", "G", "P", "Q", "T+", "S+", "G+")
+        return OperatorBundle(*(_frozen(self[name]) for name in names),
+                              span_dim=self.f_t.rank, tol=self.tol)
 
     @cached_property
     def bounds(self) -> FrameBounds:

@@ -43,7 +43,8 @@ class Tolerance:
     tightness_rel relative slack for declaring bounds equal (tight) or one
                   (Parseval)
 
-    All three must be finite and positive, else ValueError names the field.
+    All three must be finite and positive numbers, not bools, else ValueError
+    names the field.
     """
 
     rank_rel: float = 1e-12
@@ -51,6 +52,9 @@ class Tolerance:
     tightness_rel: float = 1e-8
 
     def __post_init__(self) -> None:
+        for name in ("rank_rel", "identity_abs", "tightness_rel"):
+            if isinstance(getattr(self, name), bool):  # True would read as 1.0
+                raise ValueError(f"{name} must be a number, not a bool")
         if not 0.0 < self.rank_rel < 1.0:
             raise ValueError("rank_rel must lie strictly between 0 and 1")
         for name in ("identity_abs", "tightness_rel"):
@@ -259,3 +263,21 @@ def max_abs(values) -> float:
     """Largest entry magnitude; 0.0 for an empty array."""
     a = np.asarray(values)
     return float(np.max(np.abs(a))) if a.size else 0.0
+
+
+def _norm(x, factor: float = 1.0) -> float:
+    """factor * |x|: the 2-norm of a vector or the Frobenius norm of a matrix,
+    inf beyond the double range. np.linalg.norm sums squares; a finite result
+    below 2^512 has not overflowed, and from 2^-500 up the squares lost to
+    underflow (at most 2^-1075 each) stay below its rounding, so it stands.
+    Outside that window the norm is taken on x scaled by an exact power of two,
+    as LAPACK's xLASSQ scales, and factor is applied before the scale is undone."""
+    with np.errstate(over="ignore", under="ignore"):
+        norm = float(np.linalg.norm(x))
+        if 2.0**-500 <= norm < 2.0**512:
+            return factor * norm
+        scale = max_abs(x)
+        if not 0.0 < scale < math.inf:  # all zero, or a non-finite entry
+            return factor * scale
+        exponent = math.frexp(scale)[1]
+        return float(np.ldexp(factor * np.linalg.norm(np.ldexp(np.abs(x), -exponent)), exponent))

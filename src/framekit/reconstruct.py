@@ -8,10 +8,11 @@ argument: <x, y> = sum_j x_j * conj(y_j).
 Each entry point gates on the frame routes it reads and returns what its
 gate already checked: T+ from T's kept factors, which the T/S gate holds
 against T* S+ (so T+ f = (S+ T)* f and (T+)* c = S+ T c), or an orthonormal
-basis of range(U) from the G route. It then checks its defining identity: a
-residual beyond tolerance, scaled by the norms of the vectors that enter
-it, or NaN, raises NumericalError. No result goes through S+ or G+ again,
-so its error grows with T's condition number, not with its square.
+basis of range(U) from the G route. It then checks its defining identity by
+the gate's rule (frame_ops._deviation): a residual beyond identity_abs, scaled
+by the norms that enter it (matrix_core._norm), or NaN, raises NumericalError.
+No result goes through S+ or G+ again, so its error grows with T's condition
+number, not with its square.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateSpanError, NumericalError
-from .frame_ops import FrameSequence, _FrameAnalysis
-from .matrix_core import Tolerance, as_vector, max_abs
+from .frame_ops import FrameSequence, _deviation, _FrameAnalysis
+from .matrix_core import Tolerance, _norm, as_vector
 
 __all__ = [
     "MinNormSolution",
@@ -57,36 +58,18 @@ class MinNormSolution:
             raise ValueError("norm_split components must be nonnegative")
 
 
-def _require(condition_dev: float, limit: float, what: str) -> None:
-    if not condition_dev <= limit:
+def _check(a: _FrameAnalysis, what: str, lhs: np.ndarray, rhs: np.ndarray,
+           v: np.ndarray, x: np.ndarray | None = None) -> None:
+    """Refuse unless lhs = rhs within identity_abs, the residual scaled by
+    |v| + |T| |x| for an identity whose sides carry v and, when x is given, T or
+    U applied to x: rounding grows with the norms that enter the identity."""
+    scale = _norm(v) + (0.0 if x is None else _norm(x, a.spectral_norm("T")))
+    dev = _deviation(lhs, rhs, [scale])
+    if not dev <= a.tol.identity_abs:
         raise NumericalError(
-            f"reconstruction self-check '{what}' deviates by {condition_dev:.3e}, "
-            f"beyond {limit:.3e}"
+            f"reconstruction self-check '{what}' deviates by {dev:.3e}, "
+            f"beyond {a.tol.identity_abs:.3e}"
         )
-
-
-def _norm(v: np.ndarray, factor: float = 1.0) -> float:
-    """factor * |v|_2, taken on v scaled by its largest entry.
-
-    np.linalg.norm squares the entries, so it overflows from entries of
-    about 1.3e154 on even when the norm itself is in range. The factor is
-    applied to the scale first, so a product in range stays finite even
-    when |v| is not.
-    """
-    scale = max_abs(v)
-    if not 0.0 < scale < math.inf:
-        return factor * scale
-    return factor * scale * float(np.linalg.norm(v / scale))
-
-
-def _limit(a: _FrameAnalysis, v: np.ndarray, x: np.ndarray | None = None) -> float:
-    """Residual ceiling identity_abs * max(1, |v| + |T| |x|) for an identity whose
-    sides carry v and, when x is given, T or U applied to x: rounding grows
-    with the norms that enter the identity, as in scaled_deviation."""
-    ceiling = _norm(v, a.tol.identity_abs)
-    if x is not None:
-        ceiling += _norm(x, a.tol.identity_abs * a.spectral_norm("T"))
-    return max(a.tol.identity_abs, ceiling)
 
 
 def _range_part(basis: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -131,8 +114,8 @@ def min_norm_coefficients(frame: FrameSequence, signal,
     f = as_vector(signal, frame.ambient_dim, name="signal")
     c0 = a["T+"] @ f
     projected = a["P"] @ f
-    _require(max_abs(a["T"] @ c0 - projected), _limit(a, f, c0), "T c0 = P f")
-    _require(max_abs(_range_part(a.f_t.right_vectors, c0) - c0), _limit(a, c0), "Q c0 = c0")
+    _check(a, "T c0 = P f", a["T"] @ c0, projected, f, c0)
+    _check(a, "Q c0 = c0", _range_part(a.f_t.right_vectors, c0), c0, c0)
     return _solution(c0, projected, f - projected)
 
 
@@ -150,7 +133,7 @@ def min_norm_preimage(frame: FrameSequence, coefficients,
     c = as_vector(coefficients, frame.size, name="coefficients")
     f0 = a["T+"].conj().T @ c
     q_part = _range_part(a.f_t.right_vectors, c)
-    _require(max_abs(a["U"] @ f0 - q_part), _limit(a, c, f0), "U f0 = Q c")
+    _check(a, "U f0 = Q c", a["U"] @ f0, q_part, c, f0)
     return _solution(f0, q_part, c - q_part)
 
 
@@ -167,7 +150,7 @@ def project_signal(frame: FrameSequence, signal,
     f = as_vector(signal, frame.ambient_dim, name="signal")
     coefficients = a["T+"] @ f
     series = a["T"] @ coefficients
-    _require(max_abs(series - a["P"] @ f), _limit(a, f, coefficients), "series equals P f")
+    _check(a, "series equals P f", series, a["P"] @ f, f, coefficients)
     return series
 
 
@@ -186,5 +169,5 @@ def project_coefficients(frame: FrameSequence, coefficients,
     c = as_vector(coefficients, frame.size, name="coefficients")
     series = _range_part(a.f_g.right_vectors, c)
     direct = _range_part(a.f_t.right_vectors, c)
-    _require(max_abs(series - direct), _limit(a, c), "series equals Q c")
+    _check(a, "series equals Q c", series, direct, c)
     return series

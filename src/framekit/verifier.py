@@ -47,8 +47,8 @@ _SUITE_SAMPLE_SEED = 0x6672616D6573
 _POLARIZATION_SEED = 0x706F6C6172
 _RAYLEIGH_SEED = 0x7261796C
 
-# bounds_vs_sampling draws and evaluates its unit vectors in column blocks
-# of at most this many entries, so its memory does not grow with the count
+# bounds_vs_sampling and polarization_check draw and evaluate their samples in
+# blocks of at most this many entries, so their memory does not grow with the count
 _SAMPLE_BLOCK = 2**20
 
 _BASE_RELATIVE = 1e-8
@@ -87,7 +87,7 @@ class GeneratorSpec:
             raise ValueError("seed must fit in 64 bits")
         if self.kind == "ill_conditioned":
             ct = self.condition_target
-            if ct is None or not np.isfinite(ct) or ct < 1.0:
+            if ct is None or isinstance(ct, bool) or not np.isfinite(ct) or ct < 1.0:
                 raise ValueError("ill_conditioned requires a finite condition_target >= 1")
         elif self.condition_target is not None:
             raise ValueError(
@@ -319,28 +319,31 @@ def _polarization_deviation(analysis: _FrameAnalysis, common_bound: float, pairs
 
         <G c, d> = (A/4) (|Q(c+d)|^2 - |Q(c-d)|^2 + i |Q(c+id)|^2 - i |Q(c-id)|^2)
 
-    All pairs are evaluated at once. Each product, norm and power goes
-    through the routine a one-pair evaluation would use, so the result is
-    the same bit for bit.
+    The stream is read pair by pair, and the pairs are evaluated in blocks of
+    at most _SAMPLE_BLOCK normals. Each product, norm and power goes through
+    the routine a one-pair evaluation would use, so the result is the same
+    bit for bit.
     """
     rng = np.random.Generator(np.random.PCG64(_POLARIZATION_SEED))
-    q, g = analysis["Q"], analysis["G"]
-    # the stream order of successive draws c.re, c.im, d.re, d.im per pair;
-    # a negative count draws nothing, as range(pairs) would
-    draws = rng.standard_normal((max(pairs, 0), 2, 2, analysis.frame.size))
-    c, d = (draws[:, :, 0] + 1j * draws[:, :, 1]).transpose(1, 0, 2) / np.sqrt(2.0)
-    probes = np.stack([c + d, c - d, c + 1j * d, c - 1j * d], axis=1)
-    # float_power is C pow, as the scalar norm ** 2 is; squaring rounds differently
-    qnorm2 = np.float_power(_row_norms(_apply(q, probes)), 2.0)
-    combo = (common_bound / 4.0) * (
-        qnorm2[:, 0] - qnorm2[:, 1] + 1j * qnorm2[:, 2] - 1j * qnorm2[:, 3]
-    )
-    d_conj = d.conj()
-    direct_gram = _row_dots(d_conj, _apply(g, c))
-    direct_q = common_bound * _row_dots(d_conj, _apply(q, c))
-    scale = np.maximum(1.0, common_bound * _row_norms(c) * _row_norms(d))
-    gaps = [combo - direct_gram, combo - direct_q]
-    return _worst(*(np.hypot(gap.real, gap.imag) / scale for gap in gaps))
+    q, g, m = analysis["Q"], analysis["G"], analysis.frame.size
+    width = max(1, _SAMPLE_BLOCK // (4 * m))
+    worst = 0.0  # np.maximum keeps a NaN; a negative count draws nothing
+    for start in range(0, pairs, width):
+        # the stream order of successive draws c.re, c.im, d.re, d.im per pair
+        draws = rng.standard_normal((min(width, pairs - start), 2, 2, m))
+        c, d = (draws[:, :, 0] + 1j * draws[:, :, 1]).transpose(1, 0, 2) / np.sqrt(2.0)
+        probes = np.stack([c + d, c - d, c + 1j * d, c - 1j * d], axis=1)
+        # float_power is C pow, as the scalar norm ** 2 is; squaring rounds differently
+        qnorm2 = np.float_power(_row_norms(_apply(q, probes)), 2.0)
+        combo = (common_bound / 4.0) * (
+            qnorm2[:, 0] - qnorm2[:, 1] + 1j * qnorm2[:, 2] - 1j * qnorm2[:, 3])
+        direct_gram = _row_dots(d.conj(), _apply(g, c))
+        direct_q = common_bound * _row_dots(d.conj(), _apply(q, c))
+        scale = np.maximum(1.0, common_bound * _row_norms(c) * _row_norms(d))
+        gaps = [combo - direct_gram, combo - direct_q]
+        worst = np.maximum(worst, _worst(*(np.hypot(gap.real, gap.imag) / scale
+                                            for gap in gaps)))
+    return float(worst)
 
 
 def _polarization(pairs: int, analysis: _FrameAnalysis, samples: dict | None):
@@ -462,7 +465,8 @@ def polarization_check(frame: FrameSequence, pairs: int = 100,
 
     Rebuilds <G c, d> from the four squared Q-norms |Q(c±d)|^2, |Q(c±id)|^2
     for random pairs and compares against both A <Q c, d> and the direct
-    gram inner product; also checks G = AQ and G† = Q/A as matrices.
+    gram inner product; also checks G = AQ and G† = Q/A as matrices. The
+    pairs are drawn and evaluated in blocks, so memory stays bounded.
     Raises NotTightError when the sequence is not tight, and ValueError
     unless pairs is a non-negative integer.
     """
@@ -509,21 +513,14 @@ def _sampling(analysis: _FrameAnalysis, samples: int) -> CheckRecord:
         emp_min, emp_max = np.minimum(emp_min, ratios.min()), np.maximum(emp_max, ratios.max())
     emp_min, emp_max = float(emp_min), float(emp_max)
     violation = max(0.0, bounds.lower - emp_min, emp_max - bounds.upper)
-    dev = violation / max(1.0, bounds.upper)
-    return CheckRecord(
-        name="rayleigh_sampling",
-        formula="A ≤ ‖T*f‖² ≤ B for unit f in V",
-        deviation=float(dev),
-        tolerance=_INEQUALITY_SLACK,
-        passed=bool(dev <= _INEQUALITY_SLACK),
-        detail={
-            "samples": samples,
-            "span_dim": f_t.rank,
-            "lower": bounds.lower,
-            "upper": bounds.upper,
-            "empirical_min": emp_min,
-            "empirical_max": emp_max,
-            "lower_gap_fraction": (emp_min - bounds.lower) / bounds.lower,
-            "upper_gap_fraction": (bounds.upper - emp_max) / bounds.upper,
-        },
-    )
+    return _record("rayleigh_sampling", "A ≤ ‖T*f‖² ≤ B for unit f in V",
+                   violation / max(1.0, bounds.upper), _INEQUALITY_SLACK, {
+                       "samples": samples,
+                       "span_dim": f_t.rank,
+                       "lower": bounds.lower,
+                       "upper": bounds.upper,
+                       "empirical_min": emp_min,
+                       "empirical_max": emp_max,
+                       "lower_gap_fraction": (emp_min - bounds.lower) / bounds.lower,
+                       "upper_gap_fraction": (bounds.upper - emp_max) / bounds.upper,
+                   })

@@ -1,10 +1,12 @@
 """CLI behaviour, exercised in-process through main(argv)."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
 
+from framekit import GeneratorSpec, generate
 from framekit.cli import (
     EXIT_DEGENERATE,
     EXIT_INPUT_ERROR,
@@ -146,6 +148,19 @@ def test_reconstruct_degenerate_exits_3(tmp_path, capsys):
 
 # --------------------------------------------------------------------- verify
 
+@pytest.mark.parametrize("command", ["analyze", "dual", "reconstruct"])
+def test_a_document_scaled_by_2_260_is_answered_without_a_warning(command, tmp_path, capsys):
+    # the Frobenius norm of S, near 2^523, used to overflow while squaring
+    # its entries, and dual and reconstruct printed numpy's overflow warning
+    t = generate(GeneratorSpec("gaussian", 4, 6, 2)).synthesis_matrix() * 2.0**260
+    doc = write_doc(tmp_path / "scaled.json", 4, list(t.T), signal=[[1, 0]] * 4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([command, doc]) == EXIT_OK
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "Warning" not in err
+
+
 def test_verify_structured_passes(capsys):
     code = main(["verify", "--kind", "tight", "--n", "3", "--m", "6",
                  "--seed", "4", "--trials", "200", "--format", "structured"])
@@ -211,7 +226,7 @@ def test_verify_rejects_bad_generator_request(capsys):
 
 @pytest.mark.parametrize("kappa", ["0", "-1", "inf", "nan"])
 def test_verify_rejects_a_bad_condition_target_before_scaling_by_it(kappa, capsys):
-    # the default tolerances divide by kappa^2; the target is checked first,
+    # the default tolerance is scaled by kappa; the target is checked first,
     # so the error names it and not a tolerance derived from it
     code = main(["verify", "--kind", "ill_conditioned", "--condition-target", kappa])
     err = capsys.readouterr().err

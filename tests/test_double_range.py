@@ -11,9 +11,14 @@ when 1/A overflows. A frame operator S or gram core R1 R1* whose entries
 overflow raises NumericalError naming it, without an overflow warning; so
 do the restricted frame operator W*SW and its inverse.
 
-Reconstruction takes its input's norms without squaring entries, so its
-residual ceilings stay finite for entries beyond 1.3e154, and a norm_split
-component whose square leaves the double range raises NumericalError too.
+Every Frobenius or vector norm a check is scaled by, in the gate, the
+suite, scaled_deviation and the reconstruction checks, is taken by one function,
+matrix_core._norm: where np.linalg.norm's squares would overflow or
+underflow, it rescales by an exact power of two. So the scale of a check
+stays finite for entries beyond 1.3e154, a check is not made vacuous by an
+infinite Frobenius norm of S, and a norm_split component whose square
+leaves the double range raises NumericalError too. Across 2^-500 to 2^500
+no entry point lets a bare RuntimeWarning escape.
 """
 
 import json
@@ -24,9 +29,11 @@ import numpy as np
 import pytest
 
 from framekit import (
+    FramekitError,
     FrameSequence,
     GeneratorSpec,
     NumericalError,
+    SvdFactors,
     classify,
     frame_bounds,
     generate,
@@ -36,14 +43,17 @@ from framekit import (
     min_norm_preimage,
     pinv,
     project_coefficients,
+    project_signal,
     pseudo_frame_operator,
     pseudo_gram,
     restricted,
+    run_identity_suite,
+    scaled_deviation,
     svd,
 )
 from framekit.cli import EXIT_VERIFICATION_FAILED, main
 from framekit.frame_ops import _FrameAnalysis
-from framekit.reconstruct import _limit
+from framekit.reconstruct import _check
 
 SCALES = [2.0**-700, 2.0**560]
 
@@ -170,10 +180,14 @@ def test_bounds_inside_the_double_range_are_the_squared_singular_values(scale):
 
 
 def test_reconstruction_ceiling_is_finite_for_huge_entries():
-    # |v| = 2e200; squaring the entries overflowed, which made the ceiling
+    # |v| = 2e200; squaring the entries overflowed, which made the scale
     # inf and every result check vacuous
     analysis = _FrameAnalysis(generate(GeneratorSpec("gaussian", 4, 6, 0)))
-    assert _limit(analysis, np.full(4, 1e200)) == pytest.approx(1e-10 * 2e200, rel=1e-12)
+    v = np.full(4, 1e200)
+    _check(analysis, "huge", v + 2e189, v, v)  # deviates by 1e-11
+    with pytest.raises(NumericalError,
+                       match=re.escape("'huge' deviates by 1.000e-09, beyond 1.000e-10")):
+        _check(analysis, "huge", v + 2e191, v, v)
 
 
 @pytest.mark.parametrize("entry, length", [(min_norm_coefficients, 4), (min_norm_preimage, 6)],
@@ -193,3 +207,69 @@ def test_residual_norm_follows_the_input_scale_below_the_squaring_range():
     base = min_norm_preimage(frame, c).residual_norm
     tiny = min_norm_preimage(frame, c * 2.0**-600).residual_norm
     assert tiny * 2.0**600 == pytest.approx(base, rel=1e-12)
+
+
+RANGE_ENTRIES = {
+    "frame_bounds": frame_bounds,
+    "classify": classify,
+    "canonical_dual": canonical_dual,
+    "build_bundle": build_bundle,
+    "min_norm_coefficients": lambda frame: min_norm_coefficients(frame, np.ones(4)),
+    "min_norm_preimage": lambda frame: min_norm_preimage(frame, np.ones(6)),
+    "project_signal": lambda frame: project_signal(frame, np.ones(4)),
+    "project_coefficients": lambda frame: project_coefficients(frame, np.ones(6)),
+    "pseudo_frame_operator": pseudo_frame_operator,
+    "pseudo_gram": pseudo_gram,
+    "restricted": restricted,
+    "run_identity_suite": run_identity_suite,
+}
+
+
+def scaled_4x6(kind, exponent):
+    t = generate(GeneratorSpec(kind, 4, 6, 2)).synthesis_matrix() * 2.0**exponent
+    return FrameSequence.from_vectors(list(t.T))
+
+
+@pytest.mark.parametrize("entry", RANGE_ENTRIES)
+@pytest.mark.parametrize("kind", ["gaussian", "tight", "rank_deficient"])
+def test_no_bare_warning_across_the_double_range(kind, entry):
+    # each call returns or raises a typed error; the suite stops at 2^320,
+    # beyond which its degree-3 product rows (such as S T) overflow in matmul
+    for exponent in range(-500, 501, 20):
+        if entry == "run_identity_suite" and exponent > 320:
+            break
+        frame = scaled_4x6(kind, exponent)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                RANGE_ENTRIES[entry](frame)
+            except FramekitError:
+                pass
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "tight", "rank_deficient"])
+def test_a_wrong_frame_operator_route_is_refused_at_every_scale(kind, monkeypatch):
+    # S's eigenvalues scaled by 1.01: 'S S+ = P' sees that 1% only where the
+    # Frobenius norms of S and S+ are taken without overflow, which
+    # np.linalg.norm did not do from about 2^254 (|S|_F beyond 2^512)
+    factor = _FrameAnalysis.f_s.func
+
+    def wrong(analysis):
+        f_s = factor(analysis)
+        return SvdFactors(f_s.left_vectors, 1.01 * f_s.singular_values, f_s.right_vectors,
+                          f_s.rank)
+
+    monkeypatch.setattr(_FrameAnalysis, "f_s", property(wrong))
+    for exponent in [*range(240, 299, 2), *range(-298, -239, 2)]:
+        with pytest.raises(NumericalError, match="self-check"):
+            canonical_dual(scaled_4x6(kind, exponent))
+
+
+def test_scaled_deviation_takes_factor_norms_without_overflow():
+    # |1e200 I|_F = 1.41e200 is in range, but its squared entries are not;
+    # an infinite norm made every deviation 0
+    eye = 1e200 * np.eye(2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        deviation = scaled_deviation(eye, (1 + 1e-3) * eye, [eye])
+    assert deviation == pytest.approx(1e-3 / np.sqrt(2.0), rel=1e-9)

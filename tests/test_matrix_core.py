@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 
 from framekit import (
     DEFAULT_TOLERANCE,
+    FrameSequence,
+    GeneratorSpec,
     Tolerance,
     adjoint,
     as_matrix,
@@ -25,6 +27,7 @@ from framekit import (
     range_projector,
     svd,
 )
+from framekit.matrix_core import _norm
 
 
 def complex_gaussian(rng, rows, cols):
@@ -281,6 +284,36 @@ def test_tolerance_refuses_non_finite_values(field, value):
     # check; an infinite tightness_rel declared any frame Parseval
     with pytest.raises(ValueError, match=f"{field} must be finite"):
         Tolerance(**{field: value})
+
+
+@pytest.mark.parametrize("make, field", [
+    (lambda: Tolerance(identity_abs=True), "identity_abs"),
+    (lambda: Tolerance(tightness_rel=True), "tightness_rel"),
+    (lambda: FrameSequence.truncated([[1, 0]], tail_energy=True), "tail_energy"),
+    (lambda: GeneratorSpec("ill_conditioned", 4, 6, 0, condition_target=True), "condition_target"),
+], ids=["identity_abs", "tightness_rel", "tail_energy", "condition_target"])
+def test_a_bool_is_not_a_number(make, field):
+    # True would otherwise read as 1.0
+    with pytest.raises(ValueError, match=field):
+        make()
+
+
+@pytest.mark.parametrize("exponent", [-1000, -700, -520, -500, -40, 0, 40, 500, 511, 520, 1000])
+def test_norm_follows_power_of_two_scaling_across_the_double_range(exponent):
+    x = np.array([[3 + 4j, 1e-3], [12.0, -2j]])
+    scaled = x * 2.0**exponent
+    assert _norm(scaled) == pytest.approx(np.ldexp(np.linalg.norm(x), exponent), rel=1e-15)
+    assert _norm(scaled, 2.0**-exponent) == pytest.approx(np.linalg.norm(x), rel=1e-15)
+    if abs(exponent) <= 500:  # inside the window it is np.linalg.norm itself
+        assert _norm(scaled) == np.linalg.norm(scaled)
+
+
+def test_norm_beyond_the_double_range_is_inf():
+    huge = np.full(4, 1e308)
+    assert _norm(huge) == np.inf  # no warning, and no OverflowError
+    assert _norm(huge, 1e-10) == pytest.approx(2e298, rel=1e-15)
+    assert _norm(np.zeros((2, 3))) == 0.0
+    assert np.isnan(_norm(np.array([1.0, np.nan])))
 
 
 def test_op_norm_of_zero_matrix():

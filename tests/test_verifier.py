@@ -224,6 +224,23 @@ def test_polarization_on_tight_frame():
     assert rec.deviation < 1e-12
 
 
+@pytest.mark.parametrize("block", [1, 168])
+@pytest.mark.parametrize("pairs", [0, 1, 50, 101])
+def test_polarization_draws_and_evaluates_in_pair_blocks(monkeypatch, block, pairs):
+    # a pair holds 4 m = 24 normals, so a block holds 1 pair, or 7 (with a
+    # short last block); the stream is read pair by pair, so the bits agree
+    from framekit import verifier
+
+    frame = generate(spec_for("tight", n=4, m=6, seed=2))
+    whole = polarization_check(frame, pairs=pairs)
+    monkeypatch.setattr(verifier, "_SAMPLE_BLOCK", block)
+    applied, apply = [], verifier._apply
+    monkeypatch.setattr(verifier, "_apply",
+                        lambda matrix, rows: applied.append(len(rows)) or apply(matrix, rows))
+    assert polarization_check(frame, pairs=pairs) == whole
+    assert max(applied, default=0) == min(pairs, max(1, block // 24))
+
+
 def test_polarization_rejects_non_tight_frames():
     with pytest.raises(NotTightError):
         polarization_check(generate(spec_for("gaussian")))

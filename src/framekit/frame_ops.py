@@ -262,20 +262,33 @@ def scaled_deviation(lhs, rhs, factors=()) -> float:
     A floating-point product carries absolute error on the order of
     eps * prod(|factor|), so the residual is divided by max(1, that product)
     to stay comparable with identity_abs across well and badly scaled inputs.
-    Each factor's Frobenius norm is taken by matrix_core._norm, which rescales
-    where squaring the entries would overflow or underflow, so the deviation
-    stays meaningful wherever the norms themselves are in range.
+    Each factor's Frobenius norm is taken by matrix_core._norm, on entries
+    scaled by an exact power of two, so no square overflows or underflows; the
+    product is divided out exactly even past the double range, and a factor
+    whose own norm is beyond it makes the deviation inf.
     """
     return _deviation(lhs, rhs, [_norm(f) for f in factors])
 
 
 def _deviation(lhs, rhs, norms) -> float:
     """scaled_deviation with the factors' norms already taken: the one residual
-    rule of the gate, the identity suite and the reconstruction checks."""
-    scale = 1.0
+    rule of the gate, the identity suite and the reconstruction checks. The
+    norms' product is kept as mantissa * 2^exponent, so the residual is divided
+    by it in one rounding even where the product leaves the double range. A
+    norm that is itself inf or NaN leaves nothing to divide by: the deviation
+    reads inf (NaN for a NaN residual), and the check refuses."""
+    residual = max_abs(np.asarray(lhs) - np.asarray(rhs))
+    mantissa, exponent = 1.0, 0
     for norm in norms:
-        scale *= norm
-    return max_abs(np.asarray(lhs) - np.asarray(rhs)) / max(1.0, scale)
+        m, e = math.frexp(norm)
+        mantissa, exponent = mantissa * m, exponent + e
+    if not mantissa < math.inf:
+        return residual if math.isnan(residual) else math.inf
+    mantissa, e = math.frexp(mantissa)
+    exponent += e
+    if mantissa == 0.0 or exponent < 1:  # the product is below 1, the floor
+        return residual
+    return math.ldexp(residual, -exponent) / mantissa
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -498,10 +511,19 @@ class _FrameAnalysis:
     @cached_property
     def bundle(self) -> OperatorBundle:
         self.gate(*_ROUTES)
-        # the bundle's operator fields, in order, by the paper's names
-        names = ("T", "U", "S", "G", "P", "Q", "T+", "S+", "G+")
-        return OperatorBundle(*(_frozen(self[name]) for name in names),
-                              span_dim=self.f_t.rank, tol=self.tol)
+        return OperatorBundle(
+            synthesis=_frozen(self["T"]),
+            analysis=_frozen(self["U"]),
+            frame_operator=_frozen(self["S"]),
+            gram=_frozen(self["G"]),
+            span_projector=_frozen(self["P"]),
+            coefficient_projector=_frozen(self["Q"]),
+            synthesis_pinv=_frozen(self["T+"]),
+            frame_operator_pinv=_frozen(self["S+"]),
+            gram_pinv=_frozen(self["G+"]),
+            span_dim=self.f_t.rank,
+            tol=self.tol,
+        )
 
     @cached_property
     def bounds(self) -> FrameBounds:

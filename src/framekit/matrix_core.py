@@ -267,17 +267,15 @@ def max_abs(values) -> float:
 
 def _norm(x, factor: float = 1.0) -> float:
     """factor * |x|: the 2-norm of a vector or the Frobenius norm of a matrix,
-    inf beyond the double range. np.linalg.norm sums squares; a finite result
-    below 2^512 has not overflowed, and from 2^-500 up the squares lost to
-    underflow (at most 2^-1075 each) stay below its rounding, so it stands.
-    Outside that window the norm is taken on x scaled by an exact power of two,
-    as LAPACK's xLASSQ scales, and factor is applied before the scale is undone."""
+    inf beyond the double range. np.linalg.norm sums squares, so it is taken
+    on x scaled by the power of two 2^-e that brings its largest entry into
+    [1/2, 1), as LAPACK's xLASSQ scales: no square overflows, and none that
+    underflows could show in the sum. factor is applied before 2^e is undone.
+    Both scalings are exact, so in range the result is factor *
+    np.linalg.norm(x) bit for bit."""
+    x = np.asarray(x)
     with np.errstate(over="ignore", under="ignore"):
-        norm = float(np.linalg.norm(x))
-        if 2.0**-500 <= norm < 2.0**512:
-            return factor * norm
-        scale = max_abs(x)
-        if not 0.0 < scale < math.inf:  # all zero, or a non-finite entry
-            return factor * scale
-        exponent = math.frexp(scale)[1]
-        return float(np.ldexp(factor * np.linalg.norm(np.ldexp(np.abs(x), -exponent)), exponent))
+        scale = max_abs(x)  # inf also for a finite complex entry beyond DBL_MAX
+        # every modulus is below 2^1025, and 2^-e stays finite for subnormal x
+        exponent = max(math.frexp(scale)[1], -1022) if scale < math.inf else 1025
+        return float(np.ldexp(factor * np.linalg.norm(x * 2.0**-exponent), exponent))

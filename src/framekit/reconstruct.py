@@ -63,8 +63,11 @@ def _check(a: _FrameAnalysis, what: str, lhs: np.ndarray, rhs: np.ndarray,
     """Refuse unless lhs = rhs within identity_abs, the residual scaled by
     |v| + |T| |x| for an identity whose sides carry v and, when x is given, T or
     U applied to x: rounding grows with the norms that enter the identity."""
-    scale = _norm(v) + (0.0 if x is None else _norm(x, a.spectral_norm("T")))
-    dev = _deviation(lhs, rhs, [scale])
+    # the scale is taken 2^64 smaller and _deviation multiplies it back without
+    # overflow, so a scale past the double range still refuses a wrong result
+    lift = 2.0**64
+    scale = _norm(v, 1.0 / lift) + (0.0 if x is None else _norm(x, a.spectral_norm("T") / lift))
+    dev = _deviation(lhs, rhs, [scale, lift])
     if not dev <= a.tol.identity_abs:
         raise NumericalError(
             f"reconstruction self-check '{what}' deviates by {dev:.3e}, "

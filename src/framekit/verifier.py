@@ -337,8 +337,9 @@ def _polarization_deviation(analysis: _FrameAnalysis, common_bound: float, pairs
         qnorm2 = np.float_power(_row_norms(_apply(q, probes)), 2.0)
         combo = (common_bound / 4.0) * (
             qnorm2[:, 0] - qnorm2[:, 1] + 1j * qnorm2[:, 2] - 1j * qnorm2[:, 3])
-        direct_gram = _row_dots(d.conj(), _apply(g, c))
-        direct_q = common_bound * _row_dots(d.conj(), _apply(q, c))
+        d_conj = d.conj()
+        direct_gram = _row_dots(d_conj, _apply(g, c))
+        direct_q = common_bound * _row_dots(d_conj, _apply(q, c))
         scale = np.maximum(1.0, common_bound * _row_norms(c) * _row_norms(d))
         gaps = [combo - direct_gram, combo - direct_q]
         worst = np.maximum(worst, _worst(*(np.hypot(gap.real, gap.imag) / scale
@@ -513,14 +514,21 @@ def _sampling(analysis: _FrameAnalysis, samples: int) -> CheckRecord:
         emp_min, emp_max = np.minimum(emp_min, ratios.min()), np.maximum(emp_max, ratios.max())
     emp_min, emp_max = float(emp_min), float(emp_max)
     violation = max(0.0, bounds.lower - emp_min, emp_max - bounds.upper)
-    return _record("rayleigh_sampling", "A ≤ ‖T*f‖² ≤ B for unit f in V",
-                   violation / max(1.0, bounds.upper), _INEQUALITY_SLACK, {
-                       "samples": samples,
-                       "span_dim": f_t.rank,
-                       "lower": bounds.lower,
-                       "upper": bounds.upper,
-                       "empirical_min": emp_min,
-                       "empirical_max": emp_max,
-                       "lower_gap_fraction": (emp_min - bounds.lower) / bounds.lower,
-                       "upper_gap_fraction": (bounds.upper - emp_max) / bounds.upper,
-                   })
+    dev = violation / max(1.0, bounds.upper)
+    return CheckRecord(
+        name="rayleigh_sampling",
+        formula="A ≤ ‖T*f‖² ≤ B for unit f in V",
+        deviation=float(dev),
+        tolerance=_INEQUALITY_SLACK,
+        passed=bool(dev <= _INEQUALITY_SLACK),
+        detail={
+            "samples": samples,
+            "span_dim": f_t.rank,
+            "lower": bounds.lower,
+            "upper": bounds.upper,
+            "empirical_min": emp_min,
+            "empirical_max": emp_max,
+            "lower_gap_fraction": (emp_min - bounds.lower) / bounds.lower,
+            "upper_gap_fraction": (bounds.upper - emp_max) / bounds.upper,
+        },
+    )

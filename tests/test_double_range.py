@@ -13,12 +13,13 @@ do the restricted frame operator W*SW and its inverse.
 
 Every Frobenius or vector norm a check is scaled by, in the gate, the
 suite, scaled_deviation and the reconstruction checks, is taken by one function,
-matrix_core._norm: where np.linalg.norm's squares would overflow or
-underflow, it rescales by an exact power of two. So the scale of a check
-stays finite for entries beyond 1.3e154, a check is not made vacuous by an
-infinite Frobenius norm of S, and a norm_split component whose square
-leaves the double range raises NumericalError too. Across 2^-500 to 2^500
-no entry point lets a bare RuntimeWarning escape.
+matrix_core._norm, on entries scaled by an exact power of two, so no square
+overflows or underflows. frame_ops._deviation divides the residual by the
+norms' product kept as a mantissa and a power of two, and refuses when a
+norm is itself inf. So a check is not made vacuous by an infinite Frobenius
+norm of S or an infinite reconstruction scale, and a norm_split component
+whose square leaves the double range raises NumericalError too. Across
+2^-500 to 2^500 no entry point lets a bare RuntimeWarning escape.
 """
 
 import json
@@ -51,6 +52,7 @@ from framekit import (
     scaled_deviation,
     svd,
 )
+from framekit import reconstruct
 from framekit.cli import EXIT_VERIFICATION_FAILED, main
 from framekit.frame_ops import _FrameAnalysis
 from framekit.reconstruct import _check
@@ -190,6 +192,30 @@ def test_reconstruction_ceiling_is_finite_for_huge_entries():
         _check(analysis, "huge", v + 2e191, v, v)
 
 
+def test_reconstruction_check_refuses_when_its_scale_passes_the_double_range():
+    # |v| + |T| |x| is about 1.05e309: an infinite scale read every residual as 0
+    analysis = _FrameAnalysis(generate(GeneratorSpec("gaussian", 4, 6, 2)))
+    v, x = np.array([1e308, 1e308, 0.0, 0.0]), np.full(6, 1e308)
+    _check(analysis, "huge", v, v, v, x)
+    with pytest.raises(NumericalError, match="'huge' deviates by 9.568e-04"):
+        _check(analysis, "huge", 1.01 * v, v, v, x)
+
+
+def test_a_wrong_series_is_refused_for_coefficients_past_the_double_range(monkeypatch):
+    # |c| = 2.4e308; the right series is accepted, one 1% short is not
+    frame, c = generate(GeneratorSpec("gaussian", 4, 6, 2)), np.full(6, 1e308)
+    project_coefficients(frame, c)
+    range_part, calls = reconstruct._range_part, []
+
+    def short_series(basis, x):  # the series is projected first, then Q c
+        calls.append(basis)
+        return (0.99 if len(calls) == 1 else 1.0) * range_part(basis, x)
+
+    monkeypatch.setattr(reconstruct, "_range_part", short_series)
+    with pytest.raises(NumericalError, match="'series equals Q c'"):
+        project_coefficients(frame, c)
+
+
 @pytest.mark.parametrize("entry, length", [(min_norm_coefficients, 4), (min_norm_preimage, 6)],
                          ids=["min_norm_coefficients", "min_norm_preimage"])
 def test_norm_split_outside_the_double_range_raises(entry, length):
@@ -273,3 +299,7 @@ def test_scaled_deviation_takes_factor_norms_without_overflow():
         warnings.simplefilter("error")
         deviation = scaled_deviation(eye, (1 + 1e-3) * eye, [eye])
     assert deviation == pytest.approx(1e-3 / np.sqrt(2.0), rel=1e-9)
+    # two such norms multiply past the double range, and are divided out exactly
+    assert scaled_deviation(eye, 1.5 * eye, [eye, eye]) == pytest.approx(2.5e-201, rel=1e-12)
+    # a factor whose own norm is beyond the range leaves the deviation unknown
+    assert scaled_deviation(eye, eye, [np.full((2, 2), 1e308)]) == np.inf

@@ -304,7 +304,7 @@ def test_norm_follows_power_of_two_scaling_across_the_double_range(exponent):
     scaled = x * 2.0**exponent
     assert _norm(scaled) == pytest.approx(np.ldexp(np.linalg.norm(x), exponent), rel=1e-15)
     assert _norm(scaled, 2.0**-exponent) == pytest.approx(np.linalg.norm(x), rel=1e-15)
-    if abs(exponent) <= 500:  # inside the window it is np.linalg.norm itself
+    if abs(exponent) <= 500:  # where no square leaves the range, np.linalg.norm's bits
         assert _norm(scaled) == np.linalg.norm(scaled)
 
 
@@ -314,6 +314,9 @@ def test_norm_beyond_the_double_range_is_inf():
     assert _norm(huge, 1e-10) == pytest.approx(2e298, rel=1e-15)
     assert _norm(np.zeros((2, 3))) == 0.0
     assert np.isnan(_norm(np.array([1.0, np.nan])))
+    # |1.5e308 (1 + i)| overflows, its parts do not
+    assert _norm(np.array([1.5e308 + 1.5e308j]), 0.5) == pytest.approx(1.5e308 / np.sqrt(2.0))
+    assert _norm(np.array([3e-320, 4e-320])) == 5e-320  # subnormal entries only
 
 
 def test_op_norm_of_zero_matrix():

@@ -12,11 +12,15 @@ together with the orthogonal projectors P onto the span of the vectors
 The pseudoinverses of T, S and G tie these together. One table,
 _OPERATORS, names each operator once, by the paper's name ("S+" for S's
 pseudoinverse), and says how it is formed; identities between operators
-are data, products of those names. Each result is gated on the routes it
-reads: T's factorization (which gives P, Q and T+) must agree with S's or
-G's, or with both for the whole bundle, else NumericalError. How G is
-factored and its route checked without an m x m array is set out in
-_FrameAnalysis.
+are data, products of those names. T's factorization (which gives P, Q
+and T+) is certified once per frame: FrameSequence keeps how far its
+factors are from an SVD of T, and every call that reads them, the bounds
+and the classification among them, first holds those deviations against
+its own tolerance, else NumericalError. Each result is then gated on the
+routes it reads: T's factorization must agree with S's or G's, or with both
+for the whole bundle, else NumericalError. The gate checks S and G on their
+factors in T's coordinates, so it forms no dense P, Q, S+ or G+; how is set
+out in _FrameAnalysis.
 """
 
 from __future__ import annotations
@@ -74,6 +78,9 @@ class FrameSequence:
     read-only view of its column. That matrix T is factored on first use,
     and its untruncated read-only factors (16 (n + m) min(n, m) bytes) serve
     every later call on the sequence, under whatever tolerance it passes.
+    The factors are certified once, on first use as well: three deviations
+    measure how far they are from an SVD of T, and every call holds them
+    against its own tol.identity_abs before it reads the factors.
     """
 
     ambient_dim: int
@@ -120,6 +127,24 @@ class FrameSequence:
     @cached_property
     def _svd(self) -> SvdFactors:
         return _phased_svd(self._matrix)
+
+    @cached_property
+    def _certificate(self) -> tuple:
+        """How far _svd's factors W, Sigma, V are from an SVD of T, taken once:
+        the residual |T V - W Sigma| relative to sigma_1, then |W* W - I| and
+        |V* V - I|, each the largest entry modulus (the test ratios of LAPACK's
+        xBDT01 and xUNT01). T and Sigma are first scaled by the power of two
+        that brings sigma_1 into [1/2, 1), so no product leaves the double
+        range. The deviations are kept, not a verdict: each analysis holds
+        them against its own tolerance (see _FrameAnalysis.f_t)."""
+        w, s, v = self._svd.left_vectors, self._svd.singular_values, self._svd.right_vectors
+        residual = math.inf  # where |T| = sigma_1 itself leaves the double range
+        if s[0] < math.inf:
+            scale = 2.0**-max(math.frexp(s[0])[1], -1022)
+            residual = max_abs((self._matrix * scale) @ v - w * (s * scale))
+            residual /= s[0] * scale or 1.0  # T = 0 has residual 0
+        eye = np.eye(s.size)
+        return residual, max_abs(w.conj().T @ w - eye), max_abs(v.conj().T @ v - eye)
 
     @property
     def size(self) -> int:
@@ -322,6 +347,9 @@ _OPERATORS = {
     "AQ": lambda a: a.bounds.lower * a["Q"],
     "P/A": lambda a: _over_lower_bound(a, "P"),
     "Q/A": lambda a: _over_lower_bound(a, "Q"),
+    # S's kept right vectors R_s in T's kept left ones W, r x r: two of the
+    # T/S gate's factored self-checks read it
+    "W*R_s": lambda a: a.f_t.left_vectors.conj().T @ a.f_s.right_vectors,
 }
 
 
@@ -350,57 +378,99 @@ def _over_lower_bound(a: "_FrameAnalysis", name: str) -> np.ndarray:
     return a[name] / lower
 
 
+def _kappa(a: "_FrameAnalysis", name: str) -> list:
+    """|X| and |X+| for X = S or G: their product kappa(X) = lambda_1 / lambda_r
+    scales X's factored self-checks. |X+| refuses a 1/lambda_r that overflows,
+    before any check divides by lambda_r."""
+    return [a.spectral_norm(name), a.spectral_norm(name + "+")]
+
+
+def _s_route_factors_s(a: "_FrameAnalysis") -> float:
+    """'S S+ = P' on S's n x r factors: S R_s / lambda_s = L_s."""
+    f_s, kappa = a.f_s, _kappa(a, "S")
+    return _deviation(a["S"] @ f_s.right_vectors / f_s.singular_values, f_s.left_vectors, kappa)
+
+
+def _s_route_spans_range_p(a: "_FrameAnalysis") -> float:
+    """'S+ S = P' on S's n x r factors: R_s = W (W* R_s), W T's kept left singular vectors."""
+    return _deviation(a.f_s.right_vectors, a.f_t.left_vectors @ a["W*R_s"], _kappa(a, "S"))
+
+
 def _g_route_factors_g(a: "_FrameAnalysis") -> float:
     """'G G+ = Q' on G's m x r factors: G R_g / lambda_g = L_g, G R_g formed as U (T R_g)."""
-    # kappa(G) = |G| |G+| first: it refuses a 1/lambda_r that overflows
-    f_g, kappa = a.f_g, [a.spectral_norm("G"), a.spectral_norm("G+")]
+    f_g, kappa = a.f_g, _kappa(a, "G")
     lifted = a["U"] @ (a["T"] @ f_g.right_vectors) / f_g.singular_values
     return _deviation(lifted, f_g.left_vectors, kappa)
 
 
 def _g_route_spans_range_q(a: "_FrameAnalysis") -> float:
-    """'G+ G = Q' on G's m x r factors: R_g = V (V* R_g), V T's kept right vectors."""
+    """'G+ G = Q' on G's m x r factors: R_g = V (V* R_g), V T's kept right singular vectors."""
     r_g, v = a.f_g.right_vectors, a.f_t.right_vectors
-    return _deviation(r_g, v @ (v.conj().T @ r_g),
-                      [a.spectral_norm("G"), a.spectral_norm("G+")])
+    return _deviation(r_g, v @ (v.conj().T @ r_g), _kappa(a, "G"))
+
+
+def _s_route_pinv_t(a: "_FrameAnalysis") -> float:
+    """'T+ = T* S+' in T's coordinates. T+ = V Sigma^-1 W* and T* S+ =
+    V Sigma (W* R_s) lambda_s^-1 L_s*, and V* V = I is certified, so it holds
+    iff Sigma^-1 (W* L_s) = Sigma (W* R_s) lambda_s^-1, an r x r identity; its
+    residual is scaled by |U| |S+| = sigma_1 / lambda_r."""
+    f_t, f_s, sigma = a.f_t, a.f_s, a.f_t.singular_values[:, np.newaxis]
+    scale = [a.spectral_norm("T"), a.spectral_norm("S+")]
+    lhs = f_t.left_vectors.conj().T @ f_s.left_vectors / sigma
+    return _deviation(lhs, sigma * a["W*R_s"] / f_s.singular_values, scale)
 
 
 # the self-checks in gate order: the route each reads besides T's, and its
-# identity (see _FrameAnalysis.deviation). 'T+ = T* S+' is what ties every
-# T/S-gated reconstruction to S's route: the minimum-norm results and the
-# signal series are read off T+ itself. The two gram checks keep their dense
-# names but read G's factors (see _FrameAnalysis); the suite's
-# gram_pinv_projector row evaluates the two identities densely
+# identity (see _FrameAnalysis.deviation). Each keeps the name of the dense
+# identity it stands for but reads the route's factors in T's coordinates, so
+# no gate forms P, Q, S+ or G+ (see _FrameAnalysis). 'T+ = T* S+' is what ties
+# every T/S-gated reconstruction to S's route: the minimum-norm results and the
+# signal series are read off T+ itself. T's own factors need no self-check
+# here: every analysis holds their certificate (FrameSequence._certificate)
+# against its tolerance before reading them (see _FrameAnalysis.f_t). The
+# suite's rows evaluate the dense identities themselves
 _SELF_CHECKS = {
-    "S S+ = P": ("frame operator", (("S", "S+"), ("P",), ("S", "S+"))),
-    "S+ S = P": ("frame operator", (("S+", "S"), ("P",), ("S+", "S"))),
+    "S S+ = P": ("frame operator", _s_route_factors_s),
+    "S+ S = P": ("frame operator", _s_route_spans_range_p),
     "G G+ = Q": ("gram", _g_route_factors_g),
     "G+ G = Q": ("gram", _g_route_spans_range_q),
-    "T+ = T* S+": ("frame operator", (("T+",), ("U", "S+"), ("U", "S+"))),
-    "P T = T": ("synthesis", (("P", "T"), ("T",), ("P", "T"))),
+    "T+ = T* S+": ("frame operator", _s_route_pinv_t),
 }
+
+# the names of the three deviations in FrameSequence._certificate
+_CERTIFICATE = ("T V = W Sigma", "W* W = I", "V* V = I")
 
 
 class _FrameAnalysis:
     """Every operator and factorization of one frame under one tolerance.
 
     T is the frame's stored matrix, and f_t truncates the frame's own
-    factors of T (FrameSequence._svd) under this tolerance. S and G are each
-    factored on first use, once per analysis, and cut their own spectra at
-    T's cutoff squared (see matrix_core._truncated), so every result is
-    still checked against a factorization made in its own call. G = U U* is
-    factored through U = Q1 R1 as Q1 (R1 R1*) Q1*, an SVD of the min(n, m)
-    square core, not of the m x m G. G's two self-checks read its m x r
-    factors L_g, lambda_g, R_g: 'G G+ = Q' measures how far G R_g / lambda_g
-    (G R_g formed as U (T R_g), never from G) is from L_g, and 'G+ G = Q'
-    how far R_g is from V (V* R_g), V T's kept right singular vectors; both
-    are scaled by kappa(G) = |G| |G+| = lambda_1 / lambda_r (see
-    spectral_norm), so the T/G gate forms no m x m array: dense G, G+ and Q
-    are formed only where a result returns or reports them. S and G's core
-    square the frame's entries, and an entry that overflows raises
-    NumericalError naming the operator. U = T* gets no SVD of its own: its
-    SVD is T's with the sides swapped, so the U route (Q and U+) reads T's
-    factors.
+    factors of T (FrameSequence._svd) under this tolerance, once their
+    certificate holds under it: the residual |T V - W Sigma| / sigma_1 and the
+    orthonormality of W and V (FrameSequence._certificate), each at most
+    identity_abs, else NumericalError names it. Every result that reads T's
+    factors, the bounds and the classification among them, reads them
+    certified. S and G are each factored on first use, once per analysis,
+    and cut their own spectra at T's cutoff squared (see
+    matrix_core._truncated), so every result is still checked against a
+    factorization made in its own call. G = U U* is factored through
+    U = Q1 R1 as Q1 (R1 R1*) Q1*, an SVD of the min(n, m) square core, not of
+    the m x m G.
+
+    The gate checks S and G on their n x r and m x r factors L, lambda, R in
+    T's coordinates, never on dense operators. 'S S+ = P' measures how far
+    S R_s / lambda_s is from L_s, and 'G G+ = Q' how far G R_g / lambda_g
+    (G R_g formed as U (T R_g), never from G) is from L_g. 'S+ S = P'
+    measures how far R_s is from W (W* R_s), W T's kept left singular
+    vectors, and 'G+ G = Q' how far R_g is from V (V* R_g), V T's kept right
+    ones. These four are scaled by kappa(X) = |X| |X+| = lambda_1 / lambda_r
+    of their route (see spectral_norm). 'T+ = T* S+' is checked as the r x r
+    identity Sigma^-1 (W* L_s) = Sigma (W* R_s) lambda_s^-1, which reuses
+    W* R_s. So no gate forms P, Q, S+ or G+: they are formed only where a
+    result returns or reports them. S and G's core square the frame's
+    entries, and an entry that overflows raises NumericalError naming the
+    operator. U = T* gets no SVD of its own: its SVD is T's with the sides
+    swapped, so the U route (Q and U+) reads T's factors.
 
     Operators are read by the paper's names, a["S+"] (see _OPERATORS); a
     name "~X" reads X from the analysis of the canonical dual, `dual`.
@@ -442,15 +512,13 @@ class _FrameAnalysis:
     def deviation(self, identity) -> float:
         """Deviation of an identity, evaluated once.
 
-        An identity is the name of a self-check, a triple (lhs, rhs, scale)
-        of operator-name tuples, or a function of the analysis that
-        evaluates a check on factors (the gram self-checks). In a triple
+        An identity is a triple (lhs, rhs, scale) of operator-name tuples, or
+        a function of the analysis that evaluates a check on factors (the
+        gate's self-checks, see _SELF_CHECKS). In a triple
         each side is the product of its operators (none: the zero
         operator), and the residual is scaled by the Frobenius norms of the
         scale operators (see scaled_deviation).
         """
-        if isinstance(identity, str):
-            identity = _SELF_CHECKS[identity][1]
         if identity not in self._deviations:
             if callable(identity):
                 self._deviations[identity] = identity(self)
@@ -462,6 +530,8 @@ class _FrameAnalysis:
 
     @cached_property
     def f_t(self) -> SvdFactors:
+        for name, dev in zip(_CERTIFICATE, self.frame._certificate):
+            self._require(name, dev)
         return _truncated(self.frame._svd, self.tol)
 
     @cached_property
@@ -501,12 +571,15 @@ class _FrameAnalysis:
             )
         for name, (route, identity) in _SELF_CHECKS.items():
             if {"synthesis", route} <= set(routes):
-                dev = self.deviation(identity)
-                if not dev <= self.tol.identity_abs:  # a NaN deviation fails too
-                    raise NumericalError(
-                        f"operator bundle failed self-check '{name}': "
-                        f"deviation {dev:.3e} exceeds {self.tol.identity_abs:.3e}"
-                    )
+                self._require(name, self.deviation(identity))
+
+    def _require(self, name: str, dev: float) -> None:
+        """Raise NumericalError naming a self-check whose deviation exceeds identity_abs."""
+        if not dev <= self.tol.identity_abs:  # a NaN deviation fails too
+            raise NumericalError(
+                f"operator bundle failed self-check '{name}': "
+                f"deviation {dev:.3e} exceeds {self.tol.identity_abs:.3e}"
+            )
 
     @cached_property
     def bundle(self) -> OperatorBundle:
@@ -568,8 +641,9 @@ def build_bundle(frame: FrameSequence, tol: Tolerance | None = None) -> Operator
     """Construct every induced operator and verify their mutual consistency.
 
     T, S and G are each factored once: S+ and G+ come from S's and G's own
-    factors, P, Q and T+ from T's. Rank decisions that disagree between the
-    three routes, or self-check residuals above tol.identity_abs (or NaN),
+    factors, P, Q and T+ from T's, read once their certificate holds. Rank
+    decisions that disagree between the three routes, or self-check
+    residuals above tol.identity_abs (or NaN), T's certificate among them,
     raise NumericalError: such a bundle would silently violate the relations
     everything downstream relies on. S and G keep T's rank decision squared
     (see Tolerance), so the routes disagree only past their resolution limit,
@@ -598,13 +672,20 @@ def frame_bounds(frame: FrameSequence, tol: Tolerance | None = None) -> FrameBou
     Every f in the span satisfies A |f|^2 <= sum |<f, f_k>|^2 <= B |f|^2,
     and no wider A or narrower B does. Raises DegenerateSpanError when the
     span is the zero subspace (no bounds exist), and NumericalError when a
-    bound leaves the double range (its squared singular value is 0 or inf).
+    bound leaves the double range (its squared singular value is 0 or inf)
+    or when T's factors fail their certificate under tol.identity_abs (see
+    FrameSequence), naming the failing check.
     """
     return _FrameAnalysis(frame, tol).bounds
 
 
 def classify(frame: FrameSequence, tol: Tolerance | None = None) -> FrameClassification:
-    """Classify the sequence; degenerate input is reported via flags, not errors."""
+    """Classify the sequence; degenerate input is reported via flags, not errors.
+
+    The verdict reads T's certified factors: NumericalError names the failing
+    check when they fail their certificate under tol.identity_abs (see
+    FrameSequence), and when a bound leaves the double range (see frame_bounds).
+    """
     return _FrameAnalysis(frame, tol).classification
 
 
@@ -624,7 +705,8 @@ def restricted(frame: FrameSequence, tol: Tolerance | None = None) -> Restricted
     W's columns are the kept left singular vectors of T, an orthonormal basis
     of V. The restricted frame operator W* S W is Hermitian positive definite
     with condition number upper/lower; its inverse realizes S's inversion on V.
-    Either one raises NumericalError naming it if an entry overflows.
+    Either one raises NumericalError naming it if an entry overflows, and so
+    does a failed certificate of T's factors (see FrameSequence).
     """
     analysis = _FrameAnalysis(frame, tol)
     f_t = analysis.f_t
@@ -660,9 +742,10 @@ def pseudo_frame_operator(frame: FrameSequence, tol: Tolerance | None = None) ->
     """Pseudoinverse of the frame operator, with a fast path for tight frames.
 
     For a tight sequence with common bound A the pseudoinverse is P / A, a
-    rescaled projector; otherwise it comes from S's factorization, gated on T's.
-    Both routes agree within tol.identity_abs on tight input. A degenerate
-    sequence yields the zero matrix (the pseudoinverse of the zero operator).
+    rescaled projector read off T's certified factors (see FrameSequence);
+    otherwise it comes from S's factorization, gated on T's. Both routes
+    agree within tol.identity_abs on tight input. A degenerate sequence
+    yields the zero matrix (the pseudoinverse of the zero operator).
     """
     return _pseudo_inverse(frame, tol, on_span=True)
 

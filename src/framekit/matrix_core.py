@@ -267,15 +267,23 @@ def max_abs(values) -> float:
 
 def _norm(x, factor: float = 1.0) -> float:
     """factor * |x|: the 2-norm of a vector or the Frobenius norm of a matrix,
-    inf beyond the double range. np.linalg.norm sums squares, so it is taken
-    on x scaled by the power of two 2^-e that brings its largest entry into
-    [1/2, 1), as LAPACK's xLASSQ scales: no square overflows, and none that
-    underflows could show in the sum. factor is applied before 2^e is undone.
-    Both scalings are exact, so in range the result is factor *
-    np.linalg.norm(x) bit for bit."""
+    inf beyond the double range or for an inf entry, NaN for a NaN entry.
+    np.linalg.norm sums squares, so it is taken on x scaled by a power of two
+    2^-e that brings every entry's modulus below 1, as LAPACK's xLASSQ
+    scales: no square overflows, and none that underflows could show in the
+    sum. e is one more than the exponent of the largest real or imaginary
+    part, a scan that cannot overflow, and the one covers the sqrt(2) between
+    that part and a modulus. factor is applied before 2^e is undone. Both
+    scalings are exact, so in range the result is factor * np.linalg.norm(x)
+    bit for bit."""
     x = np.asarray(x)
-    with np.errstate(over="ignore", under="ignore"):
-        scale = max_abs(x)  # inf also for a finite complex entry beyond DBL_MAX
-        # every modulus is below 2^1025, and 2^-e stays finite for subnormal x
-        exponent = max(math.frexp(scale)[1], -1022) if scale < math.inf else 1025
-        return float(np.ldexp(factor * np.linalg.norm(x * 2.0**-exponent), exponent))
+    parts = np.ascontiguousarray(x).view(x.real.dtype) if np.iscomplexobj(x) else x
+    scale = float(np.max(np.abs(parts), initial=0.0))
+    if not scale < math.inf:  # an inf or NaN entry
+        return factor * scale
+    # 2^-e stays finite for subnormal x
+    exponent = max(math.frexp(scale)[1] + 1, -1022)
+    try:
+        return math.ldexp(factor * float(np.linalg.norm(x * 2.0**-exponent)), exponent)
+    except OverflowError:
+        return math.inf

@@ -6,13 +6,17 @@ n-dimensional ambient space. Inner products are linear in the first
 argument: <x, y> = sum_j x_j * conj(y_j).
 
 Each entry point gates on the frame routes it reads and returns what its
-gate already checked: T+ from T's kept factors, which the T/S gate holds
-against T* S+ (so T+ f = (S+ T)* f and (T+)* c = S+ T c), or an orthonormal
-basis of range(U) from the G route. It then checks its defining identity by
-the gate's rule (frame_ops._deviation): a residual beyond identity_abs, scaled
-by the norms that enter it (matrix_core._norm), or NaN, raises NumericalError.
-No result goes through S+ or G+ again, so its error grows with T's condition
-number, not with its square.
+gate already checked: T+ from T's certified kept factors, which the T/S gate
+holds against T* S+ in T's coordinates (so T+ f = (S+ T)* f and
+(T+)* c = S+ T c), or an orthonormal basis of range(U) from the G route. It
+then checks its defining identity by the gate's rule (frame_ops._deviation):
+a residual beyond identity_abs, scaled by the norms that enter it
+(matrix_core._norm), or NaN, raises NumericalError. The projectors are
+applied through T's kept singular vectors, P f as W (W* f) and Q c as
+V (V* c), never as n x n or m x m matrices. No result goes through S+ or G+
+again, so its error grows with T's condition number, not with its square.
+A product that a result or its check reads and that leaves the double range
+raises NumericalError naming it, without an overflow warning.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateSpanError, NumericalError
-from .frame_ops import FrameSequence, _deviation, _FrameAnalysis
+from .frame_ops import FrameSequence, _deviation, _FrameAnalysis, _in_range
 from .matrix_core import Tolerance, _norm, as_vector
 
 __all__ = [
@@ -80,6 +84,29 @@ def _range_part(basis: np.ndarray, x: np.ndarray) -> np.ndarray:
     return basis @ (basis.conj().T @ x)
 
 
+def _applied(what: str, form, x: np.ndarray) -> np.ndarray:
+    """form(), the product `what` of an input or result x that a result or its
+    check reads, computed without an overflow warning. Where x is finite and an
+    entry of the product overflows, NumericalError names the product. A
+    non-finite x, a result that itself left the double range, is passed on,
+    and the check it enters refuses it."""
+    if np.isfinite(x).all():
+        return _in_range(what, form)
+    return _result(form)
+
+
+def _result(form) -> np.ndarray:
+    """form(), a result such as T+ f, computed without an overflow warning: one
+    beyond the double range is passed on, and the checks it enters refuse it."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return form()
+
+
+def _span_part(a: _FrameAnalysis, f: np.ndarray) -> np.ndarray:
+    """P f, applied as W (W* f) from T's kept left singular vectors W."""
+    return _applied("projection P f", lambda: _range_part(a.f_t.left_vectors, f), f)
+
+
 def _solution(solution: np.ndarray, inside: np.ndarray, leftover: np.ndarray) -> MinNormSolution:
     """The solution, with |leftover| as residual and the squared norms split."""
     norms = _norm(inside), _norm(leftover)
@@ -111,14 +138,17 @@ def min_norm_coefficients(frame: FrameSequence, signal,
     The solution c0 = T+ f has entries <f, S+ f_k>; it satisfies T c0 = P f,
     lies in the range of the analysis operator (Q c0 = c0), and among all
     coefficient vectors with the same synthesis it has strictly minimal norm.
-    For f in the span, T c0 = f exactly and the residual is zero.
+    For f in the span, T c0 = f exactly and the residual is zero. P f is
+    applied as W (W* f) from T's kept left singular vectors W, and the
+    residual and norm split are read from it.
     """
     a = _gated_analysis(frame, tol, "frame operator")
     f = as_vector(signal, frame.ambient_dim, name="signal")
-    c0 = a["T+"] @ f
-    projected = a["P"] @ f
-    _check(a, "T c0 = P f", a["T"] @ c0, projected, f, c0)
-    _check(a, "Q c0 = c0", _range_part(a.f_t.right_vectors, c0), c0, c0)
+    c0 = _result(lambda: a["T+"] @ f)
+    projected = _span_part(a, f)
+    _check(a, "T c0 = P f", _applied("product T c0", lambda: a["T"] @ c0, c0), projected, f, c0)
+    q_c0 = _applied("projection Q c0", lambda: _range_part(a.f_t.right_vectors, c0), c0)
+    _check(a, "Q c0 = c0", q_c0, c0, c0)
     return _solution(c0, projected, f - projected)
 
 
@@ -134,9 +164,9 @@ def min_norm_preimage(frame: FrameSequence, coefficients,
     """
     a = _gated_analysis(frame, tol, "frame operator")
     c = as_vector(coefficients, frame.size, name="coefficients")
-    f0 = a["T+"].conj().T @ c
-    q_part = _range_part(a.f_t.right_vectors, c)
-    _check(a, "U f0 = Q c", a["U"] @ f0, q_part, c, f0)
+    f0 = _result(lambda: a["T+"].conj().T @ c)
+    q_part = _applied("projection Q c", lambda: _range_part(a.f_t.right_vectors, c), c)
+    _check(a, "U f0 = Q c", _applied("product U f0", lambda: a["U"] @ f0, f0), q_part, c, f0)
     return _solution(f0, q_part, c - q_part)
 
 
@@ -145,15 +175,15 @@ def project_signal(frame: FrameSequence, signal,
     """Project a signal onto the span via the dual-coefficient series.
 
     Evaluates sum_k <f, S+ f_k> f_k as T (T+ f), the synthesis of the dual
-    coefficients, and checks the result against the projector matrix P
-    applied to f; the two routes must agree within tol.identity_abs (scaled
-    by |f| + |T| |T+ f|).
+    coefficients, and checks the result against P f, applied as W (W* f) from
+    T's kept left singular vectors W; the two routes must agree within
+    tol.identity_abs (scaled by |f| + |T| |T+ f|).
     """
     a = _gated_analysis(frame, tol, "frame operator")
     f = as_vector(signal, frame.ambient_dim, name="signal")
-    coefficients = a["T+"] @ f
-    series = a["T"] @ coefficients
-    _check(a, "series equals P f", series, a["P"] @ f, f, coefficients)
+    coefficients = _result(lambda: a["T+"] @ f)
+    series = _applied("signal series T (T+ f)", lambda: a["T"] @ coefficients, coefficients)
+    _check(a, "series equals P f", series, _span_part(a, f), f, coefficients)
     return series
 
 

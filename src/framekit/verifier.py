@@ -8,11 +8,13 @@ Its rows read the frame's analysis (frame_ops._FrameAnalysis) directly:
 they name operators as frame_ops._OPERATORS does, their identities are
 evaluated, once per call, by the same memoized code as the gate's
 self-checks, and their spectral norms are read off the route factors
-(_FrameAnalysis.spectral_norm). The sampled rows read two seeded
-unit-column blocks drawn once, after the gates. Deviations are residuals
-normalized by the norms of the factors entering each product (see
-scaled_deviation), which keeps them comparable to identity_abs for badly
-conditioned sequences too. Inequality checks carry a fixed absolute slack
+(_FrameAnalysis.spectral_norm). The gate checks S and G on their factors;
+the rows that restate its identities (SS† = S†S = P, T† = T*S†,
+GG† = G†G = Q, P fₖ = fₖ) evaluate them densely, as every product row
+does. The sampled rows read two seeded unit-column blocks drawn once, after
+the gates. Deviations are residuals normalized by the norms of the factors
+entering each product (see scaled_deviation), which keeps them comparable
+to identity_abs for badly conditioned sequences too. Inequality checks carry a fixed absolute slack
 of 1e-9, and relative checks use 1e-8 rescaled by the caller's
 identity_abs so a loosened run loosens coherently.
 """
@@ -366,14 +368,16 @@ _TIGHT_GRAM_PINV = (("G+",), ("Q/A",), ("G+",))
 _REGISTRY = (
     ("pinv_synthesis_is_dual_analysis", "T† = Ũ", False, ((("T+",), ("~U",), ("S+", "T")),)),
     ("pinv_analysis_is_dual_synthesis", "U† = T̃", False, ((("U+",), ("~T",), ("S+", "T")),)),
-    ("pinv_synthesis_via_frame_operator", "T† = T*S† = S†T*", False, ("T+ = T* S+",)),
+    ("pinv_synthesis_via_frame_operator", "T† = T*S† = S†T*", False,
+     ((("T+",), ("U", "S+"), ("U", "S+")),)),
     ("pinv_synthesis_adjoint_form", "(T†)* = S†T", False, ((("T+*",), ("S+", "T"), ("S+", "T")),)),
     ("frame_operator_pinv_as_product", "(T†)*T† = S†", False,
      ((("T+*", "T+"), ("S+",), ("T+", "T+")),)),
     ("pinv_analysis_via_gram", "(T*)† = TG†", False, ((("U+",), ("T", "G+"), ("T", "G+")),)),
     ("gram_pinv_as_product", "T†(T†)* = G†", False, ((("T+", "T+*"), ("G+",), ("T+", "T+")),)),
     ("pinv_synthesis_via_gram", "T† = G†T*", False, ((("T+",), ("G+", "U"), ("G+", "U")),)),
-    ("frame_operator_pinv_projector", "SS† = S†S = P", False, ("S S+ = P", "S+ S = P")),
+    ("frame_operator_pinv_projector", "SS† = S†S = P", False,
+     ((("S", "S+"), ("P",), ("S", "S+")), (("S+", "S"), ("P",), ("S+", "S")))),
     ("gram_pinv_projector", "GG† = G†G = Q", False,
      ((("G", "G+"), ("Q",), ("G", "G+")), (("G+", "G"), ("Q",), ("G+", "G")))),
     # I − P can be ~0 (full span), so only S† sets the scale of the product
@@ -389,7 +393,8 @@ _REGISTRY = (
     ("dual_reconstruction", "TŨ = ι_V P = T̃U", False,
      ((("T", "~U"), ("P",), ("T", "~U")), (("~T", "U"), ("P",), ("~T", "U")))),
     ("cross_dual_gram", "Q = UT̃", False, ((("Q",), ("U", "~T"), ("U", "~T")),)),
-    ("span_projector_fixes_vectors", "P fₖ = fₖ (range of T is the span)", False, ("P T = T",)),
+    ("span_projector_fixes_vectors", "P fₖ = fₖ (range of T is the span)", False,
+     ((("P", "T"), ("T",), ("P", "T")),)),
     ("operator_norms_agree", "‖T‖² = ‖S‖ = ‖G‖", False, partial(_norms_agree, ("T", "S", "G"))),
     ("pinv_norms_agree", "‖T†‖² = ‖S†‖ = ‖G†‖", False, partial(_norms_agree, ("T+", "S+", "G+"))),
     ("analysis_sandwich", "A‖Pf‖² ≤ ‖T*f‖² ≤ B‖Pf‖²", False, partial(_sandwich, "P", "U", "signals")),

@@ -275,9 +275,11 @@ def test_no_bare_warning_across_the_double_range(kind, entry):
 
 @pytest.mark.parametrize("kind", ["gaussian", "tight", "rank_deficient"])
 def test_a_wrong_frame_operator_route_is_refused_at_every_scale(kind, monkeypatch):
-    # S's eigenvalues scaled by 1.01: 'S S+ = P' sees that 1% only where the
-    # Frobenius norms of S and S+ are taken without overflow, which
-    # np.linalg.norm did not do from about 2^254 (|S|_F beyond 2^512)
+    # S's eigenvalues scaled by 1.01: 'S S+ = P', checked on S's factors as
+    # S R_s / lambda_s = L_s, sees that 1% at every scale, since its scale
+    # kappa(S) = lambda_1 / lambda_r does not move with the frame's; the dense
+    # check read it only where |S|_F and |S+|_F were taken without overflow,
+    # which np.linalg.norm did not do from about 2^254 (|S|_F beyond 2^512)
     factor = _FrameAnalysis.f_s.func
 
     def wrong(analysis):
@@ -303,3 +305,32 @@ def test_scaled_deviation_takes_factor_norms_without_overflow():
     assert scaled_deviation(eye, 1.5 * eye, [eye, eye]) == pytest.approx(2.5e-201, rel=1e-12)
     # a factor whose own norm is beyond the range leaves the deviation unknown
     assert scaled_deviation(eye, eye, [np.full((2, 2), 1e308)]) == np.inf
+
+
+def test_a_reconstruction_product_past_the_double_range_is_named():
+    # tight 4 x 6 frame (seed 2): T+ f has an entry of modulus past DBL_MAX, so
+    # V* c0 in the check 'Q c0 = c0' overflows, where a bare warning escaped
+    frame = generate(GeneratorSpec("tight", 4, 6, 2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match="the projection Q c0 leaves the double range"):
+            min_norm_coefficients(frame, [1.7e308, 0.0, 0.0, 0.0])
+
+
+@pytest.mark.parametrize("entry, length", [(min_norm_coefficients, 4), (project_signal, 4),
+                                           (min_norm_preimage, 6)],
+                         ids=["min_norm_coefficients", "project_signal", "min_norm_preimage"])
+@pytest.mark.parametrize("kind", ["gaussian", "tight"])
+def test_reconstruction_of_inputs_near_dbl_max_lets_no_warning_escape(kind, entry, length):
+    # each result and each product of it that its checks read either stays in
+    # range or raises a typed error; a result that overflows itself fails its check
+    frame = generate(GeneratorSpec(kind, 4, 6, 2))
+    inputs = [value * np.eye(length)[k] for value in (1e307, 1.7e308) for k in range(length)]
+    inputs += [np.full(length, 1.7e308), np.full(length, 0.85e308 * (1 + 1j))]
+    for x in inputs:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                entry(frame, x)
+            except FramekitError:
+                pass

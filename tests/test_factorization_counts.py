@@ -137,26 +137,24 @@ def test_cli_verify_svd_count(svd_calls, capsys):
                                   "ill_conditioned"])
 def test_identity_suite_takes_each_norm_once(norm_calls, kind):
     frame, tol = frame_and_tol(kind)
-    # T, U, S, P, S+ of the frame and of its dual (the bundles' dense
-    # self-checks; the gram checks read G's factors), then the frame's G and
-    # G+ (the gram_pinv_projector row), T+ and Q, and one column-norm call for
-    # each of the two sample blocks
-    assert norm_calls(run_identity_suite, frame, tol) == 16
+    # the gates read factors and take none; the rows take T, U, S, G, P, Q,
+    # T+, S+ and G+ of the frame and T, U and S+ of its dual, then one
+    # column-norm call for each of the two sample blocks
+    assert norm_calls(run_identity_suite, frame, tol) == 14
 
 
 def test_polarization_check_draws_no_sample_block(norm_calls):
-    # T and P enter the T/G gate's dense self-check, U scales the tight
-    # gram identity and G+ the tight gram pinv identity; the suite's sample
-    # blocks are never drawn
+    # the T/G gate reads factors; U and T scale the tight gram identity and
+    # G+ the tight gram pinv identity; the suite's sample blocks are never drawn
     frame, tol = frame_and_tol("tight")
-    assert norm_calls(polarization_check, frame, 10, tol) == 4
+    assert norm_calls(polarization_check, frame, 10, tol) == 3
 
 
 def test_build_bundle_takes_each_norm_once(norm_calls):
     frame, tol = frame_and_tol("gaussian")
-    # T, U, S, P and S+ enter the four dense self-checks; the two gram
-    # checks read G's factors and take no Frobenius norm
-    assert norm_calls(build_bundle, frame, tol) == 5
+    # every self-check reads route factors, scaled by spectral norms read
+    # off them, and takes no Frobenius norm
+    assert norm_calls(build_bundle, frame, tol) == 0
 
 
 @pytest.mark.parametrize("kind, expected", [("tight", 1), ("gaussian", 2)])
@@ -187,16 +185,16 @@ def deviation_calls(monkeypatch):
     return count
 
 
-@pytest.mark.parametrize("kind, expected", [("gaussian", 33), ("tight", 37)])
+@pytest.mark.parametrize("kind, expected", [("gaussian", 35), ("tight", 39)])
 def test_identity_suite_evaluates_each_identity_once(deviation_calls, kind, expected):
-    # the six self-checks of the frame's gate and of the dual's, then the
-    # 21 other identities of the general rows (gram_pinv_projector's two
-    # dense ones among them); a tight frame adds the four tight identities,
-    # which the polarization row reads again from the memo
+    # the five factored self-checks of the frame's gate and of the dual's,
+    # then the 25 identities of the general rows, which evaluate the dense
+    # forms of the gate's identities themselves; a tight frame adds the four
+    # tight identities, which the polarization row reads again from the memo
     frame, tol = frame_and_tol(kind)
     assert deviation_calls(run_identity_suite, frame, tol) == expected
 
 
 def test_build_bundle_evaluates_each_self_check_once(deviation_calls):
     frame, tol = frame_and_tol("gaussian")
-    assert deviation_calls(build_bundle, frame, tol) == 6
+    assert deviation_calls(build_bundle, frame, tol) == 5

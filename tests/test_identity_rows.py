@@ -1,7 +1,7 @@
 """Each registry row that is an operator identity reports the written-out deviation.
 
-The suite evaluates those rows from operand names and reads four of them
-from the bundle's own self-checks. Here every such row is restated as a
+The suite evaluates those rows from operand names, the dense forms of the
+gate's factored self-checks among them. Here every such row is restated as a
 direct scaled_deviation over the public bundles of the frame and of its
 canonical dual, and the suite's record must equal it bit for bit.
 """

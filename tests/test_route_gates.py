@@ -144,7 +144,23 @@ def test_coefficient_projection_of_huge_input_returns_q_c():
 
 def test_first_failing_self_check_names_the_error():
     # no residual reaches below 1e-20, so every self-check fails; each
-    # result reports the first one on the routes it reads, in gate order
+    # result reads T's certified factors first, so it reports the first
+    # check of T's certificate
+    frame = generate(GeneratorSpec("gaussian", 4, 6, 0))
+    strict = Tolerance(identity_abs=1e-20)
+    first = "operator bundle failed self-check '{}': deviation [0-9.e+-]+ exceeds 1.000e-20$"
+    with pytest.raises(NumericalError, match=first.format("T V = W Sigma")):
+        build_bundle(frame, strict)
+    with pytest.raises(NumericalError, match=first.format("T V = W Sigma")):
+        min_norm_coefficients(frame, np.ones(4), strict)
+    with pytest.raises(NumericalError, match=first.format("T V = W Sigma")):
+        project_coefficients(frame, np.ones(6), strict)
+
+
+def test_first_failing_route_check_names_the_error(monkeypatch):
+    # with T's certificate read as exact, each result reports the first
+    # self-check on the routes it reads, in gate order
+    monkeypatch.setattr(FrameSequence, "_certificate", (0.0, 0.0, 0.0))
     frame = generate(GeneratorSpec("gaussian", 4, 6, 0))
     strict = Tolerance(identity_abs=1e-20)
     first = "operator bundle failed self-check '{}': deviation [0-9.e+-]+ exceeds 1.000e-20$"

@@ -26,6 +26,7 @@ out in _FrameAnalysis.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -345,8 +346,9 @@ _OPERATORS = {
     "I-Q": lambda a: np.eye(a.frame.size) - a["Q"],
     "AP": lambda a: a.bounds.lower * a["P"],
     "AQ": lambda a: a.bounds.lower * a["Q"],
-    "P/A": lambda a: _over_lower_bound(a, "P"),
-    "Q/A": lambda a: _over_lower_bound(a, "Q"),
+    # A is normal (see _bounds_from_factors), so 1/A and these entries are finite
+    "P/A": lambda a: a["P"] / a.bounds.lower,
+    "Q/A": lambda a: a["Q"] / a.bounds.lower,
     # S's kept right vectors R_s in T's kept left ones W, r x r: two of the
     # T/S gate's factored self-checks read it
     "W*R_s": lambda a: a.f_t.left_vectors.conj().T @ a.f_s.right_vectors,
@@ -361,21 +363,6 @@ def _in_range(name: str, form) -> np.ndarray:
     if not np.isfinite(out).all():
         raise NumericalError(f"the {name} leaves the double range: an entry overflows")
     return out
-
-
-def _over_lower_bound(a: "_FrameAnalysis", name: str) -> np.ndarray:
-    """A projector divided by the lower bound A, the tight frames' S+ or G+.
-
-    Like pinv_from_factors it raises NumericalError before dividing when
-    1/A overflows, since the result's entries reach 1/A in modulus.
-    """
-    lower = a.bounds.lower
-    if not 1.0 / lower < math.inf:
-        raise NumericalError(
-            f"the pseudoinverse leaves the double range: 1/A overflows for the lower bound "
-            f"A {lower:.3e}"
-        )
-    return a[name] / lower
 
 
 def _kappa(a: "_FrameAnalysis", name: str) -> list:
@@ -656,7 +643,8 @@ def _bounds_from_factors(f_t: SvdFactors, tol: Tolerance) -> FrameBounds:
     sigma_max, sigma_min = f_t.singular_values[0], f_t.singular_values[f_t.rank - 1]
     with np.errstate(over="ignore"):
         upper, lower = float(sigma_max ** 2), float(sigma_min ** 2)
-    if not (lower > 0.0 and upper < math.inf):
+    # a subnormal A has lost bits, so it is refused like 0: 1/A <= 4.5e307
+    if not (lower >= sys.float_info.min and upper < math.inf):
         raise NumericalError(
             f"the frame bounds leave the double range: sigma_max {sigma_max:.3e} and "
             f"sigma_min {sigma_min:.3e} square to {upper:.3e} and {lower:.3e}"
@@ -672,7 +660,8 @@ def frame_bounds(frame: FrameSequence, tol: Tolerance | None = None) -> FrameBou
     Every f in the span satisfies A |f|^2 <= sum |<f, f_k>|^2 <= B |f|^2,
     and no wider A or narrower B does. Raises DegenerateSpanError when the
     span is the zero subspace (no bounds exist), and NumericalError when a
-    bound leaves the double range (its squared singular value is 0 or inf)
+    bound leaves the double range (its squared singular value is inf, or
+    subnormal or 0, where it has lost bits)
     or when T's factors fail their certificate under tol.identity_abs (see
     FrameSequence), naming the failing check.
     """

@@ -15,8 +15,21 @@ a residual beyond identity_abs, scaled by the norms that enter it
 applied through T's kept singular vectors, P f as W (W* f) and Q c as
 V (V* c), never as n x n or m x m matrices. No result goes through S+ or G+
 again, so its error grows with T's condition number, not with its square.
-A product that a result or its check reads and that leaves the double range
-raises NumericalError naming it, without an overflow warning.
+
+The operators are linear, so each entry point solves on its input scaled to
+unit size, as LAPACK's xLASCL scales: it writes the input as x = 2^e u, e
+the exponent of x's largest real or imaginary part (math.frexp), so every
+part of u is below 1 in modulus and |u| < sqrt(2 dim). It gates, solves and
+checks on u, with no guard on any product. The invariant that makes this
+safe: after the T/S gate 1/lambda_r is finite and S is finite, so
+|T+ u| <= |u| / sigma_r < 2^513 sqrt(2 dim), and the products T (T+ u) and
+U ((T+)* u) that the checks read stay within kappa(T) |u|, which S's rank
+cutoff keeps below 2^537 |u| (kappa(S) = kappa(T)^2 < 1 / min(rank_rel dim,
+10 dim eps)); after the T/G gate the series V_g (V_g* u) is at most |u|.
+The result and residual_norm are scaled back by 2^e and norm_split by 2^2e,
+exactly wherever they stay normal; one that leaves the double range raises
+NumericalError naming it. So result(2^k x) = 2^k result(x) bit for bit
+where both are normal, and a verdict does not depend on |x|.
 """
 
 from __future__ import annotations
@@ -27,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateSpanError, NumericalError
-from .frame_ops import FrameSequence, _deviation, _FrameAnalysis, _in_range
+from .frame_ops import FrameSequence, _deviation, _FrameAnalysis
 from .matrix_core import Tolerance, _norm, as_vector
 
 __all__ = [
@@ -66,12 +79,12 @@ def _check(a: _FrameAnalysis, what: str, lhs: np.ndarray, rhs: np.ndarray,
            v: np.ndarray, x: np.ndarray | None = None) -> None:
     """Refuse unless lhs = rhs within identity_abs, the residual scaled by
     |v| + |T| |x| for an identity whose sides carry v and, when x is given, T or
-    U applied to x: rounding grows with the norms that enter the identity."""
-    # the scale is taken 2^64 smaller and _deviation multiplies it back without
-    # overflow, so a scale past the double range still refuses a wrong result
-    lift = 2.0**64
-    scale = _norm(v, 1.0 / lift) + (0.0 if x is None else _norm(x, a.spectral_norm("T") / lift))
-    dev = _deviation(lhs, rhs, [scale, lift])
+    U applied to x: rounding grows with the norms that enter the identity. The
+    operands come from a unit input (see the module docstring), so the scale
+    is finite, and the max(1, scale) floor of _deviation sees the frame's
+    scale, not the input's."""
+    scale = _norm(v) + (0.0 if x is None else _norm(x, a.spectral_norm("T")))
+    dev = _deviation(lhs, rhs, [scale])
     if not dev <= a.tol.identity_abs:
         raise NumericalError(
             f"reconstruction self-check '{what}' deviates by {dev:.3e}, "
@@ -84,43 +97,42 @@ def _range_part(basis: np.ndarray, x: np.ndarray) -> np.ndarray:
     return basis @ (basis.conj().T @ x)
 
 
-def _applied(what: str, form, x: np.ndarray) -> np.ndarray:
-    """form(), the product `what` of an input or result x that a result or its
-    check reads, computed without an overflow warning. Where x is finite and an
-    entry of the product overflows, NumericalError names the product. A
-    non-finite x, a result that itself left the double range, is passed on,
-    and the check it enters refuses it."""
-    if np.isfinite(x).all():
-        return _in_range(what, form)
-    return _result(form)
+def _scaled_back(what: str, result: np.ndarray, e: int) -> np.ndarray:
+    """2^e result, for a result of the unit input; NumericalError names it where
+    an entry leaves the double range."""
+    with np.errstate(over="ignore"):
+        out = np.ldexp(result.view(np.float64), e).view(np.complex128)
+    if not np.isfinite(out).all():
+        raise NumericalError(f"the {what} leaves the double range: an entry overflows")
+    return out
 
 
-def _result(form) -> np.ndarray:
-    """form(), a result such as T+ f, computed without an overflow warning: one
-    beyond the double range is passed on, and the checks it enters refuse it."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        return form()
-
-
-def _span_part(a: _FrameAnalysis, f: np.ndarray) -> np.ndarray:
-    """P f, applied as W (W* f) from T's kept left singular vectors W."""
-    return _applied("projection P f", lambda: _range_part(a.f_t.left_vectors, f), f)
-
-
-def _solution(solution: np.ndarray, inside: np.ndarray, leftover: np.ndarray) -> MinNormSolution:
-    """The solution, with |leftover| as residual and the squared norms split."""
+def _solution(what: str, solution: np.ndarray, inside: np.ndarray, leftover: np.ndarray,
+              e: int) -> MinNormSolution:
+    """The solution `what` of the unit input, with |leftover| as residual and the
+    squared norms of inside and leftover as the split, scaled back by 2^e (2^2e
+    for the split). A split component whose square leaves the double range
+    raises NumericalError naming it; the residual cannot leave it unless the
+    leftover's square does."""
+    solution = _scaled_back(what, solution, e)
     norms = _norm(inside), _norm(leftover)
-    split = tuple(x * x for x in norms)
-    for name, norm, square in zip(("inside", "leftover"), norms, split):
-        if square == math.inf:
+    split = []
+    for name, norm in zip(("inside", "leftover"), norms):
+        try:
+            split.append(math.ldexp(norm * norm, 2 * e))
+        except OverflowError:
             raise NumericalError(
-                f"norm_split's {name} component {norm:.3e} squares beyond the double range"
-            )
-    return MinNormSolution(solution=solution, residual_norm=norms[1], norm_split=split)
+                f"norm_split's {name} component {norm:.3e} * 2^{e} squares beyond the double range"
+            ) from None
+    return MinNormSolution(solution=solution, residual_norm=math.ldexp(norms[1], e),
+                           norm_split=tuple(split))
 
 
-def _gated_analysis(frame: FrameSequence, tol: Tolerance | None, route: str) -> _FrameAnalysis:
-    """The frame's analysis, gated on T and the one other route a result reads."""
+def _gated(frame: FrameSequence, tol: Tolerance | None, route: str, values, length: int,
+           name: str) -> tuple:
+    """The frame's analysis, gated on T and the one other route a result reads,
+    and the input x as (u, e) with x = 2^e u: e is the exponent of x's largest
+    real or imaginary part, so every part of u is below 1 in modulus."""
     a = _FrameAnalysis(frame, tol)
     a.gate("synthesis", route)
     if a.f_t.rank == 0:
@@ -128,7 +140,9 @@ def _gated_analysis(frame: FrameSequence, tol: Tolerance | None, route: str) -> 
             "all vectors are numerically zero; reconstruction against a degenerate "
             "sequence is undefined"
         )
-    return a
+    parts = as_vector(values, length, name=name).view(np.float64)
+    e = math.frexp(float(np.max(np.abs(parts))))[1]
+    return a, np.ldexp(parts, -e).view(np.complex128), e
 
 
 def min_norm_coefficients(frame: FrameSequence, signal,
@@ -142,14 +156,12 @@ def min_norm_coefficients(frame: FrameSequence, signal,
     applied as W (W* f) from T's kept left singular vectors W, and the
     residual and norm split are read from it.
     """
-    a = _gated_analysis(frame, tol, "frame operator")
-    f = as_vector(signal, frame.ambient_dim, name="signal")
-    c0 = _result(lambda: a["T+"] @ f)
-    projected = _span_part(a, f)
-    _check(a, "T c0 = P f", _applied("product T c0", lambda: a["T"] @ c0, c0), projected, f, c0)
-    q_c0 = _applied("projection Q c0", lambda: _range_part(a.f_t.right_vectors, c0), c0)
-    _check(a, "Q c0 = c0", q_c0, c0, c0)
-    return _solution(c0, projected, f - projected)
+    a, f, e = _gated(frame, tol, "frame operator", signal, frame.ambient_dim, "signal")
+    c0 = a["T+"] @ f
+    projected = _range_part(a.f_t.left_vectors, f)
+    _check(a, "T c0 = P f", a["T"] @ c0, projected, f, c0)
+    _check(a, "Q c0 = c0", _range_part(a.f_t.right_vectors, c0), c0, c0)
+    return _solution("minimum-norm solution T+ f", c0, projected, f - projected, e)
 
 
 def min_norm_preimage(frame: FrameSequence, coefficients,
@@ -162,12 +174,11 @@ def min_norm_preimage(frame: FrameSequence, coefficients,
     input no signal can reach; Q c is applied as V (V* c) from T's kept
     right singular vectors V.
     """
-    a = _gated_analysis(frame, tol, "frame operator")
-    c = as_vector(coefficients, frame.size, name="coefficients")
-    f0 = _result(lambda: a["T+"].conj().T @ c)
-    q_part = _applied("projection Q c", lambda: _range_part(a.f_t.right_vectors, c), c)
-    _check(a, "U f0 = Q c", _applied("product U f0", lambda: a["U"] @ f0, f0), q_part, c, f0)
-    return _solution(f0, q_part, c - q_part)
+    a, c, e = _gated(frame, tol, "frame operator", coefficients, frame.size, "coefficients")
+    f0 = a["T+"].conj().T @ c
+    q_part = _range_part(a.f_t.right_vectors, c)
+    _check(a, "U f0 = Q c", a["U"] @ f0, q_part, c, f0)
+    return _solution("minimum-norm solution (T+)* c", f0, q_part, c - q_part, e)
 
 
 def project_signal(frame: FrameSequence, signal,
@@ -179,12 +190,11 @@ def project_signal(frame: FrameSequence, signal,
     T's kept left singular vectors W; the two routes must agree within
     tol.identity_abs (scaled by |f| + |T| |T+ f|).
     """
-    a = _gated_analysis(frame, tol, "frame operator")
-    f = as_vector(signal, frame.ambient_dim, name="signal")
-    coefficients = _result(lambda: a["T+"] @ f)
-    series = _applied("signal series T (T+ f)", lambda: a["T"] @ coefficients, coefficients)
-    _check(a, "series equals P f", series, _span_part(a, f), f, coefficients)
-    return series
+    a, f, e = _gated(frame, tol, "frame operator", signal, frame.ambient_dim, "signal")
+    coefficients = a["T+"] @ f
+    series = a["T"] @ coefficients
+    _check(a, "series equals P f", series, _range_part(a.f_t.left_vectors, f), f, coefficients)
+    return _scaled_back("signal series T (T+ f)", series, e)
 
 
 def project_coefficients(frame: FrameSequence, coefficients,
@@ -198,9 +208,7 @@ def project_coefficients(frame: FrameSequence, coefficients,
     m x r factors (see frame_ops._FrameAnalysis), so no m x m G, G+ or Q is
     formed.
     """
-    a = _gated_analysis(frame, tol, "gram")
-    c = as_vector(coefficients, frame.size, name="coefficients")
+    a, c, e = _gated(frame, tol, "gram", coefficients, frame.size, "coefficients")
     series = _range_part(a.f_g.right_vectors, c)
-    direct = _range_part(a.f_t.right_vectors, c)
-    _check(a, "series equals Q c", series, direct, c)
-    return series
+    _check(a, "series equals Q c", series, _range_part(a.f_t.right_vectors, c), c)
+    return _scaled_back("coefficient series Q c", series, e)

@@ -4,12 +4,13 @@ The optimal bounds are the squared extreme singular values of T. For a
 frame scaled by 2^-700 they underflow to 0, and for one scaled by 2^560
 they overflow to inf; both scales are exact, so the singular values
 themselves stay representable. Either way the caller gets NumericalError
-(exit 1 from the CLI) naming sigma_max and sigma_min. A pseudoinverse
-whose largest entry 1/sigma_r would overflow raises NumericalError naming
-sigma_r before anything is divided; so does a tight frame's P/A or Q/A
-when 1/A overflows. A frame operator S or gram core R1 R1* whose entries
-overflow raises NumericalError naming it, without an overflow warning; so
-do the restricted frame operator W*SW and its inverse.
+(exit 1 from the CLI) naming sigma_max and sigma_min; a subnormal lower
+bound, which has lost bits, is refused the same way, so a tight frame's
+P/A and Q/A stay finite. A pseudoinverse whose largest entry 1/sigma_r
+would overflow raises NumericalError naming sigma_r before anything is
+divided. A frame operator S or gram core R1 R1* whose entries overflow
+raises NumericalError naming it, without an overflow warning; so do the
+restricted frame operator W*SW and its inverse.
 
 Every Frobenius or vector norm a check is scaled by, in the gate, the
 suite, scaled_deviation and the reconstruction checks, is taken by one function,
@@ -17,11 +18,13 @@ matrix_core._norm, on entries scaled by an exact power of two, so no square
 overflows or underflows. frame_ops._deviation divides the residual by the
 norms' product kept as a mantissa and a power of two, and refuses when a
 norm is itself inf. So a check is not made vacuous by an infinite Frobenius
-norm of S or an infinite reconstruction scale, and a norm_split component
-whose square leaves the double range raises NumericalError too. Across
-2^-500 to 2^500 no entry point lets a bare RuntimeWarning escape.
+norm of S. The reconstructions solve and check on their input scaled to
+unit size, and a result or norm_split component that leaves the double
+range when scaled back raises NumericalError naming it. Across 2^-500 to
+2^500 no entry point lets a bare RuntimeWarning escape.
 """
 
+import itertools
 import json
 import re
 import warnings
@@ -52,7 +55,7 @@ from framekit import (
     scaled_deviation,
     svd,
 )
-from framekit import reconstruct
+from framekit import frame_ops, reconstruct
 from framekit.cli import EXIT_VERIFICATION_FAILED, main
 from framekit.frame_ops import _FrameAnalysis
 from framekit.reconstruct import _check
@@ -82,19 +85,28 @@ def test_pinv_of_a_subnormal_matrix_raises():
             pinv([[1e-310]])
 
 
+SIGMA_R_OVERFLOWS = "leaves the double range: 1/sigma_r overflows"
+SUBNORMAL_BOUND = r"the frame bounds leave the double range: .* and \d\.\d{3}e-3\d\d$"
+
+
 @pytest.mark.parametrize("exponent", [515, 520, 525, 530, 535])
-@pytest.mark.parametrize("entry", [
-    build_bundle, canonical_dual, pseudo_frame_operator, pseudo_gram,
-    lambda frame: project_coefficients(frame, np.ones(frame.size)),
+@pytest.mark.parametrize("entry, message", [
+    (build_bundle, SIGMA_R_OVERFLOWS),
+    (canonical_dual, SIGMA_R_OVERFLOWS),
+    (pseudo_frame_operator, SUBNORMAL_BOUND),
+    (pseudo_gram, SUBNORMAL_BOUND),
+    (lambda frame: project_coefficients(frame, np.ones(frame.size)), SIGMA_R_OVERFLOWS),
 ], ids=["build_bundle", "canonical_dual", "pseudo_frame_operator", "pseudo_gram",
         "project_coefficients"])
-def test_pseudoinverse_outside_the_double_range_raises(entry, exponent):
+def test_pseudoinverse_outside_the_double_range_raises(entry, message, exponent):
     # T's singular values are near 2^-exponent, so those of S and G square
-    # to about 2^-1040 or less, and 1/sigma_r overflows
+    # to about 2^-1040 or less, and 1/sigma_r overflows; the pseudo_* calls
+    # first ask whether the frame is tight, and its lower bound A = sigma_r^2
+    # is subnormal, so the bounds refuse
     frame = scaled_frame(2.0**-exponent)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(NumericalError, match="leaves the double range: 1/sigma_r overflows"):
+        with pytest.raises(NumericalError, match=message):
             entry(frame)
 
 
@@ -106,12 +118,12 @@ def scaled(kind, seed, exponent):
 
 @pytest.mark.parametrize("entry", [pseudo_frame_operator, pseudo_gram])
 def test_tight_fast_path_outside_the_double_range_raises(entry):
-    # A is about 1e-313, so P/A and Q/A would hold inf entries
+    # A is about 1e-313, subnormal, so P/A and Q/A would hold inf entries;
+    # the bounds refuse it before the fast path reads it
     frame = scaled("tight", 2, -520)
-    assert classify(frame).is_tight
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(NumericalError, match="1/A overflows for the lower bound A 3.598e-314"):
+        with pytest.raises(NumericalError, match=r"the frame bounds leave .* and 3\.598e-314$"):
             entry(frame)
 
 
@@ -192,13 +204,19 @@ def test_reconstruction_ceiling_is_finite_for_huge_entries():
         _check(analysis, "huge", v + 2e191, v, v)
 
 
-def test_reconstruction_check_refuses_when_its_scale_passes_the_double_range():
-    # |v| + |T| |x| is about 1.05e309: an infinite scale read every residual as 0
-    analysis = _FrameAnalysis(generate(GeneratorSpec("gaussian", 4, 6, 2)))
-    v, x = np.array([1e308, 1e308, 0.0, 0.0]), np.full(6, 1e308)
-    _check(analysis, "huge", v, v, v, x)
-    with pytest.raises(NumericalError, match="'huge' deviates by 9.568e-04"):
-        _check(analysis, "huge", 1.01 * v, v, v, x)
+def test_reconstruction_check_refuses_when_its_scale_passes_the_double_range(monkeypatch):
+    # |f| + |T| |T+ f| passes DBL_MAX for these f: an infinite scale read every
+    # residual as 0. Each check runs on f scaled to unit size, so a T+ 1% off
+    # is refused, and the honest series is returned
+    frame = generate(GeneratorSpec("gaussian", 4, 6, 2))
+    f = np.array([1e308, 1e308, 0.0, 0.0])
+    assert np.isfinite(project_signal(frame, f)).all()
+    pinv_t = frame_ops._OPERATORS["T+"]
+    monkeypatch.setitem(frame_ops._OPERATORS, "T+", lambda a: 1.01 * pinv_t(a))
+    with pytest.raises(NumericalError, match="'series equals P f' deviates by"):
+        project_signal(frame, f)
+    with pytest.raises(NumericalError, match="'T c0 = P f' deviates by"):
+        min_norm_coefficients(frame, f)
 
 
 def test_a_wrong_series_is_refused_for_coefficients_past_the_double_range(monkeypatch):
@@ -308,22 +326,38 @@ def test_scaled_deviation_takes_factor_norms_without_overflow():
 
 
 def test_a_reconstruction_product_past_the_double_range_is_named():
-    # tight 4 x 6 frame (seed 2): T+ f has an entry of modulus past DBL_MAX, so
-    # V* c0 in the check 'Q c0 = c0' overflows, where a bare warning escaped
+    # tight 4 x 6 frame (seed 2): T+ f has an entry of modulus past DBL_MAX,
+    # where a bare warning escaped; solved on f scaled to unit size, T+ f is
+    # returned in range, but |P f|^2 is not
     frame = generate(GeneratorSpec("tight", 4, 6, 2))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(NumericalError, match="the projection Q c0 leaves the double range"):
+        with pytest.raises(NumericalError, match=r"norm_split's inside component .* \* 2\^1024 "
+                                                 "squares beyond the double range"):
             min_norm_coefficients(frame, [1.7e308, 0.0, 0.0, 0.0])
+        # on the gaussian frame scaled by 2^-40 the solutions themselves overflow
+        small = scaled_4x6("gaussian", -40)
+        for entry, name, length in [(min_norm_coefficients, "T+ f", 4),
+                                    (min_norm_preimage, "(T+)* c", 6)]:
+            with pytest.raises(NumericalError, match=re.escape(
+                    f"the minimum-norm solution {name} leaves the double range")):
+                entry(small, 1e300 * np.eye(length)[0])
 
 
-@pytest.mark.parametrize("entry, length", [(min_norm_coefficients, 4), (project_signal, 4),
-                                           (min_norm_preimage, 6)],
-                         ids=["min_norm_coefficients", "project_signal", "min_norm_preimage"])
+RECONSTRUCTIONS = {
+    "min_norm_coefficients": (min_norm_coefficients, 4),
+    "project_signal": (project_signal, 4),
+    "min_norm_preimage": (min_norm_preimage, 6),
+    "project_coefficients": (project_coefficients, 6),
+}
+
+
+@pytest.mark.parametrize("entry, length", RECONSTRUCTIONS.values(), ids=RECONSTRUCTIONS)
 @pytest.mark.parametrize("kind", ["gaussian", "tight"])
 def test_reconstruction_of_inputs_near_dbl_max_lets_no_warning_escape(kind, entry, length):
-    # each result and each product of it that its checks read either stays in
-    # range or raises a typed error; a result that overflows itself fails its check
+    # each call solves and checks on its input scaled to unit size, where no
+    # product overflows; a result scaled back past the double range raises a
+    # typed error naming it
     frame = generate(GeneratorSpec(kind, 4, 6, 2))
     inputs = [value * np.eye(length)[k] for value in (1e307, 1.7e308) for k in range(length)]
     inputs += [np.full(length, 1.7e308), np.full(length, 0.85e308 * (1 + 1j))]
@@ -334,3 +368,36 @@ def test_reconstruction_of_inputs_near_dbl_max_lets_no_warning_escape(kind, entr
                 entry(frame, x)
             except FramekitError:
                 pass
+
+
+@pytest.mark.parametrize("name", RECONSTRUCTIONS)
+@pytest.mark.parametrize("kind", ["gaussian", "tight", "rank_deficient"])
+def test_no_bare_warning_for_any_input_size_across_the_double_range(kind, name):
+    # every input from the smallest subnormal up to DBL_MAX is solved and
+    # checked at unit size; Q c of 1.7e308 entries let a warning escape
+    entry, length = RECONSTRUCTIONS[name]
+    rng = np.random.default_rng(2)
+    x = rng.standard_normal(length) + 1j * rng.standard_normal(length)
+    x /= np.max(np.abs(np.concatenate([x.real, x.imag])))
+    for exponent in range(-500, 501, 100):
+        frame = scaled_4x6(kind, exponent)
+        for size, y in itertools.product([5e-324, 1e-300, 1.0, 1e300, 1.7e308],
+                                         [x, np.ones(length)]):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                try:
+                    entry(frame, size * y)
+                except FramekitError:
+                    pass
+
+
+def test_a_projection_of_a_signal_past_the_double_range_is_answered():
+    # tight 4 x 6 frame (seed 1): |f| = 3.4e308, and W* f overflowed, but P f
+    # is in range; it matches the dense P applied to f scaled by 2^-1024
+    frame = generate(GeneratorSpec("tight", 4, 6, 1))
+    f = np.full(4, 1.7e308)
+    expected = build_bundle(frame).span_projector @ (f * 2.0**-1024)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = project_signal(frame, f)
+    assert np.max(np.abs(out * 2.0**-1024 - expected)) <= 1e-10 * np.max(np.abs(expected))

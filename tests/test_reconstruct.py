@@ -16,6 +16,7 @@ from framekit import (
     FrameSequence,
     GeneratorSpec,
     NumericalError,
+    Tolerance,
     build_bundle,
     generate,
     min_norm_coefficients,
@@ -23,6 +24,7 @@ from framekit import (
     project_coefficients,
     project_signal,
 )
+from framekit import frame_ops
 
 E1 = np.array([1.0, 0.0], dtype=complex)
 E2 = np.array([0.0, 1.0], dtype=complex)
@@ -296,3 +298,75 @@ def test_result_checks_follow_the_frame_across_scales(kind, name):
             except NumericalError as exc:
                 refused.append((n, m, k, str(exc)))
     assert refused == []
+
+
+def parts(x):
+    """The real and imaginary parts of a complex array, or a float, as one float array."""
+    return np.ascontiguousarray(x, dtype=complex).reshape(-1).view(np.float64)
+
+
+def call(name, frame, x, tol):
+    """Every float a reconstruction returns: the result's parts, then residual_norm
+    and norm_split for the minimum-norm problems, each scaled to x's size k by
+    the power 1 or 2 that the linear law gives it."""
+    out = RECONSTRUCTIONS[name][0](frame, x, tol)
+    if isinstance(out, np.ndarray):
+        return parts(out), []
+    return parts(out.solution), [(out.residual_norm, 1), *((v, 2) for v in out.norm_split)]
+
+
+HOMOGENEITY_CASES = {
+    "gaussian": (GeneratorSpec("gaussian", 4, 6, 2), Tolerance()),
+    "tight": (GeneratorSpec("tight", 4, 6, 2), Tolerance()),
+    "rank_deficient": (GeneratorSpec("rank_deficient", 6, 4, 2), Tolerance()),
+    # refused at |x| = 1 under this identity_abs: the refusal holds at every size
+    "ill_conditioned": (GeneratorSpec("ill_conditioned", 4, 6, 0, condition_target=1e4),
+                        Tolerance(identity_abs=1e-14)),
+}
+
+
+@pytest.mark.parametrize("name", RECONSTRUCTIONS)
+@pytest.mark.parametrize("case", HOMOGENEITY_CASES)
+def test_results_follow_the_input_scale_bit_for_bit(case, name):
+    # result(2^k x) is 2^k result(x) bit for bit wherever that is normal, a
+    # typed error names it where it overflows, and a refusal at x holds at 2^k x
+    spec, tol = HOMOGENEITY_CASES[case]
+    frame = generate(spec)
+    side = frame.ambient_dim if RECONSTRUCTIONS[name][1] == "n" else frame.size
+    x = random_vector(np.random.default_rng(2), side)
+    try:
+        base, scalars = call(name, frame, x, tol)
+    except NumericalError:
+        base = None
+    for k in range(-900, 901, 25):
+        xk = np.ldexp(parts(x), k).view(complex)
+        if base is None:
+            with pytest.raises(NumericalError, match="self-check"):
+                call(name, frame, xk, tol)
+            continue
+        with np.errstate(over="ignore"):
+            expected = np.concatenate([np.ldexp(base, k),
+                                       [np.ldexp(v, p * k) for v, p in scalars]])
+        if not np.isfinite(expected).all():
+            with pytest.raises(NumericalError, match="double range"):
+                call(name, frame, xk, tol)
+            continue
+        out, out_scalars = call(name, frame, xk, tol)
+        got = np.concatenate([out, [v for v, _ in out_scalars]])
+        if np.all((expected == 0) | (np.abs(expected) >= np.finfo(float).tiny)):
+            assert got.tobytes() == expected.tobytes(), k
+
+
+@pytest.mark.parametrize("entry", [min_norm_coefficients, project_signal])
+def test_a_wrong_pseudoinverse_is_refused_at_every_input_size(entry, monkeypatch):
+    # T+ scaled by 1.01 passes the gate, which checks S's route on factors;
+    # the result checks see it at every |f|, since they run on f scaled to
+    # unit size, where max(1, |f| + |T| |T+ f|) read small f's residual raw
+    pinv_t = frame_ops._OPERATORS["T+"]
+    monkeypatch.setitem(frame_ops._OPERATORS, "T+", lambda a: 1.01 * pinv_t(a))
+    frame = generate(GeneratorSpec("gaussian", 4, 6, 0))
+    f = random_vector(np.random.default_rng(0), 4)
+    f /= np.linalg.norm(f)
+    for size in [1.0, 1e-3, 1e-6, 1e-9, 1e-12]:
+        with pytest.raises(NumericalError, match="reconstruction self-check .* deviates by"):
+            entry(frame, size * f)

@@ -9,6 +9,7 @@ reads G+ refuses it.
 """
 
 from functools import cached_property
+import warnings
 
 import numpy as np
 import pytest
@@ -119,16 +120,28 @@ def test_canonical_dual_of_an_underflowing_frame_raises_numerical_error():
             canonical_dual(frame)
 
 
-@pytest.mark.parametrize("entry, value", [(min_norm_preimage, 1e308),
-                                          (project_coefficients, 1.7e308)],
-                         ids=["min_norm_preimage", "project_coefficients"])
-def test_nan_reconstruction_residual_raises(entry, value):
-    # every entry is finite, but the products overflow and the residual is NaN
-    # (for project_coefficients, Q c itself leaves the double range)
+def test_preimage_of_coefficients_past_the_double_range_names_norm_split():
+    # every entry is finite, and the preimage is solved on c scaled to unit
+    # size, where the residual was NaN; |Q c|^2 leaves the double range
     frame = generate(GeneratorSpec("gaussian", 4, 6, 0))
-    with np.errstate(all="ignore"):
-        with pytest.raises(NumericalError, match="deviates by nan"):
-            entry(frame, np.full(6, value))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match="norm_split's inside component .* "
+                                                 "squares beyond the double range"):
+            min_norm_preimage(frame, np.full(6, 1e308))
+
+
+def test_coefficient_projection_past_the_double_range_returns_q_c():
+    # |c| = 4.2e308, but every part of Q c is finite; it matches the dense Q
+    # applied to c scaled by 2^-1024
+    frame = generate(GeneratorSpec("gaussian", 4, 6, 0))
+    c = np.full(6, 1.7e308)
+    expected = build_bundle(frame).coefficient_projector @ (c * 2.0**-1024)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = project_coefficients(frame, c)
+    assert np.isfinite(out).all()
+    assert np.max(np.abs(out * 2.0**-1024 - expected)) <= 1e-13 * np.max(np.abs(expected))
 
 
 def test_coefficient_projection_of_huge_input_returns_q_c():

@@ -14,8 +14,9 @@ canonical JSON (sorted keys, floats at 17 significant digits), byte-identical
 across repeated runs of the same invocation at a fixed BLAS thread count.
 Exit codes: 0 success, 1 verification failure or a bound, operator or
 pseudoinverse outside the double range, 2 input error (a non-finite
-tolerance among them), 3 degenerate span (for analyze only when --strict is
-given; dual and reconstruct cannot proceed without a span).
+tolerance among them, or sizes whose arrays cannot be allocated), 3
+degenerate span (for analyze only when --strict is given; dual and
+reconstruct cannot proceed without a span).
 
 The default identity tolerance is 1e-10, overridable by the FRAMEKIT_TOL
 environment variable and, with higher precedence, the --tolerance flag.
@@ -341,7 +342,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.fn(args)
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except DegenerateSpanError as exc:

@@ -11,16 +11,20 @@ self-checks, and their spectral norms are read off the route factors
 (_FrameAnalysis.spectral_norm). The gate checks S and G on their factors;
 the rows that restate its identities (SS† = S†S = P, T† = T*S†,
 GG† = G†G = Q, P fₖ = fₖ) evaluate them densely, as every product row
-does. The sampled rows read two seeded unit-column blocks drawn once, after
-the gates. Deviations are residuals normalized by the norms of the factors
-entering each product (see scaled_deviation), which keeps them comparable
-to identity_abs for badly conditioned sequences too. Inequality checks carry a fixed absolute slack
-of 1e-9, and relative checks use 1e-8 rescaled by the caller's
-identity_abs so a loosened run loosens coherently.
+does. Every sampled check reads its samples through _sample_blocks: a
+seeded PCG64 stream read one draw at a time and evaluated in bounded
+blocks, so a count's first k samples are those of a count of k. The suite's
+sampled rows run last, in one pass over two streams: unit signals and unit
+coefficient vectors. Deviations are residuals normalized by the norms of
+the factors entering each product (see scaled_deviation), which keeps them
+comparable to identity_abs for badly conditioned sequences too. Inequality
+checks carry a fixed absolute slack of 1e-9, and relative checks use 1e-8
+rescaled by the caller's identity_abs so a loosened run loosens coherently.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import partial
 
@@ -45,12 +49,13 @@ __all__ = [
 GENERATOR_KINDS = ("gaussian", "tight", "rank_deficient", "duplicated", "ill_conditioned")
 
 # fixed internal streams so suite reports are bitwise reproducible run to run
-_SUITE_SAMPLE_SEED = 0x6672616D6573
+_SIGNAL_SEED = 0x6672616D6573
+_COEFFICIENT_SEED = 0x636F65666673
 _POLARIZATION_SEED = 0x706F6C6172
 _RAYLEIGH_SEED = 0x7261796C
 
-# bounds_vs_sampling and polarization_check draw and evaluate their samples in
-# blocks of at most this many entries, so their memory does not grow with the count
+# _sample_blocks yields blocks whose largest product holds at most this many
+# entries (or one sample), so no sampled check's memory grows with its count
 _SAMPLE_BLOCK = 2**20
 
 _BASE_RELATIVE = 1e-8
@@ -215,9 +220,9 @@ def _energies(block: np.ndarray) -> np.ndarray:
     return (np.square(block.real) + np.square(block.imag)).sum(axis=0)
 
 
-def _real_inner(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Re <y_j, x_j> for each column pair."""
-    return (x.real * y.real + x.imag * y.imag).sum(axis=0)
+def _inner(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """<x_j, y_j> = Σ x conj(y) for each column pair."""
+    return (x * y.conj()).sum(axis=0)
 
 
 def _worst(*excesses: np.ndarray) -> float:
@@ -234,13 +239,23 @@ def _check_count(name: str, value, positive: bool = False) -> None:
         raise ValueError(f"{name} must be {'positive' if positive else 'non-negative'}")
 
 
-def _suite_samples(frame: FrameSequence, count: int) -> dict:
-    """The suite's seeded unit-column sample blocks: `signals` (signal space),
-    then `coeffs` (coefficient space), drawn in that order from one stream."""
-    rng = np.random.Generator(np.random.PCG64(_SUITE_SAMPLE_SEED))
-    signals = _unit_columns(_complex_gaussian(rng, (frame.ambient_dim, count)))
-    coeffs = _unit_columns(_complex_gaussian(rng, (frame.size, count)))
-    return {"signals": signals, "coeffs": coeffs}
+def _sample_blocks(seed: int, count: int, dim: int, largest: int, vectors: int = 1):
+    """count samples, each `vectors` complex normal vectors of length dim, from
+    the PCG64 stream of seed, yielded block by block as (vectors, dim, k) arrays.
+
+    The stream is read one draw at a time: each vector's real parts, then its
+    imaginary parts, the bits _complex_gaussian gives one vector. So the first
+    k samples are the same whatever the count or the block width. A block holds
+    _SAMPLE_BLOCK // largest samples (at least one), where largest is the
+    number of entries per sample of the largest product evaluated on it.
+    """
+    rng = np.random.Generator(np.random.PCG64(seed))
+    width = max(1, _SAMPLE_BLOCK // largest)
+    for start in range(0, count, width):
+        draws = rng.standard_normal((min(width, count - start), vectors, 2, dim)) * _INV_SQRT2
+        block = np.empty((vectors, dim, len(draws)), dtype=np.complex128)
+        block.real, block.imag = draws.transpose(2, 1, 3, 0)  # (part, vector, entry, sample)
+        yield block
 
 
 def _rel_tol(analysis: _FrameAnalysis) -> float:
@@ -248,69 +263,21 @@ def _rel_tol(analysis: _FrameAnalysis) -> float:
     return _BASE_RELATIVE * (analysis.tol.identity_abs / DEFAULT_TOLERANCE.identity_abs)
 
 
-# Row kinds: each takes its operator names, if any, then the frame's analysis
-# and the suite's sample blocks, and returns (deviation, tolerance, detail)
+# Row kinds: each takes its operator names, if any, then the frame's analysis,
+# and returns (deviation, tolerance, detail)
 
-def _norms_agree(names: tuple, analysis: _FrameAnalysis, samples: dict):
+def _norms_agree(names: tuple, analysis: _FrameAnalysis):
     """‖X‖² = ‖Y‖ = ‖Z‖ for the operators (X, Y, Z): the gap to ‖X‖² relative to the largest."""
     x, y, z = (analysis.spectral_norm(name) for name in names)
     dev = max(abs(y - x ** 2), abs(z - x ** 2)) / max(x ** 2, y, z)
     return dev, _rel_tol(analysis), None
 
 
-def _sandwich(projector: str, operator: str, block: str, analysis: _FrameAnalysis,
-              samples: dict):
-    """A‖Px‖² ≤ ‖Ax‖² ≤ B‖Px‖² for each column x of a sample block."""
-    x = samples[block]
-    lo, hi = analysis.bounds.lower, analysis.bounds.upper
-    px2 = _energies(analysis[projector] @ x)
-    ax2 = _energies(analysis[operator] @ x)
-    dev = _worst(lo * px2 - ax2, ax2 - hi * px2) / max(1.0, hi)
-    return dev, _INEQUALITY_SLACK, {"samples": x.shape[1]}
-
-
-def _quadratic(projector: str, operator: str, block: str, analysis: _FrameAnalysis,
-               samples: dict):
-    """‖S†‖⁻¹‖Px‖² ≤ ⟨Ax,x⟩ ≤ ‖S‖‖Px‖² for each column x of a sample block."""
-    x = samples[block]
-    upper, inv_lower = analysis.spectral_norm("S"), analysis.spectral_norm("S+")
-    px2 = _energies(analysis[projector] @ x)
-    quad = _real_inner(x, analysis[operator] @ x)
-    dev = _worst(px2 / inv_lower - quad, quad - upper * px2) / max(1.0, upper)
-    return dev, _INEQUALITY_SLACK, {"samples": x.shape[1]}
-
-
-def _pinv_energy(analysis: _FrameAnalysis, samples: dict):
-    f = samples["signals"]
-    lhs = _energies(analysis["T+"] @ f)
-    rhs = _real_inner(f, analysis["S+"] @ f)
-    ref = np.maximum(np.abs(lhs), np.abs(rhs))
-    nonzero = ref > 0.0
-    dev = _worst(np.abs(lhs - rhs)[nonzero] / ref[nonzero])
-    return dev, _rel_tol(analysis), {"samples": f.shape[1]}
-
-
-def _dual_bounds(analysis: _FrameAnalysis, samples: dict):
+def _dual_bounds(analysis: _FrameAnalysis):
     lo, hi = analysis.bounds.lower, analysis.bounds.upper
     dual = analysis.dual.bounds
     dev = max(abs(dual.lower - 1.0 / hi) * hi, abs(dual.upper - 1.0 / lo) * lo)
     return dev, _rel_tol(analysis), {"dual_lower": dual.lower, "dual_upper": dual.upper}
-
-
-def _row_norms(rows: np.ndarray) -> np.ndarray:
-    """np.linalg.norm of each row, rounded exactly as the one-vector call rounds it."""
-    re, im = rows.real, rows.imag
-    return np.sqrt(_row_dots(re, re) + _row_dots(im, im))
-
-
-def _row_dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Unconjugated dot product of each row pair, through the same BLAS dot as x @ y."""
-    return (x[..., np.newaxis, :] @ y[..., :, np.newaxis])[..., 0, 0]
-
-
-def _apply(matrix: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """matrix @ row for each row, through the same BLAS matrix-vector product."""
-    return (matrix @ rows[..., np.newaxis])[..., 0]
 
 
 def _polarization_deviation(analysis: _FrameAnalysis, common_bound: float, pairs: int) -> float:
@@ -321,39 +288,63 @@ def _polarization_deviation(analysis: _FrameAnalysis, common_bound: float, pairs
 
         <G c, d> = (A/4) (|Q(c+d)|^2 - |Q(c-d)|^2 + i |Q(c+id)|^2 - i |Q(c-id)|^2)
 
-    The stream is read pair by pair, and the pairs are evaluated in blocks of
-    at most _SAMPLE_BLOCK normals. Each product, norm and power goes through
-    the routine a one-pair evaluation would use, so the result is the same
-    bit for bit.
+    Each pair (c, d) is one sample of two vectors from _sample_blocks.
     """
-    rng = np.random.Generator(np.random.PCG64(_POLARIZATION_SEED))
     q, g, m = analysis["Q"], analysis["G"], analysis.frame.size
-    width = max(1, _SAMPLE_BLOCK // (4 * m))
-    worst = 0.0  # np.maximum keeps a NaN; a negative count draws nothing
-    for start in range(0, pairs, width):
-        # the stream order of successive draws c.re, c.im, d.re, d.im per pair
-        draws = rng.standard_normal((min(width, pairs - start), 2, 2, m))
-        c, d = (draws[:, :, 0] + 1j * draws[:, :, 1]).transpose(1, 0, 2) / np.sqrt(2.0)
-        probes = np.stack([c + d, c - d, c + 1j * d, c - 1j * d], axis=1)
-        # float_power is C pow, as the scalar norm ** 2 is; squaring rounds differently
-        qnorm2 = np.float_power(_row_norms(_apply(q, probes)), 2.0)
-        combo = (common_bound / 4.0) * (
-            qnorm2[:, 0] - qnorm2[:, 1] + 1j * qnorm2[:, 2] - 1j * qnorm2[:, 3])
-        d_conj = d.conj()
-        direct_gram = _row_dots(d_conj, _apply(g, c))
-        direct_q = common_bound * _row_dots(d_conj, _apply(q, c))
-        scale = np.maximum(1.0, common_bound * _row_norms(c) * _row_norms(d))
-        gaps = [combo - direct_gram, combo - direct_q]
-        worst = np.maximum(worst, _worst(*(np.hypot(gap.real, gap.imag) / scale
-                                            for gap in gaps)))
+    worst = 0.0  # np.maximum keeps a NaN
+    for c, d in _sample_blocks(_POLARIZATION_SEED, pairs, m, 4 * m, vectors=2):
+        probes = np.concatenate([c + d, c - d, c + 1j * d, c - 1j * d], axis=1)
+        qnorm2 = _energies(q @ probes).reshape(4, -1)
+        combo = (common_bound / 4.0) * (qnorm2[0] - qnorm2[1] + 1j * qnorm2[2] - 1j * qnorm2[3])
+        scale = np.maximum(1.0, common_bound * np.sqrt(_energies(c) * _energies(d)))
+        gaps = (combo - _inner(g @ c, d), combo - common_bound * _inner(q @ c, d))
+        worst = np.maximum(worst, _worst(*(np.abs(gap) / scale for gap in gaps)))
     return float(worst)
 
 
-def _polarization(pairs: int, analysis: _FrameAnalysis, samples: dict | None):
+def _polarization(pairs: int, analysis: _FrameAnalysis):
     common_bound = analysis.bounds.lower
     dev = max(_polarization_deviation(analysis, common_bound, pairs),
               analysis.deviation(_TIGHT_GRAM), analysis.deviation(_TIGHT_GRAM_PINV))
     return dev, analysis.tol.identity_abs, {"pairs": pairs, "common_bound": common_bound}
+
+
+# Sampled row kinds: each takes its operator names, if any, then the frame's
+# analysis and one block of unit samples (columns), and returns the block's
+# worst deviation
+
+def _sandwich(projector: str, operator: str, analysis: _FrameAnalysis, x: np.ndarray):
+    """A‖Px‖² ≤ ‖Ax‖² ≤ B‖Px‖² for each column x."""
+    lo, hi = analysis.bounds.lower, analysis.bounds.upper
+    px2 = _energies(analysis[projector] @ x)
+    ax2 = _energies(analysis[operator] @ x)
+    return _worst(lo * px2 - ax2, ax2 - hi * px2) / max(1.0, hi)
+
+
+def _quadratic(projector: str, operator: str, analysis: _FrameAnalysis, x: np.ndarray):
+    """‖S†‖⁻¹‖Px‖² ≤ ⟨Ax,x⟩ ≤ ‖S‖‖Px‖² for each column x."""
+    upper, inv_lower = analysis.spectral_norm("S"), analysis.spectral_norm("S+")
+    px2 = _energies(analysis[projector] @ x)
+    quad = _inner(analysis[operator] @ x, x).real
+    return _worst(px2 / inv_lower - quad, quad - upper * px2) / max(1.0, upper)
+
+
+def _pinv_energy(analysis: _FrameAnalysis, f: np.ndarray):
+    lhs = _energies(analysis["T+"] @ f)
+    rhs = _inner(analysis["S+"] @ f, f).real
+    ref = np.maximum(np.abs(lhs), np.abs(rhs))
+    nonzero = ref > 0.0
+    return _worst(np.abs(lhs - rhs)[nonzero] / ref[nonzero])
+
+
+@dataclass(frozen=True)
+class _Sampled:
+    """A sampled row: the worst of evaluate(analysis, x) over the suite's unit
+    sample blocks x of one space, against tolerance(analysis)."""
+
+    space: str
+    evaluate: Callable
+    tolerance: Callable = lambda analysis: _INEQUALITY_SLACK
 
 
 _POLARIZATION = ("polarization", "⟨Gc,d⟩ = A⟨Qc,d⟩ via ‖Q(c±d)‖², ‖Q(c±id)‖²")
@@ -362,7 +353,7 @@ _TIGHT_GRAM_PINV = (("G+",), ("Q/A",), ("G+",))
 
 
 # name, formula, tight_only, and either a row kind bound to its operator names
-# (a function of the analysis and the sample blocks) or a tuple of identities (see
+# (a function of the analysis), a _Sampled row, or a tuple of identities (see
 # _FrameAnalysis.deviation) whose worst deviation the row reports; tight-only
 # identity rows also report the common bound A
 _REGISTRY = (
@@ -397,13 +388,16 @@ _REGISTRY = (
      ((("P", "T"), ("T",), ("P", "T")),)),
     ("operator_norms_agree", "‖T‖² = ‖S‖ = ‖G‖", False, partial(_norms_agree, ("T", "S", "G"))),
     ("pinv_norms_agree", "‖T†‖² = ‖S†‖ = ‖G†‖", False, partial(_norms_agree, ("T+", "S+", "G+"))),
-    ("analysis_sandwich", "A‖Pf‖² ≤ ‖T*f‖² ≤ B‖Pf‖²", False, partial(_sandwich, "P", "U", "signals")),
-    ("synthesis_sandwich", "A‖Qc‖² ≤ ‖Tc‖² ≤ B‖Qc‖²", False, partial(_sandwich, "Q", "T", "coeffs")),
+    ("analysis_sandwich", "A‖Pf‖² ≤ ‖T*f‖² ≤ B‖Pf‖²", False,
+     _Sampled("signals", partial(_sandwich, "P", "U"))),
+    ("synthesis_sandwich", "A‖Qc‖² ≤ ‖Tc‖² ≤ B‖Qc‖²", False,
+     _Sampled("coeffs", partial(_sandwich, "Q", "T"))),
     ("frame_operator_quadratic_form", "‖S†‖⁻¹‖Pf‖² ≤ ⟨Sf,f⟩ ≤ ‖S‖‖Pf‖²", False,
-     partial(_quadratic, "P", "S", "signals")),
+     _Sampled("signals", partial(_quadratic, "P", "S"))),
     ("gram_quadratic_form", "‖S†‖⁻¹‖Qc‖² ≤ ⟨Gc,c⟩ ≤ ‖S‖‖Qc‖²", False,
-     partial(_quadratic, "Q", "G", "coeffs")),
-    ("pinv_energy_identity", "‖T†f‖² = ⟨f,S†f⟩", False, _pinv_energy),
+     _Sampled("coeffs", partial(_quadratic, "Q", "G"))),
+    ("pinv_energy_identity", "‖T†f‖² = ⟨f,S†f⟩", False,
+     _Sampled("signals", _pinv_energy, _rel_tol)),
     ("dual_bounds_reciprocal", "Ã = 1/B and B̃ = 1/A", False, _dual_bounds),
     ("dual_involution", "dual(dual(F)) = F", False, ((("~~T",), ("T",), ("~S+", "S+", "T")),)),
     ("tight_frame_operator", "S = AP", True, ((("S",), ("AP",), ("T", "U")),)),
@@ -436,10 +430,12 @@ def run_identity_suite(frame: FrameSequence, tol: Tolerance | None = None,
     """Evaluate every applicable registered check on one sequence.
 
     Tight-only laws are evaluated when the sequence classifies as tight.
-    The sampled-vector checks draw from a fixed internal PCG64 stream, so
-    repeated runs on the same sequence produce bitwise-identical reports.
-    Degenerate sequences have no dual and raise DegenerateSpanError.
-    vector_samples must be a non-negative integer, else ValueError.
+    The sampled-vector checks read two fixed internal PCG64 streams in
+    bounded blocks, so repeated runs on the same sequence produce
+    bitwise-identical reports, and a count's first k samples are those of a
+    count of k. Degenerate sequences have no dual and raise
+    DegenerateSpanError. vector_samples must be a non-negative integer,
+    else ValueError.
     """
     return _identity_suite(_FrameAnalysis(frame, tol), vector_samples)
 
@@ -451,18 +447,28 @@ def _identity_suite(analysis: _FrameAnalysis, vector_samples: int) -> IdentityRe
     analysis.gate("synthesis", "frame operator", "gram"), analysis.bounds
     dual = analysis.dual
     dual.gate("synthesis", "frame operator", "gram"), dual.bounds, dual.canonical_dual
-    samples = _suite_samples(analysis.frame, vector_samples)
-    records = []
-    for name, formula, tight_only, check in _REGISTRY:
-        if tight_only and not analysis.classification.is_tight:
-            continue
+    rows = [row for row in _REGISTRY if not row[2] or analysis.classification.is_tight]
+    sampled = [row for row in rows if isinstance(row[3], _Sampled)]
+    records = {}
+    for name, formula, tight_only, check in rows:
         if callable(check):
-            records.append(_record(name, formula, *check(analysis, samples)))
-        else:
+            records[name] = _record(name, formula, *check(analysis))
+        elif not isinstance(check, _Sampled):
             detail = {"common_bound": analysis.bounds.lower} if tight_only else None
             dev = max(analysis.deviation(identity) for identity in check)
-            records.append(_record(name, formula, dev, analysis.tol.identity_abs, detail))
-    return IdentityReport(records=tuple(records))
+            records[name] = _record(name, formula, dev, analysis.tol.identity_abs, detail)
+    # the sampled rows, evaluated in one pass over the blocks of both streams
+    worst = dict.fromkeys((row[0] for row in sampled), 0.0)  # np.maximum keeps a NaN
+    n, m = analysis.frame.ambient_dim, analysis.frame.size
+    for (f,), (c,) in zip(_sample_blocks(_SIGNAL_SEED, vector_samples, n, max(n, m)),
+                          _sample_blocks(_COEFFICIENT_SEED, vector_samples, m, max(n, m))):
+        blocks = {"signals": _unit_columns(f), "coeffs": _unit_columns(c)}
+        for name, _, _, check in sampled:
+            worst[name] = np.maximum(worst[name], check.evaluate(analysis, blocks[check.space]))
+    for name, formula, _, check in sampled:
+        records[name] = _record(name, formula, worst[name], check.tolerance(analysis),
+                                {"samples": vector_samples})
+    return IdentityReport(records=tuple(records[row[0]] for row in rows))
 
 
 def polarization_check(frame: FrameSequence, pairs: int = 100,
@@ -472,16 +478,17 @@ def polarization_check(frame: FrameSequence, pairs: int = 100,
     Rebuilds <G c, d> from the four squared Q-norms |Q(c±d)|^2, |Q(c±id)|^2
     for random pairs and compares against both A <Q c, d> and the direct
     gram inner product; also checks G = AQ and G† = Q/A as matrices. The
-    pairs are drawn and evaluated in blocks, so memory stays bounded.
-    Raises NotTightError when the sequence is not tight, and ValueError
-    unless pairs is a non-negative integer.
+    pairs come from a fixed internal PCG64 stream, one draw at a time, and
+    are evaluated in blocks, so memory stays bounded and the first k pairs
+    are the same for every count. Raises NotTightError when the sequence is
+    not tight, and ValueError unless pairs is a non-negative integer.
     """
     _check_count("pairs", pairs)
     analysis = _FrameAnalysis(frame, tol)
     if not analysis.classification.is_tight:
         raise NotTightError("polarization reconstruction requires a tight sequence")
     analysis.gate("synthesis", "gram")
-    return _record(*_POLARIZATION, *_polarization(pairs, analysis, None))
+    return _record(*_POLARIZATION, *_polarization(pairs, analysis))
 
 
 def bounds_vs_sampling(frame: FrameSequence, samples: int = 10000,
@@ -494,11 +501,9 @@ def bounds_vs_sampling(frame: FrameSequence, samples: int = 10000,
     (fractions of the bound value); with at least 10,000 samples the gap
     typically falls below 5 percent for spans of dimension up to about 8,
     and is exactly zero for tight sequences. Vectors come from a fixed
-    internal PCG64 stream, so the record is reproducible bit for bit. They
-    are drawn and evaluated 2^20 / max(m, r) at a time, so memory stays
-    bounded; a larger count than that draws its stream block by block, which
-    is not the stream one draw of every vector would give, but as fixed.
-    samples must be a positive integer, else ValueError.
+    internal PCG64 stream in bounded blocks, so the record is reproducible
+    bit for bit, and a larger count only adds vectors, so it can only widen
+    the envelope. samples must be a positive integer, else ValueError.
     """
     return _sampling(_FrameAnalysis(frame, tol), samples)
 
@@ -509,31 +514,20 @@ def _sampling(analysis: _FrameAnalysis, samples: int) -> CheckRecord:
     if f_t.rank == 0:
         raise DegenerateSpanError("a degenerate sequence has no bounds to sample")
     bounds = analysis.bounds
-    analysis_on_span = analysis["U"] @ f_t.left_vectors  # (m, r)
-    rng = np.random.Generator(np.random.PCG64(_RAYLEIGH_SEED))
-    width = max(1, _SAMPLE_BLOCK // max(analysis_on_span.shape))
+    on_span = analysis["U"] @ f_t.left_vectors  # (m, r)
     emp_min, emp_max = np.inf, -np.inf  # np.minimum and np.maximum keep a NaN
-    for start in range(0, samples, width):
-        g = _unit_columns(_complex_gaussian(rng, (f_t.rank, min(width, samples - start))))
-        ratios = np.linalg.norm(analysis_on_span @ g, axis=0) ** 2
+    for (g,) in _sample_blocks(_RAYLEIGH_SEED, samples, f_t.rank, max(on_span.shape)):
+        ratios = _energies(on_span @ g) / _energies(g)
         emp_min, emp_max = np.minimum(emp_min, ratios.min()), np.maximum(emp_max, ratios.max())
     emp_min, emp_max = float(emp_min), float(emp_max)
-    violation = max(0.0, bounds.lower - emp_min, emp_max - bounds.upper)
-    dev = violation / max(1.0, bounds.upper)
-    return CheckRecord(
-        name="rayleigh_sampling",
-        formula="A ≤ ‖T*f‖² ≤ B for unit f in V",
-        deviation=float(dev),
-        tolerance=_INEQUALITY_SLACK,
-        passed=bool(dev <= _INEQUALITY_SLACK),
-        detail={
-            "samples": samples,
-            "span_dim": f_t.rank,
-            "lower": bounds.lower,
-            "upper": bounds.upper,
-            "empirical_min": emp_min,
-            "empirical_max": emp_max,
-            "lower_gap_fraction": (emp_min - bounds.lower) / bounds.lower,
-            "upper_gap_fraction": (bounds.upper - emp_max) / bounds.upper,
-        },
-    )
+    dev = max(0.0, bounds.lower - emp_min, emp_max - bounds.upper) / max(1.0, bounds.upper)
+    return _record("rayleigh_sampling", "A ≤ ‖T*f‖² ≤ B for unit f in V", dev, _INEQUALITY_SLACK, {
+        "samples": samples,
+        "span_dim": f_t.rank,
+        "lower": bounds.lower,
+        "upper": bounds.upper,
+        "empirical_min": emp_min,
+        "empirical_max": emp_max,
+        "lower_gap_fraction": (emp_min - bounds.lower) / bounds.lower,
+        "upper_gap_fraction": (bounds.upper - emp_max) / bounds.upper,
+    })

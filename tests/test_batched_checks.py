@@ -9,14 +9,15 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from framekit import GENERATOR_KINDS, GeneratorSpec, Tolerance, generate, svd
+from framekit import GENERATOR_KINDS, GeneratorSpec, Tolerance, generate, run_identity_suite, svd
 from framekit.frame_ops import _FrameAnalysis
 from framekit.verifier import (
+    _COEFFICIENT_SEED,
     _POLARIZATION_SEED,
-    _REGISTRY,
+    _SIGNAL_SEED,
     _complex_gaussian,
     _polarization_deviation,
-    _suite_samples,
+    _sample_blocks,
 )
 from framekit.matrix_core import op_norm
 
@@ -134,7 +135,6 @@ def ref_pinv_energy(ctx):
     return worst
 
 
-ROWS = {name: check for name, _, _, check in _REGISTRY}
 SAMPLED = [
     ("analysis_sandwich", ref_analysis_sandwich),
     ("synthesis_sandwich", ref_synthesis_sandwich),
@@ -142,6 +142,29 @@ SAMPLED = [
     ("gram_quadratic_form", ref_gram_quadratic),
     ("pinv_energy_identity", ref_pinv_energy),
 ]
+
+
+def unit_samples(seed, dim, count):
+    """count unit vectors from the stream of seed, drawn one vector at a time, as columns."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    columns = [_complex_gaussian(rng, dim) for _ in range(count)]
+    columns = [v / np.linalg.norm(v) for v in columns]
+    return np.stack(columns, axis=1) if columns else np.zeros((dim, 0), dtype=complex)
+
+
+@pytest.mark.parametrize("vectors", [1, 2])
+@pytest.mark.parametrize("largest", [1, 5, 2**20])
+def test_sample_blocks_hold_the_one_vector_draws(monkeypatch, vectors, largest):
+    # at a _SAMPLE_BLOCK of 10 a block holds 10, 2 (with a short last block)
+    # or 1 sample; every sample keeps the bits of one-vector draws
+    from framekit import verifier
+
+    monkeypatch.setattr(verifier, "_SAMPLE_BLOCK", 10 if largest < 2**20 else 1)
+    rng = np.random.Generator(np.random.PCG64(7))
+    expected = [[_complex_gaussian(rng, 3) for _ in range(vectors)] for _ in range(11)]
+    samples = [list(block[:, :, j]) for block in _sample_blocks(7, 11, 3, largest, vectors)
+               for j in range(block.shape[-1])]
+    assert np.array(samples).tobytes() == np.array(expected).tobytes()
 
 
 def context_for(kind, n, m, seed, samples=50):
@@ -152,8 +175,14 @@ def context_for(kind, n, m, seed, samples=50):
         spec = GeneratorSpec(kind, n, m, seed)
         tol = Tolerance()
     analysis = _FrameAnalysis(generate(spec), tol)
-    blocks = _suite_samples(analysis.frame, samples)
-    return SimpleNamespace(analysis=analysis, samples=blocks, **blocks)
+    return SimpleNamespace(analysis=analysis, tol=tol,
+                           signals=unit_samples(_SIGNAL_SEED, n, samples),
+                           coeffs=unit_samples(_COEFFICIENT_SEED, m, samples))
+
+
+def sampled_records(ctx, samples):
+    report = run_identity_suite(ctx.analysis.frame, ctx.tol, vector_samples=samples)
+    return {r.name: r for r in report.records}
 
 
 @pytest.mark.parametrize("kind", GENERATOR_KINDS)
@@ -161,19 +190,20 @@ def context_for(kind, n, m, seed, samples=50):
 def test_batched_sampled_checks_match_per_sample_loops(kind, n, m):
     for seed in range(3):
         ctx = context_for(kind, n, m, seed)
+        records = sampled_records(ctx, 50)
         for name, reference in SAMPLED:
-            dev, _, detail = ROWS[name](ctx.analysis, ctx.samples)
             expected = reference(ctx)
             # deviations are already relative to max(1, bound), so the
             # 1e-12 relative tolerance is taken against max(1, |expected|)
-            assert abs(dev - expected) <= 1e-12 * max(1.0, abs(expected)), name
-            assert detail == {"samples": 50}
+            assert abs(records[name].deviation - expected) <= 1e-12 * max(1.0, abs(expected)), name
+            assert records[name].detail == {"samples": 50}
 
 
 def test_batched_sampled_checks_handle_no_samples():
     ctx = context_for("gaussian", 4, 6, 0, samples=0)
+    records = sampled_records(ctx, 0)
     for name, reference in SAMPLED:
-        assert ROWS[name](ctx.analysis, ctx.samples)[0] == reference(ctx) == 0.0
+        assert records[name].deviation == reference(ctx) == 0.0
 
 
 # --------------------------------------------------------------- polarization
@@ -206,9 +236,10 @@ def ref_polarization_deviation(bundle, common_bound, pairs):
 
 @pytest.mark.parametrize("n, m", [(4, 6), (3, 7), (8, 12), (16, 32), (6, 4), (1, 5), (5, 1)])
 @pytest.mark.parametrize("pairs", [-1, 0, 1, 50, 100])
-def test_batched_polarization_is_bitwise_the_per_pair_loop(n, m, pairs):
+def test_batched_polarization_matches_the_per_pair_loop(n, m, pairs):
     for seed in range(3):
         ctx = context_for("tight", n, m, seed)
         a = ctx.analysis.bounds.lower
         batched = _polarization_deviation(ctx.analysis, a, pairs)
-        assert batched == ref_polarization_deviation(ctx.analysis.bundle, a, pairs)
+        expected = ref_polarization_deviation(ctx.analysis.bundle, a, pairs)
+        assert abs(batched - expected) <= 1e-12 * max(1.0, abs(expected))

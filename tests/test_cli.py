@@ -254,6 +254,16 @@ def test_verify_refuses_a_bad_trial_count_before_the_suite(capsys):
     assert "samples" in capsys.readouterr().err
 
 
+def test_verify_refuses_a_size_it_cannot_allocate(capsys):
+    # a 1e7 x 1e7 complex matrix is 1.4 PiB, past any address space, so the
+    # first allocation fails at once
+    code = main(["verify", "--kind", "tight", "--n", "10000000", "--m", "10000000"])
+    err = capsys.readouterr().err
+    assert code == EXIT_INPUT_ERROR
+    assert err.startswith("error: ") and "allocate" in err
+    assert "Traceback" not in err
+
+
 # ----------------------------------------------------------- document errors
 
 def test_invalid_json_names_the_line(tmp_path, capsys):

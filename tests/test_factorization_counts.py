@@ -12,7 +12,7 @@ import json
 import numpy as np
 import pytest
 
-from framekit import cli, frame_ops
+from framekit import cli, frame_ops, verifier
 from framekit import (
     GeneratorSpec,
     Tolerance,
@@ -135,17 +135,22 @@ def test_cli_verify_svd_count(svd_calls, capsys):
 
 @pytest.mark.parametrize("kind", ["gaussian", "tight", "rank_deficient", "duplicated",
                                   "ill_conditioned"])
-def test_identity_suite_takes_each_norm_once(norm_calls, kind):
+def test_identity_suite_takes_each_norm_once(norm_calls, monkeypatch, kind):
     frame, tol = frame_and_tol(kind)
     # the gates read factors and take none; the rows take T, U, S, G, P, Q,
-    # T+, S+ and G+ of the frame and T, U and S+ of its dual, then one
-    # column-norm call for each of the two sample blocks
+    # T+, S+ and G+ of the frame and T, U and S+ of its dual, then the 50
+    # samples fill one block of each stream, and each block's unit columns
+    # take one column-norm call
     assert norm_calls(run_identity_suite, frame, tol) == 14
+    # each further block of each stream takes one more
+    monkeypatch.setattr(verifier, "_SAMPLE_BLOCK", 60)  # 10 samples a block at 4x6
+    assert norm_calls(run_identity_suite, frame, tol) == 12 + 2 * 5
 
 
 def test_polarization_check_draws_no_sample_block(norm_calls):
     # the T/G gate reads factors; U and T scale the tight gram identity and
-    # G+ the tight gram pinv identity; the suite's sample blocks are never drawn
+    # G+ the tight gram pinv identity; the pairs are not unit vectors, and the
+    # suite's streams are never drawn
     frame, tol = frame_and_tol("tight")
     assert norm_calls(polarization_check, frame, 10, tol) == 3
 

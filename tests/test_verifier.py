@@ -1,8 +1,11 @@
 """Seeded frame generators and the operator identity suite."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from framekit import verifier
 from framekit import (
     GENERATOR_KINDS,
     CheckRecord,
@@ -224,23 +227,6 @@ def test_polarization_on_tight_frame():
     assert rec.deviation < 1e-12
 
 
-@pytest.mark.parametrize("block", [1, 168])
-@pytest.mark.parametrize("pairs", [0, 1, 50, 101])
-def test_polarization_draws_and_evaluates_in_pair_blocks(monkeypatch, block, pairs):
-    # a pair holds 4 m = 24 normals, so a block holds 1 pair, or 7 (with a
-    # short last block); the stream is read pair by pair, so the bits agree
-    from framekit import verifier
-
-    frame = generate(spec_for("tight", n=4, m=6, seed=2))
-    whole = polarization_check(frame, pairs=pairs)
-    monkeypatch.setattr(verifier, "_SAMPLE_BLOCK", block)
-    applied, apply = [], verifier._apply
-    monkeypatch.setattr(verifier, "_apply",
-                        lambda matrix, rows: applied.append(len(rows)) or apply(matrix, rows))
-    assert polarization_check(frame, pairs=pairs) == whole
-    assert max(applied, default=0) == min(pairs, max(1, block // 24))
-
-
 def test_polarization_rejects_non_tight_frames():
     with pytest.raises(NotTightError):
         polarization_check(generate(spec_for("gaussian")))
@@ -272,33 +258,117 @@ def test_sampling_rejects_degenerate_frames():
         bounds_vs_sampling(zero, samples=10)
 
 
-@pytest.mark.parametrize("block", [1, 42, 2**20])
-def test_sampling_draws_and_evaluates_in_column_blocks(monkeypatch, block):
-    # a block holds block // max(m, r) columns, at least one: here 1, 7 (with
-    # a short last block) and all 1000 at the default, which is one draw
-    from framekit import verifier
-    from framekit.frame_ops import _FrameAnalysis
-
-    monkeypatch.setattr(verifier, "_SAMPLE_BLOCK", block)
-    frame = generate(spec_for("gaussian", n=3, m=6, seed=9))
-    rec = bounds_vs_sampling(frame, samples=1000)
-    a = _FrameAnalysis(frame)
-    on_span = a["U"] @ a.f_t.left_vectors
-    width = max(1, block // 6)
-    rng = np.random.Generator(np.random.PCG64(verifier._RAYLEIGH_SEED))
-    ratios = []
-    for start in range(0, 1000, width):
-        g = verifier._complex_gaussian(rng, (3, min(width, 1000 - start)))
-        g = g / np.linalg.norm(g, axis=0)
-        ratios.append(np.linalg.norm(on_span @ g, axis=0) ** 2)
-    ratios = np.concatenate(ratios)
-    assert rec.detail["empirical_min"] == float(ratios.min())
-    assert rec.detail["empirical_max"] == float(ratios.max())
-    assert rec.detail["samples"] == 1000 and rec.passed
-
-
 def test_sampling_gap_fractions_reported():
     frame = generate(spec_for("gaussian", n=2, m=5, seed=11))
     rec = bounds_vs_sampling(frame, samples=5000)
     assert 0.0 <= rec.detail["lower_gap_fraction"]
     assert 0.0 <= rec.detail["upper_gap_fraction"]
+
+
+# ------------------------------------------------------------- sample streams
+
+SAMPLED_ROWS = ("analysis_sandwich", "synthesis_sandwich", "frame_operator_quadratic_form",
+                "gram_quadratic_form", "pinv_energy_identity")
+
+
+# Counts are multiples of 64, so the shorter run's columns fill whole BLAS
+# column panels and its products round as in the longer run.
+
+@pytest.mark.parametrize("seed", range(20))
+def test_more_samples_only_widen_the_rayleigh_envelope(seed):
+    # the first k vectors of a run of 2k are those of a run of k
+    frame = generate(spec_for("gaussian", n=3, m=6, seed=seed))
+    for k in (64, 512):
+        short, long = (bounds_vs_sampling(frame, samples=c).detail for c in (k, 2 * k))
+        assert long["empirical_min"] <= short["empirical_min"]
+        assert long["empirical_max"] >= short["empirical_max"]
+
+
+@pytest.mark.parametrize("n, m", [(4, 6), (6, 4), (16, 32), (3, 7)])
+@pytest.mark.parametrize("kind", GENERATOR_KINDS)
+def test_sampled_suite_rows_do_not_fall_as_samples_grow(kind, n, m):
+    tol = Tolerance(identity_abs=1e-6) if kind == "ill_conditioned" else Tolerance()
+    for seed in range(3):
+        target = 1e4 if kind == "ill_conditioned" else None
+        frame = generate(spec_for(kind, n=n, m=m, seed=seed, condition_target=target))
+        runs = [{r.name: r.deviation for r in run_identity_suite(frame, tol, count).records}
+                for count in (64, 128, 256)]
+        for name in SAMPLED_ROWS:
+            devs = [run[name] for run in runs]
+            assert devs == sorted(devs), (name, seed, devs)
+
+
+def test_suite_memory_does_not_grow_with_the_sample_count(monkeypatch):
+    block = 2**10
+    monkeypatch.setattr(verifier, "_SAMPLE_BLOCK", block)
+    frame = generate(spec_for("tight", n=4, m=6, seed=0))
+    run_identity_suite(frame, vector_samples=20)  # imports and first-call caches
+    tracemalloc.start()
+    try:
+        run_identity_suite(frame, vector_samples=20_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one block is 2^10 complex entries, 16 KiB; the two streams' 20,000
+    # samples, held whole, would be (4 + 6) * 20,000 entries, about 200 blocks
+    assert peak <= 16 * block * 16
+
+
+def spy_blocks(monkeypatch, block):
+    """Set _SAMPLE_BLOCK and record (samples, entries per sample) of each block drawn."""
+    seen, blocks = [], verifier._sample_blocks
+
+    def spy(seed, count, dim, largest, vectors=1):
+        for drawn in blocks(seed, count, dim, largest, vectors):
+            seen.append((drawn.shape[-1], largest))
+            yield drawn
+
+    monkeypatch.setattr(verifier, "_SAMPLE_BLOCK", block)
+    monkeypatch.setattr(verifier, "_sample_blocks", spy)
+    return seen
+
+
+def assert_records_close(got, ref):
+    """Equal records, but for numbers within 1e-12 max(1, |ref|)."""
+    def close(x, y):
+        if isinstance(y, float):
+            return abs(x - y) <= 1e-12 * max(1.0, abs(y))
+        return x == y
+
+    assert (got.name, got.formula, got.tolerance, got.passed) == (
+        ref.name, ref.formula, ref.tolerance, ref.passed)
+    assert close(got.deviation, ref.deviation), (got.name, got.deviation, ref.deviation)
+    assert (got.detail or {}).keys() == (ref.detail or {}).keys()
+    assert all(close(got.detail[k], v) for k, v in (ref.detail or {}).items()), got.name
+
+
+# entry, frame and counts; at a _SAMPLE_BLOCK of 42 (168 for polarization's
+# four products of m = 6 entries per pair) a block holds 7 samples, so 50,
+# 101 and 1000 samples end on a short block
+BLOCKED = {
+    "run_identity_suite": (lambda frame, count: run_identity_suite(frame, vector_samples=count)
+                           .records, ("tight", 4, 6, 2), (0, 50), 42),
+    "polarization_check": (lambda frame, count: (polarization_check(frame, pairs=count),),
+                           ("tight", 4, 6, 2), (0, 1, 50, 101), 168),
+    "bounds_vs_sampling": (lambda frame, count: (bounds_vs_sampling(frame, samples=count),),
+                           ("gaussian", 3, 6, 9), (1, 1000), 42),
+}
+
+
+@pytest.mark.parametrize("entry, count", [(entry, count) for entry, (_, _, counts, _)
+                                          in BLOCKED.items() for count in counts])
+@pytest.mark.parametrize("width", ["one", "short"])
+def test_records_do_not_depend_on_the_block_width(monkeypatch, entry, count, width):
+    run, (kind, n, m, seed), _, short = BLOCKED[entry]
+    frame = generate(spec_for(kind, n=n, m=m, seed=seed))
+    default = run(frame, count)
+    block = 1 if width == "one" else short
+    seen = spy_blocks(monkeypatch, block)
+    blocked = run(frame, count)
+    assert len(blocked) == len(default)
+    for got, ref in zip(blocked, default):
+        assert_records_close(got, ref)
+    # each block's largest product holds at most _SAMPLE_BLOCK entries, or one
+    # sample; only the short width puts several samples in a block
+    assert all(k == 1 or k * largest <= block for k, largest in seen)
+    assert any(k > 1 for k, _ in seen) == (width == "short" and count > 1)

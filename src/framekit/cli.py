@@ -14,7 +14,8 @@ canonical JSON (sorted keys, floats at 17 significant digits), byte-identical
 across repeated runs of the same invocation at a fixed BLAS thread count.
 Exit codes: 0 success, 1 verification failure or a bound, operator or
 pseudoinverse outside the double range, 2 input error (a non-finite
-tolerance among them, or sizes whose arrays cannot be allocated), 3
+tolerance or entry among them, an integer literal past the double range
+included, or sizes whose arrays cannot be allocated), 3
 degenerate span (for analyze only when --strict is given; dual and
 reconstruct cannot proceed without a span).
 
@@ -36,7 +37,7 @@ import numpy as np
 
 from .errors import DegenerateSpanError, FramekitError
 from .frame_ops import FrameSequence, _FrameAnalysis, canonical_dual
-from .matrix_core import DEFAULT_TOLERANCE, Tolerance
+from .matrix_core import DEFAULT_TOLERANCE, Tolerance, _float
 from .reconstruct import min_norm_coefficients, min_norm_preimage
 from .verifier import (GENERATOR_KINDS, GeneratorSpec, _check_count, _identity_suite, _sampling,
                        generate)
@@ -108,7 +109,7 @@ def _complex_entry(value, where: str) -> complex:
     if (not isinstance(value, (list, tuple)) or len(value) != 2
             or any(isinstance(p, bool) or not isinstance(p, (int, float)) for p in value)):
         raise ValueError(f"{where}: complex entries must be [re, im] pairs of numbers")
-    re, im = float(value[0]), float(value[1])
+    re, im = _float(value[0]), _float(value[1])  # NaN for an integer past the double range
     if not (np.isfinite(re) and np.isfinite(im)):
         raise ValueError(f"{where}: entries must be finite")
     return complex(re, im)

@@ -37,6 +37,7 @@ from .matrix_core import (
     DEFAULT_TOLERANCE,
     SvdFactors,
     Tolerance,
+    _float,
     _gram_floor,
     _hermitize,
     _norm,
@@ -177,7 +178,7 @@ class FrameSequence:
         for reporting. No convergence claims are made on the caller's behalf.
         """
         if isinstance(tail_energy, bool) or not (isinstance(tail_energy, (int, float))
-                                                  and math.isfinite(tail_energy)):
+                                                  and math.isfinite(_float(tail_energy))):
             raise ValueError("tail_energy must be a finite number")
         if tail_energy < 0.0:
             raise ValueError("tail_energy cannot be negative")

@@ -61,16 +61,38 @@ class Tolerance:
             value = getattr(self, name)
             if value <= 0.0:
                 raise ValueError(f"{name} must be positive")
-            if not value < math.inf:  # inf passes every check; NaN fails every one
+            if not _float(value) < math.inf:  # inf passes every check; NaN fails every one
                 raise ValueError(f"{name} must be finite")
+
+
+def _float(value) -> float:
+    """float(value), or NaN for an int past the double range, where float()
+    raises OverflowError: every finiteness check then refuses it."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.nan
 
 
 DEFAULT_TOLERANCE = Tolerance()
 
 
+def _complex_array(values, name: str, copy: bool = False) -> np.ndarray:
+    """values as complex128, a fresh C-ordered array when copy is set. An entry
+    past the double range, such as an integer of 400 digits, raises ValueError
+    naming the input, where numpy raises a bare OverflowError."""
+    try:
+        if copy:
+            return np.array(values, dtype=np.complex128, order="C")
+        return np.asarray(values, dtype=np.complex128)
+    except OverflowError:
+        raise ValueError(f"{name} entries must be finite: an entry lies beyond "
+                         "the double range") from None
+
+
 def as_matrix(values) -> np.ndarray:
     """Coerce to a read-only 2-D complex128 array, rejecting non-finite entries."""
-    m = _matrix_view(np.array(values, dtype=np.complex128, order="C"))
+    m = _matrix_view(_complex_array(values, "matrix", copy=True))
     m.setflags(write=False)
     return m
 
@@ -80,7 +102,7 @@ def _matrix_view(values) -> np.ndarray:
 
     values is converted to complex128 only if it is not already.
     """
-    m = np.asarray(values, dtype=np.complex128)
+    m = _complex_array(values, "matrix")
     if m.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got an array of dimension {m.ndim}")
     if m.shape[0] < 1 or m.shape[1] < 1:
@@ -92,7 +114,7 @@ def _matrix_view(values) -> np.ndarray:
 
 def as_vector(values, length: int | None = None, name: str = "vector") -> np.ndarray:
     """Coerce to a read-only 1-D complex128 array of the given length."""
-    v = np.array(values, dtype=np.complex128, order="C")
+    v = _complex_array(values, name, copy=True)
     if v.ndim != 1:
         raise ValueError(f"{name} must be 1-D, got an array of dimension {v.ndim}")
     if length is not None and v.shape[0] != length:
@@ -262,7 +284,7 @@ def numerical_rank(matrix, tol: Tolerance | None = None) -> int:
 def max_abs(values) -> float:
     """Largest entry magnitude; 0.0 for an empty array."""
     a = np.asarray(values)
-    return float(np.max(np.abs(a))) if a.size else 0.0
+    return float(np.abs(a).max()) if a.size else 0.0
 
 
 def _norm(x, factor: float = 1.0) -> float:
@@ -278,7 +300,7 @@ def _norm(x, factor: float = 1.0) -> float:
     bit for bit."""
     x = np.asarray(x)
     parts = np.ascontiguousarray(x).view(x.real.dtype) if np.iscomplexobj(x) else x
-    scale = float(np.max(np.abs(parts), initial=0.0))
+    scale = float(np.abs(parts).max(initial=0.0))
     if not scale < math.inf:  # an inf or NaN entry
         return factor * scale
     # 2^-e stays finite for subnormal x

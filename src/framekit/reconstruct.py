@@ -26,10 +26,11 @@ safe: after the T/S gate 1/lambda_r is finite and S is finite, so
 U ((T+)* u) that the checks read stay within kappa(T) |u|, which S's rank
 cutoff keeps below 2^537 |u| (kappa(S) = kappa(T)^2 < 1 / min(rank_rel dim,
 10 dim eps)); after the T/G gate the series V_g (V_g* u) is at most |u|.
-The result and residual_norm are scaled back by 2^e and norm_split by 2^2e,
-exactly wherever they stay normal; one that leaves the double range raises
-NumericalError naming it. So result(2^k x) = 2^k result(x) bit for bit
-where both are normal, and a verdict does not depend on |x|.
+The result and residual_norm are scaled back by 2^e and norm_split by 2^2e;
+one that leaves the double range, or that the scaling makes subnormal with
+lost bits (2^-e (2^e u) != u), raises NumericalError naming it, and an exact
+one, zero or subnormal, is returned. So result(2^k x) = 2^k result(x) bit
+for bit wherever it is returned, and a verdict does not depend on |x|.
 """
 
 from __future__ import annotations
@@ -97,14 +98,25 @@ def _range_part(basis: np.ndarray, x: np.ndarray) -> np.ndarray:
     return basis @ (basis.conj().T @ x)
 
 
+def _underflow(what: str, unit, e: int) -> NumericalError:
+    return NumericalError(f"the {what} underflows: {unit:.3e} * 2^{e} lies below the normal "
+                          "range and loses bits")
+
+
 def _scaled_back(what: str, result: np.ndarray, e: int) -> np.ndarray:
     """2^e result, for a result of the unit input; NumericalError names it where
-    an entry leaves the double range."""
+    an entry leaves the double range, or where the scaling is inexact: an entry
+    that became subnormal and lost bits. An exact one, zero or subnormal, is
+    returned."""
+    parts = result.view(np.float64)
     with np.errstate(over="ignore"):
-        out = np.ldexp(result.view(np.float64), e).view(np.complex128)
+        out = np.ldexp(parts, e)
     if not np.isfinite(out).all():
         raise NumericalError(f"the {what} leaves the double range: an entry overflows")
-    return out
+    inexact = np.ldexp(out, -e) != parts
+    if inexact.any():
+        raise _underflow(what, parts[np.argmax(inexact)], e)
+    return out.view(np.complex128)
 
 
 def _solution(what: str, solution: np.ndarray, inside: np.ndarray, leftover: np.ndarray,
@@ -113,7 +125,8 @@ def _solution(what: str, solution: np.ndarray, inside: np.ndarray, leftover: np.
     squared norms of inside and leftover as the split, scaled back by 2^e (2^2e
     for the split). A split component whose square leaves the double range
     raises NumericalError naming it; the residual cannot leave it unless the
-    leftover's square does."""
+    leftover's square does. A value the scaling makes subnormal with lost bits
+    raises NumericalError naming it too."""
     solution = _scaled_back(what, solution, e)
     norms = _norm(inside), _norm(leftover)
     split = []
@@ -124,8 +137,12 @@ def _solution(what: str, solution: np.ndarray, inside: np.ndarray, leftover: np.
             raise NumericalError(
                 f"norm_split's {name} component {norm:.3e} * 2^{e} squares beyond the double range"
             ) from None
-    return MinNormSolution(solution=solution, residual_norm=math.ldexp(norms[1], e),
-                           norm_split=tuple(split))
+        if math.ldexp(split[-1], -2 * e) != norm * norm:
+            raise _underflow(f"norm_split's {name} component", norm * norm, 2 * e)
+    residual = math.ldexp(norms[1], e)
+    if math.ldexp(residual, -e) != norms[1]:
+        raise _underflow("residual_norm", norms[1], e)
+    return MinNormSolution(solution=solution, residual_norm=residual, norm_split=tuple(split))
 
 
 def _gated(frame: FrameSequence, tol: Tolerance | None, route: str, values, length: int,

@@ -12,8 +12,12 @@ self-checks, and their spectral norms are read off the route factors
 the rows that restate its identities (SS† = S†S = P, T† = T*S†,
 GG† = G†G = Q, P fₖ = fₖ) evaluate them densely, as every product row
 does. Every sampled check reads its samples through _sample_blocks: a
-seeded PCG64 stream read one draw at a time and evaluated in bounded
-blocks, so a count's first k samples are those of a count of k. The suite's
+seeded PCG64 stream read one draw at a time and evaluated in blocks, so a
+count's first k samples are those of a count of k. A block's largest
+product holds about 2^12 entries, so its temporaries reuse freed pages (no
+page faults) and stay in cache; at least 128 samples, so a large frame's
+products stay wide BLAS calls; and at most 2^20 entries, so memory does not
+grow with the count. The suite's
 sampled rows run last, in one pass over two streams: unit signals and unit
 coefficient vectors. Deviations are residuals normalized by the norms of
 the factors entering each product (see scaled_deviation), which keeps them
@@ -54,8 +58,16 @@ _COEFFICIENT_SEED = 0x636F65666673
 _POLARIZATION_SEED = 0x706F6C6172
 _RAYLEIGH_SEED = 0x7261796C
 
-# _sample_blocks yields blocks whose largest product holds at most this many
-# entries (or one sample), so no sampled check's memory grows with its count
+# _sample_blocks sizes each block by the entries per sample of the largest
+# product evaluated on it. A block aims at _CACHE_BLOCK entries (64 KiB of
+# complex128): its temporaries then stay under glibc's 128 KiB mmap threshold,
+# so no call faults in fresh pages, and in L2. It holds at least
+# _MIN_BLOCK_SAMPLES samples, so a large frame's products stay wide BLAS calls
+# that do not re-read the operator for a few samples each. And it never holds
+# more than _SAMPLE_BLOCK entries (or fewer than one sample), so no sampled
+# check's memory grows with its count.
+_CACHE_BLOCK = 2**12
+_MIN_BLOCK_SAMPLES = 128
 _SAMPLE_BLOCK = 2**20
 
 _BASE_RELATIVE = 1e-8
@@ -245,16 +257,27 @@ def _sample_blocks(seed: int, count: int, dim: int, largest: int, vectors: int =
 
     The stream is read one draw at a time: each vector's real parts, then its
     imaginary parts, the bits _complex_gaussian gives one vector. So the first
-    k samples are the same whatever the count or the block width. A block holds
-    _SAMPLE_BLOCK // largest samples (at least one), where largest is the
-    number of entries per sample of the largest product evaluated on it.
+    k samples are the same whatever the count or the block width. largest is
+    the number of entries per sample of the largest product evaluated on a
+    block, and a block holds
+
+        max(1, min(_SAMPLE_BLOCK // largest, max(_MIN_BLOCK_SAMPLES, _CACHE_BLOCK // largest)))
+
+    samples: about _CACHE_BLOCK entries, so its temporaries reuse freed pages
+    and stay in cache, but at least _MIN_BLOCK_SAMPLES samples, so a large
+    frame's products stay wide, and within the _SAMPLE_BLOCK memory ceiling.
+    The width reads only largest, so two streams of one check given the same
+    largest are cut alike, whatever their dim.
     """
     rng = np.random.Generator(np.random.PCG64(seed))
-    width = max(1, _SAMPLE_BLOCK // largest)
+    width = max(1, min(_SAMPLE_BLOCK // largest,
+                       max(_MIN_BLOCK_SAMPLES, _CACHE_BLOCK // largest)))
     for start in range(0, count, width):
-        draws = rng.standard_normal((min(width, count - start), vectors, 2, dim)) * _INV_SQRT2
+        draws = rng.standard_normal((min(width, count - start), vectors, 2, dim))
         block = np.empty((vectors, dim, len(draws)), dtype=np.complex128)
-        block.real, block.imag = draws.transpose(2, 1, 3, 0)  # (part, vector, entry, sample)
+        re, im = draws.transpose(2, 1, 3, 0)  # (part, vector, entry, sample)
+        np.multiply(re, _INV_SQRT2, out=block.real)
+        np.multiply(im, _INV_SQRT2, out=block.imag)
         yield block
 
 

@@ -9,11 +9,13 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from framekit import GENERATOR_KINDS, GeneratorSpec, Tolerance, generate, run_identity_suite, svd
+from framekit import (GENERATOR_KINDS, GeneratorSpec, Tolerance, bounds_vs_sampling, generate,
+                      run_identity_suite, svd)
 from framekit.frame_ops import _FrameAnalysis
 from framekit.verifier import (
     _COEFFICIENT_SEED,
     _POLARIZATION_SEED,
+    _RAYLEIGH_SEED,
     _SIGNAL_SEED,
     _complex_gaussian,
     _polarization_deviation,
@@ -197,6 +199,33 @@ def test_batched_sampled_checks_match_per_sample_loops(kind, n, m):
             # 1e-12 relative tolerance is taken against max(1, |expected|)
             assert abs(records[name].deviation - expected) <= 1e-12 * max(1.0, abs(expected)), name
             assert records[name].detail == {"samples": 50}
+
+
+def ref_rayleigh_envelope(analysis, samples):
+    """Smallest and largest |T* f|^2 / |f|^2 over f = W g in the span, W T's kept
+    left singular vectors and each g drawn one vector at a time."""
+    on_span = analysis["U"] @ analysis.f_t.left_vectors
+    rng = np.random.Generator(np.random.PCG64(_RAYLEIGH_SEED))
+    ratios = []
+    for _ in range(samples):
+        g = _complex_gaussian(rng, analysis.f_t.rank)
+        ratios.append(float(np.linalg.norm(on_span @ g) ** 2 / np.linalg.norm(g) ** 2))
+    return min(ratios), max(ratios)
+
+
+@pytest.mark.parametrize("kind", GENERATOR_KINDS)
+def test_sampled_checks_over_several_blocks_match_per_sample_loops(kind):
+    # 300 samples at 16 x 32 run in three blocks of 128, 128 and 44
+    for seed in range(3):
+        ctx = context_for(kind, 16, 32, seed, samples=300)
+        records = sampled_records(ctx, 300)
+        for name, reference in SAMPLED:
+            expected = reference(ctx)
+            assert abs(records[name].deviation - expected) <= 1e-12 * max(1.0, abs(expected)), name
+        detail = bounds_vs_sampling(ctx.analysis.frame, 300, ctx.tol).detail
+        for got, expected in zip((detail["empirical_min"], detail["empirical_max"]),
+                                 ref_rayleigh_envelope(ctx.analysis, 300)):
+            assert abs(got - expected) <= 1e-12 * max(1.0, abs(expected))
 
 
 def test_batched_sampled_checks_handle_no_samples():

@@ -306,6 +306,22 @@ def test_non_finite_entries_rejected(tmp_path, capsys):
     assert main(["analyze", str(p)]) == EXIT_INPUT_ERROR
 
 
+HUGE = "1" + "0" * 400  # JSON reads this literal as a Python int that float() cannot hold
+
+
+@pytest.mark.parametrize("command, vectors, signal, where", [
+    *((command, f"[[[{HUGE}, 0], [0, 0]], [[0, 0], [1, 0]]]", "[[1, 0], [0, 0]]", "vectors[0][0]")
+      for command in ("analyze", "dual", "reconstruct")),
+    ("reconstruct", "[[[1, 0], [0, 0]], [[0, 0], [1, 0]]]", f"[[0, 0], [{HUGE}, 0]]", "signal[1]"),
+])
+def test_an_integer_literal_past_the_double_range_exits_2(command, vectors, signal, where,
+                                                          tmp_path, capsys):
+    p = tmp_path / "d.json"
+    p.write_text(f'{{"ambient_dim": 2, "vectors": {vectors}, "signal": {signal}}}')
+    assert main([command, str(p)]) == EXIT_INPUT_ERROR
+    assert capsys.readouterr().err == f"error: {where}: entries must be finite\n"
+
+
 def test_unknown_top_level_keys_are_tolerated(tmp_path, capsys):
     p = write_doc(tmp_path / "d.json", 2, [[1, 0], [0, 1]],
                   label="an experiment", notes=[1, 2, 3])

@@ -3,13 +3,15 @@
 FrameSequence checks and stacks all its vectors as one array and falls
 back to the vector-by-vector checks only to name a bad vector; the seeded
 complex Gaussian draws scale each real draw instead of forming a complex
-sum and dividing it. Both must give exactly the old bits and messages.
+sum and dividing it. Both must give exactly the old bits and messages. An
+integer entry past the double range is refused by name, as a non-finite one.
 """
 
 import numpy as np
 import pytest
 
-from framekit import FrameSequence, as_vector
+from framekit import (FrameSequence, Tolerance, as_matrix, as_vector, min_norm_coefficients,
+                      project_coefficients, svd)
 from framekit.verifier import _complex_gaussian
 
 
@@ -72,3 +74,29 @@ def test_bad_vectors_are_named_as_before(ambient_dim, vectors, message):
     with pytest.raises(ValueError) as stacked:
         FrameSequence(ambient_dim=ambient_dim, vectors=vectors)
     assert str(stacked.value) == str(per_vector.value) == message
+
+
+HUGE = 10**400  # a Python int, as JSON reads a 401-digit integer literal; past the double range
+FRAME = [[1, 0], [0, 1], [1, 1]]
+
+
+@pytest.mark.parametrize("entry, message", [
+    (lambda: FrameSequence(ambient_dim=2, vectors=[[1, 0], [HUGE, 1]]),
+     "vector 1 entries must be finite"),
+    (lambda: FrameSequence.from_vectors([[1, 0], [0, 1], [1, HUGE]]),
+     "vector 2 entries must be finite"),
+    (lambda: FrameSequence.truncated(FRAME, tail_energy=HUGE), "tail_energy must be a finite"),
+    (lambda: as_vector([1, HUGE], name="signal"), "signal entries must be finite"),
+    (lambda: as_matrix([[1, HUGE]]), "matrix entries must be finite"),
+    (lambda: svd([[1, 0], [0, HUGE]]), "matrix entries must be finite"),
+    (lambda: min_norm_coefficients(FrameSequence.from_vectors(FRAME), [1, HUGE]),
+     "signal entries must be finite"),
+    (lambda: project_coefficients(FrameSequence.from_vectors(FRAME), [HUGE, 0, 0]),
+     "coefficients entries must be finite"),
+    (lambda: Tolerance(identity_abs=HUGE), "identity_abs must be finite"),
+], ids=["FrameSequence", "from_vectors", "truncated", "as_vector", "as_matrix", "svd",
+        "min_norm_coefficients", "project_coefficients", "Tolerance"])
+def test_an_integer_past_the_double_range_is_a_named_value_error(entry, message):
+    # numpy and float() raise a bare OverflowError on such an int
+    with pytest.raises(ValueError, match=message):
+        entry()

@@ -328,8 +328,9 @@ HOMOGENEITY_CASES = {
 @pytest.mark.parametrize("name", RECONSTRUCTIONS)
 @pytest.mark.parametrize("case", HOMOGENEITY_CASES)
 def test_results_follow_the_input_scale_bit_for_bit(case, name):
-    # result(2^k x) is 2^k result(x) bit for bit wherever that is normal, a
-    # typed error names it where it overflows, and a refusal at x holds at 2^k x
+    # result(2^k x) is 2^k result(x) bit for bit wherever that is exact, a
+    # typed error names it where it overflows or underflows with lost bits, and
+    # a refusal at x holds at 2^k x
     spec, tol = HOMOGENEITY_CASES[case]
     frame = generate(spec)
     side = frame.ambient_dim if RECONSTRUCTIONS[name][1] == "n" else frame.size
@@ -351,10 +352,38 @@ def test_results_follow_the_input_scale_bit_for_bit(case, name):
             with pytest.raises(NumericalError, match="double range"):
                 call(name, frame, xk, tol)
             continue
+        powers = np.array([1] * base.size + [p for _, p in scalars])
+        if not np.array_equal(np.ldexp(expected, -powers * k),
+                              np.concatenate([base, [v for v, _ in scalars]])):
+            with pytest.raises(NumericalError, match="underflows"):
+                call(name, frame, xk, tol)
+            continue
         out, out_scalars = call(name, frame, xk, tol)
         got = np.concatenate([out, [v for v, _ in out_scalars]])
-        if np.all((expected == 0) | (np.abs(expected) >= np.finfo(float).tiny)):
-            assert got.tobytes() == expected.tobytes(), k
+        assert got.tobytes() == expected.tobytes(), k
+
+
+@pytest.mark.parametrize("exponent", [-740, -760, -770])
+def test_a_result_that_loses_bits_as_a_subnormal_is_refused(exponent):
+    # gaussian 4 x 6 frame (seed 2) scaled by 2^300: T+ f of a unit f scaled by
+    # 2^-740 to 2^-770 is subnormal, and was returned with relative errors
+    # 6.9e-11, 6.2e-5 and 7.8e-2
+    t = generate(GeneratorSpec("gaussian", 4, 6, 2)).synthesis_matrix() * 2.0**300
+    frame = FrameSequence.from_vectors(list(t.T))
+    f = random_vector(np.random.default_rng(2), 4)
+    f /= np.linalg.norm(f)
+    with pytest.raises(NumericalError, match=r"minimum-norm solution T\+ f underflows"):
+        min_norm_coefficients(frame, f * 2.0**exponent)
+
+
+def test_an_exact_subnormal_result_is_returned():
+    frame = FrameSequence.from_vectors([E1, E2])
+    tiny = np.array([5e-324, 3 * 5e-324])
+    assert project_signal(frame, tiny).tobytes() == tiny.astype(complex).tobytes()
+    assert project_coefficients(frame, tiny).tobytes() == tiny.astype(complex).tobytes()
+    # its squared norm split is not exact, so the minimum-norm problem is refused
+    with pytest.raises(NumericalError, match="norm_split's inside component underflows"):
+        min_norm_coefficients(frame, tiny)
 
 
 @pytest.mark.parametrize("entry", [min_norm_coefficients, project_signal])

@@ -372,3 +372,57 @@ def test_records_do_not_depend_on_the_block_width(monkeypatch, entry, count, wid
     # sample; only the short width puts several samples in a block
     assert all(k == 1 or k * largest <= block for k, largest in seen)
     assert any(k > 1 for k, _ in seen) == (width == "short" and count > 1)
+
+
+# the width of the blocks _sample_blocks gives each sampled caller, by frame
+# size: about 2^12 entries of the largest product, and at least 128 samples
+BLOCK_WIDTHS = {  # (n, m): (run_identity_suite, polarization_check, bounds_vs_sampling)
+    (4, 6): (682, 170, 682),
+    (16, 32): (128, 128, 128),
+    (64, 128): (128, 128, 128),
+    (256, 512): (128, 128, 128),
+}
+
+
+@pytest.mark.parametrize("n, m", BLOCK_WIDTHS)
+def test_each_sampled_caller_gets_the_pinned_block_width(monkeypatch, n, m):
+    # gaussian for the suite, which runs polarization's row on tight frames
+    frame, tight = (generate(spec_for(kind, n=n, m=m, seed=0)) for kind in ("gaussian", "tight"))
+    seen = spy_blocks(monkeypatch, verifier._SAMPLE_BLOCK)
+    runs = (lambda count: run_identity_suite(frame, vector_samples=count),
+            lambda count: polarization_check(tight, pairs=count),
+            lambda count: bounds_vs_sampling(frame, samples=count))
+    for run, width in zip(runs, BLOCK_WIDTHS[(n, m)]):
+        seen.clear()
+        run(width + 1)
+        assert {k for k, _ in seen} == {width, 1}
+
+
+def test_the_memory_ceiling_binds_below_128_samples(monkeypatch):
+    # 10,000 entries a sample: 2^20 // 10,000 = 104 samples, not 128
+    frame = generate(spec_for("gaussian", n=2, m=10_000, seed=0))
+    seen = spy_blocks(monkeypatch, verifier._SAMPLE_BLOCK)
+    bounds_vs_sampling(frame, samples=300)
+    assert seen == [(104, 10_000), (104, 10_000), (92, 10_000)]
+
+
+@pytest.mark.parametrize("n, m", [(1, 3), (3, 1), (4, 6), (6, 4), (2, 300), (300, 2), (16, 32)])
+def test_the_suite_draws_both_streams_in_blocks_of_one_width(monkeypatch, n, m):
+    # the suite zips the signal and coefficient blocks, so a stream cut
+    # narrower than the other would drop samples from it without a word
+    drawn = {}
+    blocks = verifier._sample_blocks
+
+    def spy(seed, count, dim, largest, vectors=1):
+        for block in blocks(seed, count, dim, largest, vectors):
+            drawn.setdefault(seed, []).append(block.shape[-1])
+            yield block
+
+    monkeypatch.setattr(verifier, "_sample_blocks", spy)
+    frame = generate(spec_for("gaussian", n=n, m=m, seed=0))
+    for count in (0, 1, 129, 1000):
+        drawn.clear()
+        run_identity_suite(frame, vector_samples=count)
+        signals, coeffs = drawn.get(verifier._SIGNAL_SEED, []), drawn.get(
+            verifier._COEFFICIENT_SEED, [])
+        assert signals == coeffs and sum(signals) == count

@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import DegenerateSpanError, FramekitError
 from .frame_ops import FrameSequence, _FrameAnalysis, canonical_dual
-from .matrix_core import DEFAULT_TOLERANCE, Tolerance, _float
+from .matrix_core import DEFAULT_TOLERANCE, Tolerance
 from .reconstruct import min_norm_coefficients, min_norm_preimage
 from .verifier import (GENERATOR_KINDS, GeneratorSpec, _check_count, _identity_suite, _sampling,
                        generate)
@@ -109,10 +109,10 @@ def _complex_entry(value, where: str) -> complex:
     if (not isinstance(value, (list, tuple)) or len(value) != 2
             or any(isinstance(p, bool) or not isinstance(p, (int, float)) for p in value)):
         raise ValueError(f"{where}: complex entries must be [re, im] pairs of numbers")
-    re, im = _float(value[0]), _float(value[1])  # NaN for an integer past the double range
-    if not (np.isfinite(re) and np.isfinite(im)):
+    # no conversion first: inf, NaN and an integer past the double range all fail
+    if not all(abs(p) <= sys.float_info.max for p in value):
         raise ValueError(f"{where}: entries must be finite")
-    return complex(re, im)
+    return complex(*value)
 
 
 def _complex_vector(values, where: str, length: int | None = None) -> np.ndarray:

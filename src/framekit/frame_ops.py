@@ -37,7 +37,7 @@ from .matrix_core import (
     DEFAULT_TOLERANCE,
     SvdFactors,
     Tolerance,
-    _float,
+    _complex_array,
     _gram_floor,
     _hermitize,
     _norm,
@@ -178,7 +178,7 @@ class FrameSequence:
         for reporting. No convergence claims are made on the caller's behalf.
         """
         if isinstance(tail_energy, bool) or not (isinstance(tail_energy, (int, float))
-                                                  and math.isfinite(_float(tail_energy))):
+                                                  and abs(tail_energy) <= sys.float_info.max):
             raise ValueError("tail_energy must be a finite number")
         if tail_energy < 0.0:
             raise ValueError("tail_energy cannot be negative")
@@ -294,7 +294,8 @@ def scaled_deviation(lhs, rhs, factors=()) -> float:
     product is divided out exactly even past the double range, and a factor
     whose own norm is beyond it makes the deviation inf.
     """
-    return _deviation(lhs, rhs, [_norm(f) for f in factors])
+    return _deviation(_complex_array(lhs, "lhs"), _complex_array(rhs, "rhs"),
+                      [_norm(f) for f in factors])
 
 
 def _deviation(lhs, rhs, norms) -> float:

@@ -9,6 +9,7 @@ queries are all derived from it.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,26 +62,19 @@ class Tolerance:
             value = getattr(self, name)
             if value <= 0.0:
                 raise ValueError(f"{name} must be positive")
-            if not _float(value) < math.inf:  # inf passes every check; NaN fails every one
+            # no conversion: inf, NaN and an int past the double range all fail
+            if not value <= sys.float_info.max:
                 raise ValueError(f"{name} must be finite")
-
-
-def _float(value) -> float:
-    """float(value), or NaN for an int past the double range, where float()
-    raises OverflowError: every finiteness check then refuses it."""
-    try:
-        return float(value)
-    except OverflowError:
-        return math.nan
 
 
 DEFAULT_TOLERANCE = Tolerance()
 
 
 def _complex_array(values, name: str, copy: bool = False) -> np.ndarray:
-    """values as complex128, a fresh C-ordered array when copy is set. An entry
-    past the double range, such as an integer of 400 digits, raises ValueError
-    naming the input, where numpy raises a bare OverflowError."""
+    """values as complex128, a fresh C-ordered array when copy is set: the one
+    conversion of array input. An entry past the double range, such as an
+    integer of 400 digits, raises ValueError naming the input, where numpy
+    raises a bare OverflowError."""
     try:
         if copy:
             return np.array(values, dtype=np.complex128, order="C")
@@ -284,6 +278,8 @@ def numerical_rank(matrix, tol: Tolerance | None = None) -> int:
 def max_abs(values) -> float:
     """Largest entry magnitude; 0.0 for an empty array."""
     a = np.asarray(values)
+    if a.dtype == object:  # Python numbers numpy could not type, such as 10**400
+        a = _complex_array(a, "values")
     return float(np.abs(a).max()) if a.size else 0.0
 
 
@@ -299,6 +295,8 @@ def _norm(x, factor: float = 1.0) -> float:
     scalings are exact, so in range the result is factor * np.linalg.norm(x)
     bit for bit."""
     x = np.asarray(x)
+    if x.dtype == object:  # as in max_abs
+        x = _complex_array(x, "factor")
     parts = np.ascontiguousarray(x).view(x.real.dtype) if np.iscomplexobj(x) else x
     scale = float(np.abs(parts).max(initial=0.0))
     if not scale < math.inf:  # an inf or NaN entry

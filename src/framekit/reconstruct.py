@@ -27,10 +27,14 @@ U ((T+)* u) that the checks read stay within kappa(T) |u|, which S's rank
 cutoff keeps below 2^537 |u| (kappa(S) = kappa(T)^2 < 1 / min(rank_rel dim,
 10 dim eps)); after the T/G gate the series V_g (V_g* u) is at most |u|.
 The result and residual_norm are scaled back by 2^e and norm_split by 2^2e;
-one that leaves the double range, or that the scaling makes subnormal with
-lost bits (2^-e (2^e u) != u), raises NumericalError naming it, and an exact
-one, zero or subnormal, is returned. So result(2^k x) = 2^k result(x) bit
-for bit wherever it is returned, and a verdict does not depend on |x|.
+a value that leaves the double range raises NumericalError naming it. A
+result part or residual_norm that the scaling makes subnormal with lost
+bits (2^-e (2^e u) != u) does too, and an exact one, zero or subnormal, is
+returned. norm_split holds squares, which leave the normal range for any
+input below about 2^-511 while the solution is still exact; they are
+rounded to the nearest double there, as ldexp rounds. So result(2^k x) =
+2^k result(x) bit for bit wherever it is returned, and a verdict does not
+depend on |x|.
 """
 
 from __future__ import annotations
@@ -98,51 +102,42 @@ def _range_part(basis: np.ndarray, x: np.ndarray) -> np.ndarray:
     return basis @ (basis.conj().T @ x)
 
 
-def _underflow(what: str, unit, e: int) -> NumericalError:
-    return NumericalError(f"the {what} underflows: {unit:.3e} * 2^{e} lies below the normal "
-                          "range and loses bits")
-
-
-def _scaled_back(what: str, result: np.ndarray, e: int) -> np.ndarray:
-    """2^e result, for a result of the unit input; NumericalError names it where
-    an entry leaves the double range, or where the scaling is inexact: an entry
-    that became subnormal and lost bits. An exact one, zero or subnormal, is
-    returned."""
-    parts = result.view(np.float64)
+def _scaled_back(what: str, values: np.ndarray, k: int, exact: bool = True,
+                 beyond: str = "leaves the double range: an entry overflows") -> np.ndarray:
+    """2^k values, for real or complex values computed from the unit input.
+    NumericalError names what where a part leaves the double range and, if
+    exact, where the scaling is inexact: a part that became subnormal and lost
+    bits. An exact part, zero or subnormal, is returned."""
+    parts = values.view(np.float64)
     with np.errstate(over="ignore"):
-        out = np.ldexp(parts, e)
+        out = np.ldexp(parts, k)
     if not np.isfinite(out).all():
-        raise NumericalError(f"the {what} leaves the double range: an entry overflows")
-    inexact = np.ldexp(out, -e) != parts
-    if inexact.any():
-        raise _underflow(what, parts[np.argmax(inexact)], e)
-    return out.view(np.complex128)
+        raise NumericalError(f"{what} {beyond}")
+    if exact:
+        lost = np.ldexp(out, -k) != parts
+        if lost.any():
+            raise NumericalError(f"{what} underflows: {parts[np.argmax(lost)]:.3e} * 2^{k} "
+                                 "lies below the normal range and loses bits")
+    return out.view(values.dtype)
 
 
 def _solution(what: str, solution: np.ndarray, inside: np.ndarray, leftover: np.ndarray,
               e: int) -> MinNormSolution:
     """The solution `what` of the unit input, with |leftover| as residual and the
     squared norms of inside and leftover as the split, scaled back by 2^e (2^2e
-    for the split). A split component whose square leaves the double range
-    raises NumericalError naming it; the residual cannot leave it unless the
-    leftover's square does. A value the scaling makes subnormal with lost bits
-    raises NumericalError naming it too."""
-    solution = _scaled_back(what, solution, e)
+    for the split). The solution and residual are refused as _scaled_back
+    refuses. A split component is refused where its square leaves the double
+    range, and is rounded where it falls below the normal range: the squares of
+    any input below about 2^-511 do, although the solution and residual are
+    exact there. The residual cannot overflow unless the split does."""
+    solution = _scaled_back(f"the {what}", solution, e)
     norms = _norm(inside), _norm(leftover)
-    split = []
-    for name, norm in zip(("inside", "leftover"), norms):
-        try:
-            split.append(math.ldexp(norm * norm, 2 * e))
-        except OverflowError:
-            raise NumericalError(
-                f"norm_split's {name} component {norm:.3e} * 2^{e} squares beyond the double range"
-            ) from None
-        if math.ldexp(split[-1], -2 * e) != norm * norm:
-            raise _underflow(f"norm_split's {name} component", norm * norm, 2 * e)
-    residual = math.ldexp(norms[1], e)
-    if math.ldexp(residual, -e) != norms[1]:
-        raise _underflow("residual_norm", norms[1], e)
-    return MinNormSolution(solution=solution, residual_norm=residual, norm_split=tuple(split))
+    split = tuple(float(_scaled_back(f"norm_split's {name} component {norm:.3e} * 2^{e}",
+                                     np.array([norm * norm]), 2 * e, exact=False,
+                                     beyond="squares beyond the double range")[0])
+                  for name, norm in zip(("inside", "leftover"), norms))
+    residual = _scaled_back("residual_norm", np.array(norms[1:]), e)
+    return MinNormSolution(solution=solution, residual_norm=float(residual[0]), norm_split=split)
 
 
 def _gated(frame: FrameSequence, tol: Tolerance | None, route: str, values, length: int,
@@ -211,7 +206,7 @@ def project_signal(frame: FrameSequence, signal,
     coefficients = a["T+"] @ f
     series = a["T"] @ coefficients
     _check(a, "series equals P f", series, _range_part(a.f_t.left_vectors, f), f, coefficients)
-    return _scaled_back("signal series T (T+ f)", series, e)
+    return _scaled_back("the signal series T (T+ f)", series, e)
 
 
 def project_coefficients(frame: FrameSequence, coefficients,
@@ -228,4 +223,4 @@ def project_coefficients(frame: FrameSequence, coefficients,
     a, c, e = _gated(frame, tol, "gram", coefficients, frame.size, "coefficients")
     series = _range_part(a.f_g.right_vectors, c)
     _check(a, "series equals Q c", series, _range_part(a.f_t.right_vectors, c), c)
-    return _scaled_back("coefficient series Q c", series, e)
+    return _scaled_back("the coefficient series Q c", series, e)

@@ -245,16 +245,12 @@ def test_norm_split_outside_the_double_range_raises(entry, length):
 
 
 def test_residual_norm_follows_the_input_scale_below_the_squaring_range():
-    # the squared entries of a 2^-510 input are near the bottom of the normal
-    # range; at 2^-600 they, and so norm_split, underflow to zero, which loses
-    # every bit of the split and is refused
+    # the squared entries of a 2^-600 input underflow to zero
     frame = generate(GeneratorSpec("gaussian", 4, 6, 0))
     c = np.arange(1.0, 7.0)
     base = min_norm_preimage(frame, c).residual_norm
-    tiny = min_norm_preimage(frame, c * 2.0**-510).residual_norm
-    assert tiny * 2.0**510 == pytest.approx(base, rel=1e-12)
-    with pytest.raises(NumericalError, match="norm_split's inside component underflows"):
-        min_norm_preimage(frame, c * 2.0**-600)
+    tiny = min_norm_preimage(frame, c * 2.0**-600).residual_norm
+    assert tiny * 2.0**600 == pytest.approx(base, rel=1e-12)
 
 
 RANGE_ENTRIES = {

@@ -10,8 +10,8 @@ integer entry past the double range is refused by name, as a non-finite one.
 import numpy as np
 import pytest
 
-from framekit import (FrameSequence, Tolerance, as_matrix, as_vector, min_norm_coefficients,
-                      project_coefficients, svd)
+from framekit import (FrameSequence, Tolerance, as_matrix, as_vector, max_abs,
+                      min_norm_coefficients, project_coefficients, scaled_deviation, svd)
 from framekit.verifier import _complex_gaussian
 
 
@@ -94,8 +94,12 @@ FRAME = [[1, 0], [0, 1], [1, 1]]
     (lambda: project_coefficients(FrameSequence.from_vectors(FRAME), [HUGE, 0, 0]),
      "coefficients entries must be finite"),
     (lambda: Tolerance(identity_abs=HUGE), "identity_abs must be finite"),
+    (lambda: max_abs([1, HUGE]), "values entries must be finite"),
+    (lambda: scaled_deviation([[1.0]], [[HUGE]]), "rhs entries must be finite"),
+    (lambda: scaled_deviation([[1.0]], [[1.0]], [[[HUGE]]]), "factor entries must be finite"),
 ], ids=["FrameSequence", "from_vectors", "truncated", "as_vector", "as_matrix", "svd",
-        "min_norm_coefficients", "project_coefficients", "Tolerance"])
+        "min_norm_coefficients", "project_coefficients", "Tolerance", "max_abs",
+        "scaled_deviation", "scaled_deviation_factor"])
 def test_an_integer_past_the_double_range_is_a_named_value_error(entry, message):
     # numpy and float() raise a bare OverflowError on such an int
     with pytest.raises(ValueError, match=message):

@@ -12,15 +12,17 @@ together with the orthogonal projectors P onto the span of the vectors
 The pseudoinverses of T, S and G tie these together. One table,
 _OPERATORS, names each operator once, by the paper's name ("S+" for S's
 pseudoinverse), and says how it is formed; identities between operators
-are data, products of those names. T's factorization (which gives P, Q
-and T+) is certified once per frame: FrameSequence keeps how far its
-factors are from an SVD of T, and every call that reads them, the bounds
-and the classification among them, first holds those deviations against
-its own tolerance, else NumericalError. Each result is then gated on the
-routes it reads: T's factorization must agree with S's or G's, or with both
-for the whole bundle, else NumericalError. The gate checks S and G on their
-factors in T's coordinates, so it forms no dense P, Q, S+ or G+; how is set
-out in _FrameAnalysis.
+are data, products of those names. T's factorization (which gives P, Q,
+T+ and the canonical dual (T+)*) is certified once per frame: FrameSequence
+keeps how far its factors are from an SVD of T, and every call that reads
+them, the bounds and the classification among them, first holds those
+deviations against its own tolerance, else NumericalError. FrameSequence
+keeps S = T T* as well, and S is still factored in every call that reads
+it. Each result is then gated on the routes it reads: T's factorization
+must agree with S's or G's, or with both for the whole bundle, else
+NumericalError. The gate checks S and G on their factors in T's
+coordinates, so it forms no dense P, Q, S+ or G+; how is set out in
+_FrameAnalysis.
 """
 
 from __future__ import annotations
@@ -82,7 +84,10 @@ class FrameSequence:
     every later call on the sequence, under whatever tolerance it passes.
     The factors are certified once, on first use as well: three deviations
     measure how far they are from an SVD of T, and every call holds them
-    against its own tol.identity_abs before it reads the factors.
+    against its own tol.identity_abs before it reads the factors. The frame
+    operator S = T T* is likewise formed once, on first use, and kept
+    read-only: 16 n^2 bytes more, so a tall frame (n > m) keeps an S larger
+    than T. S is still factored in every call that reads its route.
     """
 
     ambient_dim: int
@@ -115,8 +120,10 @@ class FrameSequence:
         object.__setattr__(self, "vectors", tuple(matrix[:, k] for k in range(matrix.shape[1])))
 
     @classmethod
-    def _from_matrix(cls, matrix: np.ndarray) -> "FrameSequence":
-        """The sequence of an (n, m) matrix's columns, stored without splitting it."""
+    def _from_matrix(cls, matrix: np.ndarray, svd: SvdFactors | None = None) -> "FrameSequence":
+        """The sequence of an (n, m) matrix's columns, stored without splitting it.
+        svd, if given, is kept as the matrix's factors in place of an SVD of
+        its own; the certificate still checks them against the matrix."""
         matrix = np.array(matrix, dtype=np.complex128, order="C")
         finite = np.isfinite(matrix).all(axis=0)
         if not finite.all():
@@ -124,11 +131,19 @@ class FrameSequence:
         frame = cls.__new__(cls)
         object.__setattr__(frame, "ambient_dim", matrix.shape[0])
         frame._store(matrix)
+        if svd is not None:
+            object.__setattr__(frame, "_svd", svd)
         return frame
 
     @cached_property
     def _svd(self) -> SvdFactors:
         return _phased_svd(self._matrix)
+
+    @cached_property
+    def _frame_operator(self) -> np.ndarray:
+        """S = T T*, formed once (through a transient U = T*) and read-only;
+        NumericalError where an entry overflows."""
+        return _frozen(_in_range("frame operator S", lambda: self._matrix @ adjoint(self._matrix)))
 
     @cached_property
     def _certificate(self) -> tuple:
@@ -333,7 +348,7 @@ _FACTORED = dict(zip("TSG", _ROUTES.values()))
 _OPERATORS = {
     "T": lambda a: a.frame._matrix,
     "U": lambda a: adjoint(a["T"]),
-    "S": lambda a: _in_range("frame operator S", lambda: a["T"] @ a["U"]),
+    "S": lambda a: a.frame._frame_operator,
     "G": lambda a: a["U"] @ a["T"],
     "P": lambda a: _projector(a.f_t.left_vectors),
     "Q": lambda a: _projector(a.f_t.right_vectors),
@@ -413,8 +428,9 @@ def _s_route_pinv_t(a: "_FrameAnalysis") -> float:
 # identity (see _FrameAnalysis.deviation). Each keeps the name of the dense
 # identity it stands for but reads the route's factors in T's coordinates, so
 # no gate forms P, Q, S+ or G+ (see _FrameAnalysis). 'T+ = T* S+' is what ties
-# every T/S-gated reconstruction to S's route: the minimum-norm results and the
-# signal series are read off T+ itself. T's own factors need no self-check
+# every T/S-gated result to S's route: the minimum-norm results, the signal
+# series and the canonical dual apply T+ through the very factors W, Sigma, V
+# it reads. T's own factors need no self-check
 # here: every analysis holds their certificate (FrameSequence._certificate)
 # against its tolerance before reading them (see _FrameAnalysis.f_t). The
 # suite's rows evaluate the dense identities themselves
@@ -439,8 +455,9 @@ class _FrameAnalysis:
     orthonormality of W and V (FrameSequence._certificate), each at most
     identity_abs, else NumericalError names it. Every result that reads T's
     factors, the bounds and the classification among them, reads them
-    certified. S and G are each factored on first use, once per analysis,
-    and cut their own spectra at T's cutoff squared (see
+    certified. S, which the frame keeps (FrameSequence._frame_operator), and
+    G are each factored on first use, once per analysis, and cut their own
+    spectra at T's cutoff squared (see
     matrix_core._truncated), so every result is still checked against a
     factorization made in its own call. G = U U* is factored through
     U = Q1 R1 as Q1 (R1 R1*) Q1*, an SVD of the min(n, m) square core, not of
@@ -459,7 +476,9 @@ class _FrameAnalysis:
     result returns or reports them. S and G's core square the frame's
     entries, and an entry that overflows raises NumericalError naming the
     operator. U = T* gets no SVD of its own: its SVD is T's with the sides
-    swapped, so the U route (Q and U+) reads T's factors.
+    swapped, so the U route (Q and U+) reads T's factors. The canonical dual
+    is U+ = (T+)* = W Sigma^-1 V*, and its FrameSequence is handed that SVD,
+    so the dual's analysis factors only its own S and G.
 
     Operators are read by the paper's names, a["S+"] (see _OPERATORS); a
     name "~X" reads X from the analysis of the canonical dual, `dual`.
@@ -618,7 +637,12 @@ class _FrameAnalysis:
         if self.f_t.rank == 0:
             raise DegenerateSpanError("a degenerate sequence has no canonical dual")
         self.gate("synthesis", "frame operator")
-        return FrameSequence._from_matrix(self["S+"] @ self["T"])
+        # S+ T = (T+)* = U+ = W Sigma^-1 V*, so the dual's SVD is T's kept one
+        # in reverse order with sigma -> 1/sigma; V keeps its phase convention
+        f_t = self.f_t
+        factors = (f_t.left_vectors, 1.0 / f_t.singular_values, f_t.right_vectors)
+        svd = SvdFactors(*(_frozen(x[..., ::-1].copy()) for x in factors), f_t.rank)
+        return FrameSequence._from_matrix(self["U+"], svd)
 
     @cached_property
     def dual(self) -> "_FrameAnalysis":
@@ -685,7 +709,11 @@ def canonical_dual(frame: FrameSequence, tol: Tolerance | None = None) -> FrameS
 
     The dual spans the same subspace, its optimal bounds are the reciprocals
     (1/upper, 1/lower) of the original's, and its own canonical dual is the
-    original sequence again. S+ is gated on T's factors (see build_bundle).
+    original sequence again. It is formed as S+ T = (T+)* = W Sigma^-1 V*
+    from T's certified kept factors, behind the T/S gate (see build_bundle),
+    so its error grows like eps kappa(T), not eps kappa(T)^2. The returned
+    sequence keeps that SVD, reversed: its own certificate checks it on first
+    use, and no SVD of the dual is run.
     """
     return _FrameAnalysis(frame, tol).canonical_dual
 

@@ -6,15 +6,18 @@ n-dimensional ambient space. Inner products are linear in the first
 argument: <x, y> = sum_j x_j * conj(y_j).
 
 Each entry point gates on the frame routes it reads and returns what its
-gate already checked: T+ from T's certified kept factors, which the T/S gate
-holds against T* S+ in T's coordinates (so T+ f = (S+ T)* f and
-(T+)* c = S+ T c), or an orthonormal basis of range(U) from the G route. It
-then checks its defining identity by the gate's rule (frame_ops._deviation):
-a residual beyond identity_abs, scaled by the norms that enter it
-(matrix_core._norm), or NaN, raises NumericalError. The projectors are
-applied through T's kept singular vectors, P f as W (W* f) and Q c as
-V (V* c), never as n x n or m x m matrices. No result goes through S+ or G+
-again, so its error grows with T's condition number, not with its square.
+gate already checked: T+ applied through T's certified kept factors W,
+Sigma, V, whose r x r form the T/S gate holds against T* S+ in T's
+coordinates (so T+ f = (S+ T)* f and (T+)* c = S+ T c), or an orthonormal
+basis of range(U) from the G route. It then checks its defining identity by
+the gate's rule (frame_ops._deviation): a residual beyond identity_abs,
+scaled by the norms that enter it (matrix_core._norm), or NaN, raises
+NumericalError. T+ f is applied as V (Sigma^-1 (W* f)) and (T+)* c as
+W (Sigma^-1 (V* c)), so the m x n T+ is never formed, and the projectors
+share the first product: P f = W (W* f) and Q c = V (V* c), never n x n or
+m x m matrices. U f0 is applied as (f0* T)*, so no m x n U is formed
+either. No result goes through S+ or G+ again, so its error grows with T's
+condition number, not with its square.
 
 The operators are linear, so each entry point solves on its input scaled to
 unit size, as LAPACK's xLASCL scales: it writes the input as x = 2^e u, e
@@ -102,6 +105,18 @@ def _range_part(basis: np.ndarray, x: np.ndarray) -> np.ndarray:
     return basis @ (basis.conj().T @ x)
 
 
+def _pinv_applied(a: _FrameAnalysis, x: np.ndarray, adjoint: bool = False) -> tuple:
+    """(T+ x, P x) = (V (Sigma^-1 (W* x)), W (W* x)), or, if adjoint,
+    ((T+)* x, Q x) = (W (Sigma^-1 (V* x)), V (V* x)): T+ applied through T's
+    certified kept factors W, Sigma, V, never formed, and the projection that
+    shares its first product."""
+    near, far = a.f_t.left_vectors, a.f_t.right_vectors
+    if adjoint:
+        near, far = far, near
+    coordinates = near.conj().T @ x
+    return far @ (coordinates / a.f_t.singular_values), near @ coordinates
+
+
 def _scaled_back(what: str, values: np.ndarray, k: int, exact: bool = True,
                  beyond: str = "leaves the double range: an entry overflows") -> np.ndarray:
     """2^k values, for real or complex values computed from the unit input.
@@ -169,8 +184,7 @@ def min_norm_coefficients(frame: FrameSequence, signal,
     residual and norm split are read from it.
     """
     a, f, e = _gated(frame, tol, "frame operator", signal, frame.ambient_dim, "signal")
-    c0 = a["T+"] @ f
-    projected = _range_part(a.f_t.left_vectors, f)
+    c0, projected = _pinv_applied(a, f)
     _check(a, "T c0 = P f", a["T"] @ c0, projected, f, c0)
     _check(a, "Q c0 = c0", _range_part(a.f_t.right_vectors, c0), c0, c0)
     return _solution("minimum-norm solution T+ f", c0, projected, f - projected, e)
@@ -187,9 +201,9 @@ def min_norm_preimage(frame: FrameSequence, coefficients,
     right singular vectors V.
     """
     a, c, e = _gated(frame, tol, "frame operator", coefficients, frame.size, "coefficients")
-    f0 = a["T+"].conj().T @ c
-    q_part = _range_part(a.f_t.right_vectors, c)
-    _check(a, "U f0 = Q c", a["U"] @ f0, q_part, c, f0)
+    f0, q_part = _pinv_applied(a, c, adjoint=True)
+    # U f0 = (f0* T)*, so no m x n U is formed
+    _check(a, "U f0 = Q c", (f0.conj() @ a["T"]).conj(), q_part, c, f0)
     return _solution("minimum-norm solution (T+)* c", f0, q_part, c - q_part, e)
 
 
@@ -203,9 +217,9 @@ def project_signal(frame: FrameSequence, signal,
     tol.identity_abs (scaled by |f| + |T| |T+ f|).
     """
     a, f, e = _gated(frame, tol, "frame operator", signal, frame.ambient_dim, "signal")
-    coefficients = a["T+"] @ f
+    coefficients, projected = _pinv_applied(a, f)
     series = a["T"] @ coefficients
-    _check(a, "series equals P f", series, _range_part(a.f_t.left_vectors, f), f, coefficients)
+    _check(a, "series equals P f", series, projected, f, coefficients)
     return _scaled_back("the signal series T (T+ f)", series, e)
 
 

@@ -380,6 +380,8 @@ _TIGHT_GRAM_PINV = (("G+",), ("Q/A",), ("G+",))
 # _FrameAnalysis.deviation) whose worst deviation the row reports; tight-only
 # identity rows also report the common bound A
 _REGISTRY = (
+    # the dual is (T+)* from T's own factors, so these two read about 0 by
+    # construction; 'T† = T*S†' and '(T†)* = S†T' carry their content
     ("pinv_synthesis_is_dual_analysis", "T† = Ũ", False, ((("T+",), ("~U",), ("S+", "T")),)),
     ("pinv_analysis_is_dual_synthesis", "U† = T̃", False, ((("U+",), ("~T",), ("S+", "T")),)),
     ("pinv_synthesis_via_frame_operator", "T† = T*S† = S†T*", False,
@@ -421,6 +423,10 @@ _REGISTRY = (
      _Sampled("coeffs", partial(_quadratic, "Q", "G"))),
     ("pinv_energy_identity", "‖T†f‖² = ⟨f,S†f⟩", False,
      _Sampled("signals", _pinv_energy, _rel_tol)),
+    # the dual's bounds are read off T's factors inverted, so this row reads
+    # about 0 by construction, and the dual's certificate carries its content;
+    # dual(dual(F)) is W Sigma V* from T's factors, so the next measures
+    # |W Sigma V* - T|
     ("dual_bounds_reciprocal", "Ã = 1/B and B̃ = 1/A", False, _dual_bounds),
     ("dual_involution", "dual(dual(F)) = F", False, ((("~~T",), ("T",), ("~S+", "S+", "T")),)),
     ("tight_frame_operator", "S = AP", True, ((("S",), ("AP",), ("T", "U")),)),

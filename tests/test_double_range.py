@@ -55,7 +55,7 @@ from framekit import (
     scaled_deviation,
     svd,
 )
-from framekit import frame_ops, reconstruct
+from framekit import reconstruct
 from framekit.cli import EXIT_VERIFICATION_FAILED, main
 from framekit.frame_ops import _FrameAnalysis
 from framekit.reconstruct import _check
@@ -206,17 +206,25 @@ def test_reconstruction_ceiling_is_finite_for_huge_entries():
 
 def test_reconstruction_check_refuses_when_its_scale_passes_the_double_range(monkeypatch):
     # |f| + |T| |T+ f| passes DBL_MAX for these f: an infinite scale read every
-    # residual as 0. Each check runs on f scaled to unit size, so a T+ 1% off
-    # is refused, and the honest series is returned
+    # residual as 0. Each check runs on f scaled to unit size, so a T+ applied
+    # 1% off is refused, and the honest series is returned
     frame = generate(GeneratorSpec("gaussian", 4, 6, 2))
     f = np.array([1e308, 1e308, 0.0, 0.0])
+    c = np.array([1e308, 1e308, 0.0, 0.0, 0.0, 0.0])
     assert np.isfinite(project_signal(frame, f)).all()
-    pinv_t = frame_ops._OPERATORS["T+"]
-    monkeypatch.setitem(frame_ops._OPERATORS, "T+", lambda a: 1.01 * pinv_t(a))
+    pinv_applied = reconstruct._pinv_applied
+
+    def wrong(*args, **kwargs):
+        x, part = pinv_applied(*args, **kwargs)
+        return 1.01 * x, part
+
+    monkeypatch.setattr(reconstruct, "_pinv_applied", wrong)
     with pytest.raises(NumericalError, match="'series equals P f' deviates by"):
         project_signal(frame, f)
     with pytest.raises(NumericalError, match="'T c0 = P f' deviates by"):
         min_norm_coefficients(frame, f)
+    with pytest.raises(NumericalError, match="'U f0 = Q c' deviates by"):
+        min_norm_preimage(frame, c)
 
 
 def test_a_wrong_series_is_refused_for_coefficients_past_the_double_range(monkeypatch):

@@ -74,9 +74,10 @@ def frame_and_tol(kind):
                                   "ill_conditioned"])
 def test_identity_suite_factors_frame_and_dual_once(svd_calls, kind):
     frame, tol = frame_and_tol(kind)
-    # three SVDs (T, S, G) each for the frame and its dual; the spectral
-    # norms of T, S, G, T+, S+ and G+ are read from the frame's three
-    assert svd_calls(run_identity_suite, frame, tol) == 6
+    # three SVDs (T, S, G) for the frame and two (S, G) for its dual, which
+    # is handed T's factors reversed and inverted; the spectral norms of T,
+    # S, G, T+, S+ and G+ are read from the frame's three
+    assert svd_calls(run_identity_suite, frame, tol) == 5
 
 
 @pytest.mark.parametrize("entry, args, expected", [
@@ -129,8 +130,8 @@ def test_cli_analyze_svd_count(svd_calls, tmp_path):
 
 
 def test_cli_verify_svd_count(svd_calls, capsys):
-    # the suite's 6; the sampling check and the verdict read its factors of T
-    assert svd_calls(cli.main, ["verify", "--kind", "gaussian", "--format", "structured"]) == 6
+    # the suite's 5; the sampling check and the verdict read its factors of T
+    assert svd_calls(cli.main, ["verify", "--kind", "gaussian", "--format", "structured"]) == 5
 
 
 @pytest.mark.parametrize("kind", ["gaussian", "tight", "rank_deficient", "duplicated",

@@ -26,12 +26,15 @@ from framekit import (
     frame_bounds,
     generate,
     min_norm_coefficients,
+    min_norm_preimage,
     project_coefficients,
     project_signal,
+    pseudo_frame_operator,
     pseudo_gram,
     run_identity_suite,
     svd,
 )
+from framekit import frame_ops
 from framekit.frame_ops import _FrameAnalysis
 
 GAUSSIAN = GeneratorSpec("gaussian", 4, 6, 3)
@@ -71,10 +74,64 @@ def test_later_calls_on_a_frame_factor_only_s_and_g(svd_calls):
 
 def test_suite_leaves_t_factored_for_later_calls(svd_calls):
     frame = generate(GAUSSIAN)
-    # T, S, G of the frame and of its dual, a fresh frame built by the call
-    assert svd_calls(run_identity_suite, frame) == 6
+    # T, S, G of the frame, and S, G of its dual, a fresh frame built by the
+    # call and handed T's factors
+    assert svd_calls(run_identity_suite, frame) == 5
     assert svd_calls(bounds_vs_sampling, frame, 100) == 0
     assert svd_calls(classify, frame) == 0
+
+
+def test_the_duals_analysis_runs_no_svd_of_the_dual(monkeypatch):
+    frame = generate(GAUSSIAN)
+    dual = canonical_dual(frame)
+    factored = []
+    original = np.linalg.svd
+
+    def recording(a, *args, **kwargs):
+        factored.append(np.array(a))
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording)
+    # the dual holds T's kept factors, reversed, with sigma -> 1/sigma
+    f_t = _FrameAnalysis(frame).f_t
+    assert np.array_equal(dual._svd.singular_values, 1.0 / f_t.singular_values[::-1])
+    assert np.array_equal(dual._svd.right_vectors, f_t.right_vectors[:, ::-1])
+    analysis = _FrameAnalysis(dual)
+    analysis.gate("synthesis", "frame operator", "gram"), analysis.bounds
+    analysis.canonical_dual
+    # S and G's core of the dual, and never the dual's own matrix
+    assert len(factored) == 2
+    assert not any(np.array_equal(a, dual._matrix) for a in factored)
+
+
+def test_a_second_t_s_call_forms_neither_s_nor_u(monkeypatch):
+    frame = generate(GAUSSIAN)
+    formed = []
+    in_range, adjoint = frame_ops._in_range, frame_ops.adjoint
+
+    def forming_in_range(name, form):
+        formed.append(name)
+        return in_range(name, form)
+
+    def forming_adjoint(matrix):
+        formed.append("U")
+        return adjoint(matrix)
+
+    monkeypatch.setattr(frame_ops, "_in_range", forming_in_range)
+    monkeypatch.setattr(frame_ops, "adjoint", forming_adjoint)
+    signal, coefficients = np.arange(1.0, 5.0), np.ones(6)
+    min_norm_coefficients(frame, signal)
+    # S, formed once through a transient U, is kept read-only on the frame
+    assert formed == ["frame operator S", "U"]
+    assert not frame._frame_operator.flags.writeable
+    for call in (lambda: min_norm_coefficients(frame, signal),
+                 lambda: min_norm_preimage(frame, coefficients),
+                 lambda: project_signal(frame, signal),
+                 lambda: canonical_dual(frame),
+                 lambda: pseudo_frame_operator(frame)):
+        formed.clear()
+        call()
+        assert formed == []
 
 
 def _bits(value):

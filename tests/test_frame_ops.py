@@ -11,6 +11,7 @@ import pytest
 from framekit import (
     DegenerateSpanError,
     FrameSequence,
+    GeneratorSpec,
     NumericalError,
     Tolerance,
     adjoint,
@@ -18,6 +19,7 @@ from framekit import (
     canonical_dual,
     classify,
     frame_bounds,
+    generate,
     pinv,
     pseudo_frame_operator,
     pseudo_gram,
@@ -235,6 +237,22 @@ def test_dual_of_dual_returns_original():
         again = canonical_dual(canonical_dual(frame))
         for v, w in zip(frame.vectors, again.vectors):
             assert np.allclose(v, w, atol=1e-10)
+
+
+@pytest.mark.parametrize("kappa", [1e4, 1e6])
+@pytest.mark.parametrize("n, m", [(16, 32), (32, 16), (64, 128)])
+@pytest.mark.parametrize("seed", range(3))
+def test_the_dual_is_accurate_to_kappa_of_t(kappa, n, m, seed):
+    # S+ T, whose error grows like eps kappa(T)^2, put dual(dual(F)) up to
+    # 4.4e-9 (kappa 1e4) and 3.4e-5 (1e6) of max|T| from T, and the dual up
+    # to 3.0e-9 and 2.6e-5 of max|pinv(T)| from pinv(T)*; W Sigma^-1 V*, read
+    # off T's certified factors, stays at rounding level
+    frame = generate(GeneratorSpec("ill_conditioned", n, m, seed, condition_target=kappa))
+    t = frame.synthesis_matrix()
+    dual = canonical_dual(frame)
+    assert np.abs(canonical_dual(dual).synthesis_matrix() - t).max() <= 1e-12 * np.abs(t).max()
+    reference = np.linalg.pinv(t).conj().T
+    assert np.abs(dual.synthesis_matrix() - reference).max() <= 1e-13 * np.abs(reference).max()
 
 
 def test_dual_bounds_are_reciprocal():

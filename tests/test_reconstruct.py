@@ -25,7 +25,7 @@ from framekit import (
     project_coefficients,
     project_signal,
 )
-from framekit import frame_ops
+from framekit import reconstruct
 
 E1 = np.array([1.0, 0.0], dtype=complex)
 E2 = np.array([0.0, 1.0], dtype=complex)
@@ -405,15 +405,27 @@ def test_rounding_noise_below_the_normal_range_is_not_refused():
     assert 0.0 < tiny.norm_split[1] < np.finfo(float).tiny
 
 
-@pytest.mark.parametrize("entry", [min_norm_coefficients, project_signal])
-def test_a_wrong_pseudoinverse_is_refused_at_every_input_size(entry, monkeypatch):
-    # T+ scaled by 1.01 passes the gate, which checks S's route on factors;
+def apply_a_wrong_pseudoinverse(monkeypatch):
+    """Make every application of T+ (or (T+)*) 1% off, its range part exact."""
+    pinv_applied = reconstruct._pinv_applied
+
+    def wrong(*args, **kwargs):
+        x, part = pinv_applied(*args, **kwargs)
+        return 1.01 * x, part
+
+    monkeypatch.setattr(reconstruct, "_pinv_applied", wrong)
+
+
+@pytest.mark.parametrize("entry, length", [(min_norm_coefficients, 4), (project_signal, 4),
+                                           (min_norm_preimage, 6)],
+                         ids=["min_norm_coefficients", "project_signal", "min_norm_preimage"])
+def test_a_wrong_pseudoinverse_is_refused_at_every_input_size(entry, length, monkeypatch):
+    # T+ applied 1% off passes the gate, which checks S's route on factors;
     # the result checks see it at every |f|, since they run on f scaled to
     # unit size, where max(1, |f| + |T| |T+ f|) read small f's residual raw
-    pinv_t = frame_ops._OPERATORS["T+"]
-    monkeypatch.setitem(frame_ops._OPERATORS, "T+", lambda a: 1.01 * pinv_t(a))
+    apply_a_wrong_pseudoinverse(monkeypatch)
     frame = generate(GeneratorSpec("gaussian", 4, 6, 0))
-    f = random_vector(np.random.default_rng(0), 4)
+    f = random_vector(np.random.default_rng(0), length)
     f /= np.linalg.norm(f)
     for size in [1.0, 1e-3, 1e-6, 1e-9, 1e-12]:
         with pytest.raises(NumericalError, match="reconstruction self-check .* deviates by"):

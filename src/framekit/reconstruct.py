@@ -8,8 +8,9 @@ argument: <x, y> = sum_j x_j * conj(y_j).
 Each entry point gates on the frame routes it reads and returns what its
 gate already checked: T+ applied through T's certified kept factors W,
 Sigma, V, whose r x r form the T/S gate holds against T* S+ in T's
-coordinates (so T+ f = (S+ T)* f and (T+)* c = S+ T c), or an orthonormal
-basis of range(U) from the G route. It then checks its defining identity by
+coordinates (so T+ f = (S+ T)* f and (T+)* c = S+ T c), or the projection
+Q c = V (V* c) through the same V, gated on the smaller of T's two squares
+(see project_coefficients). It then checks its defining identity by
 the gate's rule (frame_ops._deviation): a residual beyond identity_abs,
 scaled by the norms that enter it (matrix_core._norm), or NaN, raises
 NumericalError. T+ f is applied as V (Sigma^-1 (W* f)) and (T+)* c as
@@ -28,7 +29,9 @@ safe: after the T/S gate 1/lambda_r is finite and S is finite, so
 |T+ u| <= |u| / sigma_r < 2^513 sqrt(2 dim), and the products T (T+ u) and
 U ((T+)* u) that the checks read stay within kappa(T) |u|, which S's rank
 cutoff keeps below 2^537 |u| (kappa(S) = kappa(T)^2 < 1 / min(rank_rel dim,
-10 dim eps)); after the T/G gate the series V_g (V_g* u) is at most |u|.
+10 dim eps)); the series V (V* u) is at most |u|, and after either gate S or
+G's core is finite, so sigma_1 < 2^512 and T u and T (V (V* u)) stay below
+2^512 |u|.
 The result and residual_norm are scaled back by 2^e and norm_split by 2^2e;
 a value that leaves the double range raises NumericalError naming it. A
 result part or residual_norm that the scaling makes subnormal with lost
@@ -157,9 +160,10 @@ def _solution(what: str, solution: np.ndarray, inside: np.ndarray, leftover: np.
 
 def _gated(frame: FrameSequence, tol: Tolerance | None, route: str, values, length: int,
            name: str) -> tuple:
-    """The frame's analysis, gated on T and the one other route a result reads,
-    and the input x as (u, e) with x = 2^e u: e is the exponent of x's largest
-    real or imaginary part, so every part of u is below 1 in modulus."""
+    """The frame's analysis, gated on T and the one other route a result reads
+    (S's, or for project_coefficients that of the smaller square), and the
+    input x as (u, e) with x = 2^e u: e is the exponent of x's largest real or
+    imaginary part, so every part of u is below 1 in modulus."""
     a = _FrameAnalysis(frame, tol)
     a.gate("synthesis", route)
     if a.f_t.rank == 0:
@@ -225,16 +229,21 @@ def project_signal(frame: FrameSequence, signal,
 
 def project_coefficients(frame: FrameSequence, coefficients,
                          tol: Tolerance | None = None) -> np.ndarray:
-    """Project coefficients onto the analysis range via the gram route.
+    """Project coefficients onto the analysis range: Q c = sum_k <c, G+ U f_k> e_k.
 
-    Evaluates Q c = sum_k <c, G+ U f_k> e_k (e_k the k-th standard basis
-    vector of the coefficient space) as V_g (V_g* c), with V_g the G route's
-    orthonormal basis of range(U), and checks it against V (V* c) from T's
-    kept right singular vectors. The T/G gate before it reads only G's
-    m x r factors (see frame_ops._FrameAnalysis), so no m x m G, G+ or Q is
-    formed.
+    e_k is the k-th standard basis vector of the coefficient space. Q c is
+    applied as V (V* c) from T's certified kept right singular vectors V, the
+    Q c that min_norm_preimage reports. What Q removes must lie in
+    ker T, so the result is checked as T Q c = T c, its residual scaled by
+    |c| + |T| |c|; that check also sees a part of T outside range(V), which
+    T's certificate does not. The call gates on the smaller of T's two
+    squares: on S's route where n <= m, on G's where n > m. Either gate pins
+    V: the T/S gate ties W and Sigma to S, and the certificate (T V = W Sigma,
+    V* V = I) then pins V; the T/G gate's 'G+ G = Q' ties V to G directly. No
+    m x m G, G+ or Q is formed.
     """
-    a, c, e = _gated(frame, tol, "gram", coefficients, frame.size, "coefficients")
-    series = _range_part(a.f_g.right_vectors, c)
-    _check(a, "series equals Q c", series, _range_part(a.f_t.right_vectors, c), c)
+    route = "frame operator" if frame.ambient_dim <= frame.size else "gram"
+    a, c, e = _gated(frame, tol, route, coefficients, frame.size, "coefficients")
+    series = _range_part(a.f_t.right_vectors, c)
+    _check(a, "T Q c = T c", a["T"] @ series, a["T"] @ c, c, c)
     return _scaled_back("the coefficient series Q c", series, e)

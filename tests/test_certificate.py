@@ -137,7 +137,8 @@ def wrong_s_route(monkeypatch):
 
 @pytest.mark.parametrize("name", ["build_bundle", "canonical_dual",
                                   "pseudo_frame_operator-gaussian", "min_norm_coefficients",
-                                  "min_norm_preimage", "project_signal", "run_identity_suite"])
+                                  "min_norm_preimage", "project_signal", "project_coefficients",
+                                  "run_identity_suite"])
 def test_a_wrong_frame_operator_route_is_refused_by_every_reader(wrong_s_route, name):
     spec, call = READERS[name]
     with pytest.raises(NumericalError, match=r"self-check 'S S\+ = P'"):

@@ -130,8 +130,11 @@ def test_tight_fast_path_outside_the_double_range_raises(entry):
 @pytest.mark.parametrize("entry, operator", [
     (build_bundle, "frame operator S"),
     (canonical_dual, "frame operator S"),
-    (lambda frame: project_coefficients(frame, np.ones(frame.size)), "gram matrix G's core"),
-], ids=["build_bundle", "canonical_dual", "project_coefficients"])
+    (lambda frame: project_coefficients(frame, np.ones(frame.size)), "frame operator S"),
+    # the adjoint frame is tall, and there the series gates on G's route
+    (lambda frame: project_coefficients(FrameSequence._from_matrix(frame.synthesis_matrix().T),
+                                        np.ones(frame.ambient_dim)), "gram matrix G's core"),
+], ids=["build_bundle", "canonical_dual", "project_coefficients", "project_coefficients-tall"])
 def test_operators_outside_the_double_range_raise(entry, operator):
     # sigma_max is about 1e157, so S = T U and G's core R1 R1* overflow
     frame = scaled("gaussian", 2, 520)
@@ -231,14 +234,13 @@ def test_a_wrong_series_is_refused_for_coefficients_past_the_double_range(monkey
     # |c| = 2.4e308; the right series is accepted, one 1% short is not
     frame, c = generate(GeneratorSpec("gaussian", 4, 6, 2)), np.full(6, 1e308)
     project_coefficients(frame, c)
-    range_part, calls = reconstruct._range_part, []
+    range_part = reconstruct._range_part
 
-    def short_series(basis, x):  # the series is projected first, then Q c
-        calls.append(basis)
-        return (0.99 if len(calls) == 1 else 1.0) * range_part(basis, x)
+    def short_series(basis, x):
+        return 0.99 * range_part(basis, x)
 
     monkeypatch.setattr(reconstruct, "_range_part", short_series)
-    with pytest.raises(NumericalError, match="'series equals Q c'"):
+    with pytest.raises(NumericalError, match="'T Q c = T c'"):
         project_coefficients(frame, c)
 
 

@@ -106,10 +106,44 @@ def test_min_norm_coefficients_svd_count(svd_calls):
     (project_coefficients, "coefficients"),
 ])
 def test_reconstruction_svd_counts(svd_calls, entry, vector):
-    # T and the one other route each result reads: S, or G for project_coefficients
+    # T and the one other route each result reads: S, which project_coefficients
+    # reads as well where n <= m, as on this 4 x 6 frame
     frame, tol = frame_and_tol("gaussian")
     vec = frame.synthesis_matrix()[:, 0] if vector == "signal" else np.ones(frame.size)
     assert svd_calls(entry, frame, vec, tol) == 2
+
+
+def test_coefficient_series_factors_only_the_smaller_square(monkeypatch):
+    # on a frame already seen, the wide call factors the frame's kept S and
+    # forms neither S = T T* nor U = T* (both would call adjoint); the tall
+    # call factors G's core through one QR of U
+    calls = {}
+
+    def counting(module, name):
+        original, log = getattr(module, name), calls.setdefault(name, [])
+
+        def counted(*args, **kwargs):
+            log.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    counting(np.linalg, "svd")
+    counting(np.linalg, "qr")
+    counting(frame_ops, "adjoint")
+
+    def counts(frame):
+        for c in calls.values():
+            c.clear()
+        project_coefficients(frame, np.ones(frame.size))
+        return {name: len(c) for name, c in calls.items()}
+
+    wide = generate(GeneratorSpec("gaussian", 4, 6, 3))
+    assert counts(wide) == {"svd": 2, "qr": 0, "adjoint": 1}  # T's SVD, and S formed once
+    assert counts(wide) == {"svd": 1, "qr": 0, "adjoint": 0}
+    tall = generate(GeneratorSpec("gaussian", 6, 4, 3))
+    assert counts(tall) == {"svd": 2, "qr": 1, "adjoint": 1}  # T's SVD, and U
+    assert counts(tall) == {"svd": 1, "qr": 1, "adjoint": 1}
 
 
 def test_polarization_check_svd_count(svd_calls):

@@ -68,7 +68,7 @@ def test_later_calls_on_a_frame_factor_only_s_and_g(svd_calls):
     assert svd_calls(classify, frame) == 0
     assert svd_calls(canonical_dual, frame) == 1  # S
     assert svd_calls(min_norm_coefficients, frame, signal) == 1  # S
-    assert svd_calls(project_coefficients, frame, np.ones(frame.size)) == 1  # G
+    assert svd_calls(project_coefficients, frame, np.ones(frame.size)) == 1  # S, as n <= m
     assert svd_calls(build_bundle, frame) == 2  # S and G
 
 

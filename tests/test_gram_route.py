@@ -123,8 +123,11 @@ def qr_calls(monkeypatch):
 
 def test_qr_counts(qr_calls):
     frame = generate(GeneratorSpec("gaussian", 4, 6, 3))
-    # one QR per gram route: the frame's, and in the suite also its dual's
-    assert qr_calls(project_coefficients, frame, np.ones(6)) == 1
+    # one QR per gram route: the frame's, and in the suite also its dual's.
+    # project_coefficients gates on S's route where n <= m, on G's where n > m
+    assert qr_calls(project_coefficients, frame, np.ones(6)) == 0
+    assert qr_calls(project_coefficients, generate(GeneratorSpec("gaussian", 6, 4, 3)),
+                    np.ones(4)) == 1
     assert qr_calls(build_bundle, frame) == 1
     assert qr_calls(run_identity_suite, frame) == 2
     assert qr_calls(min_norm_coefficients, frame, np.ones(4)) == 0
@@ -159,17 +162,29 @@ def faulty_gram_route(request, monkeypatch):
     monkeypatch.setattr(_FrameAnalysis, "f_g", faulty)
 
 
-# a tight frame's pseudo_gram is Q / A from T alone and reads no G route
-@pytest.mark.parametrize("kind, entry", [
-    ("gaussian", lambda f: project_coefficients(f, np.ones(f.size))),
-    ("tight", lambda f: project_coefficients(f, np.ones(f.size))),
-    ("gaussian", build_bundle),
-    ("tight", build_bundle),
-    ("gaussian", pseudo_gram),
+def tall_tight(n, m, rank, seed):
+    """A tall n x m frame, tight on its span of dimension rank < m: A X Y* with X
+    and Y orthonormal columns, so S = A^2 P and ker T is not trivial."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    x, y = _orthonormal_columns(rng, n, rank), _orthonormal_columns(rng, m, rank)
+    return FrameSequence._from_matrix(1.5 * x @ y.conj().T)
+
+
+# a tight frame's pseudo_gram is Q / A from T alone and reads no G route.
+# project_coefficients reads G's route only where n > m, so it runs on tall
+# frames; the tight one keeps a kernel, since a tall tight frame of full rank has
+# G = A I, of which the tilted pair is still an exact factorization
+@pytest.mark.parametrize("make, entry", [
+    (lambda: generate(spec("gaussian", 32, 16, 0)),
+     lambda f: project_coefficients(f, np.ones(f.size))),
+    (lambda: tall_tight(32, 16, 12, 0), lambda f: project_coefficients(f, np.ones(f.size))),
+    (lambda: generate(spec("gaussian", 16, 32, 0)), build_bundle),
+    (lambda: generate(spec("tight", 16, 32, 0)), build_bundle),
+    (lambda: generate(spec("gaussian", 16, 32, 0)), pseudo_gram),
 ], ids=["project_coefficients-gaussian", "project_coefficients-tight", "build_bundle-gaussian",
         "build_bundle-tight", "pseudo_gram-gaussian"])
-def test_the_gram_gate_refuses_a_faulty_route(faulty_gram_route, kind, entry):
-    frame = generate(spec(kind, 16, 32, 0))
+def test_the_gram_gate_refuses_a_faulty_route(faulty_gram_route, make, entry):
+    frame = make()
     with pytest.raises(NumericalError, match=r"self-check '(G G\+ = Q|G\+ G = Q)'"):
         entry(frame)
 

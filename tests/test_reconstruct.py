@@ -26,6 +26,7 @@ from framekit import (
     project_signal,
 )
 from framekit import reconstruct
+from framekit.frame_ops import _FrameAnalysis
 
 E1 = np.array([1.0, 0.0], dtype=complex)
 E2 = np.array([0.0, 1.0], dtype=complex)
@@ -430,3 +431,81 @@ def test_a_wrong_pseudoinverse_is_refused_at_every_input_size(entry, length, mon
     for size in [1.0, 1e-3, 1e-6, 1e-9, 1e-12]:
         with pytest.raises(NumericalError, match="reconstruction self-check .* deviates by"):
             entry(frame, size * f)
+
+
+def outside_the_kept_factors(n, m, delta):
+    """T = T0 + delta x k*, k a unit vector in ker T0, handed T0's factors.
+
+    T V = W Sigma still holds for T0's factors, so T's certificate passes,
+    but V misses the part of T along k. Returns the frame and k."""
+    base = generate(GeneratorSpec("gaussian", n, m, 0))
+    factors = base._svd
+    rng = np.random.default_rng(1)
+    x, k = random_vector(rng, n), random_vector(rng, m)
+    x /= np.linalg.norm(x)
+    v = factors.right_vectors
+    for _ in range(2):
+        k -= v @ (v.conj().T @ k)
+    k /= np.linalg.norm(k)
+    t = base.synthesis_matrix() + delta * np.outer(x, k.conj())
+    return FrameSequence._from_matrix(t, factors), k
+
+
+@pytest.mark.parametrize("delta", [1e-6, 1e-8])
+@pytest.mark.parametrize("n, m", [(4, 6), (16, 32)], ids=["4x6", "16x32"])
+def test_the_coefficient_series_sees_a_part_of_t_outside_its_kept_factors(n, m, delta):
+    # what Q removes must lie in ker T, and T k = delta x does not. The check
+    # read 1.6e-7 (4 x 6) and 5.4e-8 (16 x 32) at delta = 1e-6, and 1.6e-9 and
+    # 5.4e-10 at 1e-8
+    frame, k = outside_the_kept_factors(n, m, delta)
+    with pytest.raises(NumericalError, match="self-check 'T Q c = T c' deviates by"):
+        project_coefficients(frame, k)
+
+
+def extended_q(t, v, c):
+    """Q c in clongdouble: V's columns lifted as T* (T V), orthonormalized by
+    modified Gram-Schmidt run twice, and applied to c. T* y lies in range(T*)
+    up to extended rounding, so Q's range is off by about kappa * 1e-19."""
+    t = t.astype(np.clongdouble)
+    lifted = t.conj().T @ (t @ v.astype(np.clongdouble))
+    basis = np.zeros_like(lifted)
+    for j in range(lifted.shape[1]):
+        x = lifted[:, j].copy()
+        for _ in range(2):
+            for i in range(j):
+                x -= basis[:, i] * (basis[:, i].conj() @ x)
+        basis[:, j] = x / np.sqrt((x.conj() @ x).real)
+    return basis @ (basis.conj().T @ c.astype(np.clongdouble))
+
+
+def series_error(frame, seed):
+    """|project_coefficients(c) - Q c| / |Q c| for a seeded random c, Q c from extended_q."""
+    c = random_vector(np.random.default_rng(seed), frame.size)
+    reference = extended_q(frame.synthesis_matrix(), _FrameAnalysis(frame).f_t.right_vectors, c)
+    out = project_coefficients(frame, c).astype(np.clongdouble)
+    return float(np.linalg.norm(out - reference) / np.linalg.norm(reference))
+
+
+# the worst error over seeds 0-2 read 7.2e-15, 1.8e-15, 2.1e-15, 1.5e-13 and
+# 1.7e-15 through T's V, and 1.2e-14, 1.9e-15, 2.0e-15, 1.8e-13 and 1.9e-15
+# through G's basis; each bound is at least twice the larger
+SERIES_ACCURACY = [
+    ("rank_deficient", 64, 128, None, 3e-14),
+    ("gaussian", 64, 128, None, 5e-15),
+    ("duplicated", 64, 128, None, 5e-15),
+    ("ill_conditioned", 64, 128, 1e4, 4e-13),
+    ("rank_deficient", 16, 32, None, 5e-15),
+]
+
+
+@pytest.mark.parametrize("kind, n, m, kappa, bound", SERIES_ACCURACY,
+                         ids=[f"{kind}-{n}x{m}" for kind, n, m, _, _ in SERIES_ACCURACY])
+def test_the_coefficient_series_matches_an_extended_precision_q(kind, n, m, kappa, bound):
+    for seed in range(3):
+        frame = generate(GeneratorSpec(kind, n, m, seed, condition_target=kappa))
+        assert series_error(frame, seed) <= bound
+
+
+def test_the_coefficient_series_on_the_benchmark_pool_matches_an_extended_precision_q():
+    # the worst read 8.0e-15 through T's V and 8.7e-15 through G's basis
+    assert max(series_error(frame, 0) for frame in pool_frames()) <= 2e-14

@@ -68,16 +68,28 @@ def test_results_reading_s_accept_a_frame_whose_gram_route_disagrees(wide):
     assert np.allclose(project_signal(wide, f, LOOSE), f, rtol=0.0, atol=1e-8)
     assert canonical_dual(wide, LOOSE).size == 200
     assert pseudo_frame_operator(wide, LOOSE).shape == (2, 2)
+    # a wide frame's coefficient series gates on S's route; Q c = T+ (T c)
+    c = np.ones(200)
+    reference = np.linalg.lstsq(t, t @ c, rcond=None)[0]
+    series = project_coefficients(wide, c, LOOSE)
+    assert np.linalg.norm(series - reference) <= 1e-5 * np.linalg.norm(reference)
 
 
 @pytest.mark.parametrize("call", [
     lambda frame: build_bundle(frame, LOOSE),
-    lambda frame: project_coefficients(frame, np.ones(200), LOOSE),
     lambda frame: pseudo_gram(frame, LOOSE),
-], ids=["build_bundle", "project_coefficients", "pseudo_gram"])
+], ids=["build_bundle", "pseudo_gram"])
 def test_results_reading_g_refuse_a_frame_whose_gram_route_disagrees(wide, call):
     with pytest.raises(NumericalError, match="gram rank 1"):
         call(wide)
+
+
+def test_coefficient_series_of_a_tall_frame_refuses_a_gram_route_that_disagrees(wide):
+    # where n > m the series gates on G's route, the smaller square, which the
+    # wide fixture's faulty G route makes drop to rank 1 here too
+    tall = generate(GeneratorSpec("ill_conditioned", 200, 2, 0, condition_target=1e5))
+    with pytest.raises(NumericalError, match="gram rank 1"):
+        project_coefficients(tall, np.ones(2), LOOSE)
 
 
 ROUTE_READERS = {
@@ -145,8 +157,8 @@ def test_coefficient_projection_past_the_double_range_returns_q_c():
 
 
 def test_coefficient_projection_of_huge_input_returns_q_c():
-    # Q c of 1e308 entries is in range; the G route's basis applies Q
-    # without a product through G+ that overflows
+    # Q c of 1e308 entries is in range; T's kept right singular vectors apply
+    # Q without a product through G+ that overflows
     frame = generate(GeneratorSpec("gaussian", 4, 6, 0))
     c = np.full(6, 1e308)
     expected = build_bundle(frame).coefficient_projector @ c
@@ -172,7 +184,8 @@ def test_first_failing_self_check_names_the_error():
 
 def test_first_failing_route_check_names_the_error(monkeypatch):
     # with T's certificate read as exact, each result reports the first
-    # self-check on the routes it reads, in gate order
+    # self-check on the routes it reads, in gate order. The coefficient series
+    # reads S's route where n <= m and G's where n > m
     monkeypatch.setattr(FrameSequence, "_certificate", (0.0, 0.0, 0.0))
     frame = generate(GeneratorSpec("gaussian", 4, 6, 0))
     strict = Tolerance(identity_abs=1e-20)
@@ -181,5 +194,7 @@ def test_first_failing_route_check_names_the_error(monkeypatch):
         build_bundle(frame, strict)
     with pytest.raises(NumericalError, match=first.format("S S\\+ = P")):
         min_norm_coefficients(frame, np.ones(4), strict)
-    with pytest.raises(NumericalError, match=first.format("G G\\+ = Q")):
+    with pytest.raises(NumericalError, match=first.format("S S\\+ = P")):
         project_coefficients(frame, np.ones(6), strict)
+    with pytest.raises(NumericalError, match=first.format("G G\\+ = Q")):
+        project_coefficients(generate(GeneratorSpec("gaussian", 6, 4, 0)), np.ones(4), strict)

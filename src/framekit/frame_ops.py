@@ -83,11 +83,12 @@ class FrameSequence:
     and its untruncated read-only factors (16 (n + m) min(n, m) bytes) serve
     every later call on the sequence, under whatever tolerance it passes.
     The factors are certified once, on first use as well: three deviations
-    measure how far they are from an SVD of T, and every call holds them
-    against its own tol.identity_abs before it reads the factors. The frame
-    operator S = T T* is likewise formed once, on first use, and kept
-    read-only: 16 n^2 bytes more, so a tall frame (n > m) keeps an S larger
-    than T. S is still factored in every call that reads its route.
+    measure how far they are from an SVD of the whole T (see _certificate),
+    and every call holds them against its own tol.identity_abs before it
+    reads the factors. The frame operator S = T T* is likewise formed once,
+    on first use, and kept read-only: 16 n^2 bytes more, so a tall frame
+    (n > m) keeps an S larger than T. S is still factored in every call that
+    reads its route.
     """
 
     ambient_dim: int
@@ -148,17 +149,17 @@ class FrameSequence:
     @cached_property
     def _certificate(self) -> tuple:
         """How far _svd's factors W, Sigma, V are from an SVD of T, taken once:
-        the residual |T V - W Sigma| relative to sigma_1, then |W* W - I| and
-        |V* V - I|, each the largest entry modulus (the test ratios of LAPACK's
-        xBDT01 and xUNT01). T and Sigma are first scaled by the power of two
-        that brings sigma_1 into [1/2, 1), so no product leaves the double
-        range. The deviations are kept, not a verdict: each analysis holds
-        them against its own tolerance (see _FrameAnalysis.f_t)."""
+        the residual |T - W Sigma V*| of the whole T relative to sigma_1, then
+        |W* W - I| and |V* V - I|, each the largest entry modulus (the test
+        ratios of LAPACK's xBDT01 and xUNT01). T and Sigma are first scaled by
+        the power of two that brings sigma_1 into [1/2, 1), so no product
+        leaves the double range. The deviations are kept, not a verdict: each
+        analysis holds them against its own tolerance (see _FrameAnalysis.f_t)."""
         w, s, v = self._svd.left_vectors, self._svd.singular_values, self._svd.right_vectors
         residual = math.inf  # where |T| = sigma_1 itself leaves the double range
         if s[0] < math.inf:
             scale = 2.0**-max(math.frexp(s[0])[1], -1022)
-            residual = max_abs((self._matrix * scale) @ v - w * (s * scale))
+            residual = max_abs(self._matrix * scale - (w * (s * scale)) @ v.conj().T)
             residual /= s[0] * scale or 1.0  # T = 0 has residual 0
         eye = np.eye(s.size)
         return residual, max_abs(w.conj().T @ w - eye), max_abs(v.conj().T @ v - eye)
@@ -301,16 +302,20 @@ class RestrictedOperators:
 def scaled_deviation(lhs, rhs, factors=()) -> float:
     """Max-abs residual of an identity, normalized by the factor norms.
 
-    A floating-point product carries absolute error on the order of
-    eps * prod(|factor|), so the residual is divided by max(1, that product)
-    to stay comparable with identity_abs across well and badly scaled inputs.
-    Each factor's Frobenius norm is taken by matrix_core._norm, on entries
-    scaled by an exact power of two, so no square overflows or underflows; the
-    product is divided out exactly even past the double range, and a factor
-    whose own norm is beyond it makes the deviation inf.
+    lhs and rhs must have one shape, else ValueError names both: broadcast,
+    they would compare entries that the identity does not. A floating-point
+    product carries absolute error on the order of eps * prod(|factor|), so
+    the residual is divided by max(1, that product) to stay comparable with
+    identity_abs across well and badly scaled inputs. Each factor's Frobenius
+    norm is taken by matrix_core._norm, on entries scaled by an exact power of
+    two, so no square overflows or underflows; the product is divided out
+    exactly even past the double range, and a factor whose own norm is beyond
+    it makes the deviation inf.
     """
-    return _deviation(_complex_array(lhs, "lhs"), _complex_array(rhs, "rhs"),
-                      [_norm(f) for f in factors])
+    lhs, rhs = _complex_array(lhs, "lhs"), _complex_array(rhs, "rhs")
+    if lhs.shape != rhs.shape:
+        raise ValueError(f"lhs and rhs must have one shape, not {lhs.shape} and {rhs.shape}")
+    return _deviation(lhs, rhs, [_norm(f) for f in factors])
 
 
 def _deviation(lhs, rhs, norms) -> float:
@@ -373,8 +378,8 @@ _OPERATORS = {
 
 
 def _in_range(name: str, form) -> np.ndarray:
-    """form(), a product that squares the frame's entries or an inverse, computed
-    without an overflow warning; NumericalError names the operator if an entry overflows."""
+    """form(), a product that squares the frame's entries, computed without an
+    overflow warning; NumericalError names the operator if an entry overflows."""
     with np.errstate(over="ignore", invalid="ignore"):
         out = form()
     if not np.isfinite(out).all():
@@ -443,7 +448,7 @@ _SELF_CHECKS = {
 }
 
 # the names of the three deviations in FrameSequence._certificate
-_CERTIFICATE = ("T V = W Sigma", "W* W = I", "V* V = I")
+_CERTIFICATE = ("T = W Sigma V*", "W* W = I", "V* V = I")
 
 
 class _FrameAnalysis:
@@ -451,7 +456,7 @@ class _FrameAnalysis:
 
     T is the frame's stored matrix, and f_t truncates the frame's own
     factors of T (FrameSequence._svd) under this tolerance, once their
-    certificate holds under it: the residual |T V - W Sigma| / sigma_1 and the
+    certificate holds under it: the residual |T - W Sigma V*| / sigma_1 and the
     orthonormality of W and V (FrameSequence._certificate), each at most
     identity_abs, else NumericalError names it. Every result that reads T's
     factors, the bounds and the classification among them, reads them
@@ -721,30 +726,26 @@ def canonical_dual(frame: FrameSequence, tol: Tolerance | None = None) -> FrameS
 def restricted(frame: FrameSequence, tol: Tolerance | None = None) -> RestrictedOperators:
     """View the operators on the span V, where the frame operator is invertible.
 
-    W's columns are the kept left singular vectors of T, an orthonormal basis
-    of V. The restricted frame operator W* S W is Hermitian positive definite
-    with condition number upper/lower; its inverse realizes S's inversion on V.
-    Either one raises NumericalError naming it if an entry overflows, and so
-    does a failed certificate of T's factors (see FrameSequence).
+    W's columns, T's kept left singular vectors, are an orthonormal basis of
+    V. T's certificate holds T to W Sigma V* (see FrameSequence), so W* T =
+    Sigma V*, and W* S W = diag(sigma^2), positive definite with condition
+    number upper/lower, whose inverse diag(sigma^-2) realizes S's inversion
+    on V. NumericalError names a failed check of the certificate, and refuses
+    as frame_bounds does where sigma_1^2 overflows or sigma_r^2 is subnormal.
     """
     analysis = _FrameAnalysis(frame, tol)
     f_t = analysis.f_t
     if f_t.rank == 0:
         raise DegenerateSpanError("a degenerate sequence has no restriction to its span")
-    w = f_t.left_vectors
-    t_res = w.conj().T @ analysis["T"]
-    u_res = adjoint(t_res)
-    s_res = _in_range("restricted frame operator W*SW", lambda: _hermitize(t_res @ u_res))
-    try:
-        s_res_inv = _in_range("inverse of W*SW", lambda: np.linalg.inv(s_res))
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"restricted frame operator is numerically singular: {exc}") from exc
+    analysis.bounds  # refuses a sigma_1^2 that overflows and a subnormal sigma_r^2
+    sigma = f_t.singular_values
+    analysis_res = f_t.right_vectors * sigma
     return RestrictedOperators(
-        basis=_frozen(w.copy()),
-        synthesis_res=_frozen(t_res),
-        analysis_res=_frozen(u_res),
-        frame_operator_res=_frozen(s_res),
-        frame_operator_res_inv=_frozen(s_res_inv),
+        basis=_frozen(f_t.left_vectors.copy()),
+        synthesis_res=_frozen(adjoint(analysis_res)),
+        analysis_res=_frozen(analysis_res),
+        frame_operator_res=_frozen(np.diag(sigma**2).astype(np.complex128)),
+        frame_operator_res_inv=_frozen(np.diag(1.0 / sigma**2).astype(np.complex128)),
     )
 
 

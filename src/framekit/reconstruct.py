@@ -235,12 +235,11 @@ def project_coefficients(frame: FrameSequence, coefficients,
     applied as V (V* c) from T's certified kept right singular vectors V, the
     Q c that min_norm_preimage reports. What Q removes must lie in
     ker T, so the result is checked as T Q c = T c, its residual scaled by
-    |c| + |T| |c|; that check also sees a part of T outside range(V), which
-    T's certificate does not. The call gates on the smaller of T's two
-    squares: on S's route where n <= m, on G's where n > m. Either gate pins
-    V: the T/S gate ties W and Sigma to S, and the certificate (T V = W Sigma,
-    V* V = I) then pins V; the T/G gate's 'G+ G = Q' ties V to G directly. No
-    m x m G, G+ or Q is formed.
+    |c| + |T| |c|. The call gates on the smaller of T's two squares: on S's
+    route where n <= m, on G's where n > m. Either gate pins V: the T/S gate
+    ties W and Sigma to S, and the certificate (T = W Sigma V*, V* V = I)
+    then pins V; the T/G gate's 'G+ G = Q' ties V to G directly. No m x m G,
+    G+ or Q is formed.
     """
     route = "frame operator" if frame.ambient_dim <= frame.size else "gram"
     a, c, e = _gated(frame, tol, route, coefficients, frame.size, "coefficients")

@@ -426,7 +426,7 @@ _REGISTRY = (
     # the dual's bounds are read off T's factors inverted, so this row reads
     # about 0 by construction, and the dual's certificate carries its content;
     # dual(dual(F)) is W Sigma V* from T's factors, so the next measures
-    # |W Sigma V* - T|
+    # |W Sigma V* - T|, the residual T's certificate bounds
     ("dual_bounds_reciprocal", "Ã = 1/B and B̃ = 1/A", False, _dual_bounds),
     ("dual_involution", "dual(dual(F)) = F", False, ((("~~T",), ("T",), ("~S+", "S+", "T")),)),
     ("tight_frame_operator", "S = AP", True, ((("S",), ("AP",), ("T", "U")),)),

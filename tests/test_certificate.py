@@ -1,9 +1,9 @@
 """T's factors are certified once per frame, and the gates read route factors.
 
 FrameSequence keeps, next to T's untruncated SVD, three deviations that say
-how far those factors are from an SVD of T: the residual |T V - W Sigma|
-relative to sigma_1, and |W* W - I| and |V* V - I| (the test ratios of
-LAPACK's xBDT01 and xUNT01). Every call holds them against its own
+how far those factors are from an SVD of T: the residual |T - W Sigma V*|
+of the whole T relative to sigma_1, and |W* W - I| and |V* V - I| (the test
+ratios of LAPACK's xBDT01 and xUNT01). Every call holds them against its own
 identity_abs before it reads T's factors, so a wrong singular value is
 refused by the bounds, the classification and the tight P/A path as well as
 by every gated result. The T/S and T/G gates check S and G on their n x r and
@@ -57,12 +57,24 @@ def test_an_honest_certificate_reads_rounding_level_at_every_scale(kind, n, m):
         assert max(scaled(spec, exponent)._certificate) <= 10 * max(n, m) * np.finfo(float).eps
 
 
+@pytest.mark.parametrize("n, m", [(4, 6), (6, 4), (16, 32)])
+@pytest.mark.parametrize("kind, kappa", [*((kind, None) for kind in KINDS),
+                                         ("ill_conditioned", 1e4), ("ill_conditioned", 1e6)])
+def test_a_canonical_duals_certificate_reads_rounding_level_at_every_scale(kind, kappa, n, m):
+    # the dual is handed T's kept factors reversed, with sigma -> 1/sigma, and
+    # its matrix is W Sigma^-1 V* from those same factors
+    spec = GeneratorSpec(kind, n, m, 1, condition_target=kappa)
+    for exponent in range(-300, 301, 100):
+        dual = canonical_dual(scaled(spec, exponent))
+        assert max(dual._certificate) <= 10 * max(n, m) * np.finfo(float).eps
+
+
 def test_one_certificate_serves_every_tolerance():
     # the frame keeps deviations, not a verdict: a tolerance below them
     # refuses, and the same frame then answers the default tolerance
     frame = generate(GeneratorSpec("gaussian", 4, 6, 0))
     certificate = frame._certificate
-    with pytest.raises(NumericalError, match="self-check 'T V = W Sigma'"):
+    with pytest.raises(NumericalError, match=r"self-check 'T = W Sigma V\*'"):
         frame_bounds(frame, Tolerance(identity_abs=1e-20))
     assert frame_bounds(frame).lower > 0.0
     assert frame._certificate is certificate
@@ -116,7 +128,7 @@ def wrong_sigma(request, monkeypatch):
 @pytest.mark.parametrize("name", READERS)
 def test_a_wrong_singular_value_of_t_is_refused_by_every_reader(wrong_sigma, name):
     spec, call = READERS[name]
-    with pytest.raises(NumericalError, match="self-check 'T V = W Sigma'"):
+    with pytest.raises(NumericalError, match=r"self-check 'T = W Sigma V\*'"):
         call(generate(spec))
 
 

@@ -93,6 +93,30 @@ def test_entry_point_svd_counts(svd_calls, entry, args, expected):
     assert svd_calls(entry, frame, *args, tol=tol) == expected
 
 
+def test_restricted_reads_only_t_s_factors(monkeypatch):
+    # W*T, W*SW and its inverse are Sigma V*, diag(sigma^2) and diag(sigma^-2):
+    # a fresh frame runs T's one SVD, and a frame already seen no np.linalg
+    # call, np.linalg.inv among them
+    calls = []
+
+    def recorded(name, original):
+        def call(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+        return call
+
+    for name in np.linalg.__all__:
+        original = getattr(np.linalg, name)
+        if callable(original) and not isinstance(original, type):
+            monkeypatch.setattr(np.linalg, name, recorded(name, original))
+    frame, tol = frame_and_tol("gaussian")
+    restricted(frame, tol)
+    assert calls == ["svd"]
+    calls.clear()
+    restricted(frame, tol)
+    assert calls == []
+
+
 def test_min_norm_coefficients_svd_count(svd_calls):
     # T and S: the result reads S+ and gates only on the routes it reads
     frame, tol = frame_and_tol("gaussian")

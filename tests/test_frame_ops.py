@@ -5,6 +5,8 @@ randomized property checks run: the doubled vector {e1, e1}, the redundant
 triple {e1, e2, e1+e2}, and the Mercedes-Benz tight frame in R^2.
 """
 
+import re
+
 import numpy as np
 import pytest
 
@@ -299,6 +301,41 @@ def test_restricted_basis_is_orthonormal():
                        np.eye(r), atol=1e-10)
 
 
+@pytest.mark.parametrize("kappa, bound", [(1e4, 1e-12), (1e6, 1e-10)])
+@pytest.mark.parametrize("n, m", [(16, 32), (32, 16), (64, 128)])
+@pytest.mark.parametrize("seed", range(3))
+def test_restricted_eigenvalues_are_the_planted_squares(kappa, bound, n, m, seed):
+    # diag(sigma^2) and diag(sigma^-2), read off T's certified factors, are
+    # at most 3.4e-13 (kappa 1e4) and 3.3e-11 (1e6) from each planted value,
+    # relatively; W*SW formed as (W*T)(W*T)* and inverted by LU was up to
+    # 1.2e-9 and 7.6e-6 from it
+    frame = generate(GeneratorSpec("ill_conditioned", n, m, seed, condition_target=kappa))
+    squares = np.sort(np.geomspace(1.0, 1.0 / kappa, min(n, m)) ** 2)
+    res = restricted(frame)
+    for operator, planted in [(res.frame_operator_res, squares),
+                              (res.frame_operator_res_inv, np.sort(1.0 / squares))]:
+        eigenvalues = np.linalg.eigvalsh(operator)
+        assert np.max(np.abs(eigenvalues - planted) / planted) <= bound
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "tight", "rank_deficient", "duplicated"])
+@pytest.mark.parametrize("n, m", [(4, 6), (6, 4), (16, 32)])
+def test_restricted_operators_follow_the_frame_scale_exactly(kind, n, m):
+    # T's SVD scales with T by a power of two, so W does not move, W*T and
+    # its adjoint scale by 2^k, W*SW by 2^2k and its inverse by 2^-2k
+    for seed in range(3):
+        t = generate(GeneratorSpec(kind, n, m, seed)).synthesis_matrix()
+        base = restricted(FrameSequence.from_vectors(list(t.T)))
+        for k in (-300, -100, 100, 300):
+            res = restricted(FrameSequence.from_vectors(list((t * 2.0**k).T)))
+            assert np.array_equal(res.basis, base.basis)
+            assert np.array_equal(res.synthesis_res, base.synthesis_res * 2.0**k)
+            assert np.array_equal(res.analysis_res, base.analysis_res * 2.0**k)
+            assert np.array_equal(res.frame_operator_res, base.frame_operator_res * 2.0**(2 * k))
+            assert np.array_equal(res.frame_operator_res_inv,
+                                  base.frame_operator_res_inv * 2.0**(-2 * k))
+
+
 # ------------------------------------------------------ pseudo operator pair
 
 def test_pseudo_operators_match_pinv_route():
@@ -374,3 +411,11 @@ def test_scaled_deviation_floor_and_factors():
     # factors with norm below one never inflate the deviation
     tiny = np.full((2, 2), 1e-6)
     assert scaled_deviation(a, b, (tiny,)) == pytest.approx(1e-8)
+
+
+@pytest.mark.parametrize("lhs, rhs, shapes", [([1, 2], [[1, 2], [1, 2]], "(2,) and (2, 2)"),
+                                               ([[1], [2]], [[1, 2]], "(2, 1) and (1, 2)")])
+def test_scaled_deviation_refuses_operands_of_different_shapes(lhs, rhs, shapes):
+    # broadcast, the first pair read 0.0 and the second 1.0
+    with pytest.raises(ValueError, match=re.escape(shapes)):
+        scaled_deviation(lhs, rhs)

@@ -18,12 +18,17 @@ from framekit import (
     GeneratorSpec,
     NumericalError,
     Tolerance,
+    bounds_vs_sampling,
     build_bundle,
+    canonical_dual,
+    classify,
+    frame_bounds,
     generate,
     min_norm_coefficients,
     min_norm_preimage,
     project_coefficients,
     project_signal,
+    restricted,
 )
 from framekit import reconstruct
 from framekit.frame_ops import _FrameAnalysis
@@ -436,8 +441,9 @@ def test_a_wrong_pseudoinverse_is_refused_at_every_input_size(entry, length, mon
 def outside_the_kept_factors(n, m, delta):
     """T = T0 + delta x k*, k a unit vector in ker T0, handed T0's factors.
 
-    T V = W Sigma still holds for T0's factors, so T's certificate passes,
-    but V misses the part of T along k. Returns the frame and k."""
+    T V = W Sigma still holds for T0's factors, but V misses the part of T
+    along k, and W Sigma V* = T0 is delta x k* away from T. Returns the frame
+    and k."""
     base = generate(GeneratorSpec("gaussian", n, m, 0))
     factors = base._svd
     rng = np.random.default_rng(1)
@@ -451,15 +457,32 @@ def outside_the_kept_factors(n, m, delta):
     return FrameSequence._from_matrix(t, factors), k
 
 
+# every reader of T's factors, called with k as coefficients (ones as a signal)
+FACTOR_READERS = {
+    "min_norm_coefficients": lambda f, k: min_norm_coefficients(f, np.ones(f.ambient_dim)),
+    "min_norm_preimage": min_norm_preimage,
+    "project_signal": lambda f, k: project_signal(f, np.ones(f.ambient_dim)),
+    "project_coefficients": project_coefficients,
+    "canonical_dual": lambda f, k: canonical_dual(f),
+    "frame_bounds": lambda f, k: frame_bounds(f),
+    "classify": lambda f, k: classify(f),
+    "restricted": lambda f, k: restricted(f),
+    "build_bundle": lambda f, k: build_bundle(f),
+    "bounds_vs_sampling": lambda f, k: bounds_vs_sampling(f, 100),
+}
+
+
+@pytest.mark.parametrize("name", FACTOR_READERS)
 @pytest.mark.parametrize("delta", [1e-6, 1e-8])
 @pytest.mark.parametrize("n, m", [(4, 6), (16, 32)], ids=["4x6", "16x32"])
-def test_the_coefficient_series_sees_a_part_of_t_outside_its_kept_factors(n, m, delta):
-    # what Q removes must lie in ker T, and T k = delta x does not. The check
-    # read 1.6e-7 (4 x 6) and 5.4e-8 (16 x 32) at delta = 1e-6, and 1.6e-9 and
-    # 5.4e-10 at 1e-8
+def test_every_reader_of_t_s_factors_refuses_a_part_of_t_outside_them(n, m, delta, name):
+    # T's certificate holds the whole T to W Sigma V*, so it sees delta x k*:
+    # it reads 1.6e-7 (4 x 6) and 2.0e-8 (16 x 32) at delta = 1e-6, and
+    # 1.6e-9 and 2.0e-10 at 1e-8, where |T V - W Sigma| read 4.0e-16 and
+    # 8.7e-16. Nor did the T/S gate see it: it reads S, which moves by delta^2
     frame, k = outside_the_kept_factors(n, m, delta)
-    with pytest.raises(NumericalError, match="self-check 'T Q c = T c' deviates by"):
-        project_coefficients(frame, k)
+    with pytest.raises(NumericalError, match=r"self-check 'T = W Sigma V\*'"):
+        FACTOR_READERS[name](frame, k)
 
 
 def extended_q(t, v, c):

@@ -174,11 +174,11 @@ def test_first_failing_self_check_names_the_error():
     frame = generate(GeneratorSpec("gaussian", 4, 6, 0))
     strict = Tolerance(identity_abs=1e-20)
     first = "operator bundle failed self-check '{}': deviation [0-9.e+-]+ exceeds 1.000e-20$"
-    with pytest.raises(NumericalError, match=first.format("T V = W Sigma")):
+    with pytest.raises(NumericalError, match=first.format(r"T = W Sigma V\*")):
         build_bundle(frame, strict)
-    with pytest.raises(NumericalError, match=first.format("T V = W Sigma")):
+    with pytest.raises(NumericalError, match=first.format(r"T = W Sigma V\*")):
         min_norm_coefficients(frame, np.ones(4), strict)
-    with pytest.raises(NumericalError, match=first.format("T V = W Sigma")):
+    with pytest.raises(NumericalError, match=first.format(r"T = W Sigma V\*")):
         project_coefficients(frame, np.ones(6), strict)
 
 

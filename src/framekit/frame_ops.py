@@ -12,17 +12,20 @@ together with the orthogonal projectors P onto the span of the vectors
 The pseudoinverses of T, S and G tie these together. One table,
 _OPERATORS, names each operator once, by the paper's name ("S+" for S's
 pseudoinverse), and says how it is formed; identities between operators
-are data, products of those names. T's factorization (which gives P, Q,
-T+ and the canonical dual (T+)*) is certified once per frame: FrameSequence
-keeps how far its factors are from an SVD of T, and every call that reads
-them, the bounds and the classification among them, first holds those
-deviations against its own tolerance, else NumericalError. FrameSequence
-keeps S = T T* as well, and S is still factored in every call that reads
-it. Each result is then gated on the routes it reads: T's factorization
-must agree with S's or G's, or with both for the whole bundle, else
-NumericalError. The gate checks S and G on their factors in T's
-coordinates, so it forms no dense P, Q, S+ or G+; how is set out in
-_FrameAnalysis.
+are data, products of those names. Each frame is factored once:
+FrameSequence keeps T's factors (which give P, Q, T+ and the canonical dual
+(T+)*), S = T T* and S's factors, and G's, each untruncated, and each call
+truncates them under its own tolerance. T's factorization is certified once
+per frame: FrameSequence keeps how far its factors are from an SVD of T,
+and every call that reads them, the bounds and the classification among
+them, first holds those deviations against its own tolerance, else
+NumericalError. Each result is then gated on the routes it reads: T's
+factorization must agree with S's or G's, or with both for the whole
+bundle, in rank and in each self-check, else NumericalError. The gate
+checks S and G on their factors in T's coordinates, so it forms no dense P,
+Q, S+ or G+; how is set out in _FrameAnalysis. The frame keeps each
+self-check's deviation, not its verdict: every call holds it against its
+own tolerance, as it holds T's certificate.
 """
 
 from __future__ import annotations
@@ -80,15 +83,21 @@ class FrameSequence:
     ambient_dim finite entries. The vectors are stored once, as the columns
     of one read-only (ambient_dim, m) matrix; each entry of `vectors` is a
     read-only view of its column. That matrix T is factored on first use,
-    and its untruncated read-only factors (16 (n + m) min(n, m) bytes) serve
-    every later call on the sequence, under whatever tolerance it passes.
+    and its untruncated read-only factors serve every later call on the
+    sequence, under whatever tolerance it passes.
     The factors are certified once, on first use as well: three deviations
     measure how far they are from an SVD of the whole T (see _certificate),
     and every call holds them against its own tol.identity_abs before it
     reads the factors. The frame operator S = T T* is likewise formed once,
     on first use, and kept read-only: 16 n^2 bytes more, so a tall frame
-    (n > m) keeps an S larger than T. S is still factored in every call that
-    reads its route.
+    (n > m) keeps an S larger than T. So are S's untruncated factors, an SVD
+    of S of its own (32 n^2 + 8 n bytes), and G's, lifted from an SVD of its
+    min(n, m) square core (32 m k + 8 k bytes, k = min(n, m)), each on the
+    first call that reads its route; T's factors take 16 (n + m) k + 8 k.
+    Each later call truncates them under its own tolerance. The gate's
+    self-check deviations are kept as well, by check and by the ranks the
+    two routes keep, which fix every operand a check reads; each call holds
+    them against its own tol.identity_abs (see _FrameAnalysis.gate).
     """
 
     ambient_dim: int
@@ -119,6 +128,9 @@ class FrameSequence:
         matrix = matrix.view()
         object.__setattr__(self, "_matrix", matrix)
         object.__setattr__(self, "vectors", tuple(matrix[:, k] for k in range(matrix.shape[1])))
+        # the gate's self-check deviations, by (check name, T's kept rank, the
+        # route's kept rank); see _FrameAnalysis.gate
+        object.__setattr__(self, "_self_checks", {})
 
     @classmethod
     def _from_matrix(cls, matrix: np.ndarray, svd: SvdFactors | None = None) -> "FrameSequence":
@@ -145,6 +157,23 @@ class FrameSequence:
         """S = T T*, formed once (through a transient U = T*) and read-only;
         NumericalError where an entry overflows."""
         return _frozen(_in_range("frame operator S", lambda: self._matrix @ adjoint(self._matrix)))
+
+    @cached_property
+    def _s_svd(self) -> SvdFactors:
+        """S's untruncated read-only factors, an SVD of the kept S of its own."""
+        return _phased_svd(self._frame_operator)
+
+    @cached_property
+    def _g_svd(self) -> SvdFactors:
+        """G's untruncated read-only factors, from an SVD of the min(n, m) square
+        core of G = U U*, never of the m x m G: U = Q1 R1, G = Q1 (R1 R1*) Q1*,
+        and Q1 lifts the core's factors. NumericalError where an entry of the
+        core overflows."""
+        q1, r1 = np.linalg.qr(adjoint(self._matrix))  # Q1 is m x k, R1 k x k
+        core = _phased_svd(_in_range("gram matrix G's core R1 R1*",
+                                     lambda: _hermitize(r1 @ r1.conj().T)))
+        left, right = (_frozen(q1 @ x) for x in (core.left_vectors, core.right_vectors))
+        return SvdFactors(left, core.singular_values, right, core.rank)
 
     @cached_property
     def _certificate(self) -> tuple:
@@ -429,16 +458,16 @@ def _s_route_pinv_t(a: "_FrameAnalysis") -> float:
     return _deviation(lhs, sigma * a["W*R_s"] / f_s.singular_values, scale)
 
 
-# the self-checks in gate order: the route each reads besides T's, and its
-# identity (see _FrameAnalysis.deviation). Each keeps the name of the dense
-# identity it stands for but reads the route's factors in T's coordinates, so
-# no gate forms P, Q, S+ or G+ (see _FrameAnalysis). 'T+ = T* S+' is what ties
-# every T/S-gated result to S's route: the minimum-norm results, the signal
-# series and the canonical dual apply T+ through the very factors W, Sigma, V
-# it reads. T's own factors need no self-check
-# here: every analysis holds their certificate (FrameSequence._certificate)
-# against its tolerance before reading them (see _FrameAnalysis.f_t). The
-# suite's rows evaluate the dense identities themselves
+# the self-checks in gate order: the route each reads besides T's, and the
+# function that evaluates its deviation (see _FrameAnalysis.gate). Each keeps
+# the name of the dense identity it stands for but reads the route's factors
+# in T's coordinates, so no gate forms P, Q, S+ or G+ (see _FrameAnalysis).
+# 'T+ = T* S+' is what ties every T/S-gated result to S's route: the
+# minimum-norm results, the signal series and the canonical dual apply T+
+# through the very factors W, Sigma, V it reads. T's own factors need no
+# self-check here: every analysis holds their certificate
+# (FrameSequence._certificate) against its tolerance before reading them (see
+# _FrameAnalysis.f_t). The suite's rows evaluate the dense identities themselves
 _SELF_CHECKS = {
     "S S+ = P": ("frame operator", _s_route_factors_s),
     "S+ S = P": ("frame operator", _s_route_spans_range_p),
@@ -460,13 +489,11 @@ class _FrameAnalysis:
     orthonormality of W and V (FrameSequence._certificate), each at most
     identity_abs, else NumericalError names it. Every result that reads T's
     factors, the bounds and the classification among them, reads them
-    certified. S, which the frame keeps (FrameSequence._frame_operator), and
-    G are each factored on first use, once per analysis, and cut their own
-    spectra at T's cutoff squared (see
-    matrix_core._truncated), so every result is still checked against a
-    factorization made in its own call. G = U U* is factored through
-    U = Q1 R1 as Q1 (R1 R1*) Q1*, an SVD of the min(n, m) square core, not of
-    the m x m G.
+    certified. f_s and f_g truncate the frame's own factors of S and G
+    (FrameSequence._s_svd and _g_svd), each taken independently of T's, and
+    cut their spectra at T's cutoff squared (see matrix_core._truncated).
+    G = U U* is factored through U = Q1 R1 as Q1 (R1 R1*) Q1*, an SVD of the
+    min(n, m) square core, not of the m x m G.
 
     The gate checks S and G on their n x r and m x r factors L, lambda, R in
     T's coordinates, never on dense operators. 'S S+ = P' measures how far
@@ -485,13 +512,21 @@ class _FrameAnalysis:
     is U+ = (T+)* = W Sigma^-1 V*, and its FrameSequence is handed that SVD,
     so the dual's analysis factors only its own S and G.
 
+    The gate first checks that the routes agree in rank. Once it holds, T's
+    kept rank and the route's fix every operand a self-check reads: the
+    truncated factors, S, U, T and the spectral norms. So the frame keeps
+    each self-check's deviation by (check name, T's rank, the route's rank)
+    (FrameSequence._self_checks), and a kept deviation has the bits a
+    recomputed one would. The verdict is not kept: each call holds the
+    deviation against its own identity_abs. A check that raises keeps
+    nothing, so it raises again on every call.
+
     Operators are read by the paper's names, a["S+"] (see _OPERATORS); a
     name "~X" reads X from the analysis of the canonical dual, `dual`.
     Everything derived is computed at most once: the operators, their
     Frobenius norms (see norm) and the deviation of each identity (see
-    deviation), the gate's self-checks among them. Spectral norms are read
-    off the route factors (see spectral_norm). The identity suite's rows
-    read the analysis directly.
+    deviation). Spectral norms are read off the route factors (see
+    spectral_norm). The identity suite's rows read the analysis directly.
     """
 
     def __init__(self, frame: FrameSequence, tol: Tolerance | None = None):
@@ -525,20 +560,15 @@ class _FrameAnalysis:
     def deviation(self, identity) -> float:
         """Deviation of an identity, evaluated once.
 
-        An identity is a triple (lhs, rhs, scale) of operator-name tuples, or
-        a function of the analysis that evaluates a check on factors (the
-        gate's self-checks, see _SELF_CHECKS). In a triple
-        each side is the product of its operators (none: the zero
+        An identity is a triple (lhs, rhs, scale) of operator-name tuples.
+        Each side is the product of its operators (none: the zero
         operator), and the residual is scaled by the Frobenius norms of the
         scale operators (see scaled_deviation).
         """
         if identity not in self._deviations:
-            if callable(identity):
-                self._deviations[identity] = identity(self)
-            else:
-                lhs, rhs, scale = identity
-                self._deviations[identity] = _deviation(
-                    self._product(lhs), self._product(rhs), [self.norm(name) for name in scale])
+            lhs, rhs, scale = identity
+            self._deviations[identity] = _deviation(
+                self._product(lhs), self._product(rhs), [self.norm(name) for name in scale])
         return self._deviations[identity]
 
     @cached_property
@@ -549,17 +579,11 @@ class _FrameAnalysis:
 
     @cached_property
     def f_s(self) -> SvdFactors:
-        return _truncated(_phased_svd(self["S"]), self.tol, max(self["T"].shape))
+        return _truncated(self.frame._s_svd, self.tol, max(self["T"].shape))
 
     @cached_property
     def f_g(self) -> SvdFactors:
-        # Q1 is m x k and the core k x k, k = min(n, m)
-        q1, r1 = np.linalg.qr(self["U"])
-        core = _phased_svd(_in_range("gram matrix G's core R1 R1*",
-                                     lambda: _hermitize(r1 @ r1.conj().T)))
-        left, right = (_frozen(q1 @ x) for x in (core.left_vectors, core.right_vectors))
-        return _truncated(SvdFactors(left, core.singular_values, right, core.rank), self.tol,
-                          max(self["T"].shape))
+        return _truncated(self.frame._g_svd, self.tol, max(self["T"].shape))
 
     def spectral_norm(self, name: str) -> float:
         """Spectral norm of T, S, G (sigma_1) or T+, S+, G+ (1 / sigma_r), read off
@@ -573,7 +597,9 @@ class _FrameAnalysis:
         return float(factors.singular_values[0])
 
     def gate(self, *routes: str) -> None:
-        """Raise NumericalError unless the routes agree in rank and in each self-check on them."""
+        """Raise NumericalError unless the routes agree in rank and in each
+        self-check on them. Each deviation is taken once per frame and
+        ranks, and held against this call's identity_abs (see the class)."""
         ranks = {name: getattr(self, _ROUTES[name]).rank for name in routes}
         if len(set(ranks.values())) != 1:
             detail = ", ".join(f"{name} rank {r}" for name, r in ranks.items())
@@ -582,9 +608,13 @@ class _FrameAnalysis:
                 "T's singular values and resolve no sigma_r/sigma_1 below their resolution limit "
                 f"sqrt(10 max(n, m) eps) = {math.sqrt(_gram_floor(max(self['T'].shape))):.3e}"
             )
-        for name, (route, identity) in _SELF_CHECKS.items():
+        kept = self.frame._self_checks
+        for name, (route, check) in _SELF_CHECKS.items():
             if {"synthesis", route} <= set(routes):
-                self._require(name, self.deviation(identity))
+                key = name, ranks["synthesis"], ranks[route]
+                if key not in kept:  # a check that raises keeps nothing
+                    kept[key] = check(self)
+                self._require(name, kept[key])
 
     def _require(self, name: str, dev: float) -> None:
         """Raise NumericalError naming a self-check whose deviation exceeds identity_abs."""
@@ -658,8 +688,8 @@ class _FrameAnalysis:
 def build_bundle(frame: FrameSequence, tol: Tolerance | None = None) -> OperatorBundle:
     """Construct every induced operator and verify their mutual consistency.
 
-    T, S and G are each factored once: S+ and G+ come from S's and G's own
-    factors, P, Q and T+ from T's, read once their certificate holds. Rank
+    T, S and G are each factored once per frame: S+ and G+ come from S's and
+    G's own factors, P, Q and T+ from T's, read once their certificate holds. Rank
     decisions that disagree between the three routes, or self-check
     residuals above tol.identity_abs (or NaN), T's certificate among them,
     raise NumericalError: such a bundle would silently violate the relations

@@ -10,7 +10,10 @@ gate already checked: T+ applied through T's certified kept factors W,
 Sigma, V, whose r x r form the T/S gate holds against T* S+ in T's
 coordinates (so T+ f = (S+ T)* f and (T+)* c = S+ T c), or the projection
 Q c = V (V* c) through the same V, gated on the smaller of T's two squares
-(see project_coefficients). It then checks its defining identity by
+(see project_coefficients). The gate reads the factors of T, S and G and
+the self-check deviations that the frame keeps, held against the call's own
+tolerance, so a call on a frame already seen factors nothing. It then
+checks its defining identity on its own input, by
 the gate's rule (frame_ops._deviation): a residual beyond identity_abs,
 scaled by the norms that enter it (matrix_core._norm), or NaN, raises
 NumericalError. T+ f is applied as V (Sigma^-1 (W* f)) and (T+)* c as

@@ -6,9 +6,9 @@ reproduce bitwise-identical sequences. The identity suite re-derives every
 operator relation the library promises and reports one record per relation.
 Its rows read the frame's analysis (frame_ops._FrameAnalysis) directly:
 they name operators as frame_ops._OPERATORS does, their identities are
-evaluated, once per call, by the same memoized code as the gate's
-self-checks, and their spectral norms are read off the route factors
-(_FrameAnalysis.spectral_norm). The gate checks S and G on their factors;
+evaluated once per call (_FrameAnalysis.deviation), and their spectral
+norms are read off the route factors (_FrameAnalysis.spectral_norm). The
+gate checks S and G on their factors, and the frame keeps those deviations;
 the rows that restate its identities (SS† = S†S = P, T† = T*S†,
 GG† = G†G = Q, P fₖ = fₖ) evaluate them densely, as every product row
 does. Every sampled check reads its samples through _sample_blocks: a

@@ -1,10 +1,11 @@
-"""A frame factors T once, and every later call on it reads those factors.
+"""A frame factors T, S and G once, and every later call on it reads those factors.
 
-FrameSequence keeps T's untruncated SVD, and each call truncates it under
-its own tolerance. S and G are still factored in every call that reads
-them, so each result stays cross-checked against a factorization made in
-that call. The memo must be invisible: a call on a frame that already holds
-it returns, or raises, exactly what the same call on a fresh frame does.
+FrameSequence keeps the untruncated SVDs of T and S and G's lifted factors,
+and each call truncates them under its own tolerance. It keeps the gate's
+self-check deviations too, by check and by the ranks the routes keep, and
+every call holds them against its own tolerance: a verdict is never kept.
+The memo must be invisible: a call on a frame that already holds it
+returns, or raises, exactly what the same call on a fresh frame does.
 """
 
 import dataclasses
@@ -17,6 +18,7 @@ import pytest
 from framekit import (
     FramekitError,
     FrameSequence,
+    NumericalError,
     GeneratorSpec,
     Tolerance,
     bounds_vs_sampling,
@@ -31,14 +33,19 @@ from framekit import (
     project_signal,
     pseudo_frame_operator,
     pseudo_gram,
+    restricted,
     run_identity_suite,
     svd,
 )
 from framekit import frame_ops
 from framekit.frame_ops import _FrameAnalysis
+from framekit.matrix_core import SvdFactors
 
 GAUSSIAN = GeneratorSpec("gaussian", 4, 6, 3)
+TALL = GeneratorSpec("gaussian", 6, 4, 3)
 ILL = GeneratorSpec("ill_conditioned", 4, 6, 3, condition_target=1e8)
+# 'T+ = T* S+' reads 9.8e-14 on this frame, and T's certificate at most 7.8e-16
+ILL_1E4 = GeneratorSpec("ill_conditioned", 4, 6, 3, condition_target=1e4)
 
 
 @pytest.fixture
@@ -61,15 +68,80 @@ def svd_calls(monkeypatch):
     return count
 
 
-def test_later_calls_on_a_frame_factor_only_s_and_g(svd_calls):
+def test_later_calls_on_a_frame_run_no_svd(svd_calls):
     frame = generate(GAUSSIAN)
     signal = frame.synthesis_matrix()[:, 0]
     assert svd_calls(frame_bounds, frame) == 1  # T, kept on the frame
     assert svd_calls(classify, frame) == 0
-    assert svd_calls(canonical_dual, frame) == 1  # S
-    assert svd_calls(min_norm_coefficients, frame, signal) == 1  # S
-    assert svd_calls(project_coefficients, frame, np.ones(frame.size)) == 1  # S, as n <= m
-    assert svd_calls(build_bundle, frame) == 2  # S and G
+    assert svd_calls(canonical_dual, frame) == 1  # S, kept on the frame
+    assert svd_calls(min_norm_coefficients, frame, signal) == 0
+    assert svd_calls(project_coefficients, frame, np.ones(frame.size)) == 0  # S, as n <= m
+    assert svd_calls(build_bundle, frame) == 1  # G's core, kept on the frame
+    assert svd_calls(build_bundle, frame) == 0
+    assert svd_calls(pseudo_gram, frame) == 0
+
+
+@pytest.fixture
+def self_checks(monkeypatch):
+    """count(fn, *args) runs fn and returns the names of the gate's self-checks
+    it evaluated, each entry of _SELF_CHECKS wrapped in place."""
+    evaluated = []
+
+    def counted(name, check):
+        def evaluate(a):
+            evaluated.append(name)
+            return check(a)
+        return evaluate
+
+    for name, (route, check) in list(frame_ops._SELF_CHECKS.items()):
+        monkeypatch.setitem(frame_ops._SELF_CHECKS, name, (route, counted(name, check)))
+
+    def count(fn, *args, **kwargs):
+        evaluated.clear()
+        fn(*args, **kwargs)
+        return list(evaluated)
+
+    return count
+
+
+T_S = ["S S+ = P", "S+ S = P", "T+ = T* S+"]
+T_G = ["G G+ = Q", "G+ G = Q"]
+
+
+@pytest.mark.parametrize("spec, call, checks", [
+    (GAUSSIAN, lambda f, tol: min_norm_coefficients(f, np.arange(1.0, 5.0), tol), T_S),
+    (GAUSSIAN, lambda f, tol: min_norm_preimage(f, np.ones(6), tol), T_S),
+    (GAUSSIAN, lambda f, tol: project_signal(f, np.arange(1.0, 5.0), tol), T_S),
+    (GAUSSIAN, lambda f, tol: project_coefficients(f, np.ones(6), tol), T_S),
+    (TALL, lambda f, tol: project_coefficients(f, np.ones(4), tol), T_G),
+    (GAUSSIAN, canonical_dual, T_S),
+    (GAUSSIAN, pseudo_frame_operator, T_S),
+    (GAUSSIAN, pseudo_gram, T_G),
+    (GAUSSIAN, build_bundle, T_S[:2] + T_G + T_S[2:]),
+], ids=["min_norm_coefficients", "min_norm_preimage", "project_signal",
+        "project_coefficients", "project_coefficients_tall", "canonical_dual",
+        "pseudo_frame_operator", "pseudo_gram", "build_bundle"])
+def test_a_repeat_gated_call_evaluates_no_self_check(self_checks, spec, call, checks):
+    frame = generate(spec)
+    assert self_checks(call, frame, None) == checks
+    assert self_checks(call, frame, None) == []
+    # the kept deviations serve every tolerance under which the routes keep
+    # the same ranks, each call holding them against its own identity_abs
+    assert self_checks(call, frame, Tolerance(rank_rel=1e-14, identity_abs=1e-9)) == []
+
+
+def test_a_tolerance_that_cuts_s_to_a_new_rank_evaluates_the_checks_again(self_checks):
+    frame = generate(ILL_1E4)
+    signal = np.arange(1.0, 5.0)
+    cut = Tolerance(rank_rel=1e-3)  # keeps 2 of the 4 singular values
+    assert _FrameAnalysis(frame, cut).f_s.rank == 2
+    assert self_checks(min_norm_coefficients, frame, signal) == T_S
+    assert self_checks(min_norm_coefficients, frame, signal, cut) == T_S
+    loose = Tolerance(identity_abs=1e-9)
+    for tol in (None, cut, loose, dataclasses.replace(cut, identity_abs=1e-9)):
+        assert self_checks(min_norm_coefficients, frame, signal, tol) == []
+    assert sorted(frame._self_checks) == sorted(
+        (name, r, r) for name in T_S for r in (2, 4))
 
 
 def test_suite_leaves_t_factored_for_later_calls(svd_calls):
@@ -147,15 +219,26 @@ def _bits(value):
     return repr(value)  # a float's repr round-trips exactly
 
 
+def _signal(frame):
+    return np.arange(1.0, frame.ambient_dim + 1.0)
+
+
+def _coefficients(frame):
+    return np.ones(frame.size)
+
+
 CALLS = {
     "frame_bounds": frame_bounds,
     "classify": classify,
     "canonical_dual": canonical_dual,
     "build_bundle": build_bundle,
+    "pseudo_frame_operator": pseudo_frame_operator,
     "pseudo_gram": pseudo_gram,
-    "min_norm_coefficients": lambda f, tol: min_norm_coefficients(f, np.arange(1.0, 5.0), tol),
-    "project_signal": lambda f, tol: project_signal(f, np.arange(1.0, 5.0), tol),
-    "project_coefficients": lambda f, tol: project_coefficients(f, np.ones(6), tol),
+    "restricted": restricted,
+    "min_norm_coefficients": lambda f, tol: min_norm_coefficients(f, _signal(f), tol),
+    "min_norm_preimage": lambda f, tol: min_norm_preimage(f, _coefficients(f), tol),
+    "project_signal": lambda f, tol: project_signal(f, _signal(f), tol),
+    "project_coefficients": lambda f, tol: project_coefficients(f, _coefficients(f), tol),
     "run_identity_suite": run_identity_suite,
     "bounds_vs_sampling": lambda f, tol: bounds_vs_sampling(f, 200, tol),
 }
@@ -168,7 +251,8 @@ def _outcome(call, frame, tol):
         return type(exc).__name__, str(exc)
 
 
-@pytest.mark.parametrize("spec", [GAUSSIAN, ILL], ids=["gaussian", "ill_conditioned_1e8"])
+@pytest.mark.parametrize("spec", [GAUSSIAN, TALL, ILL],
+                         ids=["gaussian", "gaussian_tall", "ill_conditioned_1e8"])
 def test_each_tolerance_truncates_the_kept_factors_afresh(spec):
     # rank_rel 1e-8 drops sigma_4 = 1e-8 of the ill-conditioned frame, which
     # the other two tolerances keep, so the kept factors are cut differently
@@ -181,6 +265,64 @@ def test_each_tolerance_truncates_the_kept_factors_afresh(spec):
     if spec is ILL:
         assert (_outcome(frame_bounds, shared, tols[0])
                 != _outcome(frame_bounds, shared, tols[2]))
+
+
+def test_verdicts_are_held_per_call_not_kept():
+    # identity_abs 1e-14 fails 'T+ = T* S+' (9.8e-14) and passes T's
+    # certificate, so the same kept deviations refuse one call and pass the next
+    strict = Tolerance(identity_abs=1e-14)
+    tols = [strict, None, strict, Tolerance(), strict]
+    shared = generate(ILL_1E4)
+    outcomes = set()
+    for tol in tols:
+        for name, call in CALLS.items():
+            fresh = _outcome(call, generate(ILL_1E4), tol)
+            assert _outcome(call, shared, tol) == fresh, (name, tol)
+            outcomes.add(fresh[0])
+    kind, message = _outcome(CALLS["min_norm_coefficients"], shared, strict)
+    assert kind == "NumericalError" and "self-check 'T+ = T* S+'" in message
+    assert outcomes == {"returned", "NumericalError"}
+
+
+def test_handed_s_factors_that_fail_a_self_check_are_refused_on_every_call():
+    # S's kept factors with every eigenvalue 1% off, handed to the frame as
+    # FrameSequence._from_matrix hands T's: 'S S+ = P' reads S R_s / lambda_s
+    # against L_s, and the call refuses there however often it is made
+    frame = generate(GAUSSIAN)
+    exact = frame._s_svd
+    object.__setattr__(frame, "_s_svd", SvdFactors(
+        exact.left_vectors, exact.singular_values * 1.01, exact.right_vectors, exact.rank))
+    messages = []
+    for _ in range(3):
+        with pytest.raises(NumericalError, match="self-check 'S S\\+ = P'") as info:
+            min_norm_coefficients(frame, np.arange(1.0, 5.0))
+        messages.append(str(info.value))
+    assert messages == [messages[0]] * 3
+    # T's own route is untouched: calls that read only T's factors still answer
+    assert frame_bounds(frame) == frame_bounds(generate(GAUSSIAN))
+
+
+@pytest.mark.parametrize("spec", [GAUSSIAN, TALL, GeneratorSpec("rank_deficient", 16, 32, 5),
+                                  GeneratorSpec("gaussian", 32, 16, 5)],
+                         ids=["4x6", "6x4", "rank_deficient_16x32", "32x16"])
+def test_a_frame_keeps_the_arrays_its_docstring_states(spec):
+    # T's factors 16 (n + m) k + 8 k bytes, S 16 n^2, S's factors 32 n^2 + 8 n
+    # and G's lifted factors 32 m k + 8 k, k = min(n, m); T itself, whose
+    # columns `vectors` views, is the frame
+    frame = generate(spec)
+    build_bundle(frame)
+    kept = 0
+    for name, value in vars(frame).items():
+        if isinstance(value, SvdFactors):
+            value = (value.left_vectors, value.singular_values, value.right_vectors)
+        elif isinstance(value, np.ndarray) and name != "_matrix":
+            value = (value,)
+        else:
+            continue
+        kept += sum(arr.nbytes for arr in value)
+    n, m = frame.ambient_dim, frame.size
+    k = min(n, m)
+    assert kept == 16 * (n + m) * k + 8 * k + 16 * n * n + 32 * n * n + 8 * n + 32 * m * k + 8 * k
 
 
 @pytest.mark.parametrize("spec", [GAUSSIAN, ILL], ids=["gaussian", "ill_conditioned_1e8"])
@@ -198,21 +340,27 @@ def test_kept_factors_are_read_only_and_truncate_to_svd(spec, tol):
         assert _bits(getattr(f_t, name)) == _bits(getattr(reference, name))
 
 
-def test_threads_sharing_a_fresh_frame_get_equal_bounds():
+def test_threads_sharing_a_fresh_frame_get_equal_results():
     # more threads than cores and a short switch interval, so the first
-    # calls overlap while the frame's factors are being computed
-    expected = frame_bounds(generate(GeneratorSpec("gaussian", 16, 32, 5)))
+    # calls overlap while the frame's factors and deviations are being computed
+    spec = GeneratorSpec("gaussian", 16, 32, 5)
+    signal = np.arange(1.0, 17.0)
+
+    def results(frame):
+        return _bits(min_norm_coefficients(frame, signal)), frame_bounds(frame)
+
+    expected = results(generate(spec))
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(20):
-            frame = generate(GeneratorSpec("gaussian", 16, 32, 5))
+            frame = generate(spec)
             barrier = threading.Barrier(4)
-            results = []
+            found = []
 
             def work():
                 barrier.wait(timeout=10)
-                results.append(frame_bounds(frame))
+                found.append(results(frame))
 
             threads = [threading.Thread(target=work) for _ in range(4)]
             for thread in threads:
@@ -220,6 +368,6 @@ def test_threads_sharing_a_fresh_frame_get_equal_bounds():
             for thread in threads:
                 thread.join(timeout=10)
             assert not any(thread.is_alive() for thread in threads)
-            assert results == [expected] * 4
+            assert found == [expected] * 4
     finally:
         sys.setswitchinterval(interval)

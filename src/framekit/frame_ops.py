@@ -25,15 +25,18 @@ bundle, in rank and in each self-check, else NumericalError. The gate
 checks S and G on their factors in T's coordinates, so it forms no dense P,
 Q, S+ or G+; how is set out in _FrameAnalysis. The frame keeps each
 self-check's deviation, not its verdict: every call holds it against its
-own tolerance, as it holds T's certificate.
+own tolerance, as it holds T's certificate. It keeps one canonical dual
+too, by T's kept rank, and returns it from every call at that rank whose
+certificate and gate hold.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+from collections.abc import Callable
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -97,7 +100,11 @@ class FrameSequence:
     Each later call truncates them under its own tolerance. The gate's
     self-check deviations are kept as well, by check and by the ranks the
     two routes keep, which fix every operand a check reads; each call holds
-    them against its own tol.identity_abs (see _FrameAnalysis.gate).
+    them against its own tol.identity_abs (see _FrameAnalysis.gate). So is
+    one canonical dual, by T's kept rank, which fixes its every bit: its
+    matrix takes 16 n m bytes, and it forms its own factors only when they
+    are read (see _FrameAnalysis.canonical_dual). A call at another rank
+    replaces it, so the frame never keeps two.
     """
 
     ambient_dim: int
@@ -131,12 +138,16 @@ class FrameSequence:
         # the gate's self-check deviations, by (check name, T's kept rank, the
         # route's kept rank); see _FrameAnalysis.gate
         object.__setattr__(self, "_self_checks", {})
+        # the canonical dual, as (T's kept rank, the dual); see _FrameAnalysis.canonical_dual
+        object.__setattr__(self, "_dual", None)
 
     @classmethod
-    def _from_matrix(cls, matrix: np.ndarray, svd: SvdFactors | None = None) -> "FrameSequence":
+    def _from_matrix(cls, matrix: np.ndarray,
+                     svd: SvdFactors | Callable[[], SvdFactors] | None = None) -> "FrameSequence":
         """The sequence of an (n, m) matrix's columns, stored without splitting it.
         svd, if given, is kept as the matrix's factors in place of an SVD of
-        its own; the certificate still checks them against the matrix."""
+        its own: SvdFactors, or a function that forms them on the first read
+        of _svd. The certificate still checks them against the matrix."""
         matrix = np.array(matrix, dtype=np.complex128, order="C")
         finite = np.isfinite(matrix).all(axis=0)
         if not finite.all():
@@ -145,12 +156,13 @@ class FrameSequence:
         object.__setattr__(frame, "ambient_dim", matrix.shape[0])
         frame._store(matrix)
         if svd is not None:
-            object.__setattr__(frame, "_svd", svd)
+            object.__setattr__(frame, "_svd" if isinstance(svd, SvdFactors) else "_form_svd", svd)
         return frame
 
     @cached_property
     def _svd(self) -> SvdFactors:
-        return _phased_svd(self._matrix)
+        form = vars(self).get("_form_svd")
+        return _phased_svd(self._matrix) if form is None else form()
 
     @cached_property
     def _frame_operator(self) -> np.ndarray:
@@ -163,17 +175,22 @@ class FrameSequence:
         """S's untruncated read-only factors, an SVD of the kept S of its own."""
         return _phased_svd(self._frame_operator)
 
-    @cached_property
-    def _g_svd(self) -> SvdFactors:
-        """G's untruncated read-only factors, from an SVD of the min(n, m) square
-        core of G = U U*, never of the m x m G: U = Q1 R1, G = Q1 (R1 R1*) Q1*,
-        and Q1 lifts the core's factors. NumericalError where an entry of the
-        core overflows."""
-        q1, r1 = np.linalg.qr(adjoint(self._matrix))  # Q1 is m x k, R1 k x k
-        core = _phased_svd(_in_range("gram matrix G's core R1 R1*",
-                                     lambda: _hermitize(r1 @ r1.conj().T)))
-        left, right = (_frozen(q1 @ x) for x in (core.left_vectors, core.right_vectors))
-        return SvdFactors(left, core.singular_values, right, core.rank)
+    def _g_svd(self, analysis_u: Callable[[], np.ndarray]) -> SvdFactors:
+        """G's untruncated read-only factors, formed on the first call and kept,
+        from an SVD of the min(n, m) square core of G = U U*, never of the m x m
+        G: U = Q1 R1, G = Q1 (R1 R1*) Q1*, and Q1 lifts the core's factors.
+        analysis_u() reads U = T* from the caller's analysis, whose gate reads
+        that U again, so a first G-route call forms U once. NumericalError where
+        an entry of the core overflows."""
+        kept = vars(self).get("_g_factors")
+        if kept is None:
+            q1, r1 = np.linalg.qr(analysis_u())  # Q1 is m x k, R1 k x k
+            core = _phased_svd(_in_range("gram matrix G's core R1 R1*",
+                                         lambda: _hermitize(r1 @ r1.conj().T)))
+            left, right = (_frozen(q1 @ x) for x in (core.left_vectors, core.right_vectors))
+            kept = SvdFactors(left, core.singular_values, right, core.rank)
+            object.__setattr__(self, "_g_factors", kept)
+        return kept
 
     @cached_property
     def _certificate(self) -> tuple:
@@ -510,7 +527,14 @@ class _FrameAnalysis:
     operator. U = T* gets no SVD of its own: its SVD is T's with the sides
     swapped, so the U route (Q and U+) reads T's factors. The canonical dual
     is U+ = (T+)* = W Sigma^-1 V*, and its FrameSequence is handed that SVD,
-    so the dual's analysis factors only its own S and G.
+    formed from T's kept factors on its first read, so the dual's analysis
+    factors only its own S and G. T's kept rank fixes every bit of U+, so
+    the frame keeps one dual, by that rank (FrameSequence._dual): a call at
+    that rank returns it once the certificate and the T/S gate hold under
+    the call's tolerance, and a call at another rank forms its own and
+    replaces it. A call that raises keeps nothing. The kept dual keeps its
+    own factors and deviations, so the dual's analysis on a frame already
+    seen factors nothing either.
 
     The gate first checks that the routes agree in rank. Once it holds, T's
     kept rank and the route's fix every operand a self-check reads: the
@@ -583,7 +607,7 @@ class _FrameAnalysis:
 
     @cached_property
     def f_g(self) -> SvdFactors:
-        return _truncated(self.frame._g_svd, self.tol, max(self["T"].shape))
+        return _truncated(self.frame._g_svd(lambda: self["U"]), self.tol, max(self["T"].shape))
 
     def spectral_norm(self, name: str) -> float:
         """Spectral norm of T, S, G (sigma_1) or T+, S+, G+ (1 / sigma_r), read off
@@ -672,17 +696,27 @@ class _FrameAnalysis:
         if self.f_t.rank == 0:
             raise DegenerateSpanError("a degenerate sequence has no canonical dual")
         self.gate("synthesis", "frame operator")
-        # S+ T = (T+)* = U+ = W Sigma^-1 V*, so the dual's SVD is T's kept one
-        # in reverse order with sigma -> 1/sigma; V keeps its phase convention
-        f_t = self.f_t
-        factors = (f_t.left_vectors, 1.0 / f_t.singular_values, f_t.right_vectors)
-        svd = SvdFactors(*(_frozen(x[..., ::-1].copy()) for x in factors), f_t.rank)
-        return FrameSequence._from_matrix(self["U+"], svd)
+        # U+ = W Sigma^-1 V* is fixed by T's kept rank, so the frame keeps one
+        # dual by that rank; a call at another rank forms its own and replaces it
+        kept = self.frame._dual
+        if kept is not None and kept[0] == self.f_t.rank:
+            return kept[1]
+        dual = FrameSequence._from_matrix(self["U+"], partial(_dual_svd, self.f_t))
+        object.__setattr__(self.frame, "_dual", (self.f_t.rank, dual))
+        return dual
 
     @cached_property
     def dual(self) -> "_FrameAnalysis":
         """The canonical dual's analysis, under the same tolerance."""
         return _FrameAnalysis(self.canonical_dual, self.tol)
+
+
+def _dual_svd(f_t: SvdFactors) -> SvdFactors:
+    """The canonical dual's SVD from T's kept factors: S+ T = (T+)* = U+ =
+    W Sigma^-1 V*, so it is T's kept one in reverse order with sigma -> 1/sigma;
+    V keeps its phase convention."""
+    factors = (f_t.left_vectors, 1.0 / f_t.singular_values, f_t.right_vectors)
+    return SvdFactors(*(_frozen(x[..., ::-1].copy()) for x in factors), f_t.rank)
 
 
 def build_bundle(frame: FrameSequence, tol: Tolerance | None = None) -> OperatorBundle:
@@ -747,8 +781,12 @@ def canonical_dual(frame: FrameSequence, tol: Tolerance | None = None) -> FrameS
     original sequence again. It is formed as S+ T = (T+)* = W Sigma^-1 V*
     from T's certified kept factors, behind the T/S gate (see build_bundle),
     so its error grows like eps kappa(T), not eps kappa(T)^2. The returned
-    sequence keeps that SVD, reversed: its own certificate checks it on first
-    use, and no SVD of the dual is run.
+    sequence is handed that SVD, reversed, formed on its first read: its own
+    certificate checks it on first use, and no SVD of the dual is run. The
+    frame keeps the dual, 16 n m bytes, by T's kept rank: every call that
+    keeps the same rank returns that one object, once T's certificate and
+    the T/S gate hold under its own tol; a call that keeps another rank
+    forms the dual afresh and keeps it in place of the first.
     """
     return _FrameAnalysis(frame, tol).canonical_dual
 

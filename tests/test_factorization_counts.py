@@ -140,9 +140,9 @@ def test_reconstruction_svd_counts(svd_calls, entry, vector):
 def test_coefficient_series_factors_only_the_smaller_square(monkeypatch):
     # a first call factors only T and the smaller square: the wide call S,
     # formed once through adjoint, and the tall call G's core, through one QR
-    # of U (a transient U for the kept factors, and the analysis's own U for
-    # the check 'G G+ = Q'). The frame keeps every factor, so a call on a frame
-    # already seen factors nothing and forms neither S nor U
+    # of the analysis's U, which the check 'G G+ = Q' reads again. The frame
+    # keeps every factor, so a call on a frame already seen factors nothing
+    # and forms neither S nor U
     calls = {}
 
     def counting(module, name):
@@ -168,7 +168,7 @@ def test_coefficient_series_factors_only_the_smaller_square(monkeypatch):
     assert counts(wide) == {"svd": 2, "qr": 0, "adjoint": 1}  # T's SVD, and S formed once
     assert counts(wide) == {"svd": 0, "qr": 0, "adjoint": 0}
     tall = generate(GeneratorSpec("gaussian", 6, 4, 3))
-    assert counts(tall) == {"svd": 2, "qr": 1, "adjoint": 2}
+    assert counts(tall) == {"svd": 2, "qr": 1, "adjoint": 1}
     assert counts(tall) == {"svd": 0, "qr": 0, "adjoint": 0}
 
 

@@ -4,8 +4,10 @@ FrameSequence keeps the untruncated SVDs of T and S and G's lifted factors,
 and each call truncates them under its own tolerance. It keeps the gate's
 self-check deviations too, by check and by the ranks the routes keep, and
 every call holds them against its own tolerance: a verdict is never kept.
-The memo must be invisible: a call on a frame that already holds it
-returns, or raises, exactly what the same call on a fresh frame does.
+It keeps one canonical dual, by T's kept rank, which each call returns once
+its own certificate and gate hold. The memo must be invisible: a call on a
+frame that already holds it returns, or raises, exactly what the same call
+on a fresh frame does.
 """
 
 import dataclasses
@@ -74,6 +76,7 @@ def test_later_calls_on_a_frame_run_no_svd(svd_calls):
     assert svd_calls(frame_bounds, frame) == 1  # T, kept on the frame
     assert svd_calls(classify, frame) == 0
     assert svd_calls(canonical_dual, frame) == 1  # S, kept on the frame
+    assert svd_calls(canonical_dual, frame) == 0
     assert svd_calls(min_norm_coefficients, frame, signal) == 0
     assert svd_calls(project_coefficients, frame, np.ones(frame.size)) == 0  # S, as n <= m
     assert svd_calls(build_bundle, frame) == 1  # G's core, kept on the frame
@@ -146,11 +149,68 @@ def test_a_tolerance_that_cuts_s_to_a_new_rank_evaluates_the_checks_again(self_c
 
 def test_suite_leaves_t_factored_for_later_calls(svd_calls):
     frame = generate(GAUSSIAN)
-    # T, S, G of the frame, and S, G of its dual, a fresh frame built by the
-    # call and handed T's factors
+    # T, S, G of the frame, and S, G of its dual, a frame built by the first
+    # call, handed T's factors and kept
     assert svd_calls(run_identity_suite, frame) == 5
     assert svd_calls(bounds_vs_sampling, frame, 100) == 0
     assert svd_calls(classify, frame) == 0
+
+
+def test_a_second_suite_on_a_frame_factors_nothing(monkeypatch):
+    # the kept dual keeps its own factors of S and G, so the second suite
+    # factors neither the frame nor its dual
+    calls = []
+
+    def counted(name):
+        original = getattr(np.linalg, name)
+
+        def call(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, call)
+
+    counted("svd"), counted("qr")
+    frame = generate(GAUSSIAN)
+    run_identity_suite(frame)
+    assert sorted(calls) == ["qr"] * 2 + ["svd"] * 5
+    calls.clear()
+    run_identity_suite(frame)
+    assert calls == []
+
+
+def test_equal_rank_calls_return_the_kept_dual():
+    frame = generate(GAUSSIAN)
+    dual = canonical_dual(frame)
+    assert canonical_dual(frame) is dual
+    # other rank_rel and identity_abs, the same kept rank
+    assert canonical_dual(frame, Tolerance(rank_rel=1e-14, identity_abs=1e-9)) is dual
+    assert frame._dual == (4, dual)
+
+
+def test_a_tolerance_that_keeps_another_rank_replaces_the_kept_dual():
+    frame = generate(ILL_1E4)
+    cut = Tolerance(rank_rel=1e-3)  # keeps 2 of the 4 singular values
+    first = canonical_dual(frame)
+    cut_dual = canonical_dual(frame, cut)
+    assert cut_dual is not first and frame._dual == (2, cut_dual)
+    assert _bits(cut_dual) == _bits(canonical_dual(generate(ILL_1E4), cut))
+    # back at the default rank, the dual is formed afresh, with the first's bits
+    back = canonical_dual(frame)
+    assert back is not first and frame._dual == (4, back)
+    assert _bits(back) == _bits(first) == _bits(canonical_dual(generate(ILL_1E4)))
+    assert canonical_dual(frame) is back
+
+
+def test_a_kept_dual_is_refused_where_the_calls_gate_fails():
+    # identity_abs 1e-14 fails 'T+ = T* S+' (9.8e-14): the kept dual is
+    # refused on every such call, and kept for the next call that passes
+    frame = generate(ILL_1E4)
+    dual = canonical_dual(frame)
+    for _ in range(2):
+        with pytest.raises(NumericalError, match="self-check 'T\\+ = T\\* S\\+'"):
+            canonical_dual(frame, Tolerance(identity_abs=1e-14))
+    assert canonical_dual(frame) is dual
 
 
 def test_the_duals_analysis_runs_no_svd_of_the_dual(monkeypatch):
@@ -293,36 +353,55 @@ def test_handed_s_factors_that_fail_a_self_check_are_refused_on_every_call():
     object.__setattr__(frame, "_s_svd", SvdFactors(
         exact.left_vectors, exact.singular_values * 1.01, exact.right_vectors, exact.rank))
     messages = []
-    for _ in range(3):
+    for call in [lambda: min_norm_coefficients(frame, np.arange(1.0, 5.0))] * 3 + [
+            lambda: canonical_dual(frame)] * 3:
         with pytest.raises(NumericalError, match="self-check 'S S\\+ = P'") as info:
-            min_norm_coefficients(frame, np.arange(1.0, 5.0))
+            call()
         messages.append(str(info.value))
-    assert messages == [messages[0]] * 3
+    assert messages == [messages[0]] * 6
+    assert frame._dual is None  # a refused call keeps no dual
     # T's own route is untouched: calls that read only T's factors still answer
     assert frame_bounds(frame) == frame_bounds(generate(GAUSSIAN))
 
 
-@pytest.mark.parametrize("spec", [GAUSSIAN, TALL, GeneratorSpec("rank_deficient", 16, 32, 5),
-                                  GeneratorSpec("gaussian", 32, 16, 5)],
-                         ids=["4x6", "6x4", "rank_deficient_16x32", "32x16"])
-def test_a_frame_keeps_the_arrays_its_docstring_states(spec):
-    # T's factors 16 (n + m) k + 8 k bytes, S 16 n^2, S's factors 32 n^2 + 8 n
-    # and G's lifted factors 32 m k + 8 k, k = min(n, m); T itself, whose
-    # columns `vectors` views, is the frame
-    frame = generate(spec)
-    build_bundle(frame)
+def _kept_bytes(frame):
+    """The bytes of every array a frame keeps besides T, whose columns
+    `vectors` views, counting a kept dual's T and its own kept arrays."""
     kept = 0
     for name, value in vars(frame).items():
         if isinstance(value, SvdFactors):
             value = (value.left_vectors, value.singular_values, value.right_vectors)
         elif isinstance(value, np.ndarray) and name != "_matrix":
             value = (value,)
+        elif name == "_dual" and value is not None:
+            kept += value[1]._matrix.nbytes + _kept_bytes(value[1])
+            continue
         else:
             continue
         kept += sum(arr.nbytes for arr in value)
+    return kept
+
+
+@pytest.mark.parametrize("spec", [GAUSSIAN, TALL, GeneratorSpec("rank_deficient", 16, 32, 5),
+                                  GeneratorSpec("gaussian", 32, 16, 5)],
+                         ids=["4x6", "6x4", "rank_deficient_16x32", "32x16"])
+def test_a_frame_keeps_the_arrays_its_docstring_states(spec):
+    # T's factors 16 (n + m) k + 8 k bytes, S 16 n^2, S's factors 32 n^2 + 8 n,
+    # G's lifted factors 32 m k + 8 k, k = min(n, m), and one dual's T, 16 n m:
+    # the dual forms no copy of T's factors until its own are read
+    frame = generate(spec)
+    build_bundle(frame)
     n, m = frame.ambient_dim, frame.size
     k = min(n, m)
-    assert kept == 16 * (n + m) * k + 8 * k + 16 * n * n + 32 * n * n + 8 * n + 32 * m * k + 8 * k
+    factored = 16 * (n + m) * k + 8 * k + 16 * n * n + 32 * n * n + 8 * n + 32 * m * k + 8 * k
+    assert _kept_bytes(frame) == factored
+    canonical_dual(frame)
+    assert _kept_bytes(frame) == factored + 16 * n * m
+    # a cut between sigma_1 and sigma_2 keeps rank 1; the frame still keeps one dual
+    sigma = frame._svd.singular_values
+    dual = canonical_dual(frame, Tolerance(rank_rel=np.sqrt(sigma[1] / sigma[0]) / max(n, m)))
+    assert frame._dual == (1, dual)
+    assert _kept_bytes(frame) == factored + 16 * n * m
 
 
 @pytest.mark.parametrize("spec", [GAUSSIAN, ILL], ids=["gaussian", "ill_conditioned_1e8"])
@@ -347,7 +426,8 @@ def test_threads_sharing_a_fresh_frame_get_equal_results():
     signal = np.arange(1.0, 17.0)
 
     def results(frame):
-        return _bits(min_norm_coefficients(frame, signal)), frame_bounds(frame)
+        return (_bits(min_norm_coefficients(frame, signal)), frame_bounds(frame),
+                _bits(canonical_dual(frame)))
 
     expected = results(generate(spec))
     interval = sys.getswitchinterval()

@@ -102,8 +102,9 @@ class FrameSequence:
     two routes keep, which fix every operand a check reads; each call holds
     them against its own tol.identity_abs (see _FrameAnalysis.gate). So is
     one canonical dual, by T's kept rank, which fixes its every bit: its
-    matrix takes 16 n m bytes, and it forms its own factors only when they
-    are read (see _FrameAnalysis.canonical_dual). A call at another rank
+    matrix takes 16 n m bytes, and it forms its own factors from T's only
+    when they are read, after which it holds none of T's (see
+    _FrameAnalysis.canonical_dual and _Once). A call at another rank
     replaces it, so the frame never keeps two.
     """
 
@@ -147,7 +148,8 @@ class FrameSequence:
         """The sequence of an (n, m) matrix's columns, stored without splitting it.
         svd, if given, is kept as the matrix's factors in place of an SVD of
         its own: SvdFactors, or a function that forms them on the first read
-        of _svd. The certificate still checks them against the matrix."""
+        of _svd and is dropped once it has (see _Once), with all it holds. The
+        certificate still checks them against the matrix."""
         matrix = np.array(matrix, dtype=np.complex128, order="C")
         finite = np.isfinite(matrix).all(axis=0)
         if not finite.all():
@@ -155,8 +157,10 @@ class FrameSequence:
         frame = cls.__new__(cls)
         object.__setattr__(frame, "ambient_dim", matrix.shape[0])
         frame._store(matrix)
-        if svd is not None:
-            object.__setattr__(frame, "_svd" if isinstance(svd, SvdFactors) else "_form_svd", svd)
+        if isinstance(svd, SvdFactors):
+            object.__setattr__(frame, "_svd", svd)
+        elif svd is not None:
+            object.__setattr__(frame, "_form_svd", _Once(svd))
         return frame
 
     @cached_property
@@ -383,6 +387,30 @@ def _deviation(lhs, rhs, norms) -> float:
     if mantissa == 0.0 or exponent < 1:  # the product is below 1, the floor
         return residual
     return math.ldexp(residual, -exponent) / mantissa
+
+
+class _Once:
+    """form(), formed by the first call and returned by every later one.
+
+    form, and all it holds, is dropped once the result is published, and in
+    that order: a call that overlaps the first either reads form before it
+    is dropped and forms the same result from it, or finds it dropped and
+    reads the published result. A kept dual's former holds its frame's T
+    factors, so the dual does not keep them alive past its own first read."""
+
+    __slots__ = ("_form", "_result")
+
+    def __init__(self, form: Callable[[], SvdFactors]):
+        self._form, self._result = form, None
+
+    def __call__(self) -> SvdFactors:
+        form = self._form
+        if form is None:
+            return self._result
+        result = form()
+        self._result = result
+        self._form = None
+        return result
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:

@@ -283,20 +283,41 @@ def max_abs(values) -> float:
     return float(np.abs(a).max()) if a.size else 0.0
 
 
+@np.errstate(over="ignore", under="ignore")
+def _plain_norm(x: np.ndarray) -> float:
+    """np.linalg.norm(x), with no warning where a square leaves the normal range."""
+    return float(np.linalg.norm(x))
+
+
 def _norm(x, factor: float = 1.0) -> float:
     """factor * |x|: the 2-norm of a vector or the Frobenius norm of a matrix,
     inf beyond the double range or for an inf entry, NaN for a NaN entry.
-    np.linalg.norm sums squares, so it is taken on x scaled by a power of two
-    2^-e that brings every entry's modulus below 1, as LAPACK's xLASSQ
-    scales: no square overflows, and none that underflows could show in the
-    sum. e is one more than the exponent of the largest real or imaginary
-    part, a scan that cannot overflow, and the one covers the sqrt(2) between
-    that part and a modulus. factor is applied before 2^e is undone. Both
-    scalings are exact, so in range the result is factor * np.linalg.norm(x)
-    bit for bit."""
+
+    np.linalg.norm sums squares, so the scaled route takes it on x scaled by
+    a power of two 2^-e that brings every entry's modulus below 1, as
+    LAPACK's xLASSQ scales: no square overflows, and none that underflows
+    could show in the sum. e is one more than the exponent of the largest
+    real or imaginary part, a scan that cannot overflow, and the one covers
+    the sqrt(2) between that part and a modulus. factor is applied before 2^e
+    is undone. Both scalings are exact, so in range the result is factor *
+    np.linalg.norm(x) bit for bit.
+
+    Most norms need neither the scan nor the scaled copy: np.linalg.norm is
+    first taken on x as it is, and where that plain |x| lies in
+    [2^-400, 2^400] and factor in [2^-600, 2^600], factor * |x| is returned
+    with the scaled route's bits. No square overflowed. One that underflowed
+    is below 2^-1022, more than 2^222 below the sum of squares (at least
+    2^-800), so far below its last bit, as the scaled route's lost squares
+    are. Every other step of that route is the plain one scaled by a power of
+    two, and factor * |x| and factor * |2^-e x| are both normal, so no
+    rounding moves. Every other x, inf and NaN included, takes the scaled
+    route."""
     x = np.asarray(x)
     if x.dtype == object:  # as in max_abs
         x = _complex_array(x, "factor")
+    plain = _plain_norm(x)
+    if 2.0**-400 <= plain <= 2.0**400 and 2.0**-600 <= factor <= 2.0**600:
+        return factor * plain
     parts = np.ascontiguousarray(x).view(x.real.dtype) if np.iscomplexobj(x) else x
     scale = float(np.abs(parts).max(initial=0.0))
     if not scale < math.inf:  # an inf or NaN entry

@@ -19,9 +19,11 @@ scaled by the norms that enter it (matrix_core._norm), or NaN, raises
 NumericalError. T+ f is applied as V (Sigma^-1 (W* f)) and (T+)* c as
 W (Sigma^-1 (V* c)), so the m x n T+ is never formed, and the projectors
 share the first product: P f = W (W* f) and Q c = V (V* c), never n x n or
-m x m matrices. U f0 is applied as (f0* T)*, so no m x n U is formed
-either. No result goes through S+ or G+ again, so its error grows with T's
-condition number, not with its square.
+m x m matrices. W* f and V* c are applied as (f* W)* and (c* V)*, which
+conjugate the vector and read the kept W and V in place, with no copy of
+either. U f0 is applied as (f0* T)*, so no m x n U is formed either. No
+result goes through S+ or G+ again, so its error grows with T's condition
+number, not with its square.
 
 The operators are linear, so each entry point solves on its input scaled to
 unit size, as LAPACK's xLASCL scales: it writes the input as x = 2^e u, e
@@ -106,9 +108,15 @@ def _check(a: _FrameAnalysis, what: str, lhs: np.ndarray, rhs: np.ndarray,
         )
 
 
+def _adjoint_applied(basis: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """basis* x, taken as (x* basis)*: conjugating the vector, not basis, reads
+    the kept factor in place, with no conjugate copy of it."""
+    return (x.conj() @ basis).conj()
+
+
 def _range_part(basis: np.ndarray, x: np.ndarray) -> np.ndarray:
     """basis (basis* x): x projected onto the span of basis's orthonormal columns."""
-    return basis @ (basis.conj().T @ x)
+    return basis @ _adjoint_applied(basis, x)
 
 
 def _pinv_applied(a: _FrameAnalysis, x: np.ndarray, adjoint: bool = False) -> tuple:
@@ -119,22 +127,21 @@ def _pinv_applied(a: _FrameAnalysis, x: np.ndarray, adjoint: bool = False) -> tu
     near, far = a.f_t.left_vectors, a.f_t.right_vectors
     if adjoint:
         near, far = far, near
-    coordinates = near.conj().T @ x
+    coordinates = _adjoint_applied(near, x)
     return far @ (coordinates / a.f_t.singular_values), near @ coordinates
 
 
-def _scaled_back(what: str, values: np.ndarray, k: int, exact: bool = True,
-                 beyond: str = "leaves the double range: an entry overflows") -> np.ndarray:
+def _scaled_back(what: str, values: np.ndarray, k: int) -> np.ndarray:
     """2^k values, for real or complex values computed from the unit input.
-    NumericalError names what where a part leaves the double range and, if
-    exact, where the scaling is inexact: a part that became subnormal and lost
-    bits. An exact part, zero or subnormal, is returned."""
+    NumericalError names what where a part leaves the double range or where
+    the scaling is inexact: a part that became subnormal and lost bits, which
+    only k < 0 can do. An exact part, zero or subnormal, is returned."""
     parts = values.view(np.float64)
     with np.errstate(over="ignore"):
         out = np.ldexp(parts, k)
     if not np.isfinite(out).all():
-        raise NumericalError(f"{what} {beyond}")
-    if exact:
+        raise NumericalError(f"{what} leaves the double range: an entry overflows")
+    if k < 0:  # scaling up is exact wherever it stays finite
         lost = np.ldexp(out, -k) != parts
         if lost.any():
             raise NumericalError(f"{what} underflows: {parts[np.argmax(lost)]:.3e} * 2^{k} "
@@ -153,12 +160,19 @@ def _solution(what: str, solution: np.ndarray, inside: np.ndarray, leftover: np.
     exact there. The residual cannot overflow unless the split does."""
     solution = _scaled_back(f"the {what}", solution, e)
     norms = _norm(inside), _norm(leftover)
-    split = tuple(float(_scaled_back(f"norm_split's {name} component {norm:.3e} * 2^{e}",
-                                     np.array([norm * norm]), 2 * e, exact=False,
-                                     beyond="squares beyond the double range")[0])
-                  for name, norm in zip(("inside", "leftover"), norms))
+    split = []
+    for name, norm in zip(("inside", "leftover"), norms):
+        try:  # ldexp rounds a square below the normal range
+            square = math.ldexp(norm * norm, 2 * e)
+        except OverflowError:
+            square = math.inf
+        if not square < math.inf:
+            raise NumericalError(f"norm_split's {name} component {norm:.3e} * 2^{e} "
+                                 "squares beyond the double range")
+        split.append(square)
     residual = _scaled_back("residual_norm", np.array(norms[1:]), e)
-    return MinNormSolution(solution=solution, residual_norm=float(residual[0]), norm_split=split)
+    return MinNormSolution(solution=solution, residual_norm=float(residual[0]),
+                           norm_split=tuple(split))
 
 
 def _gated(frame: FrameSequence, tol: Tolerance | None, route: str, values, length: int,

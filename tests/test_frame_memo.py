@@ -11,8 +11,10 @@ on a fresh frame does.
 """
 
 import dataclasses
+import gc
 import sys
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -234,6 +236,50 @@ def test_the_duals_analysis_runs_no_svd_of_the_dual(monkeypatch):
     # S and G's core of the dual, and never the dual's own matrix
     assert len(factored) == 2
     assert not any(np.array_equal(a, dual._matrix) for a in factored)
+
+
+def test_a_kept_dual_does_not_keep_its_frames_factors_alive():
+    # the dual's factors are formed from T's on their first read, and from
+    # then on it holds its own copies only
+    frame = generate(GeneratorSpec("gaussian", 128, 256, 0))
+    dual = canonical_dual(frame)
+    left = weakref.ref(frame._svd.left_vectors)
+    run_identity_suite(dual)
+    del frame
+    gc.collect()
+    assert left() is None
+    assert dual._form_svd() is dual._svd
+
+
+def test_threads_sharing_a_fresh_dual_read_equal_factors():
+    # the first reads of a fresh dual's factors overlap: each thread reads the
+    # factors formed from T's, never an SVD of the dual's own matrix. The
+    # former is also called directly, where no lock of cached_property (held
+    # before Python 3.12) serializes the first calls
+    spec = GeneratorSpec("gaussian", 16, 32, 5)
+    expected = _bits(canonical_dual(generate(spec))._svd)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            dual = canonical_dual(generate(spec))
+            assert "_svd" not in vars(dual)
+            barrier = threading.Barrier(4)
+            found = []
+
+            def work():
+                barrier.wait(timeout=10)
+                found.append((_bits(dual._form_svd()), _bits(dual._svd)))
+
+            threads = [threading.Thread(target=work) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=10)
+            assert not any(thread.is_alive() for thread in threads)
+            assert found == [(expected, expected)] * 4
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_a_second_t_s_call_forms_neither_s_nor_u(monkeypatch):

@@ -6,6 +6,9 @@ route that never touches the SVD code under test. Operator norms are
 cross-checked against the largest eigenvalue of M*M via eigvalsh.
 """
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -317,6 +320,59 @@ def test_norm_beyond_the_double_range_is_inf():
     # |1.5e308 (1 + i)| overflows, its parts do not
     assert _norm(np.array([1.5e308 + 1.5e308j]), 0.5) == pytest.approx(1.5e308 / np.sqrt(2.0))
     assert _norm(np.array([3e-320, 4e-320])) == 5e-320  # subnormal entries only
+
+
+def scaled_norm(x, factor=1.0):
+    """_norm's scaled route alone: |x| taken on x scaled by 2^-e below 1 in
+    modulus, factor applied before 2^e is undone."""
+    parts = np.ascontiguousarray(x).view(np.float64) if np.iscomplexobj(x) else x
+    scale = float(np.abs(parts).max(initial=0.0))
+    if not scale < math.inf:
+        return factor * scale
+    exponent = max(math.frexp(scale)[1] + 1, -1022)
+    try:
+        return math.ldexp(factor * float(np.linalg.norm(x * 2.0**-exponent)), exponent)
+    except OverflowError:
+        return math.inf
+
+
+def norm_cases(rng):
+    """Real and complex vectors whose entries' exponents spread over 2^-1074 to
+    2^1023: clustered about every center, scattered over the whole range, and
+    subnormal entries mixed with entries about the center; some hold an inf or
+    a NaN."""
+    for center in range(-1074, 1024, 6):
+        for complex_entries in (False, True):
+            size = int(rng.choice([1, 2, 3, 7, 64, 300]))
+            spread = [rng.integers(center - 30, center + 4, size),
+                      rng.integers(-1074, 1024, size),
+                      np.where(rng.random(size) < 0.5, rng.integers(-1074, -1020, size), center)]
+            for exponents in spread:
+                exponents = np.clip(exponents, -1074, 1023)
+                x = np.ldexp(rng.uniform(0.5, 1.0, size) * rng.choice([-1, 1], size), exponents)
+                if complex_entries:
+                    y = np.ldexp(rng.uniform(0.5, 1.0, size) * rng.choice([-1, 1], size),
+                                 np.clip(exponents - rng.integers(0, 40, size), -1074, 1023))
+                    x = x + 1j * y
+                yield x
+    for bad in (np.inf, -np.inf, np.nan):
+        yield np.array([1.0, bad, 3.0])
+        yield np.array([2.0**-1074, 1.0 + 1j * bad])
+
+
+def test_norm_one_pass_keeps_the_bits_of_the_scaled_route():
+    rng = np.random.default_rng(7)
+    one_pass = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for x in norm_cases(rng):
+            for factor in (1e-300, 1.0, 1e300):
+                got, expected = _norm(x, factor), scaled_norm(x, factor)
+                assert got.hex() == expected.hex(), (x, factor)
+                with np.errstate(over="ignore", under="ignore"):
+                    plain = float(np.linalg.norm(x))
+                one_pass += 2.0**-400 <= plain <= 2.0**400 and factor == 1.0
+    assert one_pass > 500  # the cases reach the one-pass route, not only the scaled one
 
 
 def test_op_norm_of_zero_matrix():

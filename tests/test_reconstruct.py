@@ -245,6 +245,28 @@ def test_t_s_gated_reconstruction_forms_no_m_by_m_array(entry, length):
     assert peak < frame.size**2 * 16
 
 
+@pytest.mark.parametrize("entry, length", [(min_norm_coefficients, 64),
+                                           (min_norm_preimage, 128),
+                                           (project_signal, 64),
+                                           (project_coefficients, 128)],
+                         ids=["min_norm_coefficients", "min_norm_preimage", "project_signal",
+                              "project_coefficients"])
+def test_a_call_on_a_kept_frame_copies_no_factor(entry, length):
+    # W* x and V* x are taken as (x* W)* and (x* V)*, so a call on a frame
+    # already seen allocates vectors only: below 16 n k bytes, the size of W
+    n, m = 64, 128
+    frame = generate(GeneratorSpec("gaussian", n, m, 0))
+    x = random_vector(np.random.default_rng(51), length)
+    entry(frame, x)  # the frame keeps T's factors and the gate's deviations
+    tracemalloc.start()
+    try:
+        entry(frame, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * n * min(n, m)
+
+
 CONDITIONING_CASES = ([(kind, None) for kind in ("gaussian", "tight", "rank_deficient", "duplicated")]
                       + [("ill_conditioned", kappa) for kappa in (1e2, 1e4, 1e5)])
 

@@ -14,8 +14,9 @@ _OPERATORS, names each operator once, by the paper's name ("S+" for S's
 pseudoinverse), and says how it is formed; identities between operators
 are data, products of those names. Each frame is factored once:
 FrameSequence keeps T's factors (which give P, Q, T+ and the canonical dual
-(T+)*), S = T T* and S's factors, and G's, each untruncated, and each call
-truncates them under its own tolerance. T's factorization is certified once
+(T+)*), S = T T* and S's factors, and G's, each untruncated, and one rank
+cut of each, by the rank_rel that made it, which every call at that
+rank_rel reads and any other replaces. T's factorization is certified once
 per frame: FrameSequence keeps how far its factors are from an SVD of T,
 and every call that reads them, the bounds and the classification among
 them, first holds those deviations against its own tolerance, else
@@ -97,7 +98,11 @@ class FrameSequence:
     of S of its own (32 n^2 + 8 n bytes), and G's, lifted from an SVD of its
     min(n, m) square core (32 m k + 8 k bytes, k = min(n, m)), each on the
     first call that reads its route; T's factors take 16 (n + m) k + 8 k.
-    Each later call truncates them under its own tolerance. The gate's
+    Each call reads them cut under its own tol.rank_rel, and the frame keeps
+    one cut per route, by the rank_rel that made it (see _cut): its arrays
+    are views of the kept factors, so it copies nothing. A call at that
+    rank_rel cuts nothing, and a call at another cuts afresh and keeps its
+    cut in place of the route's first, so no route keeps two cuts. The gate's
     self-check deviations are kept as well, by check and by the ranks the
     two routes keep, which fix every operand a check reads; each call holds
     them against its own tol.identity_abs (see _FrameAnalysis.gate). So is
@@ -139,6 +144,8 @@ class FrameSequence:
         # the gate's self-check deviations, by (check name, T's kept rank, the
         # route's kept rank); see _FrameAnalysis.gate
         object.__setattr__(self, "_self_checks", {})
+        # each route's rank cut, as (tol.rank_rel, the cut), by route; see _cut
+        object.__setattr__(self, "_cuts", {})
         # the canonical dual, as (T's kept rank, the dual); see _FrameAnalysis.canonical_dual
         object.__setattr__(self, "_dual", None)
 
@@ -195,6 +202,21 @@ class FrameSequence:
             kept = SvdFactors(left, core.singular_values, right, core.rank)
             object.__setattr__(self, "_g_factors", kept)
         return kept
+
+    def _cut(self, route: str, tol: Tolerance, full: Callable[[], SvdFactors]) -> SvdFactors:
+        """The route's kept factors, full(), cut under tol's rank cutoff
+        (matrix_core._truncated): views of them, T's decision squared for S's
+        and G's. tol.rank_rel is all the cut reads besides the frame, so the
+        frame keeps one cut per route, by rank_rel, and a call under another
+        rank_rel cuts afresh and keeps its cut in place of the first: memory
+        does not grow with the number of tolerances. The slot is read once, as
+        one tuple, so a call never returns a cut made under another rank_rel."""
+        kept = self._cuts.get(route)
+        if kept is not None and kept[0] == tol.rank_rel:
+            return kept[1]
+        cut = _truncated(full(), tol, None if route == "synthesis" else max(self._matrix.shape))
+        self._cuts[route] = tol.rank_rel, cut
+        return cut
 
     @cached_property
     def _certificate(self) -> tuple:
@@ -521,6 +543,15 @@ _SELF_CHECKS = {
     "T+ = T* S+": ("frame operator", _s_route_pinv_t),
 }
 
+# the self-checks a gate on each set of routes runs, in gate order: those
+# whose route is among them besides T's. Each function is looked up in
+# _SELF_CHECKS when it runs
+_GATE_CHECKS = {
+    routes: tuple(name for name, (route, _) in _SELF_CHECKS.items()
+                  if {"synthesis", route} <= set(routes))
+    for routes in (("synthesis", "frame operator"), ("synthesis", "gram"), tuple(_ROUTES))
+}
+
 # the names of the three deviations in FrameSequence._certificate
 _CERTIFICATE = ("T = W Sigma V*", "W* W = I", "V* V = I")
 
@@ -528,15 +559,19 @@ _CERTIFICATE = ("T = W Sigma V*", "W* W = I", "V* V = I")
 class _FrameAnalysis:
     """Every operator and factorization of one frame under one tolerance.
 
-    T is the frame's stored matrix, and f_t truncates the frame's own
-    factors of T (FrameSequence._svd) under this tolerance, once their
+    T is the frame's stored matrix, and f_t is the frame's own factors of T
+    (FrameSequence._svd) cut under this tolerance's rank_rel, read once their
     certificate holds under it: the residual |T - W Sigma V*| / sigma_1 and the
     orthonormality of W and V (FrameSequence._certificate), each at most
     identity_abs, else NumericalError names it. Every result that reads T's
     factors, the bounds and the classification among them, reads them
-    certified. f_s and f_g truncate the frame's own factors of S and G
-    (FrameSequence._s_svd and _g_svd), each taken independently of T's, and
-    cut their spectra at T's cutoff squared (see matrix_core._truncated).
+    certified. f_s and f_g are the frame's own factors of S and G
+    (FrameSequence._s_svd and _g_svd), each taken independently of T's, their
+    spectra cut at T's cutoff squared (see matrix_core._truncated). The
+    frame keeps each route's cut by rank_rel, all the cut reads besides the
+    frame (FrameSequence._cut), so a call at the rank_rel of the last cut
+    cuts nothing, copies nothing and counts no ranks; the certificate is
+    still held against every call's identity_abs before f_t is read.
     G = U U* is factored through U = Q1 R1 as Q1 (R1 R1*) Q1*, an SVD of the
     min(n, m) square core, not of the m x m G.
 
@@ -569,9 +604,11 @@ class _FrameAnalysis:
     truncated factors, S, U, T and the spectral norms. So the frame keeps
     each self-check's deviation by (check name, T's rank, the route's rank)
     (FrameSequence._self_checks), and a kept deviation has the bits a
-    recomputed one would. The verdict is not kept: each call holds the
-    deviation against its own identity_abs. A check that raises keeps
-    nothing, so it raises again on every call.
+    recomputed one would. The checks each set of routes runs are listed
+    once (_GATE_CHECKS), and each kept deviation is read with one lookup.
+    The verdict is not kept: each call holds the deviation against its own
+    identity_abs. A check that raises keeps nothing, so it raises again on
+    every call.
 
     Operators are read by the paper's names, a["S+"] (see _OPERATORS); a
     name "~X" reads X from the analysis of the canonical dual, `dual`.
@@ -627,15 +664,15 @@ class _FrameAnalysis:
     def f_t(self) -> SvdFactors:
         for name, dev in zip(_CERTIFICATE, self.frame._certificate):
             self._require(name, dev)
-        return _truncated(self.frame._svd, self.tol)
+        return self.frame._cut("synthesis", self.tol, lambda: self.frame._svd)
 
     @cached_property
     def f_s(self) -> SvdFactors:
-        return _truncated(self.frame._s_svd, self.tol, max(self["T"].shape))
+        return self.frame._cut("frame operator", self.tol, lambda: self.frame._s_svd)
 
     @cached_property
     def f_g(self) -> SvdFactors:
-        return _truncated(self.frame._g_svd(lambda: self["U"]), self.tol, max(self["T"].shape))
+        return self.frame._cut("gram", self.tol, lambda: self.frame._g_svd(lambda: self["U"]))
 
     def spectral_norm(self, name: str) -> float:
         """Spectral norm of T, S, G (sigma_1) or T+, S+, G+ (1 / sigma_r), read off
@@ -652,21 +689,22 @@ class _FrameAnalysis:
         """Raise NumericalError unless the routes agree in rank and in each
         self-check on them. Each deviation is taken once per frame and
         ranks, and held against this call's identity_abs (see the class)."""
-        ranks = {name: getattr(self, _ROUTES[name]).rank for name in routes}
-        if len(set(ranks.values())) != 1:
-            detail = ", ".join(f"{name} rank {r}" for name, r in ranks.items())
+        r = self.f_t.rank
+        ranks = [getattr(self, _ROUTES[name]).rank for name in routes]
+        if ranks.count(r) != len(ranks):
+            detail = ", ".join(f"{name} rank {rank}" for name, rank in zip(routes, ranks))
             raise NumericalError(
                 f"rank thresholds disagree between operator routes ({detail}); S and G square "
                 "T's singular values and resolve no sigma_r/sigma_1 below their resolution limit "
                 f"sqrt(10 max(n, m) eps) = {math.sqrt(_gram_floor(max(self['T'].shape))):.3e}"
             )
         kept = self.frame._self_checks
-        for name, (route, check) in _SELF_CHECKS.items():
-            if {"synthesis", route} <= set(routes):
-                key = name, ranks["synthesis"], ranks[route]
-                if key not in kept:  # a check that raises keeps nothing
-                    kept[key] = check(self)
-                self._require(name, kept[key])
+        for name in _GATE_CHECKS[routes]:
+            key = name, r, r  # the routes agree in rank
+            dev = kept.get(key)
+            if dev is None:  # a check that raises keeps nothing
+                dev = kept[key] = _SELF_CHECKS[name][1](self)
+            self._require(name, dev)
 
     def _require(self, name: str, dev: float) -> None:
         """Raise NumericalError naming a self-check whose deviation exceeds identity_abs."""

@@ -154,10 +154,11 @@ def _solution(what: str, solution: np.ndarray, inside: np.ndarray, leftover: np.
     """The solution `what` of the unit input, with |leftover| as residual and the
     squared norms of inside and leftover as the split, scaled back by 2^e (2^2e
     for the split). The solution and residual are refused as _scaled_back
-    refuses. A split component is refused where its square leaves the double
-    range, and is rounded where it falls below the normal range: the squares of
-    any input below about 2^-511 do, although the solution and residual are
-    exact there. The residual cannot overflow unless the split does."""
+    refuses, the residual scaled as a scalar, with the same messages. A split
+    component is refused where its square leaves the double range, and is
+    rounded where it falls below the normal range: the squares of any input
+    below about 2^-511 do, although the solution and residual are exact there.
+    The residual cannot overflow unless the split does."""
     solution = _scaled_back(f"the {what}", solution, e)
     norms = _norm(inside), _norm(leftover)
     split = []
@@ -170,9 +171,16 @@ def _solution(what: str, solution: np.ndarray, inside: np.ndarray, leftover: np.
             raise NumericalError(f"norm_split's {name} component {norm:.3e} * 2^{e} "
                                  "squares beyond the double range")
         split.append(square)
-    residual = _scaled_back("residual_norm", np.array(norms[1:]), e)
-    return MinNormSolution(solution=solution, residual_norm=float(residual[0]),
-                           norm_split=tuple(split))
+    try:
+        residual = math.ldexp(norms[1], e)
+    except OverflowError:
+        residual = math.inf
+    if not residual < math.inf:
+        raise NumericalError("residual_norm leaves the double range: an entry overflows")
+    if e < 0 and math.ldexp(residual, -e) != norms[1]:  # as in _scaled_back
+        raise NumericalError(f"residual_norm underflows: {norms[1]:.3e} * 2^{e} "
+                             "lies below the normal range and loses bits")
+    return MinNormSolution(solution=solution, residual_norm=residual, norm_split=tuple(split))
 
 
 def _gated(frame: FrameSequence, tol: Tolerance | None, route: str, values, length: int,

@@ -28,13 +28,14 @@ rescaled by the caller's identity_abs so a loosened run loosens coherently.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
-from .errors import DegenerateSpanError, NotTightError
+from .errors import DegenerateSpanError, NotTightError, NumericalError
 from .frame_ops import FrameSequence, _FrameAnalysis
 from .matrix_core import DEFAULT_TOLERANCE, Tolerance
 
@@ -69,6 +70,11 @@ _RAYLEIGH_SEED = 0x7261796C
 _CACHE_BLOCK = 2**12
 _MIN_BLOCK_SAMPLES = 128
 _SAMPLE_BLOCK = 2**20
+
+# 'analysis_intertwines' and 'synthesis_intertwines' form U S, G U, S T and
+# T G, and every partial sum of their entries is bounded by sigma_1^3: no
+# product overflows while sigma_1 < 2^_CUBE_EXPONENT, so sigma_1^3 < 2^1023
+_CUBE_EXPONENT = 341
 
 _BASE_RELATIVE = 1e-8
 _INEQUALITY_SLACK = 1e-9
@@ -463,8 +469,10 @@ def run_identity_suite(frame: FrameSequence, tol: Tolerance | None = None,
     bounded blocks, so repeated runs on the same sequence produce
     bitwise-identical reports, and a count's first k samples are those of a
     count of k. Degenerate sequences have no dual and raise
-    DegenerateSpanError. vector_samples must be a non-negative integer,
-    else ValueError.
+    DegenerateSpanError. A frame with sigma_1 >= 2^341 raises NumericalError
+    before any row runs: two rows form products up to sigma_1^3, which can
+    leave the double range there. vector_samples must be a non-negative
+    integer, else ValueError.
     """
     return _identity_suite(_FrameAnalysis(frame, tol), vector_samples)
 
@@ -476,6 +484,13 @@ def _identity_suite(analysis: _FrameAnalysis, vector_samples: int) -> IdentityRe
     analysis.gate("synthesis", "frame operator", "gram"), analysis.bounds
     dual = analysis.dual
     dual.gate("synthesis", "frame operator", "gram"), dual.bounds, dual.canonical_dual
+    sigma_1 = analysis.spectral_norm("T")
+    if math.frexp(sigma_1)[1] > _CUBE_EXPONENT:
+        raise NumericalError(
+            "rows 'analysis_intertwines' and 'synthesis_intertwines' form products of size "
+            f"up to sigma_1^3, which can leave the double range: sigma_1 {sigma_1:.3e} is at "
+            f"least 2^{_CUBE_EXPONENT}"
+        )
     rows = [row for row in _REGISTRY if not row[2] or analysis.classification.is_tight]
     sampled = [row for row in rows if isinstance(row[3], _Sampled)]
     records = {}

@@ -22,11 +22,14 @@ norm is itself inf. So a check is not made vacuous by an infinite Frobenius
 norm of S. The reconstructions solve and check on their input scaled to
 unit size, and a result or norm_split component that leaves the double
 range when scaled back raises NumericalError naming it. Across 2^-500 to
-2^500 no entry point lets a bare RuntimeWarning escape.
+2^500 no entry point lets a bare RuntimeWarning escape. The identity suite
+refuses a frame with sigma_1 >= 2^341, where two rows' products of size
+sigma_1^3 could overflow, before any row runs.
 """
 
 import itertools
 import json
+import math
 import re
 import warnings
 
@@ -35,6 +38,7 @@ import pytest
 
 from framekit import (
     FramekitError,
+    GENERATOR_KINDS,
     FrameSequence,
     GeneratorSpec,
     NumericalError,
@@ -409,3 +413,27 @@ def test_a_projection_of_a_signal_past_the_double_range_is_answered():
         warnings.simplefilter("error")
         out = project_signal(frame, f)
     assert np.max(np.abs(out * 2.0**-1024 - expected)) <= 1e-10 * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize("n, m", [(4, 6), (6, 4), (16, 32)], ids=["4x6", "6x4", "16x32"])
+@pytest.mark.parametrize("kind", GENERATOR_KINDS)
+def test_the_suite_refuses_a_frame_whose_cubic_rows_can_overflow(kind, n, m):
+    # 'analysis_intertwines' and 'synthesis_intertwines' form U S, G U, S T and
+    # T G, of size up to sigma_1^3: from sigma_1 = 2^341 on they overflowed
+    # in matmul and reported NaN deviations on sound frames. Below it the
+    # suite passes, and from it on it is refused before any row runs
+    target = 1e2 if kind == "ill_conditioned" else None
+    t = generate(GeneratorSpec(kind, n, m, 2, condition_target=target)).synthesis_matrix()
+    for k in range(300, 421, 4):
+        frame = FrameSequence._from_matrix(t * 2.0**k)
+        sigma_1 = _FrameAnalysis(frame).spectral_norm("T")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if sigma_1 < 2.0**341:
+                report = run_identity_suite(frame)
+                assert report.passed, (k, report.failures())
+                assert not any(math.isnan(r.deviation) for r in report.records)
+                continue
+            with pytest.raises(NumericalError, match="'analysis_intertwines' and "
+                               "'synthesis_intertwines'.*sigma_1 .* is at least 2\\^341"):
+                run_identity_suite(frame)

@@ -1,7 +1,8 @@
 """A frame factors T, S and G once, and every later call on it reads those factors.
 
 FrameSequence keeps the untruncated SVDs of T and S and G's lifted factors,
-and each call truncates them under its own tolerance. It keeps the gate's
+and one rank cut of each, by the rank_rel that made it, which a call at that
+rank_rel reads and a call at another replaces. It keeps the gate's
 self-check deviations too, by check and by the ranks the routes keep, and
 every call holds them against its own tolerance: a verdict is never kept.
 It keeps one canonical dual, by T's kept rank, which each call returns once
@@ -495,5 +496,139 @@ def test_threads_sharing_a_fresh_frame_get_equal_results():
                 thread.join(timeout=10)
             assert not any(thread.is_alive() for thread in threads)
             assert found == [expected] * 4
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.fixture
+def cuts(monkeypatch):
+    """count(fn, *args) runs fn and returns how many rank cuts it made."""
+    made = []
+    original = frame_ops._truncated
+
+    def counting(*args, **kwargs):
+        made.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(frame_ops, "_truncated", counting)
+
+    def count(fn, *args, **kwargs):
+        made.clear()
+        fn(*args, **kwargs)
+        return len(made)
+
+    return count
+
+
+def test_a_repeat_call_at_the_same_rank_rel_cuts_nothing(cuts):
+    frame = generate(ILL_1E4)
+    signal = np.arange(1.0, 5.0)
+    cut = Tolerance(rank_rel=1e-3)
+    assert cuts(min_norm_coefficients, frame, signal) == 2  # T and S
+    assert cuts(min_norm_coefficients, frame, signal) == 0
+    # other identity_abs and tightness_rel, the same rank_rel
+    assert cuts(min_norm_coefficients, frame, signal,
+                Tolerance(identity_abs=1e-9, tightness_rel=1e-6)) == 0
+    assert cuts(frame_bounds, frame) == 0
+    assert cuts(build_bundle, frame) == 1  # G
+    assert cuts(min_norm_coefficients, frame, signal, cut) == 2
+    assert cuts(min_norm_coefficients, frame, signal, cut) == 0
+    assert cuts(min_norm_coefficients, frame, signal) == 2
+    assert cuts(pseudo_gram, frame, cut) == 2  # T and G
+    # one cut per route, by the rank_rel of the last call that read it
+    assert {route: kept[0] for route, kept in frame._cuts.items()} == {
+        "synthesis": 1e-3, "frame operator": 1e-12, "gram": 1e-3}
+
+
+def test_alternating_rank_rel_gives_a_fresh_frames_bits_on_every_call():
+    # rank_rel 1e-3 keeps 2 of the 4 singular values of this frame, the
+    # default all 4, so a call that read the other tolerance's cut would differ
+    tols = [Tolerance(), Tolerance(rank_rel=1e-3)] * 3
+    fresh = {tol: {name: _outcome(call, generate(ILL_1E4), tol) for name, call in CALLS.items()}
+             for tol in tols[:2]}
+    assert fresh[tols[0]]["classify"] != fresh[tols[1]]["classify"]
+    shared = generate(ILL_1E4)
+    for tol in tols:
+        for name, call in CALLS.items():
+            assert _outcome(call, shared, tol) == fresh[tol][name], (name, tol)
+            assert _outcome(call, shared, tol) == fresh[tol][name], (name, tol)
+
+
+def test_a_warm_frame_still_refuses_a_tighter_identity_abs():
+    # on a frame whose cuts and deviations are kept, identity_abs 1e-14 fails
+    # 'T+ = T* S+' (9.8e-14) and 1e-17 fails T's certificate (at most
+    # 7.8e-16); between them the default passes, so no verdict is kept
+    frame = generate(ILL_1E4)
+    signal = np.arange(1.0, 5.0)
+    expected = _bits(min_norm_coefficients(frame, signal))
+    for _ in range(2):
+        with pytest.raises(NumericalError, match="self-check 'T\\+ = T\\* S\\+'"):
+            min_norm_coefficients(frame, signal, Tolerance(identity_abs=1e-14))
+        with pytest.raises(NumericalError, match="self-check '(T = W Sigma V\\*|[WV]\\* [WV] = I)'"):
+            min_norm_coefficients(frame, signal, Tolerance(identity_abs=1e-17))
+        assert _bits(min_norm_coefficients(frame, signal)) == expected
+
+
+def test_handed_t_factors_that_fail_the_certificate_are_refused_on_every_call():
+    # T's own factors with sigma_1 1% off, handed as _from_matrix hands a
+    # dual its factors: the certificate refuses every call that reads them,
+    # and no call cuts them
+    t = generate(GAUSSIAN).synthesis_matrix()
+    exact = svd(t)
+    sigma = exact.singular_values.copy()
+    sigma[0] *= 1.01
+    frame = FrameSequence._from_matrix(t, SvdFactors(
+        exact.left_vectors, sigma, exact.right_vectors, exact.rank))
+    messages = []
+    for name, call in list(CALLS.items()) * 2:
+        with pytest.raises(NumericalError, match="self-check 'T = W Sigma V\\*'") as info:
+            call(frame, None)
+        messages.append((name, str(info.value)))
+    assert messages[:len(CALLS)] == messages[len(CALLS):]
+    assert frame._cuts == {} and frame._dual is None
+
+
+def test_threads_alternating_rank_rel_on_one_frame_read_their_own_cuts():
+    # four threads share one frame, two starting at each tolerance, and
+    # alternate: a call that read a cut made under the other rank_rel would
+    # keep another rank, and its bits would differ from a fresh frame's. The
+    # cuts are also read through _cut directly, where no lock of
+    # cached_property (held before Python 3.12) serializes the reads
+    tols = (Tolerance(), Tolerance(rank_rel=1e-3))
+    signal = np.arange(1.0, 5.0)
+
+    def results(frame, tol):
+        analysis = _FrameAnalysis(frame, tol)
+        full = {"synthesis": lambda: frame._svd, "frame operator": lambda: frame._s_svd,
+                "gram": lambda: frame._g_svd(lambda: analysis["U"])}
+        return (tuple(frame._cut(route, tol, full[route]).rank for route in full),
+                (analysis.f_t.rank, analysis.f_s.rank, analysis.f_g.rank),
+                _bits(min_norm_coefficients(frame, signal, tol)),
+                _bits(canonical_dual(frame, tol)), frame_bounds(frame, tol))
+
+    expected = [results(generate(ILL_1E4), tol) for tol in tols]
+    assert [ranks for _, ranks, *_ in expected] == [(4, 4, 4), (2, 2, 2)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(10):
+            frame = generate(ILL_1E4)
+            barrier = threading.Barrier(4)
+            wrong, done = [], []
+
+            def work(start):
+                barrier.wait(timeout=10)
+                for i in range(start, start + 20):
+                    if results(frame, tols[i % 2]) != expected[i % 2]:
+                        wrong.append(i % 2)
+                done.append(start)
+
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+            assert not any(thread.is_alive() for thread in threads)
+            assert wrong == [] and sorted(done) == [0, 1, 2, 3]
     finally:
         sys.setswitchinterval(interval)

@@ -7,6 +7,7 @@ perturbation may shorten the solution.
 """
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -415,6 +416,20 @@ def test_an_exact_subnormal_result_is_returned():
     sol = min_norm_coefficients(frame, tiny)
     assert sol.solution.tobytes() == tiny.astype(complex).tobytes()
     assert (sol.residual_norm, sol.norm_split) == (0.0, (0.0, 0.0))
+
+
+def test_a_residual_that_loses_bits_is_refused_and_an_exact_one_returned():
+    # T = [e1, e2, 0]: the solution (c1, c2) is exact, and the residual |c3|
+    # is 2^-1071 |u3| for the unit input u, subnormal there
+    frame = FrameSequence.from_vectors([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
+    t = 2.0**-1072
+    with pytest.raises(NumericalError, match=re.escape(
+            "residual_norm underflows: 7.071e-01 * 2^-1071 lies below the normal range "
+            "and loses bits")):
+        min_norm_preimage(frame, [t, 0.0, (1 + 1j) * t])
+    sol = min_norm_preimage(frame, [4 * t, 0.0, 3 * t + 4j * t])  # |3 + 4i| = 5
+    assert sol.residual_norm == 5 * t and type(sol.residual_norm) is float
+    assert sol.solution.tobytes() == np.array([4 * t, 0.0], dtype=complex).tobytes()
 
 
 def test_rounding_noise_below_the_normal_range_is_not_refused():

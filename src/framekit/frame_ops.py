@@ -12,23 +12,24 @@ together with the orthogonal projectors P onto the span of the vectors
 The pseudoinverses of T, S and G tie these together. One table,
 _OPERATORS, names each operator once, by the paper's name ("S+" for S's
 pseudoinverse), and says how it is formed; identities between operators
-are data, products of those names. Each frame is factored once:
-FrameSequence keeps T's factors (which give P, Q, T+ and the canonical dual
-(T+)*), S = T T* and S's factors, and G's, each untruncated, and one rank
-cut of each, by the rank_rel that made it, which every call at that
-rank_rel reads and any other replaces. T's factorization is certified once
-per frame: FrameSequence keeps how far its factors are from an SVD of T,
-and every call that reads them, the bounds and the classification among
-them, first holds those deviations against its own tolerance, else
+are data, products of those names. Each frame is factored once, and keeps
+all it keeps by one rule, FrameSequence._keep: a slot holds one value with
+the tag it was formed under, a read whose tag matches returns it, and any
+other read forms the value afresh and keeps it in the slot's place. The
+slots hold T's factors (which give P, Q, T+ and the canonical dual (T+)*),
+S = T T* and S's factors, and G's, each untruncated, one rank cut of each
+by rank_rel, T's certificate, the gate's self-check deviations and one
+canonical dual by T's kept rank. T's factorization is certified once per
+frame: its certificate says how far the factors are from an SVD of T, and
+every call that reads them, the bounds and the classification among them,
+first holds those deviations against its own tolerance, else
 NumericalError. Each result is then gated on the routes it reads: T's
 factorization must agree with S's or G's, or with both for the whole
 bundle, in rank and in each self-check, else NumericalError. The gate
 checks S and G on their factors in T's coordinates, so it forms no dense P,
 Q, S+ or G+; how is set out in _FrameAnalysis. The frame keeps each
 self-check's deviation, not its verdict: every call holds it against its
-own tolerance, as it holds T's certificate. It keeps one canonical dual
-too, by T's kept rank, and returns it from every call at that rank whose
-certificate and gate hold.
+own tolerance, as it holds T's certificate.
 """
 
 from __future__ import annotations
@@ -37,13 +38,12 @@ import math
 import sys
 from collections.abc import Callable
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import partial
 
 import numpy as np
 
 from .errors import DegenerateSpanError, NumericalError
 from .matrix_core import (
-    DEFAULT_TOLERANCE,
     SvdFactors,
     Tolerance,
     _complex_array,
@@ -53,6 +53,7 @@ from .matrix_core import (
     _phased_svd,
     _projector,
     _reciprocal_sigma_r,
+    _tolerance,
     _truncated,
     adjoint,
     as_vector,
@@ -85,32 +86,37 @@ class FrameSequence:
     of zero vectors (a degenerate sequence with span dimension 0). It must
     contain at least one vector, and every vector must have exactly
     ambient_dim finite entries. The vectors are stored once, as the columns
-    of one read-only (ambient_dim, m) matrix; each entry of `vectors` is a
-    read-only view of its column. That matrix T is factored on first use,
-    and its untruncated read-only factors serve every later call on the
-    sequence, under whatever tolerance it passes.
-    The factors are certified once, on first use as well: three deviations
-    measure how far they are from an SVD of the whole T (see _certificate),
-    and every call holds them against its own tol.identity_abs before it
-    reads the factors. The frame operator S = T T* is likewise formed once,
-    on first use, and kept read-only: 16 n^2 bytes more, so a tall frame
-    (n > m) keeps an S larger than T. So are S's untruncated factors, an SVD
-    of S of its own (32 n^2 + 8 n bytes), and G's, lifted from an SVD of its
-    min(n, m) square core (32 m k + 8 k bytes, k = min(n, m)), each on the
-    first call that reads its route; T's factors take 16 (n + m) k + 8 k.
-    Each call reads them cut under its own tol.rank_rel, and the frame keeps
-    one cut per route, by the rank_rel that made it (see _cut): its arrays
-    are views of the kept factors, so it copies nothing. A call at that
-    rank_rel cuts nothing, and a call at another cuts afresh and keeps its
-    cut in place of the route's first, so no route keeps two cuts. The gate's
-    self-check deviations are kept as well, by check and by the ranks the
-    two routes keep, which fix every operand a check reads; each call holds
-    them against its own tol.identity_abs (see _FrameAnalysis.gate). So is
-    one canonical dual, by T's kept rank, which fixes its every bit: its
-    matrix takes 16 n m bytes, and it forms its own factors from T's only
-    when they are read, after which it holds none of T's (see
-    _FrameAnalysis.canonical_dual and _Once). A call at another rank
-    replaces it, so the frame never keeps two.
+    of one read-only (ambient_dim, m) matrix T; each entry of `vectors` is a
+    read-only view of its column.
+
+    All else the frame keeps, it keeps by one rule (see _keep): one dict of
+    slots, each holding a value and the tag it was formed under. A read
+    whose tag matches returns the kept value; any other read forms the
+    value afresh and keeps it in the slot's place, so a slot never holds
+    two. A slot's value is fixed by the frame and its tag, so a kept value
+    has the bits a fresh one would. No lock is held: overlapping first
+    reads on one frame may each form a value, and every such value has the
+    same bits; calls on different frames never wait on each other. Each
+    value is formed on the first call that reads it, read-only, and the
+    factors untruncated, so they serve every later call under whatever
+    tolerance it passes. With k = min(n, m):
+
+        slot              value                                tag          bytes
+        "T factors"       T's SVD (see _svd)                   -            16 (n + m) k + 8 k
+        "certificate"     how far they are from an SVD of T    -            three floats
+                          (see _certificate)
+        "S"               S = T T*                             -            16 n^2
+        "S factors"       an SVD of S of its own               -            32 n^2 + 8 n
+        "G factors"       G's, lifted from an SVD of its       -            32 m k + 8 k
+                          square core (see _g_svd)
+        route name        the route's rank cut (see _cut)      rank_rel     none: views
+        (check, r, r)     a gate self-check's deviation        -            one float
+        "dual"            the canonical dual                   T's rank     16 n m
+
+    So a tall frame (n > m) keeps an S larger than T. Every call holds the
+    certificate and the deviations against its own tol.identity_abs (see
+    _FrameAnalysis). The kept dual forms its own factors from T's only when
+    they are read, after which it holds none of T's (see _from_matrix).
     """
 
     ambient_dim: int
@@ -141,22 +147,16 @@ class FrameSequence:
         matrix = matrix.view()
         object.__setattr__(self, "_matrix", matrix)
         object.__setattr__(self, "vectors", tuple(matrix[:, k] for k in range(matrix.shape[1])))
-        # the gate's self-check deviations, by (check name, T's kept rank, the
-        # route's kept rank); see _FrameAnalysis.gate
-        object.__setattr__(self, "_self_checks", {})
-        # each route's rank cut, as (tol.rank_rel, the cut), by route; see _cut
-        object.__setattr__(self, "_cuts", {})
-        # the canonical dual, as (T's kept rank, the dual); see _FrameAnalysis.canonical_dual
-        object.__setattr__(self, "_dual", None)
+        object.__setattr__(self, "_kept", {})  # (tag, value) by slot; see _keep
+        object.__setattr__(self, "_handed", None)  # see _svd
 
     @classmethod
     def _from_matrix(cls, matrix: np.ndarray,
-                     svd: SvdFactors | Callable[[], SvdFactors] | None = None) -> "FrameSequence":
+                     svd: Callable[[], SvdFactors] | None = None) -> "FrameSequence":
         """The sequence of an (n, m) matrix's columns, stored without splitting it.
-        svd, if given, is kept as the matrix's factors in place of an SVD of
-        its own: SvdFactors, or a function that forms them on the first read
-        of _svd and is dropped once it has (see _Once), with all it holds. The
-        certificate still checks them against the matrix."""
+        svd, if given, forms the matrix's factors in place of an SVD of its
+        own, on their first read (see _svd); the certificate still checks them
+        against the matrix."""
         matrix = np.array(matrix, dtype=np.complex128, order="C")
         finite = np.isfinite(matrix).all(axis=0)
         if not finite.all():
@@ -164,61 +164,70 @@ class FrameSequence:
         frame = cls.__new__(cls)
         object.__setattr__(frame, "ambient_dim", matrix.shape[0])
         frame._store(matrix)
-        if isinstance(svd, SvdFactors):
-            object.__setattr__(frame, "_svd", svd)
-        elif svd is not None:
-            object.__setattr__(frame, "_form_svd", _Once(svd))
+        object.__setattr__(frame, "_handed", svd)
         return frame
 
-    @cached_property
-    def _svd(self) -> SvdFactors:
-        form = vars(self).get("_form_svd")
-        return _phased_svd(self._matrix) if form is None else form()
+    def _keep(self, slot, form: Callable, tag=None):
+        """The value kept in slot, if it was formed under tag; else form(),
+        kept with tag in place of the slot's value. The slot is read once, as
+        one tuple, so a read never returns a value formed under another tag.
+        A form() that raises keeps nothing."""
+        kept = self._kept.get(slot)
+        if kept is not None and kept[0] == tag:
+            return kept[1]
+        value = form()
+        self._kept[slot] = tag, value
+        return value
 
-    @cached_property
+    @property
+    def _svd(self) -> SvdFactors:
+        """T's untruncated read-only factors: those the function _from_matrix
+        was handed forms, else an SVD of T. That function is dropped, with all
+        it holds, once the factors are kept and not before: a read that
+        overlaps the first either calls it too, or finds the factors kept."""
+        handed = self._handed
+        factors = self._keep("T factors", handed or (lambda: _phased_svd(self._matrix)))
+        if handed is not None:
+            object.__setattr__(self, "_handed", None)
+        return factors
+
+    @property
     def _frame_operator(self) -> np.ndarray:
         """S = T T*, formed once (through a transient U = T*) and read-only;
         NumericalError where an entry overflows."""
-        return _frozen(_in_range("frame operator S", lambda: self._matrix @ adjoint(self._matrix)))
+        return self._keep("S", lambda: _frozen(_in_range(
+            "frame operator S", lambda: self._matrix @ adjoint(self._matrix))))
 
-    @cached_property
+    @property
     def _s_svd(self) -> SvdFactors:
         """S's untruncated read-only factors, an SVD of the kept S of its own."""
-        return _phased_svd(self._frame_operator)
+        return self._keep("S factors", lambda: _phased_svd(self._frame_operator))
 
     def _g_svd(self, analysis_u: Callable[[], np.ndarray]) -> SvdFactors:
-        """G's untruncated read-only factors, formed on the first call and kept,
-        from an SVD of the min(n, m) square core of G = U U*, never of the m x m
-        G: U = Q1 R1, G = Q1 (R1 R1*) Q1*, and Q1 lifts the core's factors.
-        analysis_u() reads U = T* from the caller's analysis, whose gate reads
-        that U again, so a first G-route call forms U once. NumericalError where
-        an entry of the core overflows."""
-        kept = vars(self).get("_g_factors")
-        if kept is None:
+        """G's untruncated read-only factors, from an SVD of the min(n, m)
+        square core of G = U U*, never of the m x m G: U = Q1 R1, G =
+        Q1 (R1 R1*) Q1*, and Q1 lifts the core's factors. analysis_u() reads
+        U = T* from the caller's analysis, whose gate reads that U again, so
+        a first G-route call forms U once. NumericalError where an entry of
+        the core overflows."""
+        def form():
             q1, r1 = np.linalg.qr(analysis_u())  # Q1 is m x k, R1 k x k
             core = _phased_svd(_in_range("gram matrix G's core R1 R1*",
                                          lambda: _hermitize(r1 @ r1.conj().T)))
             left, right = (_frozen(q1 @ x) for x in (core.left_vectors, core.right_vectors))
-            kept = SvdFactors(left, core.singular_values, right, core.rank)
-            object.__setattr__(self, "_g_factors", kept)
-        return kept
+            return SvdFactors(left, core.singular_values, right, core.rank)
+        return self._keep("G factors", form)
 
     def _cut(self, route: str, tol: Tolerance, full: Callable[[], SvdFactors]) -> SvdFactors:
         """The route's kept factors, full(), cut under tol's rank cutoff
         (matrix_core._truncated): views of them, T's decision squared for S's
-        and G's. tol.rank_rel is all the cut reads besides the frame, so the
-        frame keeps one cut per route, by rank_rel, and a call under another
-        rank_rel cuts afresh and keeps its cut in place of the first: memory
-        does not grow with the number of tolerances. The slot is read once, as
-        one tuple, so a call never returns a cut made under another rank_rel."""
-        kept = self._cuts.get(route)
-        if kept is not None and kept[0] == tol.rank_rel:
-            return kept[1]
-        cut = _truncated(full(), tol, None if route == "synthesis" else max(self._matrix.shape))
-        self._cuts[route] = tol.rank_rel, cut
-        return cut
+        and G's. tol.rank_rel is all the cut reads besides the frame, so it is
+        the slot's tag, and memory does not grow with the number of
+        tolerances."""
+        gram_dim = None if route == "synthesis" else max(self._matrix.shape)
+        return self._keep(route, lambda: _truncated(full(), tol, gram_dim), tol.rank_rel)
 
-    @cached_property
+    @property
     def _certificate(self) -> tuple:
         """How far _svd's factors W, Sigma, V are from an SVD of T, taken once:
         the residual |T - W Sigma V*| of the whole T relative to sigma_1, then
@@ -227,14 +236,16 @@ class FrameSequence:
         the power of two that brings sigma_1 into [1/2, 1), so no product
         leaves the double range. The deviations are kept, not a verdict: each
         analysis holds them against its own tolerance (see _FrameAnalysis.f_t)."""
-        w, s, v = self._svd.left_vectors, self._svd.singular_values, self._svd.right_vectors
-        residual = math.inf  # where |T| = sigma_1 itself leaves the double range
-        if s[0] < math.inf:
-            scale = 2.0**-max(math.frexp(s[0])[1], -1022)
-            residual = max_abs(self._matrix * scale - (w * (s * scale)) @ v.conj().T)
-            residual /= s[0] * scale or 1.0  # T = 0 has residual 0
-        eye = np.eye(s.size)
-        return residual, max_abs(w.conj().T @ w - eye), max_abs(v.conj().T @ v - eye)
+        def form():
+            w, s, v = self._svd.left_vectors, self._svd.singular_values, self._svd.right_vectors
+            residual = math.inf  # where |T| = sigma_1 itself leaves the double range
+            if s[0] < math.inf:
+                scale = 2.0**-max(math.frexp(s[0])[1], -1022)
+                residual = max_abs(self._matrix * scale - (w * (s * scale)) @ v.conj().T)
+                residual /= s[0] * scale or 1.0  # T = 0 has residual 0
+            eye = np.eye(s.size)
+            return residual, max_abs(w.conj().T @ w - eye), max_abs(v.conj().T @ v - eye)
+        return self._keep("certificate", form)
 
     @property
     def size(self) -> int:
@@ -411,30 +422,6 @@ def _deviation(lhs, rhs, norms) -> float:
     return math.ldexp(residual, -exponent) / mantissa
 
 
-class _Once:
-    """form(), formed by the first call and returned by every later one.
-
-    form, and all it holds, is dropped once the result is published, and in
-    that order: a call that overlaps the first either reads form before it
-    is dropped and forms the same result from it, or finds it dropped and
-    reads the published result. A kept dual's former holds its frame's T
-    factors, so the dual does not keep them alive past its own first read."""
-
-    __slots__ = ("_form", "_result")
-
-    def __init__(self, form: Callable[[], SvdFactors]):
-        self._form, self._result = form, None
-
-    def __call__(self) -> SvdFactors:
-        form = self._form
-        if form is None:
-            return self._result
-        result = form()
-        self._result = result
-        self._form = None
-        return result
-
-
 def _frozen(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
     return arr
@@ -556,6 +543,26 @@ _GATE_CHECKS = {
 _CERTIFICATE = ("T = W Sigma V*", "W* W = I", "V* V = I")
 
 
+class _per_call:
+    """A method read as an attribute: formed on the first read and stored in
+    the instance's own __dict__, where every later read finds it as a plain
+    attribute. The standard library's cached property does the same, but
+    before Python 3.12 it holds one lock per attribute, shared by every
+    instance, so reads on different frames would wait on each other."""
+
+    def __init__(self, func: Callable):
+        self.func = func
+
+    def __set_name__(self, owner, name: str) -> None:
+        self.name = name
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.name] = self.func(instance)
+        return value
+
+
 class _FrameAnalysis:
     """Every operator and factorization of one frame under one tolerance.
 
@@ -572,6 +579,9 @@ class _FrameAnalysis:
     frame (FrameSequence._cut), so a call at the rank_rel of the last cut
     cuts nothing, copies nothing and counts no ranks; the certificate is
     still held against every call's identity_abs before f_t is read.
+    The analysis is one object per call, and keeps what it reads once per
+    call (f_t, f_s, f_g, the bounds, the classification, the bundle and the
+    dual) in its own attributes (see _per_call), behind no lock.
     G = U U* is factored through U = Q1 R1 as Q1 (R1 R1*) Q1*, an SVD of the
     min(n, m) square core, not of the m x m G.
 
@@ -592,7 +602,7 @@ class _FrameAnalysis:
     is U+ = (T+)* = W Sigma^-1 V*, and its FrameSequence is handed that SVD,
     formed from T's kept factors on its first read, so the dual's analysis
     factors only its own S and G. T's kept rank fixes every bit of U+, so
-    the frame keeps one dual, by that rank (FrameSequence._dual): a call at
+    the frame keeps one dual, by that rank (its "dual" slot): a call at
     that rank returns it once the certificate and the T/S gate hold under
     the call's tolerance, and a call at another rank forms its own and
     replaces it. A call that raises keeps nothing. The kept dual keeps its
@@ -602,8 +612,8 @@ class _FrameAnalysis:
     The gate first checks that the routes agree in rank. Once it holds, T's
     kept rank and the route's fix every operand a self-check reads: the
     truncated factors, S, U, T and the spectral norms. So the frame keeps
-    each self-check's deviation by (check name, T's rank, the route's rank)
-    (FrameSequence._self_checks), and a kept deviation has the bits a
+    each self-check's deviation in the slot (check name, T's rank, the
+    route's rank) (see FrameSequence._keep), and a kept deviation has the bits a
     recomputed one would. The checks each set of routes runs are listed
     once (_GATE_CHECKS), and each kept deviation is read with one lookup.
     The verdict is not kept: each call holds the deviation against its own
@@ -612,31 +622,34 @@ class _FrameAnalysis:
 
     Operators are read by the paper's names, a["S+"] (see _OPERATORS); a
     name "~X" reads X from the analysis of the canonical dual, `dual`.
-    Everything derived is computed at most once: the operators, their
-    Frobenius norms (see norm) and the deviation of each identity (see
-    deviation). Spectral norms are read off the route factors (see
-    spectral_norm). The identity suite's rows read the analysis directly.
+    Everything derived is computed at most once and kept in one dict: the
+    operators by name, their Frobenius norms (see norm) and the deviation of
+    each identity (see deviation). Spectral norms are read off the route
+    factors (see spectral_norm). The identity suite's rows read the analysis
+    directly.
     """
 
     def __init__(self, frame: FrameSequence, tol: Tolerance | None = None):
         self.frame = frame
-        self.tol = tol or DEFAULT_TOLERANCE
-        self._operators, self._norms, self._deviations = {}, {}, {}
+        self.tol = _tolerance(tol)
+        # operators by name, norms by ("norm", name), deviations by identity
+        self._formed = {}
 
     def __getitem__(self, name: str) -> np.ndarray:
         if name.startswith("~"):
             return self.dual[name[1:]]
-        if name not in self._operators:
-            self._operators[name] = _OPERATORS[name](self)
-        return self._operators[name]
+        if name not in self._formed:
+            self._formed[name] = _OPERATORS[name](self)
+        return self._formed[name]
 
     def norm(self, name: str) -> float:
         """Frobenius norm of the named operator, taken once (see matrix_core._norm)."""
         if name.startswith("~"):
             return self.dual.norm(name[1:])
-        if name not in self._norms:
-            self._norms[name] = _norm(self[name])
-        return self._norms[name]
+        key = "norm", name
+        if key not in self._formed:
+            self._formed[key] = _norm(self[name])
+        return self._formed[key]
 
     def _product(self, names: tuple):
         if not names:
@@ -654,23 +667,23 @@ class _FrameAnalysis:
         operator), and the residual is scaled by the Frobenius norms of the
         scale operators (see scaled_deviation).
         """
-        if identity not in self._deviations:
+        if identity not in self._formed:
             lhs, rhs, scale = identity
-            self._deviations[identity] = _deviation(
+            self._formed[identity] = _deviation(
                 self._product(lhs), self._product(rhs), [self.norm(name) for name in scale])
-        return self._deviations[identity]
+        return self._formed[identity]
 
-    @cached_property
+    @_per_call
     def f_t(self) -> SvdFactors:
         for name, dev in zip(_CERTIFICATE, self.frame._certificate):
             self._require(name, dev)
         return self.frame._cut("synthesis", self.tol, lambda: self.frame._svd)
 
-    @cached_property
+    @_per_call
     def f_s(self) -> SvdFactors:
         return self.frame._cut("frame operator", self.tol, lambda: self.frame._s_svd)
 
-    @cached_property
+    @_per_call
     def f_g(self) -> SvdFactors:
         return self.frame._cut("gram", self.tol, lambda: self.frame._g_svd(lambda: self["U"]))
 
@@ -698,12 +711,8 @@ class _FrameAnalysis:
                 "T's singular values and resolve no sigma_r/sigma_1 below their resolution limit "
                 f"sqrt(10 max(n, m) eps) = {math.sqrt(_gram_floor(max(self['T'].shape))):.3e}"
             )
-        kept = self.frame._self_checks
-        for name in _GATE_CHECKS[routes]:
-            key = name, r, r  # the routes agree in rank
-            dev = kept.get(key)
-            if dev is None:  # a check that raises keeps nothing
-                dev = kept[key] = _SELF_CHECKS[name][1](self)
+        for name in _GATE_CHECKS[routes]:  # the routes agree in rank r
+            dev = self.frame._keep((name, r, r), lambda: _SELF_CHECKS[name][1](self))
             self._require(name, dev)
 
     def _require(self, name: str, dev: float) -> None:
@@ -714,7 +723,7 @@ class _FrameAnalysis:
                 f"deviation {dev:.3e} exceeds {self.tol.identity_abs:.3e}"
             )
 
-    @cached_property
+    @_per_call
     def bundle(self) -> OperatorBundle:
         self.gate(*_ROUTES)
         return OperatorBundle(
@@ -731,13 +740,13 @@ class _FrameAnalysis:
             tol=self.tol,
         )
 
-    @cached_property
+    @_per_call
     def bounds(self) -> FrameBounds:
         if self.f_t.rank == 0:
             raise DegenerateSpanError("all vectors are numerically zero; bounds are undefined")
         return _bounds_from_factors(self.f_t, self.tol)
 
-    @cached_property
+    @_per_call
     def classification(self) -> FrameClassification:
         r = self.f_t.rank
         m = self.frame.size
@@ -757,21 +766,17 @@ class _FrameAnalysis:
             redundancy=float(redundancy),
         )
 
-    @cached_property
+    @_per_call
     def canonical_dual(self) -> FrameSequence:
         if self.f_t.rank == 0:
             raise DegenerateSpanError("a degenerate sequence has no canonical dual")
         self.gate("synthesis", "frame operator")
         # U+ = W Sigma^-1 V* is fixed by T's kept rank, so the frame keeps one
         # dual by that rank; a call at another rank forms its own and replaces it
-        kept = self.frame._dual
-        if kept is not None and kept[0] == self.f_t.rank:
-            return kept[1]
-        dual = FrameSequence._from_matrix(self["U+"], partial(_dual_svd, self.f_t))
-        object.__setattr__(self.frame, "_dual", (self.f_t.rank, dual))
-        return dual
+        return self.frame._keep("dual", lambda: FrameSequence._from_matrix(
+            self["U+"], partial(_dual_svd, self.f_t)), self.f_t.rank)
 
-    @cached_property
+    @_per_call
     def dual(self) -> "_FrameAnalysis":
         """The canonical dual's analysis, under the same tolerance."""
         return _FrameAnalysis(self.canonical_dual, self.tol)

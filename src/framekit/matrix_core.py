@@ -9,6 +9,7 @@ queries are all derived from it.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 
@@ -44,8 +45,8 @@ class Tolerance:
     tightness_rel relative slack for declaring bounds equal (tight) or one
                   (Parseval)
 
-    All three must be finite and positive numbers, not bools, else ValueError
-    names the field.
+    All three must be finite and positive real numbers, not bools, else
+    ValueError names the field.
     """
 
     rank_rel: float = 1e-12
@@ -54,8 +55,11 @@ class Tolerance:
 
     def __post_init__(self) -> None:
         for name in ("rank_rel", "identity_abs", "tightness_rel"):
-            if isinstance(getattr(self, name), bool):  # True would read as 1.0
+            value = getattr(self, name)
+            if isinstance(value, bool):  # True would read as 1.0
                 raise ValueError(f"{name} must be a number, not a bool")
+            if not isinstance(value, numbers.Real):  # a str, None or complex
+                raise ValueError(f"{name} must be a number, not {type(value).__name__}")
         if not 0.0 < self.rank_rel < 1.0:
             raise ValueError("rank_rel must lie strictly between 0 and 1")
         for name in ("identity_abs", "tightness_rel"):
@@ -68,6 +72,16 @@ class Tolerance:
 
 
 DEFAULT_TOLERANCE = Tolerance()
+
+
+def _tolerance(tol) -> Tolerance:
+    """tol as passed to every public call: None reads as DEFAULT_TOLERANCE, a
+    Tolerance as itself, and anything else raises ValueError naming tol."""
+    if tol is None:
+        return DEFAULT_TOLERANCE
+    if not isinstance(tol, Tolerance):
+        raise ValueError(f"tol must be a Tolerance, not {type(tol).__name__}")
+    return tol
 
 
 def _complex_array(values, name: str, copy: bool = False) -> np.ndarray:
@@ -144,7 +158,8 @@ def svd(matrix, tol: Tolerance | None = None) -> SvdFactors:
     by the same phase, leaving the product unchanged); this makes repeated
     factorizations of equal inputs identical.
     """
-    return _truncated(_phased_svd(_matrix_view(matrix)), tol or DEFAULT_TOLERANCE)
+    tol = _tolerance(tol)
+    return _truncated(_phased_svd(_matrix_view(matrix)), tol)
 
 
 def _phased_svd(m: np.ndarray) -> SvdFactors:

@@ -29,6 +29,8 @@ rescaled by the caller's identity_abs so a loosened run loosens coherently.
 from __future__ import annotations
 
 import math
+import numbers
+import sys
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import partial
@@ -112,7 +114,9 @@ class GeneratorSpec:
             raise ValueError("seed must fit in 64 bits")
         if self.kind == "ill_conditioned":
             ct = self.condition_target
-            if ct is None or isinstance(ct, bool) or not np.isfinite(ct) or ct < 1.0:
+            # no conversion: a str, a complex, and an int past the double range all fail
+            if (isinstance(ct, bool) or not isinstance(ct, numbers.Real)
+                    or not 1.0 <= ct <= sys.float_info.max):
                 raise ValueError("ill_conditioned requires a finite condition_target >= 1")
         elif self.condition_target is not None:
             raise ValueError(

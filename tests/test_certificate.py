@@ -113,16 +113,14 @@ READERS = {
 @pytest.fixture(params=[1.01, 1.0 + 1e-8], ids=["1.01", "1+1e-8"])
 def wrong_sigma(request, monkeypatch):
     # T's singular values scaled by the factor after the SVD
-    original = FrameSequence._svd.func
+    original = FrameSequence._svd.fget
 
     def wrong(frame):
         f = original(frame)
         return SvdFactors(f.left_vectors, request.param * f.singular_values, f.right_vectors,
                           f.rank)
 
-    faulty = cached_property(wrong)
-    faulty.__set_name__(FrameSequence, "_svd")
-    monkeypatch.setattr(FrameSequence, "_svd", faulty)
+    monkeypatch.setattr(FrameSequence, "_svd", property(wrong))
 
 
 @pytest.mark.parametrize("name", READERS)
@@ -163,4 +161,4 @@ def test_no_gate_forms_a_dense_projector_or_pseudoinverse(kind, n, m):
     for routes in (("synthesis", "frame operator"), ("synthesis", "gram")):
         a = _FrameAnalysis(generate(GeneratorSpec(kind, n, m, 0)))
         a.gate(*routes)
-        assert not {"P", "Q", "S+", "G+"} & a._operators.keys()
+        assert not {"P", "Q", "S+", "G+"} & a._formed.keys()

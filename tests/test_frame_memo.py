@@ -6,9 +6,11 @@ rank_rel reads and a call at another replaces. It keeps the gate's
 self-check deviations too, by check and by the ranks the routes keep, and
 every call holds them against its own tolerance: a verdict is never kept.
 It keeps one canonical dual, by T's kept rank, which each call returns once
-its own certificate and gate hold. The memo must be invisible: a call on a
-frame that already holds it returns, or raises, exactly what the same call
-on a fresh frame does.
+its own certificate and gate hold. All of it sits in one dict, read and
+filled by FrameSequence._keep with no lock, so calls on different frames
+never wait on each other. The memo must be invisible: a call on a frame
+that already holds it returns, or raises, exactly what the same call on a
+fresh frame does.
 """
 
 import dataclasses
@@ -146,7 +148,7 @@ def test_a_tolerance_that_cuts_s_to_a_new_rank_evaluates_the_checks_again(self_c
     loose = Tolerance(identity_abs=1e-9)
     for tol in (None, cut, loose, dataclasses.replace(cut, identity_abs=1e-9)):
         assert self_checks(min_norm_coefficients, frame, signal, tol) == []
-    assert sorted(frame._self_checks) == sorted(
+    assert sorted(slot for slot in frame._kept if isinstance(slot, tuple)) == sorted(
         (name, r, r) for name in T_S for r in (2, 4))
 
 
@@ -188,7 +190,7 @@ def test_equal_rank_calls_return_the_kept_dual():
     assert canonical_dual(frame) is dual
     # other rank_rel and identity_abs, the same kept rank
     assert canonical_dual(frame, Tolerance(rank_rel=1e-14, identity_abs=1e-9)) is dual
-    assert frame._dual == (4, dual)
+    assert frame._kept["dual"] == (4, dual)
 
 
 def test_a_tolerance_that_keeps_another_rank_replaces_the_kept_dual():
@@ -196,11 +198,11 @@ def test_a_tolerance_that_keeps_another_rank_replaces_the_kept_dual():
     cut = Tolerance(rank_rel=1e-3)  # keeps 2 of the 4 singular values
     first = canonical_dual(frame)
     cut_dual = canonical_dual(frame, cut)
-    assert cut_dual is not first and frame._dual == (2, cut_dual)
+    assert cut_dual is not first and frame._kept["dual"] == (2, cut_dual)
     assert _bits(cut_dual) == _bits(canonical_dual(generate(ILL_1E4), cut))
     # back at the default rank, the dual is formed afresh, with the first's bits
     back = canonical_dual(frame)
-    assert back is not first and frame._dual == (4, back)
+    assert back is not first and frame._kept["dual"] == (4, back)
     assert _bits(back) == _bits(first) == _bits(canonical_dual(generate(ILL_1E4)))
     assert canonical_dual(frame) is back
 
@@ -249,14 +251,13 @@ def test_a_kept_dual_does_not_keep_its_frames_factors_alive():
     del frame
     gc.collect()
     assert left() is None
-    assert dual._form_svd() is dual._svd
+    assert dual._handed is None and dual._kept["T factors"][1] is dual._svd
 
 
 def test_threads_sharing_a_fresh_dual_read_equal_factors():
-    # the first reads of a fresh dual's factors overlap: each thread reads the
-    # factors formed from T's, never an SVD of the dual's own matrix. The
-    # former is also called directly, where no lock of cached_property (held
-    # before Python 3.12) serializes the first calls
+    # the first reads of a fresh dual's factors overlap, with no lock: each
+    # thread reads the factors formed from T's, never an SVD of the dual's own
+    # matrix
     spec = GeneratorSpec("gaussian", 16, 32, 5)
     expected = _bits(canonical_dual(generate(spec))._svd)
     interval = sys.getswitchinterval()
@@ -264,13 +265,13 @@ def test_threads_sharing_a_fresh_dual_read_equal_factors():
     try:
         for _ in range(20):
             dual = canonical_dual(generate(spec))
-            assert "_svd" not in vars(dual)
+            assert "T factors" not in dual._kept
             barrier = threading.Barrier(4)
             found = []
 
             def work():
                 barrier.wait(timeout=10)
-                found.append((_bits(dual._form_svd()), _bits(dual._svd)))
+                found.append(_bits(dual._svd))
 
             threads = [threading.Thread(target=work) for _ in range(4)]
             for thread in threads:
@@ -278,7 +279,7 @@ def test_threads_sharing_a_fresh_dual_read_equal_factors():
             for thread in threads:
                 thread.join(timeout=10)
             assert not any(thread.is_alive() for thread in threads)
-            assert found == [(expected, expected)] * 4
+            assert found == [expected] * 4 and dual._handed is None
     finally:
         sys.setswitchinterval(interval)
 
@@ -397,8 +398,8 @@ def test_handed_s_factors_that_fail_a_self_check_are_refused_on_every_call():
     # against L_s, and the call refuses there however often it is made
     frame = generate(GAUSSIAN)
     exact = frame._s_svd
-    object.__setattr__(frame, "_s_svd", SvdFactors(
-        exact.left_vectors, exact.singular_values * 1.01, exact.right_vectors, exact.rank))
+    frame._kept["S factors"] = None, SvdFactors(
+        exact.left_vectors, exact.singular_values * 1.01, exact.right_vectors, exact.rank)
     messages = []
     for call in [lambda: min_norm_coefficients(frame, np.arange(1.0, 5.0))] * 3 + [
             lambda: canonical_dual(frame)] * 3:
@@ -406,22 +407,25 @@ def test_handed_s_factors_that_fail_a_self_check_are_refused_on_every_call():
             call()
         messages.append(str(info.value))
     assert messages == [messages[0]] * 6
-    assert frame._dual is None  # a refused call keeps no dual
+    assert "dual" not in frame._kept  # a refused call keeps no dual
     # T's own route is untouched: calls that read only T's factors still answer
     assert frame_bounds(frame) == frame_bounds(generate(GAUSSIAN))
 
 
 def _kept_bytes(frame):
     """The bytes of every array a frame keeps besides T, whose columns
-    `vectors` views, counting a kept dual's T and its own kept arrays."""
+    `vectors` views, counting a kept dual's T and its own kept arrays. The
+    route cuts are views of the kept factors, so they add none."""
     kept = 0
-    for name, value in vars(frame).items():
+    for slot, (_, value) in frame._kept.items():
+        if slot in frame_ops._ROUTES:
+            continue
         if isinstance(value, SvdFactors):
             value = (value.left_vectors, value.singular_values, value.right_vectors)
-        elif isinstance(value, np.ndarray) and name != "_matrix":
+        elif isinstance(value, np.ndarray):
             value = (value,)
-        elif name == "_dual" and value is not None:
-            kept += value[1]._matrix.nbytes + _kept_bytes(value[1])
+        elif isinstance(value, FrameSequence):
+            kept += value._matrix.nbytes + _kept_bytes(value)
             continue
         else:
             continue
@@ -447,7 +451,7 @@ def test_a_frame_keeps_the_arrays_its_docstring_states(spec):
     # a cut between sigma_1 and sigma_2 keeps rank 1; the frame still keeps one dual
     sigma = frame._svd.singular_values
     dual = canonical_dual(frame, Tolerance(rank_rel=np.sqrt(sigma[1] / sigma[0]) / max(n, m)))
-    assert frame._dual == (1, dual)
+    assert frame._kept["dual"] == (1, dual)
     assert _kept_bytes(frame) == factored + 16 * n * m
 
 
@@ -536,7 +540,7 @@ def test_a_repeat_call_at_the_same_rank_rel_cuts_nothing(cuts):
     assert cuts(min_norm_coefficients, frame, signal) == 2
     assert cuts(pseudo_gram, frame, cut) == 2  # T and G
     # one cut per route, by the rank_rel of the last call that read it
-    assert {route: kept[0] for route, kept in frame._cuts.items()} == {
+    assert {route: frame._kept[route][0] for route in frame_ops._ROUTES} == {
         "synthesis": 1e-3, "frame operator": 1e-12, "gram": 1e-3}
 
 
@@ -577,7 +581,7 @@ def test_handed_t_factors_that_fail_the_certificate_are_refused_on_every_call():
     exact = svd(t)
     sigma = exact.singular_values.copy()
     sigma[0] *= 1.01
-    frame = FrameSequence._from_matrix(t, SvdFactors(
+    frame = FrameSequence._from_matrix(t, lambda: SvdFactors(
         exact.left_vectors, sigma, exact.right_vectors, exact.rank))
     messages = []
     for name, call in list(CALLS.items()) * 2:
@@ -585,15 +589,14 @@ def test_handed_t_factors_that_fail_the_certificate_are_refused_on_every_call():
             call(frame, None)
         messages.append((name, str(info.value)))
     assert messages[:len(CALLS)] == messages[len(CALLS):]
-    assert frame._cuts == {} and frame._dual is None
+    assert not frame._kept.keys() & {*frame_ops._ROUTES, "dual"}
 
 
 def test_threads_alternating_rank_rel_on_one_frame_read_their_own_cuts():
     # four threads share one frame, two starting at each tolerance, and
     # alternate: a call that read a cut made under the other rank_rel would
     # keep another rank, and its bits would differ from a fresh frame's. The
-    # cuts are also read through _cut directly, where no lock of
-    # cached_property (held before Python 3.12) serializes the reads
+    # cuts are also read through _cut directly
     tols = (Tolerance(), Tolerance(rank_rel=1e-3))
     signal = np.arange(1.0, 5.0)
 
@@ -632,3 +635,53 @@ def test_threads_alternating_rank_rel_on_one_frame_read_their_own_cuts():
             assert wrong == [] and sorted(done) == [0, 1, 2, 3]
     finally:
         sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("spec", [GAUSSIAN, TALL], ids=["gaussian", "gaussian_tall"])
+@pytest.mark.parametrize("name", CALLS)
+def test_a_frame_keeps_all_it_keeps_in_one_dict(name, spec):
+    # besides the vectors, T and the function that forms a dual's factors,
+    # which is dropped once they are kept, a frame and its kept dual hold
+    # only the one dict that _keep reads and fills
+    frame = generate(spec)
+    CALLS[name](frame, None)
+    duals = [value for _, value in frame._kept.values() if isinstance(value, FrameSequence)]
+    for kept in [frame, *duals]:
+        assert set(vars(kept)) == {"ambient_dim", "vectors", "_matrix", "_kept", "_handed"}
+        assert (kept._handed is None) == ("T factors" in kept._kept)
+    assert frame._handed is None and len(duals) == (name in ("canonical_dual",
+                                                             "run_identity_suite"))
+
+
+@pytest.mark.parametrize("call", [frame_bounds, canonical_dual,
+                                  lambda f: min_norm_coefficients(f, _signal(f))],
+                         ids=["frame_bounds", "canonical_dual", "min_norm_coefficients"])
+def test_calls_on_different_frames_never_wait_on_each_other(monkeypatch, call):
+    # frame A's first SVD blocks until it is released; a call on frame B in
+    # another thread still answers, as no lock is shared across frames
+    blocked, other = generate(GeneratorSpec("gaussian", 16, 32, 0)), generate(GAUSSIAN)
+    entered, release = threading.Event(), threading.Event()
+    original = frame_ops._phased_svd
+
+    def phased_svd(matrix):
+        if matrix is blocked._matrix:
+            entered.set()
+            release.wait(timeout=30)
+        return original(matrix)
+
+    monkeypatch.setattr(frame_ops, "_phased_svd", phased_svd)
+    answered = []
+    first = threading.Thread(target=frame_bounds, args=(blocked,))
+    second = threading.Thread(target=lambda: answered.append(call(other)))
+    first.start()
+    try:
+        assert entered.wait(timeout=10)
+        second.start()
+        second.join(timeout=5)
+        assert len(answered) == 1, "a call on frame B waited on frame A's first SVD"
+    finally:
+        release.set()
+        first.join(timeout=30)
+        if second.is_alive():
+            second.join(timeout=30)
+    assert not first.is_alive() and not second.is_alive()

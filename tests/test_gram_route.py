@@ -200,7 +200,7 @@ def test_the_gram_gate_refuses_a_faulty_route(faulty_gram_route, make, entry):
 def test_the_gram_gate_forms_no_m_by_m_operator(kind, n, m):
     a = _FrameAnalysis(generate(spec(kind, n, m, 0)))
     a.gate("synthesis", "gram")
-    assert not {"G", "G+", "Q"} & a._operators.keys()
+    assert not {"G", "G+", "Q"} & a._formed.keys()
 
 
 @pytest.mark.parametrize("n, m", [(4, 6), (6, 4), (16, 32)])

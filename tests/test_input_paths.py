@@ -4,13 +4,14 @@ FrameSequence checks and stacks all its vectors as one array and falls
 back to the vector-by-vector checks only to name a bad vector; the seeded
 complex Gaussian draws scale each real draw instead of forming a complex
 sum and dividing it. Both must give exactly the old bits and messages. An
-integer entry past the double range is refused by name, as a non-finite one.
+integer entry past the double range is refused by name, as a non-finite one,
+and so is a tol that is not a Tolerance.
 """
 
 import numpy as np
 import pytest
 
-from framekit import (FrameSequence, Tolerance, as_matrix, as_vector, max_abs,
+from framekit import (FrameSequence, Tolerance, as_matrix, as_vector, frame_bounds, max_abs,
                       min_norm_coefficients, project_coefficients, scaled_deviation, svd)
 from framekit.verifier import _complex_gaussian
 
@@ -97,10 +98,17 @@ FRAME = [[1, 0], [0, 1], [1, 1]]
     (lambda: max_abs([1, HUGE]), "values entries must be finite"),
     (lambda: scaled_deviation([[1.0]], [[HUGE]]), "rhs entries must be finite"),
     (lambda: scaled_deviation([[1.0]], [[1.0]], [[[HUGE]]]), "factor entries must be finite"),
+    (lambda: frame_bounds(FrameSequence.from_vectors(FRAME), 0.0),
+     "tol must be a Tolerance, not float"),
+    (lambda: frame_bounds(FrameSequence.from_vectors(FRAME), 1e-10),
+     "tol must be a Tolerance, not float"),
 ], ids=["FrameSequence", "from_vectors", "truncated", "as_vector", "as_matrix", "svd",
         "min_norm_coefficients", "project_coefficients", "Tolerance", "max_abs",
-        "scaled_deviation", "scaled_deviation_factor"])
+        "scaled_deviation", "scaled_deviation_factor", "tol-falsy", "tol-float"])
 def test_an_integer_past_the_double_range_is_a_named_value_error(entry, message):
-    # numpy and float() raise a bare OverflowError on such an int
+    # numpy and float() raise a bare OverflowError on such an int. A tol that
+    # is not a Tolerance is refused by name too: a falsy one read as the
+    # default, and any other raised a bare AttributeError
     with pytest.raises(ValueError, match=message):
         entry()
+

@@ -294,9 +294,19 @@ def test_tolerance_refuses_non_finite_values(field, value):
     (lambda: Tolerance(tightness_rel=True), "tightness_rel"),
     (lambda: FrameSequence.truncated([[1, 0]], tail_energy=True), "tail_energy"),
     (lambda: GeneratorSpec("ill_conditioned", 4, 6, 0, condition_target=True), "condition_target"),
-], ids=["identity_abs", "tightness_rel", "tail_energy", "condition_target"])
+    (lambda: Tolerance(rank_rel="1e-12"), "rank_rel"),
+    (lambda: Tolerance(identity_abs=None), "identity_abs"),
+    (lambda: Tolerance(tightness_rel=1e-8 + 0j), "tightness_rel"),
+    (lambda: GeneratorSpec("ill_conditioned", 4, 6, 0, condition_target=10**400),
+     "condition_target"),
+    (lambda: GeneratorSpec("ill_conditioned", 4, 6, 0, condition_target="5"), "condition_target"),
+    (lambda: GeneratorSpec("ill_conditioned", 4, 6, 0, condition_target=2j), "condition_target"),
+], ids=["identity_abs", "tightness_rel", "tail_energy", "condition_target", "rank_rel-str",
+        "identity_abs-None", "tightness_rel-complex", "condition_target-huge-int",
+        "condition_target-str", "condition_target-complex"])
 def test_a_bool_is_not_a_number(make, field):
-    # True would otherwise read as 1.0
+    # True would otherwise read as 1.0; a str, None, a complex and an int
+    # past the double range raised a bare TypeError
     with pytest.raises(ValueError, match=field):
         make()
 

@@ -23,10 +23,15 @@ from .frame_ops import (
     canonical_dual,
     classify,
     frame_bounds,
+    numerical_rank,
+    op_norm,
+    pinv,
     pseudo_frame_operator,
     pseudo_gram,
+    range_projector,
     restricted,
     scaled_deviation,
+    svd,
 )
 from .matrix_core import (
     DEFAULT_TOLERANCE,
@@ -36,12 +41,6 @@ from .matrix_core import (
     as_matrix,
     as_vector,
     max_abs,
-    numerical_rank,
-    op_norm,
-    pinv,
-    pinv_from_factors,
-    range_projector,
-    svd,
 )
 from .reconstruct import (
     MinNormSolution,
@@ -97,7 +96,6 @@ __all__ = [
     "numerical_rank",
     "op_norm",
     "pinv",
-    "pinv_from_factors",
     "polarization_check",
     "project_coefficients",
     "project_signal",

@@ -47,10 +47,13 @@ from .matrix_core import (
     SvdFactors,
     Tolerance,
     _complex_array,
+    _finite_real,
     _gram_floor,
     _hermitize,
+    _matrix_view,
     _norm,
     _phased_svd,
+    _pinv_from_factors,
     _projector,
     _reciprocal_sigma_r,
     _tolerance,
@@ -58,7 +61,6 @@ from .matrix_core import (
     adjoint,
     as_vector,
     max_abs,
-    pinv_from_factors,
 )
 
 __all__ = [
@@ -75,6 +77,11 @@ __all__ = [
     "pseudo_frame_operator",
     "pseudo_gram",
     "scaled_deviation",
+    "svd",
+    "pinv",
+    "range_projector",
+    "numerical_rank",
+    "op_norm",
 ]
 
 
@@ -276,12 +283,10 @@ class FrameSequence:
         sum(|f_k|^2) over the dropped tail here; it is validated and echoed
         for reporting. No convergence claims are made on the caller's behalf.
         """
-        if isinstance(tail_energy, bool) or not (isinstance(tail_energy, (int, float))
-                                                  and abs(tail_energy) <= sys.float_info.max):
-            raise ValueError("tail_energy must be a finite number")
+        tail_energy = _finite_real(tail_energy, "tail_energy", "a finite number")
         if tail_energy < 0.0:
             raise ValueError("tail_energy cannot be negative")
-        return cls.from_vectors(vectors, ambient_dim), float(tail_energy)
+        return cls.from_vectors(vectors, ambient_dim), tail_energy
 
 
 @dataclass(frozen=True, eq=False)
@@ -440,12 +445,12 @@ _OPERATORS = {
     "G": lambda a: a["U"] @ a["T"],
     "P": lambda a: _projector(a.f_t.left_vectors),
     "Q": lambda a: _projector(a.f_t.right_vectors),
-    "T+": lambda a: pinv_from_factors(a.f_t),
+    "T+": lambda a: _pinv_from_factors(a.f_t),
     # U = T* factors as T does, with the sides swapped
-    "U+": lambda a: pinv_from_factors(SvdFactors(a.f_t.right_vectors, a.f_t.singular_values,
-                                                 a.f_t.left_vectors, a.f_t.rank)),
-    "S+": lambda a: pinv_from_factors(a.f_s),
-    "G+": lambda a: pinv_from_factors(a.f_g),
+    "U+": lambda a: _pinv_from_factors(SvdFactors(a.f_t.right_vectors, a.f_t.singular_values,
+                                                  a.f_t.left_vectors, a.f_t.rank)),
+    "S+": lambda a: _pinv_from_factors(a.f_s),
+    "G+": lambda a: _pinv_from_factors(a.f_g),
     "T+*": lambda a: adjoint(a["T+"]),
     "I-P": lambda a: np.eye(a.frame.ambient_dim) - a["P"],
     "I-Q": lambda a: np.eye(a.frame.size) - a["Q"],
@@ -916,3 +921,49 @@ def pseudo_gram(frame: FrameSequence, tol: Tolerance | None = None) -> np.ndarra
     factorization, gated on T's. A degenerate sequence yields the zero matrix.
     """
     return _pseudo_inverse(frame, tol, on_span=False)
+
+
+def _matrix_analysis(matrix, tol: Tolerance | None) -> _FrameAnalysis:
+    """The analysis of a matrix's columns, checked by _matrix_view: the one path
+    of the matrix helpers below, each certified as its matching entry point."""
+    return _FrameAnalysis(FrameSequence._from_matrix(_matrix_view(matrix)), tol)
+
+
+def _square_gated(matrix, tol: Tolerance | None, name: str) -> np.ndarray:
+    """The named operator behind the gate on the smaller of T's squares, S where
+    n <= m, else G, as in project_coefficients. It is formed first, so T+ refuses a
+    1/sigma_r that overflows by name before S or G, which square it to 0, disagree."""
+    a = _matrix_analysis(matrix, tol)
+    out = a[name]
+    a.gate("synthesis", "frame operator" if a.frame.ambient_dim <= a.frame.size else "gram")
+    return out
+
+
+def svd(matrix, tol: Tolerance | None = None) -> SvdFactors:
+    """The matrix's rank-truncated SVD, T's factors as classify reads them: the
+    phase convention of matrix_core._phased_svd, cut at rank_rel * max(rows,
+    cols) * sigma_1, NumericalError where they fail their certificate."""
+    return _matrix_analysis(matrix, tol).f_t
+
+
+def pinv(matrix, tol: Tolerance | None = None) -> np.ndarray:
+    """Moore-Penrose pseudoinverse, build_bundle's synthesis_pinv, from svd's
+    factors behind the gate on the smaller square (S or G); 0 for a zero
+    matrix. NumericalError where the routes disagree or 1 / sigma_r overflows."""
+    return _square_gated(matrix, tol, "T+")
+
+
+def range_projector(matrix, tol: Tolerance | None = None) -> np.ndarray:
+    """Projector W W* onto the column space, build_bundle's span_projector, gated as pinv."""
+    return _square_gated(matrix, tol, "P")
+
+
+def numerical_rank(matrix, tol: Tolerance | None = None) -> int:
+    """Count of singular values above the relative cutoff: svd's rank."""
+    return _matrix_analysis(matrix, tol).f_t.rank
+
+
+def op_norm(matrix) -> float:
+    """Spectral norm, sigma_1 of svd's factors; 0.0 for 0. NumericalError where
+    they fail their certificate under the default tolerance, which no tol loosens."""
+    return _matrix_analysis(matrix, None).spectral_norm("T")

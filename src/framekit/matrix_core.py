@@ -1,9 +1,9 @@
-"""Dense complex-matrix substrate: SVD, pseudoinverse, projectors, ranks.
+"""Dense complex-matrix substrate: input checks, tolerances and kernels.
 
-Everything downstream works with 2-D complex128 arrays. The singular value
-decomposition fixes the numerical rank and a deterministic phase convention;
-the Moore-Penrose pseudoinverse, range projectors, operator norms and rank
-queries are all derived from it.
+Everything downstream works with 2-D complex128 arrays. This module checks
+input from outside and holds what the frame analysis (frame_ops) is built
+from: the phased SVD and its rank cut, the pseudoinverse and projectors of
+its factors, and norms that hold across the double range.
 """
 
 from __future__ import annotations
@@ -23,13 +23,7 @@ __all__ = [
     "SvdFactors",
     "as_matrix",
     "as_vector",
-    "svd",
-    "pinv",
-    "pinv_from_factors",
     "adjoint",
-    "range_projector",
-    "op_norm",
-    "numerical_rank",
     "max_abs",
 ]
 
@@ -46,7 +40,7 @@ class Tolerance:
                   (Parseval)
 
     All three must be finite and positive real numbers, not bools, else
-    ValueError names the field.
+    ValueError names the field; each is kept as a Python float.
     """
 
     rank_rel: float = 1e-12
@@ -55,20 +49,28 @@ class Tolerance:
 
     def __post_init__(self) -> None:
         for name in ("rank_rel", "identity_abs", "tightness_rel"):
-            value = getattr(self, name)
-            if isinstance(value, bool):  # True would read as 1.0
-                raise ValueError(f"{name} must be a number, not a bool")
-            if not isinstance(value, numbers.Real):  # a str, None or complex
-                raise ValueError(f"{name} must be a number, not {type(value).__name__}")
+            object.__setattr__(self, name, _finite_real(getattr(self, name), name))
         if not 0.0 < self.rank_rel < 1.0:
             raise ValueError("rank_rel must lie strictly between 0 and 1")
         for name in ("identity_abs", "tightness_rel"):
-            value = getattr(self, name)
-            if value <= 0.0:
+            if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be positive")
-            # no conversion: inf, NaN and an int past the double range all fail
-            if not value <= sys.float_info.max:
-                raise ValueError(f"{name} must be finite")
+
+
+def _finite_real(value, name: str, must_be: str = "finite") -> float:
+    """value, a real scalar from outside, as a Python float: its one check.
+    ValueError names it for a bool (True would read as 1.0), a non-real, or a
+    value past the double range ("{name} must be {must_be}"). float() is the
+    one conversion and never warns, as a float32 compared with a float can."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, not {type(value).__name__}")
+    try:
+        out = float(value)
+    except OverflowError:
+        out = math.inf
+    if not abs(out) <= sys.float_info.max:
+        raise ValueError(f"{name} must be {must_be}")
+    return out
 
 
 DEFAULT_TOLERANCE = Tolerance()
@@ -149,22 +151,11 @@ class SvdFactors:
     rank: int
 
 
-def svd(matrix, tol: Tolerance | None = None) -> SvdFactors:
-    """Rank-truncated SVD with a deterministic phase convention.
-
-    Singular values at or below rank_rel * max(rows, cols) * sigma_max are
-    dropped. Each kept right singular vector is rotated so its entry of
-    largest modulus is real and positive (the paired left vector is rotated
-    by the same phase, leaving the product unchanged); this makes repeated
-    factorizations of equal inputs identical.
-    """
-    tol = _tolerance(tol)
-    return _truncated(_phased_svd(_matrix_view(matrix)), tol)
-
-
 def _phased_svd(m: np.ndarray) -> SvdFactors:
-    """svd's read-only factors, untruncated. The phase convention acts on each
-    column pair alone, so truncating them afterwards gives svd's bits."""
+    """An SVD of m, read-only and untruncated. Each right singular vector is
+    rotated so its entry of largest modulus is real and positive, its left one
+    by the same phase, so equal inputs give equal factors; the convention acts
+    on each column pair alone, so a rank cut afterwards keeps it."""
     try:
         u, s, vh = np.linalg.svd(m, full_matrices=False)
     except np.linalg.LinAlgError as exc:
@@ -216,7 +207,7 @@ def _reciprocal_sigma_r(factors: SvdFactors) -> float:
     return 1.0 / sigma_r
 
 
-def pinv_from_factors(factors: SvdFactors) -> np.ndarray:
+def _pinv_from_factors(factors: SvdFactors) -> np.ndarray:
     """Assemble the Moore-Penrose pseudoinverse from SVD factors.
 
     Every entry of the result is at most 1 / sigma_r in modulus, so when
@@ -235,21 +226,6 @@ def pinv_from_factors(factors: SvdFactors) -> np.ndarray:
     return out
 
 
-def pinv(matrix, tol: Tolerance | None = None) -> np.ndarray:
-    """Moore-Penrose pseudoinverse via the rank-truncated SVD.
-
-    Satisfies the four defining identities within tol.identity_abs for
-    well-scaled inputs:
-
-        M M+ M = M,  M+ M M+ = M+,  (M M+)* = M M+,  (M+ M)* = M+ M
-
-    The all-zero matrix maps to the all-zero matrix of transposed shape.
-    Raises NumericalError when the pseudoinverse leaves the double range,
-    that is when 1 / sigma_r overflows for the smallest kept singular value.
-    """
-    return pinv_from_factors(svd(matrix, tol))
-
-
 def adjoint(matrix) -> np.ndarray:
     """Conjugate transpose."""
     return np.conjugate(_matrix_view(matrix).T, order="C")
@@ -264,30 +240,6 @@ def _hermitize(m: np.ndarray) -> np.ndarray:
 def _projector(basis: np.ndarray) -> np.ndarray:
     """W W* for orthonormal columns W, symmetrized to be exactly self-adjoint."""
     return _hermitize(basis @ basis.conj().T)
-
-
-def range_projector(matrix, tol: Tolerance | None = None) -> np.ndarray:
-    """Orthogonal projector onto the column space.
-
-    Built as W W* from the kept left singular vectors (equal to M M+), then
-    symmetrized so the result is exactly self-adjoint.
-    """
-    return _projector(svd(matrix, tol).left_vectors)
-
-
-def op_norm(matrix) -> float:
-    """Largest singular value (spectral norm)."""
-    m = _matrix_view(matrix)
-    try:
-        s = np.linalg.svd(m, compute_uv=False)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"singular value decomposition failed to converge: {exc}") from exc
-    return float(s[0]) if s.size else 0.0
-
-
-def numerical_rank(matrix, tol: Tolerance | None = None) -> int:
-    """Count of singular values above the relative cutoff."""
-    return svd(matrix, tol).rank
 
 
 def max_abs(values) -> float:

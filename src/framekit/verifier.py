@@ -29,8 +29,6 @@ rescaled by the caller's identity_abs so a loosened run loosens coherently.
 from __future__ import annotations
 
 import math
-import numbers
-import sys
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import partial
@@ -39,7 +37,7 @@ import numpy as np
 
 from .errors import DegenerateSpanError, NotTightError, NumericalError
 from .frame_ops import FrameSequence, _FrameAnalysis
-from .matrix_core import DEFAULT_TOLERANCE, Tolerance
+from .matrix_core import DEFAULT_TOLERANCE, Tolerance, _finite_real
 
 __all__ = [
     "GENERATOR_KINDS",
@@ -91,7 +89,8 @@ class GeneratorSpec:
     n, m              ambient dimension and vector count, both at least 1
     seed              64-bit seed for PCG64
     condition_target  desired largest/smallest kept singular value ratio;
-                      required for (and only for) the ill_conditioned kind
+                      required for (and only for) the ill_conditioned kind,
+                      and kept as a Python float
     """
 
     kind: str
@@ -113,11 +112,10 @@ class GeneratorSpec:
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must fit in 64 bits")
         if self.kind == "ill_conditioned":
-            ct = self.condition_target
-            # no conversion: a str, a complex, and an int past the double range all fail
-            if (isinstance(ct, bool) or not isinstance(ct, numbers.Real)
-                    or not 1.0 <= ct <= sys.float_info.max):
+            ct = _finite_real(self.condition_target, "condition_target")
+            if ct < 1.0:
                 raise ValueError("ill_conditioned requires a finite condition_target >= 1")
+            object.__setattr__(self, "condition_target", ct)
         elif self.condition_target is not None:
             raise ValueError(
                 f"condition_target only applies to the ill_conditioned kind, not {self.kind!r}"
@@ -177,7 +175,7 @@ def generate(spec: GeneratorSpec) -> FrameSequence:
         base = _complex_gaussian(rng, (n, m - 1))
         t = np.concatenate([base[:, :1], base], axis=1)
     else:  # ill_conditioned
-        target = float(spec.condition_target)
+        target = spec.condition_target
         r = min(n, m)
         if r < 2 and target > 1.0:
             raise ValueError(

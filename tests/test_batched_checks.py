@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from framekit import (GENERATOR_KINDS, GeneratorSpec, Tolerance, bounds_vs_sampling, generate,
-                      run_identity_suite, svd)
+                      op_norm, run_identity_suite, svd)
 from framekit.frame_ops import _FrameAnalysis
 from framekit.verifier import (
     _COEFFICIENT_SEED,
@@ -21,7 +21,6 @@ from framekit.verifier import (
     _polarization_deviation,
     _sample_blocks,
 )
-from framekit.matrix_core import op_norm
 
 
 # ------------------------------------------------------------ phase convention

@@ -29,13 +29,18 @@ from framekit import (
     generate,
     min_norm_coefficients,
     min_norm_preimage,
+    numerical_rank,
+    op_norm,
+    pinv,
     polarization_check,
     project_coefficients,
     project_signal,
     pseudo_frame_operator,
     pseudo_gram,
+    range_projector,
     restricted,
     run_identity_suite,
+    svd,
 )
 from framekit.frame_ops import _FrameAnalysis
 
@@ -107,6 +112,12 @@ READERS = {
     "project_signal": (GAUSSIAN, lambda f: project_signal(f, np.ones(4))),
     "project_coefficients": (GAUSSIAN, lambda f: project_coefficients(f, np.ones(6))),
     "run_identity_suite": (GAUSSIAN, run_identity_suite),
+    # the matrix helpers read the analysis of the matrix's columns
+    "svd": (GAUSSIAN, lambda f: svd(f.synthesis_matrix())),
+    "numerical_rank": (GAUSSIAN, lambda f: numerical_rank(f.synthesis_matrix())),
+    "op_norm": (GAUSSIAN, lambda f: op_norm(f.synthesis_matrix())),
+    "pinv": (GAUSSIAN, lambda f: pinv(f.synthesis_matrix())),
+    "range_projector": (GAUSSIAN, lambda f: range_projector(f.synthesis_matrix())),
 }
 
 
@@ -148,7 +159,7 @@ def wrong_s_route(monkeypatch):
 @pytest.mark.parametrize("name", ["build_bundle", "canonical_dual",
                                   "pseudo_frame_operator-gaussian", "min_norm_coefficients",
                                   "min_norm_preimage", "project_signal", "project_coefficients",
-                                  "run_identity_suite"])
+                                  "run_identity_suite", "pinv", "range_projector"])
 def test_a_wrong_frame_operator_route_is_refused_by_every_reader(wrong_s_route, name):
     spec, call = READERS[name]
     with pytest.raises(NumericalError, match=r"self-check 'S S\+ = P'"):

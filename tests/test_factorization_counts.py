@@ -24,13 +24,18 @@ from framekit import (
     generate,
     min_norm_coefficients,
     min_norm_preimage,
+    numerical_rank,
+    op_norm,
+    pinv,
     polarization_check,
     project_coefficients,
     project_signal,
     pseudo_frame_operator,
     pseudo_gram,
+    range_projector,
     restricted,
     run_identity_suite,
+    svd,
 )
 
 
@@ -170,6 +175,19 @@ def test_coefficient_series_factors_only_the_smaller_square(monkeypatch):
     tall = generate(GeneratorSpec("gaussian", 6, 4, 3))
     assert counts(tall) == {"svd": 2, "qr": 1, "adjoint": 1}
     assert counts(tall) == {"svd": 0, "qr": 0, "adjoint": 0}
+
+
+@pytest.mark.parametrize("shape, gated", [((4, 6), (2, 0)), ((6, 4), (2, 1)),
+                                          ((512, 16), (2, 1))])
+@pytest.mark.parametrize("helper", [svd, numerical_rank, op_norm, pinv, range_projector])
+def test_matrix_helper_factorization_counts(monkeypatch, helper, shape, gated):
+    # svd, numerical_rank and op_norm read T's certified factors alone, as
+    # classify does. pinv and range_projector also factor the smaller square
+    # for their gate: S where n <= m; else G's core, after a QR of U
+    svd_calls, qr_calls = (call_counter(monkeypatch, name) for name in ("svd", "qr"))
+    t = generate(GeneratorSpec("gaussian", *shape, 3)).synthesis_matrix()
+    expected = gated if helper in (pinv, range_projector) else (1, 0)
+    assert (svd_calls(helper, t), qr_calls(helper, t)) == expected
 
 
 def test_polarization_check_svd_count(svd_calls):

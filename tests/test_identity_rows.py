@@ -19,20 +19,20 @@ from framekit import (
     canonical_dual,
     frame_bounds,
     generate,
-    pinv_from_factors,
     polarization_check,
     run_identity_suite,
     scaled_deviation,
     svd,
 )
+from framekit.matrix_core import _pinv_from_factors
 from framekit.verifier import _REGISTRY
 
 
 def analysis_pinv(b, tol):
     # U = T* factors as T does with the two sides swapped
     f = svd(b.synthesis, tol)
-    return pinv_from_factors(SvdFactors(f.right_vectors, f.singular_values,
-                                        f.left_vectors, f.rank))
+    return _pinv_from_factors(SvdFactors(f.right_vectors, f.singular_values,
+                                         f.left_vectors, f.rank))
 
 
 def direct(frame, tol):

@@ -102,13 +102,21 @@ FRAME = [[1, 0], [0, 1], [1, 1]]
      "tol must be a Tolerance, not float"),
     (lambda: frame_bounds(FrameSequence.from_vectors(FRAME), 1e-10),
      "tol must be a Tolerance, not float"),
+    (lambda: Tolerance(identity_abs=np.float32(np.inf)), "identity_abs must be finite"),
+    (lambda: FrameSequence.truncated(FRAME, tail_energy=np.float32(-0.5)),
+     "tail_energy cannot be negative"),
+    (lambda: FrameSequence.truncated(FRAME, tail_energy=np.int64(-1)),
+     "tail_energy cannot be negative"),
 ], ids=["FrameSequence", "from_vectors", "truncated", "as_vector", "as_matrix", "svd",
         "min_norm_coefficients", "project_coefficients", "Tolerance", "max_abs",
-        "scaled_deviation", "scaled_deviation_factor", "tol-falsy", "tol-float"])
+        "scaled_deviation", "scaled_deviation_factor", "tol-falsy", "tol-float",
+        "Tolerance-float32-inf", "truncated-float32", "truncated-int64"])
 def test_an_integer_past_the_double_range_is_a_named_value_error(entry, message):
     # numpy and float() raise a bare OverflowError on such an int. A tol that
     # is not a Tolerance is refused by name too: a falsy one read as the
-    # default, and any other raised a bare AttributeError
+    # default, and any other raised a bare AttributeError. A numpy scalar is
+    # read as its float: a float32 inf warned in a cast, and a negative
+    # numpy tail energy was refused as not a number
     with pytest.raises(ValueError, match=message):
         entry()
 

@@ -22,15 +22,16 @@ from framekit import (
     adjoint,
     as_matrix,
     as_vector,
+    frame_bounds,
+    generate,
     max_abs,
     numerical_rank,
     op_norm,
     pinv,
-    pinv_from_factors,
     range_projector,
     svd,
 )
-from framekit.matrix_core import _norm
+from framekit.matrix_core import _norm, _pinv_from_factors
 
 
 def complex_gaussian(rng, rows, cols):
@@ -217,7 +218,7 @@ def test_svd_outputs_are_read_only():
 def test_pinv_from_factors_matches_pinv():
     rng = np.random.default_rng(12)
     m = complex_gaussian(rng, 5, 3)
-    assert np.array_equal(pinv_from_factors(svd(m)), pinv(m))
+    assert np.array_equal(_pinv_from_factors(svd(m)), pinv(m))
 
 
 def test_rank_cutoff_respects_rank_rel():
@@ -301,14 +302,43 @@ def test_tolerance_refuses_non_finite_values(field, value):
      "condition_target"),
     (lambda: GeneratorSpec("ill_conditioned", 4, 6, 0, condition_target="5"), "condition_target"),
     (lambda: GeneratorSpec("ill_conditioned", 4, 6, 0, condition_target=2j), "condition_target"),
+    (lambda: Tolerance(tightness_rel=np.float32(np.nan)), "tightness_rel must be finite"),
+    (lambda: GeneratorSpec("ill_conditioned", 4, 6, 0, condition_target=np.float32(np.inf)),
+     "condition_target must be finite"),
 ], ids=["identity_abs", "tightness_rel", "tail_energy", "condition_target", "rank_rel-str",
         "identity_abs-None", "tightness_rel-complex", "condition_target-huge-int",
-        "condition_target-str", "condition_target-complex"])
+        "condition_target-str", "condition_target-complex", "tightness_rel-float32-nan",
+        "condition_target-float32-inf"])
 def test_a_bool_is_not_a_number(make, field):
     # True would otherwise read as 1.0; a str, None, a complex and an int
-    # past the double range raised a bare TypeError
+    # past the double range raised a bare TypeError. A float32 inf or NaN
+    # was compared with the largest double, cast to float32, which warned
+    # and let an infinite condition target through
     with pytest.raises(ValueError, match=field):
         make()
+
+
+@pytest.mark.parametrize("make, expected", [
+    (lambda: Tolerance(identity_abs=np.float32(1e-10)).identity_abs, float(np.float32(1e-10))),
+    (lambda: Tolerance(tightness_rel=np.float32(1e-8)).tightness_rel, float(np.float32(1e-8))),
+    (lambda: GeneratorSpec("ill_conditioned", 4, 6, 0,
+                           condition_target=np.float32(1e4)).condition_target, 1e4),
+    (lambda: FrameSequence.truncated([[1, 0]], tail_energy=np.float32(0.5))[1], 0.5),
+    (lambda: FrameSequence.truncated([[1, 0]], tail_energy=np.int64(1))[1], 1.0),
+], ids=["identity_abs", "tightness_rel", "condition_target", "tail_energy-float32",
+        "tail_energy-int64"])
+def test_a_numpy_scalar_is_kept_as_its_python_float(make, expected):
+    # one check reads every real scalar from outside, through float(), which
+    # never warns; a numpy scalar was refused, or warned under -W error
+    value = make()
+    assert type(value) is float and value == expected
+
+
+def test_float32_tolerances_give_python_bool_verdicts():
+    tol = Tolerance(identity_abs=np.float32(1e-10), tightness_rel=np.float32(1e-8))
+    bounds = frame_bounds(generate(GeneratorSpec("tight", 4, 6, 0)), tol)
+    assert type(bounds.tight) is bool and type(bounds.parseval) is bool
+    assert bounds.tight
 
 
 @pytest.mark.parametrize("exponent", [-1000, -700, -520, -500, -40, 0, 40, 500, 511, 520, 1000])

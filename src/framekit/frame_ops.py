@@ -18,12 +18,12 @@ the tag it was formed under, a read whose tag matches returns it, and any
 other read forms the value afresh and keeps it in the slot's place. The
 slots hold T's factors (which give P, Q, T+ and the canonical dual (T+)*),
 S = T T* and S's factors, and G's, each untruncated, one rank cut of each
-by rank_rel, T's certificate, the gate's self-check deviations and one
-canonical dual by T's kept rank. T's factorization is certified once per
-frame: its certificate says how far the factors are from an SVD of T, and
-every call that reads them, the bounds and the classification among them,
-first holds those deviations against its own tolerance, else
-NumericalError. Each result is then gated on the routes it reads: T's
+by rank_rel, T's certificate, the gate's self-check deviations, one summary
+of each gate by rank_rel, the bounds and one canonical dual by T's kept
+rank. T's factorization is certified once per frame: its certificate
+says how far the factors are from an SVD of T, and every call that reads
+them, the bounds and the classification among them, first holds those
+deviations against its own tolerance, else NumericalError. Each result is then gated on the routes it reads: T's
 factorization must agree with S's or G's, or with both for the whole
 bundle, in rank and in each self-check, else NumericalError. The gate
 checks S and G on their factors in T's coordinates, so it forms no dense P,
@@ -118,12 +118,21 @@ class FrameSequence:
                           square core (see _g_svd)
         route name        the route's rank cut (see _cut)      rank_rel     none: views
         (check, r, r)     a gate self-check's deviation        -            one float
+        route set         a gate's summary: the routes' cuts,  rank_rel     views, as
+                          each (check, deviation) pair, T's                 above; c + 1
+                          certificate rows among them, and                  floats for c
+                          their worst (see _FrameAnalysis.gate)             checks
+        "bounds"          the frame bounds                     rank_rel,    two floats,
+                                                               tightness_rel  two flags
         "dual"            the canonical dual                   T's rank     16 n m
 
-    So a tall frame (n > m) keeps an S larger than T. Every call holds the
-    certificate and the deviations against its own tol.identity_abs (see
-    _FrameAnalysis). The kept dual forms its own factors from T's only when
-    they are read, after which it holds none of T's (see _from_matrix).
+    A route set is the tuple of route names a gate reads, such as
+    ("synthesis", "frame operator"); the three a gate can read hold 6, 5
+    and 8 checks. So a tall frame (n > m) keeps an S larger than T. Every
+    call holds the certificate and the deviations against its own
+    tol.identity_abs (see _FrameAnalysis). The kept dual forms its own
+    factors from T's only when they are read, after which it holds none of
+    T's (see _from_matrix).
     """
 
     ambient_dim: int
@@ -445,12 +454,12 @@ _OPERATORS = {
     "G": lambda a: a["U"] @ a["T"],
     "P": lambda a: _projector(a.f_t.left_vectors),
     "Q": lambda a: _projector(a.f_t.right_vectors),
-    "T+": lambda a: _pinv_from_factors(a.f_t),
+    "T+": lambda a: _pinv_from_factors(a.f_t, "T+"),
     # U = T* factors as T does, with the sides swapped
     "U+": lambda a: _pinv_from_factors(SvdFactors(a.f_t.right_vectors, a.f_t.singular_values,
-                                                  a.f_t.left_vectors, a.f_t.rank)),
-    "S+": lambda a: _pinv_from_factors(a.f_s),
-    "G+": lambda a: _pinv_from_factors(a.f_g),
+                                                  a.f_t.left_vectors, a.f_t.rank), "U+"),
+    "S+": lambda a: _pinv_from_factors(a.f_s, "S+"),
+    "G+": lambda a: _pinv_from_factors(a.f_g, "G+"),
     "T+*": lambda a: adjoint(a["T+"]),
     "I-P": lambda a: np.eye(a.frame.ambient_dim) - a["P"],
     "I-Q": lambda a: np.eye(a.frame.size) - a["Q"],
@@ -625,6 +634,20 @@ class _FrameAnalysis:
     identity_abs. A check that raises keeps nothing, so it raises again on
     every call.
 
+    A gate whose checks have all held under a rank_rel, T's certificate
+    among them, leaves its summary on the frame, tagged with that rank_rel
+    (see gate): the routes' cuts, each (check, deviation) pair in walk
+    order and their worst. So on a warm call, a call on a frame whose gate
+    has held under the call's rank_rel, the gate compares one kept number,
+    the worst deviation, with the call's identity_abs, and on success sets
+    the cuts as the analysis's f_t, f_s or f_g: it reads no certificate row,
+    no rank and no single deviation. Where the worst exceeds identity_abs,
+    it holds the kept deviations in walk order, so it raises the
+    NumericalError a fresh frame's walk raises, naming the same first
+    failing check. The bounds read T's cut and tightness_rel alone, so the
+    frame keeps them by both; each call still holds T's certificate
+    against its own identity_abs before it reads them.
+
     Operators are read by the paper's names, a["S+"] (see _OPERATORS); a
     name "~X" reads X from the analysis of the canonical dual, `dual`.
     Everything derived is computed at most once and kept in one dict: the
@@ -695,20 +718,38 @@ class _FrameAnalysis:
     def spectral_norm(self, name: str) -> float:
         """Spectral norm of T, S, G (sigma_1) or T+, S+, G+ (1 / sigma_r), read off
         the route's own factors; 0 for a rank-0 route. 1 / sigma_r raises
-        NumericalError where it overflows, as the pseudoinverse would."""
+        NumericalError naming the pseudoinverse where it overflows, as the
+        pseudoinverse would."""
         factors = getattr(self, _FACTORED[name.rstrip("+")])
         if factors.rank == 0:
             return 0.0
         if name.endswith("+"):
-            return _reciprocal_sigma_r(factors)
+            return _reciprocal_sigma_r(factors, name)
         return float(factors.singular_values[0])
 
     def gate(self, *routes: str) -> None:
-        """Raise NumericalError unless the routes agree in rank and in each
-        self-check on them. Each deviation is taken once per frame and
-        ranks, and held against this call's identity_abs (see the class)."""
-        r = self.f_t.rank
-        ranks = [getattr(self, _ROUTES[name]).rank for name in routes]
+        """Raise NumericalError unless T's certificate holds and the routes
+        agree in rank and in each self-check on them, each deviation held
+        against this call's identity_abs. A warm call compares the kept
+        worst deviation alone, and walks the kept deviations in order only
+        where it fails (see the class)."""
+        cuts, checks, worst = self.frame._keep(routes, partial(self._walk, routes),
+                                               self.tol.rank_rel)
+        if not worst <= self.tol.identity_abs:
+            for name, dev in checks:
+                self._require(name, dev)
+        vars(self).update(cuts)
+
+    def _walk(self, routes: tuple) -> tuple:
+        """The gate's checks in order: T's certificate (read with f_t), the
+        routes' agreement in rank, then each self-check, its deviation taken
+        once per frame and ranks (see the class). Returns the gate summary
+        once all have held: the cuts by attribute, the (check, deviation)
+        pairs, certificate rows first, and the worst of them."""
+        # T's cut first, read once its certificate holds
+        cuts = {_ROUTES[name]: getattr(self, _ROUTES[name]) for name in routes}
+        ranks = [cut.rank for cut in cuts.values()]
+        r = ranks[0]
         if ranks.count(r) != len(ranks):
             detail = ", ".join(f"{name} rank {rank}" for name, rank in zip(routes, ranks))
             raise NumericalError(
@@ -716,9 +757,14 @@ class _FrameAnalysis:
                 "T's singular values and resolve no sigma_r/sigma_1 below their resolution limit "
                 f"sqrt(10 max(n, m) eps) = {math.sqrt(_gram_floor(max(self['T'].shape))):.3e}"
             )
+        certificate = self.frame._certificate
+        checks, worst = list(zip(_CERTIFICATE, certificate)), max(certificate)
         for name in _GATE_CHECKS[routes]:  # the routes agree in rank r
             dev = self.frame._keep((name, r, r), lambda: _SELF_CHECKS[name][1](self))
             self._require(name, dev)
+            checks.append((name, dev))
+            worst = max(worst, dev)
+        return cuts, tuple(checks), worst
 
     def _require(self, name: str, dev: float) -> None:
         """Raise NumericalError naming a self-check whose deviation exceeds identity_abs."""
@@ -747,9 +793,12 @@ class _FrameAnalysis:
 
     @_per_call
     def bounds(self) -> FrameBounds:
-        if self.f_t.rank == 0:
+        f_t = self.f_t
+        if f_t.rank == 0:
             raise DegenerateSpanError("all vectors are numerically zero; bounds are undefined")
-        return _bounds_from_factors(self.f_t, self.tol)
+        # they read T's cut and tightness_rel alone, so the frame keeps them by both
+        return self.frame._keep("bounds", lambda: _bounds_from_factors(f_t, self.tol),
+                                (self.tol.rank_rel, self.tol.tightness_rel))
 
     @_per_call
     def classification(self) -> FrameClassification:

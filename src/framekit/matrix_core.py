@@ -124,15 +124,25 @@ def _matrix_view(values) -> np.ndarray:
 
 def as_vector(values, length: int | None = None, name: str = "vector") -> np.ndarray:
     """Coerce to a read-only 1-D complex128 array of the given length."""
+    v, _ = _vector_peak(values, length, name)
+    v.setflags(write=False)
+    return v
+
+
+def _vector_peak(values, length: int | None, name: str) -> tuple:
+    """as_vector's fresh array, still writable, and its largest real or
+    imaginary part in modulus: one reduction that is both the finiteness
+    check (an inf part makes it inf, a NaN part NaN) and the scale a caller
+    reads, so nothing scans the vector twice. ValueError as as_vector."""
     v = _complex_array(values, name, copy=True)
     if v.ndim != 1:
         raise ValueError(f"{name} must be 1-D, got an array of dimension {v.ndim}")
     if length is not None and v.shape[0] != length:
         raise ValueError(f"{name} has length {v.shape[0]}, expected {length}")
-    if not (np.isfinite(v.real).all() and np.isfinite(v.imag).all()):
+    peak = float(np.abs(v.view(np.float64)).max(initial=0.0))
+    if not peak < math.inf:
         raise ValueError(f"{name} entries must be finite")
-    v.setflags(write=False)
-    return v
+    return v, peak
 
 
 @dataclass(frozen=True, eq=False)
@@ -192,34 +202,38 @@ def _truncated(full: SvdFactors, tol: Tolerance, gram_dim: int | None = None) ->
                       right_vectors=full.right_vectors[:, :rank], rank=rank)
 
 
-def _reciprocal_sigma_r(factors: SvdFactors) -> float:
-    """1 / sigma_r for the smallest kept singular value of factors of rank >= 1.
+def _reciprocal_sigma_r(factors: SvdFactors, name: str) -> float:
+    """1 / sigma_r for the smallest kept singular value of factors of rank >= 1,
+    the factors of the operator whose pseudoinverse is name ("T+", "U+", "S+"
+    or "G+"; S's and G's singular values are their eigenvalues lambda).
 
-    Raises NumericalError when that reciprocal overflows, which is when a
-    pseudoinverse assembled from the factors would leave the double range.
+    Raises NumericalError naming that pseudoinverse when the reciprocal
+    overflows, which is when the pseudoinverse would leave the double range.
     """
     sigma_r = float(factors.singular_values[-1])
     if not (sigma_r > 0.0 and 1.0 / sigma_r < math.inf):
+        value = "sigma_r" if name in ("T+", "U+") else "lambda_r"
         raise NumericalError(
-            f"the pseudoinverse leaves the double range: 1/sigma_r overflows "
-            f"for sigma_r {sigma_r:.3e}"
+            f"the pseudoinverse {name} leaves the double range: 1/{value} overflows "
+            f"for {value} {sigma_r:.3e}"
         )
     return 1.0 / sigma_r
 
 
-def _pinv_from_factors(factors: SvdFactors) -> np.ndarray:
-    """Assemble the Moore-Penrose pseudoinverse from SVD factors.
+def _pinv_from_factors(factors: SvdFactors, name: str) -> np.ndarray:
+    """Assemble the Moore-Penrose pseudoinverse name from SVD factors.
 
     Every entry of the result is at most 1 / sigma_r in modulus, so when
     that reciprocal is finite the result stays in the double range; when it
-    is not, NumericalError is raised before anything is divided.
+    is not, NumericalError names the pseudoinverse (see _reciprocal_sigma_r)
+    before anything is divided.
     """
     rows = factors.left_vectors.shape[0]
     cols = factors.right_vectors.shape[0]
     if factors.rank == 0:
         out = np.zeros((cols, rows), dtype=np.complex128)
     else:
-        _reciprocal_sigma_r(factors)
+        _reciprocal_sigma_r(factors, name)
         scaled = factors.right_vectors / factors.singular_values[np.newaxis, :]
         out = scaled @ factors.left_vectors.conj().T
     out.setflags(write=False)
@@ -256,6 +270,12 @@ def _plain_norm(x: np.ndarray) -> float:
     return float(np.linalg.norm(x))
 
 
+@np.errstate(over="ignore", under="ignore")
+def _plain_norms(arrays) -> list:
+    """_plain_norm of each array, under one errstate for them all."""
+    return [float(np.linalg.norm(x)) for x in arrays]
+
+
 def _norm(x, factor: float = 1.0) -> float:
     """factor * |x|: the 2-norm of a vector or the Frobenius norm of a matrix,
     inf beyond the double range or for an inf entry, NaN for a NaN entry.
@@ -282,7 +302,20 @@ def _norm(x, factor: float = 1.0) -> float:
     x = np.asarray(x)
     if x.dtype == object:  # as in max_abs
         x = _complex_array(x, "factor")
-    plain = _plain_norm(x)
+    return _from_plain(x, _plain_norm(x), factor)
+
+
+def _norms(*terms) -> list:
+    """_norm(x, factor) for each factor of each term (x, factor, ...), flat and
+    in order, each with _norm's bits: the plain |x| is taken once per term and
+    np.errstate entered once per call. Each x is a numeric array."""
+    plains = _plain_norms([term[0] for term in terms])
+    return [_from_plain(x, plain, factor)
+            for (x, *factors), plain in zip(terms, plains) for factor in factors]
+
+
+def _from_plain(x: np.ndarray, plain: float, factor: float) -> float:
+    """_norm(x, factor) given plain = np.linalg.norm(x) (see _norm)."""
     if 2.0**-400 <= plain <= 2.0**400 and 2.0**-600 <= factor <= 2.0**600:
         return factor * plain
     parts = np.ascontiguousarray(x).view(x.real.dtype) if np.iscomplexobj(x) else x

@@ -12,11 +12,18 @@ coordinates (so T+ f = (S+ T)* f and (T+)* c = S+ T c), or the projection
 Q c = V (V* c) through the same V, gated on the smaller of T's two squares
 (see project_coefficients). The gate reads the factors of T, S and G and
 the self-check deviations that the frame keeps, held against the call's own
-tolerance, so a call on a frame already seen factors nothing. It then
-checks its defining identity on its own input, by
-the gate's rule (frame_ops._deviation): a residual beyond identity_abs,
-scaled by the norms that enter it (matrix_core._norm), or NaN, raises
-NumericalError. T+ f is applied as V (Sigma^-1 (W* f)) and (T+)* c as
+tolerance, so a call on a frame already seen factors nothing. On a warm
+call, one on a frame whose gate has held under the call's rank_rel, the
+gate compares one kept number, the worst of its deviations (T's
+certificate rows among them), with identity_abs and reads the kept rank
+cuts; where that worst exceeds identity_abs, it raises what a fresh
+frame's gate raises (see frame_ops._FrameAnalysis). The call then checks
+its defining identity on its own input, by the gate's rule
+(frame_ops._deviation): a residual beyond identity_abs, scaled by the
+norms that enter it, or NaN, raises NumericalError. Each norm is taken
+once, all of a call's under one np.errstate (matrix_core._norms), and
+the input's largest part in modulus is read once, both as its finiteness
+check and as its scale. T+ f is applied as V (Sigma^-1 (W* f)) and (T+)* c as
 W (Sigma^-1 (V* c)), so the m x n T+ is never formed, and the projectors
 share the first product: P f = W (W* f) and Q c = V (V* c), never n x n or
 m x m matrices. W* f and V* c are applied as (f* W)* and (c* V)*, which
@@ -57,7 +64,7 @@ import numpy as np
 
 from .errors import DegenerateSpanError, NumericalError
 from .frame_ops import FrameSequence, _deviation, _FrameAnalysis
-from .matrix_core import Tolerance, _norm, as_vector
+from .matrix_core import Tolerance, _norms, _vector_peak
 
 __all__ = [
     "MinNormSolution",
@@ -92,14 +99,14 @@ class MinNormSolution:
 
 
 def _check(a: _FrameAnalysis, what: str, lhs: np.ndarray, rhs: np.ndarray,
-           v: np.ndarray, x: np.ndarray | None = None) -> None:
+           scale: float) -> None:
     """Refuse unless lhs = rhs within identity_abs, the residual scaled by
-    |v| + |T| |x| for an identity whose sides carry v and, when x is given, T or
-    U applied to x: rounding grows with the norms that enter the identity. The
-    operands come from a unit input (see the module docstring), so the scale
-    is finite, and the max(1, scale) floor of _deviation sees the frame's
-    scale, not the input's."""
-    scale = _norm(v) + (0.0 if x is None else _norm(x, a.spectral_norm("T")))
+    scale = |v| + |T| |x| for an identity whose sides carry v and T or U
+    applied to x (|v| alone where they carry no such x), taken by the caller
+    with matrix_core._norms: rounding grows with the norms that enter the
+    identity. The operands come from a unit input (see the module
+    docstring), so the scale is finite, and the max(1, scale) floor of
+    _deviation sees the frame's scale, not the input's."""
     dev = _deviation(lhs, rhs, [scale])
     if not dev <= a.tol.identity_abs:
         raise NumericalError(
@@ -149,20 +156,20 @@ def _scaled_back(what: str, values: np.ndarray, k: int) -> np.ndarray:
     return out.view(values.dtype)
 
 
-def _solution(what: str, solution: np.ndarray, inside: np.ndarray, leftover: np.ndarray,
+def _solution(what: str, solution: np.ndarray, inside: float, leftover: float,
               e: int) -> MinNormSolution:
-    """The solution `what` of the unit input, with |leftover| as residual and the
-    squared norms of inside and leftover as the split, scaled back by 2^e (2^2e
-    for the split). The solution and residual are refused as _scaled_back
-    refuses, the residual scaled as a scalar, with the same messages. A split
+    """The solution `what` of the unit input, with the norm leftover of what
+    the input leaves outside as residual and the squares of the norms inside
+    and leftover as the split, scaled back by 2^e (2^2e for the split). The
+    solution and residual are refused as _scaled_back refuses, the residual
+    scaled as a scalar, with the same messages. A split
     component is refused where its square leaves the double range, and is
     rounded where it falls below the normal range: the squares of any input
     below about 2^-511 do, although the solution and residual are exact there.
     The residual cannot overflow unless the split does."""
     solution = _scaled_back(f"the {what}", solution, e)
-    norms = _norm(inside), _norm(leftover)
     split = []
-    for name, norm in zip(("inside", "leftover"), norms):
+    for name, norm in zip(("inside", "leftover"), (inside, leftover)):
         try:  # ldexp rounds a square below the normal range
             square = math.ldexp(norm * norm, 2 * e)
         except OverflowError:
@@ -172,13 +179,13 @@ def _solution(what: str, solution: np.ndarray, inside: np.ndarray, leftover: np.
                                  "squares beyond the double range")
         split.append(square)
     try:
-        residual = math.ldexp(norms[1], e)
+        residual = math.ldexp(leftover, e)
     except OverflowError:
         residual = math.inf
     if not residual < math.inf:
         raise NumericalError("residual_norm leaves the double range: an entry overflows")
-    if e < 0 and math.ldexp(residual, -e) != norms[1]:  # as in _scaled_back
-        raise NumericalError(f"residual_norm underflows: {norms[1]:.3e} * 2^{e} "
+    if e < 0 and math.ldexp(residual, -e) != leftover:  # as in _scaled_back
+        raise NumericalError(f"residual_norm underflows: {leftover:.3e} * 2^{e} "
                              "lies below the normal range and loses bits")
     return MinNormSolution(solution=solution, residual_norm=residual, norm_split=tuple(split))
 
@@ -196,9 +203,9 @@ def _gated(frame: FrameSequence, tol: Tolerance | None, route: str, values, leng
             "all vectors are numerically zero; reconstruction against a degenerate "
             "sequence is undefined"
         )
-    parts = as_vector(values, length, name=name).view(np.float64)
-    e = math.frexp(float(np.max(np.abs(parts))))[1]
-    return a, np.ldexp(parts, -e).view(np.complex128), e
+    x, peak = _vector_peak(values, length, name)
+    e = math.frexp(peak)[1]
+    return a, np.ldexp(x.view(np.float64), -e).view(np.complex128), e
 
 
 def min_norm_coefficients(frame: FrameSequence, signal,
@@ -214,9 +221,11 @@ def min_norm_coefficients(frame: FrameSequence, signal,
     """
     a, f, e = _gated(frame, tol, "frame operator", signal, frame.ambient_dim, "signal")
     c0, projected = _pinv_applied(a, f)
-    _check(a, "T c0 = P f", a["T"] @ c0, projected, f, c0)
-    _check(a, "Q c0 = c0", _range_part(a.f_t.right_vectors, c0), c0, c0)
-    return _solution("minimum-norm solution T+ f", c0, projected, f - projected, e)
+    norm_f, norm_tc0, norm_c0, inside, leftover = _norms(
+        (f, 1.0), (c0, a.spectral_norm("T"), 1.0), (projected, 1.0), (f - projected, 1.0))
+    _check(a, "T c0 = P f", a["T"] @ c0, projected, norm_f + norm_tc0)
+    _check(a, "Q c0 = c0", _range_part(a.f_t.right_vectors, c0), c0, norm_c0)
+    return _solution("minimum-norm solution T+ f", c0, inside, leftover, e)
 
 
 def min_norm_preimage(frame: FrameSequence, coefficients,
@@ -231,9 +240,11 @@ def min_norm_preimage(frame: FrameSequence, coefficients,
     """
     a, c, e = _gated(frame, tol, "frame operator", coefficients, frame.size, "coefficients")
     f0, q_part = _pinv_applied(a, c, adjoint=True)
+    norm_c, norm_tf0, inside, leftover = _norms(
+        (c, 1.0), (f0, a.spectral_norm("T")), (q_part, 1.0), (c - q_part, 1.0))
     # U f0 = (f0* T)*, so no m x n U is formed
-    _check(a, "U f0 = Q c", (f0.conj() @ a["T"]).conj(), q_part, c, f0)
-    return _solution("minimum-norm solution (T+)* c", f0, q_part, c - q_part, e)
+    _check(a, "U f0 = Q c", (f0.conj() @ a["T"]).conj(), q_part, norm_c + norm_tf0)
+    return _solution("minimum-norm solution (T+)* c", f0, inside, leftover, e)
 
 
 def project_signal(frame: FrameSequence, signal,
@@ -248,7 +259,8 @@ def project_signal(frame: FrameSequence, signal,
     a, f, e = _gated(frame, tol, "frame operator", signal, frame.ambient_dim, "signal")
     coefficients, projected = _pinv_applied(a, f)
     series = a["T"] @ coefficients
-    _check(a, "series equals P f", series, projected, f, coefficients)
+    norm_f, norm_tc = _norms((f, 1.0), (coefficients, a.spectral_norm("T")))
+    _check(a, "series equals P f", series, projected, norm_f + norm_tc)
     return _scaled_back("the signal series T (T+ f)", series, e)
 
 
@@ -269,5 +281,6 @@ def project_coefficients(frame: FrameSequence, coefficients,
     route = "frame operator" if frame.ambient_dim <= frame.size else "gram"
     a, c, e = _gated(frame, tol, route, coefficients, frame.size, "coefficients")
     series = _range_part(a.f_t.right_vectors, c)
-    _check(a, "T Q c = T c", a["T"] @ series, a["T"] @ c, c, c)
+    norm_c, norm_tc = _norms((c, 1.0, a.spectral_norm("T")))
+    _check(a, "T Q c = T c", a["T"] @ series, a["T"] @ c, norm_c + norm_tc)
     return _scaled_back("the coefficient series Q c", series, e)

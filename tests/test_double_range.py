@@ -7,8 +7,8 @@ themselves stay representable. Either way the caller gets NumericalError
 (exit 1 from the CLI) naming sigma_max and sigma_min; a subnormal lower
 bound, which has lost bits, is refused the same way, so a tight frame's
 P/A and Q/A stay finite. A pseudoinverse whose largest entry 1/sigma_r
-would overflow raises NumericalError naming sigma_r before anything is
-divided. A frame operator S or gram core R1 R1* whose entries overflow
+would overflow raises NumericalError naming the pseudoinverse and sigma_r
+(lambda_r for S+ and G+) before anything is divided. A frame operator S or gram core R1 R1* whose entries overflow
 raises NumericalError naming it, without an overflow warning. The restricted
 frame operator W*SW = diag(sigma^2) and its inverse are refused with the
 bounds.
@@ -63,6 +63,7 @@ from framekit import (
 from framekit import reconstruct
 from framekit.cli import EXIT_VERIFICATION_FAILED, main
 from framekit.frame_ops import _FrameAnalysis
+from framekit.matrix_core import _norm
 from framekit.reconstruct import _check
 
 SCALES = [2.0**-700, 2.0**560]
@@ -90,22 +91,44 @@ def test_pinv_of_a_subnormal_matrix_raises():
             pinv([[1e-310]])
 
 
-SIGMA_R_OVERFLOWS = "leaves the double range: 1/sigma_r overflows"
+# T's sigma_r is 1e-160, and its T+ finite; S's lambda_r is 1e-320, G's too
+# on the transpose, so the refusal names S+ or G+ and lambda_r
+SUBNORMAL_SQUARE = [[1e-160, 0.0, 1e-160], [0.0, 1e-160, 2e-160]]
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: pinv([[1e-310]]), "T+ leaves the double range: 1/sigma_r overflows for sigma_r 1.000e-310"),
+    (lambda: pinv(SUBNORMAL_SQUARE), "S+ leaves the double range: 1/lambda_r overflows "
+                                     "for lambda_r 1.000e-320"),
+    (lambda: build_bundle(FrameSequence._from_matrix(np.array(SUBNORMAL_SQUARE))),
+     "S+ leaves the double range: 1/lambda_r overflows for lambda_r 1.000e-320"),
+    (lambda: pinv(np.transpose(SUBNORMAL_SQUARE)), "G+ leaves the double range: 1/lambda_r "
+                                                   "overflows for lambda_r 1.000e-320"),
+], ids=["T+", "S+", "S+_bundle", "G+"])
+def test_an_overflowing_pseudoinverse_is_named(call, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError) as info:
+            call()
+    assert str(info.value) == "the pseudoinverse " + message
+
+
+S_PLUS_OVERFLOWS = r"the pseudoinverse S\+ leaves the double range: 1/lambda_r overflows"
 SUBNORMAL_BOUND = r"the frame bounds leave the double range: .* and \d\.\d{3}e-3\d\d$"
 
 
 @pytest.mark.parametrize("exponent", [515, 520, 525, 530, 535])
 @pytest.mark.parametrize("entry, message", [
-    (build_bundle, SIGMA_R_OVERFLOWS),
-    (canonical_dual, SIGMA_R_OVERFLOWS),
+    (build_bundle, S_PLUS_OVERFLOWS),
+    (canonical_dual, S_PLUS_OVERFLOWS),
     (pseudo_frame_operator, SUBNORMAL_BOUND),
     (pseudo_gram, SUBNORMAL_BOUND),
-    (lambda frame: project_coefficients(frame, np.ones(frame.size)), SIGMA_R_OVERFLOWS),
+    (lambda frame: project_coefficients(frame, np.ones(frame.size)), S_PLUS_OVERFLOWS),
 ], ids=["build_bundle", "canonical_dual", "pseudo_frame_operator", "pseudo_gram",
         "project_coefficients"])
 def test_pseudoinverse_outside_the_double_range_raises(entry, message, exponent):
     # T's singular values are near 2^-exponent, so those of S and G square
-    # to about 2^-1040 or less, and 1/sigma_r overflows; the pseudo_* calls
+    # to about 2^-1040 or less, and S's 1/lambda_r overflows; the pseudo_* calls
     # first ask whether the frame is tight, and its lower bound A = sigma_r^2
     # is subnormal, so the bounds refuse
     frame = scaled_frame(2.0**-exponent)
@@ -203,10 +226,10 @@ def test_reconstruction_ceiling_is_finite_for_huge_entries():
     # inf and every result check vacuous
     analysis = _FrameAnalysis(generate(GeneratorSpec("gaussian", 4, 6, 0)))
     v = np.full(4, 1e200)
-    _check(analysis, "huge", v + 2e189, v, v)  # deviates by 1e-11
+    _check(analysis, "huge", v + 2e189, v, _norm(v))  # deviates by 1e-11
     with pytest.raises(NumericalError,
                        match=re.escape("'huge' deviates by 1.000e-09, beyond 1.000e-10")):
-        _check(analysis, "huge", v + 2e191, v, v)
+        _check(analysis, "huge", v + 2e191, v, _norm(v))
 
 
 def test_reconstruction_check_refuses_when_its_scale_passes_the_double_range(monkeypatch):

@@ -32,7 +32,7 @@ def analysis_pinv(b, tol):
     # U = T* factors as T does with the two sides swapped
     f = svd(b.synthesis, tol)
     return _pinv_from_factors(SvdFactors(f.right_vectors, f.singular_values,
-                                         f.left_vectors, f.rank))
+                                         f.left_vectors, f.rank), "U+")
 
 
 def direct(frame, tol):

@@ -31,7 +31,7 @@ from framekit import (
     range_projector,
     svd,
 )
-from framekit.matrix_core import _norm, _pinv_from_factors
+from framekit.matrix_core import _norm, _norms, _pinv_from_factors
 
 
 def complex_gaussian(rng, rows, cols):
@@ -218,7 +218,7 @@ def test_svd_outputs_are_read_only():
 def test_pinv_from_factors_matches_pinv():
     rng = np.random.default_rng(12)
     m = complex_gaussian(rng, 5, 3)
-    assert np.array_equal(_pinv_from_factors(svd(m)), pinv(m))
+    assert np.array_equal(_pinv_from_factors(svd(m), "T+"), pinv(m))
 
 
 def test_rank_cutoff_respects_rank_rel():
@@ -406,12 +406,16 @@ def test_norm_one_pass_keeps_the_bits_of_the_scaled_route():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for x in norm_cases(rng):
-            for factor in (1e-300, 1.0, 1e300):
+            factors = (1e-300, 1.0, 1e300)
+            # the batched form takes |x| once for all three factors, with their bits
+            batched = _norms((x, *factors), (x[::-1], 1.0))
+            for factor, together in zip(factors, batched):
                 got, expected = _norm(x, factor), scaled_norm(x, factor)
-                assert got.hex() == expected.hex(), (x, factor)
-                with np.errstate(over="ignore", under="ignore"):
-                    plain = float(np.linalg.norm(x))
-                one_pass += 2.0**-400 <= plain <= 2.0**400 and factor == 1.0
+                assert got.hex() == expected.hex() == together.hex(), (x, factor)
+            assert batched[-1].hex() == _norm(x[::-1]).hex()
+            with np.errstate(over="ignore", under="ignore"):
+                plain = float(np.linalg.norm(x))
+            one_pass += 2.0**-400 <= plain <= 2.0**400
     assert one_pass > 500  # the cases reach the one-pass route, not only the scaled one
 
 

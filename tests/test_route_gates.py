@@ -124,11 +124,13 @@ def test_routes_past_the_resolution_limit_refuse_and_name_it(name):
 
 
 def test_canonical_dual_of_an_underflowing_frame_raises_numerical_error():
-    # S = T T* lands among the subnormals, and S+ would overflow
+    # S = T T* lands among the subnormals, and S+ would overflow: the
+    # refusal names S+ and its lambda_r, not T's finite sigma_r
     t = generate(GeneratorSpec("gaussian", 4, 6, 0)).synthesis_matrix() * 2.0**-530
     frame = FrameSequence.from_vectors(list(t.T))
     with np.errstate(all="ignore"):
-        with pytest.raises(NumericalError, match="1/sigma_r overflows for sigma_r"):
+        with pytest.raises(NumericalError, match=r"pseudoinverse S\+ .* 1/lambda_r overflows "
+                                                 "for lambda_r"):
             canonical_dual(frame)
 
 

@@ -118,21 +118,20 @@ class FrameSequence:
                           square core (see _g_svd)
         route name        the route's rank cut (see _cut)      rank_rel     none: views
         (check, r, r)     a gate self-check's deviation        -            one float
-        route set         a gate's summary: the routes' cuts,  rank_rel     views, as
-                          each (check, deviation) pair, T's                 above; c + 1
-                          certificate rows among them, and                  floats for c
-                          their worst (see _FrameAnalysis.gate)             checks
+        route set         a gate's summary: the routes' cuts   rank_rel     views, as
+                          and their worst deviation, T's                    above, and
+                          certificate rows among them (see                  one float
+                          _FrameAnalysis.gate)
         "bounds"          the frame bounds                     rank_rel,    two floats,
                                                                tightness_rel  two flags
         "dual"            the canonical dual                   T's rank     16 n m
 
     A route set is the tuple of route names a gate reads, such as
-    ("synthesis", "frame operator"); the three a gate can read hold 6, 5
-    and 8 checks. So a tall frame (n > m) keeps an S larger than T. Every
-    call holds the certificate and the deviations against its own
-    tol.identity_abs (see _FrameAnalysis). The kept dual forms its own
-    factors from T's only when they are read, after which it holds none of
-    T's (see _from_matrix).
+    ("synthesis", "frame operator"). So a tall frame (n > m) keeps an S
+    larger than T. Every call holds the certificate and the deviations
+    against its own tol.identity_abs (see _FrameAnalysis). The kept dual
+    forms its own factors from T's only when they are read, after which it
+    holds none of T's (see _from_matrix).
     """
 
     ambient_dim: int
@@ -636,17 +635,18 @@ class _FrameAnalysis:
 
     A gate whose checks have all held under a rank_rel, T's certificate
     among them, leaves its summary on the frame, tagged with that rank_rel
-    (see gate): the routes' cuts, each (check, deviation) pair in walk
-    order and their worst. So on a warm call, a call on a frame whose gate
-    has held under the call's rank_rel, the gate compares one kept number,
-    the worst deviation, with the call's identity_abs, and on success sets
-    the cuts as the analysis's f_t, f_s or f_g: it reads no certificate row,
-    no rank and no single deviation. Where the worst exceeds identity_abs,
-    it holds the kept deviations in walk order, so it raises the
-    NumericalError a fresh frame's walk raises, naming the same first
-    failing check. The bounds read T's cut and tightness_rel alone, so the
-    frame keeps them by both; each call still holds T's certificate
-    against its own identity_abs before it reads them.
+    (see gate): the routes' cuts and their worst deviation. So on a warm
+    call, a call on a frame whose gate has held under the call's rank_rel,
+    the gate compares one kept number, the worst deviation, with the call's
+    identity_abs, and on success sets the cuts as the analysis's f_t, f_s or
+    f_g: it reads no certificate row, no rank and no single deviation.
+    Where the worst exceeds identity_abs, it walks the checks again; they
+    read only the kept certificate, cuts and deviations, so the walk forms
+    nothing and raises the NumericalError a fresh frame's walk raises,
+    naming the same first failing check. The bounds read T's cut and
+    tightness_rel alone, so the frame keeps them by both; each call still
+    holds T's certificate against its own identity_abs before it reads
+    them.
 
     Operators are read by the paper's names, a["S+"] (see _OPERATORS); a
     name "~X" reads X from the analysis of the canonical dual, `dual`.
@@ -731,21 +731,18 @@ class _FrameAnalysis:
         """Raise NumericalError unless T's certificate holds and the routes
         agree in rank and in each self-check on them, each deviation held
         against this call's identity_abs. A warm call compares the kept
-        worst deviation alone, and walks the kept deviations in order only
-        where it fails (see the class)."""
-        cuts, checks, worst = self.frame._keep(routes, partial(self._walk, routes),
-                                               self.tol.rank_rel)
+        worst deviation alone, and walks the checks again only where it
+        fails (see the class)."""
+        cuts, worst = self.frame._keep(routes, partial(self._walk, routes), self.tol.rank_rel)
         if not worst <= self.tol.identity_abs:
-            for name, dev in checks:
-                self._require(name, dev)
+            self._walk(routes)  # reads only kept values, and raises the first failing check
         vars(self).update(cuts)
 
     def _walk(self, routes: tuple) -> tuple:
         """The gate's checks in order: T's certificate (read with f_t), the
         routes' agreement in rank, then each self-check, its deviation taken
         once per frame and ranks (see the class). Returns the gate summary
-        once all have held: the cuts by attribute, the (check, deviation)
-        pairs, certificate rows first, and the worst of them."""
+        once all have held: the cuts by attribute and the worst deviation."""
         # T's cut first, read once its certificate holds
         cuts = {_ROUTES[name]: getattr(self, _ROUTES[name]) for name in routes}
         ranks = [cut.rank for cut in cuts.values()]
@@ -757,14 +754,12 @@ class _FrameAnalysis:
                 "T's singular values and resolve no sigma_r/sigma_1 below their resolution limit "
                 f"sqrt(10 max(n, m) eps) = {math.sqrt(_gram_floor(max(self['T'].shape))):.3e}"
             )
-        certificate = self.frame._certificate
-        checks, worst = list(zip(_CERTIFICATE, certificate)), max(certificate)
+        worst = max(self.frame._certificate)
         for name in _GATE_CHECKS[routes]:  # the routes agree in rank r
             dev = self.frame._keep((name, r, r), lambda: _SELF_CHECKS[name][1](self))
             self._require(name, dev)
-            checks.append((name, dev))
             worst = max(worst, dev)
-        return cuts, tuple(checks), worst
+        return cuts, worst
 
     def _require(self, name: str, dev: float) -> None:
         """Raise NumericalError naming a self-check whose deviation exceeds identity_abs."""

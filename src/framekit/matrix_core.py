@@ -265,14 +265,9 @@ def max_abs(values) -> float:
 
 
 @np.errstate(over="ignore", under="ignore")
-def _plain_norm(x: np.ndarray) -> float:
-    """np.linalg.norm(x), with no warning where a square leaves the normal range."""
-    return float(np.linalg.norm(x))
-
-
-@np.errstate(over="ignore", under="ignore")
 def _plain_norms(arrays) -> list:
-    """_plain_norm of each array, under one errstate for them all."""
+    """np.linalg.norm of each array, under one errstate for them all: no
+    warning where a square leaves the normal range."""
     return [float(np.linalg.norm(x)) for x in arrays]
 
 
@@ -302,7 +297,7 @@ def _norm(x, factor: float = 1.0) -> float:
     x = np.asarray(x)
     if x.dtype == object:  # as in max_abs
         x = _complex_array(x, "factor")
-    return _from_plain(x, _plain_norm(x), factor)
+    return _norms((x, factor))[0]
 
 
 def _norms(*terms) -> list:

@@ -2,10 +2,10 @@
 
 Once a gate's checks have all held under one rank_rel, the frame keeps their
 summary in the slot of the route set (FrameSequence._keep): the routes' rank
-cuts, each check's deviation, T's certificate rows among them, and the worst
-of them. A warm call compares that worst with its own identity_abs and reads
-the cuts; where the worst exceeds it, the call holds the kept deviations in
-the order a fresh walk takes them. The frame also keeps its bounds, by
+cuts and the worst of the checks' deviations, T's certificate rows among
+them. A warm call compares that worst with its own identity_abs and reads
+the cuts; where the worst exceeds it, the call walks the checks again on
+the kept values, as a fresh walk takes them. The frame also keeps its bounds, by
 rank_rel and tightness_rel. These tests hold the reconstructions, the
 bounds, the classification and the canonical dual on a shared frame to a
 fresh frame's bytes and messages, across the five kinds, three shapes and
@@ -108,7 +108,7 @@ def _kept_worst(frame):
     certificate itself for the calls that read T's factors alone."""
     summaries = [value for slot, (_, value) in frame._kept.items()
                  if slot in frame_ops._GATE_CHECKS]
-    return max([max(frame._certificate)] + [worst for _, _, worst in summaries])
+    return max([max(frame._certificate)] + [worst for _, worst in summaries])
 
 
 @pytest.mark.parametrize("kind, n, m, exponent", GRID, ids=GRID_IDS)

@@ -420,8 +420,9 @@ def _deviation(lhs, rhs, norms) -> float:
     norms' product is kept as mantissa * 2^exponent, so the residual is divided
     by it in one rounding even where the product leaves the double range. A
     norm that is itself inf or NaN leaves nothing to divide by: the deviation
-    reads inf (NaN for a NaN residual), and the check refuses."""
-    residual = max_abs(np.asarray(lhs) - np.asarray(rhs))
+    reads inf (NaN for a NaN residual), and the check refuses. Each side is
+    an array or the zero operator's 0.0, so they are subtracted as they are."""
+    residual = max_abs(lhs - rhs)
     mantissa, exponent = 1.0, 0
     for norm in norms:
         m, e = math.frexp(norm)

@@ -3,7 +3,8 @@
 Everything downstream works with 2-D complex128 arrays. This module checks
 input from outside and holds what the frame analysis (frame_ops) is built
 from: the phased SVD and its rank cut, the pseudoinverse and projectors of
-its factors, and norms that hold across the double range.
+its factors, and norms that hold across the double range, each taken as
+the two BLAS dots that np.linalg.norm runs, with its bits (_dot_norm).
 """
 
 from __future__ import annotations
@@ -124,21 +125,24 @@ def _matrix_view(values) -> np.ndarray:
 
 def as_vector(values, length: int | None = None, name: str = "vector") -> np.ndarray:
     """Coerce to a read-only 1-D complex128 array of the given length."""
-    v, _ = _vector_peak(values, length, name)
+    v, _ = _vector_peak(_complex_array(values, name, copy=True), length, name)
     v.setflags(write=False)
     return v
 
 
 def _vector_peak(values, length: int | None, name: str) -> tuple:
-    """as_vector's fresh array, still writable, and its largest real or
-    imaginary part in modulus: one reduction that is both the finiteness
-    check (an inf part makes it inf, a NaN part NaN) and the scale a caller
-    reads, so nothing scans the vector twice. ValueError as as_vector."""
-    v = _complex_array(values, name, copy=True)
+    """as_vector's checks on values as a contiguous complex128 array, values
+    itself where it is one (as_vector hands a fresh copy), and its largest
+    real or imaginary part in modulus: one reduction that is both the
+    finiteness check (an inf part makes it inf, a NaN part NaN) and the
+    scale a caller reads, so nothing scans the vector twice. ValueError as
+    as_vector."""
+    v = _complex_array(values, name)
     if v.ndim != 1:
         raise ValueError(f"{name} must be 1-D, got an array of dimension {v.ndim}")
     if length is not None and v.shape[0] != length:
         raise ValueError(f"{name} has length {v.shape[0]}, expected {length}")
+    v = np.ascontiguousarray(v)
     peak = float(np.abs(v.view(np.float64)).max(initial=0.0))
     if not peak < math.inf:
         raise ValueError(f"{name} entries must be finite")
@@ -264,13 +268,6 @@ def max_abs(values) -> float:
     return float(np.abs(a).max()) if a.size else 0.0
 
 
-@np.errstate(over="ignore", under="ignore")
-def _plain_norms(arrays) -> list:
-    """np.linalg.norm of each array, under one errstate for them all: no
-    warning where a square leaves the normal range."""
-    return [float(np.linalg.norm(x)) for x in arrays]
-
-
 def _norm(x, factor: float = 1.0) -> float:
     """factor * |x|: the 2-norm of a vector or the Frobenius norm of a matrix,
     inf beyond the double range or for an inf entry, NaN for a NaN entry.
@@ -284,13 +281,13 @@ def _norm(x, factor: float = 1.0) -> float:
     is undone. Both scalings are exact, so in range the result is factor *
     np.linalg.norm(x) bit for bit.
 
-    Most norms need neither the scan nor the scaled copy: np.linalg.norm is
-    first taken on x as it is, and where that plain |x| lies in
-    [2^-400, 2^400] and factor in [2^-600, 2^600], factor * |x| is returned
-    with the scaled route's bits. No square overflowed. One that underflowed
-    is below 2^-1022, more than 2^222 below the sum of squares (at least
-    2^-800), so far below its last bit, as the scaled route's lost squares
-    are. Every other step of that route is the plain one scaled by a power of
+    Most norms need neither the scan nor the scaled copy: the plain |x| is
+    first taken on x as it is (_dot_norm, with np.linalg.norm's bits), and
+    where it lies in [2^-400, 2^400] and factor in [2^-600, 2^600], factor *
+    |x| is returned with the scaled route's bits. No square overflowed. One
+    that underflowed is below 2^-1022, more than 2^222 below the sum of
+    squares (at least 2^-800), so far below its last bit, as the scaled
+    route's lost squares are. Every other step of that route is the plain one scaled by a power of
     two, and factor * |x| and factor * |2^-e x| are both normal, so no
     rounding moves. Every other x, inf and NaN included, takes the scaled
     route."""
@@ -300,19 +297,41 @@ def _norm(x, factor: float = 1.0) -> float:
     return _norms((x, factor))[0]
 
 
+@np.errstate(over="ignore", under="ignore")
 def _norms(*terms) -> list:
     """_norm(x, factor) for each factor of each term (x, factor, ...), flat and
     in order, each with _norm's bits: the plain |x| is taken once per term and
-    np.errstate entered once per call. Each x is a numeric array."""
-    plains = _plain_norms([term[0] for term in terms])
-    return [_from_plain(x, plain, factor)
-            for (x, *factors), plain in zip(terms, plains) for factor in factors]
+    np.errstate entered once per call, so a square or a dot that leaves the
+    double range does not warn. Each x is a numeric array."""
+    out = []
+    for x, *factors in terms:
+        plain = _dot_norm(x)
+        for factor in factors:
+            if 2.0**-400 <= plain <= 2.0**400 and 2.0**-600 <= factor <= 2.0**600:
+                out.append(factor * plain)
+            else:
+                out.append(_scaled_norm(x, factor))
+    return out
 
 
-def _from_plain(x: np.ndarray, plain: float, factor: float) -> float:
-    """_norm(x, factor) given plain = np.linalg.norm(x) (see _norm)."""
-    if 2.0**-400 <= plain <= 2.0**400 and 2.0**-600 <= factor <= 2.0**600:
-        return factor * plain
+def _dot_norm(x: np.ndarray) -> float:
+    """np.linalg.norm(x), its steps without its wrapper: the entries, as
+    floats if they are not, in memory order; a BLAS dot each of their real
+    and imaginary parts; the square root of the sum in x's precision."""
+    if x.dtype.kind not in "fc":
+        x = x.astype(float)
+    x = x.ravel(order="K")
+    if x.dtype.kind == "c":
+        re, im = x.real, x.imag
+        square = re.dot(re) + im.dot(im)
+    else:
+        square = x.dot(x)
+    # math.sqrt rounds a double as np.sqrt does; float32 and wider stay numpy's
+    return math.sqrt(square) if type(square) is np.float64 else float(np.sqrt(square))
+
+
+def _scaled_norm(x: np.ndarray, factor: float) -> float:
+    """_norm(x, factor) on _norm's scaled route."""
     parts = np.ascontiguousarray(x).view(x.real.dtype) if np.iscomplexobj(x) else x
     scale = float(np.abs(parts).max(initial=0.0))
     if not scale < math.inf:  # an inf or NaN entry
@@ -320,6 +339,6 @@ def _from_plain(x: np.ndarray, plain: float, factor: float) -> float:
     # 2^-e stays finite for subnormal x
     exponent = max(math.frexp(scale)[1] + 1, -1022)
     try:
-        return math.ldexp(factor * float(np.linalg.norm(x * 2.0**-exponent)), exponent)
+        return math.ldexp(factor * _dot_norm(x * 2.0**-exponent), exponent)
     except OverflowError:
         return math.inf

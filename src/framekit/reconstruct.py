@@ -21,22 +21,25 @@ frame's gate raises (see frame_ops._FrameAnalysis). The call then checks
 its defining identity on its own input, by the gate's rule
 (frame_ops._deviation): a residual beyond identity_abs, scaled by the
 norms that enter it, or NaN, raises NumericalError. Each norm is taken
-once, all of a call's under one np.errstate (matrix_core._norms), and
-the input's largest part in modulus is read once, both as its finiteness
-check and as its scale. T+ f is applied as V (Sigma^-1 (W* f)) and (T+)* c as
-W (Sigma^-1 (V* c)), so the m x n T+ is never formed, and the projectors
-share the first product: P f = W (W* f) and Q c = V (V* c), never n x n or
-m x m matrices. W* f and V* c are applied as (f* W)* and (c* V)*, which
-conjugate the vector and read the kept W and V in place, with no copy of
-either. U f0 is applied as (f0* T)*, so no m x n U is formed either. No
+once, as the two BLAS dots that np.linalg.norm runs, with its bits
+(matrix_core._dot_norm), and all of a call's under one np.errstate
+(matrix_core._norms). The input's largest part in modulus is read once,
+both as its finiteness check and as its scale. T+ f is applied as
+V (Sigma^-1 (W* f)) and (T+)* c as W (Sigma^-1 (V* c)), so the m x n T+ is
+never formed, and the projectors share the first product: P f = W (W* f)
+and Q c = V (V* c), never n x n or m x m matrices. W* f and V* c are
+applied as (f* W)* and (c* V)*, which conjugate the vector and read the
+kept W and V in place, with no copy of either; the product is conjugated in
+place. U f0 is applied as (f0* T)*, so no m x n U is formed either. No
 result goes through S+ or G+ again, so its error grows with T's condition
 number, not with its square.
 
 The operators are linear, so each entry point solves on its input scaled to
 unit size, as LAPACK's xLASCL scales: it writes the input as x = 2^e u, e
 the exponent of x's largest real or imaginary part (math.frexp), so every
-part of u is below 1 in modulus and |u| < sqrt(2 dim). It gates, solves and
-checks on u, with no guard on any product. The invariant that makes this
+part of u is below 1 in modulus and |u| < sqrt(2 dim); u = 2^-e x, taken
+by ldexp, is the one copy of the input. It gates, solves and checks on u,
+with no guard on any product. The invariant that makes this
 safe: after the T/S gate 1/lambda_r is finite and S is finite, so
 |T+ u| <= |u| / sigma_r < 2^513 sqrt(2 dim), and the products T (T+ u) and
 U ((T+)* u) that the checks read stay within kappa(T) |u|, which S's rank
@@ -45,10 +48,12 @@ cutoff keeps below 2^537 |u| (kappa(S) = kappa(T)^2 < 1 / min(rank_rel dim,
 G's core is finite, so sigma_1 < 2^512 and T u and T (V (V* u)) stay below
 2^512 |u|.
 The result and residual_norm are scaled back by 2^e and norm_split by 2^2e;
-a value that leaves the double range raises NumericalError naming it. A
-result part or residual_norm that the scaling makes subnormal with lost
-bits (2^-e (2^e u) != u) does too, and an exact one, zero or subnormal, is
-returned. norm_split holds squares, which leave the normal range for any
+a value that leaves the double range raises NumericalError naming it. Where
+0 <= e <= 1000 and the result's norm, taken with the call's other norms,
+rules out overflow, the result is multiplied by 2^e with no scan of it (see
+_scaled_back). A result part or residual_norm that the scaling makes
+subnormal with lost bits (2^-e (2^e u) != u) raises NumericalError too,
+and an exact one, zero or subnormal, is returned. norm_split holds squares, which leave the normal range for any
 input below about 2^-511 while the solution is still exact; they are
 rounded to the nearest double there, as ldexp rounds. So result(2^k x) =
 2^k result(x) bit for bit wherever it is returned, and a verdict does not
@@ -117,8 +122,10 @@ def _check(a: _FrameAnalysis, what: str, lhs: np.ndarray, rhs: np.ndarray,
 
 def _adjoint_applied(basis: np.ndarray, x: np.ndarray) -> np.ndarray:
     """basis* x, taken as (x* basis)*: conjugating the vector, not basis, reads
-    the kept factor in place, with no conjugate copy of it."""
-    return (x.conj() @ basis).conj()
+    the kept factor in place, with no conjugate copy of it; the product is
+    conjugated in place."""
+    out = x.conj() @ basis
+    return np.conjugate(out, out=out)
 
 
 def _range_part(basis: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -138,12 +145,21 @@ def _pinv_applied(a: _FrameAnalysis, x: np.ndarray, adjoint: bool = False) -> tu
     return far @ (coordinates / a.f_t.singular_values), near @ coordinates
 
 
-def _scaled_back(what: str, values: np.ndarray, k: int) -> np.ndarray:
+def _scaled_back(what: str, values: np.ndarray, k: int, bound: float) -> np.ndarray:
     """2^k values, for real or complex values computed from the unit input.
     NumericalError names what where a part leaves the double range or where
     the scaling is inexact: a part that became subnormal and lost bits, which
-    only k < 0 can do. An exact part, zero or subnormal, is returned."""
+    only k < 0 can do. An exact part, zero or subnormal, is returned.
+
+    bound is |values|, which the caller has taken (matrix_core._norms), so no
+    part reaches 2^(b + 1) for b = frexp(bound)'s exponent; the margin covers
+    the norm's rounding. Where 0 <= k <= 1000 (2^k stays a double) and
+    b + k < 1023, no part can reach 2^1023 and 2^k values is exact: it is
+    multiplied out with no scan of the result. Every other k, and an inf or
+    NaN bound (whose frexp exponent reads 0), take the checked route."""
     parts = values.view(np.float64)
+    if 0 <= k <= 1000 and bound < math.inf and math.frexp(bound)[1] + k < 1023:
+        return (parts * 2.0**k).view(values.dtype)
     with np.errstate(over="ignore"):
         out = np.ldexp(parts, k)
     if not np.isfinite(out).all():
@@ -156,20 +172,21 @@ def _scaled_back(what: str, values: np.ndarray, k: int) -> np.ndarray:
     return out.view(values.dtype)
 
 
-def _solution(what: str, solution: np.ndarray, inside: float, leftover: float,
-              e: int) -> MinNormSolution:
+def _solution(what: str, solution: np.ndarray, bound: float, inside: float,
+              leftover: float, e: int) -> MinNormSolution:
     """The solution `what` of the unit input, with the norm leftover of what
     the input leaves outside as residual and the squares of the norms inside
     and leftover as the split, scaled back by 2^e (2^2e for the split). The
-    solution and residual are refused as _scaled_back refuses, the residual
-    scaled as a scalar, with the same messages. A split
+    solution, of norm bound, is refused as _scaled_back refuses, and the
+    residual where it underflows, with the same message. A split
     component is refused where its square leaves the double range, and is
     rounded where it falls below the normal range: the squares of any input
     below about 2^-511 do, although the solution and residual are exact there.
-    The residual cannot overflow unless the split does."""
-    solution = _scaled_back(f"the {what}", solution, e)
+    The residual cannot overflow unless the split does: its square is the
+    leftover component."""
+    solution = _scaled_back(what, solution, e, bound)
     split = []
-    for name, norm in zip(("inside", "leftover"), (inside, leftover)):
+    for name, norm in (("inside", inside), ("leftover", leftover)):
         try:  # ldexp rounds a square below the normal range
             square = math.ldexp(norm * norm, 2 * e)
         except OverflowError:
@@ -178,12 +195,7 @@ def _solution(what: str, solution: np.ndarray, inside: float, leftover: float,
             raise NumericalError(f"norm_split's {name} component {norm:.3e} * 2^{e} "
                                  "squares beyond the double range")
         split.append(square)
-    try:
-        residual = math.ldexp(leftover, e)
-    except OverflowError:
-        residual = math.inf
-    if not residual < math.inf:
-        raise NumericalError("residual_norm leaves the double range: an entry overflows")
+    residual = math.ldexp(leftover, e)
     if e < 0 and math.ldexp(residual, -e) != leftover:  # as in _scaled_back
         raise NumericalError(f"residual_norm underflows: {leftover:.3e} * 2^{e} "
                              "lies below the normal range and loses bits")
@@ -225,7 +237,7 @@ def min_norm_coefficients(frame: FrameSequence, signal,
         (f, 1.0), (c0, a.spectral_norm("T"), 1.0), (projected, 1.0), (f - projected, 1.0))
     _check(a, "T c0 = P f", a["T"] @ c0, projected, norm_f + norm_tc0)
     _check(a, "Q c0 = c0", _range_part(a.f_t.right_vectors, c0), c0, norm_c0)
-    return _solution("minimum-norm solution T+ f", c0, inside, leftover, e)
+    return _solution("the minimum-norm solution T+ f", c0, norm_c0, inside, leftover, e)
 
 
 def min_norm_preimage(frame: FrameSequence, coefficients,
@@ -240,11 +252,11 @@ def min_norm_preimage(frame: FrameSequence, coefficients,
     """
     a, c, e = _gated(frame, tol, "frame operator", coefficients, frame.size, "coefficients")
     f0, q_part = _pinv_applied(a, c, adjoint=True)
-    norm_c, norm_tf0, inside, leftover = _norms(
-        (c, 1.0), (f0, a.spectral_norm("T")), (q_part, 1.0), (c - q_part, 1.0))
-    # U f0 = (f0* T)*, so no m x n U is formed
-    _check(a, "U f0 = Q c", (f0.conj() @ a["T"]).conj(), q_part, norm_c + norm_tf0)
-    return _solution("minimum-norm solution (T+)* c", f0, inside, leftover, e)
+    norm_c, norm_tf0, norm_f0, inside, leftover = _norms(
+        (c, 1.0), (f0, a.spectral_norm("T"), 1.0), (q_part, 1.0), (c - q_part, 1.0))
+    # U f0 = T* f0, so no m x n U is formed
+    _check(a, "U f0 = Q c", _adjoint_applied(a["T"], f0), q_part, norm_c + norm_tf0)
+    return _solution("the minimum-norm solution (T+)* c", f0, norm_f0, inside, leftover, e)
 
 
 def project_signal(frame: FrameSequence, signal,
@@ -259,9 +271,10 @@ def project_signal(frame: FrameSequence, signal,
     a, f, e = _gated(frame, tol, "frame operator", signal, frame.ambient_dim, "signal")
     coefficients, projected = _pinv_applied(a, f)
     series = a["T"] @ coefficients
-    norm_f, norm_tc = _norms((f, 1.0), (coefficients, a.spectral_norm("T")))
+    norm_f, norm_tc, norm_series = _norms(
+        (f, 1.0), (coefficients, a.spectral_norm("T")), (series, 1.0))
     _check(a, "series equals P f", series, projected, norm_f + norm_tc)
-    return _scaled_back("the signal series T (T+ f)", series, e)
+    return _scaled_back("the signal series T (T+ f)", series, e, norm_series)
 
 
 def project_coefficients(frame: FrameSequence, coefficients,
@@ -281,6 +294,6 @@ def project_coefficients(frame: FrameSequence, coefficients,
     route = "frame operator" if frame.ambient_dim <= frame.size else "gram"
     a, c, e = _gated(frame, tol, route, coefficients, frame.size, "coefficients")
     series = _range_part(a.f_t.right_vectors, c)
-    norm_c, norm_tc = _norms((c, 1.0, a.spectral_norm("T")))
+    norm_c, norm_tc, norm_series = _norms((c, 1.0, a.spectral_norm("T")), (series, 1.0))
     _check(a, "T Q c = T c", a["T"] @ series, a["T"] @ c, norm_c + norm_tc)
-    return _scaled_back("the coefficient series Q c", series, e)
+    return _scaled_back("the coefficient series Q c", series, e, norm_series)

@@ -3,8 +3,10 @@
 The counts below pin how many times each entry point calls np.linalg.svd
 (rank-truncated factorizations and spectral norms alike). A rise means some
 consumer stopped reading the shared per-call analysis and refactors a matrix
-that was already factored. The np.linalg.norm counts pin the same for
-Frobenius norms, which the analysis takes once per operator.
+that was already factored. The norm counts pin the same for Frobenius norms,
+which the analysis takes once per operator: each is one call of
+matrix_core._dot_norm, and the suite's column norms one np.linalg.norm call
+per block.
 """
 
 import json
@@ -12,7 +14,7 @@ import json
 import numpy as np
 import pytest
 
-from framekit import cli, frame_ops, verifier
+from framekit import cli, frame_ops, matrix_core, verifier
 from framekit import (
     GeneratorSpec,
     Tolerance,
@@ -39,16 +41,19 @@ from framekit import (
 )
 
 
-def call_counter(monkeypatch, name):
-    """count(fn, *args) runs fn and returns how often it called np.linalg.<name>."""
+def call_counter(monkeypatch, name, *more):
+    """count(fn, *args) runs fn and returns how often it called np.linalg.<name>
+    and the functions more names, as (module, name) pairs."""
     calls = []
-    original = getattr(np.linalg, name)
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
+    def counted(original):
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+        return counting
 
-    monkeypatch.setattr(np.linalg, name, counting)
+    for module, attr in ((np.linalg, name), *more):
+        monkeypatch.setattr(module, attr, counted(getattr(module, attr)))
 
     def count(fn, *args, **kwargs):
         calls.clear()
@@ -65,7 +70,7 @@ def svd_calls(monkeypatch):
 
 @pytest.fixture
 def norm_calls(monkeypatch):
-    return call_counter(monkeypatch, "norm")
+    return call_counter(monkeypatch, "norm", (matrix_core, "_dot_norm"))
 
 
 def frame_and_tol(kind):

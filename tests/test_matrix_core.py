@@ -31,6 +31,7 @@ from framekit import (
     range_projector,
     svd,
 )
+from framekit.frame_ops import _FrameAnalysis
 from framekit.matrix_core import _norm, _norms, _pinv_from_factors
 
 
@@ -261,6 +262,9 @@ def test_as_matrix_result_is_read_only_complex():
 def test_as_vector_length_check():
     v = as_vector([1, 2, 3], length=3)
     assert v.shape == (3,)
+    z = np.array([1 + 2j, 3.0])  # already complex128: as_vector still copies it
+    v = as_vector(z)
+    assert not np.shares_memory(v, z) and not v.flags.writeable and z.flags.writeable
     with pytest.raises(ValueError):
         as_vector([1, 2, 3], length=4)
     with pytest.raises(ValueError):
@@ -360,6 +364,40 @@ def test_norm_beyond_the_double_range_is_inf():
     # |1.5e308 (1 + i)| overflows, its parts do not
     assert _norm(np.array([1.5e308 + 1.5e308j]), 0.5) == pytest.approx(1.5e308 / np.sqrt(2.0))
     assert _norm(np.array([3e-320, 4e-320])) == 5e-320  # subnormal entries only
+
+
+def test_norms_take_the_bits_of_np_linalg_norm():
+    # _norms takes each norm as the two BLAS dots np.linalg.norm runs, on the
+    # entries in memory order; strided views, such as the rank-cut factors a
+    # reconstruction reads, must keep its bits too
+    rng = np.random.default_rng(11)
+    z = complex_gaussian(rng, 6, 9)
+    f_t = _FrameAnalysis(generate(GeneratorSpec("rank_deficient", 6, 9, 1))).f_t
+    w, v = f_t.left_vectors, f_t.right_vectors
+    assert 0 < f_t.rank < 6 and not w.flags.contiguous and not v.flags.contiguous
+    arrays = [z, z[0], z[:, 0], z.T, z[::2, 1::3], z.real, z.real.T[1], w, v, w[:, 0], v[1],
+              z.astype(np.complex64), z.real.astype(np.float32), np.arange(-3, 5),
+              np.eye(2, dtype=bool), np.array([1.0, np.inf]), np.array([np.inf, np.nan]),
+              np.array([1j, np.nan]), np.array([3, 4j, 12], dtype=object)]
+    # both sides of each edge of [2^-400, 2^400], where the plain norm is
+    # returned inside and the scaled route takes it outside
+    unit = z[1] / np.linalg.norm(z[1])  # every entry's square stays normal at 2^-401
+    for edge in (-400, 400):
+        arrays += [np.array([2.0**edge]), np.array([np.nextafter(2.0**edge, 0.0)]),
+                   np.array([np.nextafter(2.0**edge, np.inf)])]
+        arrays += [unit * 2.0**edge * (1 - 2.0**-40), unit * 2.0**edge * (1 + 2.0**-40)]
+    sides = set()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for x in arrays:
+            if x.dtype == object:  # _norm reads Python numbers as complex128
+                expected = float(np.linalg.norm(x.astype(complex))).hex()
+            else:
+                expected = float(np.linalg.norm(x)).hex()
+                assert [n.hex() for n in _norms((x, 1.0), (x, 1.0))] == [expected] * 2, x
+            assert _norm(x).hex() == expected, x
+            sides.add(2.0**-400 <= float.fromhex(expected) <= 2.0**400)
+    assert sides == {True, False}
 
 
 def scaled_norm(x, factor=1.0):

@@ -9,6 +9,7 @@ perturbation may shorten the solution.
 import math
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -33,6 +34,7 @@ from framekit import (
 )
 from framekit import reconstruct
 from framekit.frame_ops import _FrameAnalysis
+from framekit.matrix_core import _norm
 
 E1 = np.array([1.0, 0.0], dtype=complex)
 E2 = np.array([0.0, 1.0], dtype=complex)
@@ -355,22 +357,17 @@ HOMOGENEITY_CASES = {
 }
 
 
-@pytest.mark.parametrize("name", RECONSTRUCTIONS)
-@pytest.mark.parametrize("case", HOMOGENEITY_CASES)
-def test_results_follow_the_input_scale_bit_for_bit(case, name):
-    # result(2^k x) is 2^k result(x) bit for bit wherever it is returned, a
-    # typed error names it where it overflows or where the result or residual
-    # underflows with lost bits (norm_split's squares are rounded), and a
-    # refusal at x holds at 2^k x
-    spec, tol = HOMOGENEITY_CASES[case]
-    frame = generate(spec)
-    side = frame.ambient_dim if RECONSTRUCTIONS[name][1] == "n" else frame.size
-    x = random_vector(np.random.default_rng(2), side)
+def assert_results_follow_the_input_scale(name, frames, x, tol, exponents):
+    """result(2^k x) is 2^k result(x) bit for bit wherever it is returned, a
+    typed error names it where it overflows or where the result or residual
+    underflows with lost bits (norm_split's squares are rounded), and a
+    refusal at x holds at 2^k x; each call on the frame frames() returns."""
     try:
-        base, scalars = call(name, frame, x, tol)
+        base, scalars = call(name, frames(), x, tol)
     except NumericalError:
         base = None
-    for k in range(-900, 901, 25):
+    for k in exponents:
+        frame = frames()
         xk = np.ldexp(parts(x), k).view(complex)
         if base is None:
             with pytest.raises(NumericalError, match="self-check"):
@@ -394,6 +391,50 @@ def test_results_follow_the_input_scale_bit_for_bit(case, name):
         assert got.tobytes() == expected.tobytes(), k
 
 
+@pytest.mark.parametrize("name", RECONSTRUCTIONS)
+@pytest.mark.parametrize("case", HOMOGENEITY_CASES)
+def test_results_follow_the_input_scale_bit_for_bit(case, name):
+    spec, tol = HOMOGENEITY_CASES[case]
+    frame = generate(spec)
+    side = frame.ambient_dim if RECONSTRUCTIONS[name][1] == "n" else frame.size
+    x = random_vector(np.random.default_rng(2), side)
+    assert_results_follow_the_input_scale(name, lambda: frame, x, tol, range(-900, 901, 25))
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["fresh", "warm"])
+@pytest.mark.parametrize("name", RECONSTRUCTIONS)
+@pytest.mark.parametrize("case", HOMOGENEITY_CASES)
+def test_results_follow_the_input_scale_at_both_ends_of_the_double_range(case, name, warm):
+    # input peaks 2^-1074 to 2^-1000 and 2^990 to 2^1023: the result is
+    # multiplied back by 2^e up to where its norm's exponent plus e reaches
+    # 1023 or e passes 1000, and checked past there; parts in {-1, 0, 1} keep
+    # 2^k x exact down to 2^-1074
+    spec, tol = HOMOGENEITY_CASES[case]
+    frame = generate(spec)
+    side = frame.ambient_dim if RECONSTRUCTIONS[name][1] == "n" else frame.size
+    x = np.resize([1.0, -1j, 1 + 1j, 0.0, -1 - 1j, 1j, -1.0], side)
+    assert_results_follow_the_input_scale(
+        name, (lambda: frame) if warm else (lambda: generate(spec)), x, tol,
+        [*range(-1074, -999), *range(990, 1024)])
+
+
+@pytest.mark.parametrize("name", RECONSTRUCTIONS)
+def test_an_input_is_read_where_it_lies_and_left_as_it_was(name):
+    # complex128 input is not copied before it is scaled: a strided or
+    # read-only input gives a contiguous copy's bits and is left unchanged
+    frame = generate(GeneratorSpec("gaussian", 4, 6, 0))
+    side = frame.ambient_dim if RECONSTRUCTIONS[name][1] == "n" else frame.size
+    wide = random_vector(np.random.default_rng(3), 2 * side)
+    before = wide.tobytes()
+    frozen = np.ascontiguousarray(wide[::2])
+    frozen.setflags(write=False)
+    base, scalars = call(name, frame, wide[::2].copy(), Tolerance())
+    for x in (wide[::2], frozen, list(wide[::2])):
+        out, out_scalars = call(name, frame, x, Tolerance())
+        assert out.tobytes() == base.tobytes() and out_scalars == scalars
+    assert wide.tobytes() == before
+
+
 @pytest.mark.parametrize("exponent", [-740, -760, -770])
 def test_a_result_that_loses_bits_as_a_subnormal_is_refused(exponent):
     # gaussian 4 x 6 frame (seed 2) scaled by 2^300: T+ f of a unit f scaled by
@@ -405,6 +446,51 @@ def test_a_result_that_loses_bits_as_a_subnormal_is_refused(exponent):
     f /= np.linalg.norm(f)
     with pytest.raises(NumericalError, match=r"minimum-norm solution T\+ f underflows"):
         min_norm_coefficients(frame, f * 2.0**exponent)
+
+
+def scale_back_outcome(values, k, bound):
+    """_scaled_back's bytes, or its refusal's message."""
+    try:
+        return reconstruct._scaled_back("the result", values, k, bound).tobytes()
+    except NumericalError as exc:
+        return str(exc)
+
+
+def ldexp_outcome(values, k):
+    """2^k values by np.ldexp, or the refusal of a part that overflows."""
+    with np.errstate(over="ignore"):
+        out = np.ldexp(values.view(np.float64), k)
+    if not np.isfinite(out).all():
+        return "the result leaves the double range: an entry overflows"
+    return out.tobytes()
+
+
+@pytest.mark.parametrize("k", [1000, 1001, 1023, 1024])
+@pytest.mark.parametrize("reach", [1021, 1022, 1023, 1024, 1025])
+def test_the_scale_back_keeps_ldexps_bits_at_the_edges_of_its_multiplied_route(reach, k):
+    # reach = frexp(bound)[1] + k: below 1023, with 0 <= k <= 1000, the result
+    # is multiplied by 2^k without a scan; past either edge it is checked
+    b = reach - k
+    values = np.ldexp(np.array([0.75, -0.125, 2.0**-60, -0.0, 0.5, 2.0**-1000]), b).view(complex)
+    bound = _norm(values)
+    assert math.frexp(bound)[1] == b
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert scale_back_outcome(values, k, bound) == ldexp_outcome(values, k)
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_the_scale_back_of_a_result_with_an_inf_or_nan_part_is_refused(bad):
+    # frexp(inf) and frexp(nan) read exponent 0: an inf or NaN bound must
+    # take the checked route, which refuses
+    values = np.array([1.0, bad * 1j, 0.5])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for k in (0, 5, 1000):
+            assert scale_back_outcome(values, k, _norm(values)) == (
+                "the result leaves the double range: an entry overflows")
+        finite = np.array([1.0, 0.5j])
+        assert scale_back_outcome(finite, 5, bad) == ldexp_outcome(finite, 5)
 
 
 def test_an_exact_subnormal_result_is_returned():

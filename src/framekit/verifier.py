@@ -17,8 +17,16 @@ count's first k samples are those of a count of k. A block's largest
 product holds about 2^12 entries, so its temporaries reuse freed pages (no
 page faults) and stay in cache; at least 128 samples, so a large frame's
 products stay wide BLAS calls; and at most 2^20 entries, so memory does not
-grow with the count. The suite's
-sampled rows run last, in one pass over two streams: unit signals and unit
+grow with the count. The four streams are fixed, so a stream's blocks depend
+only on (seed, count, dim, block width, vectors). _sample_blocks keeps a
+stream of at most _KEPT_ENTRIES (2^15) complex entries under that key after
+its first draw, read-only, with the values computed from its blocks alone:
+the suite's unit columns and the Rayleigh denominators. A longer stream is
+drawn block by block on every call. The store is process-wide, shared by
+every frame and thread, and evicts the least recently used streams to hold
+at most _KEPT_BYTES (16 MiB); the benchmark's verify_small shapes keep
+about 1.1 MB. Kept values have the bits of fresh ones. The suite's sampled
+rows run last, in one pass over two streams: unit signals and unit
 coefficient vectors. Deviations are residuals normalized by the norms of
 the factors entering each product (see scaled_deviation), which keeps them
 comparable to identity_abs for badly conditioned sequences too. Inequality
@@ -29,6 +37,8 @@ rescaled by the caller's identity_abs so a loosened run loosens coherently.
 from __future__ import annotations
 
 import math
+import threading
+from collections import OrderedDict
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import partial
@@ -70,6 +80,12 @@ _RAYLEIGH_SEED = 0x7261796C
 _CACHE_BLOCK = 2**12
 _MIN_BLOCK_SAMPLES = 128
 _SAMPLE_BLOCK = 2**20
+
+# _sample_blocks keeps a stream of at most _KEPT_ENTRIES complex entries in
+# all (count * vectors * dim), so a repeat call reads it and draws nothing;
+# the store, blocks and the values kept with them, holds at most _KEPT_BYTES
+_KEPT_ENTRIES = 2**15
+_KEPT_BYTES = 2**24
 
 # 'analysis_intertwines' and 'synthesis_intertwines' form U S, G U, S T and
 # T G, and every partial sum of their entries is bounded by sigma_1^3: no
@@ -259,9 +275,81 @@ def _check_count(name: str, value, positive: bool = False) -> None:
         raise ValueError(f"{name} must be {'positive' if positive else 'non-negative'}")
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+class _KeptStreams:
+    """The fixed sample streams drawn so far, each a tuple of read-only
+    blocks under the key (seed, count, dim, width, vectors), with the values
+    computed from its blocks alone. Process-wide and shared by threads: a
+    stream drawn by two threads at once is kept once, and both draws have the
+    same bits. Holds at most _KEPT_BYTES, blocks and kept values together,
+    evicting the least recently used streams."""
+
+    def __init__(self):
+        self.nbytes = 0
+        self._lock = threading.Lock()
+        self._streams = OrderedDict()  # key -> tuple of blocks
+        self._values = {}  # id(block) -> (key, {fn: fn(*block)})
+
+    def blocks(self, key: tuple, draw: Callable) -> tuple:
+        with self._lock:
+            kept = self._streams.get(key)
+            if kept is not None:
+                self._streams.move_to_end(key)
+                return kept
+        drawn = tuple(_read_only(block) for block in draw())
+        with self._lock:
+            kept = self._streams.get(key)
+            if kept is not None:
+                return kept
+            self._streams[key] = drawn
+            self._values.update((id(block), (key, {})) for block in drawn)
+            self.nbytes += sum(block.nbytes for block in drawn)
+            self._evict()
+        return drawn
+
+    def value(self, fn: Callable, block: np.ndarray) -> np.ndarray:
+        """fn of the block's vectors, fn(*block), kept with the block while
+        its stream is kept (a kept block's id is its own while it is kept)."""
+        kept = self._values.get(id(block))
+        if kept is None:
+            return fn(*block)
+        key, values = kept
+        value = values.get(fn)
+        if value is not None:
+            return value
+        value = _read_only(fn(*block))
+        with self._lock:
+            if self._values.get(id(block)) is kept and fn not in values:
+                values[fn] = value
+                self.nbytes += value.nbytes
+                self._streams.move_to_end(key)
+                self._evict()
+        return value
+
+    def _evict(self) -> None:
+        while self.nbytes > _KEPT_BYTES and self._streams:
+            _, blocks = self._streams.popitem(last=False)
+            for block in blocks:
+                _, values = self._values.pop(id(block))
+                self.nbytes -= block.nbytes + sum(v.nbytes for v in values.values())
+
+    def clear(self) -> None:
+        with self._lock:
+            self._streams.clear()
+            self._values.clear()
+            self.nbytes = 0
+
+
+_KEPT = _KeptStreams()
+
+
 def _sample_blocks(seed: int, count: int, dim: int, largest: int, vectors: int = 1):
     """count samples, each `vectors` complex normal vectors of length dim, from
-    the PCG64 stream of seed, yielded block by block as (vectors, dim, k) arrays.
+    the PCG64 stream of seed, as an iterator of (vectors, dim, k) blocks.
 
     The stream is read one draw at a time: each vector's real parts, then its
     imaginary parts, the bits _complex_gaussian gives one vector. So the first
@@ -276,10 +364,22 @@ def _sample_blocks(seed: int, count: int, dim: int, largest: int, vectors: int =
     frame's products stay wide, and within the _SAMPLE_BLOCK memory ceiling.
     The width reads only largest, so two streams of one check given the same
     largest are cut alike, whatever their dim.
+
+    A stream of at most _KEPT_ENTRIES entries is kept in _KEPT, read-only,
+    so a repeat call yields the kept blocks; a longer one is drawn block by
+    block on every call.
     """
-    rng = np.random.Generator(np.random.PCG64(seed))
+    count = int(count)
     width = max(1, min(_SAMPLE_BLOCK // largest,
                        max(_MIN_BLOCK_SAMPLES, _CACHE_BLOCK // largest)))
+    draw = partial(_drawn_blocks, seed, count, dim, width, vectors)
+    if count * vectors * dim > _KEPT_ENTRIES:
+        return draw()
+    return iter(_KEPT.blocks((seed, count, dim, width, vectors), draw))
+
+
+def _drawn_blocks(seed: int, count: int, dim: int, width: int, vectors: int):
+    rng = np.random.Generator(np.random.PCG64(seed))
     for start in range(0, count, width):
         draws = rng.standard_normal((min(width, count - start), vectors, 2, dim))
         block = np.empty((vectors, dim, len(draws)), dtype=np.complex128)
@@ -506,9 +606,10 @@ def _identity_suite(analysis: _FrameAnalysis, vector_samples: int) -> IdentityRe
     # the sampled rows, evaluated in one pass over the blocks of both streams
     worst = dict.fromkeys((row[0] for row in sampled), 0.0)  # np.maximum keeps a NaN
     n, m = analysis.frame.ambient_dim, analysis.frame.size
-    for (f,), (c,) in zip(_sample_blocks(_SIGNAL_SEED, vector_samples, n, max(n, m)),
-                          _sample_blocks(_COEFFICIENT_SEED, vector_samples, m, max(n, m))):
-        blocks = {"signals": _unit_columns(f), "coeffs": _unit_columns(c)}
+    for f, c in zip(_sample_blocks(_SIGNAL_SEED, vector_samples, n, max(n, m)),
+                    _sample_blocks(_COEFFICIENT_SEED, vector_samples, m, max(n, m))):
+        blocks = {"signals": _KEPT.value(_unit_columns, f),
+                  "coeffs": _KEPT.value(_unit_columns, c)}
         for name, _, _, check in sampled:
             worst[name] = np.maximum(worst[name], check.evaluate(analysis, blocks[check.space]))
     for name, formula, _, check in sampled:
@@ -562,8 +663,8 @@ def _sampling(analysis: _FrameAnalysis, samples: int) -> CheckRecord:
     bounds = analysis.bounds
     on_span = analysis["U"] @ f_t.left_vectors  # (m, r)
     emp_min, emp_max = np.inf, -np.inf  # np.minimum and np.maximum keep a NaN
-    for (g,) in _sample_blocks(_RAYLEIGH_SEED, samples, f_t.rank, max(on_span.shape)):
-        ratios = _energies(on_span @ g) / _energies(g)
+    for g in _sample_blocks(_RAYLEIGH_SEED, samples, f_t.rank, max(on_span.shape)):
+        ratios = _energies(on_span @ g[0]) / _KEPT.value(_energies, g)
         emp_min, emp_max = np.minimum(emp_min, ratios.min()), np.maximum(emp_max, ratios.max())
     emp_min, emp_max = float(emp_min), float(emp_max)
     dev = max(0.0, bounds.lower - emp_min, emp_max - bounds.upper) / max(1.0, bounds.upper)

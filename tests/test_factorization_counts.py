@@ -6,7 +6,7 @@ consumer stopped reading the shared per-call analysis and refactors a matrix
 that was already factored. The norm counts pin the same for Frobenius norms,
 which the analysis takes once per operator: each is one call of
 matrix_core._dot_norm, and the suite's column norms one np.linalg.norm call
-per block.
+per block of a stream drawn afresh.
 """
 
 import json
@@ -70,6 +70,9 @@ def svd_calls(monkeypatch):
 
 @pytest.fixture
 def norm_calls(monkeypatch):
+    # the suite keeps its streams' unit columns process-wide, so each test
+    # starts from an empty store and counts the column norms of fresh streams
+    verifier._KEPT.clear()
     return call_counter(monkeypatch, "norm", (matrix_core, "_dot_norm"))
 
 
@@ -226,7 +229,9 @@ def test_identity_suite_takes_each_norm_once(norm_calls, monkeypatch, kind):
     # samples fill one block of each stream, and each block's unit columns
     # take one column-norm call
     assert norm_calls(run_identity_suite, frame, tol) == 14
-    # each further block of each stream takes one more
+    # a second suite reads both streams' kept unit columns
+    assert norm_calls(run_identity_suite, frame, tol) == 12
+    # each further block of each fresh stream takes one more
     monkeypatch.setattr(verifier, "_SAMPLE_BLOCK", 60)  # 10 samples a block at 4x6
     assert norm_calls(run_identity_suite, frame, tol) == 12 + 2 * 5
 

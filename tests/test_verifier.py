@@ -1,5 +1,7 @@
 """Seeded frame generators and the operator identity suite."""
 
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -426,3 +428,132 @@ def test_the_suite_draws_both_streams_in_blocks_of_one_width(monkeypatch, n, m):
         signals, coeffs = drawn.get(verifier._SIGNAL_SEED, []), drawn.get(
             verifier._COEFFICIENT_SEED, [])
         assert signals == coeffs and sum(signals) == count
+
+
+# ------------------------------------------------------------ kept streams
+
+@pytest.fixture
+def empty_store():
+    verifier._KEPT.clear()
+    yield verifier._KEPT
+    verifier._KEPT.clear()
+
+
+def stream_params(n, m):
+    """(seed, count, dim, largest, vectors) of each sampled caller's stream on
+    an n x m frame of full rank, with counts small enough to be kept."""
+    return [(verifier._SIGNAL_SEED, 50, n, max(n, m), 1),
+            (verifier._COEFFICIENT_SEED, 50, m, max(n, m), 1),
+            (verifier._POLARIZATION_SEED, 50, m, 4 * m, 2),
+            (verifier._RAYLEIGH_SEED, verifier._KEPT_ENTRIES // n, n, m, 1)]
+
+
+@pytest.mark.parametrize("n, m", [(4, 6), (16, 32), (64, 128)])
+def test_kept_blocks_have_the_bits_of_a_fresh_draw(empty_store, n, m):
+    for seed, count, dim, largest, vectors in stream_params(n, m):
+        first = list(verifier._sample_blocks(seed, count, dim, largest, vectors))
+        kept = list(verifier._sample_blocks(seed, count, dim, largest, vectors))
+        width = first[0].shape[-1]
+        fresh = list(verifier._drawn_blocks(seed, count, dim, width, vectors))
+        assert all(a is b for a, b in zip(first, kept)), seed  # read, not drawn again
+        assert [b.shape for b in kept] == [b.shape for b in fresh]
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(kept, fresh)), seed
+        # the first k samples are those of a count of k
+        k = count // 3
+        whole = np.concatenate(kept, axis=-1)
+        short = np.concatenate(list(verifier._sample_blocks(seed, k, dim, largest, vectors)),
+                               axis=-1)
+        assert whole[..., :k].tobytes() == short.tobytes(), seed
+
+
+def test_kept_blocks_and_values_are_read_only(empty_store):
+    frame = generate(spec_for("gaussian", n=4, m=6, seed=0))
+    run_identity_suite(frame)
+    bounds_vs_sampling(frame, samples=1000)
+    block = next(verifier._sample_blocks(verifier._SIGNAL_SEED, 50, 4, 6))
+    with pytest.raises(ValueError):
+        block[0, 0, 0] = 1.0
+    with pytest.raises(ValueError):
+        block.real[:] = 0.0
+    g = next(verifier._sample_blocks(verifier._RAYLEIGH_SEED, 1000, 4, 6))
+    for value in (empty_store.value(verifier._unit_columns, block),
+                  empty_store.value(verifier._energies, g)):
+        with pytest.raises(ValueError):
+            value[..., 0] = 0.0
+
+
+def test_a_stream_over_the_limit_is_drawn_on_every_call(empty_store):
+    frame = generate(spec_for("gaussian", n=64, m=128, seed=0))
+    bounds_vs_sampling(frame, samples=10)  # the frame's kept factors, imports
+    kept = empty_store.nbytes
+    peaks = []
+    tracemalloc.start()
+    try:
+        for _ in range(2):
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            bounds_vs_sampling(frame, samples=10_000)
+            current, peak = tracemalloc.get_traced_memory()
+            # 64 x 10,000 complex entries, 10 MiB, would be held if kept
+            assert current - before < 2**20
+            peaks.append(peak - before)
+    finally:
+        tracemalloc.stop()
+    assert peaks[1] <= peaks[0]
+    assert empty_store.nbytes == kept
+
+
+def stored_bytes(store):
+    """The bytes of every kept block and value, counted afresh."""
+    blocks = [b for stream in store._streams.values() for b in stream]
+    values = [v for _, kept in store._values.values() for v in kept.values()]
+    assert len(blocks) == len(store._values)
+    return sum(a.nbytes for a in blocks + values)
+
+
+def test_the_store_stays_within_its_bound_over_a_sweep_of_dims(empty_store):
+    for dim in range(1, 41):
+        # a stream at the per-stream limit, with its unit columns and energies
+        count = verifier._KEPT_ENTRIES // dim
+        for block in verifier._sample_blocks(verifier._SIGNAL_SEED, count, dim, dim):
+            empty_store.value(verifier._unit_columns, block)
+            empty_store.value(verifier._energies, block)
+        assert empty_store.nbytes == stored_bytes(empty_store) <= verifier._KEPT_BYTES
+    # the sweep kept about 40 MiB in all: the oldest streams were let go, the
+    # newest is kept
+    assert 0 < len(empty_store._streams) < 40
+    assert next(reversed(empty_store._streams))[2] == 40
+
+
+def test_threads_running_suites_return_the_bits_of_a_sequential_run(empty_store):
+    frames = [generate(spec_for(kind, n=n, m=m, seed=seed))
+              for kind, n, m, seed in (("gaussian", 4, 6, 0), ("tight", 4, 6, 1),
+                                       ("gaussian", 16, 32, 2), ("rank_deficient", 16, 32, 3))]
+
+    def run(frame):
+        report = run_identity_suite(frame)
+        return report.to_dict(), bounds_vs_sampling(frame, samples=1000).to_dict()
+
+    sequential = [run(frame) for frame in frames]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, inside the store too
+    try:
+        for _ in range(3):
+            empty_store.clear()
+            barrier, got = threading.Barrier(len(frames)), {}
+
+            def work(i):
+                barrier.wait()
+                got[i] = run(frames[i])
+
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(len(frames))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+            assert not any(thread.is_alive() for thread in threads)
+            assert [got[i] for i in range(len(frames))] == sequential
+            # a stream two threads drew at once is kept, and counted, once
+            assert empty_store.nbytes == stored_bytes(empty_store)
+    finally:
+        sys.setswitchinterval(interval)

@@ -48,6 +48,7 @@ from .matrix_core import (
     Tolerance,
     _complex_array,
     _finite_real,
+    _frozen,
     _gram_floor,
     _hermitize,
     _matrix_view,
@@ -434,11 +435,6 @@ def _deviation(lhs, rhs, norms) -> float:
     if mantissa == 0.0 or exponent < 1:  # the product is below 1, the floor
         return residual
     return math.ldexp(residual, -exponent) / mantissa
-
-
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    arr.setflags(write=False)
-    return arr
 
 
 # the factorization each route names, and the one each of T, S, G is read from

@@ -87,6 +87,12 @@ def _tolerance(tol) -> Tolerance:
     return tol
 
 
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    """arr, made read-only in place."""
+    arr.setflags(write=False)
+    return arr
+
+
 def _complex_array(values, name: str, copy: bool = False) -> np.ndarray:
     """values as complex128, a fresh C-ordered array when copy is set: the one
     conversion of array input. An entry past the double range, such as an
@@ -103,9 +109,7 @@ def _complex_array(values, name: str, copy: bool = False) -> np.ndarray:
 
 def as_matrix(values) -> np.ndarray:
     """Coerce to a read-only 2-D complex128 array, rejecting non-finite entries."""
-    m = _matrix_view(_complex_array(values, "matrix", copy=True))
-    m.setflags(write=False)
-    return m
+    return _frozen(_matrix_view(_complex_array(values, "matrix", copy=True)))
 
 
 def _matrix_view(values) -> np.ndarray:
@@ -125,9 +129,7 @@ def _matrix_view(values) -> np.ndarray:
 
 def as_vector(values, length: int | None = None, name: str = "vector") -> np.ndarray:
     """Coerce to a read-only 1-D complex128 array of the given length."""
-    v, _ = _vector_peak(_complex_array(values, name, copy=True), length, name)
-    v.setflags(write=False)
-    return v
+    return _frozen(_vector_peak(_complex_array(values, name, copy=True), length, name)[0])
 
 
 def _vector_peak(values, length: int | None, name: str) -> tuple:
@@ -182,9 +184,8 @@ def _phased_svd(m: np.ndarray) -> SvdFactors:
     phase = np.conj(z) / np.hypot(z.real, z.imag)
     v *= phase
     u *= phase
-    for arr in (u, s, v):
-        arr.setflags(write=False)
-    return SvdFactors(left_vectors=u, singular_values=s, right_vectors=v, rank=s.size)
+    return SvdFactors(left_vectors=_frozen(u), singular_values=_frozen(s),
+                      right_vectors=_frozen(v), rank=s.size)
 
 
 def _gram_floor(dim: int) -> float:
@@ -240,8 +241,7 @@ def _pinv_from_factors(factors: SvdFactors, name: str) -> np.ndarray:
         _reciprocal_sigma_r(factors, name)
         scaled = factors.right_vectors / factors.singular_values[np.newaxis, :]
         out = scaled @ factors.left_vectors.conj().T
-    out.setflags(write=False)
-    return out
+    return _frozen(out)
 
 
 def adjoint(matrix) -> np.ndarray:

@@ -11,43 +11,44 @@ norms are read off the route factors (_FrameAnalysis.spectral_norm). The
 gate checks S and G on their factors, and the frame keeps those deviations;
 the rows that restate its identities (SS† = S†S = P, T† = T*S†,
 GG† = G†G = Q, P fₖ = fₖ) evaluate them densely, as every product row
-does. Every sampled check reads its samples through _sample_blocks: a
-seeded PCG64 stream read one draw at a time and evaluated in blocks, so a
-count's first k samples are those of a count of k. A block's largest
-product holds about 2^12 entries, so its temporaries reuse freed pages (no
-page faults) and stay in cache; at least 128 samples, so a large frame's
-products stay wide BLAS calls; and at most 2^20 entries, so memory does not
-grow with the count. The four streams are fixed, so a stream's blocks depend
-only on (seed, count, dim, block width, vectors). _sample_blocks keeps a
-stream of at most _KEPT_ENTRIES (2^15) complex entries under that key after
-its first draw, read-only, with the values computed from its blocks alone:
-the suite's unit columns and the Rayleigh denominators. A longer stream is
-drawn block by block on every call. The store is process-wide, shared by
-every frame and thread, and evicts the least recently used streams to hold
-at most _KEPT_BYTES (16 MiB); the benchmark's verify_small shapes keep
-about 1.1 MB. Kept values have the bits of fresh ones. The suite's sampled
-rows run last, in one pass over two streams: unit signals and unit
-coefficient vectors. Deviations are residuals normalized by the norms of
-the factors entering each product (see scaled_deviation), which keeps them
-comparable to identity_abs for badly conditioned sequences too. Inequality
-checks carry a fixed absolute slack of 1e-9, and relative checks use 1e-8
-rescaled by the caller's identity_abs so a loosened run loosens coherently.
+does. Every sampled check reads its samples through _samples: a seeded
+PCG64 stream read one draw at a time and evaluated in blocks, so a count's
+first k samples are those of a count of k. A block's largest product holds
+about 2^12 entries, so its temporaries reuse freed pages (no page faults)
+and stay in cache; at least 128 samples, so a large frame's products stay
+wide BLAS calls; and at most 2^20 entries, so memory does not grow with the
+count. The four streams are fixed, so a stream's blocks depend only on
+(seed, count, dim, block width, vectors). Each caller hands _samples the
+values it computes from a block alone: the suite's unit columns, the
+Rayleigh samples with their denominators ‖g‖², and the polarization pairs
+with their probes c ± d, c ± id and scale. A stream of at most
+_KEPT_ENTRIES (2^14) complex entries keeps those values, read-only, in a
+functools.lru_cache under that key and the deriving function after its
+first draw; a longer one is drawn and derived block by block on every
+call. The cache is process-wide, shared by every frame and thread,
+and holds the _KEPT_STREAMS (16) streams used last, at most 13 MiB; the
+benchmark's verify_small shapes use 15. Kept values have the bits of fresh
+ones. The suite's sampled rows run last, in one pass over two streams: unit
+signals and unit coefficient vectors. Deviations are residuals normalized
+by the norms of the factors entering each product (see scaled_deviation),
+which keeps them comparable to identity_abs for badly conditioned sequences
+too. Inequality checks carry a fixed absolute slack of 1e-9, and relative
+checks use 1e-8 rescaled by the caller's identity_abs so a loosened run
+loosens coherently.
 """
 
 from __future__ import annotations
 
 import math
-import threading
-from collections import OrderedDict
 from collections.abc import Callable
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
 from .errors import DegenerateSpanError, NotTightError, NumericalError
 from .frame_ops import FrameSequence, _FrameAnalysis
-from .matrix_core import DEFAULT_TOLERANCE, Tolerance, _finite_real
+from .matrix_core import DEFAULT_TOLERANCE, Tolerance, _finite_real, _frozen
 
 __all__ = [
     "GENERATOR_KINDS",
@@ -69,7 +70,7 @@ _COEFFICIENT_SEED = 0x636F65666673
 _POLARIZATION_SEED = 0x706F6C6172
 _RAYLEIGH_SEED = 0x7261796C
 
-# _sample_blocks sizes each block by the entries per sample of the largest
+# _samples sizes each block by the entries per sample of the largest
 # product evaluated on it. A block aims at _CACHE_BLOCK entries (64 KiB of
 # complex128): its temporaries then stay under glibc's 128 KiB mmap threshold,
 # so no call faults in fresh pages, and in L2. It holds at least
@@ -81,11 +82,13 @@ _CACHE_BLOCK = 2**12
 _MIN_BLOCK_SAMPLES = 128
 _SAMPLE_BLOCK = 2**20
 
-# _sample_blocks keeps a stream of at most _KEPT_ENTRIES complex entries in
-# all (count * vectors * dim), so a repeat call reads it and draws nothing;
-# the store, blocks and the values kept with them, holds at most _KEPT_BYTES
-_KEPT_ENTRIES = 2**15
-_KEPT_BYTES = 2**24
+# _samples keeps the values derived from a stream of at most _KEPT_ENTRIES
+# complex entries in all (count * vectors * dim), for the _KEPT_STREAMS
+# streams used last. Polarization's are the largest: c, d and four probes,
+# three times the stream's entries, and a float a sample, at most 832 KiB
+# (m = 1), so the cache holds at most 13 MiB
+_KEPT_ENTRIES = 2**14
+_KEPT_STREAMS = 16
 
 # 'analysis_intertwines' and 'synthesis_intertwines' form U S, G U, S T and
 # T G, and every partial sum of their entries is bounded by sigma_1^3: no
@@ -256,6 +259,11 @@ def _energies(block: np.ndarray) -> np.ndarray:
     return (np.square(block.real) + np.square(block.imag)).sum(axis=0)
 
 
+def _with_energies(block: np.ndarray) -> tuple:
+    """A block of samples with the squared norm of each."""
+    return block, _energies(block)
+
+
 def _inner(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """<x_j, y_j> = Σ x conj(y) for each column pair."""
     return (x * y.conj()).sum(axis=0)
@@ -275,81 +283,11 @@ def _check_count(name: str, value, positive: bool = False) -> None:
         raise ValueError(f"{name} must be {'positive' if positive else 'non-negative'}")
 
 
-def _read_only(array: np.ndarray) -> np.ndarray:
-    array.flags.writeable = False
-    return array
-
-
-class _KeptStreams:
-    """The fixed sample streams drawn so far, each a tuple of read-only
-    blocks under the key (seed, count, dim, width, vectors), with the values
-    computed from its blocks alone. Process-wide and shared by threads: a
-    stream drawn by two threads at once is kept once, and both draws have the
-    same bits. Holds at most _KEPT_BYTES, blocks and kept values together,
-    evicting the least recently used streams."""
-
-    def __init__(self):
-        self.nbytes = 0
-        self._lock = threading.Lock()
-        self._streams = OrderedDict()  # key -> tuple of blocks
-        self._values = {}  # id(block) -> (key, {fn: fn(*block)})
-
-    def blocks(self, key: tuple, draw: Callable) -> tuple:
-        with self._lock:
-            kept = self._streams.get(key)
-            if kept is not None:
-                self._streams.move_to_end(key)
-                return kept
-        drawn = tuple(_read_only(block) for block in draw())
-        with self._lock:
-            kept = self._streams.get(key)
-            if kept is not None:
-                return kept
-            self._streams[key] = drawn
-            self._values.update((id(block), (key, {})) for block in drawn)
-            self.nbytes += sum(block.nbytes for block in drawn)
-            self._evict()
-        return drawn
-
-    def value(self, fn: Callable, block: np.ndarray) -> np.ndarray:
-        """fn of the block's vectors, fn(*block), kept with the block while
-        its stream is kept (a kept block's id is its own while it is kept)."""
-        kept = self._values.get(id(block))
-        if kept is None:
-            return fn(*block)
-        key, values = kept
-        value = values.get(fn)
-        if value is not None:
-            return value
-        value = _read_only(fn(*block))
-        with self._lock:
-            if self._values.get(id(block)) is kept and fn not in values:
-                values[fn] = value
-                self.nbytes += value.nbytes
-                self._streams.move_to_end(key)
-                self._evict()
-        return value
-
-    def _evict(self) -> None:
-        while self.nbytes > _KEPT_BYTES and self._streams:
-            _, blocks = self._streams.popitem(last=False)
-            for block in blocks:
-                _, values = self._values.pop(id(block))
-                self.nbytes -= block.nbytes + sum(v.nbytes for v in values.values())
-
-    def clear(self) -> None:
-        with self._lock:
-            self._streams.clear()
-            self._values.clear()
-            self.nbytes = 0
-
-
-_KEPT = _KeptStreams()
-
-
-def _sample_blocks(seed: int, count: int, dim: int, largest: int, vectors: int = 1):
-    """count samples, each `vectors` complex normal vectors of length dim, from
-    the PCG64 stream of seed, as an iterator of (vectors, dim, k) blocks.
+def _samples(seed: int, count: int, dim: int, largest: int, derive: Callable,
+             vectors: int = 1):
+    """derive(*block) for each (vectors, dim, k) block of count samples, each
+    `vectors` complex normal vectors of length dim, from the PCG64 stream of
+    seed: an iterator of the values derive computes from a block alone.
 
     The stream is read one draw at a time: each vector's real parts, then its
     imaginary parts, the bits _complex_gaussian gives one vector. So the first
@@ -365,17 +303,26 @@ def _sample_blocks(seed: int, count: int, dim: int, largest: int, vectors: int =
     The width reads only largest, so two streams of one check given the same
     largest are cut alike, whatever their dim.
 
-    A stream of at most _KEPT_ENTRIES entries is kept in _KEPT, read-only,
-    so a repeat call yields the kept blocks; a longer one is drawn block by
-    block on every call.
+    A stream of at most _KEPT_ENTRIES entries is read from _kept_samples; a
+    longer one is drawn and derived block by block on every call.
     """
     count = int(count)
     width = max(1, min(_SAMPLE_BLOCK // largest,
                        max(_MIN_BLOCK_SAMPLES, _CACHE_BLOCK // largest)))
-    draw = partial(_drawn_blocks, seed, count, dim, width, vectors)
     if count * vectors * dim > _KEPT_ENTRIES:
-        return draw()
-    return iter(_KEPT.blocks((seed, count, dim, width, vectors), draw))
+        return (derive(*block) for block in _drawn_blocks(seed, count, dim, width, vectors))
+    return iter(_kept_samples(seed, count, dim, width, vectors, derive))
+
+
+@lru_cache(maxsize=_KEPT_STREAMS)
+def _kept_samples(seed: int, count: int, dim: int, width: int, vectors: int,
+                  derive: Callable) -> tuple:
+    """derive(*block) for each block of the stream, every array read-only."""
+    derived = tuple(derive(*block) for block in _drawn_blocks(seed, count, dim, width, vectors))
+    for value in derived:
+        for array in value if isinstance(value, tuple) else (value,):
+            _frozen(array)
+    return derived
 
 
 def _drawn_blocks(seed: int, count: int, dim: int, width: int, vectors: int):
@@ -411,6 +358,12 @@ def _dual_bounds(analysis: _FrameAnalysis):
     return dev, _rel_tol(analysis), {"dual_lower": dual.lower, "dual_upper": dual.upper}
 
 
+def _polarization_probes(c: np.ndarray, d: np.ndarray) -> tuple:
+    """A block of pairs with its probes c ± d, c ± id and √(‖c‖²‖d‖²) of each pair."""
+    probes = np.concatenate([c + d, c - d, c + 1j * d, c - 1j * d], axis=1)
+    return c, d, probes, np.sqrt(_energies(c) * _energies(d))
+
+
 def _polarization_deviation(analysis: _FrameAnalysis, common_bound: float, pairs: int) -> float:
     """Worst mismatch between the four-term combination and the inner products.
 
@@ -419,15 +372,15 @@ def _polarization_deviation(analysis: _FrameAnalysis, common_bound: float, pairs
 
         <G c, d> = (A/4) (|Q(c+d)|^2 - |Q(c-d)|^2 + i |Q(c+id)|^2 - i |Q(c-id)|^2)
 
-    Each pair (c, d) is one sample of two vectors from _sample_blocks.
+    Each pair (c, d) is one sample of two vectors from _samples.
     """
     q, g, m = analysis["Q"], analysis["G"], analysis.frame.size
     worst = 0.0  # np.maximum keeps a NaN
-    for c, d in _sample_blocks(_POLARIZATION_SEED, pairs, m, 4 * m, vectors=2):
-        probes = np.concatenate([c + d, c - d, c + 1j * d, c - 1j * d], axis=1)
+    for c, d, probes, pair_scale in _samples(_POLARIZATION_SEED, pairs, m, 4 * m,
+                                             _polarization_probes, vectors=2):
         qnorm2 = _energies(q @ probes).reshape(4, -1)
         combo = (common_bound / 4.0) * (qnorm2[0] - qnorm2[1] + 1j * qnorm2[2] - 1j * qnorm2[3])
-        scale = np.maximum(1.0, common_bound * np.sqrt(_energies(c) * _energies(d)))
+        scale = np.maximum(1.0, common_bound * pair_scale)
         gaps = (combo - _inner(g @ c, d), combo - common_bound * _inner(q @ c, d))
         worst = np.maximum(worst, _worst(*(np.abs(gap) / scale for gap in gaps)))
     return float(worst)
@@ -606,10 +559,9 @@ def _identity_suite(analysis: _FrameAnalysis, vector_samples: int) -> IdentityRe
     # the sampled rows, evaluated in one pass over the blocks of both streams
     worst = dict.fromkeys((row[0] for row in sampled), 0.0)  # np.maximum keeps a NaN
     n, m = analysis.frame.ambient_dim, analysis.frame.size
-    for f, c in zip(_sample_blocks(_SIGNAL_SEED, vector_samples, n, max(n, m)),
-                    _sample_blocks(_COEFFICIENT_SEED, vector_samples, m, max(n, m))):
-        blocks = {"signals": _KEPT.value(_unit_columns, f),
-                  "coeffs": _KEPT.value(_unit_columns, c)}
+    for f, c in zip(_samples(_SIGNAL_SEED, vector_samples, n, max(n, m), _unit_columns),
+                    _samples(_COEFFICIENT_SEED, vector_samples, m, max(n, m), _unit_columns)):
+        blocks = {"signals": f, "coeffs": c}
         for name, _, _, check in sampled:
             worst[name] = np.maximum(worst[name], check.evaluate(analysis, blocks[check.space]))
     for name, formula, _, check in sampled:
@@ -663,8 +615,9 @@ def _sampling(analysis: _FrameAnalysis, samples: int) -> CheckRecord:
     bounds = analysis.bounds
     on_span = analysis["U"] @ f_t.left_vectors  # (m, r)
     emp_min, emp_max = np.inf, -np.inf  # np.minimum and np.maximum keep a NaN
-    for g in _sample_blocks(_RAYLEIGH_SEED, samples, f_t.rank, max(on_span.shape)):
-        ratios = _energies(on_span @ g[0]) / _KEPT.value(_energies, g)
+    for g, energies in _samples(_RAYLEIGH_SEED, samples, f_t.rank, max(on_span.shape),
+                                _with_energies):
+        ratios = _energies(on_span @ g) / energies
         emp_min, emp_max = np.minimum(emp_min, ratios.min()), np.maximum(emp_max, ratios.max())
     emp_min, emp_max = float(emp_min), float(emp_max)
     dev = max(0.0, bounds.lower - emp_min, emp_max - bounds.upper) / max(1.0, bounds.upper)

@@ -19,7 +19,7 @@ from framekit.verifier import (
     _SIGNAL_SEED,
     _complex_gaussian,
     _polarization_deviation,
-    _sample_blocks,
+    _samples,
 )
 
 
@@ -153,6 +153,11 @@ def unit_samples(seed, dim, count):
     return np.stack(columns, axis=1) if columns else np.zeros((dim, 0), dtype=complex)
 
 
+def whole_block(*vectors):
+    """The (vectors, dim, k) block of samples as drawn."""
+    return np.stack(vectors)
+
+
 @pytest.mark.parametrize("vectors", [1, 2])
 @pytest.mark.parametrize("largest", [1, 5, 2**20])
 def test_sample_blocks_hold_the_one_vector_draws(monkeypatch, vectors, largest):
@@ -163,7 +168,7 @@ def test_sample_blocks_hold_the_one_vector_draws(monkeypatch, vectors, largest):
     monkeypatch.setattr(verifier, "_SAMPLE_BLOCK", 10 if largest < 2**20 else 1)
     rng = np.random.Generator(np.random.PCG64(7))
     expected = [[_complex_gaussian(rng, 3) for _ in range(vectors)] for _ in range(11)]
-    samples = [list(block[:, :, j]) for block in _sample_blocks(7, 11, 3, largest, vectors)
+    samples = [list(block[:, :, j]) for block in _samples(7, 11, 3, largest, whole_block, vectors)
                for j in range(block.shape[-1])]
     assert np.array(samples).tobytes() == np.array(expected).tobytes()
 

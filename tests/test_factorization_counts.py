@@ -71,8 +71,8 @@ def svd_calls(monkeypatch):
 @pytest.fixture
 def norm_calls(monkeypatch):
     # the suite keeps its streams' unit columns process-wide, so each test
-    # starts from an empty store and counts the column norms of fresh streams
-    verifier._KEPT.clear()
+    # starts from an empty cache and counts the column norms of fresh streams
+    verifier._kept_samples.cache_clear()
     return call_counter(monkeypatch, "norm", (matrix_core, "_dot_norm"))
 
 

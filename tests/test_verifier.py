@@ -316,17 +316,27 @@ def test_suite_memory_does_not_grow_with_the_sample_count(monkeypatch):
     assert peak <= 16 * block * 16
 
 
-def spy_blocks(monkeypatch, block):
-    """Set _SAMPLE_BLOCK and record (samples, entries per sample) of each block drawn."""
-    seen, blocks = [], verifier._sample_blocks
+def arrays(derived):
+    """The arrays of one block's derived value: one array or a tuple of them."""
+    return derived if isinstance(derived, tuple) else (derived,)
 
-    def spy(seed, count, dim, largest, vectors=1):
-        for drawn in blocks(seed, count, dim, largest, vectors):
-            seen.append((drawn.shape[-1], largest))
-            yield drawn
+
+def samples_in(derived):
+    """The number of samples in one block's derived value."""
+    return arrays(derived)[0].shape[-1]
+
+
+def spy_blocks(monkeypatch, block):
+    """Set _SAMPLE_BLOCK and record (samples, entries per sample) of each block read."""
+    seen, samples = [], verifier._samples
+
+    def spy(seed, count, dim, largest, derive, vectors=1):
+        for derived in samples(seed, count, dim, largest, derive, vectors):
+            seen.append((samples_in(derived), largest))
+            yield derived
 
     monkeypatch.setattr(verifier, "_SAMPLE_BLOCK", block)
-    monkeypatch.setattr(verifier, "_sample_blocks", spy)
+    monkeypatch.setattr(verifier, "_samples", spy)
     return seen
 
 
@@ -376,7 +386,7 @@ def test_records_do_not_depend_on_the_block_width(monkeypatch, entry, count, wid
     assert any(k > 1 for k, _ in seen) == (width == "short" and count > 1)
 
 
-# the width of the blocks _sample_blocks gives each sampled caller, by frame
+# the width of the blocks _samples gives each sampled caller, by frame
 # size: about 2^12 entries of the largest product, and at least 128 samples
 BLOCK_WIDTHS = {  # (n, m): (run_identity_suite, polarization_check, bounds_vs_sampling)
     (4, 6): (682, 170, 682),
@@ -413,14 +423,14 @@ def test_the_suite_draws_both_streams_in_blocks_of_one_width(monkeypatch, n, m):
     # the suite zips the signal and coefficient blocks, so a stream cut
     # narrower than the other would drop samples from it without a word
     drawn = {}
-    blocks = verifier._sample_blocks
+    samples = verifier._samples
 
-    def spy(seed, count, dim, largest, vectors=1):
-        for block in blocks(seed, count, dim, largest, vectors):
-            drawn.setdefault(seed, []).append(block.shape[-1])
-            yield block
+    def spy(seed, count, dim, largest, derive, vectors=1):
+        for derived in samples(seed, count, dim, largest, derive, vectors):
+            drawn.setdefault(seed, []).append(samples_in(derived))
+            yield derived
 
-    monkeypatch.setattr(verifier, "_sample_blocks", spy)
+    monkeypatch.setattr(verifier, "_samples", spy)
     frame = generate(spec_for("gaussian", n=n, m=m, seed=0))
     for count in (0, 1, 129, 1000):
         drawn.clear()
@@ -433,59 +443,80 @@ def test_the_suite_draws_both_streams_in_blocks_of_one_width(monkeypatch, n, m):
 # ------------------------------------------------------------ kept streams
 
 @pytest.fixture
-def empty_store():
-    verifier._KEPT.clear()
-    yield verifier._KEPT
-    verifier._KEPT.clear()
+def empty_cache():
+    verifier._kept_samples.cache_clear()
+    yield verifier._kept_samples
+    verifier._kept_samples.cache_clear()
+
+
+def whole_block(*vectors):
+    """The (vectors, dim, k) block of samples as drawn."""
+    return np.stack(vectors)
 
 
 def stream_params(n, m):
-    """(seed, count, dim, largest, vectors) of each sampled caller's stream on
-    an n x m frame of full rank, with counts small enough to be kept."""
-    return [(verifier._SIGNAL_SEED, 50, n, max(n, m), 1),
-            (verifier._COEFFICIENT_SEED, 50, m, max(n, m), 1),
-            (verifier._POLARIZATION_SEED, 50, m, 4 * m, 2),
-            (verifier._RAYLEIGH_SEED, verifier._KEPT_ENTRIES // n, n, m, 1)]
+    """(seed, count, dim, largest, derive, vectors) of each sampled caller's
+    stream on an n x m frame of full rank, with counts small enough to be kept."""
+    return [(verifier._SIGNAL_SEED, 50, n, max(n, m), verifier._unit_columns, 1),
+            (verifier._COEFFICIENT_SEED, 50, m, max(n, m), verifier._unit_columns, 1),
+            (verifier._POLARIZATION_SEED, 50, m, 4 * m, verifier._polarization_probes, 2),
+            (verifier._RAYLEIGH_SEED, verifier._KEPT_ENTRIES // n, n, m,
+             verifier._with_energies, 1)]
+
+
+def bits(stream):
+    return [[(a.shape, a.dtype, a.tobytes()) for a in arrays(value)] for value in stream]
 
 
 @pytest.mark.parametrize("n, m", [(4, 6), (16, 32), (64, 128)])
-def test_kept_blocks_have_the_bits_of_a_fresh_draw(empty_store, n, m):
-    for seed, count, dim, largest, vectors in stream_params(n, m):
-        first = list(verifier._sample_blocks(seed, count, dim, largest, vectors))
-        kept = list(verifier._sample_blocks(seed, count, dim, largest, vectors))
-        width = first[0].shape[-1]
-        fresh = list(verifier._drawn_blocks(seed, count, dim, width, vectors))
-        assert all(a is b for a, b in zip(first, kept)), seed  # read, not drawn again
-        assert [b.shape for b in kept] == [b.shape for b in fresh]
-        assert all(a.tobytes() == b.tobytes() for a, b in zip(kept, fresh)), seed
+def test_kept_samples_have_the_bits_of_a_fresh_draw(empty_cache, n, m):
+    for seed, count, dim, largest, derive, vectors in stream_params(n, m):
+        # the caller's derived values, and the raw blocks
+        for fn in (derive, whole_block):
+            misses = empty_cache.cache_info().misses
+            first = list(verifier._samples(seed, count, dim, largest, fn, vectors))
+            kept = list(verifier._samples(seed, count, dim, largest, fn, vectors))
+            assert empty_cache.cache_info().misses == misses + 1, seed
+            assert all(a is b for a, b in zip(first, kept)), seed  # read, not drawn again
+            width = samples_in(first[0])
+            fresh = [fn(*block) for block in verifier._drawn_blocks(seed, count, dim, width,
+                                                                    vectors)]
+            assert bits(kept) == bits(fresh), seed
         # the first k samples are those of a count of k
         k = count // 3
-        whole = np.concatenate(kept, axis=-1)
-        short = np.concatenate(list(verifier._sample_blocks(seed, k, dim, largest, vectors)),
-                               axis=-1)
+        whole, short = (np.concatenate(list(verifier._samples(seed, c, dim, largest, whole_block,
+                                                              vectors)), axis=-1)
+                        for c in (count, k))
         assert whole[..., :k].tobytes() == short.tobytes(), seed
 
 
-def test_kept_blocks_and_values_are_read_only(empty_store):
+def test_kept_samples_are_read_only(empty_cache):
     frame = generate(spec_for("gaussian", n=4, m=6, seed=0))
     run_identity_suite(frame)
     bounds_vs_sampling(frame, samples=1000)
-    block = next(verifier._sample_blocks(verifier._SIGNAL_SEED, 50, 4, 6))
-    with pytest.raises(ValueError):
-        block[0, 0, 0] = 1.0
-    with pytest.raises(ValueError):
-        block.real[:] = 0.0
-    g = next(verifier._sample_blocks(verifier._RAYLEIGH_SEED, 1000, 4, 6))
-    for value in (empty_store.value(verifier._unit_columns, block),
-                  empty_store.value(verifier._energies, g)):
-        with pytest.raises(ValueError):
-            value[..., 0] = 0.0
+    polarization_check(generate(spec_for("tight", n=4, m=6, seed=0)), pairs=50)
+    kept = empty_cache.cache_info()
+    assert kept.currsize == 4
+    for seed, count, dim, largest, derive, vectors in (
+            (verifier._SIGNAL_SEED, 50, 4, 6, verifier._unit_columns, 1),
+            (verifier._COEFFICIENT_SEED, 50, 6, 6, verifier._unit_columns, 1),
+            (verifier._POLARIZATION_SEED, 50, 6, 24, verifier._polarization_probes, 2),
+            (verifier._RAYLEIGH_SEED, 1000, 4, 6, verifier._with_energies, 1)):
+        for value in verifier._samples(seed, count, dim, largest, derive, vectors):
+            for array in arrays(value):
+                with pytest.raises(ValueError):
+                    array[..., 0] = 0.0
+                if array.dtype == np.complex128:
+                    with pytest.raises(ValueError):
+                        array.real[:] = 0.0
+    # each of the four was read from the calls' kept streams
+    assert empty_cache.cache_info().misses == kept.misses
 
 
-def test_a_stream_over_the_limit_is_drawn_on_every_call(empty_store):
+def test_a_stream_over_the_limit_is_drawn_on_every_call(empty_cache):
     frame = generate(spec_for("gaussian", n=64, m=128, seed=0))
     bounds_vs_sampling(frame, samples=10)  # the frame's kept factors, imports
-    kept = empty_store.nbytes
+    kept = empty_cache.cache_info()
     peaks = []
     tracemalloc.start()
     try:
@@ -500,32 +531,69 @@ def test_a_stream_over_the_limit_is_drawn_on_every_call(empty_store):
     finally:
         tracemalloc.stop()
     assert peaks[1] <= peaks[0]
-    assert empty_store.nbytes == kept
+    assert empty_cache.cache_info() == kept  # neither read nor kept
 
 
-def stored_bytes(store):
-    """The bytes of every kept block and value, counted afresh."""
-    blocks = [b for stream in store._streams.values() for b in stream]
-    values = [v for _, kept in store._values.values() for v in kept.values()]
-    assert len(blocks) == len(store._values)
-    return sum(a.nbytes for a in blocks + values)
+def kept_bytes(stream):
+    """The bytes of a kept stream's arrays; polarization's c and d are views
+    of one block, whose bytes they sum to."""
+    return sum(a.nbytes for value in stream for a in arrays(value))
 
 
-def test_the_store_stays_within_its_bound_over_a_sweep_of_dims(empty_store):
+# _KEPT_STREAMS streams of at most 832 KiB each: polarization's, at m = 1,
+# keeps 3 * 2^14 complex entries and 2^13 floats
+KEPT_BOUND = 13 * 2**20
+
+
+def test_the_cache_stays_within_its_bound_over_a_sweep_of_dims(empty_cache):
+    held, largest = [], 0
     for dim in range(1, 41):
-        # a stream at the per-stream limit, with its unit columns and energies
-        count = verifier._KEPT_ENTRIES // dim
-        for block in verifier._sample_blocks(verifier._SIGNAL_SEED, count, dim, dim):
-            empty_store.value(verifier._unit_columns, block)
-            empty_store.value(verifier._energies, block)
-        assert empty_store.nbytes == stored_bytes(empty_store) <= verifier._KEPT_BYTES
-    # the sweep kept about 40 MiB in all: the oldest streams were let go, the
-    # newest is kept
-    assert 0 < len(empty_store._streams) < 40
-    assert next(reversed(empty_store._streams))[2] == 40
+        # a stream at the per-stream limit for each caller's derived values
+        for derive, vectors in ((verifier._unit_columns, 1), (verifier._with_energies, 1),
+                                (verifier._polarization_probes, 2)):
+            count = verifier._KEPT_ENTRIES // (vectors * dim)
+            stream = tuple(verifier._samples(verifier._SIGNAL_SEED, count, dim, dim, derive,
+                                             vectors))
+            held = (held + [kept_bytes(stream)])[-verifier._KEPT_STREAMS:]
+            largest = max(largest, held[-1])
+        assert empty_cache.cache_info().currsize == min(3 * dim, verifier._KEPT_STREAMS)
+        assert sum(held) <= KEPT_BOUND
+    # no stream holds more than its share, and polarization's at dim 1 holds it
+    assert largest == KEPT_BOUND // verifier._KEPT_STREAMS
+    # the newest stream is kept and the oldest was let go
+    info = empty_cache.cache_info()
+    list(verifier._samples(verifier._SIGNAL_SEED, verifier._KEPT_ENTRIES // 80, 40, 40,
+                           verifier._polarization_probes, 2))
+    assert empty_cache.cache_info().misses == info.misses
+    list(verifier._samples(verifier._SIGNAL_SEED, verifier._KEPT_ENTRIES, 1, 1,
+                           verifier._unit_columns))
+    assert empty_cache.cache_info().misses == info.misses + 1
 
 
-def test_threads_running_suites_return_the_bits_of_a_sequential_run(empty_store):
+# verify_small's frames (perfbench/workloads.py): the five kinds at 4x6, 8x12
+# and 16x32, each run as its suite and a 1000-sample bounds_vs_sampling
+VERIFY_SMALL = [(kind, n, m) for n, m in ((4, 6), (8, 12), (16, 32)) for kind in GENERATOR_KINDS]
+
+
+def test_the_benchmark_streams_stay_kept(empty_cache):
+    def run(seed):
+        for kind, n, m in VERIFY_SMALL:
+            frame = generate(spec_for(kind, n=n, m=m, seed=seed))
+            run_identity_suite(frame)
+            bounds_vs_sampling(frame, samples=1000)
+
+    # per size: signal, coefficient and polarization streams, and Rayleigh
+    # streams of rank n and n - 1; the largest is 16x32's of rank 16, 16,000
+    # entries
+    run(0)
+    first = empty_cache.cache_info()
+    assert first.misses == first.currsize == 15
+    # a second pass, on fresh frames, draws none of them again
+    run(1)
+    assert empty_cache.cache_info().misses == first.misses
+
+
+def test_threads_running_suites_return_the_bits_of_a_sequential_run(empty_cache):
     frames = [generate(spec_for(kind, n=n, m=m, seed=seed))
               for kind, n, m, seed in (("gaussian", 4, 6, 0), ("tight", 4, 6, 1),
                                        ("gaussian", 16, 32, 2), ("rank_deficient", 16, 32, 3))]
@@ -535,11 +603,12 @@ def test_threads_running_suites_return_the_bits_of_a_sequential_run(empty_store)
         return report.to_dict(), bounds_vs_sampling(frame, samples=1000).to_dict()
 
     sequential = [run(frame) for frame in frames]
+    streams = empty_cache.cache_info().currsize
     interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)  # switch threads often, inside the store too
+    sys.setswitchinterval(1e-6)  # switch threads often, inside the cache too
     try:
         for _ in range(3):
-            empty_store.clear()
+            empty_cache.cache_clear()
             barrier, got = threading.Barrier(len(frames)), {}
 
             def work(i):
@@ -553,7 +622,7 @@ def test_threads_running_suites_return_the_bits_of_a_sequential_run(empty_store)
                 thread.join(timeout=30)
             assert not any(thread.is_alive() for thread in threads)
             assert [got[i] for i in range(len(frames))] == sequential
-            # a stream two threads drew at once is kept, and counted, once
-            assert empty_store.nbytes == stored_bytes(empty_store)
+            # a stream two threads drew at once is kept once
+            assert empty_cache.cache_info().currsize == streams
     finally:
         sys.setswitchinterval(interval)

@@ -287,9 +287,10 @@ def _cmd_verify(args) -> int:
 
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--tolerance", type=float, default=None,
-                        help="absolute identity tolerance (default 1e-10, or FRAMEKIT_TOL)")
+                        help="absolute identity tolerance (default "
+                             f"{DEFAULT_TOLERANCE.identity_abs:g}, or FRAMEKIT_TOL)")
     parser.add_argument("--rank-rel", type=float, default=None,
-                        help="relative singular-value cutoff (default 1e-12)")
+                        help=f"relative singular-value cutoff (default {DEFAULT_TOLERANCE.rank_rel:g})")
     parser.add_argument("--format", choices=("text", "structured"), default="text",
                         help="report format: human text or canonical JSON")
 

@@ -1,5 +1,12 @@
 """Exception types shared across framekit."""
 
+__all__ = [
+    "FramekitError",
+    "NumericalError",
+    "DegenerateSpanError",
+    "NotTightError",
+]
+
 
 class FramekitError(Exception):
     """Base class for framekit errors."""

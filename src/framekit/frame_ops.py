@@ -118,7 +118,7 @@ class FrameSequence:
         "G factors"       G's, lifted from an SVD of its       -            32 m k + 8 k
                           square core (see _g_svd)
         route name        the route's rank cut (see _cut)      rank_rel     none: views
-        (check, r, r)     a gate self-check's deviation        -            one float
+        (check, r)        a gate self-check's deviation        -            one float
         route set         a gate's summary: the routes' cuts   rank_rel     views, as
                           and their worst deviation, T's                    above, and
                           certificate rows among them (see                  one float
@@ -523,30 +523,20 @@ def _s_route_pinv_t(a: "_FrameAnalysis") -> float:
 
 
 # the self-checks in gate order: the route each reads besides T's, and the
-# function that evaluates its deviation (see _FrameAnalysis.gate). Each keeps
-# the name of the dense identity it stands for but reads the route's factors
-# in T's coordinates, so no gate forms P, Q, S+ or G+ (see _FrameAnalysis).
-# 'T+ = T* S+' is what ties every T/S-gated result to S's route: the
-# minimum-norm results, the signal series and the canonical dual apply T+
-# through the very factors W, Sigma, V it reads. T's own factors need no
-# self-check here: every analysis holds their certificate
-# (FrameSequence._certificate) against its tolerance before reading them (see
-# _FrameAnalysis.f_t). The suite's rows evaluate the dense identities themselves
+# function that evaluates its deviation; a gate runs, in this order, those
+# whose route it reads (see _FrameAnalysis._walk). Each keeps the name of the
+# dense identity it stands for, which the suite's rows evaluate, but reads the
+# route's factors in T's coordinates (see _FrameAnalysis). 'T+ = T* S+' ties
+# every T/S-gated result to S's route: the minimum-norm results, the signal
+# series and the canonical dual apply T+ through the very factors W, Sigma, V
+# it reads. T's own factors need no self-check here: every analysis holds
+# their certificate against its tolerance before reading them (_FrameAnalysis.f_t).
 _SELF_CHECKS = {
     "S S+ = P": ("frame operator", _s_route_factors_s),
     "S+ S = P": ("frame operator", _s_route_spans_range_p),
     "G G+ = Q": ("gram", _g_route_factors_g),
     "G+ G = Q": ("gram", _g_route_spans_range_q),
     "T+ = T* S+": ("frame operator", _s_route_pinv_t),
-}
-
-# the self-checks a gate on each set of routes runs, in gate order: those
-# whose route is among them besides T's. Each function is looked up in
-# _SELF_CHECKS when it runs
-_GATE_CHECKS = {
-    routes: tuple(name for name, (route, _) in _SELF_CHECKS.items()
-                  if {"synthesis", route} <= set(routes))
-    for routes in (("synthesis", "frame operator"), ("synthesis", "gram"), tuple(_ROUTES))
 }
 
 # the names of the three deviations in FrameSequence._certificate
@@ -622,13 +612,12 @@ class _FrameAnalysis:
     The gate first checks that the routes agree in rank. Once it holds, T's
     kept rank and the route's fix every operand a self-check reads: the
     truncated factors, S, U, T and the spectral norms. So the frame keeps
-    each self-check's deviation in the slot (check name, T's rank, the
-    route's rank) (see FrameSequence._keep), and a kept deviation has the bits a
-    recomputed one would. The checks each set of routes runs are listed
-    once (_GATE_CHECKS), and each kept deviation is read with one lookup.
-    The verdict is not kept: each call holds the deviation against its own
-    identity_abs. A check that raises keeps nothing, so it raises again on
-    every call.
+    each self-check's deviation in the slot (check name, rank) (see
+    FrameSequence._keep), and a kept deviation has the bits a recomputed one
+    would. A gate runs, in _SELF_CHECKS's order, the checks whose route it
+    reads, and each kept deviation is read with one lookup. The verdict is
+    not kept: each call holds the deviation against its own identity_abs. A
+    check that raises keeps nothing, so it raises again on every call.
 
     A gate whose checks have all held under a rank_rel, T's certificate
     among them, leaves its summary on the frame, tagged with that rank_rel
@@ -738,7 +727,7 @@ class _FrameAnalysis:
     def _walk(self, routes: tuple) -> tuple:
         """The gate's checks in order: T's certificate (read with f_t), the
         routes' agreement in rank, then each self-check, its deviation taken
-        once per frame and ranks (see the class). Returns the gate summary
+        once per frame and rank (see the class). Returns the gate summary
         once all have held: the cuts by attribute and the worst deviation."""
         # T's cut first, read once its certificate holds
         cuts = {_ROUTES[name]: getattr(self, _ROUTES[name]) for name in routes}
@@ -752,10 +741,11 @@ class _FrameAnalysis:
                 f"sqrt(10 max(n, m) eps) = {math.sqrt(_gram_floor(max(self['T'].shape))):.3e}"
             )
         worst = max(self.frame._certificate)
-        for name in _GATE_CHECKS[routes]:  # the routes agree in rank r
-            dev = self.frame._keep((name, r, r), lambda: _SELF_CHECKS[name][1](self))
-            self._require(name, dev)
-            worst = max(worst, dev)
+        for name, (route, check) in _SELF_CHECKS.items():
+            if route in routes:  # the routes agree in rank r
+                dev = self.frame._keep((name, r), partial(check, self))
+                self._require(name, dev)
+                worst = max(worst, dev)
         return cuts, worst
 
     def _require(self, name: str, dev: float) -> None:
@@ -970,13 +960,18 @@ def _matrix_analysis(matrix, tol: Tolerance | None) -> _FrameAnalysis:
     return _FrameAnalysis(FrameSequence._from_matrix(_matrix_view(matrix)), tol)
 
 
+def _smaller_square(frame: FrameSequence) -> str:
+    """The route of the smaller of T's two squares: S's where n <= m, else G's."""
+    return "frame operator" if frame.ambient_dim <= frame.size else "gram"
+
+
 def _square_gated(matrix, tol: Tolerance | None, name: str) -> np.ndarray:
-    """The named operator behind the gate on the smaller of T's squares, S where
-    n <= m, else G, as in project_coefficients. It is formed first, so T+ refuses a
-    1/sigma_r that overflows by name before S or G, which square it to 0, disagree."""
+    """The named operator behind the gate on the smaller of T's squares. It is
+    formed first, so T+ refuses a 1/sigma_r that overflows by name before S or
+    G, which square it to 0, disagree."""
     a = _matrix_analysis(matrix, tol)
     out = a[name]
-    a.gate("synthesis", "frame operator" if a.frame.ambient_dim <= a.frame.size else "gram")
+    a.gate("synthesis", _smaller_square(a.frame))
     return out
 
 

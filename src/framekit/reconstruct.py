@@ -68,7 +68,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateSpanError, NumericalError
-from .frame_ops import FrameSequence, _deviation, _FrameAnalysis
+from .frame_ops import FrameSequence, _deviation, _FrameAnalysis, _smaller_square
 from .matrix_core import Tolerance, _norms, _vector_peak
 
 __all__ = [
@@ -283,17 +283,24 @@ def project_coefficients(frame: FrameSequence, coefficients,
 
     e_k is the k-th standard basis vector of the coefficient space. Q c is
     applied as V (V* c) from T's certified kept right singular vectors V, the
-    Q c that min_norm_preimage reports. What Q removes must lie in
-    ker T, so the result is checked as T Q c = T c, its residual scaled by
-    |c| + |T| |c|. The call gates on the smaller of T's two squares: on S's
+    Q c that min_norm_preimage reports. T Q c = W Sigma V* c is the part of
+    T c in the kept span, so the result is checked as T Q c = P T c, its
+    residual scaled by |c| + |T| |c|; a rank_rel that cuts drops the same
+    W_perp Sigma_perp V_perp* c from both sides. P is applied as W (W* x)
+    through T's kept left singular vectors W, and where r = n, P = I is not
+    applied. The call gates on the smaller of T's two squares: on S's
     route where n <= m, on G's where n > m. Either gate pins V: the T/S gate
     ties W and Sigma to S, and the certificate (T = W Sigma V*, V* V = I)
     then pins V; the T/G gate's 'G+ G = Q' ties V to G directly. No m x m G,
     G+ or Q is formed.
     """
-    route = "frame operator" if frame.ambient_dim <= frame.size else "gram"
+    route = _smaller_square(frame)
     a, c, e = _gated(frame, tol, route, coefficients, frame.size, "coefficients")
     series = _range_part(a.f_t.right_vectors, c)
     norm_c, norm_tc, norm_series = _norms((c, 1.0, a.spectral_norm("T")), (series, 1.0))
-    _check(a, "T Q c = T c", a["T"] @ series, a["T"] @ c, norm_c + norm_tc)
+    synthesized = a["T"] @ c
+    if a.f_t.rank < frame.ambient_dim:  # P = I where r = n
+        w = a.f_t.left_vectors
+        synthesized = w @ _adjoint_applied(w, synthesized)
+    _check(a, "T Q c = P T c", a["T"] @ series, synthesized, norm_c + norm_tc)
     return _scaled_back("the coefficient series Q c", series, e, norm_series)

@@ -47,7 +47,7 @@ from functools import lru_cache, partial
 import numpy as np
 
 from .errors import DegenerateSpanError, NotTightError, NumericalError
-from .frame_ops import FrameSequence, _FrameAnalysis
+from .frame_ops import _ROUTES, FrameSequence, _FrameAnalysis
 from .matrix_core import DEFAULT_TOLERANCE, Tolerance, _finite_real, _frozen
 
 __all__ = [
@@ -536,9 +536,9 @@ def _identity_suite(analysis: _FrameAnalysis, vector_samples: int) -> IdentityRe
     _check_count("vector_samples", vector_samples)
     # every gate runs before any row: the frame's gate on all three routes,
     # bounds and dual, then the dual's, each raising as it would
-    analysis.gate("synthesis", "frame operator", "gram"), analysis.bounds
+    analysis.gate(*_ROUTES), analysis.bounds
     dual = analysis.dual
-    dual.gate("synthesis", "frame operator", "gram"), dual.bounds, dual.canonical_dual
+    dual.gate(*_ROUTES), dual.bounds, dual.canonical_dual
     sigma_1 = analysis.spectral_norm("T")
     if math.frexp(sigma_1)[1] > _CUBE_EXPONENT:
         raise NumericalError(

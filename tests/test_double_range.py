@@ -265,7 +265,7 @@ def test_a_wrong_series_is_refused_for_coefficients_past_the_double_range(monkey
         return 0.99 * range_part(basis, x)
 
     monkeypatch.setattr(reconstruct, "_range_part", short_series)
-    with pytest.raises(NumericalError, match="'T Q c = T c'"):
+    with pytest.raises(NumericalError, match="'T Q c = P T c'"):
         project_coefficients(frame, c)
 
 

@@ -150,7 +150,7 @@ def test_a_tolerance_that_cuts_s_to_a_new_rank_evaluates_the_checks_again(self_c
         assert self_checks(min_norm_coefficients, frame, signal, tol) == []
     assert sorted(slot for slot in frame._kept
                   if isinstance(slot, tuple) and slot[0] in frame_ops._SELF_CHECKS) == sorted(
-        (name, r, r) for name in T_S for r in (2, 4))
+        (name, r) for name in T_S for r in (2, 4))
     # and one T/S gate summary, by the rank_rel of the last call that walked the checks
     assert frame._kept["synthesis", "frame operator"][0] == cut.rank_rel
 

@@ -31,6 +31,7 @@ from framekit import (
     project_coefficients,
     project_signal,
     restricted,
+    svd,
 )
 from framekit import reconstruct
 from framekit.frame_ops import _FrameAnalysis
@@ -655,3 +656,23 @@ def test_the_coefficient_series_matches_an_extended_precision_q(kind, n, m, kapp
 def test_the_coefficient_series_on_the_benchmark_pool_matches_an_extended_precision_q():
     # the worst read 8.0e-15 through T's V and 8.7e-15 through G's basis
     assert max(series_error(frame, 0) for frame in pool_frames()) <= 2e-14
+
+
+@pytest.mark.parametrize("n, m", [(16, 32), (32, 16)], ids=["16x32-S-gate", "32x16-G-gate"])
+def test_a_rank_rel_that_cuts_gives_the_cut_coefficient_series(n, m, monkeypatch):
+    # rank_rel 1e-3 keeps 6 of the 16 singular values of a kappa = 1e4 frame;
+    # 'T Q c = P T c' drops the cut part of T c from both sides, so the call
+    # returns V_r V_r* c, the Q c whose leftover min_norm_preimage reports
+    frame = generate(GeneratorSpec("ill_conditioned", n, m, 0, condition_target=1e4))
+    cut = Tolerance(rank_rel=1e-3)
+    c = np.linspace(-1.0, 1.0, m) + 0.5j
+    v = svd(frame.synthesis_matrix(), cut).right_vectors
+    assert v.shape[1] == 6
+    series = project_coefficients(frame, c, cut)
+    assert np.linalg.norm(series - v @ (v.conj().T @ c)) <= 1e-12 * np.linalg.norm(c)
+    leftover = min_norm_preimage(frame, c, cut).residual_norm
+    assert abs(np.linalg.norm(c - series) - leftover) <= 4 * np.finfo(float).eps * leftover
+    range_part = reconstruct._range_part
+    monkeypatch.setattr(reconstruct, "_range_part", lambda basis, x: 0.99 * range_part(basis, x))
+    with pytest.raises(NumericalError, match="'T Q c = P T c' deviates by"):
+        project_coefficients(frame, c, cut)

@@ -107,7 +107,7 @@ def _kept_worst(frame):
     worst of each gate summary, which holds T's certificate rows, and the
     certificate itself for the calls that read T's factors alone."""
     summaries = [value for slot, (_, value) in frame._kept.items()
-                 if slot in frame_ops._GATE_CHECKS]
+                 if isinstance(slot, tuple) and all(name in frame_ops._ROUTES for name in slot)]
     return max([max(frame._certificate)] + [worst for _, worst in summaries])
 
 

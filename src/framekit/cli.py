@@ -19,11 +19,11 @@ included, or sizes whose arrays cannot be allocated), 3
 degenerate span (for analyze only when --strict is given; dual and
 reconstruct cannot proceed without a span).
 
-The default identity tolerance is 1e-10, overridable by the FRAMEKIT_TOL
-environment variable and, with higher precedence, the --tolerance flag.
-verify scales that default, FRAMEKIT_TOL included, by an ill_conditioned
-frame's condition target κ. The rank cutoff --rank-rel defaults to 1e-12 for
-every command.
+The default identity tolerance is DEFAULT_TOLERANCE.identity_abs, overridable
+by the FRAMEKIT_TOL environment variable and, with higher precedence, the
+--tolerance flag. verify scales that default, FRAMEKIT_TOL included, by an
+ill_conditioned frame's condition target κ. The rank cutoff --rank-rel
+defaults to DEFAULT_TOLERANCE.rank_rel for every command.
 """
 
 from __future__ import annotations
@@ -36,11 +36,11 @@ import sys
 import numpy as np
 
 from .errors import DegenerateSpanError, FramekitError
-from .frame_ops import FrameSequence, _FrameAnalysis, canonical_dual
+from .frame_ops import FrameSequence, canonical_dual, classify, frame_bounds
 from .matrix_core import DEFAULT_TOLERANCE, Tolerance
 from .reconstruct import min_norm_coefficients, min_norm_preimage
-from .verifier import (GENERATOR_KINDS, GeneratorSpec, _check_count, _identity_suite, _sampling,
-                       generate)
+from .verifier import (GENERATOR_KINDS, GeneratorSpec, _check_count, bounds_vs_sampling, generate,
+                       run_identity_suite)
 
 EXIT_OK = 0
 EXIT_VERIFICATION_FAILED = 1
@@ -162,9 +162,10 @@ def _parse_frame(doc: dict, path: str) -> FrameSequence:
 
 def _tolerance(identity_abs: float | None, rank_rel: float | None,
                kappa: float = 1.0) -> Tolerance:
-    """Tolerance from explicit values. Unset, identity_abs is FRAMEKIT_TOL, else 1e-10,
-    times the condition ratio kappa (verify's ill_conditioned target, else 1), since
-    conditioning eats precision, and rank_rel is 1e-12."""
+    """Tolerance from explicit values. Unset, identity_abs is FRAMEKIT_TOL, else
+    DEFAULT_TOLERANCE's, times the condition ratio kappa (verify's ill_conditioned
+    target, else 1), since conditioning eats precision, and rank_rel is
+    DEFAULT_TOLERANCE's."""
     if identity_abs is None:
         env = os.environ.get("FRAMEKIT_TOL")
         try:
@@ -179,8 +180,7 @@ def _tolerance(identity_abs: float | None, rank_rel: float | None,
 def _cmd_analyze(args) -> int:
     tol = _tolerance(args.tolerance, args.rank_rel)
     frame = _parse_frame(_load_document(args.input), args.input)
-    analysis = _FrameAnalysis(frame, tol)  # classification and bounds share T's SVD
-    verdict = analysis.classification
+    verdict = classify(frame, tol)
     doc = {
         "command": "analyze",
         "ambient_dim": frame.ambient_dim,
@@ -196,7 +196,7 @@ def _cmd_analyze(args) -> int:
     }
     flat = {**doc}  # the line-oriented format flattens the nested bounds
     if not verdict.is_degenerate:
-        bounds = analysis.bounds
+        bounds = frame_bounds(frame, tol)
         doc["bounds"] = {"lower": bounds.lower, "upper": bounds.upper}
         flat.update(lower_bound=bounds.lower, upper_bound=bounds.upper)
     _report(args, doc, lambda: _render_text(flat))
@@ -255,11 +255,10 @@ def _cmd_verify(args) -> int:
                          condition_target=condition_target)
     tol = _tolerance(args.tolerance, args.rank_rel, kappa=condition_target or 1.0)
     _check_count("samples", args.trials, positive=True)  # an input error, before the suite
-    analysis = _FrameAnalysis(generate(spec), tol)  # the suite, sampling and verdict share T's SVD
-    report = _identity_suite(analysis, vector_samples=50)
-    records = list(report.records) + [_sampling(analysis, samples=args.trials)]
+    frame = generate(spec)
+    records = [*run_identity_suite(frame, tol).records, bounds_vs_sampling(frame, args.trials, tol)]
     passed = all(r.passed for r in records)
-    verdict = analysis.classification
+    verdict = classify(frame, tol)
     doc = {
         "command": "verify",
         "kind": spec.kind,

@@ -177,13 +177,12 @@ def _solution(what: str, solution: np.ndarray, bound: float, inside: float,
     """The solution `what` of the unit input, with the norm leftover of what
     the input leaves outside as residual and the squares of the norms inside
     and leftover as the split, scaled back by 2^e (2^2e for the split). The
-    solution, of norm bound, is refused as _scaled_back refuses, and the
-    residual where it underflows, with the same message. A split
-    component is refused where its square leaves the double range, and is
-    rounded where it falls below the normal range: the squares of any input
-    below about 2^-511 do, although the solution and residual are exact there.
-    The residual cannot overflow unless the split does: its square is the
-    leftover component."""
+    solution, of norm bound, and the residual are scaled back, or refused, by
+    _scaled_back. A split component is refused where its square leaves the
+    double range, and is rounded where it falls below the normal range: the
+    squares of any input below about 2^-511 do, although the solution and
+    residual are exact there. The residual cannot overflow unless the split
+    does: its square is the leftover component."""
     solution = _scaled_back(what, solution, e, bound)
     split = []
     for name, norm in (("inside", inside), ("leftover", leftover)):
@@ -195,10 +194,7 @@ def _solution(what: str, solution: np.ndarray, bound: float, inside: float,
             raise NumericalError(f"norm_split's {name} component {norm:.3e} * 2^{e} "
                                  "squares beyond the double range")
         split.append(square)
-    residual = math.ldexp(leftover, e)
-    if e < 0 and math.ldexp(residual, -e) != leftover:  # as in _scaled_back
-        raise NumericalError(f"residual_norm underflows: {leftover:.3e} * 2^{e} "
-                             "lies below the normal range and loses bits")
+    residual = float(_scaled_back("residual_norm", np.array([leftover]), e, leftover)[0])
     return MinNormSolution(solution=solution, residual_norm=residual, norm_split=tuple(split))
 
 

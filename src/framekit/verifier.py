@@ -274,13 +274,15 @@ def _worst(*excesses: np.ndarray) -> float:
     return max(float(np.max(e, initial=0.0)) for e in excesses)
 
 
-def _check_count(name: str, value, positive: bool = False) -> None:
-    """Refuse a sample count that is a bool, not an integer, or negative (or
-    zero, where it must be positive), before anything is gated or drawn."""
+def _check_count(name: str, value, positive: bool = False) -> int:
+    """The sample count as a Python int, so a record's detail serializes; refuse
+    one that is a bool, not an integer, or negative (or zero, where it must be
+    positive), before anything is gated or drawn."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, not {type(value).__name__}")
     if value < (1 if positive else 0):
         raise ValueError(f"{name} must be {'positive' if positive else 'non-negative'}")
+    return int(value)
 
 
 def _samples(seed: int, count: int, dim: int, largest: int, derive: Callable,
@@ -306,7 +308,6 @@ def _samples(seed: int, count: int, dim: int, largest: int, derive: Callable,
     A stream of at most _KEPT_ENTRIES entries is read from _kept_samples; a
     longer one is drawn and derived block by block on every call.
     """
-    count = int(count)
     width = max(1, min(_SAMPLE_BLOCK // largest,
                        max(_MIN_BLOCK_SAMPLES, _CACHE_BLOCK // largest)))
     if count * vectors * dim > _KEPT_ENTRIES:
@@ -529,11 +530,8 @@ def run_identity_suite(frame: FrameSequence, tol: Tolerance | None = None,
     leave the double range there. vector_samples must be a non-negative
     integer, else ValueError.
     """
-    return _identity_suite(_FrameAnalysis(frame, tol), vector_samples)
-
-
-def _identity_suite(analysis: _FrameAnalysis, vector_samples: int) -> IdentityReport:
-    _check_count("vector_samples", vector_samples)
+    vector_samples = _check_count("vector_samples", vector_samples)
+    analysis = _FrameAnalysis(frame, tol)
     # every gate runs before any row: the frame's gate on all three routes,
     # bounds and dual, then the dual's, each raising as it would
     analysis.gate(*_ROUTES), analysis.bounds
@@ -582,7 +580,7 @@ def polarization_check(frame: FrameSequence, pairs: int = 100,
     are the same for every count. Raises NotTightError when the sequence is
     not tight, and ValueError unless pairs is a non-negative integer.
     """
-    _check_count("pairs", pairs)
+    pairs = _check_count("pairs", pairs)
     analysis = _FrameAnalysis(frame, tol)
     if not analysis.classification.is_tight:
         raise NotTightError("polarization reconstruction requires a tight sequence")
@@ -604,11 +602,8 @@ def bounds_vs_sampling(frame: FrameSequence, samples: int = 10000,
     bit for bit, and a larger count only adds vectors, so it can only widen
     the envelope. samples must be a positive integer, else ValueError.
     """
-    return _sampling(_FrameAnalysis(frame, tol), samples)
-
-
-def _sampling(analysis: _FrameAnalysis, samples: int) -> CheckRecord:
-    _check_count("samples", samples, positive=True)
+    samples = _check_count("samples", samples, positive=True)
+    analysis = _FrameAnalysis(frame, tol)
     f_t = analysis.f_t
     if f_t.rank == 0:
         raise DegenerateSpanError("a degenerate sequence has no bounds to sample")

@@ -1,12 +1,28 @@
-"""CLI behaviour, exercised in-process through main(argv)."""
+"""CLI behaviour, exercised in-process through main(argv), and in fresh
+interpreters where a report must match a cold process's."""
 
 import json
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
-from framekit import GeneratorSpec, generate
+from framekit import (
+    DEFAULT_TOLERANCE,
+    GENERATOR_KINDS,
+    FrameSequence,
+    GeneratorSpec,
+    Tolerance,
+    bounds_vs_sampling,
+    canonical_dual,
+    classify,
+    frame_bounds,
+    generate,
+    run_identity_suite,
+)
 from framekit.cli import (
     EXIT_DEGENERATE,
     EXIT_INPUT_ERROR,
@@ -262,6 +278,132 @@ def test_verify_refuses_a_size_it_cannot_allocate(capsys):
     assert code == EXIT_INPUT_ERROR
     assert err.startswith("error: ") and "allocate" in err
     assert "Traceback" not in err
+
+
+VERIFY_SPECS = [(kind, n, m) for kind in GENERATOR_KINDS for n, m in ((4, 6), (6, 4), (16, 32))]
+
+
+@pytest.mark.parametrize("kind, n, m", VERIFY_SPECS,
+                         ids=[f"{kind}-{n}x{m}" for kind, n, m in VERIFY_SPECS])
+def test_verify_reports_the_public_calls(kind, n, m, monkeypatch, capsys):
+    # verify runs run_identity_suite, bounds_vs_sampling and classify on the
+    # generated frame, under the default tolerance scaled by the condition target
+    monkeypatch.delenv("FRAMEKIT_TOL", raising=False)
+    kappa = 1e4 if kind == "ill_conditioned" else None
+    code = main(["verify", "--kind", kind, "--n", str(n), "--m", str(m), "--format", "structured"])
+    doc = json.loads(capsys.readouterr().out)
+    frame = generate(GeneratorSpec(kind, n, m, 0, condition_target=kappa))
+    tol = Tolerance(identity_abs=DEFAULT_TOLERANCE.identity_abs * (kappa or 1.0))
+    records = [*run_identity_suite(frame, tol).records, bounds_vs_sampling(frame, 1000, tol)]
+    verdict = classify(frame, tol)
+    assert doc["checks"] == [r.to_dict() for r in records]
+    assert (doc["span_dim"], doc["tight"]) == (verdict.span_dim, verdict.is_tight)
+    assert doc["passed"] == all(r.passed for r in records)
+    assert code == (EXIT_OK if doc["passed"] else EXIT_VERIFICATION_FAILED)
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "tight"])
+def test_analyze_reports_classify_and_frame_bounds(kind, tmp_path, capsys):
+    frame = generate(GeneratorSpec(kind, 4, 6, 1))
+    doc = write_doc(tmp_path / "frame.json", 4, frame.vectors)
+    assert main(["analyze", doc, "--format", "structured"]) == EXIT_OK
+    verdict, bounds = classify(frame), frame_bounds(frame)
+    assert json.loads(capsys.readouterr().out) == {
+        "command": "analyze",
+        "ambient_dim": 4,
+        "vector_count": 6,
+        "span_dim": verdict.span_dim,
+        "degenerate": verdict.is_degenerate,
+        "frame_for_space": verdict.is_frame_for_space,
+        "riesz_basis": verdict.is_riesz_basis,
+        "tight": verdict.is_tight,
+        "parseval": verdict.is_parseval,
+        "redundancy": verdict.redundancy,
+        "bounds": {"lower": bounds.lower, "upper": bounds.upper},
+    }
+
+
+# ------------------------------------------------------------ cold processes
+
+def run_cold(*argv):
+    """The stdout of `python -m framekit.cli argv` in a fresh interpreter, which
+    must exit 0; a RuntimeWarning fails it."""
+    proc = subprocess.run([sys.executable, "-m", "framekit.cli", *argv], capture_output=True,
+                          env={**os.environ, "PYTHONWARNINGS": "error::RuntimeWarning"})
+    assert proc.returncode == EXIT_OK, proc.stderr.decode()
+    return proc.stdout
+
+
+def doc_vectors(doc):
+    """The document's vectors as an (m, n) complex array."""
+    return np.array([[complex(*z) for z in v] for v in doc["vectors"]])
+
+
+# specs A, B and C: in one process the later runs of A read the sample
+# streams the earlier ones kept, and C's Rayleigh stream (2000 x 16
+# entries) is over the per-stream limit and drawn on every run
+KEPT_STREAM_SPECS = {
+    "A": ["--kind", "tight", "--seed", "3"],
+    "B": ["--kind", "gaussian", "--n", "16", "--m", "32", "--seed", "5"],
+    "C": ["--kind", "gaussian", "--n", "16", "--m", "32", "--seed", "5", "--trials", "2000"],
+}
+
+
+def test_in_process_verify_runs_give_a_cold_processs_bytes(capsys):
+    cold = {name: run_cold("verify", *argv, "--format", "structured")
+            for name, argv in KEPT_STREAM_SPECS.items()}
+    for name in "ABCAC":
+        assert main(["verify", *KEPT_STREAM_SPECS[name], "--format", "structured"]) == EXIT_OK
+        assert capsys.readouterr().out.encode() == cold[name], name
+
+
+@pytest.fixture(scope="module")
+def ill_frame_doc(tmp_path_factory):
+    """The ill_conditioned 16x32 frame of kappa 1e4 and seed 0 as a document."""
+    frame = generate(GeneratorSpec("ill_conditioned", 16, 32, 0, condition_target=1e4))
+    return write_doc(tmp_path_factory.mktemp("ill") / "ill_frame.json", 16, frame.vectors)
+
+
+@pytest.fixture(scope="module")
+def ill_dual_doc(ill_frame_doc):
+    """The canonical dual a cold process writes for ill_frame_doc."""
+    path = os.path.join(os.path.dirname(ill_frame_doc), "ill_dual.json")
+    with open(path, "wb") as handle:
+        handle.write(run_cold("dual", ill_frame_doc, "--format", "structured"))
+    return path
+
+
+def test_the_dual_of_a_cold_processs_dual_is_the_frame(ill_frame_doc, ill_dual_doc):
+    back = json.loads(run_cold("dual", ill_dual_doc, "--format", "structured"))
+    with open(ill_frame_doc) as handle:
+        t = doc_vectors(json.load(handle))
+    assert np.abs(doc_vectors(back) - t).max() <= 1e-12 * np.abs(t).max()
+
+
+def test_a_frames_kept_dual_has_the_bits_of_a_cold_processs_dual(ill_frame_doc, ill_dual_doc):
+    # in one process, a second dual of a frame is the one the frame keeps,
+    # with the bits of the dual that the CLI formed on a fresh frame
+    with open(ill_frame_doc) as handle, open(ill_dual_doc) as dual_handle:
+        doc, dual_doc = json.load(handle, parse_int=float), json.load(dual_handle, parse_int=float)
+    frame = FrameSequence.from_vectors(list(doc_vectors(doc)), 16)
+    first = canonical_dual(frame)
+    assert canonical_dual(frame) is first
+    assert np.array(first.vectors).tobytes() == doc_vectors(dual_doc).tobytes()
+
+
+def test_a_cold_processs_coefficients_lie_within_kappa_of_lstsqs(ill_frame_doc, tmp_path):
+    # reconstruct takes W* f as (f* W)*, a product whose BLAS call may differ
+    # across Python and numpy versions: its coefficients must lie within
+    # 1e-10 kappa max|c| of lstsq's on the same frame
+    with open(ill_frame_doc) as handle:
+        doc = json.load(handle)
+    signal = np.random.default_rng(0).standard_normal((16, 2)) @ [1, 1j]
+    path = tmp_path / "ill_signal.json"
+    path.write_text(json.dumps({**doc, "signal": [[z.real, z.imag] for z in signal]}))
+    out = json.loads(run_cold("reconstruct", str(path), "--format", "structured"), parse_int=float)
+    c = np.array([complex(*z) for z in out["coefficients"]])
+    gap = np.abs(c - np.linalg.lstsq(doc_vectors(doc).T, signal, rcond=None)[0]).max()
+    assert gap <= 1e-10 * 1e4 * np.abs(c).max(), gap / np.abs(c).max()
 
 
 # ----------------------------------------------------------- document errors

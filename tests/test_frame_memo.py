@@ -53,6 +53,7 @@ TALL = GeneratorSpec("gaussian", 6, 4, 3)
 ILL = GeneratorSpec("ill_conditioned", 4, 6, 3, condition_target=1e8)
 # 'T+ = T* S+' reads 9.8e-14 on this frame, and T's certificate at most 7.8e-16
 ILL_1E4 = GeneratorSpec("ill_conditioned", 4, 6, 3, condition_target=1e4)
+ILL_1E4_16X32 = GeneratorSpec("ill_conditioned", 16, 32, 0, condition_target=1e4)
 
 
 @pytest.fixture
@@ -548,17 +549,21 @@ def test_a_repeat_call_at_the_same_rank_rel_cuts_nothing(cuts):
 
 
 def test_alternating_rank_rel_gives_a_fresh_frames_bits_on_every_call():
-    # rank_rel 1e-3 keeps 2 of the 4 singular values of this frame, the
-    # default all 4, so a call that read the other tolerance's cut would differ
+    # rank_rel 1e-3 keeps 2 of the 4 singular values of the 4x6 frame and 6
+    # of the 16 of the 16x32 one, the default all, so a call that read the
+    # other tolerance's cut would differ; both tolerances project coefficients
     tols = [Tolerance(), Tolerance(rank_rel=1e-3)] * 3
-    fresh = {tol: {name: _outcome(call, generate(ILL_1E4), tol) for name, call in CALLS.items()}
-             for tol in tols[:2]}
-    assert fresh[tols[0]]["classify"] != fresh[tols[1]]["classify"]
-    shared = generate(ILL_1E4)
-    for tol in tols:
-        for name, call in CALLS.items():
-            assert _outcome(call, shared, tol) == fresh[tol][name], (name, tol)
-            assert _outcome(call, shared, tol) == fresh[tol][name], (name, tol)
+    for spec in (ILL_1E4, ILL_1E4_16X32):
+        fresh = {tol: {name: _outcome(call, generate(spec), tol) for name, call in CALLS.items()}
+                 for tol in tols[:2]}
+        for name in ("classify", "min_norm_coefficients"):
+            assert fresh[tols[0]][name] != fresh[tols[1]][name], (spec, name)
+        assert all(fresh[tol]["project_coefficients"][0] == "returned" for tol in tols[:2])
+        shared = generate(spec)
+        for tol in tols:
+            for name, call in CALLS.items():
+                assert _outcome(call, shared, tol) == fresh[tol][name], (spec, name, tol)
+                assert _outcome(call, shared, tol) == fresh[tol][name], (spec, name, tol)
 
 
 def test_a_warm_frame_still_refuses_a_tighter_identity_abs():

@@ -355,6 +355,8 @@ HOMOGENEITY_CASES = {
     # refused at |x| = 1 under this identity_abs: the refusal holds at every size
     "ill_conditioned": (GeneratorSpec("ill_conditioned", 4, 6, 0, condition_target=1e4),
                         Tolerance(identity_abs=1e-14)),
+    "ill_conditioned_16x32": (GeneratorSpec("ill_conditioned", 16, 32, 0, condition_target=1e4),
+                              Tolerance()),
 }
 
 
@@ -406,17 +408,17 @@ def test_results_follow_the_input_scale_bit_for_bit(case, name):
 @pytest.mark.parametrize("name", RECONSTRUCTIONS)
 @pytest.mark.parametrize("case", HOMOGENEITY_CASES)
 def test_results_follow_the_input_scale_at_both_ends_of_the_double_range(case, name, warm):
-    # input peaks 2^-1074 to 2^-1000 and 2^990 to 2^1023: the result is
-    # multiplied back by 2^e up to where its norm's exponent plus e reaches
-    # 1023 or e passes 1000, and checked past there; parts in {-1, 0, 1} keep
-    # 2^k x exact down to 2^-1074
+    # input peaks 2^-1074 to 2^-1000 and 2^990 to 2^1023, and every 50th
+    # from 2^-1070 between: the result is multiplied back by 2^e up to where
+    # its norm's exponent plus e reaches 1023 or e passes 1000, and checked
+    # past there; parts in {-1, 0, 1} keep 2^k x exact down to 2^-1074
     spec, tol = HOMOGENEITY_CASES[case]
     frame = generate(spec)
     side = frame.ambient_dim if RECONSTRUCTIONS[name][1] == "n" else frame.size
     x = np.resize([1.0, -1j, 1 + 1j, 0.0, -1 - 1j, 1j, -1.0], side)
     assert_results_follow_the_input_scale(
         name, (lambda: frame) if warm else (lambda: generate(spec)), x, tol,
-        [*range(-1074, -999), *range(990, 1024)])
+        [*range(-1074, -999), *range(-1070, 1021, 50), *range(990, 1024)])
 
 
 @pytest.mark.parametrize("name", RECONSTRUCTIONS)

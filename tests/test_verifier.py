@@ -1,5 +1,6 @@
 """Seeded frame generators and the operator identity suite."""
 
+import json
 import sys
 import threading
 import tracemalloc
@@ -219,6 +220,17 @@ def test_sample_counts_follow_one_rule(entry, name, count):
     zero = FrameSequence.from_vectors([np.zeros(2, dtype=complex)])
     with pytest.raises(ValueError, match=f"^{name} must be"):
         entry(zero, count)
+
+
+@pytest.mark.parametrize("entry", [
+    lambda frame, count: run_identity_suite(frame, vector_samples=count).to_dict(),
+    lambda frame, count: polarization_check(frame, pairs=count).to_dict(),
+    lambda frame, count: bounds_vs_sampling(frame, samples=count).to_dict(),
+], ids=["run_identity_suite", "polarization_check", "bounds_vs_sampling"])
+def test_a_numpy_integer_count_gives_the_record_of_a_python_int(entry):
+    # the record keeps the count as an int, so it serializes as JSON
+    frame = generate(spec_for("tight"))
+    assert json.dumps(entry(frame, np.int64(5))) == json.dumps(entry(frame, 5))
 
 
 # ---------------------------------------------------------------- polarization

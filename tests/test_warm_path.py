@@ -9,7 +9,8 @@ the kept values, as a fresh walk takes them. The frame also keeps its bounds, by
 rank_rel and tightness_rel. These tests hold the reconstructions, the
 bounds, the classification and the canonical dual on a shared frame to a
 fresh frame's bytes and messages, across the five kinds, three shapes and
-scales of 2^-300, 1 and 2^300.
+scales of 2^-300, 1 and 2^300, and on the ill_conditioned 16x32 frame of
+seed 0 that the CLI tests read.
 """
 
 import dataclasses
@@ -76,8 +77,9 @@ def _outcome(call, frame, tol):
         return type(exc).__name__, str(exc)
 
 
-def _spec(kind, n, m):
-    return GeneratorSpec(kind, n, m, 2, condition_target=1e4 if kind == "ill_conditioned" else None)
+def _spec(kind, n, m, seed):
+    return GeneratorSpec(kind, n, m, seed,
+                         condition_target=1e4 if kind == "ill_conditioned" else None)
 
 
 def _scaled(spec, exponent):
@@ -85,14 +87,17 @@ def _scaled(spec, exponent):
     return FrameSequence.from_vectors(list(t.T), spec.n)
 
 
-GRID = [(kind, n, m, exponent) for kind in GENERATOR_KINDS
+GRID = [(kind, n, m, exponent, 2) for kind in GENERATOR_KINDS
         for n, m in ((4, 6), (6, 4), (16, 32)) for exponent in (-300, 0, 300)]
-GRID_IDS = [f"{kind}-{n}x{m}-2^{exponent}" for kind, n, m, exponent in GRID]
+GRID.append(("ill_conditioned", 16, 32, 0, 0))
+GRID_IDS = [f"{kind}-{n}x{m}-2^{exponent}" + ("" if seed == 2 else f"-seed{seed}")
+            for kind, n, m, exponent, seed in GRID]
 
 
-@pytest.mark.parametrize("kind, n, m, exponent", GRID, ids=GRID_IDS)
-def test_alternating_tolerances_on_a_shared_frame_give_a_fresh_frames_bytes(kind, n, m, exponent):
-    spec = _spec(kind, n, m)
+@pytest.mark.parametrize("kind, n, m, exponent, seed", GRID, ids=GRID_IDS)
+def test_alternating_tolerances_on_a_shared_frame_give_a_fresh_frames_bytes(
+        kind, n, m, exponent, seed):
+    spec = _spec(kind, n, m, seed)
     tols = [Tolerance(), Tolerance(rank_rel=1e-3)]
     fresh = {tol: {name: _outcome(call, _scaled(spec, exponent), tol)
                    for name, call in CALLS.items()} for tol in tols}
@@ -111,10 +116,10 @@ def _kept_worst(frame):
     return max([max(frame._certificate)] + [worst for _, worst in summaries])
 
 
-@pytest.mark.parametrize("kind, n, m, exponent", GRID, ids=GRID_IDS)
+@pytest.mark.parametrize("kind, n, m, exponent, seed", GRID, ids=GRID_IDS)
 def test_an_identity_abs_below_the_kept_worst_raises_the_fresh_frames_message(
-        kind, n, m, exponent):
-    spec = _spec(kind, n, m)
+        kind, n, m, exponent, seed):
+    spec = _spec(kind, n, m, seed)
     loose = Tolerance(identity_abs=1e-6)
     refused = 0
     for name, call in CALLS.items():

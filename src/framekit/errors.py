@@ -5,6 +5,7 @@ __all__ = [
     "NumericalError",
     "DegenerateSpanError",
     "NotTightError",
+    "AllocationError",
 ]
 
 
@@ -27,3 +28,8 @@ class DegenerateSpanError(FramekitError):
 
 class NotTightError(FramekitError):
     """The operation needs a tight sequence and this one is not."""
+
+
+class AllocationError(FramekitError, MemoryError):
+    """A dense operator or product does not fit in memory; the message names
+    it and the allocation that failed. It is also a MemoryError."""

@@ -42,7 +42,7 @@ from functools import partial
 
 import numpy as np
 
-from .errors import DegenerateSpanError, NumericalError
+from .errors import AllocationError, DegenerateSpanError, NumericalError
 from .matrix_core import (
     SvdFactors,
     Tolerance,
@@ -472,12 +472,26 @@ _OPERATORS = {
 
 def _in_range(name: str, form) -> np.ndarray:
     """form(), a product that squares the frame's entries, computed without an
-    overflow warning; NumericalError names the operator if an entry overflows."""
+    overflow warning; NumericalError names the operator if an entry overflows,
+    and AllocationError if it does not fit in memory (see _unallocated)."""
     with np.errstate(over="ignore", invalid="ignore"):
-        out = form()
+        try:
+            out = form()
+        except MemoryError as exc:
+            raise _unallocated(name, exc)
     if not np.isfinite(out).all():
         raise NumericalError(f"the {name} leaves the double range: an entry overflows")
     return out
+
+
+def _unallocated(what: str, exc: MemoryError) -> AllocationError:
+    """The error to raise where forming the dense operator or product `what`
+    raised exc: an AllocationError naming `what` and numpy's failed
+    allocation (its bytes, shape and dtype), or exc itself where it already
+    is one, naming an operator that `what` reads."""
+    if isinstance(exc, AllocationError):
+        return exc
+    return AllocationError(f"the {what} does not fit in memory: {exc}")
 
 
 def _kappa(a: "_FrameAnalysis", name: str) -> list:
@@ -640,7 +654,8 @@ class _FrameAnalysis:
     operators by name, their Frobenius norms (see norm) and the deviation of
     each identity (see deviation). Spectral norms are read off the route
     factors (see spectral_norm). The identity suite's rows read the analysis
-    directly.
+    directly. An operator or product that numpy cannot allocate raises
+    AllocationError naming it (see _unallocated).
     """
 
     def __init__(self, frame: FrameSequence, tol: Tolerance | None = None):
@@ -653,7 +668,10 @@ class _FrameAnalysis:
         if name.startswith("~"):
             return self.dual[name[1:]]
         if name not in self._formed:
-            self._formed[name] = _OPERATORS[name](self)
+            try:
+                self._formed[name] = _OPERATORS[name](self)
+            except MemoryError as exc:
+                raise _unallocated(f"operator {name}", exc)
         return self._formed[name]
 
     def norm(self, name: str) -> float:
@@ -670,7 +688,10 @@ class _FrameAnalysis:
             return 0.0
         out = self[names[0]]
         for name in names[1:]:
-            out = out @ self[name]
+            try:
+                out = out @ self[name]
+            except MemoryError as exc:
+                raise _unallocated(f"product {' '.join(names)}", exc)
         return out
 
     def deviation(self, identity) -> float:
@@ -924,34 +945,33 @@ def restricted(frame: FrameSequence, tol: Tolerance | None = None) -> Restricted
     )
 
 
-def _pseudo_inverse(frame: FrameSequence, tol: Tolerance | None, on_span: bool) -> np.ndarray:
-    """S+ (on_span) or G+, with the tight fast path P / A or Q / A."""
+def _pseudo_inverse(frame: FrameSequence, tol: Tolerance | None, route: str,
+                    name: str) -> np.ndarray:
+    """The pseudoinverse name from its route's own factors, behind the gate on
+    T and that route, read after the classification (see pseudo_frame_operator)."""
     analysis = _FrameAnalysis(frame, tol)
-    if analysis.classification.is_tight:
-        return analysis["P/A" if on_span else "Q/A"]
-    analysis.gate("synthesis", "frame operator" if on_span else "gram")
-    return analysis["S+" if on_span else "G+"]
+    analysis.classification
+    analysis.gate("synthesis", route)
+    return analysis[name]
 
 
 def pseudo_frame_operator(frame: FrameSequence, tol: Tolerance | None = None) -> np.ndarray:
-    """Pseudoinverse of the frame operator, with a fast path for tight frames.
-
-    For a tight sequence with common bound A the pseudoinverse is P / A, a
-    rescaled projector read off T's certified factors (see FrameSequence);
-    otherwise it comes from S's factorization, gated on T's. Both routes
-    agree within tol.identity_abs on tight input. A degenerate sequence
-    yields the zero matrix (the pseudoinverse of the zero operator).
+    """Pseudoinverse S+ of the frame operator, from S's own factors behind the
+    T/S gate (see build_bundle), tight frames included (there S+ = P / A, a
+    row of the identity suite). A degenerate sequence yields the zero matrix.
+    NumericalError where classify refuses the frame (a bound leaves the double
+    range, or T's factors fail their certificate), where the gate refuses, or
+    where 1/lambda_r overflows.
     """
-    return _pseudo_inverse(frame, tol, on_span=True)
+    return _pseudo_inverse(frame, tol, "frame operator", "S+")
 
 
 def pseudo_gram(frame: FrameSequence, tol: Tolerance | None = None) -> np.ndarray:
-    """Pseudoinverse of the gram matrix, with the same tight fast path.
-
-    Tight sequences give Q / A; everything else goes through G's own
-    factorization, gated on T's. A degenerate sequence yields the zero matrix.
+    """Pseudoinverse G+ of the gram matrix, from G's own factors behind the T/G
+    gate (G+ = Q / A for a tight frame), refused as pseudo_frame_operator is.
+    A degenerate sequence yields the zero matrix.
     """
-    return _pseudo_inverse(frame, tol, on_span=False)
+    return _pseudo_inverse(frame, tol, "gram", "G+")
 
 
 def _matrix_analysis(matrix, tol: Tolerance | None) -> _FrameAnalysis:

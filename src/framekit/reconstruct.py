@@ -145,30 +145,46 @@ def _pinv_applied(a: _FrameAnalysis, x: np.ndarray, adjoint: bool = False) -> tu
     return far @ (coordinates / a.f_t.singular_values), near @ coordinates
 
 
+def _scaled(what: str, part: float, k: int) -> float:
+    """2^k part, for one part computed from the unit input: the rule that
+    _scaled_back holds every part to. NumericalError names what where the
+    part leaves the double range, or where the scaling is inexact: the part
+    became subnormal and lost bits, which only k < 0 can do. An exact part,
+    zero or subnormal, is returned."""
+    try:
+        out = math.ldexp(part, k)
+    except OverflowError:
+        out = math.inf
+    if not abs(out) < math.inf:  # NaN too
+        raise NumericalError(f"{what} leaves the double range: an entry overflows")
+    if math.ldexp(out, -k) != part:  # scaling up is exact wherever it stays finite
+        raise NumericalError(f"{what} underflows: {part:.3e} * 2^{k} "
+                             "lies below the normal range and loses bits")
+    return out
+
+
 def _scaled_back(what: str, values: np.ndarray, k: int, bound: float) -> np.ndarray:
-    """2^k values, for real or complex values computed from the unit input.
-    NumericalError names what where a part leaves the double range or where
-    the scaling is inexact: a part that became subnormal and lost bits, which
-    only k < 0 can do. An exact part, zero or subnormal, is returned.
+    """2^k values, for real or complex values computed from the unit input,
+    each part held to _scaled's rule.
 
     bound is |values|, which the caller has taken (matrix_core._norms), so no
     part reaches 2^(b + 1) for b = frexp(bound)'s exponent; the margin covers
     the norm's rounding. Where 0 <= k <= 1000 (2^k stays a double) and
     b + k < 1023, no part can reach 2^1023 and 2^k values is exact: it is
     multiplied out with no scan of the result. Every other k, and an inf or
-    NaN bound (whose frexp exponent reads 0), take the checked route."""
+    NaN bound (whose frexp exponent reads 0), take the checked route: one
+    scan finds the first part that _scaled refuses, a non-finite one before
+    one that lost bits, and _scaled refuses it."""
     parts = values.view(np.float64)
     if 0 <= k <= 1000 and bound < math.inf and math.frexp(bound)[1] + k < 1023:
         return (parts * 2.0**k).view(values.dtype)
     with np.errstate(over="ignore"):
         out = np.ldexp(parts, k)
-    if not np.isfinite(out).all():
-        raise NumericalError(f"{what} leaves the double range: an entry overflows")
-    if k < 0:  # scaling up is exact wherever it stays finite
-        lost = np.ldexp(out, -k) != parts
-        if lost.any():
-            raise NumericalError(f"{what} underflows: {parts[np.argmax(lost)]:.3e} * 2^{k} "
-                                 "lies below the normal range and loses bits")
+    refused = ~np.isfinite(out)
+    if k < 0 and not refused.any():
+        refused = np.ldexp(out, -k) != parts
+    if refused.any():
+        _scaled(what, float(parts[np.argmax(refused)]), k)
     return out.view(values.dtype)
 
 
@@ -177,12 +193,13 @@ def _solution(what: str, solution: np.ndarray, bound: float, inside: float,
     """The solution `what` of the unit input, with the norm leftover of what
     the input leaves outside as residual and the squares of the norms inside
     and leftover as the split, scaled back by 2^e (2^2e for the split). The
-    solution, of norm bound, and the residual are scaled back, or refused, by
-    _scaled_back. A split component is refused where its square leaves the
-    double range, and is rounded where it falls below the normal range: the
-    squares of any input below about 2^-511 do, although the solution and
-    residual are exact there. The residual cannot overflow unless the split
-    does: its square is the leftover component."""
+    solution, of norm bound, is scaled back, or refused, by _scaled_back, and
+    the residual by _scaled, the rule it holds each part to. A split
+    component is refused where its square leaves the double range, and is
+    rounded where it falls below the normal range: the squares of any input
+    below about 2^-511 do, although the solution and residual are exact there.
+    The residual cannot overflow unless the split does: its square is the
+    leftover component."""
     solution = _scaled_back(what, solution, e, bound)
     split = []
     for name, norm in (("inside", inside), ("leftover", leftover)):
@@ -194,8 +211,8 @@ def _solution(what: str, solution: np.ndarray, bound: float, inside: float,
             raise NumericalError(f"norm_split's {name} component {norm:.3e} * 2^{e} "
                                  "squares beyond the double range")
         split.append(square)
-    residual = float(_scaled_back("residual_norm", np.array([leftover]), e, leftover)[0])
-    return MinNormSolution(solution=solution, residual_norm=residual, norm_split=tuple(split))
+    return MinNormSolution(solution=solution, residual_norm=_scaled("residual_norm", leftover, e),
+                           norm_split=tuple(split))
 
 
 def _gated(frame: FrameSequence, tol: Tolerance | None, route: str, values, length: int,

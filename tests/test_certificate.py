@@ -5,8 +5,8 @@ how far those factors are from an SVD of T: the residual |T - W Sigma V*|
 of the whole T relative to sigma_1, and |W* W - I| and |V* V - I| (the test
 ratios of LAPACK's xBDT01 and xUNT01). Every call holds them against its own
 identity_abs before it reads T's factors, so a wrong singular value is
-refused by the bounds, the classification and the tight P/A path as well as
-by every gated result. The T/S and T/G gates check S and G on their n x r and
+refused by the bounds and the classification as well as by every gated
+result. The T/S and T/G gates check S and G on their n x r and
 m x r factors, so no gate forms P, Q, S+ or G+.
 """
 
@@ -156,7 +156,7 @@ def wrong_s_route(monkeypatch):
     monkeypatch.setattr(_FrameAnalysis, "f_s", faulty)
 
 
-@pytest.mark.parametrize("name", ["build_bundle", "canonical_dual",
+@pytest.mark.parametrize("name", ["build_bundle", "canonical_dual", "pseudo_frame_operator",
                                   "pseudo_frame_operator-gaussian", "min_norm_coefficients",
                                   "min_norm_preimage", "project_signal", "project_coefficients",
                                   "run_identity_suite", "pinv", "range_projector"])

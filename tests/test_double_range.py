@@ -129,8 +129,8 @@ SUBNORMAL_BOUND = r"the frame bounds leave the double range: .* and \d\.\d{3}e-3
 def test_pseudoinverse_outside_the_double_range_raises(entry, message, exponent):
     # T's singular values are near 2^-exponent, so those of S and G square
     # to about 2^-1040 or less, and S's 1/lambda_r overflows; the pseudo_* calls
-    # first ask whether the frame is tight, and its lower bound A = sigma_r^2
-    # is subnormal, so the bounds refuse
+    # first read the classification, and the lower bound A = sigma_r^2 is
+    # subnormal, so the bounds refuse
     frame = scaled_frame(2.0**-exponent)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -145,9 +145,9 @@ def scaled(kind, seed, exponent):
 
 
 @pytest.mark.parametrize("entry", [pseudo_frame_operator, pseudo_gram])
-def test_tight_fast_path_outside_the_double_range_raises(entry):
-    # A is about 1e-313, subnormal, so P/A and Q/A would hold inf entries;
-    # the bounds refuse it before the fast path reads it
+def test_pseudo_inverse_of_a_tight_frame_with_a_subnormal_bound_raises(entry):
+    # A is about 1e-313, subnormal, where S+ and G+ would lose bits; the
+    # classification refuses it before the gate reads S or G
     frame = scaled("tight", 2, -520)
     with warnings.catch_warnings():
         warnings.simplefilter("error")

@@ -251,12 +251,18 @@ def test_build_bundle_takes_each_norm_once(norm_calls):
     assert norm_calls(build_bundle, frame, tol) == 0
 
 
-@pytest.mark.parametrize("kind, expected", [("tight", 1), ("gaussian", 2)])
-@pytest.mark.parametrize("entry", [pseudo_frame_operator, pseudo_gram])
-def test_pseudo_inverse_svd_counts(svd_calls, entry, kind, expected):
-    # tight sequences take the P/A or Q/A path from T's factors alone
-    frame, tol = frame_and_tol(kind)
-    assert svd_calls(entry, frame, tol) == expected
+@pytest.mark.parametrize("kind", ["tight", "gaussian"])
+@pytest.mark.parametrize("entry, expected", [
+    (pseudo_frame_operator, (2, 0)),
+    (pseudo_gram, (2, 1)),
+], ids=["pseudo_frame_operator", "pseudo_gram"])
+def test_pseudo_inverse_svd_counts(monkeypatch, entry, expected, kind):
+    # T's SVD and the route's own: S's, or G's core after a QR of U; tight
+    # frames take the same path
+    svd_calls, qr_calls = (call_counter(monkeypatch, name) for name in ("svd", "qr"))
+    # each count on a fresh frame: a second call on one frame factors nothing
+    counts = svd_calls(entry, *frame_and_tol(kind)), qr_calls(entry, *frame_and_tol(kind))
+    assert counts == expected
 
 
 @pytest.fixture

@@ -346,9 +346,9 @@ def test_pseudo_operators_match_pinv_route():
     assert np.allclose(pseudo_gram(frame), pinv(adjoint(t) @ t), atol=1e-12)
 
 
-def test_pseudo_operators_tight_fast_path():
-    # for a tight frame the closed forms P/A and Q/A must agree with the
-    # general pseudoinverse route
+def test_pseudo_operators_of_a_tight_frame():
+    # for a tight frame the closed forms P/A and Q/A agree with what the
+    # S and G routes return
     frame = seq([0.0, 1.0],
                 [np.sqrt(3.0) / 2, -0.5],
                 [-np.sqrt(3.0) / 2, -0.5])

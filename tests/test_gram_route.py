@@ -176,7 +176,6 @@ def tall_tight(n, m, rank, seed):
     return FrameSequence._from_matrix(1.5 * x @ y.conj().T)
 
 
-# a tight frame's pseudo_gram is Q / A from T alone and reads no G route.
 # project_coefficients reads G's route only where n > m, so it runs on tall
 # frames; the tight one keeps a kernel, since a tall tight frame of full rank has
 # G = A I, of which the tilted pair is still an exact factorization
@@ -187,8 +186,9 @@ def tall_tight(n, m, rank, seed):
     (lambda: generate(spec("gaussian", 16, 32, 0)), build_bundle),
     (lambda: generate(spec("tight", 16, 32, 0)), build_bundle),
     (lambda: generate(spec("gaussian", 16, 32, 0)), pseudo_gram),
+    (lambda: generate(spec("tight", 16, 32, 0)), pseudo_gram),
 ], ids=["project_coefficients-gaussian", "project_coefficients-tight", "build_bundle-gaussian",
-        "build_bundle-tight", "pseudo_gram-gaussian"])
+        "build_bundle-tight", "pseudo_gram-gaussian", "pseudo_gram-tight"])
 def test_the_gram_gate_refuses_a_faulty_route(faulty_gram_route, make, entry):
     frame = make()
     with pytest.raises(NumericalError, match=r"self-check '(G G\+ = Q|G\+ G = Q)'"):
@@ -212,7 +212,6 @@ def test_the_returned_gram_pinv_obeys_the_dense_identities(kind, n, m):
     tol = Tolerance(identity_abs=1e-6) if kind == "ill_conditioned" else Tolerance()
     bundle = build_bundle(frame, tol)
     g, q = bundle.gram, bundle.coefficient_projector
-    pinvs = [bundle.gram_pinv] + ([] if kind == "tight" else [pseudo_gram(frame, tol)])
-    for g_pinv in pinvs:
+    for g_pinv in (bundle.gram_pinv, pseudo_gram(frame, tol)):
         assert scaled_deviation(g @ g_pinv, q, (g, g_pinv)) <= tol.identity_abs
         assert scaled_deviation(g_pinv @ g, q, (g_pinv, g)) <= tol.identity_abs

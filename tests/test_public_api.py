@@ -14,6 +14,7 @@ PUBLIC = {
     "NumericalError": "errors",
     "DegenerateSpanError": "errors",
     "NotTightError": "errors",
+    "AllocationError": "errors",
     "Tolerance": "matrix_core",
     "DEFAULT_TOLERANCE": "matrix_core",
     "SvdFactors": "matrix_core",
@@ -58,7 +59,7 @@ PUBLIC = {
 
 
 def test_all_lists_the_public_names_once():
-    assert len(PUBLIC) == 44
+    assert len(PUBLIC) == 45
     assert sorted(framekit.__all__) == sorted(PUBLIC)
     assert len(set(framekit.__all__)) == len(framekit.__all__)
 

@@ -496,6 +496,21 @@ def test_the_scale_back_of_a_result_with_an_inf_or_nan_part_is_refused(bad):
         assert scale_back_outcome(finite, 5, bad) == ldexp_outcome(finite, 5)
 
 
+@pytest.mark.parametrize("k", [-1100, -1074, -1060, -1023, -5, 0, 5, 1000, 1023, 1030])
+def test_a_scalar_scales_back_as_a_one_part_array(k):
+    # the residual norm is one float: _scaled gives it the bits, or the
+    # refusal, that _scaled_back gives a one-part array, on both its routes
+    values = [0.0, 2.0**-1074, 3 * 2.0**-1074, 2.0**-1000, 0.3, 0.75, 1.0, 2.0**20, np.inf, np.nan]
+    for x in values:
+        for bound in (x, math.inf):
+            array = scale_back_outcome(np.array([x]), k, bound)
+            try:
+                scalar = np.array([reconstruct._scaled("the result", x, k)]).tobytes()
+            except NumericalError as exc:
+                scalar = str(exc)
+            assert scalar == array, (x, bound)
+
+
 def test_an_exact_subnormal_result_is_returned():
     frame = FrameSequence.from_vectors([E1, E2])
     tiny = np.array([5e-324, 3 * 5e-324])

@@ -20,7 +20,8 @@ slots hold T's factors (which give P, Q, T+ and the canonical dual (T+)*),
 S = T T* and S's factors, and G's, each untruncated, one rank cut of each
 by rank_rel, T's certificate, the gate's self-check deviations, one summary
 of each gate by rank_rel, the bounds and one canonical dual by T's kept
-rank. T's factorization is certified once per frame: its certificate
+rank, which is handed the frame's factors inverted and factors nothing of
+its own. T's factorization is certified once per frame: its certificate
 says how far the factors are from an SVD of T, and every call that reads
 them, the bounds and the classification among them, first holds those
 deviations against its own tolerance, else NumericalError. Each result is then gated on the routes it reads: T's
@@ -116,7 +117,7 @@ class FrameSequence:
         "S"               S = T T*                             -            16 n^2
         "S factors"       an SVD of S of its own               -            32 n^2 + 8 n
         "G factors"       G's, lifted from an SVD of its       -            32 m k + 8 k
-                          square core (see _g_svd)
+                          square core (see _gram_factors)
         route name        the route's rank cut (see _cut)      rank_rel     none: views
         (check, r)        a gate self-check's deviation        -            one float
         route set         a gate's summary: the routes' cuts   rank_rel     views, as
@@ -130,9 +131,10 @@ class FrameSequence:
     A route set is the tuple of route names a gate reads, such as
     ("synthesis", "frame operator"). So a tall frame (n > m) keeps an S
     larger than T. Every call holds the certificate and the deviations
-    against its own tol.identity_abs (see _FrameAnalysis). The kept dual
-    forms its own factors from T's only when they are read, after which it
-    holds none of T's (see _from_matrix).
+    against its own tol.identity_abs (see _FrameAnalysis). A canonical
+    dual of T's kept rank r is handed its factors, the frame's inverted
+    (see _dual_factors), so its "S factors" take 32 n r + 8 r bytes and its
+    "G factors" 32 m r + 8 r.
     """
 
     ambient_dim: int
@@ -164,15 +166,16 @@ class FrameSequence:
         object.__setattr__(self, "_matrix", matrix)
         object.__setattr__(self, "vectors", tuple(matrix[:, k] for k in range(matrix.shape[1])))
         object.__setattr__(self, "_kept", {})  # (tag, value) by slot; see _keep
-        object.__setattr__(self, "_handed", None)  # see _svd
+        object.__setattr__(self, "_handed", {})  # forms by factor slot; see _factors
 
     @classmethod
-    def _from_matrix(cls, matrix: np.ndarray,
-                     svd: Callable[[], SvdFactors] | None = None) -> "FrameSequence":
+    def _from_matrix(cls, matrix: np.ndarray, handed: dict | None = None) -> "FrameSequence":
         """The sequence of an (n, m) matrix's columns, stored without splitting it.
-        svd, if given, forms the matrix's factors in place of an SVD of its
-        own, on their first read (see _svd); the certificate still checks them
-        against the matrix."""
+        handed, if given, maps factor slots ("T factors", "S factors", "G
+        factors") to functions that form those factors in place of the
+        frame's own factorizations, on their first read (see _factors); T's
+        certificate and the gates' self-checks still check them against the
+        matrix."""
         matrix = np.array(matrix, dtype=np.complex128, order="C")
         finite = np.isfinite(matrix).all(axis=0)
         if not finite.all():
@@ -180,7 +183,7 @@ class FrameSequence:
         frame = cls.__new__(cls)
         object.__setattr__(frame, "ambient_dim", matrix.shape[0])
         frame._store(matrix)
-        object.__setattr__(frame, "_handed", svd)
+        frame._handed.update(handed or {})
         return frame
 
     def _keep(self, slot, form: Callable, tag=None):
@@ -195,17 +198,21 @@ class FrameSequence:
         self._kept[slot] = tag, value
         return value
 
+    def _factors(self, slot: str, form: Callable[[], SvdFactors]) -> SvdFactors:
+        """The factors kept in slot: those the function _from_matrix was handed
+        for it forms, else form(). That function is dropped, with all it
+        holds, once the factors are kept and not before: a read that overlaps
+        the first either calls it too, or finds the factors kept."""
+        handed = self._handed.get(slot)
+        factors = self._keep(slot, handed or form)
+        if handed is not None:
+            self._handed.pop(slot, None)
+        return factors
+
     @property
     def _svd(self) -> SvdFactors:
-        """T's untruncated read-only factors: those the function _from_matrix
-        was handed forms, else an SVD of T. That function is dropped, with all
-        it holds, once the factors are kept and not before: a read that
-        overlaps the first either calls it too, or finds the factors kept."""
-        handed = self._handed
-        factors = self._keep("T factors", handed or (lambda: _phased_svd(self._matrix)))
-        if handed is not None:
-            object.__setattr__(self, "_handed", None)
-        return factors
+        """T's untruncated read-only factors, an SVD of T unless handed."""
+        return self._factors("T factors", lambda: _phased_svd(self._matrix))
 
     @property
     def _frame_operator(self) -> np.ndarray:
@@ -216,23 +223,15 @@ class FrameSequence:
 
     @property
     def _s_svd(self) -> SvdFactors:
-        """S's untruncated read-only factors, an SVD of the kept S of its own."""
-        return self._keep("S factors", lambda: _phased_svd(self._frame_operator))
+        """S's untruncated read-only factors, an SVD of the kept S of its own
+        unless handed."""
+        return self._factors("S factors", lambda: _phased_svd(self._frame_operator))
 
     def _g_svd(self, analysis_u: Callable[[], np.ndarray]) -> SvdFactors:
-        """G's untruncated read-only factors, from an SVD of the min(n, m)
-        square core of G = U U*, never of the m x m G: U = Q1 R1, G =
-        Q1 (R1 R1*) Q1*, and Q1 lifts the core's factors. analysis_u() reads
-        U = T* from the caller's analysis, whose gate reads that U again, so
-        a first G-route call forms U once. NumericalError where an entry of
-        the core overflows."""
-        def form():
-            q1, r1 = np.linalg.qr(analysis_u())  # Q1 is m x k, R1 k x k
-            core = _phased_svd(_in_range("gram matrix G's core R1 R1*",
-                                         lambda: _hermitize(r1 @ r1.conj().T)))
-            left, right = (_frozen(q1 @ x) for x in (core.left_vectors, core.right_vectors))
-            return SvdFactors(left, core.singular_values, right, core.rank)
-        return self._keep("G factors", form)
+        """G's untruncated read-only factors, _gram_factors of U unless handed.
+        analysis_u() reads U = T* from the caller's analysis, whose gate reads
+        that U again, so a first G-route call forms U once."""
+        return self._factors("G factors", lambda: _gram_factors(analysis_u()))
 
     def _cut(self, route: str, tol: Tolerance, full: Callable[[], SvdFactors]) -> SvdFactors:
         """The route's kept factors, full(), cut under tol's rank cutoff
@@ -451,9 +450,7 @@ _OPERATORS = {
     "P": lambda a: _projector(a.f_t.left_vectors),
     "Q": lambda a: _projector(a.f_t.right_vectors),
     "T+": lambda a: _pinv_from_factors(a.f_t, "T+"),
-    # U = T* factors as T does, with the sides swapped
-    "U+": lambda a: _pinv_from_factors(SvdFactors(a.f_t.right_vectors, a.f_t.singular_values,
-                                                  a.f_t.left_vectors, a.f_t.rank), "U+"),
+    "U+": lambda a: _pinv_from_factors(_adjoint_factors(a.f_t), "U+"),
     "S+": lambda a: _pinv_from_factors(a.f_s, "S+"),
     "G+": lambda a: _pinv_from_factors(a.f_g, "G+"),
     "T+*": lambda a: adjoint(a["T+"]),
@@ -482,6 +479,34 @@ def _in_range(name: str, form) -> np.ndarray:
     if not np.isfinite(out).all():
         raise NumericalError(f"the {name} leaves the double range: an entry overflows")
     return out
+
+
+def _gram_factors(u: np.ndarray) -> SvdFactors:
+    """G = U U*'s untruncated read-only factors, from an SVD of the min(n, m)
+    square core of G, never of the m x m G: U = Q1 R1, G = Q1 (R1 R1*) Q1*,
+    and Q1 lifts the core's factors. NumericalError where an entry of the
+    core overflows."""
+    q1, r1 = np.linalg.qr(u)  # Q1 is m x k, R1 k x k
+    core = _phased_svd(_in_range("gram matrix G's core R1 R1*",
+                                 lambda: _hermitize(r1 @ r1.conj().T)))
+    left, right = (_frozen(q1 @ x) for x in (core.left_vectors, core.right_vectors))
+    return SvdFactors(left, core.singular_values, right, core.rank)
+
+
+def _adjoint_factors(f: SvdFactors) -> SvdFactors:
+    """The factors of X* from those of X: the sides swapped."""
+    return SvdFactors(f.right_vectors, f.singular_values, f.left_vectors, f.rank)
+
+
+def _pinv_factors(f: SvdFactors, r: int) -> SvdFactors:
+    """Read-only factors of X+ = R_r sigma_r^-1 L_r* from X's L sigma R*, cut or
+    untruncated, read at rank r: the sides swapped, sigma -> 1/sigma, and the
+    leading r columns in reverse order, so the singular values are
+    nonincreasing. R keeps X's phase convention. A 1/sigma past the double
+    range reads inf, so a rank cut of these factors keeps nothing."""
+    with np.errstate(divide="ignore", over="ignore"):
+        factors = (f.right_vectors[:, :r], 1.0 / f.singular_values[:r], f.left_vectors[:, :r])
+    return SvdFactors(*(_frozen(x[..., ::-1].copy()) for x in factors), r)
 
 
 def _unallocated(what: str, exc: MemoryError) -> AllocationError:
@@ -613,15 +638,15 @@ class _FrameAnalysis:
     entries, and an entry that overflows raises NumericalError naming the
     operator. U = T* gets no SVD of its own: its SVD is T's with the sides
     swapped, so the U route (Q and U+) reads T's factors. The canonical dual
-    is U+ = (T+)* = W Sigma^-1 V*, and its FrameSequence is handed that SVD,
-    formed from T's kept factors on its first read, so the dual's analysis
-    factors only its own S and G. T's kept rank fixes every bit of U+, so
+    is U+ = (T+)* = W Sigma^-1 V*, and its FrameSequence is handed the
+    frame's factors inverted (see _dual_factors), so the dual's analysis
+    factors nothing; its certificate and self-checks still hold them to
+    the dual's own T~, S~ and U~. T's kept rank fixes every bit of U+, so
     the frame keeps one dual, by that rank (its "dual" slot): a call at
     that rank returns it once the certificate and the T/S gate hold under
     the call's tolerance, and a call at another rank forms its own and
     replaces it. A call that raises keeps nothing. The kept dual keeps its
-    own factors and deviations, so the dual's analysis on a frame already
-    seen factors nothing either.
+    own factors and deviations.
 
     The gate first checks that the routes agree in rank. Once it holds, T's
     kept rank and the route's fix every operand a self-check reads: the
@@ -831,7 +856,7 @@ class _FrameAnalysis:
         # U+ = W Sigma^-1 V* is fixed by T's kept rank, so the frame keeps one
         # dual by that rank; a call at another rank forms its own and replaces it
         return self.frame._keep("dual", lambda: FrameSequence._from_matrix(
-            self["U+"], partial(_dual_svd, self.f_t)), self.f_t.rank)
+            self["U+"], _dual_factors(self.frame, self.f_t)), self.f_t.rank)
 
     @_per_call
     def dual(self) -> "_FrameAnalysis":
@@ -839,12 +864,22 @@ class _FrameAnalysis:
         return _FrameAnalysis(self.canonical_dual, self.tol)
 
 
-def _dual_svd(f_t: SvdFactors) -> SvdFactors:
-    """The canonical dual's SVD from T's kept factors: S+ T = (T+)* = U+ =
-    W Sigma^-1 V*, so it is T's kept one in reverse order with sigma -> 1/sigma;
-    V keeps its phase convention."""
-    factors = (f_t.left_vectors, 1.0 / f_t.singular_values, f_t.right_vectors)
-    return SvdFactors(*(_frozen(x[..., ::-1].copy()) for x in factors), f_t.rank)
+def _dual_factors(frame: FrameSequence, f_t: SvdFactors) -> dict:
+    """The forms _from_matrix hands the canonical dual of T's cut f_t, of rank
+    r, by factor slot. The dual's T~ = S+ T is U+ = W Sigma^-1 V*, its S~ =
+    T~ T~* is S+ and its G~ = T~* T~ is G+, so each of its factors is the
+    frame's of U, S or G at rank r, inverted (see _pinv_factors); none is
+    formed until it is read. S's are kept already, by the T/S gate the dual is
+    formed behind. G's are the frame's kept ones where it keeps them, else
+    formed from T on the dual's first read of G, without a reference to the
+    frame, so the frame and its kept dual never refer to each other."""
+    r, t, g = f_t.rank, frame._matrix, frame._kept.get("G factors")
+    return {
+        "T factors": partial(_pinv_factors, _adjoint_factors(f_t), r),
+        "S factors": partial(_pinv_factors, frame._s_svd, r),
+        "G factors": (partial(_pinv_factors, g[1], r) if g else
+                      lambda: _pinv_factors(_gram_factors(adjoint(t)), r)),
+    }
 
 
 def build_bundle(frame: FrameSequence, tol: Tolerance | None = None) -> OperatorBundle:
@@ -909,8 +944,9 @@ def canonical_dual(frame: FrameSequence, tol: Tolerance | None = None) -> FrameS
     original sequence again. It is formed as S+ T = (T+)* = W Sigma^-1 V*
     from T's certified kept factors, behind the T/S gate (see build_bundle),
     so its error grows like eps kappa(T), not eps kappa(T)^2. The returned
-    sequence is handed that SVD, reversed, formed on its first read: its own
-    certificate checks it on first use, and no SVD of the dual is run. The
+    sequence is handed its factors of T, S and G, the frame's inverted, each
+    formed on its first read: its own certificate and gate check them on
+    first use, and no factorization of the dual is run. The
     frame keeps the dual, 16 n m bytes, by T's kept rank: every call that
     keeps the same rank returns that one object, once T's certificate and
     the T/S gate hold under its own tol; a call that keeps another rank

@@ -47,7 +47,7 @@ from functools import lru_cache, partial
 import numpy as np
 
 from .errors import DegenerateSpanError, NotTightError, NumericalError
-from .frame_ops import _ROUTES, FrameSequence, _FrameAnalysis
+from .frame_ops import _ROUTES, FrameSequence, _FrameAnalysis, _unallocated
 from .matrix_core import DEFAULT_TOLERANCE, Tolerance, _finite_real, _frozen
 
 __all__ = [
@@ -169,7 +169,18 @@ def generate(spec: GeneratorSpec) -> FrameSequence:
                      down to 1/condition_target, exact up to rounding and
                      always within 10 percent of the target; needs
                      min(n, m) >= 2 whenever the target exceeds 1
+
+    A size whose arrays numpy cannot allocate raises AllocationError naming
+    the frame and numpy's failed allocation (see frame_ops._unallocated).
     """
+    try:
+        return FrameSequence._from_matrix(_synthesis(spec))
+    except MemoryError as exc:
+        raise _unallocated(f"{spec.n} x {spec.m} {spec.kind} frame", exc)
+
+
+def _synthesis(spec: GeneratorSpec) -> np.ndarray:
+    """The synthesis matrix T that generate's spec describes."""
     rng = np.random.Generator(np.random.PCG64(spec.seed))
     n, m = spec.n, spec.m
     if spec.kind == "gaussian":
@@ -204,7 +215,7 @@ def generate(spec: GeneratorSpec) -> FrameSequence:
         left = _orthonormal_columns(rng, n, r)
         right = _orthonormal_columns(rng, m, r)
         t = left @ (sigma[:, None] * right.conj().T)
-    return FrameSequence._from_matrix(t)
+    return t
 
 
 @dataclass(frozen=True)

@@ -5,12 +5,14 @@ products) need 596 GiB each, and on a 200000 x 4 frame S does. The analysis
 turns the failed allocation into AllocationError, a FramekitError that is
 also a MemoryError, naming the operator or product and numpy's allocation.
 Nothing is sized in advance: the refusal is numpy's own failure, raised at
-once, since the request exceeds any address space this suite runs in.
+once, since the request exceeds any address space this suite runs in. The
+generators refuse a size they cannot draw the same way.
 """
 
 import pytest
 
 from framekit import (
+    GENERATOR_KINDS,
     AllocationError,
     FramekitError,
     GeneratorSpec,
@@ -60,3 +62,14 @@ def test_verify_exits_2_on_a_frame_whose_operators_do_not_fit(capsys):
     assert code == EXIT_INPUT_ERROR
     assert err.startswith("error: the operator G+ does not fit in memory: Unable to allocate")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("kind", GENERATOR_KINDS)
+def test_generate_refuses_a_size_it_cannot_allocate(kind):
+    # a 1e7 x 1e7 complex matrix is 1.4 PiB: the first draw fails at once
+    target = 1e4 if kind == "ill_conditioned" else None
+    with pytest.raises(AllocationError, match=(
+            f"^the 10000000 x 10000000 {kind} frame does not fit in memory: "
+            r"Unable to allocate 1\.42 PiB")) as info:
+        generate(GeneratorSpec(kind, 10**7, 10**7, 0, target))
+    assert isinstance(info.value, MemoryError) and isinstance(info.value, FramekitError)

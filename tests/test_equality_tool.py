@@ -52,3 +52,36 @@ def test_a_cell_hashes_an_array_or_a_refusal():
         "pseudo_gram zero 2x3 default fresh": array,
         "pseudo_gram zero 2x3 default seen": array,
     }
+
+
+def test_compare_fails_only_on_a_differing_cell_not_listed(tmp_path, capsys):
+    tool = load_tool()
+    expected = tmp_path / "expected.txt"
+    expected.write_text("# a comment\n\nsvd a\nsvd c\n", encoding="utf-8")
+    cells = tool.listed(expected)
+    assert cells == {"svd a", "svd c"}
+    ours, theirs = {"svd a": "1", "svd b": "2", "svd c": "3"}, {"svd a": "0", "svd b": "2",
+                                                                 "svd c": "3"}
+    # 'svd a' differs and is listed; 'svd c' is listed and does not differ
+    assert tool.compare(ours, theirs, "base", cells) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out == ["svd a\texpected", "1 of 3 cells differ from base, 0 of them unexpected",
+                   "1 expected cells do not differ"]
+    # a cell only one grid has differs too; with nothing listed, every cell is unexpected
+    assert tool.compare({**ours, "svd d": "4"}, theirs, "base", cells) == 1
+    assert "svd d\tunexpected" in capsys.readouterr().out.splitlines()
+    assert tool.compare(ours, theirs, "base") == 1
+
+
+def test_the_committed_expected_changes_name_cells_of_the_grid():
+    # every line of tools/expected_changes.txt names a cell the grid has
+    tool = load_tool()
+    entries, labels = set(tool.ENTRIES), set()
+    for label, _ in tool.frames(framekit):
+        labels.add(label)
+    tolerances = set(tool.TOLERANCES)
+    for cell in tool.listed(TOOL.parent / "expected_changes.txt"):
+        entry, rest = cell.split(" ", 1)
+        label, tol, state = rest.rsplit(" ", 2)
+        assert entry in entries and label in labels and tol in tolerances, cell
+        assert state in ("fresh", "seen"), cell

@@ -87,10 +87,11 @@ def frame_and_tol(kind):
                                   "ill_conditioned"])
 def test_identity_suite_factors_frame_and_dual_once(svd_calls, kind):
     frame, tol = frame_and_tol(kind)
-    # three SVDs (T, S, G) for the frame and two (S, G) for its dual, which
-    # is handed T's factors reversed and inverted; the spectral norms of T,
-    # S, G, T+, S+ and G+ are read from the frame's three
-    assert svd_calls(run_identity_suite, frame, tol) == 5
+    # three SVDs (T, S, G) for the frame and none for its dual, which is
+    # handed the frame's factors of U = T*, S and G inverted (its T~, S~ and
+    # G~ are U+, S+ and G+); the spectral norms of T, S, G, T+, S+ and G+ are
+    # read from the frame's three
+    assert svd_calls(run_identity_suite, frame, tol) == 3
 
 
 @pytest.mark.parametrize("entry, args, expected", [
@@ -216,8 +217,8 @@ def test_cli_analyze_svd_count(svd_calls, tmp_path):
 
 
 def test_cli_verify_svd_count(svd_calls, capsys):
-    # the suite's 5; the sampling check and the verdict read its factors of T
-    assert svd_calls(cli.main, ["verify", "--kind", "gaussian", "--format", "structured"]) == 5
+    # the suite's 3; the sampling check and the verdict read its factors of T
+    assert svd_calls(cli.main, ["verify", "--kind", "gaussian", "--format", "structured"]) == 3
 
 
 @pytest.mark.parametrize("kind", ["gaussian", "tight", "rank_deficient", "duplicated",

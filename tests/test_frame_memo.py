@@ -23,6 +23,7 @@ import numpy as np
 import pytest
 
 from framekit import (
+    GENERATOR_KINDS,
     FramekitError,
     FrameSequence,
     NumericalError,
@@ -158,16 +159,16 @@ def test_a_tolerance_that_cuts_s_to_a_new_rank_evaluates_the_checks_again(self_c
 
 def test_suite_leaves_t_factored_for_later_calls(svd_calls):
     frame = generate(GAUSSIAN)
-    # T, S, G of the frame, and S, G of its dual, a frame built by the first
-    # call, handed T's factors and kept
-    assert svd_calls(run_identity_suite, frame) == 5
+    # T, S, G of the frame; its dual, a frame built by the first call and
+    # kept, is handed the frame's factors of T, S and G
+    assert svd_calls(run_identity_suite, frame) == 3
     assert svd_calls(bounds_vs_sampling, frame, 100) == 0
     assert svd_calls(classify, frame) == 0
 
 
 def test_a_second_suite_on_a_frame_factors_nothing(monkeypatch):
-    # the kept dual keeps its own factors of S and G, so the second suite
-    # factors neither the frame nor its dual
+    # the frame's factors of T, S and G, one QR for G's core; the dual is
+    # handed them, and the second suite factors neither the frame nor its dual
     calls = []
 
     def counted(name):
@@ -182,7 +183,7 @@ def test_a_second_suite_on_a_frame_factors_nothing(monkeypatch):
     counted("svd"), counted("qr")
     frame = generate(GAUSSIAN)
     run_identity_suite(frame)
-    assert sorted(calls) == ["qr"] * 2 + ["svd"] * 5
+    assert sorted(calls) == ["qr"] * 1 + ["svd"] * 3
     calls.clear()
     run_identity_suite(frame)
     assert calls == []
@@ -240,22 +241,100 @@ def test_the_duals_analysis_runs_no_svd_of_the_dual(monkeypatch):
     analysis = _FrameAnalysis(dual)
     analysis.gate("synthesis", "frame operator", "gram"), analysis.bounds
     analysis.canonical_dual
-    # S and G's core of the dual, and never the dual's own matrix
-    assert len(factored) == 2
-    assert not any(np.array_equal(a, dual._matrix) for a in factored)
+    # the public canonical_dual gates T and S only, so the frame's G is first
+    # factored when the dual reads G: one SVD of the frame's G core, and never
+    # of the dual's S, G or matrix
+    assert len(factored) == 1
+    q1, r1 = np.linalg.qr(frame.synthesis_matrix().conj().T)
+    assert np.array_equal(factored[0], (r1 @ r1.conj().T + (r1 @ r1.conj().T).conj().T) / 2)
 
 
-def test_a_kept_dual_does_not_keep_its_frames_factors_alive():
-    # the dual's factors are formed from T's on their first read, and from
-    # then on it holds its own copies only
-    frame = generate(GeneratorSpec("gaussian", 128, 256, 0))
+@pytest.mark.parametrize("spec", [GAUSSIAN, TALL, GeneratorSpec("rank_deficient", 16, 32, 5),
+                                  GeneratorSpec("rank_deficient", 32, 16, 5)],
+                         ids=["4x6", "6x4", "rank_deficient_16x32", "rank_deficient_32x16"])
+@pytest.mark.parametrize("g_first", [False, True], ids=["dual_first", "frame_g_first"])
+def test_the_duals_s_and_g_factors_are_the_frames_inverted(spec, g_first):
+    # S~ = S+ = R_s lambda^-1 L_s* and G~ = G+, so the dual's factors are the
+    # frame's at T's kept rank r, sides swapped, reversed, lambda -> 1/lambda,
+    # bit for bit, whether the frame had factored G before the dual or not
+    frame = generate(spec)
+    if g_first:
+        build_bundle(frame)
     dual = canonical_dual(frame)
-    left = weakref.ref(frame._svd.left_vectors)
+    r = _FrameAnalysis(frame).f_t.rank
+    analysis = _FrameAnalysis(dual)
+    analysis.gate("synthesis", "frame operator", "gram")
+    for own, dual_factors in ((frame._s_svd, dual._s_svd),
+                              (frame._g_svd(lambda: frame.synthesis_matrix().conj().T),
+                               dual._g_svd(None))):
+        assert dual_factors.rank == r
+        assert np.array_equal(dual_factors.singular_values, 1.0 / own.singular_values[r - 1::-1])
+        assert np.array_equal(dual_factors.left_vectors, own.right_vectors[:, r - 1::-1])
+        assert np.array_equal(dual_factors.right_vectors, own.left_vectors[:, r - 1::-1])
+    assert analysis.f_s.rank == analysis.f_g.rank == r
+
+
+def _lambda_off(monkeypatch, slot):
+    """Every canonical dual formed from here on is handed the frame's factors
+    of slot with every eigenvalue 1% off."""
+    original = frame_ops._dual_factors
+
+    def handed(frame, f_t):
+        forms = original(frame, f_t)
+        exact = forms[slot]
+
+        def off():
+            factors = exact()
+            return dataclasses.replace(factors, singular_values=factors.singular_values * 1.01)
+
+        forms[slot] = off
+        return forms
+
+    monkeypatch.setattr(frame_ops, "_dual_factors", handed)
+
+
+# a check scaled by kappa(X) = lambda_1 / lambda_r sees a relative error e in
+# lambda where e exceeds identity_abs kappa(X); at condition target 1e2,
+# kappa(G) = 1e4, so 1% shows on every kind
+@pytest.mark.parametrize("slot, checks", [("S factors", "S S\\+ = P"),
+                                          ("G factors", "G G\\+ = Q")], ids=["S", "G"])
+@pytest.mark.parametrize("kind", GENERATOR_KINDS)
+@pytest.mark.parametrize("shape", [(4, 6), (6, 4)], ids=["4x6", "6x4"])
+def test_handed_off_s_or_g_factors_are_refused_by_the_duals_gate(monkeypatch, slot, checks,
+                                                                 kind, shape):
+    _lambda_off(monkeypatch, slot)
+    target = 1e2 if kind == "ill_conditioned" else None
+    frame = generate(GeneratorSpec(kind, *shape, 0, condition_target=target))
+    build_bundle(frame)  # the frame's own gate holds on all three routes
+    messages = []
+    for _ in range(2):
+        with pytest.raises(NumericalError, match=f"self-check '{checks}'") as info:
+            run_identity_suite(frame)
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
+
+
+@pytest.mark.parametrize("g_first", [False, True], ids=["dual_first", "frame_g_first"])
+def test_a_kept_dual_does_not_keep_its_frames_factors_alive(g_first):
+    # the dual's factors are formed from the frame's T, S and G factors (or,
+    # where the frame has not factored G, from T) on their first read, and
+    # from then on it holds its own copies only
+    frame = generate(GeneratorSpec("gaussian", 128, 256, 0))
+    if g_first:
+        build_bundle(frame)
+    dual = canonical_dual(frame)
+    held = [weakref.ref(x) for x in (frame._svd.left_vectors, frame._s_svd.left_vectors,
+                                     frame._matrix)]
+    if g_first:
+        held.append(weakref.ref(frame._kept["G factors"][1].left_vectors))
     run_identity_suite(dual)
     del frame
     gc.collect()
-    assert left() is None
-    assert dual._handed is None and dual._kept["T factors"][1] is dual._svd
+    assert [ref() for ref in held] == [None] * len(held)
+    assert dual._handed == {}
+    assert dual._kept["T factors"][1] is dual._svd
+    assert dual._kept["S factors"][1] is dual._s_svd
+    assert dual._kept["G factors"][1] is dual._g_svd(None)
 
 
 def test_threads_sharing_a_fresh_dual_read_equal_factors():
@@ -283,7 +362,7 @@ def test_threads_sharing_a_fresh_dual_read_equal_factors():
             for thread in threads:
                 thread.join(timeout=10)
             assert not any(thread.is_alive() for thread in threads)
-            assert found == [expected] * 4 and dual._handed is None
+            assert found == [expected] * 4 and "T factors" not in dual._handed
     finally:
         sys.setswitchinterval(interval)
 
@@ -589,8 +668,8 @@ def test_handed_t_factors_that_fail_the_certificate_are_refused_on_every_call():
     exact = svd(t)
     sigma = exact.singular_values.copy()
     sigma[0] *= 1.01
-    frame = FrameSequence._from_matrix(t, lambda: SvdFactors(
-        exact.left_vectors, sigma, exact.right_vectors, exact.rank))
+    frame = FrameSequence._from_matrix(t, {"T factors": lambda: SvdFactors(
+        exact.left_vectors, sigma, exact.right_vectors, exact.rank)})
     messages = []
     for name, call in list(CALLS.items()) * 2:
         with pytest.raises(NumericalError, match="self-check 'T = W Sigma V\\*'") as info:
@@ -648,17 +727,19 @@ def test_threads_alternating_rank_rel_on_one_frame_read_their_own_cuts():
 @pytest.mark.parametrize("spec", [GAUSSIAN, TALL], ids=["gaussian", "gaussian_tall"])
 @pytest.mark.parametrize("name", CALLS)
 def test_a_frame_keeps_all_it_keeps_in_one_dict(name, spec):
-    # besides the vectors, T and the function that forms a dual's factors,
-    # which is dropped once they are kept, a frame and its kept dual hold
+    # besides the vectors, T and the functions that form a dual's factors,
+    # each dropped once its factors are kept, a frame and its kept dual hold
     # only the one dict that _keep reads and fills
     frame = generate(spec)
     CALLS[name](frame, None)
     duals = [value for _, value in frame._kept.values() if isinstance(value, FrameSequence)]
     for kept in [frame, *duals]:
         assert set(vars(kept)) == {"ambient_dim", "vectors", "_matrix", "_kept", "_handed"}
-        assert (kept._handed is None) == ("T factors" in kept._kept)
-    assert frame._handed is None and len(duals) == (name in ("canonical_dual",
-                                                             "run_identity_suite"))
+        assert not kept._handed.keys() & kept._kept.keys()
+    for dual in duals:
+        assert dual._handed.keys() | dual._kept.keys() >= {"T factors", "S factors", "G factors"}
+    assert frame._handed == {} and len(duals) == (name in ("canonical_dual",
+                                                           "run_identity_suite"))
 
 
 @pytest.mark.parametrize("call", [frame_bounds, canonical_dual,

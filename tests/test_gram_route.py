@@ -123,19 +123,19 @@ def qr_calls(monkeypatch):
 
 def test_qr_counts(qr_calls):
     frame = generate(GeneratorSpec("gaussian", 4, 6, 3))
-    # one QR per gram route of a frame, kept with G's factors: the frame's,
-    # and in the suite also its dual's, which the frame keeps, so a second
-    # suite runs none.
+    # one QR per gram route of a frame, kept with G's factors: the frame's
+    # only, since the suite's dual is handed them, so a second suite runs
+    # none.
     # project_coefficients gates on S's route where n <= m, on G's where n > m
     assert qr_calls(project_coefficients, frame, np.ones(6)) == 0
     assert qr_calls(project_coefficients, generate(GeneratorSpec("gaussian", 6, 4, 3)),
                     np.ones(4)) == 1
     fresh = generate(GeneratorSpec("gaussian", 4, 6, 3))
-    assert qr_calls(run_identity_suite, fresh) == 2
+    assert qr_calls(run_identity_suite, fresh) == 1
     assert qr_calls(run_identity_suite, fresh) == 0
     assert qr_calls(build_bundle, frame) == 1
     assert qr_calls(build_bundle, frame) == 0
-    assert qr_calls(run_identity_suite, frame) == 1
+    assert qr_calls(run_identity_suite, frame) == 0
     assert qr_calls(min_norm_coefficients, frame, np.ones(4)) == 0
 
 

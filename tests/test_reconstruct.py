@@ -595,7 +595,7 @@ def outside_the_kept_factors(n, m, delta):
         k -= v @ (v.conj().T @ k)
     k /= np.linalg.norm(k)
     t = base.synthesis_matrix() + delta * np.outer(x, k.conj())
-    return FrameSequence._from_matrix(t, lambda: factors), k
+    return FrameSequence._from_matrix(t, {"T factors": lambda: factors}), k
 
 
 # every reader of T's factors, called with k as coefficients (ones as a signal)

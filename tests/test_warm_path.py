@@ -160,8 +160,8 @@ def _failing_t_factors(frame):
     exact = svd(t)
     sigma = exact.singular_values.copy()
     sigma[0] *= 1.01
-    return FrameSequence._from_matrix(t, lambda: SvdFactors(
-        exact.left_vectors, sigma, exact.right_vectors, exact.rank))
+    return FrameSequence._from_matrix(t, {"T factors": lambda: SvdFactors(
+        exact.left_vectors, sigma, exact.right_vectors, exact.rank)})
 
 
 @pytest.mark.parametrize("spec, failing, check, refused", [

@@ -4,6 +4,8 @@ them bit for bit.
     python tools/equality.py                print one "cell<TAB>sha256" line a cell
     python tools/equality.py --src DIR      the same for the framekit package in DIR
     python tools/equality.py --against REV  compare this tree's grid with REV's
+    python tools/equality.py --against REV --expected FILE
+                                            the same, allowing the cells FILE lists
 
 The grid is every public entry point (ENTRIES) x the five generator kinds
 (ill_conditioned at condition target 1e4, seed 0) x SHAPES x the frame
@@ -17,8 +19,12 @@ hashes its refusal's type and message instead.
 --against REV checks REV out into a temporary git worktree, runs this file's
 grid on this tree's src and on REV's src, each in its own process under
 this interpreter with OPENBLAS_NUM_THREADS=1, and lists the cells whose
-digests differ. It exits 1 if any does. Both sides run on one machine, so
-BLAS and CPU effects cancel, and no digest is committed.
+digests differ. It exits 1 if any does that --expected FILE does not list
+(one cell a line; blank lines and lines starting with # are skipped). Both
+sides run on one machine, so BLAS and CPU effects cancel, and no digest is
+committed. tools/expected_changes.txt lists the cells the change on top of
+the merge base moves, and CI compares a pull request with its merge base
+under it.
 """
 
 from __future__ import annotations
@@ -157,8 +163,30 @@ def _grid_of(src: Path) -> dict:
     return dict(line.split("\t") for line in done.stdout.splitlines())
 
 
-def against(rev: str) -> int:
-    """Print the cells whose digests differ between this tree and rev; 1 if any do."""
+def listed(path: Path) -> frozenset:
+    """The cells a file lists, one a line, skipping blank lines and # comments."""
+    lines = (line.strip() for line in path.read_text(encoding="utf-8").splitlines())
+    return frozenset(line for line in lines if line and not line.startswith("#"))
+
+
+def compare(ours: dict, theirs: dict, rev: str, expected: frozenset = frozenset()) -> int:
+    """Print the cells whose digests differ between two grids, each marked
+    expected or unexpected; 1 if any differing cell is not in expected."""
+    cells = ours.keys() | theirs.keys()
+    differing = sorted(cell for cell in cells if ours.get(cell) != theirs.get(cell))
+    unexpected = [cell for cell in differing if cell not in expected]
+    for cell in differing:
+        print(cell, "expected" if cell in expected else "unexpected", sep="\t")
+    print(f"{len(differing)} of {len(cells)} cells differ from {rev}, "
+          f"{len(unexpected)} of them unexpected")
+    unmoved = expected - set(differing)
+    if unmoved:
+        print(f"{len(unmoved)} expected cells do not differ")
+    return 1 if unexpected else 0
+
+
+def against(rev: str, expected: frozenset = frozenset()) -> int:
+    """compare this tree's grid with rev's, checked out into a temporary worktree."""
     with tempfile.TemporaryDirectory(prefix="framekit-equality-") as tmp:
         tree = Path(tmp) / "tree"
         subprocess.run(["git", "-C", str(REPO), "worktree", "add", "--detach", "--quiet",
@@ -168,12 +196,7 @@ def against(rev: str) -> int:
         finally:
             subprocess.run(["git", "-C", str(REPO), "worktree", "remove", "--force", str(tree)],
                            check=True)
-    differing = sorted(cell for cell in ours.keys() | theirs.keys()
-                       if ours.get(cell) != theirs.get(cell))
-    for cell in differing:
-        print(cell)
-    print(f"{len(differing)} of {len(ours.keys() | theirs.keys())} cells differ from {rev}")
-    return 1 if differing else 0
+    return compare(ours, theirs, rev, expected)
 
 
 def main(argv=None) -> int:
@@ -182,9 +205,13 @@ def main(argv=None) -> int:
                         help="directory holding the framekit package (default: this tree's src)")
     parser.add_argument("--against", metavar="REV",
                         help="git revision to compare this tree's grid with")
+    parser.add_argument("--expected", type=Path, metavar="FILE",
+                        help="with --against: cells, one a line, that may differ")
     args = parser.parse_args(argv)
+    if args.expected and not args.against:
+        parser.error("--expected needs --against")
     if args.against:
-        return against(args.against)
+        return against(args.against, listed(args.expected) if args.expected else frozenset())
     sys.path.insert(0, str(args.src.resolve()))
     import framekit
     if args.src.resolve() not in Path(framekit.__file__).resolve().parents:

@@ -129,12 +129,13 @@ class FrameSequence:
         "dual"            the canonical dual                   T's rank     16 n m
 
     A route set is the tuple of route names a gate reads, such as
-    ("synthesis", "frame operator"). So a tall frame (n > m) keeps an S
-    larger than T. Every call holds the certificate and the deviations
-    against its own tol.identity_abs (see _FrameAnalysis). A canonical
-    dual of T's kept rank r is handed its factors, the frame's inverted
-    (see _dual_factors), so its "S factors" take 32 n r + 8 r bytes and its
-    "G factors" 32 m r + 8 r.
+    ("synthesis", "frame operator"). A tall frame (n > m) keeps an S larger
+    than T only once a call reads S: every result that reads T's factors
+    alone gates on G there (see _smaller_square). Every call holds the
+    certificate and the deviations against its own tol.identity_abs (see
+    _FrameAnalysis). A canonical dual of T's kept rank r is handed its
+    factors, the frame's inverted (see _dual_factors), so its "S factors"
+    take 32 n r + 8 r bytes and its "G factors" 32 m r + 8 r.
     """
 
     ambient_dim: int
@@ -216,10 +217,8 @@ class FrameSequence:
 
     @property
     def _frame_operator(self) -> np.ndarray:
-        """S = T T*, formed once (through a transient U = T*) and read-only;
-        NumericalError where an entry overflows."""
-        return self._keep("S", lambda: _frozen(_in_range(
-            "frame operator S", lambda: self._matrix @ adjoint(self._matrix))))
+        """S = T T*, formed once and read-only (see _frame_operator_of)."""
+        return self._keep("S", lambda: _frame_operator_of(self._matrix))
 
     @property
     def _s_svd(self) -> SvdFactors:
@@ -461,9 +460,10 @@ _OPERATORS = {
     # A is normal (see _bounds_from_factors), so 1/A and these entries are finite
     "P/A": lambda a: a["P"] / a.bounds.lower,
     "Q/A": lambda a: a["Q"] / a.bounds.lower,
-    # S's kept right vectors R_s in T's kept left ones W, r x r: two of the
-    # T/S gate's factored self-checks read it
-    "W*R_s": lambda a: a.f_t.left_vectors.conj().T @ a.f_s.right_vectors,
+    # each square's kept right vectors in T's kept singular vectors Y on its
+    # side (see _SQUARES), r x r: two of its self-checks read them
+    "Y*R_S": lambda a: a.f_t.left_vectors.conj().T @ a.f_s.right_vectors,
+    "Y*R_G": lambda a: a.f_t.right_vectors.conj().T @ a.f_g.right_vectors,
 }
 
 
@@ -479,6 +479,12 @@ def _in_range(name: str, form) -> np.ndarray:
     if not np.isfinite(out).all():
         raise NumericalError(f"the {name} leaves the double range: an entry overflows")
     return out
+
+
+def _frame_operator_of(t: np.ndarray) -> np.ndarray:
+    """S = T T*, read-only, formed through a transient U = T*; NumericalError
+    where an entry overflows."""
+    return _frozen(_in_range("frame operator S", lambda: t @ adjoint(t)))
 
 
 def _gram_factors(u: np.ndarray) -> SvdFactors:
@@ -519,63 +525,68 @@ def _unallocated(what: str, exc: MemoryError) -> AllocationError:
     return AllocationError(f"the {what} does not fit in memory: {exc}")
 
 
-def _kappa(a: "_FrameAnalysis", name: str) -> list:
-    """|X| and |X+| for X = S or G: their product kappa(X) = lambda_1 / lambda_r
-    scales X's factored self-checks. |X+| refuses a 1/lambda_r that overflows,
-    before any check divides by lambda_r."""
-    return [a.spectral_norm(name), a.spectral_norm(name + "+")]
+# T's two squares by name: the route that factors each, the names of its
+# three self-checks (see _SELF_CHECKS), the side of T's kept factors whose
+# singular vectors Y are its own (S = W Sigma^2 W*, G = V Sigma^2 V*), and
+# how the analysis `a` applies it to the right vectors R of its factors f
+# (G as U (T R), so no m x m G is formed)
+_SQUARES = {
+    "S": ("frame operator", ("S S+ = P", "S+ S = P", "T+ = T* S+"), "left_vectors",
+          lambda a, f: a["S"] @ f.right_vectors),
+    "G": ("gram", ("G G+ = Q", "G+ G = Q", "T+ = G+ T*"), "right_vectors",
+          lambda a, f: a["U"] @ (a["T"] @ f.right_vectors)),
+}
 
 
-def _s_route_factors_s(a: "_FrameAnalysis") -> float:
-    """'S S+ = P' on S's n x r factors: S R_s / lambda_s = L_s."""
-    f_s, kappa = a.f_s, _kappa(a, "S")
-    return _deviation(a["S"] @ f_s.right_vectors / f_s.singular_values, f_s.left_vectors, kappa)
+def _square_parts(x: str, a: "_FrameAnalysis") -> tuple:
+    """The square X's cut factors L, lambda, R, T's kept singular vectors Y on
+    its side, Y* R (r x r, the analysis's "Y*R_S" or "Y*R_G"), and |X| and
+    |X+|, whose product kappa(X) = lambda_1 / lambda_r scales X's first two
+    self-checks. |X+| refuses a 1/lambda_r that overflows, before any check
+    divides by lambda_r."""
+    kappa = [a.spectral_norm(x), a.spectral_norm(x + "+")]
+    return getattr(a, _FACTORED[x]), getattr(a.f_t, _SQUARES[x][2]), a["Y*R_" + x], kappa
 
 
-def _s_route_spans_range_p(a: "_FrameAnalysis") -> float:
-    """'S+ S = P' on S's n x r factors: R_s = W (W* R_s), W T's kept left singular vectors."""
-    return _deviation(a.f_s.right_vectors, a.f_t.left_vectors @ a["W*R_s"], _kappa(a, "S"))
+def _square_pinv(x: str, a: "_FrameAnalysis") -> float:
+    """'X X+ = proj' on X's factors: X R / lambda = L."""
+    f, _, _, kappa = _square_parts(x, a)
+    return _deviation(_SQUARES[x][3](a, f) / f.singular_values, f.left_vectors, kappa)
 
 
-def _g_route_factors_g(a: "_FrameAnalysis") -> float:
-    """'G G+ = Q' on G's m x r factors: G R_g / lambda_g = L_g, G R_g formed as U (T R_g)."""
-    f_g, kappa = a.f_g, _kappa(a, "G")
-    lifted = a["U"] @ (a["T"] @ f_g.right_vectors) / f_g.singular_values
-    return _deviation(lifted, f_g.left_vectors, kappa)
+def _pinv_square(x: str, a: "_FrameAnalysis") -> float:
+    """'X+ X = proj' on X's factors: R = Y (Y* R)."""
+    f, y, y_r, kappa = _square_parts(x, a)
+    return _deviation(f.right_vectors, y @ y_r, kappa)
 
 
-def _g_route_spans_range_q(a: "_FrameAnalysis") -> float:
-    """'G+ G = Q' on G's m x r factors: R_g = V (V* R_g), V T's kept right singular vectors."""
-    r_g, v = a.f_g.right_vectors, a.f_t.right_vectors
-    return _deviation(r_g, v @ (v.conj().T @ r_g), _kappa(a, "G"))
-
-
-def _s_route_pinv_t(a: "_FrameAnalysis") -> float:
-    """'T+ = T* S+' in T's coordinates. T+ = V Sigma^-1 W* and T* S+ =
-    V Sigma (W* R_s) lambda_s^-1 L_s*, and V* V = I is certified, so it holds
-    iff Sigma^-1 (W* L_s) = Sigma (W* R_s) lambda_s^-1, an r x r identity; its
-    residual is scaled by |U| |S+| = sigma_1 / lambda_r."""
-    f_t, f_s, sigma = a.f_t, a.f_s, a.f_t.singular_values[:, np.newaxis]
-    scale = [a.spectral_norm("T"), a.spectral_norm("S+")]
-    lhs = f_t.left_vectors.conj().T @ f_s.left_vectors / sigma
-    return _deviation(lhs, sigma * a["W*R_s"] / f_s.singular_values, scale)
+def _pinv_tie(x: str, a: "_FrameAnalysis") -> float:
+    """X's T+ tie in T's coordinates. T+ = V Sigma^-1 W*, T* S+ = V Sigma (W*
+    R_s) lambda_s^-1 L_s* and, as G+ is Hermitian, (T+)* = T G+ = W Sigma
+    (V* R_g) lambda_g^-1 L_g*. W* W = I and V* V = I are certified, so either
+    holds iff Sigma^-1 (Y* L) = Sigma (Y* R) lambda^-1, an r x r identity
+    that reuses Y* R; its residual is scaled by |T| |X+| = sigma_1 / lambda_r."""
+    f, y, y_r, (_, pinv_norm) = _square_parts(x, a)
+    sigma = a.f_t.singular_values[:, np.newaxis]
+    return _deviation(y.conj().T @ f.left_vectors / sigma, sigma * y_r / f.singular_values,
+                      [a.spectral_norm("T"), pinv_norm])
 
 
 # the self-checks in gate order: the route each reads besides T's, and the
 # function that evaluates its deviation; a gate runs, in this order, those
-# whose route it reads (see _FrameAnalysis._walk). Each keeps the name of the
-# dense identity it stands for, which the suite's rows evaluate, but reads the
-# route's factors in T's coordinates (see _FrameAnalysis). 'T+ = T* S+' ties
-# every T/S-gated result to S's route: the minimum-norm results, the signal
-# series and the canonical dual apply T+ through the very factors W, Sigma, V
-# it reads. T's own factors need no self-check here: every analysis holds
-# their certificate against its tolerance before reading them (_FrameAnalysis.f_t).
+# whose route it reads (see _FrameAnalysis._walk). Each square gets the same
+# three: 'X X+ = proj' and 'X+ X = proj', S's then G's, then the two T+ ties,
+# S's then G's. Each keeps the name of the dense identity it stands for,
+# which the suite's rows evaluate, but reads the route's factors in T's
+# coordinates (see _FrameAnalysis). A tie binds every result gated on its
+# square to that square's route: the minimum-norm results, the series and
+# the canonical dual apply T+ through the very factors W, Sigma, V it reads.
+# T's own factors need no self-check here: every analysis holds their
+# certificate against its tolerance before reading them (_FrameAnalysis.f_t).
 _SELF_CHECKS = {
-    "S S+ = P": ("frame operator", _s_route_factors_s),
-    "S+ S = P": ("frame operator", _s_route_spans_range_p),
-    "G G+ = Q": ("gram", _g_route_factors_g),
-    "G+ G = Q": ("gram", _g_route_spans_range_q),
-    "T+ = T* S+": ("frame operator", _s_route_pinv_t),
+    **{name: (route, partial(check, x)) for x, (route, names, _, _) in _SQUARES.items()
+       for name, check in zip(names, (_square_pinv, _pinv_square))},
+    **{names[2]: (route, partial(_pinv_tie, x)) for x, (route, names, _, _) in _SQUARES.items()},
 }
 
 # the names of the three deviations in FrameSequence._certificate
@@ -625,28 +636,29 @@ class _FrameAnalysis:
     min(n, m) square core, not of the m x m G.
 
     The gate checks S and G on their n x r and m x r factors L, lambda, R in
-    T's coordinates, never on dense operators. 'S S+ = P' measures how far
-    S R_s / lambda_s is from L_s, and 'G G+ = Q' how far G R_g / lambda_g
-    (G R_g formed as U (T R_g), never from G) is from L_g. 'S+ S = P'
-    measures how far R_s is from W (W* R_s), W T's kept left singular
-    vectors, and 'G+ G = Q' how far R_g is from V (V* R_g), V T's kept right
-    ones. These four are scaled by kappa(X) = |X| |X+| = lambda_1 / lambda_r
-    of their route (see spectral_norm). 'T+ = T* S+' is checked as the r x r
-    identity Sigma^-1 (W* L_s) = Sigma (W* R_s) lambda_s^-1, which reuses
-    W* R_s. So no gate forms P, Q, S+ or G+: they are formed only where a
-    result returns or reports them. S and G's core square the frame's
-    entries, and an entry that overflows raises NumericalError naming the
-    operator. U = T* gets no SVD of its own: its SVD is T's with the sides
-    swapped, so the U route (Q and U+) reads T's factors. The canonical dual
-    is U+ = (T+)* = W Sigma^-1 V*, and its FrameSequence is handed the
-    frame's factors inverted (see _dual_factors), so the dual's analysis
-    factors nothing; its certificate and self-checks still hold them to
-    the dual's own T~, S~ and U~. T's kept rank fixes every bit of U+, so
-    the frame keeps one dual, by that rank (its "dual" slot): a call at
-    that rank returns it once the certificate and the T/S gate hold under
-    the call's tolerance, and a call at another rank forms its own and
-    replaces it. A call that raises keeps nothing. The kept dual keeps its
-    own factors and deviations.
+    T's coordinates, never on dense operators, and checks both squares the
+    same way (see _SQUARES): Y is T's kept singular vectors on the square's
+    side, W for S and V for G. 'X X+ = proj' ('S S+ = P', 'G G+ = Q')
+    measures how far X R / lambda is from L (G R_g formed as U (T R_g),
+    never from G), and 'X+ X = proj' how far R is from Y (Y* R); both are
+    scaled by kappa(X) = |X| |X+| = lambda_1 / lambda_r of their route (see
+    spectral_norm). X's T+ tie ('T+ = T* S+', 'T+ = G+ T*') is checked as
+    the r x r identity Sigma^-1 (Y* L) = Sigma (Y* R) lambda^-1, which
+    reuses Y* R and is scaled by sigma_1 / lambda_r. So no gate forms P, Q,
+    S+ or G+: they are formed only where a result returns or reports them. S
+    and G's core square the frame's entries, and an entry that overflows
+    raises NumericalError naming the operator. U = T* gets no SVD of its
+    own: its SVD is T's with the sides swapped, so the U route (Q and U+)
+    reads T's factors. The canonical dual is U+ = (T+)* = W Sigma^-1 V*, and
+    its FrameSequence is handed the frame's factors inverted (see
+    _dual_factors), so the dual's analysis factors nothing; its certificate
+    and self-checks still hold them to the dual's own T~, S~ and U~. T's
+    kept rank fixes every bit of U+, so the frame keeps one dual, by that
+    rank (its "dual" slot): a call at that rank returns it once the
+    certificate and the gate on T and its smaller square hold under the
+    call's tolerance, and a call at another rank forms its own and replaces
+    it. A call that raises keeps nothing. The kept dual keeps its own
+    factors and deviations.
 
     The gate first checks that the routes agree in rank. Once it holds, T's
     kept rank and the route's fix every operand a self-check reads: the
@@ -852,7 +864,7 @@ class _FrameAnalysis:
     def canonical_dual(self) -> FrameSequence:
         if self.f_t.rank == 0:
             raise DegenerateSpanError("a degenerate sequence has no canonical dual")
-        self.gate("synthesis", "frame operator")
+        self.gate("synthesis", _smaller_square(self.frame))
         # U+ = W Sigma^-1 V* is fixed by T's kept rank, so the frame keeps one
         # dual by that rank; a call at another rank forms its own and replaces it
         return self.frame._keep("dual", lambda: FrameSequence._from_matrix(
@@ -869,17 +881,17 @@ def _dual_factors(frame: FrameSequence, f_t: SvdFactors) -> dict:
     r, by factor slot. The dual's T~ = S+ T is U+ = W Sigma^-1 V*, its S~ =
     T~ T~* is S+ and its G~ = T~* T~ is G+, so each of its factors is the
     frame's of U, S or G at rank r, inverted (see _pinv_factors); none is
-    formed until it is read. S's are kept already, by the T/S gate the dual is
-    formed behind. G's are the frame's kept ones where it keeps them, else
-    formed from T on the dual's first read of G, without a reference to the
-    frame, so the frame and its kept dual never refer to each other."""
-    r, t, g = f_t.rank, frame._matrix, frame._kept.get("G factors")
-    return {
-        "T factors": partial(_pinv_factors, _adjoint_factors(f_t), r),
-        "S factors": partial(_pinv_factors, frame._s_svd, r),
-        "G factors": (partial(_pinv_factors, g[1], r) if g else
-                      lambda: _pinv_factors(_gram_factors(adjoint(t)), r)),
-    }
+    formed until it is read. S's and G's are the frame's kept ones where it
+    keeps them (the gate the dual is formed behind keeps those of T's
+    smaller square), else formed from T on the dual's first read, as the
+    frame forms its own, without a reference to the frame, so the frame and
+    its kept dual never refer to each other."""
+    r, t = f_t.rank, frame._matrix
+    fresh = {"S factors": lambda: _phased_svd(_frame_operator_of(t)),
+             "G factors": lambda: _gram_factors(adjoint(t))}
+    squares = {slot: partial(_pinv_factors, frame._kept[slot][1], r) if slot in frame._kept
+               else lambda form=form: _pinv_factors(form(), r) for slot, form in fresh.items()}
+    return {"T factors": partial(_pinv_factors, _adjoint_factors(f_t), r), **squares}
 
 
 def build_bundle(frame: FrameSequence, tol: Tolerance | None = None) -> OperatorBundle:
@@ -942,14 +954,15 @@ def canonical_dual(frame: FrameSequence, tol: Tolerance | None = None) -> FrameS
     The dual spans the same subspace, its optimal bounds are the reciprocals
     (1/upper, 1/lower) of the original's, and its own canonical dual is the
     original sequence again. It is formed as S+ T = (T+)* = W Sigma^-1 V*
-    from T's certified kept factors, behind the T/S gate (see build_bundle),
-    so its error grows like eps kappa(T), not eps kappa(T)^2. The returned
+    from T's certified kept factors, behind the gate on T and its smaller
+    square, S where n <= m, else G (see build_bundle), so its error grows
+    like eps kappa(T), not eps kappa(T)^2. The returned
     sequence is handed its factors of T, S and G, the frame's inverted, each
     formed on its first read: its own certificate and gate check them on
     first use, and no factorization of the dual is run. The
     frame keeps the dual, 16 n m bytes, by T's kept rank: every call that
     keeps the same rank returns that one object, once T's certificate and
-    the T/S gate hold under its own tol; a call that keeps another rank
+    that gate hold under its own tol; a call that keeps another rank
     forms the dual afresh and keeps it in place of the first.
     """
     return _FrameAnalysis(frame, tol).canonical_dual
@@ -1017,7 +1030,10 @@ def _matrix_analysis(matrix, tol: Tolerance | None) -> _FrameAnalysis:
 
 
 def _smaller_square(frame: FrameSequence) -> str:
-    """The route of the smaller of T's two squares: S's where n <= m, else G's."""
+    """The route of the smaller of T's two squares: S's where n <= m, else
+    G's. Every gated result that reads only T's factors, T+ among them,
+    gates on T and this route; one that returns or reads S+ or G+ gates on
+    that square, and build_bundle and the suite on all three routes."""
     return "frame operator" if frame.ambient_dim <= frame.size else "gram"
 
 

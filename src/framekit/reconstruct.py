@@ -5,30 +5,30 @@ Coefficient vectors live in the m-dimensional complex coefficient space
 n-dimensional ambient space. Inner products are linear in the first
 argument: <x, y> = sum_j x_j * conj(y_j).
 
-Each entry point gates on the frame routes it reads and returns what its
-gate already checked: T+ applied through T's certified kept factors W,
-Sigma, V, whose r x r form the T/S gate holds against T* S+ in T's
-coordinates (so T+ f = (S+ T)* f and (T+)* c = S+ T c), or the projection
-Q c = V (V* c) through the same V, gated on the smaller of T's two squares
-(see project_coefficients). The gate reads the factors of T, S and G and
-the self-check deviations that the frame keeps, held against the call's own
-tolerance, so a call on a frame already seen factors nothing. On a warm
-call, one on a frame whose gate has held under the call's rank_rel, the
-gate compares one kept number, the worst of its deviations (T's
-certificate rows among them), with identity_abs and reads the kept rank
-cuts; where that worst exceeds identity_abs, it raises what a fresh
-frame's gate raises (see frame_ops._FrameAnalysis). The call then checks
-its defining identity on its own input, by the gate's rule
-(frame_ops._deviation): a residual beyond identity_abs, scaled by the
-norms that enter it, or NaN, raises NumericalError. Each norm is taken
-once, as the two BLAS dots that np.linalg.norm runs, with its bits
-(matrix_core._dot_norm), and all of a call's under one np.errstate
-(matrix_core._norms). The input's largest part in modulus is read once,
-both as its finiteness check and as its scale. T+ f is applied as
-V (Sigma^-1 (W* f)) and (T+)* c as W (Sigma^-1 (V* c)), so the m x n T+ is
-never formed, and the projectors share the first product: P f = W (W* f)
-and Q c = V (V* c), never n x n or m x m matrices. W* f and V* c are
-applied as (f* W)* and (c* V)*, which conjugate the vector and read the
+Each entry point reads T's factors alone, so each gates on T and T's smaller
+square, S where n <= m and G where n > m (frame_ops._smaller_square), and
+returns what its gate already checked: T+ applied through T's certified kept
+factors W, Sigma, V, whose r x r form the gate holds against T* S+, or
+against G+ T*, in T's coordinates (so T+ f = (S+ T)* f = G+ U f), or the
+projection Q c = V (V* c) through the same V (see project_coefficients). The
+gate reads the factors of T and that square and the self-check deviations
+that the frame keeps, held against the call's own tolerance, so a call on a
+frame already seen factors nothing. On a warm call, one on a frame whose
+gate has held under the call's rank_rel, the gate compares one kept number,
+the worst of its deviations (T's certificate rows among them), with
+identity_abs and reads the kept rank cuts; where that worst exceeds
+identity_abs, it raises what a fresh frame's gate raises (see
+frame_ops._FrameAnalysis). The call then checks its defining identity on its
+own input, by the gate's rule (frame_ops._deviation): a residual beyond
+identity_abs, scaled by the norms that enter it, or NaN, raises
+NumericalError. Each norm is taken once, as the two BLAS dots that
+np.linalg.norm runs, with its bits (matrix_core._dot_norm), and all of a
+call's under one np.errstate (matrix_core._norms). The input's largest part
+in modulus is read once, both as its finiteness check and as its scale. T+ f
+is applied as V (Sigma^-1 (W* f)) and (T+)* c as W (Sigma^-1 (V* c)), so the
+m x n T+ is never formed, and the projectors share the first product: P f =
+W (W* f) and Q c = V (V* c), never n x n or m x m matrices. W* f and V* c
+are applied as (f* W)* and (c* V)*, which conjugate the vector and read the
 kept W and V in place, with no copy of either; the product is conjugated in
 place. U f0 is applied as (f0* T)*, so no m x n U is formed either. No
 result goes through S+ or G+ again, so its error grows with T's condition
@@ -40,13 +40,13 @@ the exponent of x's largest real or imaginary part (math.frexp), so every
 part of u is below 1 in modulus and |u| < sqrt(2 dim); u = 2^-e x, taken
 by ldexp, is the one copy of the input. It gates, solves and checks on u,
 with no guard on any product. The invariant that makes this
-safe: after the T/S gate 1/lambda_r is finite and S is finite, so
-|T+ u| <= |u| / sigma_r < 2^513 sqrt(2 dim), and the products T (T+ u) and
-U ((T+)* u) that the checks read stay within kappa(T) |u|, which S's rank
-cutoff keeps below 2^537 |u| (kappa(S) = kappa(T)^2 < 1 / min(rank_rel dim,
-10 dim eps)); the series V (V* u) is at most |u|, and after either gate S or
-G's core is finite, so sigma_1 < 2^512 and T u and T (V (V* u)) stay below
-2^512 |u|.
+safe: after the gate, the square's 1/lambda_r = 1/sigma_r^2 is finite and
+S, or G's core, is finite, so |T+ u| <= |u| / sigma_r < 2^513 sqrt(2 dim),
+and the products T (T+ u) and U ((T+)* u) that the checks read stay within
+kappa(T) |u|, which the square's rank cutoff keeps below 2^537 |u|
+(kappa(S) = kappa(G) = kappa(T)^2 < 1 / min(rank_rel dim, 10 dim eps)); the
+series V (V* u) is at most |u|, and sigma_1 < 2^512, so T u and
+T (V (V* u)) stay below 2^512 |u|.
 The result and residual_norm are scaled back by 2^e and norm_split by 2^2e;
 a value that leaves the double range raises NumericalError naming it. Where
 0 <= e <= 1000 and the result's norm, taken with the call's other norms,
@@ -215,14 +215,13 @@ def _solution(what: str, solution: np.ndarray, bound: float, inside: float,
                            norm_split=tuple(split))
 
 
-def _gated(frame: FrameSequence, tol: Tolerance | None, route: str, values, length: int,
+def _gated(frame: FrameSequence, tol: Tolerance | None, values, length: int,
            name: str) -> tuple:
-    """The frame's analysis, gated on T and the one other route a result reads
-    (S's, or for project_coefficients that of the smaller square), and the
-    input x as (u, e) with x = 2^e u: e is the exponent of x's largest real or
+    """The frame's analysis, gated on T and T's smaller square, and the input
+    x as (u, e) with x = 2^e u: e is the exponent of x's largest real or
     imaginary part, so every part of u is below 1 in modulus."""
     a = _FrameAnalysis(frame, tol)
-    a.gate("synthesis", route)
+    a.gate("synthesis", _smaller_square(frame))
     if a.f_t.rank == 0:
         raise DegenerateSpanError(
             "all vectors are numerically zero; reconstruction against a degenerate "
@@ -244,7 +243,7 @@ def min_norm_coefficients(frame: FrameSequence, signal,
     applied as W (W* f) from T's kept left singular vectors W, and the
     residual and norm split are read from it.
     """
-    a, f, e = _gated(frame, tol, "frame operator", signal, frame.ambient_dim, "signal")
+    a, f, e = _gated(frame, tol, signal, frame.ambient_dim, "signal")
     c0, projected = _pinv_applied(a, f)
     norm_f, norm_tc0, norm_c0, inside, leftover = _norms(
         (f, 1.0), (c0, a.spectral_norm("T"), 1.0), (projected, 1.0), (f - projected, 1.0))
@@ -263,7 +262,7 @@ def min_norm_preimage(frame: FrameSequence, coefficients,
     input no signal can reach; Q c is applied as V (V* c) from T's kept
     right singular vectors V.
     """
-    a, c, e = _gated(frame, tol, "frame operator", coefficients, frame.size, "coefficients")
+    a, c, e = _gated(frame, tol, coefficients, frame.size, "coefficients")
     f0, q_part = _pinv_applied(a, c, adjoint=True)
     norm_c, norm_tf0, norm_f0, inside, leftover = _norms(
         (c, 1.0), (f0, a.spectral_norm("T"), 1.0), (q_part, 1.0), (c - q_part, 1.0))
@@ -281,7 +280,7 @@ def project_signal(frame: FrameSequence, signal,
     T's kept left singular vectors W; the two routes must agree within
     tol.identity_abs (scaled by |f| + |T| |T+ f|).
     """
-    a, f, e = _gated(frame, tol, "frame operator", signal, frame.ambient_dim, "signal")
+    a, f, e = _gated(frame, tol, signal, frame.ambient_dim, "signal")
     coefficients, projected = _pinv_applied(a, f)
     series = a["T"] @ coefficients
     norm_f, norm_tc, norm_series = _norms(
@@ -301,14 +300,13 @@ def project_coefficients(frame: FrameSequence, coefficients,
     residual scaled by |c| + |T| |c|; a rank_rel that cuts drops the same
     W_perp Sigma_perp V_perp* c from both sides. P is applied as W (W* x)
     through T's kept left singular vectors W, and where r = n, P = I is not
-    applied. The call gates on the smaller of T's two squares: on S's
-    route where n <= m, on G's where n > m. Either gate pins V: the T/S gate
-    ties W and Sigma to S, and the certificate (T = W Sigma V*, V* V = I)
-    then pins V; the T/G gate's 'G+ G = Q' ties V to G directly. No m x m G,
-    G+ or Q is formed.
+    applied. The call gates on the smaller of T's two squares, as every
+    result here does: on S's route where n <= m, on G's where n > m. Either
+    gate pins V: the T/S gate ties W and Sigma to S, and the certificate
+    (T = W Sigma V*, V* V = I) then pins V; the T/G gate's 'G+ G = Q' ties V
+    to G directly. No m x m G, G+ or Q is formed.
     """
-    route = _smaller_square(frame)
-    a, c, e = _gated(frame, tol, route, coefficients, frame.size, "coefficients")
+    a, c, e = _gated(frame, tol, coefficients, frame.size, "coefficients")
     series = _range_part(a.f_t.right_vectors, c)
     norm_c, norm_tc, norm_series = _norms((c, 1.0, a.spectral_norm("T")), (series, 1.0))
     synthesized = a["T"] @ c

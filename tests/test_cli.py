@@ -465,6 +465,28 @@ def test_an_integer_literal_past_the_double_range_exits_2(command, vectors, sign
     assert capsys.readouterr().err == f"error: {where}: entries must be finite\n"
 
 
+@pytest.mark.parametrize("document, message", [
+    ('[{"ambient_dim": 1}]', "the document must be a JSON object"),
+    ('{"ambient_dim": 0, "vectors": [[[1, 0]]]}', "field 'ambient_dim' must be a positive integer"),
+    ('{"ambient_dim": 1.0, "vectors": [[[1, 0]]]}', "field 'ambient_dim' must be a positive integer"),
+    ('{"ambient_dim": true, "vectors": [[[1, 0]]]}', "field 'ambient_dim' must be a positive integer"),
+    ('{"ambient_dim": 1, "vectors": []}', "field 'vectors' must be a non-empty list"),
+    ('{"ambient_dim": 1, "vectors": {"0": [[1, 0]]}}', "field 'vectors' must be a non-empty list"),
+], ids=["not_an_object", "zero_dim", "float_dim", "bool_dim", "no_vectors", "vectors_not_a_list"])
+def test_a_malformed_document_exits_2_naming_the_field(document, message, tmp_path, capsys):
+    p = tmp_path / "d.json"
+    p.write_text(document)
+    assert main(["analyze", str(p)]) == EXIT_INPUT_ERROR
+    assert capsys.readouterr().err == f"error: {p}: {message}\n"
+
+
+def test_a_vector_that_is_not_a_list_exits_2(tmp_path, capsys):
+    p = tmp_path / "d.json"
+    p.write_text('{"ambient_dim": 1, "vectors": [[[1, 0]], 7]}')
+    assert main(["analyze", str(p)]) == EXIT_INPUT_ERROR
+    assert capsys.readouterr().err == "error: vectors[1]: expected a list of [re, im] pairs\n"
+
+
 def test_unknown_top_level_keys_are_tolerated(tmp_path, capsys):
     p = write_doc(tmp_path / "d.json", 2, [[1, 0], [0, 1]],
                   label="an experiment", notes=[1, 2, 3])

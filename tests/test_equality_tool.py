@@ -37,6 +37,18 @@ def test_a_slice_of_the_grid_gives_the_same_digests_twice():
             != cells["polarization_check gaussian 4x6 2^0 default fresh"])
 
 
+def test_every_seen_cell_of_the_whole_grid_equals_its_fresh_one():
+    # a frame that every entry has read under every tolerance answers, or
+    # refuses, with the bits a frame built afresh for the call does
+    tool = load_tool()
+    fresh, seen = {}, {}
+    for cell, digest in tool.grid(framekit, tool.frames(framekit)):
+        key, state = cell.rsplit(" ", 1)
+        (fresh if state == "fresh" else seen)[key] = digest
+    assert len(fresh) == len(seen) == 2700
+    assert [key for key in fresh if fresh[key] != seen[key]] == []
+
+
 def test_a_cell_hashes_an_array_or_a_refusal():
     tool = load_tool()
     zero = [("zero 2x3", lambda: FrameSequence.from_vectors([np.zeros(2)] * 3))]

@@ -186,6 +186,30 @@ def test_coefficient_series_factors_only_the_smaller_square(monkeypatch):
     assert counts(tall) == {"svd": 0, "qr": 0, "adjoint": 0}
 
 
+@pytest.mark.parametrize("entry, length", [
+    (min_norm_coefficients, "n"), (min_norm_preimage, "m"), (project_signal, "n"),
+    (project_coefficients, "m"), (canonical_dual, None),
+], ids=["min_norm_coefficients", "min_norm_preimage", "project_signal", "project_coefficients",
+        "canonical_dual"])
+@pytest.mark.parametrize("n, m", [(4, 6), (6, 4), (64, 16)])
+def test_a_fresh_t_plus_call_factors_t_and_its_smaller_square(monkeypatch, entry, length, n, m):
+    # every result that reads only T's factors gates on T and its smaller
+    # square: S (n x n) where n <= m; else G's m x m core, after one QR of
+    # the m x n U, so a tall call factors no n x n matrix
+    inputs = {"svd": [], "qr": []}
+    for name, log in inputs.items():
+        def recording(matrix, *args, original=getattr(np.linalg, name), log=log, **kwargs):
+            log.append(np.shape(matrix))
+            return original(matrix, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, recording)
+    frame = generate(GeneratorSpec("gaussian", n, m, 3))
+    entry(frame, *([] if length is None else [np.ones(n if length == "n" else m)]))
+    if n <= m:
+        assert inputs == {"svd": [(n, m), (n, n)], "qr": []}
+    else:
+        assert inputs == {"svd": [(n, m), (m, m)], "qr": [(m, n)]}
+
+
 @pytest.mark.parametrize("shape, gated", [((4, 6), (2, 0)), ((6, 4), (2, 1)),
                                           ((512, 16), (2, 1))])
 @pytest.mark.parametrize("helper", [svd, numerical_rank, op_norm, pinv, range_projector])
@@ -286,9 +310,9 @@ def deviation_calls(monkeypatch):
     return count
 
 
-@pytest.mark.parametrize("kind, expected", [("gaussian", 35), ("tight", 39)])
+@pytest.mark.parametrize("kind, expected", [("gaussian", 37), ("tight", 41)])
 def test_identity_suite_evaluates_each_identity_once(deviation_calls, kind, expected):
-    # the five factored self-checks of the frame's gate and of the dual's,
+    # the six factored self-checks of the frame's gate and of the dual's,
     # then the 25 identities of the general rows, which evaluate the dense
     # forms of the gate's identities themselves; a tight frame adds the four
     # tight identities, which the polarization row reads again from the memo
@@ -298,4 +322,4 @@ def test_identity_suite_evaluates_each_identity_once(deviation_calls, kind, expe
 
 def test_build_bundle_evaluates_each_self_check_once(deviation_calls):
     frame, tol = frame_and_tol("gaussian")
-    assert deviation_calls(build_bundle, frame, tol) == 5
+    assert deviation_calls(build_bundle, frame, tol) == 6

@@ -115,7 +115,7 @@ def self_checks(monkeypatch):
 
 
 T_S = ["S S+ = P", "S+ S = P", "T+ = T* S+"]
-T_G = ["G G+ = Q", "G+ G = Q"]
+T_G = ["G G+ = Q", "G+ G = Q", "T+ = G+ T*"]
 
 
 @pytest.mark.parametrize("spec, call, checks", [
@@ -124,12 +124,17 @@ T_G = ["G G+ = Q", "G+ G = Q"]
     (GAUSSIAN, lambda f, tol: project_signal(f, np.arange(1.0, 5.0), tol), T_S),
     (GAUSSIAN, lambda f, tol: project_coefficients(f, np.ones(6), tol), T_S),
     (TALL, lambda f, tol: project_coefficients(f, np.ones(4), tol), T_G),
+    (TALL, lambda f, tol: min_norm_coefficients(f, np.arange(1.0, 7.0), tol), T_G),
+    (TALL, lambda f, tol: min_norm_preimage(f, np.ones(4), tol), T_G),
+    (TALL, lambda f, tol: project_signal(f, np.arange(1.0, 7.0), tol), T_G),
     (GAUSSIAN, canonical_dual, T_S),
+    (TALL, canonical_dual, T_G),
     (GAUSSIAN, pseudo_frame_operator, T_S),
     (GAUSSIAN, pseudo_gram, T_G),
-    (GAUSSIAN, build_bundle, T_S[:2] + T_G + T_S[2:]),
+    (GAUSSIAN, build_bundle, T_S[:2] + T_G[:2] + T_S[2:] + T_G[2:]),
 ], ids=["min_norm_coefficients", "min_norm_preimage", "project_signal",
-        "project_coefficients", "project_coefficients_tall", "canonical_dual",
+        "project_coefficients", "project_coefficients_tall", "min_norm_coefficients_tall",
+        "min_norm_preimage_tall", "project_signal_tall", "canonical_dual", "canonical_dual_tall",
         "pseudo_frame_operator", "pseudo_gram", "build_bundle"])
 def test_a_repeat_gated_call_evaluates_no_self_check(self_checks, spec, call, checks):
     frame = generate(spec)
@@ -294,17 +299,22 @@ def _lambda_off(monkeypatch, slot):
 
 
 # a check scaled by kappa(X) = lambda_1 / lambda_r sees a relative error e in
-# lambda where e exceeds identity_abs kappa(X); at condition target 1e2,
-# kappa(G) = 1e4, so 1% shows on every kind
-@pytest.mark.parametrize("slot, checks", [("S factors", "S S\\+ = P"),
-                                          ("G factors", "G G\\+ = Q")], ids=["S", "G"])
+# lambda where e exceeds identity_abs kappa(X). At condition target 1e2,
+# kappa(S) = 1e4, so 1% shows in 'S S+ = P' on every kind. At 1e4, kappa(G) =
+# 1e8 hides it from 'G G+ = Q', and G's T+ tie, scaled by sigma_1 / lambda_r,
+# reads it as e / kappa(T) = 1e-6
+@pytest.mark.parametrize("slot, target, checks", [("S factors", 1e2, "S S\\+ = P"),
+                                                  ("G factors", 1e4, "G G\\+ = Q")],
+                         ids=["S", "G"])
 @pytest.mark.parametrize("kind", GENERATOR_KINDS)
 @pytest.mark.parametrize("shape", [(4, 6), (6, 4)], ids=["4x6", "6x4"])
-def test_handed_off_s_or_g_factors_are_refused_by_the_duals_gate(monkeypatch, slot, checks,
-                                                                 kind, shape):
+def test_handed_off_s_or_g_factors_are_refused_by_the_duals_gate(monkeypatch, slot, target,
+                                                                 checks, kind, shape):
     _lambda_off(monkeypatch, slot)
-    target = 1e2 if kind == "ill_conditioned" else None
-    frame = generate(GeneratorSpec(kind, *shape, 0, condition_target=target))
+    if kind == "ill_conditioned" and slot == "G factors":
+        checks = "T\\+ = G\\+ T\\*"
+    frame = generate(GeneratorSpec(kind, *shape, 0,
+                                   condition_target=target if kind == "ill_conditioned" else None))
     build_bundle(frame)  # the frame's own gate holds on all three routes
     messages = []
     for _ in range(2):
@@ -312,6 +322,24 @@ def test_handed_off_s_or_g_factors_are_refused_by_the_duals_gate(monkeypatch, sl
             run_identity_suite(frame)
         messages.append(str(info.value))
     assert messages[0] == messages[1]
+
+
+@pytest.mark.parametrize("spec", [TALL, GeneratorSpec("rank_deficient", 32, 16, 5),
+                                  GeneratorSpec("duplicated", 12, 8, 1)],
+                         ids=["6x4", "rank_deficient_32x16", "duplicated_12x8"])
+def test_a_tall_frames_dual_has_the_same_bits_whether_or_not_s_was_factored_first(spec):
+    # a tall frame's canonical_dual gates T and G, its smaller square, so the
+    # frame may not have factored S when its dual is formed; the dual then
+    # forms S's factors from T on its first read of S, as the frame would
+    def results(s_first):
+        frame = generate(spec)
+        if s_first:
+            pseudo_frame_operator(frame)
+        dual = canonical_dual(frame)
+        assert ("S factors" in frame._kept) == s_first
+        return _bits(build_bundle(dual)), _bits(run_identity_suite(frame))
+
+    assert results(False) == results(True)
 
 
 @pytest.mark.parametrize("g_first", [False, True], ids=["dual_first", "frame_g_first"])

@@ -12,8 +12,10 @@ import pytest
 
 from framekit import (
     DegenerateSpanError,
+    FrameBounds,
     FrameSequence,
     GeneratorSpec,
+    MinNormSolution,
     NumericalError,
     Tolerance,
     adjoint,
@@ -379,6 +381,23 @@ def test_sequence_validation():
         FrameSequence(ambient_dim=True, vectors=(np.array([1.0 + 0j]),))
     with pytest.raises(ValueError):
         seq([np.nan, 0.0])
+
+
+def test_public_constructors_refuse_what_they_cannot_hold():
+    with pytest.raises(ValueError, match="^a frame sequence needs at least one vector$"):
+        FrameSequence(ambient_dim=2, vectors=())
+    with pytest.raises(ValueError, match="^bounds must satisfy 0 < lower <= upper$"):
+        FrameBounds(lower=2.0, upper=1.0, tight=False, parseval=False)
+    with pytest.raises(ValueError, match="^seed must be an integer$"):
+        GeneratorSpec("gaussian", 4, 6, 1.5)
+    with pytest.raises(ValueError, match="^norm_split components must be nonnegative$"):
+        MinNormSolution(solution=np.zeros(2), residual_norm=0.0, norm_split=(1.0, -1.0))
+
+
+def test_restricted_refuses_a_degenerate_frame():
+    with pytest.raises(DegenerateSpanError,
+                       match="^a degenerate sequence has no restriction to its span$"):
+        restricted(seq([0.0, 0.0], [0.0, 0.0]))
 
 
 def test_sequence_vectors_are_read_only():

@@ -28,7 +28,7 @@ from framekit import (
     run_identity_suite,
     scaled_deviation,
 )
-from framekit.frame_ops import _FrameAnalysis
+from framekit.frame_ops import _FrameAnalysis, _gram_factors
 from framekit.verifier import _orthonormal_columns
 
 
@@ -192,6 +192,25 @@ def tall_tight(n, m, rank, seed):
 def test_the_gram_gate_refuses_a_faulty_route(faulty_gram_route, make, entry):
     frame = make()
     with pytest.raises(NumericalError, match=r"self-check '(G G\+ = Q|G\+ G = Q)'"):
+        entry(frame)
+
+
+# G's factors with every eigenvalue 1% off, on frames at condition target
+# 1e4: 'G G+ = Q' divides the error by kappa(G) = 1e8 and lets it through,
+# and 'G+ G = Q' does not read lambda; G's T+ tie, scaled by sigma_1 /
+# lambda_r, reads it as 1e-2 / kappa(T) = 1e-6 and refuses
+@pytest.mark.parametrize("n, m", [(4, 6), (6, 4), (16, 32)])
+@pytest.mark.parametrize("entry", [pseudo_gram, build_bundle, run_identity_suite])
+def test_gs_t_plus_tie_refuses_eigenvalues_one_percent_off(entry, n, m):
+    t = generate(spec("ill_conditioned", n, m, 0)).synthesis_matrix()
+
+    def off():
+        f_g = _gram_factors(t.conj().T)
+        return SvdFactors(f_g.left_vectors, f_g.singular_values * 1.01, f_g.right_vectors,
+                          f_g.rank)
+
+    frame = FrameSequence._from_matrix(t, {"G factors": off})
+    with pytest.raises(NumericalError, match=r"self-check 'T\+ = G\+ T\*': deviation 1\.0"):
         entry(frame)
 
 

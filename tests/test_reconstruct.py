@@ -305,6 +305,22 @@ def test_reconstruction_error_grows_with_kappa_not_its_square(kind, kappa, n, m)
                 assert np.max(np.abs(out - ref)) <= bound * np.max(np.abs(ref))
 
 
+def test_a_tall_ill_conditioned_frame_answers_under_a_tight_identity_abs():
+    # on a tall frame S = T T* is the larger, rank-deficient square: gated on
+    # S, these three calls were refused, S's T+ tie reading 4.1e-14 to
+    # 1.4e-13. The gate on G, the smaller square, reads at most 2.9e-16 at
+    # G's tie, so each answers, within the bound above of lstsq
+    for seed in range(3):
+        frame = generate(GeneratorSpec("ill_conditioned", 6, 4, seed, condition_target=1e4))
+        t = frame.synthesis_matrix()
+        sv = np.linalg.svd(t, compute_uv=False)
+        bound = 1e-15 * max(sv[0] / sv[-1], 10.0)
+        f = random_vector(np.random.default_rng(seed), 6)
+        ref = lstsq(t, f)
+        out = min_norm_coefficients(frame, f, Tolerance(identity_abs=1e-14)).solution
+        assert np.max(np.abs(out - ref)) <= bound * np.max(np.abs(ref))
+
+
 RECONSTRUCTIONS = {
     "min_norm_coefficients": (min_norm_coefficients, "n"),
     "min_norm_preimage": (min_norm_preimage, "m"),

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import math
 import sys
+import weakref
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import partial
@@ -415,12 +416,14 @@ def scaled_deviation(lhs, rhs, factors=()) -> float:
 
 def _deviation(lhs, rhs, norms) -> float:
     """scaled_deviation with the factors' norms already taken: the one residual
-    rule of the gate, the identity suite and the reconstruction checks. The
-    norms' product is kept as mantissa * 2^exponent, so the residual is divided
-    by it in one rounding even where the product leaves the double range. A
-    norm that is itself inf or NaN leaves nothing to divide by: the deviation
-    reads inf (NaN for a NaN residual), and the check refuses. Each side is
-    an array or the zero operator's 0.0, so they are subtracted as they are."""
+    rule of the gate, the identity suite and the reconstruction checks
+    (reconstruct._epilogue applies it for its one norm in place, with the
+    same bits). The norms' product is kept as mantissa * 2^exponent, so the
+    residual is divided by it in one rounding even where the product leaves
+    the double range. A norm that is itself inf or NaN leaves nothing to
+    divide by: the deviation reads inf (NaN for a NaN residual), and the
+    check refuses. Each side is an array or the zero operator's 0.0, so they
+    are subtracted as they are."""
     residual = max_abs(lhs - rhs)
     mantissa, exponent = 1.0, 0
     for norm in norms:
@@ -777,7 +780,7 @@ class _FrameAnalysis:
         against this call's identity_abs. A warm call compares the kept
         worst deviation alone, and walks the checks again only where it
         fails (see the class)."""
-        cuts, worst = self.frame._keep(routes, partial(self._walk, routes), self.tol.rank_rel)
+        cuts, worst = self.frame._keep(routes, lambda: self._walk(routes), self.tol.rank_rel)
         if not worst <= self.tol.identity_abs:
             self._walk(routes)  # reads only kept values, and raises the first failing check
         vars(self).update(cuts)
@@ -881,17 +884,19 @@ def _dual_factors(frame: FrameSequence, f_t: SvdFactors) -> dict:
     r, by factor slot. The dual's T~ = S+ T is U+ = W Sigma^-1 V*, its S~ =
     T~ T~* is S+ and its G~ = T~* T~ is G+, so each of its factors is the
     frame's of U, S or G at rank r, inverted (see _pinv_factors); none is
-    formed until it is read. S's and G's are the frame's kept ones where it
-    keeps them (the gate the dual is formed behind keeps those of T's
-    smaller square), else formed from T on the dual's first read, as the
-    frame forms its own, without a reference to the frame, so the frame and
-    its kept dual never refer to each other."""
-    r, t = f_t.rank, frame._matrix
-    fresh = {"S factors": lambda: _phased_svd(_frame_operator_of(t)),
-             "G factors": lambda: _gram_factors(adjoint(t))}
-    squares = {slot: partial(_pinv_factors, frame._kept[slot][1], r) if slot in frame._kept
-               else lambda form=form: _pinv_factors(form(), r) for slot, form in fresh.items()}
-    return {"T factors": partial(_pinv_factors, _adjoint_factors(f_t), r), **squares}
+    formed until it is read. S's and G's are the frame's own, read from the
+    frame (the gate the dual is formed behind keeps those of T's smaller
+    square), so a square the frame has not factored yet is factored once and
+    kept on the frame, for the dual and for the frame's later calls. The
+    forms reach the frame through a weak reference, so the frame and its kept
+    dual never refer to each other strongly; once the frame is gone they
+    factor a fresh frame of its T, as the frame would have."""
+    r, t, owner = f_t.rank, frame._matrix, weakref.ref(frame)
+    squares = {"S factors": lambda f: f._s_svd,
+               "G factors": lambda f: f._g_svd(lambda: adjoint(f._matrix))}
+    return {"T factors": partial(_pinv_factors, _adjoint_factors(f_t), r),
+            **{slot: lambda own=own: _pinv_factors(own(owner() or FrameSequence._from_matrix(t)), r)
+               for slot, own in squares.items()}}
 
 
 def build_bundle(frame: FrameSequence, tol: Tolerance | None = None) -> OperatorBundle:
@@ -1034,7 +1039,7 @@ def _smaller_square(frame: FrameSequence) -> str:
     G's. Every gated result that reads only T's factors, T+ among them,
     gates on T and this route; one that returns or reads S+ or G+ gates on
     that square, and build_bundle and the suite on all three routes."""
-    return "frame operator" if frame.ambient_dim <= frame.size else "gram"
+    return "frame operator" if frame.ambient_dim <= frame._matrix.shape[1] else "gram"
 
 
 def _square_gated(matrix, tol: Tolerance | None, name: str) -> np.ndarray:

@@ -145,7 +145,7 @@ def _vector_peak(values, length: int | None, name: str) -> tuple:
     if length is not None and v.shape[0] != length:
         raise ValueError(f"{name} has length {v.shape[0]}, expected {length}")
     v = np.ascontiguousarray(v)
-    peak = float(np.abs(v.view(np.float64)).max(initial=0.0))
+    peak = float(np.maximum.reduce(np.abs(v.view(np.float64)))) if v.size else 0.0
     if not peak < math.inf:
         raise ValueError(f"{name} entries must be finite")
     return v, peak
@@ -263,11 +263,12 @@ def _projector(basis: np.ndarray) -> np.ndarray:
 def max_abs(values) -> float:
     """Largest entry magnitude; 0.0 for an empty array."""
     a = np.asarray(values)
-    if a.dtype == object:  # Python numbers numpy could not type, such as 10**400
+    if a.dtype.kind == "O":  # Python numbers numpy could not type, such as 10**400
         a = _complex_array(a, "values")
-    return float(np.abs(a).max()) if a.size else 0.0
+    return float(np.maximum.reduce(np.abs(a), axis=None)) if a.size else 0.0
 
 
+@np.errstate(over="ignore", under="ignore")
 def _norm(x, factor: float = 1.0) -> float:
     """factor * |x|: the 2-norm of a vector or the Frobenius norm of a matrix,
     inf beyond the double range or for an inf entry, NaN for a NaN entry.
@@ -290,28 +291,15 @@ def _norm(x, factor: float = 1.0) -> float:
     route's lost squares are. Every other step of that route is the plain one scaled by a power of
     two, and factor * |x| and factor * |2^-e x| are both normal, so no
     rounding moves. Every other x, inf and NaN included, takes the scaled
-    route."""
+    route. np.errstate is entered once per call, so a square or a dot that
+    leaves the double range does not warn."""
     x = np.asarray(x)
-    if x.dtype == object:  # as in max_abs
+    if x.dtype.kind == "O":  # as in max_abs
         x = _complex_array(x, "factor")
-    return _norms((x, factor))[0]
-
-
-@np.errstate(over="ignore", under="ignore")
-def _norms(*terms) -> list:
-    """_norm(x, factor) for each factor of each term (x, factor, ...), flat and
-    in order, each with _norm's bits: the plain |x| is taken once per term and
-    np.errstate entered once per call, so a square or a dot that leaves the
-    double range does not warn. Each x is a numeric array."""
-    out = []
-    for x, *factors in terms:
-        plain = _dot_norm(x)
-        for factor in factors:
-            if 2.0**-400 <= plain <= 2.0**400 and 2.0**-600 <= factor <= 2.0**600:
-                out.append(factor * plain)
-            else:
-                out.append(_scaled_norm(x, factor))
-    return out
+    plain = _dot_norm(x)
+    if 2.0**-400 <= plain <= 2.0**400 and 2.0**-600 <= factor <= 2.0**600:
+        return factor * plain
+    return _scaled_norm(x, factor)
 
 
 def _dot_norm(x: np.ndarray) -> float:
@@ -331,7 +319,9 @@ def _dot_norm(x: np.ndarray) -> float:
 
 
 def _scaled_norm(x: np.ndarray, factor: float) -> float:
-    """_norm(x, factor) on _norm's scaled route."""
+    """_norm(x, factor) on _norm's scaled route, for any numeric array x. Its
+    scaled entries are all below 1/2 in modulus, so no step overflows; an
+    entry that underflows does so under numpy's own error state."""
     parts = np.ascontiguousarray(x).view(x.real.dtype) if np.iscomplexobj(x) else x
     scale = float(np.abs(parts).max(initial=0.0))
     if not scale < math.inf:  # an inf or NaN entry

@@ -18,21 +18,28 @@ gate has held under the call's rank_rel, the gate compares one kept number,
 the worst of its deviations (T's certificate rows among them), with
 identity_abs and reads the kept rank cuts; where that worst exceeds
 identity_abs, it raises what a fresh frame's gate raises (see
-frame_ops._FrameAnalysis). The call then checks its defining identity on its
-own input, by the gate's rule (frame_ops._deviation): a residual beyond
+frame_ops._FrameAnalysis).
+
+Each call is one prologue (_prologue: the gate, the one scan of the input,
+which is both its finiteness check and its scale, and the one unit-scale
+copy), its products, and one epilogue (_epilogue: the call's norms, its
+checks, the scale-back and the result). The norms, the checks' residual rule
+and the products run in place, so a warm call costs its matrix-vector
+products and a fixed handful of vector operations. The epilogue checks the call's
+defining identity on its own input, by the gate's rule (frame_ops._deviation,
+which it applies for its one norm with the same bits): a residual beyond
 identity_abs, scaled by the norms that enter it, or NaN, raises
-NumericalError. Each norm is taken once, as the two BLAS dots that
-np.linalg.norm runs, with its bits (matrix_core._dot_norm), and all of a
-call's under one np.errstate (matrix_core._norms). The input's largest part
-in modulus is read once, both as its finiteness check and as its scale. T+ f
-is applied as V (Sigma^-1 (W* f)) and (T+)* c as W (Sigma^-1 (V* c)), so the
-m x n T+ is never formed, and the projectors share the first product: P f =
-W (W* f) and Q c = V (V* c), never n x n or m x m matrices. W* f and V* c
-are applied as (f* W)* and (c* V)*, which conjugate the vector and read the
-kept W and V in place, with no copy of either; the product is conjugated in
-place. U f0 is applied as (f0* T)*, so no m x n U is formed either. No
-result goes through S+ or G+ again, so its error grows with T's condition
-number, not with its square.
+NumericalError. Each norm is taken once, with matrix_core._norm's bits: as
+the two BLAS dots that np.linalg.norm runs where no square can leave the
+double range, which the kept sigma_1 and sigma_r decide, so no np.errstate
+is entered; else on _norm's scaled route. T+ f is applied as
+V (Sigma^-1 (W* f)) and (T+)* c as W (Sigma^-1 (V* c)), so the m x n T+ is
+never formed, and the projectors share the first product: P f = W (W* f)
+and Q c = V (V* c), never n x n or m x m matrices. W* f and V* c are
+applied as (f* W)* and (c* V)*, which conjugate the vector and read the
+kept W and V in place, with no copy of either. U f0 is applied as
+(f0* T)*, so no m x n U is formed either. No result goes through S+ or G+
+again, so its error grows with T's condition number, not with its square.
 
 The operators are linear, so each entry point solves on its input scaled to
 unit size, as LAPACK's xLASCL scales: it writes the input as x = 2^e u, e
@@ -68,8 +75,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateSpanError, NumericalError
-from .frame_ops import FrameSequence, _deviation, _FrameAnalysis, _smaller_square
-from .matrix_core import Tolerance, _norms, _vector_peak
+from .frame_ops import FrameSequence, _FrameAnalysis, _smaller_square
+from .matrix_core import Tolerance, _scaled_norm, _vector_peak
 
 __all__ = [
     "MinNormSolution",
@@ -103,48 +110,6 @@ class MinNormSolution:
             raise ValueError("norm_split components must be nonnegative")
 
 
-def _check(a: _FrameAnalysis, what: str, lhs: np.ndarray, rhs: np.ndarray,
-           scale: float) -> None:
-    """Refuse unless lhs = rhs within identity_abs, the residual scaled by
-    scale = |v| + |T| |x| for an identity whose sides carry v and T or U
-    applied to x (|v| alone where they carry no such x), taken by the caller
-    with matrix_core._norms: rounding grows with the norms that enter the
-    identity. The operands come from a unit input (see the module
-    docstring), so the scale is finite, and the max(1, scale) floor of
-    _deviation sees the frame's scale, not the input's."""
-    dev = _deviation(lhs, rhs, [scale])
-    if not dev <= a.tol.identity_abs:
-        raise NumericalError(
-            f"reconstruction self-check '{what}' deviates by {dev:.3e}, "
-            f"beyond {a.tol.identity_abs:.3e}"
-        )
-
-
-def _adjoint_applied(basis: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """basis* x, taken as (x* basis)*: conjugating the vector, not basis, reads
-    the kept factor in place, with no conjugate copy of it; the product is
-    conjugated in place."""
-    out = x.conj() @ basis
-    return np.conjugate(out, out=out)
-
-
-def _range_part(basis: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """basis (basis* x): x projected onto the span of basis's orthonormal columns."""
-    return basis @ _adjoint_applied(basis, x)
-
-
-def _pinv_applied(a: _FrameAnalysis, x: np.ndarray, adjoint: bool = False) -> tuple:
-    """(T+ x, P x) = (V (Sigma^-1 (W* x)), W (W* x)), or, if adjoint,
-    ((T+)* x, Q x) = (W (Sigma^-1 (V* x)), V (V* x)): T+ applied through T's
-    certified kept factors W, Sigma, V, never formed, and the projection that
-    shares its first product."""
-    near, far = a.f_t.left_vectors, a.f_t.right_vectors
-    if adjoint:
-        near, far = far, near
-    coordinates = _adjoint_applied(near, x)
-    return far @ (coordinates / a.f_t.singular_values), near @ coordinates
-
-
 def _scaled(what: str, part: float, k: int) -> float:
     """2^k part, for one part computed from the unit input: the rule that
     _scaled_back holds every part to. NumericalError names what where the
@@ -167,7 +132,7 @@ def _scaled_back(what: str, values: np.ndarray, k: int, bound: float) -> np.ndar
     """2^k values, for real or complex values computed from the unit input,
     each part held to _scaled's rule.
 
-    bound is |values|, which the caller has taken (matrix_core._norms), so no
+    bound is |values|, which the caller has taken (matrix_core._norm), so no
     part reaches 2^(b + 1) for b = frexp(bound)'s exponent; the margin covers
     the norm's rounding. Where 0 <= k <= 1000 (2^k stays a double) and
     b + k < 1023, no part can reach 2^1023 and 2^k values is exact: it is
@@ -188,38 +153,14 @@ def _scaled_back(what: str, values: np.ndarray, k: int, bound: float) -> np.ndar
     return out.view(values.dtype)
 
 
-def _solution(what: str, solution: np.ndarray, bound: float, inside: float,
-              leftover: float, e: int) -> MinNormSolution:
-    """The solution `what` of the unit input, with the norm leftover of what
-    the input leaves outside as residual and the squares of the norms inside
-    and leftover as the split, scaled back by 2^e (2^2e for the split). The
-    solution, of norm bound, is scaled back, or refused, by _scaled_back, and
-    the residual by _scaled, the rule it holds each part to. A split
-    component is refused where its square leaves the double range, and is
-    rounded where it falls below the normal range: the squares of any input
-    below about 2^-511 do, although the solution and residual are exact there.
-    The residual cannot overflow unless the split does: its square is the
-    leftover component."""
-    solution = _scaled_back(what, solution, e, bound)
-    split = []
-    for name, norm in (("inside", inside), ("leftover", leftover)):
-        try:  # ldexp rounds a square below the normal range
-            square = math.ldexp(norm * norm, 2 * e)
-        except OverflowError:
-            square = math.inf
-        if not square < math.inf:
-            raise NumericalError(f"norm_split's {name} component {norm:.3e} * 2^{e} "
-                                 "squares beyond the double range")
-        split.append(square)
-    return MinNormSolution(solution=solution, residual_norm=_scaled("residual_norm", leftover, e),
-                           norm_split=tuple(split))
-
-
-def _gated(frame: FrameSequence, tol: Tolerance | None, values, length: int,
-           name: str) -> tuple:
-    """The frame's analysis, gated on T and T's smaller square, and the input
-    x as (u, e) with x = 2^e u: e is the exponent of x's largest real or
-    imaginary part, so every part of u is below 1 in modulus."""
+def _prologue(frame: FrameSequence, tol: Tolerance | None, values, length: int,
+              name: str) -> tuple:
+    """(a, u, e, W, Sigma, V): the call's analysis, gated on T and T's smaller
+    square, the input x as (u, e) with x = 2^e u, and the gate's kept cut of
+    T's factors, the only factors the call's products read. e is the
+    exponent of x's largest real or imaginary part, taken by the one scan
+    that is also x's finiteness check, so every part of u, the one copy of x,
+    is below 1 in modulus."""
     a = _FrameAnalysis(frame, tol)
     a.gate("synthesis", _smaller_square(frame))
     if a.f_t.rank == 0:
@@ -229,7 +170,75 @@ def _gated(frame: FrameSequence, tol: Tolerance | None, values, length: int,
         )
     x, peak = _vector_peak(values, length, name)
     e = math.frexp(peak)[1]
-    return a, np.ldexp(x.view(np.float64), -e).view(np.complex128), e
+    return (a, np.ldexp(x.view(np.float64), -e).view(np.complex128), e, a.f_t.left_vectors,
+            a.f_t.singular_values, a.f_t.right_vectors)
+
+
+def _epilogue(a: _FrameAnalysis, s: np.ndarray, e: int, what: str, result: np.ndarray,
+              terms: tuple, checks: tuple):
+    """The result `what` of the unit input u, checked and scaled back by 2^e,
+    for the gate's kept cut of T with singular values s.
+
+    terms are (x, factor, ...) for |u|, |T| |z| and |result|, z the vector
+    that T or U is applied to in the first of checks, and, for a
+    minimum-norm solution, for |part| and |u - part|, part the input's
+    component that the solution reproduces. Each x is a fresh 1-D complex128
+    vector, and factor |x| takes matrix_core._norm's bits: the plain |x|,
+    np.linalg.norm's two BLAS dots, where it and factor lie in _norm's range,
+    else _norm's scaled route. No vector exceeds 2 |u| max(1, |T|) |T+|,
+    with |u| < sqrt(2 len(u)), so no dot can leave the double range, and warn,
+    unless sigma_r is tiny; there every norm takes the scaled route, which
+    cannot overflow.
+
+    Each check (name, lhs, rhs) is then held to identity_abs in order by
+    _deviation's rule, the first scaled by |u| + |T| |z|, a second by
+    |result|: the largest entry modulus of lhs - rhs over the scale's
+    mantissa and exponent, floored at 1. The result is scaled back, or
+    refused, by _scaled_back, bounded by its norm. A minimum-norm solution is
+    returned as a MinNormSolution: its residual is |u - part|, scaled back by
+    _scaled's rule, and its split the squares of |part| and |u - part| scaled
+    by 2^2e. A split component is refused where its square leaves the double
+    range, and is rounded where it falls below the normal range: the squares
+    of any input below about 2^-511 do, although the solution and residual
+    are exact there. The residual cannot overflow unless the split does: its
+    square is the leftover component."""
+    dots = math.sqrt(len(terms[0][0])) * max(1.0, s.item(0)) * 2.0**-505 < s.item(-1)
+    norms = []
+    for x, *factors in terms:
+        re, im = x.real, x.imag  # NaN lies outside every range: the scaled route
+        plain = math.sqrt(float(re.dot(re)) + float(im.dot(im))) if dots else math.nan
+        for factor in factors:
+            if 2.0**-400 <= plain <= 2.0**400 and 2.0**-600 <= factor <= 2.0**600:
+                norms.append(factor * plain)
+            else:
+                norms.append(_scaled_norm(x, factor))
+    norm_u, norm_tz, bound, *split = norms
+    for (name, lhs, rhs), scale in zip(checks, (norm_u + norm_tz, bound)):
+        # frame_ops._deviation's rule for one norm, with its bits: the largest
+        # entry modulus over the scale's mantissa and exponent, floored at 1
+        dev = float(np.maximum.reduce(np.abs(lhs - rhs)))
+        mantissa, exponent = math.frexp(scale)
+        if not mantissa < math.inf:
+            dev = dev if math.isnan(dev) else math.inf
+        elif mantissa != 0.0 and exponent >= 1:
+            dev = math.ldexp(dev, -exponent) / mantissa
+        if not dev <= a.tol.identity_abs:
+            raise NumericalError(f"reconstruction self-check '{name}' deviates by {dev:.3e}, "
+                                 f"beyond {a.tol.identity_abs:.3e}")
+    result = _scaled_back(what, result, e, bound)
+    if not split:
+        return result
+    squares = []
+    for name, norm in zip(("inside", "leftover"), split):
+        try:  # ldexp rounds a square below the normal range
+            square = math.ldexp(norm * norm, 2 * e)
+        except OverflowError:
+            square = math.inf
+        if not square < math.inf:
+            raise NumericalError(f"norm_split's {name} component {norm:.3e} * 2^{e} "
+                                 "squares beyond the double range")
+        squares.append(square)
+    return MinNormSolution(result, _scaled("residual_norm", split[1], e), tuple(squares))
 
 
 def min_norm_coefficients(frame: FrameSequence, signal,
@@ -243,13 +252,14 @@ def min_norm_coefficients(frame: FrameSequence, signal,
     applied as W (W* f) from T's kept left singular vectors W, and the
     residual and norm split are read from it.
     """
-    a, f, e = _gated(frame, tol, signal, frame.ambient_dim, "signal")
-    c0, projected = _pinv_applied(a, f)
-    norm_f, norm_tc0, norm_c0, inside, leftover = _norms(
-        (f, 1.0), (c0, a.spectral_norm("T"), 1.0), (projected, 1.0), (f - projected, 1.0))
-    _check(a, "T c0 = P f", a["T"] @ c0, projected, norm_f + norm_tc0)
-    _check(a, "Q c0 = c0", _range_part(a.f_t.right_vectors, c0), c0, norm_c0)
-    return _solution("the minimum-norm solution T+ f", c0, norm_c0, inside, leftover, e)
+    a, f, e, w, s, v = _prologue(frame, tol, signal, frame.ambient_dim, "signal")
+    coordinates = np.conjugate(f.conj() @ w)
+    c0, projected = v @ (coordinates / s), w @ coordinates
+    return _epilogue(a, s, e, "the minimum-norm solution T+ f", c0,
+                     ((f, 1.0), (c0, s.item(0), 1.0), (projected, 1.0),
+                      (f - projected, 1.0)),
+                     (("T c0 = P f", frame._matrix @ c0, projected),
+                      ("Q c0 = c0", v @ np.conjugate(c0.conj() @ v), c0)))
 
 
 def min_norm_preimage(frame: FrameSequence, coefficients,
@@ -262,13 +272,14 @@ def min_norm_preimage(frame: FrameSequence, coefficients,
     input no signal can reach; Q c is applied as V (V* c) from T's kept
     right singular vectors V.
     """
-    a, c, e = _gated(frame, tol, coefficients, frame.size, "coefficients")
-    f0, q_part = _pinv_applied(a, c, adjoint=True)
-    norm_c, norm_tf0, norm_f0, inside, leftover = _norms(
-        (c, 1.0), (f0, a.spectral_norm("T"), 1.0), (q_part, 1.0), (c - q_part, 1.0))
+    a, c, e, w, s, v = _prologue(frame, tol, coefficients, frame.size, "coefficients")
+    coordinates = np.conjugate(c.conj() @ v)
+    f0, q_part = w @ (coordinates / s), v @ coordinates
     # U f0 = T* f0, so no m x n U is formed
-    _check(a, "U f0 = Q c", _adjoint_applied(a["T"], f0), q_part, norm_c + norm_tf0)
-    return _solution("the minimum-norm solution (T+)* c", f0, norm_f0, inside, leftover, e)
+    return _epilogue(a, s, e, "the minimum-norm solution (T+)* c", f0,
+                     ((c, 1.0), (f0, s.item(0), 1.0), (q_part, 1.0),
+                      (c - q_part, 1.0)),
+                     (("U f0 = Q c", np.conjugate(f0.conj() @ frame._matrix), q_part),))
 
 
 def project_signal(frame: FrameSequence, signal,
@@ -280,13 +291,13 @@ def project_signal(frame: FrameSequence, signal,
     T's kept left singular vectors W; the two routes must agree within
     tol.identity_abs (scaled by |f| + |T| |T+ f|).
     """
-    a, f, e = _gated(frame, tol, signal, frame.ambient_dim, "signal")
-    coefficients, projected = _pinv_applied(a, f)
-    series = a["T"] @ coefficients
-    norm_f, norm_tc, norm_series = _norms(
-        (f, 1.0), (coefficients, a.spectral_norm("T")), (series, 1.0))
-    _check(a, "series equals P f", series, projected, norm_f + norm_tc)
-    return _scaled_back("the signal series T (T+ f)", series, e, norm_series)
+    a, f, e, w, s, v = _prologue(frame, tol, signal, frame.ambient_dim, "signal")
+    coordinates = np.conjugate(f.conj() @ w)
+    dual = v @ (coordinates / s)
+    series = frame._matrix @ dual
+    return _epilogue(a, s, e, "the signal series T (T+ f)", series,
+                     ((f, 1.0), (dual, s.item(0)), (series, 1.0)),
+                     (("series equals P f", series, w @ coordinates),))
 
 
 def project_coefficients(frame: FrameSequence, coefficients,
@@ -306,12 +317,11 @@ def project_coefficients(frame: FrameSequence, coefficients,
     (T = W Sigma V*, V* V = I) then pins V; the T/G gate's 'G+ G = Q' ties V
     to G directly. No m x m G, G+ or Q is formed.
     """
-    a, c, e = _gated(frame, tol, coefficients, frame.size, "coefficients")
-    series = _range_part(a.f_t.right_vectors, c)
-    norm_c, norm_tc, norm_series = _norms((c, 1.0, a.spectral_norm("T")), (series, 1.0))
-    synthesized = a["T"] @ c
+    a, c, e, w, s, v = _prologue(frame, tol, coefficients, frame.size, "coefficients")
+    series = v @ np.conjugate(c.conj() @ v)
+    synthesized = frame._matrix @ c
     if a.f_t.rank < frame.ambient_dim:  # P = I where r = n
-        w = a.f_t.left_vectors
-        synthesized = w @ _adjoint_applied(w, synthesized)
-    _check(a, "T Q c = P T c", a["T"] @ series, synthesized, norm_c + norm_tc)
-    return _scaled_back("the coefficient series Q c", series, e, norm_series)
+        synthesized = w @ np.conjugate(synthesized.conj() @ w)
+    return _epilogue(a, s, e, "the coefficient series Q c", series,
+                     ((c, 1.0, s.item(0)), (series, 1.0)),
+                     (("T Q c = P T c", frame._matrix @ series, synthesized),))

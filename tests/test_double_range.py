@@ -31,6 +31,7 @@ import itertools
 import json
 import math
 import re
+import sys
 import warnings
 
 import numpy as np
@@ -43,6 +44,7 @@ from framekit import (
     GeneratorSpec,
     NumericalError,
     SvdFactors,
+    Tolerance,
     classify,
     frame_bounds,
     generate,
@@ -60,11 +62,11 @@ from framekit import (
     scaled_deviation,
     svd,
 )
-from framekit import reconstruct
 from framekit.cli import EXIT_VERIFICATION_FAILED, main
-from framekit.frame_ops import _FrameAnalysis
+from framekit.frame_ops import _deviation, _FrameAnalysis
 from framekit.matrix_core import _norm
-from framekit.reconstruct import _check
+from framekit.reconstruct import _epilogue
+from test_reconstruct import read_a_wrong_cut
 
 SCALES = [2.0**-700, 2.0**560]
 
@@ -222,14 +224,71 @@ def test_bounds_inside_the_double_range_are_the_squared_singular_values(scale):
 
 
 def test_reconstruction_ceiling_is_finite_for_huge_entries():
-    # |v| = 2e200; squaring the entries overflowed, which made the scale
-    # inf and every result check vacuous
-    analysis = _FrameAnalysis(generate(GeneratorSpec("gaussian", 4, 6, 0)))
+    # |v| = 2e200; squaring the entries overflowed, which made the scale inf
+    # and every check vacuous. The residual rule divides by the scale's
+    # mantissa and exponent, and the epilogue refuses with the rule's bits
     v = np.full(4, 1e200)
-    _check(analysis, "huge", v + 2e189, v, _norm(v))  # deviates by 1e-11
+    assert _deviation(v + 2e189, v, [_norm(v)]) == pytest.approx(1e-11, rel=1e-6)
+    assert _deviation(v + 2e191, v, [_norm(v)]) == pytest.approx(1e-9, rel=1e-6)
+    analysis = _FrameAnalysis(generate(GeneratorSpec("gaussian", 4, 6, 0)))
+    s = analysis.f_t.singular_values
+    u = np.full(4, 0.5 + 0j)  # a unit input, |u| = 1
+    terms = ((u, 1.0), (np.zeros(4, dtype=complex), 1.0), (u, 1.0))
+    assert _epilogue(analysis, s, 0, "unit", u, terms,
+                     (("unit", u + 1e-11, u),)).tobytes() == u.tobytes()
     with pytest.raises(NumericalError,
-                       match=re.escape("'huge' deviates by 1.000e-09, beyond 1.000e-10")):
-        _check(analysis, "huge", v + 2e191, v, _norm(v))
+                       match=re.escape("'unit' deviates by 1.000e-09, beyond 1.000e-10")):
+        _epilogue(analysis, s, 0, "unit", u, terms, (("unit", u + 1e-9, u),))
+
+
+@pytest.mark.parametrize("scale", [0.0, 2.0**-1074, 0.5, 1.0, 3.0, 2.0**700, 1.7e308, math.inf,
+                                   math.nan])
+@pytest.mark.parametrize("residual", [2.0**-1074, 3e-300, 1e-11, 0.75, 1e300])
+def test_the_epilogue_holds_each_check_to_deviations_rule(residual, scale):
+    # the epilogue applies _deviation's rule for one norm itself: a check
+    # passes at an identity_abs of _deviation's value, bit for bit, and is
+    # refused just below it; a deviation of inf or NaN is always refused
+    expected = _deviation(np.array([residual]), np.zeros(1), [scale])
+    x, zero = np.ones(1, dtype=complex), np.zeros(1, dtype=complex)
+    terms = ((x, scale), (zero, 1.0), (x, 1.0))  # the first check's scale is scale + 0
+    check = (("check", np.array([residual + 0j]), zero),)
+    frame = generate(GeneratorSpec("gaussian", 4, 6, 0))
+    s = _FrameAnalysis(frame).f_t.singular_values
+
+    def outcome(identity_abs):
+        analysis = _FrameAnalysis(frame, Tolerance(identity_abs=identity_abs))
+        try:
+            return _epilogue(analysis, s, 0, "x", x, terms, check).tobytes() == x.tobytes()
+        except NumericalError:
+            return False
+
+    if not expected < math.inf:
+        assert not outcome(sys.float_info.max)
+    else:
+        assert outcome(expected or 5e-324)
+        below = np.nextafter(expected, 0.0)
+        assert below == 0.0 or not outcome(below)
+
+
+@pytest.mark.parametrize("exponent", [0, -508], ids=["dots", "scaled-route"])
+def test_the_epilogues_norms_take_norms_bits_on_both_routes(exponent):
+    # on a frame with sigma_r near 2^-508 a result can pass 2^511, so the
+    # epilogue takes every norm on _norm's scaled route, not by two dots;
+    # either way each norm has _norm's bits, and no dot warns
+    t = generate(GeneratorSpec("gaussian", 4, 6, 0)).synthesis_matrix() * 2.0**exponent
+    analysis = _FrameAnalysis(FrameSequence.from_vectors(list(t.T)))
+    analysis.gate("synthesis", "frame operator")
+    rng = np.random.default_rng(4)
+    u = (rng.uniform(-1, 1, 4) + 1j * rng.uniform(-1, 1, 4)) / 2
+    part = u * 0.375
+    result = (rng.standard_normal(6) + 1j * rng.standard_normal(6)) * 2.0**(-exponent // 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sol = _epilogue(analysis, analysis.f_t.singular_values, 0, "x", result,
+                        ((u, 1.0), (result, 3.0, 1.0), (part, 1.0), (u - part, 1.0)), ())
+    assert sol.solution.tobytes() == result.tobytes()
+    assert sol.residual_norm == _norm(u - part)
+    assert sol.norm_split == (_norm(part) ** 2, _norm(u - part) ** 2)
 
 
 def test_reconstruction_check_refuses_when_its_scale_passes_the_double_range(monkeypatch):
@@ -240,13 +299,7 @@ def test_reconstruction_check_refuses_when_its_scale_passes_the_double_range(mon
     f = np.array([1e308, 1e308, 0.0, 0.0])
     c = np.array([1e308, 1e308, 0.0, 0.0, 0.0, 0.0])
     assert np.isfinite(project_signal(frame, f)).all()
-    pinv_applied = reconstruct._pinv_applied
-
-    def wrong(*args, **kwargs):
-        x, part = pinv_applied(*args, **kwargs)
-        return 1.01 * x, part
-
-    monkeypatch.setattr(reconstruct, "_pinv_applied", wrong)
+    read_a_wrong_cut(monkeypatch, singular_values=lambda s: s / 1.01)
     with pytest.raises(NumericalError, match="'series equals P f' deviates by"):
         project_signal(frame, f)
     with pytest.raises(NumericalError, match="'T c0 = P f' deviates by"):
@@ -259,12 +312,7 @@ def test_a_wrong_series_is_refused_for_coefficients_past_the_double_range(monkey
     # |c| = 2.4e308; the right series is accepted, one 1% short is not
     frame, c = generate(GeneratorSpec("gaussian", 4, 6, 2)), np.full(6, 1e308)
     project_coefficients(frame, c)
-    range_part = reconstruct._range_part
-
-    def short_series(basis, x):
-        return 0.99 * range_part(basis, x)
-
-    monkeypatch.setattr(reconstruct, "_range_part", short_series)
+    read_a_wrong_cut(monkeypatch, right_vectors=lambda v: v * math.sqrt(0.99))
     with pytest.raises(NumericalError, match="'T Q c = P T c'"):
         project_coefficients(frame, c)
 

@@ -323,3 +323,36 @@ def test_identity_suite_evaluates_each_identity_once(deviation_calls, kind, expe
 def test_build_bundle_evaluates_each_self_check_once(deviation_calls):
     frame, tol = frame_and_tol("gaussian")
     assert deviation_calls(build_bundle, frame, tol) == 6
+
+
+def shape_log(monkeypatch):
+    """The shapes each np.linalg.svd and np.linalg.qr call reads, by name."""
+    inputs = {"svd": [], "qr": []}
+    for name, log in inputs.items():
+        def recording(matrix, *args, original=getattr(np.linalg, name), log=log, **kwargs):
+            log.append(np.shape(matrix))
+            return original(matrix, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, recording)
+    return inputs
+
+
+def test_a_dual_that_reads_g_first_leaves_it_factored_on_the_frame(monkeypatch):
+    # the wide frame's canonical_dual gates T and S; the dual's G~ = G+ is the
+    # frame's G inverted, factored on the dual's first read and kept on the
+    # frame, so the frame's own bundle factors no G again
+    inputs = shape_log(monkeypatch)
+    frame = generate(GeneratorSpec("gaussian", 16, 32, 3))
+    build_bundle(canonical_dual(frame))
+    build_bundle(frame)
+    assert inputs == {"svd": [(16, 32), (16, 16), (16, 16)], "qr": [(32, 16)]}
+
+
+def test_a_dual_that_reads_s_first_leaves_it_factored_on_the_frame(monkeypatch):
+    # the tall frame's canonical_dual gates T and G; the dual's S~ = S+ is the
+    # frame's S inverted, so the suite on the frame factors its 64 x 64 S once
+    inputs = shape_log(monkeypatch)
+    frame = generate(GeneratorSpec("gaussian", 64, 16, 3))
+    canonical_dual(frame)
+    run_identity_suite(frame)
+    assert inputs["svd"].count((64, 64)) == 1
+    assert inputs == {"svd": [(64, 16), (16, 16), (64, 64)], "qr": [(16, 64)]}

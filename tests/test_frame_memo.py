@@ -365,6 +365,19 @@ def test_a_kept_dual_does_not_keep_its_frames_factors_alive(g_first):
     assert dual._kept["G factors"][1] is dual._g_svd(None)
 
 
+@pytest.mark.parametrize("spec", [GAUSSIAN, TALL], ids=["4x6", "6x4"])
+def test_a_dual_whose_frame_is_gone_reads_the_same_squares(spec):
+    # the dual reaches its frame's S and G through a weak reference; once the
+    # frame is gone it factors a fresh frame of the frame's T, with the bits
+    # the frame's own factors have
+    orphan = canonical_dual(generate(spec))  # nothing keeps its frame alive
+    gc.collect()
+    frame = generate(spec)
+    dual = canonical_dual(frame)
+    assert _bits(build_bundle(orphan)) == _bits(build_bundle(dual))
+    assert "S factors" in frame._kept and "G factors" in frame._kept
+
+
 def test_threads_sharing_a_fresh_dual_read_equal_factors():
     # the first reads of a fresh dual's factors overlap, with no lock: each
     # thread reads the factors formed from T's, never an SVD of the dual's own

@@ -271,6 +271,31 @@ def test_a_call_on_a_kept_frame_copies_no_factor(entry, length):
     assert peak < 16 * n * min(n, m)
 
 
+@pytest.mark.parametrize("entry, length", [(min_norm_coefficients, 64),
+                                           (min_norm_preimage, 128),
+                                           (project_signal, 64),
+                                           (project_coefficients, 128)],
+                         ids=["min_norm_coefficients", "min_norm_preimage", "project_signal",
+                              "project_coefficients"])
+def test_a_warm_call_allocates_a_few_vectors_at_most(entry, length):
+    # a warm call on the benchmark pool's 64 x 128 kinds allocates vectors
+    # only: its peak stays below eight complex vectors of n + m entries, so
+    # no r x r or n x m temporary hides in it (the peaks read 3.0 to 4.9 of
+    # those vectors)
+    n, m = 64, 128
+    x = random_vector(np.random.default_rng(52), length)
+    for kind in ("gaussian", "tight", "rank_deficient"):
+        frame = generate(GeneratorSpec(kind, n, m, 0))
+        entry(frame, x)
+        tracemalloc.start()
+        try:
+            entry(frame, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 16 * (n + m), (kind, peak)
+
+
 CONDITIONING_CASES = ([(kind, None) for kind in ("gaussian", "tight", "rank_deficient", "duplicated")]
                       + [("ill_conditioned", kappa) for kappa in (1e2, 1e4, 1e5)])
 
@@ -568,15 +593,25 @@ def test_rounding_noise_below_the_normal_range_is_not_refused():
     assert 0.0 < tiny.norm_split[1] < np.finfo(float).tiny
 
 
+def read_a_wrong_cut(monkeypatch, singular_values=None, right_vectors=None):
+    """Make every reconstruction's products read the gate's kept cut of T's
+    factors with its singular values or right vectors changed (each a
+    function of the kept array), after its gate has held on the exact cut."""
+    prologue = reconstruct._prologue
+
+    def wrong(*args):
+        a, u, e, w, s, v = prologue(*args)
+        return (a, u, e, w, s if singular_values is None else singular_values(s),
+                v if right_vectors is None else right_vectors(v))
+
+    monkeypatch.setattr(reconstruct, "_prologue", wrong)
+
+
 def apply_a_wrong_pseudoinverse(monkeypatch):
-    """Make every application of T+ (or (T+)*) 1% off, its range part exact."""
-    pinv_applied = reconstruct._pinv_applied
-
-    def wrong(*args, **kwargs):
-        x, part = pinv_applied(*args, **kwargs)
-        return 1.01 * x, part
-
-    monkeypatch.setattr(reconstruct, "_pinv_applied", wrong)
+    """Make every application of T+ (or (T+)*) 1% off, its range part exact:
+    T+ = V Sigma^-1 W* is applied with every sigma 1% low, and P = W W* and
+    Q = V V* read no sigma."""
+    read_a_wrong_cut(monkeypatch, singular_values=lambda s: s / 1.01)
 
 
 @pytest.mark.parametrize("entry, length", [(min_norm_coefficients, 4), (project_signal, 4),
@@ -705,7 +740,7 @@ def test_a_rank_rel_that_cuts_gives_the_cut_coefficient_series(n, m, monkeypatch
     assert np.linalg.norm(series - v @ (v.conj().T @ c)) <= 1e-12 * np.linalg.norm(c)
     leftover = min_norm_preimage(frame, c, cut).residual_norm
     assert abs(np.linalg.norm(c - series) - leftover) <= 4 * np.finfo(float).eps * leftover
-    range_part = reconstruct._range_part
-    monkeypatch.setattr(reconstruct, "_range_part", lambda basis, x: 0.99 * range_part(basis, x))
+    # V scaled by sqrt(0.99) makes the series V (V* c) 1% short
+    read_a_wrong_cut(monkeypatch, right_vectors=lambda v: v * math.sqrt(0.99))
     with pytest.raises(NumericalError, match="'T Q c = P T c' deviates by"):
         project_coefficients(frame, c, cut)

@@ -9,9 +9,11 @@ them bit for bit.
 
 The grid is every public entry point (ENTRIES) x the five generator kinds
 (ill_conditioned at condition target 1e4, seed 0) x SHAPES x the frame
-scales SCALES x TOLERANCES, each first on a frame built afresh for the call,
-then on one shared frame that every entry has already read under every
-tolerance. It runs in one process. A cell hashes what the call returns:
+scales SCALES x TOLERANCES, then the benchmark's reconstruct_shared op mix
+(POOL_ENTRIES) on its frame kinds at 64 x 128 and unit scale (POOL) x
+TOLERANCES, each first on a frame built afresh for the call, then on one
+shared frame that every entry has already read under every tolerance. It
+runs in one process. A cell hashes what the call returns:
 each array as its dtype, shape and bytes, and each dataclass, dict, tuple
 and scalar through its fields, items, entries and repr. A call that raises
 hashes its refusal's type and message instead.
@@ -50,6 +52,11 @@ TOLERANCES = {
     "rank_rel=1e-3": {"rank_rel": 1e-3},
     "identity_abs=1e-14": {"identity_abs": 1e-14},
 }
+# the frames and calls of perfbench's reconstruct_shared workload, at its
+# smaller shape: the grid holds the warm path's bits where its speed is measured
+POOL = {"kinds": ("gaussian", "tight", "rank_deficient"), "shapes": ((64, 128),), "scales": (0,)}
+POOL_ENTRIES = ("min_norm_coefficients", "min_norm_preimage", "project_signal",
+                "project_coefficients", "canonical_dual", "frame_bounds")
 
 
 def _vector(length: int) -> np.ndarray:
@@ -153,6 +160,13 @@ def grid(fk, framed, entries=ENTRIES, tolerances=TOLERANCES):
             yield cell, digest(call)
 
 
+def cells(fk):
+    """(cell, digest) for the whole grid: every entry on frames(), then the
+    pool's calls on the pool's frames."""
+    yield from grid(fk, frames(fk))
+    yield from grid(fk, frames(fk, **POOL), entries={name: ENTRIES[name] for name in POOL_ENTRIES})
+
+
 def _grid_of(src: Path) -> dict:
     """The grid of the framekit package in src, run by this file in a new process."""
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1"}
@@ -216,7 +230,7 @@ def main(argv=None) -> int:
     import framekit
     if args.src.resolve() not in Path(framekit.__file__).resolve().parents:
         sys.exit(f"framekit was imported from {framekit.__file__}, not from {args.src}")
-    for cell, value in grid(framekit, frames(framekit)):
+    for cell, value in cells(framekit):
         print(cell, value, sep="\t")
     return 0
 

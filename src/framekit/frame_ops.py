@@ -416,14 +416,12 @@ def scaled_deviation(lhs, rhs, factors=()) -> float:
 
 def _deviation(lhs, rhs, norms) -> float:
     """scaled_deviation with the factors' norms already taken: the one residual
-    rule of the gate, the identity suite and the reconstruction checks
-    (reconstruct._epilogue applies it for its one norm in place, with the
-    same bits). The norms' product is kept as mantissa * 2^exponent, so the
-    residual is divided by it in one rounding even where the product leaves
-    the double range. A norm that is itself inf or NaN leaves nothing to
-    divide by: the deviation reads inf (NaN for a NaN residual), and the
-    check refuses. Each side is an array or the zero operator's 0.0, so they
-    are subtracted as they are."""
+    rule of the gate, the identity suite and the reconstruction checks. The
+    norms' product is kept as mantissa * 2^exponent, so the residual is divided
+    by it in one rounding even where the product leaves the double range. A
+    norm that is itself inf or NaN leaves nothing to divide by: the deviation
+    reads inf (NaN for a NaN residual), and the check refuses. Each side is
+    an array or the zero operator's 0.0, so they are subtracted as they are."""
     residual = max_abs(lhs - rhs)
     mantissa, exponent = 1.0, 0
     for norm in norms:
@@ -884,19 +882,27 @@ def _dual_factors(frame: FrameSequence, f_t: SvdFactors) -> dict:
     r, by factor slot. The dual's T~ = S+ T is U+ = W Sigma^-1 V*, its S~ =
     T~ T~* is S+ and its G~ = T~* T~ is G+, so each of its factors is the
     frame's of U, S or G at rank r, inverted (see _pinv_factors); none is
-    formed until it is read. S's and G's are the frame's own, read from the
-    frame (the gate the dual is formed behind keeps those of T's smaller
-    square), so a square the frame has not factored yet is factored once and
-    kept on the frame, for the dual and for the frame's later calls. The
-    forms reach the frame through a weak reference, so the frame and its kept
-    dual never refer to each other strongly; once the frame is gone they
-    factor a fresh frame of its T, as the frame would have."""
+    formed until it is read. S's and G's are the frame's kept ones where it
+    keeps them (the gate the dual is formed behind keeps those of T's
+    smaller square), held as they are now. A square the frame has not
+    factored yet is read from the frame's slot through a weak reference, so
+    it is factored once and kept on the frame, for the dual and for the
+    frame's later calls, and the frame and its kept dual never refer to each
+    other strongly. It is formed as the frame forms it, by the form the frame
+    was handed for it, else from T, and by that same form once the frame is
+    gone, so its bits do not depend on whether the caller still holds the
+    frame."""
     r, t, owner = f_t.rank, frame._matrix, weakref.ref(frame)
-    squares = {"S factors": lambda f: f._s_svd,
-               "G factors": lambda f: f._g_svd(lambda: adjoint(f._matrix))}
-    return {"T factors": partial(_pinv_factors, _adjoint_factors(f_t), r),
-            **{slot: lambda own=own: _pinv_factors(own(owner() or FrameSequence._from_matrix(t)), r)
-               for slot, own in squares.items()}}
+    fresh = {"S factors": lambda: _phased_svd(_frame_operator_of(t)),
+             "G factors": lambda: _gram_factors(adjoint(t))}
+    forms = {"T factors": partial(_pinv_factors, _adjoint_factors(f_t), r)}
+    for slot, form in fresh.items():
+        form = frame._handed.get(slot, form)  # read before _kept: a read keeps it, then drops it
+        kept = frame._kept.get(slot)
+        forms[slot] = partial(_pinv_factors, kept[1], r) if kept else (
+            lambda slot=slot, form=form: _pinv_factors(
+                f._factors(slot, form) if (f := owner()) is not None else form(), r))
+    return forms
 
 
 def build_bundle(frame: FrameSequence, tol: Tolerance | None = None) -> OperatorBundle:

@@ -145,7 +145,7 @@ def _vector_peak(values, length: int | None, name: str) -> tuple:
     if length is not None and v.shape[0] != length:
         raise ValueError(f"{name} has length {v.shape[0]}, expected {length}")
     v = np.ascontiguousarray(v)
-    peak = float(np.maximum.reduce(np.abs(v.view(np.float64)))) if v.size else 0.0
+    peak = max_abs(v.view(np.float64))
     if not peak < math.inf:
         raise ValueError(f"{name} entries must be finite")
     return v, peak
@@ -261,11 +261,14 @@ def _projector(basis: np.ndarray) -> np.ndarray:
 
 
 def max_abs(values) -> float:
-    """Largest entry magnitude; 0.0 for an empty array."""
+    """Largest entry magnitude; 0.0 for an empty array, NaN for one with a NaN
+    entry. argmax finds the first NaN, else the first largest magnitude, with
+    no floating-point state to save and test, as np.max has."""
     a = np.asarray(values)
     if a.dtype.kind == "O":  # Python numbers numpy could not type, such as 10**400
         a = _complex_array(a, "values")
-    return float(np.maximum.reduce(np.abs(a), axis=None)) if a.size else 0.0
+    a = np.abs(a)
+    return float(a.item(a.argmax())) if a.size else 0.0
 
 
 @np.errstate(over="ignore", under="ignore")
@@ -296,7 +299,13 @@ def _norm(x, factor: float = 1.0) -> float:
     x = np.asarray(x)
     if x.dtype.kind == "O":  # as in max_abs
         x = _complex_array(x, "factor")
-    plain = _dot_norm(x)
+    return _routed_norm(x, _dot_norm(x), factor)
+
+
+def _routed_norm(x: np.ndarray, plain: float, factor: float) -> float:
+    """_norm(x, factor) given x's plain |x| (_dot_norm), or NaN where the
+    caller did not take it: factor * plain where both lie in _norm's range,
+    else _norm's scaled route."""
     if 2.0**-400 <= plain <= 2.0**400 and 2.0**-600 <= factor <= 2.0**600:
         return factor * plain
     return _scaled_norm(x, factor)
@@ -306,13 +315,13 @@ def _dot_norm(x: np.ndarray) -> float:
     """np.linalg.norm(x), its steps without its wrapper: the entries, as
     floats if they are not, in memory order; a BLAS dot each of their real
     and imaginary parts; the square root of the sum in x's precision."""
-    if x.dtype.kind not in "fc":
-        x = x.astype(float)
     x = x.ravel(order="K")
-    if x.dtype.kind == "c":
+    kind = x.dtype.kind
+    if kind == "c":
         re, im = x.real, x.imag
         square = re.dot(re) + im.dot(im)
     else:
+        x = x if kind == "f" else x.astype(float)
         square = x.dot(x)
     # math.sqrt rounds a double as np.sqrt does; float32 and wider stay numpy's
     return math.sqrt(square) if type(square) is np.float64 else float(np.sqrt(square))
@@ -323,7 +332,7 @@ def _scaled_norm(x: np.ndarray, factor: float) -> float:
     scaled entries are all below 1/2 in modulus, so no step overflows; an
     entry that underflows does so under numpy's own error state."""
     parts = np.ascontiguousarray(x).view(x.real.dtype) if np.iscomplexobj(x) else x
-    scale = float(np.abs(parts).max(initial=0.0))
+    scale = max_abs(parts)
     if not scale < math.inf:  # an inf or NaN entry
         return factor * scale
     # 2^-e stays finite for subnormal x

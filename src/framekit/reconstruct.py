@@ -23,23 +23,23 @@ frame_ops._FrameAnalysis).
 Each call is one prologue (_prologue: the gate, the one scan of the input,
 which is both its finiteness check and its scale, and the one unit-scale
 copy), its products, and one epilogue (_epilogue: the call's norms, its
-checks, the scale-back and the result). The norms, the checks' residual rule
-and the products run in place, so a warm call costs its matrix-vector
-products and a fixed handful of vector operations. The epilogue checks the call's
-defining identity on its own input, by the gate's rule (frame_ops._deviation,
-which it applies for its one norm with the same bits): a residual beyond
+checks, the scale-back and the result). The products run in place, and the
+norms and checks run the steps every norm and check of the library runs, so
+a warm call costs its matrix-vector products and a fixed handful of vector
+operations. The epilogue checks the call's defining identity on its own
+input, by the gate's rule (frame_ops._deviation): a residual beyond
 identity_abs, scaled by the norms that enter it, or NaN, raises
-NumericalError. Each norm is taken once, with matrix_core._norm's bits: as
-the two BLAS dots that np.linalg.norm runs where no square can leave the
-double range, which the kept sigma_1 and sigma_r decide, so no np.errstate
-is entered; else on _norm's scaled route. T+ f is applied as
-V (Sigma^-1 (W* f)) and (T+)* c as W (Sigma^-1 (V* c)), so the m x n T+ is
-never formed, and the projectors share the first product: P f = W (W* f)
-and Q c = V (V* c), never n x n or m x m matrices. W* f and V* c are
-applied as (f* W)* and (c* V)*, which conjugate the vector and read the
-kept W and V in place, with no copy of either. U f0 is applied as
-(f0* T)*, so no m x n U is formed either. No result goes through S+ or G+
-again, so its error grows with T's condition number, not with its square.
+NumericalError. Each norm is taken once, with matrix_core._norm's bits and
+route choice (_routed_norm): from the two BLAS dots that np.linalg.norm runs
+where no square can leave the double range, which the kept sigma_1 and
+sigma_r decide, so no np.errstate is entered; else on _norm's scaled route.
+T+ f is applied as V (Sigma^-1 (W* f)) and (T+)* c as W (Sigma^-1 (V* c)),
+so the m x n T+ is never formed, and the projectors share the first product:
+P f = W (W* f) and Q c = V (V* c), never n x n or m x m matrices. W* f and
+V* c are applied as (f* W)* and (c* V)*, which conjugate the vector and read
+the kept W and V in place, with no copy of either. U f0 is applied as
+(f0* T)*, so no m x n U is formed either. No result goes through S+ or G+ again,
+so its error grows with T's condition number, not with its square.
 
 The operators are linear, so each entry point solves on its input scaled to
 unit size, as LAPACK's xLASCL scales: it writes the input as x = 2^e u, e
@@ -75,8 +75,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateSpanError, NumericalError
-from .frame_ops import FrameSequence, _FrameAnalysis, _smaller_square
-from .matrix_core import Tolerance, _scaled_norm, _vector_peak
+from .frame_ops import FrameSequence, _deviation, _FrameAnalysis, _smaller_square
+from .matrix_core import Tolerance, _dot_norm, _routed_norm, _vector_peak
 
 __all__ = [
     "MinNormSolution",
@@ -130,7 +130,8 @@ def _scaled(what: str, part: float, k: int) -> float:
 
 def _scaled_back(what: str, values: np.ndarray, k: int, bound: float) -> np.ndarray:
     """2^k values, for real or complex values computed from the unit input,
-    each part held to _scaled's rule.
+    each part held to _scaled's rule. values is the call's own result, so
+    the route below that multiplies scales it in place.
 
     bound is |values|, which the caller has taken (matrix_core._norm), so no
     part reaches 2^(b + 1) for b = frexp(bound)'s exponent; the margin covers
@@ -142,7 +143,8 @@ def _scaled_back(what: str, values: np.ndarray, k: int, bound: float) -> np.ndar
     one that lost bits, and _scaled refuses it."""
     parts = values.view(np.float64)
     if 0 <= k <= 1000 and bound < math.inf and math.frexp(bound)[1] + k < 1023:
-        return (parts * 2.0**k).view(values.dtype)
+        parts *= 2.0**k
+        return values
     with np.errstate(over="ignore"):
         out = np.ldexp(parts, k)
     refused = ~np.isfinite(out)
@@ -183,12 +185,12 @@ def _epilogue(a: _FrameAnalysis, s: np.ndarray, e: int, what: str, result: np.nd
     that T or U is applied to in the first of checks, and, for a
     minimum-norm solution, for |part| and |u - part|, part the input's
     component that the solution reproduces. Each x is a fresh 1-D complex128
-    vector, and factor |x| takes matrix_core._norm's bits: the plain |x|,
-    np.linalg.norm's two BLAS dots, where it and factor lie in _norm's range,
-    else _norm's scaled route. No vector exceeds 2 |u| max(1, |T|) |T+|,
-    with |u| < sqrt(2 len(u)), so no dot can leave the double range, and warn,
-    unless sigma_r is tiny; there every norm takes the scaled route, which
-    cannot overflow.
+    vector, and factor |x| takes matrix_core._norm's bits by _norm's own
+    route choice (_routed_norm) from the plain |x|, np.linalg.norm's two
+    BLAS dots (_dot_norm), taken outside np.errstate. No vector exceeds
+    2 |u| max(1, |T|) |T+|, with |u| < sqrt(2 len(u)), so no dot can leave
+    the double range, and warn, unless sigma_r is tiny; there every norm
+    takes the scaled route, which cannot overflow.
 
     Each check (name, lhs, rhs) is then held to identity_abs in order by
     _deviation's rule, the first scaled by |u| + |T| |z|, a second by
@@ -205,23 +207,11 @@ def _epilogue(a: _FrameAnalysis, s: np.ndarray, e: int, what: str, result: np.nd
     dots = math.sqrt(len(terms[0][0])) * max(1.0, s.item(0)) * 2.0**-505 < s.item(-1)
     norms = []
     for x, *factors in terms:
-        re, im = x.real, x.imag  # NaN lies outside every range: the scaled route
-        plain = math.sqrt(float(re.dot(re)) + float(im.dot(im))) if dots else math.nan
-        for factor in factors:
-            if 2.0**-400 <= plain <= 2.0**400 and 2.0**-600 <= factor <= 2.0**600:
-                norms.append(factor * plain)
-            else:
-                norms.append(_scaled_norm(x, factor))
+        plain = _dot_norm(x) if dots else math.nan  # NaN takes the scaled route
+        norms += [_routed_norm(x, plain, factor) for factor in factors]
     norm_u, norm_tz, bound, *split = norms
     for (name, lhs, rhs), scale in zip(checks, (norm_u + norm_tz, bound)):
-        # frame_ops._deviation's rule for one norm, with its bits: the largest
-        # entry modulus over the scale's mantissa and exponent, floored at 1
-        dev = float(np.maximum.reduce(np.abs(lhs - rhs)))
-        mantissa, exponent = math.frexp(scale)
-        if not mantissa < math.inf:
-            dev = dev if math.isnan(dev) else math.inf
-        elif mantissa != 0.0 and exponent >= 1:
-            dev = math.ldexp(dev, -exponent) / mantissa
+        dev = _deviation(lhs, rhs, (scale,))
         if not dev <= a.tol.identity_abs:
             raise NumericalError(f"reconstruction self-check '{name}' deviates by {dev:.3e}, "
                                  f"beyond {a.tol.identity_abs:.3e}")

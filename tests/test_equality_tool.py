@@ -86,14 +86,16 @@ def test_compare_fails_only_on_a_differing_cell_not_listed(tmp_path, capsys):
 
 
 def test_the_committed_expected_changes_name_cells_of_the_grid():
-    # every line of tools/expected_changes.txt names a cell the grid has
+    # every line of tools/expected_changes.txt names a cell the grid has,
+    # the pool's calls on the pool's frames among them
     tool = load_tool()
-    entries, labels = set(tool.ENTRIES), set()
-    for label, _ in tool.frames(framekit):
-        labels.add(label)
+    grids = ((tool.ENTRIES, tool.frames(framekit)),
+             (tool.POOL_ENTRIES, tool.frames(framekit, **tool.POOL)))
+    named = {(entry, label) for entries, framed in grids for label, _ in framed
+             for entry in entries}
     tolerances = set(tool.TOLERANCES)
     for cell in tool.listed(TOOL.parent / "expected_changes.txt"):
         entry, rest = cell.split(" ", 1)
         label, tol, state = rest.rsplit(" ", 2)
-        assert entry in entries and label in labels and tol in tolerances, cell
+        assert (entry, label) in named and tol in tolerances, cell
         assert state in ("fresh", "seen"), cell

@@ -368,14 +368,32 @@ def test_a_kept_dual_does_not_keep_its_frames_factors_alive(g_first):
 @pytest.mark.parametrize("spec", [GAUSSIAN, TALL], ids=["4x6", "6x4"])
 def test_a_dual_whose_frame_is_gone_reads_the_same_squares(spec):
     # the dual reaches its frame's S and G through a weak reference; once the
-    # frame is gone it factors a fresh frame of the frame's T, with the bits
-    # the frame's own factors have
+    # frame is gone it forms them from the frame's T as the frame would, with
+    # the bits the frame's own factors have
     orphan = canonical_dual(generate(spec))  # nothing keeps its frame alive
     gc.collect()
     frame = generate(spec)
     dual = canonical_dual(frame)
     assert _bits(build_bundle(orphan)) == _bits(build_bundle(dual))
     assert "S factors" in frame._kept and "G factors" in frame._kept
+
+
+@pytest.mark.parametrize("spec", [GAUSSIAN, TALL, GeneratorSpec("rank_deficient", 16, 32, 5)],
+                         ids=["4x6", "6x4", "rank_deficient_16x32"])
+def test_a_duals_dual_has_the_same_bits_whether_or_not_the_middle_dual_is_held(spec):
+    # the middle dual's S and G factors are the handed inverted ones of its
+    # frame; its own dual reads them from it while it is held, and by the
+    # same handed forms once it is gone, never by a fresh factorization
+    def bundle(hold):
+        middle = canonical_dual(generate(spec))  # nothing keeps its frame alive
+        dual, gone = canonical_dual(middle), weakref.ref(middle)
+        if not hold:
+            del middle
+            gc.collect()
+        assert (gone() is None) != hold
+        return _bits(build_bundle(dual))
+
+    assert bundle(True) == bundle(False)
 
 
 def test_threads_sharing_a_fresh_dual_read_equal_factors():

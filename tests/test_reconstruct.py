@@ -493,9 +493,10 @@ def test_a_result_that_loses_bits_as_a_subnormal_is_refused(exponent):
 
 
 def scale_back_outcome(values, k, bound):
-    """_scaled_back's bytes, or its refusal's message."""
+    """_scaled_back's bytes, or its refusal's message, on a copy of values:
+    it may scale the result it is handed in place."""
     try:
-        return reconstruct._scaled_back("the result", values, k, bound).tobytes()
+        return reconstruct._scaled_back("the result", values.copy(), k, bound).tobytes()
     except NumericalError as exc:
         return str(exc)
 
